@@ -18,6 +18,7 @@
 #include "common/str_util.h"
 #include "common/timer.h"
 #include "grid/partition.h"
+#include "storage/snapshot.h"
 #include "storage/wal.h"
 
 namespace dbscout::service {
@@ -43,14 +44,6 @@ const char* VerbLabel(Verb verb) {
       return "health";
   }
   return "unknown";
-}
-
-size_t ResolveApplyShards(size_t requested) {
-  if (requested != 0) {
-    return requested;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 /// Process self-inspection via /proc/self. Each returns 0 when the
@@ -107,9 +100,8 @@ DetectionService::DetectionService(const ServiceOptions& options)
                                             : &obs::Registry::Global()),
       trace_(options.trace),
       apply_pool_(1) {
-  const size_t shards = ResolveApplyShards(options.apply_shards);
-  if (shards > 1) {
-    shard_pool_ = std::make_unique<ThreadPool>(shards);
+  if (const unsigned cores = std::thread::hardware_concurrency(); cores > 1) {
+    shard_pool_ = std::make_unique<ThreadPool>(cores);
   }
   if (options.ttl_seconds > 0.0) {
     has_window_.store(true, std::memory_order_relaxed);
@@ -414,24 +406,8 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
         StrFormat("collection limit (%zu) reached",
                   options_.max_collections));
   }
-  DBSCOUT_ASSIGN_OR_RETURN(
-      ShardRouter router,
-      ShardRouter::Create(name, dims, options_.params, options_.num_shards,
-                          registry_));
-  auto collection = std::make_unique<Collection>(name, std::move(router));
-  collection->router.AttachTrace(trace_, name);
-  // Publish the epoch-0 snapshot right away so reads on a collection whose
-  // first batch is still queued get a well-defined (empty) answer. The
-  // apply loop cannot know this collection yet, so the coordinator-thread
-  // contract of PublishableSnapshot() holds trivially.
-  collection->snapshot.store(collection->router.PublishableSnapshot(),
-                             std::memory_order_release);
-  collection->ttl_seconds.store(options_.ttl_seconds,
-                                std::memory_order_relaxed);
-  collection->depth_gauge = registry_->GetGauge(
-      "dbscout_pending_batches",
-      "Ingest batches waiting in the apply queue, by collection",
-      {{"collection", name}});
+  DBSCOUT_ASSIGN_OR_RETURN(std::unique_ptr<Collection> collection,
+                           NewCollection(name, dims));
   if (!options_.data_dir.empty()) {
     storage::RecoveredCollection recovered;
     DBSCOUT_ASSIGN_OR_RETURN(collection->store, OpenStore(name, &recovered));
@@ -457,6 +433,29 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
   collections_.emplace(name, std::move(collection));
   collections_gauge_->Set(static_cast<int64_t>(collections_.size()));
   return raw;
+}
+
+Result<std::unique_ptr<DetectionService::Collection>>
+DetectionService::NewCollection(const std::string& name, uint16_t dims) {
+  DBSCOUT_ASSIGN_OR_RETURN(
+      ShardRouter router,
+      ShardRouter::Create(name, dims, options_.params, options_.num_shards,
+                          registry_));
+  auto collection = std::make_unique<Collection>(name, std::move(router));
+  collection->router.AttachTrace(trace_, name);
+  // Publish the epoch-0 snapshot right away so reads on a collection whose
+  // first batch is still queued get a well-defined (empty) answer. The
+  // apply loop cannot know this collection yet, so the coordinator-thread
+  // contract of PublishableSnapshot() holds trivially.
+  collection->snapshot.store(collection->router.PublishableSnapshot(),
+                             std::memory_order_release);
+  collection->ttl_seconds.store(options_.ttl_seconds,
+                                std::memory_order_relaxed);
+  collection->depth_gauge = registry_->GetGauge(
+      "dbscout_pending_batches",
+      "Ingest batches waiting in the apply queue, by collection",
+      {{"collection", name}});
+  return collection;
 }
 
 Status DetectionService::Enqueue(Collection* collection,
@@ -1188,30 +1187,31 @@ Status DetectionService::RecoverCollections() {
   }
   std::sort(found.begin(), found.end());  // deterministic recovery order
   for (const auto& [name, dir] : found) {
-    DBSCOUT_RETURN_IF_ERROR(RecoverCollection(name, dir));
+    const Status status = RecoverCollection(name);
+    if (!status.ok()) {
+      return Status(status.code(),
+                    StrFormat("recover collection '%s' from %s: %s",
+                              name.c_str(), dir.c_str(),
+                              status.message().c_str()));
+    }
   }
   return Status::OK();
 }
 
-Status DetectionService::RecoverCollection(const std::string& name,
-                                           const std::string& dir) {
+Status DetectionService::RecoverCollection(const std::string& name) {
   WallTimer timer;
   storage::RecoveredCollection recovered;
-  std::unique_ptr<storage::CollectionStore> store;
-  DBSCOUT_ASSIGN_OR_RETURN(store, OpenStore(name, &recovered));
-  // Dims come from the snapshot when one exists, else the first CREATE or
-  // INGEST record of the suffix.
-  uint16_t dims = recovered.base.dims;
-  if (dims == 0) {
-    for (const storage::WalRecord& record : recovered.suffix) {
-      if (record.type == storage::WalRecordType::kCreate ||
-          record.type == storage::WalRecordType::kIngest) {
-        dims = record.dims;
-        break;
-      }
-    }
+  DBSCOUT_ASSIGN_OR_RETURN(std::unique_ptr<storage::CollectionStore> store,
+                           OpenStore(name, &recovered));
+  // Fold the WAL suffix onto the snapshot base: the state loaded below is
+  // exactly what a compaction at this point would write. Each record's
+  // coordinates are released once folded, so the points are held once.
+  storage::CollectionState state = std::move(recovered.base);
+  for (storage::WalRecord& record : recovered.suffix) {
+    DBSCOUT_RETURN_IF_ERROR(storage::ApplyRecordToState(record, &state));
+    std::vector<double>().swap(record.coords);
   }
-  if (dims == 0) {
+  if (state.dims == 0) {
     // A crash before the create record became durable: nothing usable on
     // disk. The next ingest of this name re-creates the collection (and
     // reopens this directory, which recovers as empty again).
@@ -1219,24 +1219,13 @@ Status DetectionService::RecoverCollection(const std::string& name,
                        << "': empty durability dir, nothing to recover";
     return store->Close();
   }
-  DBSCOUT_ASSIGN_OR_RETURN(
-      ShardRouter router,
-      ShardRouter::Create(name, dims, options_.params, options_.num_shards,
-                          registry_));
-  auto collection = std::make_unique<Collection>(name, std::move(router));
-  collection->router.AttachTrace(trace_, name);
+  const uint64_t points = state.epoch;
+  DBSCOUT_ASSIGN_OR_RETURN(std::unique_ptr<Collection> collection,
+                           NewCollection(name, state.dims));
   collection->store = std::move(store);
-  collection->depth_gauge = registry_->GetGauge(
-      "dbscout_pending_batches",
-      "Ingest batches waiting in the apply queue, by collection",
-      {{"collection", name}});
-  Status replayed = ReplayCollection(collection.get(), recovered);
-  if (!replayed.ok()) {
-    return Status(replayed.code(),
-                  StrFormat("recover collection '%s' from %s: %s",
-                            name.c_str(), dir.c_str(),
-                            replayed.message().c_str()));
-  }
+  DBSCOUT_RETURN_IF_ERROR(LoadCollection(collection.get(), std::move(state)));
+  replay_records_total_->Increment(recovered.suffix.size());
+  replay_points_total_->Increment(points);
   replay_seconds_->Observe(timer.ElapsedSeconds());
   MutexLock lock(collections_mu_);
   collections_.emplace(name, std::move(collection));
@@ -1244,138 +1233,50 @@ Status DetectionService::RecoverCollection(const std::string& name,
   return Status::OK();
 }
 
-Status DetectionService::ReplayCollection(
-    Collection* collection, const storage::RecoveredCollection& recovered) {
+Status DetectionService::LoadCollection(Collection* collection,
+                                        storage::CollectionState state) {
   ShardRouter& router = collection->router;
-  const size_t dims = router.dims();
-  double ttl = recovered.base.ttl_seconds;
-  uint64_t window_begin = recovered.base.window_begin;
-  uint64_t replayed_records = 0;
-  uint64_t replayed_points = 0;
-
-  // The recorded region plan first, so every replayed point routes to the
-  // region the live run chose. (The live plan was built from the first
-  // coalesced batch, which replay batching cannot reconstruct.)
-  if (recovered.base.has_plan) {
+  // The recorded region plan first, so every point routes to the region
+  // the live run chose (the live plan was built from its first coalesced
+  // batch, which the folded state cannot reconstruct).
+  if (state.has_plan) {
     DBSCOUT_RETURN_IF_ERROR(router.AdoptPlan(grid::RegionPlan::FromStripes(
-        recovered.base.plan_stripes, recovered.base.plan_halo)));
-    collection->plan_logged = true;  // durable in the snapshot already
+        state.plan_stripes, state.plan_halo)));
+    collection->plan_logged = true;  // durable on disk already
   }
-
-  // Base state: the snapshot keeps the coordinates of every id < epoch, so
-  // one add pass plus one expiry pass over [0, window_begin) reproduces
-  // its live set — through the exact same apply pipeline as live traffic.
-  if (recovered.base.epoch > 0) {
-    PointSet adds{dims};
-    for (uint64_t i = 0; i < recovered.base.epoch; ++i) {
-      adds.Add(std::span<const double>(
-          recovered.base.coords.data() + i * dims, dims));
-    }
-    ShardRouter::PassStats stats;
+  // The state keeps the coordinates of every id < epoch, expired ones
+  // included, so ids stay dense: one add pass, then one expiry pass over
+  // the dead prefix, through the same router pass as live traffic.
+  DBSCOUT_ASSIGN_OR_RETURN(
+      PointSet adds,
+      PointSet::FromRowMajor(state.dims, std::move(state.coords)));
+  ShardRouter::PassStats stats;
+  if (adds.size() > 0) {
     DBSCOUT_RETURN_IF_ERROR(
         router.ApplyPass(adds, 0, 0, shard_pool_.get(), &stats));
-    if (window_begin > 0) {
-      ShardRouter::PassStats expire_stats;
-      DBSCOUT_RETURN_IF_ERROR(router.ApplyPass(PointSet{dims}, 0,
-                                               window_begin,
-                                               shard_pool_.get(),
-                                               &expire_stats));
-    }
-    replayed_points += recovered.base.epoch;
   }
-
-  // WAL suffix: every record becomes its own pass, in log order. Labels
-  // are a function of the live point set (batching-independent), so the
-  // replayed outlier set equals the pre-crash one at the durable epoch.
-  for (const storage::WalRecord& record : recovered.suffix) {
-    ++replayed_records;
-    switch (record.type) {
-      case storage::WalRecordType::kCreate: {
-        if (record.dims != dims) {
-          return Status::IoError(
-              StrFormat("wal create record dims %u != collection dims %zu",
-                        record.dims, dims));
-        }
-        ttl = record.ttl_seconds;
-        break;
-      }
-      case storage::WalRecordType::kConfigure:
-        ttl = record.ttl_seconds;
-        break;
-      case storage::WalRecordType::kPlan: {
-        if (router.plan() == nullptr) {
-          DBSCOUT_RETURN_IF_ERROR(router.AdoptPlan(
-              grid::RegionPlan::FromStripes(record.stripes, record.halo)));
-        }
-        collection->plan_logged = true;
-        break;
-      }
-      case storage::WalRecordType::kIngest: {
-        if (record.dims != dims) {
-          return Status::IoError(
-              StrFormat("wal ingest record dims %u != collection dims %zu",
-                        record.dims, dims));
-        }
-        if (record.base_epoch != router.epoch()) {
-          return Status::IoError(StrFormat(
-              "wal ingest record expects base epoch %llu but replay is at "
-              "%llu (lost or reordered records)",
-              static_cast<unsigned long long>(record.base_epoch),
-              static_cast<unsigned long long>(router.epoch())));
-        }
-        const size_t count = record.coords.size() / dims;
-        PointSet adds{dims};
-        for (size_t i = 0; i < count; ++i) {
-          adds.Add(std::span<const double>(record.coords.data() + i * dims,
-                                           dims));
-        }
-        ShardRouter::PassStats stats;
-        DBSCOUT_RETURN_IF_ERROR(
-            router.ApplyPass(adds, 0, 0, shard_pool_.get(), &stats));
-        replayed_points += count;
-        break;
-      }
-      case storage::WalRecordType::kExpire: {
-        if (record.expire_begin != window_begin ||
-            record.expire_end > router.epoch()) {
-          return Status::IoError(StrFormat(
-              "wal expire record [%llu, %llu) does not extend window begin "
-              "%llu at epoch %llu",
-              static_cast<unsigned long long>(record.expire_begin),
-              static_cast<unsigned long long>(record.expire_end),
-              static_cast<unsigned long long>(window_begin),
-              static_cast<unsigned long long>(router.epoch())));
-        }
-        if (record.expire_end > record.expire_begin) {
-          ShardRouter::PassStats stats;
-          DBSCOUT_RETURN_IF_ERROR(router.ApplyPass(
-              PointSet{dims}, record.expire_begin, record.expire_end,
-              shard_pool_.get(), &stats));
-        }
-        window_begin = record.expire_end;
-        break;
-      }
-    }
+  if (state.window_begin > 0) {
+    DBSCOUT_RETURN_IF_ERROR(router.ApplyPass(PointSet{state.dims}, 0,
+                                             state.window_begin,
+                                             shard_pool_.get(), &stats));
   }
-
-  collection->ttl_seconds.store(ttl, std::memory_order_relaxed);
-  if (ttl > 0.0) {
+  collection->ttl_seconds.store(state.ttl_seconds, std::memory_order_relaxed);
+  if (state.ttl_seconds > 0.0) {
     has_window_.store(true, std::memory_order_relaxed);
   }
-  // window_begin only ever advances, and replay ends exactly where the
-  // durable log ended: the epoch never rewinds across a restart.
-  collection->window_begin.store(window_begin, std::memory_order_relaxed);
-  if (router.epoch() > window_begin) {
+  // The window and the epoch end exactly where the durable log ended, so
+  // neither rewinds across a restart.
+  collection->window_begin.store(state.window_begin,
+                                 std::memory_order_relaxed);
+  if (state.epoch > state.window_begin) {
     // Re-stamp the surviving range at recovery time: the WAL records no
     // wall-clock provenance, so recovered points live one more full TTL
     // from now (never less than they would have).
     collection->stamps.push_back(
-        Collection::StampRange{router.epoch(), clock_()});
+        Collection::StampRange{state.epoch, clock_()});
   }
   collection->snapshot.store(router.PublishableSnapshot(),
                              std::memory_order_release);
-  replay_records_total_->Increment(replayed_records);
-  replay_points_total_->Increment(replayed_points);
   return Status::OK();
 }
 

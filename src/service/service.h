@@ -38,14 +38,6 @@ struct ServiceOptions {
   /// how many a misbehaving client can create.
   size_t max_collections = 64;
 
-  /// Worker threads the apply loop fans slab-block shard tasks out on
-  /// (AddBatchParallel). 0 picks the hardware concurrency; 1 keeps each
-  /// apply pass single-threaded (no worker pool at all). Only the
-  /// single-detector configuration (num_shards == 1) uses this pool; with
-  /// several detector shards each shard runs its waves serially on its
-  /// own loop thread instead.
-  size_t apply_shards = 0;
-
   /// Detector shards per collection: cell space is partitioned into this
   /// many contiguous dim-0 slab regions, each backed by its own
   /// IncrementalDetector and apply loop, with ghost-halo replication
@@ -70,9 +62,9 @@ struct ServiceOptions {
   /// subdirectory under it with a write-ahead log and periodic snapshots
   /// (storage::CollectionStore), the apply loop gains a durability
   /// barrier (a ticket completes only after its WAL frames are committed
-  /// under wal_fsync), and construction replays whatever the directory
-  /// holds back through the normal apply pipeline. Check
-  /// recovery_status() after construction.
+  /// under wal_fsync), and construction recovers whatever the directory
+  /// holds (see RecoverCollection). Check recovery_status() after
+  /// construction.
   std::string data_dir;
 
   /// When WAL appends are fdatasync'd relative to ingest acknowledgement
@@ -310,18 +302,27 @@ class DetectionService {
   Result<std::unique_ptr<storage::CollectionStore>> OpenStore(
       const std::string& name, storage::RecoveredCollection* recovered);
 
-  /// Constructor-time crash recovery: scans data_dir, recreates every
-  /// collection found there, and replays snapshot + WAL suffix through
-  /// the normal apply pipeline. Runs before the apply loop starts, so the
+  /// A fresh, unregistered collection of `dims` with the service-wide
+  /// TTL, publishing its empty epoch-0 snapshot. The one place a
+  /// collection's router is built, for first ingest and recovery alike.
+  Result<std::unique_ptr<Collection>> NewCollection(const std::string& name,
+                                                    uint16_t dims);
+
+  /// Constructor-time crash recovery: scans data_dir and recovers every
+  /// collection found there. Runs before the apply loop starts, so the
   /// coordinator-thread contract holds.
   Status RecoverCollections() DBSCOUT_EXCLUDES(collections_mu_);
-  Status RecoverCollection(const std::string& name,
-                           const std::string& dir)
+  /// Folds the WAL suffix onto the snapshot base with
+  /// storage::ApplyRecordToState (the interpreter compaction uses), then
+  /// loads the folded state and registers the collection.
+  Status RecoverCollection(const std::string& name)
       DBSCOUT_EXCLUDES(collections_mu_);
-  /// Replays one recovered collection: base state as one add pass plus
-  /// one expiry pass, then each WAL suffix record as its own pass.
-  Status ReplayCollection(Collection* collection,
-                          const storage::RecoveredCollection& recovered);
+  /// Loads a folded state into a fresh collection: adopts the recorded
+  /// plan, then one add pass over [0, epoch) and one expiry pass over
+  /// [0, window_begin), then publishes. Labels depend only on the live
+  /// point set, so this equals the pre-crash labeling at the durable epoch.
+  Status LoadCollection(Collection* collection,
+                        storage::CollectionState state);
 
   /// Validates the batch shape and returns the collection, creating it on
   /// first ingest (dims fixed by the first batch).
@@ -405,8 +406,8 @@ class DetectionService {
   /// Request latency by verb, indexed by Verb's numeric value.
   std::array<obs::Histogram*, kNumVerbSlots> request_seconds_{};
 
-  /// Shard workers AddBatchParallel fans block tasks out on; null when the
-  /// resolved apply_shards is 1 (serial apply). Only forwarded to
+  /// Shard workers AddBatchParallel fans block tasks out on, one per
+  /// hardware thread; null on a single core (serial apply). Only forwarded to
   /// single-detector (num_shards == 1) routers: AddBatchParallel's wave
   /// barriers WaitIdle() the pool, so it must never be shared by
   /// concurrently-applying detectors. Declared before apply_pool_ so the

@@ -256,6 +256,10 @@ Result<CollectionState> ReadSnapshotFile(const std::string& path) {
     return Status::IoError(
         StrFormat("%s: trailing bytes in snapshot payload", path.c_str()));
   }
+  if (state.dims == 0 && (state.epoch != 0 || !state.coords.empty())) {
+    return Status::IoError(
+        StrFormat("%s: snapshot has points but dims 0", path.c_str()));
+  }
   if (state.dims != 0 && state.coords.size() / state.dims != state.epoch) {
     return Status::IoError(
         StrFormat("%s: snapshot coords do not match epoch", path.c_str()));

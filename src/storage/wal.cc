@@ -102,11 +102,17 @@ Result<WalRecord> DecodeWalRecord(std::span<const uint8_t> payload) {
   switch (record.type) {
     case WalRecordType::kCreate: {
       DBSCOUT_ASSIGN_OR_RETURN(record.dims, reader.Read<uint16_t>());
+      if (record.dims == 0) {
+        return Status::InvalidArgument("wal create record: dims 0");
+      }
       DBSCOUT_ASSIGN_OR_RETURN(record.ttl_seconds, reader.Read<double>());
       break;
     }
     case WalRecordType::kIngest: {
       DBSCOUT_ASSIGN_OR_RETURN(record.dims, reader.Read<uint16_t>());
+      if (record.dims == 0) {
+        return Status::InvalidArgument("wal ingest record: dims 0");
+      }
       DBSCOUT_ASSIGN_OR_RETURN(record.base_epoch, reader.Read<uint64_t>());
       DBSCOUT_ASSIGN_OR_RETURN(const uint32_t count, reader.Read<uint32_t>());
       DBSCOUT_ASSIGN_OR_RETURN(

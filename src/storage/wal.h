@@ -86,8 +86,9 @@ struct WalRecord {
 /// writer adds length + CRC).
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record);
 
-/// Parses a frame payload. Fails with InvalidArgument on malformed bytes;
-/// never reads out of bounds, never trusts embedded lengths.
+/// Parses a frame payload. Fails with InvalidArgument on malformed bytes
+/// (including a CREATE or INGEST with dims 0, which the fold could not
+/// divide by); never reads out of bounds, never trusts embedded lengths.
 Result<WalRecord> DecodeWalRecord(std::span<const uint8_t> payload);
 
 /// Append-only writer over one segment file. Not thread-safe; the owner

@@ -1,6 +1,7 @@
 #include "datasets/synthetic.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,16 @@ namespace {
 
 using Generator = LabeledDataset (*)(size_t, double, uint64_t);
 
-class SyntheticGeneratorTest
-    : public ::testing::TestWithParam<std::pair<const char*, Generator>> {};
+struct GeneratorCase {
+  const char* name;
+  Generator generate;
+};
+
+// Prints the case by name only, so the listed test names do not carry
+// pointer values that change from one process to the next.
+void PrintTo(const GeneratorCase& c, std::ostream* os) { *os << c.name; }
+
+class SyntheticGeneratorTest : public ::testing::TestWithParam<GeneratorCase> {};
 
 TEST_P(SyntheticGeneratorTest, SizesLabelsAndDeterminism) {
   const auto [name, generate] = GetParam();
@@ -34,11 +43,11 @@ TEST_P(SyntheticGeneratorTest, SizesLabelsAndDeterminism) {
 
 INSTANTIATE_TEST_SUITE_P(
     All, SyntheticGeneratorTest,
-    ::testing::Values(std::make_pair("blobs", &Blobs),
-                      std::make_pair("blobs_vd", &BlobsVariedDensity),
-                      std::make_pair("circles", &Circles),
-                      std::make_pair("moons", &Moons)),
-    [](const auto& info) { return std::string(info.param.first); });
+    ::testing::Values(GeneratorCase{"blobs", &Blobs},
+                      GeneratorCase{"blobs_vd", &BlobsVariedDensity},
+                      GeneratorCase{"circles", &Circles},
+                      GeneratorCase{"moons", &Moons}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(SyntheticTest, BlobsOutliersAreSparserThanInliers) {
   const auto ds = Blobs(3000, 0.02, 11);

@@ -4,8 +4,9 @@
 // labeling DetectSequential computes on the live points — for shard
 // counts 1 and 4, with and without a sliding-window TTL, across explicit
 // compactions, and through a CONFIGURE change. Epochs never rewind across
-// a restart, and a corrupt WAL frame must surface as a recovery error
-// rather than load corrupt points.
+// a restart, and a corrupt WAL frame or a broken log (a lost record, a
+// non-extending expiry, a dims-0 record) must surface as a recovery error
+// and leave the collection unserved rather than load corrupt points.
 
 #include <algorithm>
 #include <atomic>
@@ -23,6 +24,7 @@
 #include "obs/metrics.h"
 #include "service/handle.h"
 #include "service/service.h"
+#include "storage/store.h"
 #include "storage/wal.h"
 #include "testutil.h"
 
@@ -443,6 +445,97 @@ TEST(DurabilityTest, CorruptWalFrameFailsRecovery) {
   obs::Registry registry;
   DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
   EXPECT_FALSE(run.service.recovery_status().ok());
+}
+
+/// Writes `records` as collection "c"'s WAL under `data_dir`, frame by
+/// frame, as if a service had logged them.
+void WriteLog(const std::string& data_dir,
+              const std::vector<storage::WalRecord>& records) {
+  obs::Registry registry;
+  storage::StoreOptions options;
+  options.registry = &registry;
+  options.collection = "c";
+  storage::RecoveredCollection recovered;
+  auto store = storage::CollectionStore::Open(
+      data_dir + "/" + storage::EncodeCollectionDirName("c"), options,
+      &recovered);
+  ASSERT_TRUE(store.ok()) << store.status();
+  for (const storage::WalRecord& record : records) {
+    ASSERT_TRUE((*store)->LogRecord(record).ok());
+  }
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+storage::WalRecord CreateRecord(uint16_t dims) {
+  storage::WalRecord record;
+  record.type = storage::WalRecordType::kCreate;
+  record.dims = dims;
+  return record;
+}
+
+storage::WalRecord IngestRecord(uint64_t base_epoch,
+                                std::vector<double> coords) {
+  storage::WalRecord record;
+  record.type = storage::WalRecordType::kIngest;
+  record.dims = 2;
+  record.base_epoch = base_epoch;
+  record.coords = std::move(coords);
+  return record;
+}
+
+storage::WalRecord ExpireRecord(uint64_t begin, uint64_t end) {
+  storage::WalRecord record;
+  record.type = storage::WalRecordType::kExpire;
+  record.expire_begin = begin;
+  record.expire_end = end;
+  return record;
+}
+
+/// Recovery over `data_dir` must fail with `code`, and the collection must
+/// be neither readable nor writable afterwards.
+void ExpectRecoveryRefused(const std::string& data_dir, StatusCode code) {
+  obs::Registry registry;
+  DurableRun run(DurableOptions(data_dir, 1, &registry, nullptr));
+  EXPECT_EQ(run.service.recovery_status().code(), code)
+      << run.service.recovery_status();
+  EXPECT_EQ(run.service.recovery_state(), RecoveryState::kFailed);
+  auto stats = run.handle.Call(StatsRequest("c"));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->status.code(), StatusCode::kNotFound) << stats->status;
+  auto ingest = run.handle.Call(IngestRequest("c", 2, {0.0, 0.0}));
+  ASSERT_TRUE(ingest.ok());
+  EXPECT_FALSE(ingest->status.ok());
+}
+
+TEST(DurabilityTest, LostIngestRecordFailsRecovery) {
+  // The second batch claims base epoch 5 while only 2 points precede it:
+  // a record in between was lost, and the fold must refuse the log.
+  const std::string dir = FreshDataDir("lost_record");
+  WriteLog(dir, {CreateRecord(2), IngestRecord(0, {0.0, 0.0, 1.0, 1.0}),
+                 IngestRecord(5, {2.0, 2.0})});
+  ExpectRecoveryRefused(dir, StatusCode::kIoError);
+}
+
+TEST(DurabilityTest, ExpireThatDoesNotExtendWindowFailsRecovery) {
+  // After [0, 2) expired, [1, 3) re-expires id 1 instead of extending the
+  // prefix: the alive mask would no longer be 0*1*.
+  const std::string dir = FreshDataDir("bad_expire");
+  WriteLog(dir, {CreateRecord(2),
+                 IngestRecord(0, {0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0}),
+                 ExpireRecord(0, 2), ExpireRecord(1, 3)});
+  ExpectRecoveryRefused(dir, StatusCode::kIoError);
+}
+
+TEST(DurabilityTest, ZeroDimsRecordFailsRecoveryCleanly) {
+  // CRC-valid but meaningless: recovery reports an error status instead
+  // of dividing by zero while folding the log.
+  storage::WalRecord ingest = IngestRecord(0, {});
+  ingest.dims = 0;
+  for (const storage::WalRecord& record : {CreateRecord(0), ingest}) {
+    const std::string dir = FreshDataDir("zero_dims");
+    WriteLog(dir, {record});
+    ExpectRecoveryRefused(dir, StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

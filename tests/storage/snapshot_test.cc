@@ -109,6 +109,20 @@ TEST(SnapshotFileTest, TruncationIsRejected) {
   }
 }
 
+TEST(SnapshotFileTest, PointsWithoutDimsAreRejected) {
+  // A CRC-valid snapshot claiming points but no dims cannot be loaded;
+  // recovery must not mistake it for an empty collection.
+  const std::string path = TestPath("snap_zero_dims.snap");
+  CollectionState state;
+  state.epoch = 3;
+  ASSERT_TRUE(WriteSnapshotFile(path, state).ok());
+  EXPECT_FALSE(ReadSnapshotFile(path).ok());
+  state.epoch = 0;
+  state.coords = {1.0, 2.0};
+  ASSERT_TRUE(WriteSnapshotFile(path, state).ok());
+  EXPECT_FALSE(ReadSnapshotFile(path).ok());
+}
+
 TEST(SnapshotFileTest, MissingFileIsError) {
   EXPECT_FALSE(ReadSnapshotFile(TestPath("snap_missing.snap")).ok());
 }

@@ -147,6 +147,12 @@ TEST(WalRecordTest, RejectsMalformedPayloads) {
   bad.expire_begin = 9;
   bad.expire_end = 3;
   EXPECT_FALSE(DecodeWalRecord(EncodeWalRecord(bad)).ok());
+  // CREATE or INGEST with dims 0: the state fold would divide by zero.
+  WalRecord create;
+  create.type = WalRecordType::kCreate;
+  create.dims = 0;
+  EXPECT_FALSE(DecodeWalRecord(EncodeWalRecord(create)).ok());
+  EXPECT_FALSE(DecodeWalRecord(EncodeWalRecord(IngestRecord(0, 0, {}))).ok());
 }
 
 TEST(WalScanTest, TornTailIsTruncatedCleanly) {

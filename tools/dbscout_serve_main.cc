@@ -5,17 +5,15 @@
 //
 // usage: dbscout_serve --eps=X --min-pts=N [--host=H] [--port=P]
 //                      [--max-sessions=S] [--max-pending=Q]
-//                      [--shards=N] [--apply-shards=K] [--ttl-seconds=T]
+//                      [--shards=N] [--ttl-seconds=T]
 //                      [--data-dir=DIR] [--wal-fsync=always|interval|never]
-//                      [--snapshot-interval=BYTES] [--trace-out=FILE]
+//                      [--snapshot-interval=BYTES]
 //                      [--slow-request-ms=N] [--trace-spans=CAP]
 //
 // --shards=N backs every collection with N region-partitioned detector
 // shards (ghost-halo replication keeps the merged outlier set exact);
-// STATS then reports one row per shard. Default 1 = single detector.
-// --apply-shards=K sets the shard worker count the apply loop fans
-// slab-block tasks out on (0 = hardware concurrency, 1 = serial apply);
-// it only applies to the --shards=1 layout.
+// STATS then reports one row per shard. Default 1 = single detector,
+// whose apply loop fans slab-block tasks out on one worker per core.
 // --ttl-seconds=T gives every collection a sliding window: points older
 // than T seconds are expired by the apply loop (0 = append-only; override
 // per collection with dbscout_client --set-ttl).
@@ -33,9 +31,8 @@
 // Tracing is always on: every request's spans (frame decode, queue wait,
 // per-shard apply, WAL commit, snapshot publish, reply encode) land in an
 // in-memory ring buffer (--trace-spans=CAP spans, default 16384) that
-// `dbscout_client --trace-dump` reads live over the TRACE verb.
-// --trace-out=FILE additionally writes the ring's tail as Chrome/Perfetto
-// JSON at shutdown. --slow-request-ms=N logs a structured warning line
+// `dbscout_client --trace-dump` reads live over the TRACE verb as
+// Chrome/Perfetto JSON. --slow-request-ms=N logs a structured warning line
 // (with the request's trace id) for any request slower than N ms; N=0
 // logs every request (smoke-test mode).
 //
@@ -81,9 +78,9 @@ const char* FlagValue(int argc, char** argv, const std::string& name) {
 int Usage() {
   std::cerr << "usage: dbscout_serve --eps=X --min-pts=N [--host=H] "
                "[--port=P] [--max-sessions=S] [--max-pending=Q] "
-               "[--shards=N] [--apply-shards=K] [--ttl-seconds=T] "
+               "[--shards=N] [--ttl-seconds=T] "
                "[--data-dir=DIR] [--wal-fsync=always|interval|never] "
-               "[--snapshot-interval=BYTES] [--trace-out=FILE] "
+               "[--snapshot-interval=BYTES] "
                "[--slow-request-ms=N] [--trace-spans=CAP]\n";
   return 2;
 }
@@ -122,13 +119,6 @@ int main(int argc, char** argv) {
     }
     service_options.num_shards = *value;
   }
-  if (const char* text = FlagValue(argc, argv, "apply-shards")) {
-    auto value = ParseUint64(text);
-    if (!value.ok()) {
-      return Usage();
-    }
-    service_options.apply_shards = *value;
-  }
   if (const char* text = FlagValue(argc, argv, "ttl-seconds")) {
     auto value = ParseDouble(text);
     if (!value.ok() || *value < 0.0) {
@@ -166,10 +156,6 @@ int main(int argc, char** argv) {
   // only the span emissions themselves (no per-request allocation growth).
   dbscout::obs::TraceCollector trace(trace_spans);
   service_options.trace = &trace;
-  std::string trace_out;
-  if (const char* text = FlagValue(argc, argv, "trace-out")) {
-    trace_out = text;
-  }
   if (const char* text = FlagValue(argc, argv, "slow-request-ms")) {
     auto value = ParseDouble(text);
     if (!value.ok() || *value < 0.0) {
@@ -233,12 +219,5 @@ int main(int argc, char** argv) {
   std::cout << "shutting down" << std::endl;
   (*server)->Stop();   // drain sessions first ...
   service.Stop();      // ... then the apply queue
-  if (!trace_out.empty()) {
-    const auto status = trace.WriteChromeJson(trace_out);
-    if (!status.ok()) {
-      std::cerr << "dbscout_serve: " << status << "\n";
-      return 1;
-    }
-  }
   return 0;
 }
