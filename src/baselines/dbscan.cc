@@ -4,7 +4,7 @@
 
 #include "common/timer.h"
 #include "grid/grid.h"
-#include "grid/neighborhood.h"
+#include "grid/neighbor_cells.h"
 
 namespace dbscout::baselines {
 
@@ -27,19 +27,14 @@ Result<DbscanResult> Dbscan(const PointSet& points, double eps, int min_pts) {
   }
   WallTimer timer;
   DBSCOUT_ASSIGN_OR_RETURN(grid::Grid g, grid::Grid::Build(points, eps));
-  DBSCOUT_ASSIGN_OR_RETURN(const grid::NeighborStencil* stencil,
-                           grid::GetNeighborStencil(points.dims()));
   const size_t n = points.size();
   const double eps2 = eps * eps;
   const uint32_t min_pts_u = static_cast<uint32_t>(min_pts);
 
-  // Precompute per-cell neighbor lists lazily per cell (reused buffer).
+  // Neighbor lists of every cell: the cluster expansion reaches any cell.
   const uint32_t num_cells = static_cast<uint32_t>(g.num_cells());
-  std::vector<std::vector<uint32_t>> cell_neighbors(num_cells);
-  for (uint32_t c = 0; c < num_cells; ++c) {
-    g.ForEachNeighborCell(
-        c, *stencil, [&](uint32_t nc) { cell_neighbors[c].push_back(nc); });
-  }
+  const grid::NeighborCells neighbors =
+      grid::NeighborCells::Build(g.CellCoords());
 
   // Core detection: identical counting to DBSCOUT's phase 3, with dense
   // cells short-circuited (Lemma 1 applies to DBSCAN equally).
@@ -55,7 +50,7 @@ Result<DbscanResult> Dbscan(const PointSet& points, double eps, int min_pts) {
     for (uint32_t p : cell_points) {
       const auto pv = points[p];
       uint32_t count = 0;
-      for (uint32_t nc : cell_neighbors[c]) {
+      for (uint32_t nc : neighbors.Of(c)) {
         for (uint32_t q : g.PointsInCell(nc)) {
           if (PointSet::SquaredDistance(pv, points[q]) <= eps2 &&
               ++count >= min_pts_u) {
@@ -89,7 +84,7 @@ Result<DbscanResult> Dbscan(const PointSet& points, double eps, int min_pts) {
       queue.pop_front();
       const auto pv = points[p];
       const uint32_t c = g.CellIdOfPoint(p);
-      for (uint32_t nc : cell_neighbors[c]) {
+      for (uint32_t nc : neighbors.Of(c)) {
         for (uint32_t r : g.PointsInCell(nc)) {
           if (result.cluster[r] != DbscanResult::kNoise) {
             continue;

@@ -5,7 +5,7 @@
 
 #include "common/timer.h"
 #include "grid/grid.h"
-#include "grid/neighborhood.h"
+#include "grid/neighbor_cells.h"
 
 namespace dbscout::baselines {
 
@@ -29,27 +29,26 @@ Result<KnorrResult> KnorrOutliers(const PointSet& points,
       std::floor((1.0 - params.fraction) * static_cast<double>(n)));
   DBSCOUT_ASSIGN_OR_RETURN(grid::Grid g,
                            grid::Grid::Build(points, params.radius));
-  DBSCOUT_ASSIGN_OR_RETURN(const grid::NeighborStencil* stencil,
-                           grid::GetNeighborStencil(points.dims()));
   const double r2 = params.radius * params.radius;
 
-  std::vector<uint32_t> neighbor_cells;
+  // Dense-cell shortcut (the Lemma 1 idea transposed): a cell with more
+  // than threshold+1 points clears every member outright, since the cell
+  // diagonal is the radius. Only the other cells are scanned.
+  std::vector<uint8_t> scan(g.num_cells());
   for (uint32_t c = 0; c < g.num_cells(); ++c) {
-    const auto cell_points = g.PointsInCell(c);
-    // Dense-cell shortcut (the Lemma 1 idea transposed): a cell with more
-    // than threshold+1 points clears every member outright, since the cell
-    // diagonal is the radius.
-    if (cell_points.size() > threshold + 1) {
+    scan[c] = g.CellSize(c) <= threshold + 1;
+  }
+  const grid::NeighborCells neighbors =
+      grid::NeighborCells::Build(g.CellCoords(), scan);
+  for (uint32_t c = 0; c < g.num_cells(); ++c) {
+    if (!scan[c]) {
       continue;
     }
-    neighbor_cells.clear();
-    g.ForEachNeighborCell(c, *stencil,
-                          [&](uint32_t nc) { neighbor_cells.push_back(nc); });
-    for (uint32_t p : cell_points) {
+    for (uint32_t p : g.PointsInCell(c)) {
       const auto pv = points[p];
       uint64_t count = 0;
       bool cleared = false;
-      for (uint32_t nc : neighbor_cells) {
+      for (uint32_t nc : neighbors.Of(c)) {
         for (uint32_t q : g.PointsInCell(nc)) {
           if (q != p && PointSet::SquaredDistance(pv, points[q]) <= r2 &&
               ++count > threshold) {

@@ -27,7 +27,7 @@ struct KnorrResult {
 
 /// Grid-accelerated DB-outlier detection: the neighbor count threshold
 /// floor((1 - fraction) * n) is evaluated with the same eps-cell grid and
-/// k_d stencil DBSCOUT uses (here with eps = radius), including the
+/// neighbor cells DBSCOUT uses (here with eps = radius), including the
 /// dense-cell shortcut and early termination — demonstrating that the
 /// paper's grid machinery accelerates the whole distance-based family,
 /// not just Definition 3.

@@ -9,7 +9,7 @@
 #include "common/str_util.h"
 #include "common/timer.h"
 #include "grid/cell_coord.h"
-#include "grid/neighborhood.h"
+#include "grid/neighbor_cells.h"
 
 namespace dbscout::baselines {
 namespace {
@@ -73,8 +73,10 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
                                 const RpDbscanParams& params) {
   DBSCOUT_RETURN_IF_ERROR(params.Validate());
   const size_t d = points.dims();
-  DBSCOUT_ASSIGN_OR_RETURN(const grid::NeighborStencil* stencil,
-                           grid::GetNeighborStencil(d));
+  if (d < 1 || d > kMaxDims) {
+    return Status::InvalidArgument(
+        StrFormat("dims=%zu out of supported range [1, %zu]", d, kMaxDims));
+  }
   WallTimer timer;
   RpDbscanResult result;
   const size_t n = points.size();
@@ -122,37 +124,43 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
   // Flatten for indexed access and group sub-cells by their eps-cell.
   std::vector<CellCoord> sub_coords;
   std::vector<SubCell> sub_cells;
+  std::vector<uint32_t> sub_cell_of;  // sub-cell id -> eps-cell id
   sub_coords.reserve(dictionary.size());
   sub_cells.reserve(dictionary.size());
-  std::unordered_map<CellCoord, std::vector<uint32_t>, CellCoordHash>
-      cell_to_subs;
-  std::unordered_map<CellCoord, uint32_t, CellCoordHash> cell_counts;
+  sub_cell_of.reserve(dictionary.size());
+  std::unordered_map<CellCoord, uint32_t, CellCoordHash> cell_ids;
+  std::vector<CellCoord> cell_coords;
+  std::vector<std::vector<uint32_t>> cell_subs;
+  std::vector<uint32_t> cell_counts;
   for (const auto& [sub, info] : dictionary) {
     const uint32_t id = static_cast<uint32_t>(sub_cells.size());
     sub_coords.push_back(sub);
     sub_cells.push_back(info);
     const CellCoord cell = CoordOf(points[info.representative], side, d);
-    cell_to_subs[cell].push_back(id);
-    cell_counts[cell] += info.count;
+    auto [it, inserted] = cell_ids.try_emplace(
+        cell, static_cast<uint32_t>(cell_coords.size()));
+    if (inserted) {
+      cell_coords.push_back(cell);
+      cell_subs.emplace_back();
+      cell_counts.push_back(0);
+    }
+    cell_subs[it->second].push_back(id);
+    cell_counts[it->second] += info.count;
+    sub_cell_of.push_back(it->second);
   }
-  result.num_cells = cell_counts.size();
-  auto cell_is_dense = [&](const CellCoord& cell) {
-    auto it = cell_counts.find(cell);
-    return it != cell_counts.end() && it->second >= min_pts;
+  result.num_cells = cell_coords.size();
+  const grid::NeighborCells neighbors =
+      grid::NeighborCells::Build(cell_coords);
+  auto cell_is_dense = [&](uint32_t cell) {
+    return cell_counts[cell] >= min_pts;
   };
 
   // Approximate neighbor count of a query location: every sub-cell whose
   // representative lies within eps contributes its full count.
-  auto approx_count = [&](std::span<const double> query,
-                          const CellCoord& cell) {
+  auto approx_count = [&](std::span<const double> query, uint32_t cell) {
     uint64_t count = 0;
-    for (const grid::CellOffset& offset : stencil->offsets) {
-      const CellCoord neighbor = cell.Translated({offset.data(), d});
-      auto it = cell_to_subs.find(neighbor);
-      if (it == cell_to_subs.end()) {
-        continue;
-      }
-      for (uint32_t s : it->second) {
+    for (uint32_t nc : neighbors.Of(cell)) {
+      for (uint32_t s : cell_subs[nc]) {
         const auto rep = points[sub_cells[s].representative];
         if (PointSet::SquaredDistance(query, rep) <= eps2) {
           count += sub_cells[s].count;
@@ -168,7 +176,7 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
   // ---- Core marking of sub-cell representatives. ------------------------
   for (uint32_t s = 0; s < sub_cells.size(); ++s) {
     const uint32_t rep = sub_cells[s].representative;
-    const CellCoord cell = CoordOf(points[rep], side, d);
+    const uint32_t cell = sub_cell_of[s];
     if (cell_is_dense(cell) || approx_count(points[rep], cell) >= min_pts) {
       sub_cells[s].core = 1;
     }
@@ -181,7 +189,7 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
   // successful representative pair per cell pair — exactly the cell-level
   // merging that keeps RP-DBSCAN's cell graph tractable.
   UnionFind uf(sub_cells.size());
-  for (const auto& [cell, subs] : cell_to_subs) {
+  for (const std::vector<uint32_t>& subs : cell_subs) {
     uint32_t first_core = UINT32_MAX;
     for (uint32_t s : subs) {
       if (!sub_cells[s].core) {
@@ -194,7 +202,8 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
       }
     }
   }
-  for (const auto& [cell, subs] : cell_to_subs) {
+  for (uint32_t cell = 0; cell < cell_subs.size(); ++cell) {
+    const std::vector<uint32_t>& subs = cell_subs[cell];
     uint32_t anchor = UINT32_MAX;
     for (uint32_t s : subs) {
       if (sub_cells[s].core) {
@@ -205,14 +214,9 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
     if (anchor == UINT32_MAX) {
       continue;  // no core sub-cell in this cell
     }
-    for (const grid::CellOffset& offset : stencil->offsets) {
-      const CellCoord neighbor = cell.Translated({offset.data(), d});
-      if (!(cell < neighbor)) {
+    for (uint32_t nc : neighbors.Of(cell)) {
+      if (!(cell_coords[cell] < cell_coords[nc])) {
         continue;  // visit each cell pair once
-      }
-      auto it = cell_to_subs.find(neighbor);
-      if (it == cell_to_subs.end()) {
-        continue;
       }
       bool linked = false;
       for (uint32_t s : subs) {
@@ -220,7 +224,7 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
           continue;
         }
         const auto rep = points[sub_cells[s].representative];
-        for (uint32_t t : it->second) {
+        for (uint32_t t : cell_subs[nc]) {
           if (!sub_cells[t].core) {
             continue;
           }
@@ -261,18 +265,13 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
       continue;
     }
     const auto rep = points[sub_cells[s].representative];
-    const CellCoord cell = CoordOf(rep, side, d);
+    const uint32_t cell = sub_cell_of[s];
     if (cell_is_dense(cell)) {
       continue;  // exact: dense cells contain no noise (Lemma 1)
     }
     bool covered = false;
-    for (const grid::CellOffset& offset : stencil->offsets) {
-      const CellCoord neighbor = cell.Translated({offset.data(), d});
-      auto it = cell_to_subs.find(neighbor);
-      if (it == cell_to_subs.end()) {
-        continue;
-      }
-      for (uint32_t t : it->second) {
+    for (uint32_t nc : neighbors.Of(cell)) {
+      for (uint32_t t : cell_subs[nc]) {
         if (sub_cells[t].core &&
             PointSet::SquaredDistance(
                 rep, points[sub_cells[t].representative]) <= eps2) {

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,7 +15,7 @@
 #include "dataflow/pair_ops.h"
 #include "grid/cell_coord.h"
 #include "grid/cell_map.h"
-#include "grid/neighborhood.h"
+#include "grid/neighbor_cells.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simd/distance_kernel.h"
@@ -28,15 +30,29 @@ using grid::CellCoord;
 using grid::CellCoordHash;
 using grid::CellMap;
 using grid::CellType;
-using grid::NeighborStencil;
 
 /// (cell coordinates, point id) — the records of the grid dataset G
 /// produced by Algorithm 1.
 using GridRecord = std::pair<CellCoord, uint32_t>;
 
-// Largest |cell index| we accept before int64 overflow becomes possible
-// when translating by stencil offsets.
+// Largest |cell index| we accept: the same limit as Grid::Build.
 constexpr double kMaxCellIndex = 4.0e18;
+
+/// The occupied cells of the dense cell map with the neighbor lists
+/// (Definition 8) of its non-dense cells, broadcast next to the map: phase
+/// 3 emits the points of non-dense cells to their neighbor cells, and
+/// phase 5 those of non-core cells (all non-dense) to their core ones.
+struct CellNeighborhoods {
+  std::vector<CellCoord> coords;  // cell id -> coordinates
+  std::unordered_map<CellCoord, uint32_t, CellCoordHash> ids;  // non-dense
+  grid::NeighborCells lists;
+
+  /// Neighbor cell ids of the non-dense cell at `coord`, itself included,
+  /// in ascending coordinate order.
+  std::span<const uint32_t> Of(const CellCoord& coord) const {
+    return lists.Of(ids.find(coord)->second);
+  }
+};
 
 // Copies the coordinates of `ids` into one contiguous row-major block so
 // the grouped-join tasks can run the batched distance kernels; the gather
@@ -69,8 +85,6 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
     return Status::InvalidArgument(
         StrFormat("dims=%zu out of supported range [1, %zu]", d, kMaxDims));
   }
-  DBSCOUT_ASSIGN_OR_RETURN(const NeighborStencil* stencil,
-                           grid::GetNeighborStencil(d));
   // Batched distance kernels for the grouped-join tasks (the plain and
   // broadcast joins are pairwise record streams by structure and keep the
   // scalar per-pair distance). Bit-identical to the scalar loops.
@@ -144,6 +158,7 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
 
   // ---- Phase 2: dense cell map construction (Algorithm 2). -------------
   Broadcast<CellMap> cell_map;
+  Broadcast<CellNeighborhoods> cells;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseDenseCellMap);
     auto ones = g.Map(
@@ -153,13 +168,25 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
         ReduceByKey(ones, [](uint32_t a, uint32_t b) { return a + b; }, parts,
                     CellCoordHash(), "CountCells");
     CellMap map;
-    counts.ForEach([&map, min_pts](const std::pair<CellCoord, uint32_t>& kv) {
-      map.Insert(kv.first, kv.second, phases::IsDense(kv.second, min_pts));
+    CellNeighborhoods neighborhoods;
+    std::vector<uint8_t> non_dense;
+    counts.ForEach([&](const std::pair<CellCoord, uint32_t>& kv) {
+      const bool dense = phases::IsDense(kv.second, min_pts);
+      map.Insert(kv.first, kv.second, dense);
+      if (!dense) {
+        neighborhoods.ids.emplace(
+            kv.first, static_cast<uint32_t>(neighborhoods.coords.size()));
+      }
+      neighborhoods.coords.push_back(kv.first);
+      non_dense.push_back(dense ? 0 : 1);
     });
+    neighborhoods.lists = grid::NeighborCells::Build(
+        neighborhoods.coords, non_dense, &ctx->pool());
     out.num_cells = map.size();
     out.num_dense_cells = map.CountByType(CellType::kDense);
     phase.records = out.num_cells;
     cell_map = Broadcast<CellMap>(std::move(map));
+    cells = Broadcast<CellNeighborhoods>(std::move(neighborhoods));
   }
 
   // ---- Phase 3: core points identification (Algorithm 3). --------------
@@ -182,14 +209,10 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
     // paper's Algorithm 3 emits (N, (C, p)); since p determines its home
     // cell C, the records here carry only (N, p), halving shuffle volume.
     auto emit_to_neighbors =
-        [cell_map, stencil](const GridRecord& rec,
-                            std::vector<std::pair<CellCoord, uint32_t>>* sink) {
-          for (const grid::CellOffset& offset : stencil->offsets) {
-            const CellCoord neighbor =
-                rec.first.Translated({offset.data(), rec.first.dims()});
-            if (cell_map->Contains(neighbor)) {
-              sink->push_back({neighbor, rec.second});
-            }
+        [cells](const GridRecord& rec,
+                std::vector<std::pair<CellCoord, uint32_t>>* sink) {
+          for (uint32_t nc : cells->Of(rec.first)) {
+            sink->push_back({cells->coords[nc], rec.second});
           }
         };
 
@@ -325,19 +348,23 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
     auto o_ncn =
         non_core
             .Filter(
-                [core_map, stencil](const GridRecord& rec) {
-                  return !core_map->HasCoreNeighbor(rec.first, *stencil);
+                [core_map, cells](const GridRecord& rec) {
+                  for (uint32_t nc : cells->Of(rec.first)) {
+                    if (phases::IsCoreCell(*core_map, cells->coords[nc])) {
+                      return false;
+                    }
+                  }
+                  return true;
                 },
                 "FilterNoCoreNeighbor")
             .Map([](const GridRecord& rec) { return rec.second; });
 
     // Points of non-core cells, emitted on their neighboring *core* cells.
     auto emit_to_core_neighbors =
-        [core_map, stencil](const GridRecord& rec,
-                            std::vector<std::pair<CellCoord, uint32_t>>* sink) {
-          for (const grid::CellOffset& offset : stencil->offsets) {
-            const CellCoord neighbor =
-                rec.first.Translated({offset.data(), rec.first.dims()});
+        [core_map, cells](const GridRecord& rec,
+                          std::vector<std::pair<CellCoord, uint32_t>>* sink) {
+          for (uint32_t nc : cells->Of(rec.first)) {
+            const CellCoord& neighbor = cells->coords[nc];
             if (phases::IsCoreCell(*core_map, neighbor)) {
               sink->push_back({neighbor, rec.second});
             }

@@ -12,7 +12,7 @@
 #include "core/phases/phase_kernels.h"
 #include "core/phases/phase_recorder.h"
 #include "grid/grid.h"
-#include "grid/neighborhood.h"
+#include "grid/neighbor_cells.h"
 
 /// The execution-policy seam between the phase kernels and the in-memory
 /// engines. A policy answers one question — how the per-cell primitive
@@ -47,6 +47,9 @@ class SequentialExec {
       body(c);
     }
   }
+
+  /// No pool: the neighbor-list build walks every cell on this thread.
+  ThreadPool* pool() const { return nullptr; }
 };
 
 /// Thread-pool policy: phases 3/5 run with dynamic chunk claiming (cell
@@ -87,6 +90,9 @@ class PooledExec {
     });
   }
 
+  /// The pool the neighbor-list build runs on.
+  ThreadPool* pool() const { return pool_; }
+
  private:
   ThreadPool* pool_;
   size_t chunk_;
@@ -109,12 +115,15 @@ Result<Detection> DetectWithGrid(const PointSet& points, const Params& params,
                                &obs::Registry::Global(), params.trace);
 
   // Phase 1: grid partitioning and point-cell assignment (Algorithm 1).
-  // Single-threaded in both policies: hash-map insertion order must stay
-  // deterministic so cell ids are reproducible.
+  // Grid::Build is single-threaded in both policies: hash-map insertion
+  // order must stay deterministic so cell ids are reproducible. The
+  // neighbor lists (Definition 8) of the cells phases 3 and 5 scan are
+  // built here too, on the policy's pool when it has one.
   recorder.Start();
   DBSCOUT_ASSIGN_OR_RETURN(grid::Grid g, grid::Grid::Build(points, params.eps));
-  DBSCOUT_ASSIGN_OR_RETURN(const grid::NeighborStencil* stencil,
-                           grid::GetNeighborStencil(points.dims()));
+  const bool scores = params.compute_scores;
+  const grid::NeighborCells neighbors = grid::NeighborCells::Build(
+      g.CellCoords(), ScannedCells(g, min_pts, scores), exec.pool());
   out.num_cells = g.num_cells();
   recorder.Record(kPhaseGrid, 0, n);
   const uint32_t num_cells = static_cast<uint32_t>(g.num_cells());
@@ -132,9 +141,9 @@ Result<Detection> DetectWithGrid(const PointSet& points, const Params& params,
   recorder.Start();
   std::vector<uint8_t> is_core(n, 0);
   uint64_t distances = exec.ForEachCell(
-      num_cells, [&](uint32_t c, std::vector<uint32_t>* scratch) {
-        return CoreScanCell(g, *stencil, kernels, eps2, min_pts, c,
-                            cell_dense.data(), is_core.data(), scratch);
+      num_cells, [&](uint32_t c, std::vector<uint32_t>*) {
+        return CoreScanCell(g, neighbors, kernels, eps2, min_pts, c,
+                            cell_dense.data(), is_core.data());
       });
   recorder.Record(kPhaseCorePoints, distances, n);
 
@@ -161,14 +170,13 @@ Result<Detection> DetectWithGrid(const PointSet& points, const Params& params,
 
   // Phase 5: outlier identification (Algorithm 5).
   recorder.Start();
-  const bool scores = params.compute_scores;
   if (scores) {
     out.core_distance.assign(n, 0.0);
   }
   out.kinds.assign(n, PointKind::kBorder);
   distances = exec.ForEachCell(
       num_cells, [&](uint32_t c, std::vector<uint32_t>* scratch) {
-        return OutlierScanCell(g, *stencil, kernels, eps2, scores, c,
+        return OutlierScanCell(g, neighbors, kernels, eps2, scores, c,
                                cell_dense.data(), cell_core.data(),
                                is_core.data(), csr, out.kinds.data(),
                                scores ? out.core_distance.data() : nullptr,

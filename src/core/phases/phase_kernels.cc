@@ -32,12 +32,21 @@ uint32_t ClassifyDenseCells(const grid::Grid& g, uint32_t min_pts,
   return num_dense;
 }
 
-uint64_t CoreScanCell(const grid::Grid& g,
-                      const grid::NeighborStencil& stencil,
+std::vector<uint8_t> ScannedCells(const grid::Grid& g, uint32_t min_pts,
+                                  bool scores) {
+  std::vector<uint8_t> scan(g.num_cells(), 1);  // lint:allow(hot-path-purity) one-shot per-run mask, built once before the scans
+  if (!scores) {
+    for (uint32_t c = 0; c < g.num_cells(); ++c) {
+      scan[c] = !IsDense(g.CellSize(c), min_pts);
+    }
+  }
+  return scan;
+}
+
+uint64_t CoreScanCell(const grid::Grid& g, const grid::NeighborCells& neighbors,
                       const BoundKernels& kernels, double eps2,
                       uint32_t min_pts, uint32_t c, const uint8_t* cell_dense,
-                      uint8_t* is_core,
-                      std::vector<uint32_t>* neighbor_scratch) {
+                      uint8_t* is_core) {
   const auto cell_points = g.PointsInCell(c);
   if (cell_dense[c]) {
     for (uint32_t p : cell_points) {
@@ -45,11 +54,7 @@ uint64_t CoreScanCell(const grid::Grid& g,
     }
     return 0;
   }
-  std::vector<uint32_t>& neighbor_cells = *neighbor_scratch;
-  neighbor_cells.clear();
-  g.ForEachNeighborCell(c, stencil, [&](uint32_t nc) {
-    neighbor_cells.push_back(nc);  // lint:allow(hot-path-purity) caller-owned scratch, capacity amortized across cells
-  });
+  const auto neighbor_cells = neighbors.Of(c);
   const size_t d = g.dims();
   const double* cell_block = g.CellBlock(c);
   uint64_t distances = 0;
@@ -139,7 +144,7 @@ uint32_t BuildSparseCoreCsr(const grid::Grid& g, const uint8_t* cell_dense,
 }
 
 uint64_t OutlierScanCell(const grid::Grid& g,
-                         const grid::NeighborStencil& stencil,
+                         const grid::NeighborCells& neighbors,
                          const BoundKernels& kernels, double eps2, bool scores,
                          uint32_t c, const uint8_t* cell_dense,
                          const uint8_t* cell_core, const uint8_t* is_core,
@@ -151,11 +156,11 @@ uint64_t OutlierScanCell(const grid::Grid& g,
   }
   std::vector<uint32_t>& core_neighbor_cells = *neighbor_scratch;
   core_neighbor_cells.clear();
-  g.ForEachNeighborCell(c, stencil, [&](uint32_t nc) {
+  for (uint32_t nc : neighbors.Of(c)) {
     if (cell_core[nc]) {
       core_neighbor_cells.push_back(nc);  // lint:allow(hot-path-purity) caller-owned scratch, capacity amortized across cells
     }
-  });
+  }
   if (core_neighbor_cells.empty()) {
     // O_ncn: non-core cell with no core neighbor — all points outliers.
     for (uint32_t p : g.PointsInCell(c)) {

@@ -9,14 +9,14 @@
 #include "core/detection.h"
 #include "grid/cell_map.h"
 #include "grid/grid.h"
-#include "grid/neighborhood.h"
+#include "grid/neighbor_cells.h"
 #include "simd/distance_kernel.h"
 
 /// The single home of the Lemma 1/2 phase logic. Every execution strategy
 /// (sequential, shared-memory pool, dataflow partitions, out-of-core
 /// stripes, incremental inserts) drives the cell-granular primitives in
 /// this library instead of carrying its own copy of the density tests,
-/// neighbor-stencil walks, and core-sublist layouts. A correctness or perf
+/// neighbor-cell scans, and core-sublist layouts. A correctness or perf
 /// change to the hot path lands here, once; the `phase-logic-locality`
 /// rule of tools/lint_invariants.py enforces that the decision tokens do
 /// not reappear in the engines.
@@ -87,22 +87,27 @@ BoundKernels BindKernels(size_t dims);
 uint32_t ClassifyDenseCells(const grid::Grid& g, uint32_t min_pts,
                             uint8_t* cell_dense);
 
+/// The cells whose neighbor lists phases 3 and 5 read: every cell with
+/// `scores` (phase 5 then visits core cells too), else the non-dense ones
+/// (phase 5 visits only non-core cells, a subset). One byte per cell of
+/// `g`, the `scan` argument of grid::NeighborCells::Build.
+std::vector<uint8_t> ScannedCells(const grid::Grid& g, uint32_t min_pts,
+                                  bool scores);
+
 /// Phase 3 (Algorithm 3): core-point scan of one cell. Dense cells mark
 /// every point core outright; points of sparse cells count neighbors
-/// within eps across the k_d neighboring cells via the capped batched
-/// kernel, one contiguous grid-ordered block per neighbor cell. Early
-/// termination at minPts (the sequential analogue of the grouped-join
-/// optimization, SS III-G2) happens at block granularity: between neighbor
-/// cells exactly, and inside a block every simd::kKernelBatch points.
+/// within eps across the occupied neighbor cells (`neighbors.Of(c)`, built
+/// over g's cells) via the capped batched kernel, one contiguous
+/// grid-ordered block per neighbor cell. Early termination at minPts (the
+/// sequential analogue of the grouped-join optimization, SS III-G2)
+/// happens at block granularity: between neighbor cells exactly, and
+/// inside a block every simd::kKernelBatch points.
 /// Writes only is_core[p] for p in cell `c` (race-free under per-cell
-/// parallelism). `neighbor_scratch` is caller-provided reusable storage.
-/// Returns the number of distance computations submitted.
-uint64_t CoreScanCell(const grid::Grid& g,
-                      const grid::NeighborStencil& stencil,
+/// parallelism). Returns the number of distance computations submitted.
+uint64_t CoreScanCell(const grid::Grid& g, const grid::NeighborCells& neighbors,
                       const BoundKernels& kernels, double eps2,
                       uint32_t min_pts, uint32_t c, const uint8_t* cell_dense,
-                      uint8_t* is_core,
-                      std::vector<uint32_t>* neighbor_scratch);
+                      uint8_t* is_core);
 
 /// Phase 4 output: flat CSR of the core points of *sparse* core cells
 /// (offsets + original indices + packed row-major coordinates), so the
@@ -157,9 +162,10 @@ uint32_t BuildSparseCoreCsr(const grid::Grid& g, const uint8_t* cell_dense,
 /// cells' border points stay untouched by the decision but get their
 /// distances). Writes only kinds/core_distance entries of cell `c`'s
 /// points; kinds must be pre-initialized to PointKind::kBorder. Returns
-/// the number of distance computations submitted.
+/// the number of distance computations submitted. `neighbors` is as for
+/// CoreScanCell; `neighbor_scratch` is caller-provided reusable storage.
 uint64_t OutlierScanCell(const grid::Grid& g,
-                         const grid::NeighborStencil& stencil,
+                         const grid::NeighborCells& neighbors,
                          const BoundKernels& kernels, double eps2, bool scores,
                          uint32_t c, const uint8_t* cell_dense,
                          const uint8_t* cell_core, const uint8_t* is_core,

@@ -9,18 +9,6 @@ void CellMap::MarkCore(const CellCoord& coord) {
   }
 }
 
-bool CellMap::HasCoreNeighbor(const CellCoord& coord,
-                              const NeighborStencil& stencil) const {
-  for (const CellOffset& offset : stencil.offsets) {
-    const CellCoord neighbor = coord.Translated({offset.data(), coord.dims()});
-    if (auto it = cells_.find(neighbor);
-        it != cells_.end() && it->second.type >= CellType::kCore) {
-      return true;
-    }
-  }
-  return false;
-}
-
 size_t CellMap::CountByType(CellType type) const {
   size_t count = 0;
   for (const auto& [coord, info] : cells_) {

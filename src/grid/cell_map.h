@@ -6,7 +6,6 @@
 
 #include "grid/cell_coord.h"
 #include "grid/grid.h"
-#include "grid/neighborhood.h"
 
 namespace dbscout::grid {
 
@@ -65,23 +64,6 @@ class CellMap {
   /// True when the cell at `coord` is core or dense.
   bool IsCoreCell(const CellCoord& coord) const {
     return TypeOf(coord) >= CellType::kCore;
-  }
-
-  /// True when any neighbor of `coord` (itself included) is a core cell.
-  bool HasCoreNeighbor(const CellCoord& coord,
-                       const NeighborStencil& stencil) const;
-
-  /// Invokes fn(coord, type, count) for every non-empty neighbor of `coord`
-  /// (itself included).
-  template <typename Fn>
-  void ForEachNonEmptyNeighbor(const CellCoord& coord,
-                               const NeighborStencil& stencil, Fn&& fn) const {
-    for (const CellOffset& offset : stencil.offsets) {
-      const CellCoord neighbor = coord.Translated({offset.data(), coord.dims()});
-      if (auto it = cells_.find(neighbor); it != cells_.end()) {
-        fn(neighbor, it->second.type, it->second.count);
-      }
-    }
   }
 
   /// Number of cells with the given type.

@@ -47,6 +47,10 @@ class Grid {
   /// Coordinates of cell `id`.
   const CellCoord& CoordOf(uint32_t id) const { return cell_coords_[id]; }
 
+  /// Coordinates of every cell, indexed by cell id (the input of
+  /// NeighborCells::Build).
+  std::span<const CellCoord> CellCoords() const { return cell_coords_; }
+
   /// Id of the non-empty cell at `coord`, if any.
   std::optional<uint32_t> FindCell(const CellCoord& coord) const;
 
@@ -94,8 +98,9 @@ class Grid {
   }
 
   /// Invokes fn(neighbor_cell_id) for every non-empty neighboring cell of
-  /// `id`, including `id` itself. The stencil has k_d entries, so this is
-  /// O(k_d) hash probes.
+  /// `id`, including `id` itself, in ascending coordinate order. The
+  /// stencil has k_d entries, so this is O(k_d) hash probes; the batch
+  /// engines use the occupied-cell walk of NeighborCells instead.
   template <typename Fn>
   void ForEachNeighborCell(uint32_t id, const NeighborStencil& stencil,
                            Fn&& fn) const {

@@ -4,6 +4,7 @@
 // swept over parameters.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <tuple>
@@ -114,6 +115,70 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EngineMatrixTest,
                                            Case{4.0, 25}),
                          [](const auto& info) {
                            return "case" + std::to_string(info.index);
+                         });
+
+// At d = 7 and 9 the stencil has 472k and 8.1M offsets (Table I); the
+// batch engines find neighbor cells from the occupied cells instead, so
+// their exactness is affordable to check against the brute-force oracle.
+class HighDimEngineTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(HighDimEngineTest, BatchEnginesEqualBruteForce) {
+  const size_t d = GetParam();
+  Rng rng(900 + d);
+  const PointSet ps = testing::ClusteredPoints(&rng, 300, d, 3, 0.15);
+  Params params;
+  params.eps = 5.0;
+  params.min_pts = 6;
+  const auto expected_kinds =
+      testing::BruteForceKinds(ps, params.eps, params.min_pts);
+  const auto expected =
+      testing::BruteForceOutliers(ps, params.eps, params.min_pts);
+  // The oracle's answer has all three kinds, so every phase decides.
+  for (PointKind kind :
+       {PointKind::kCore, PointKind::kBorder, PointKind::kOutlier}) {
+    EXPECT_NE(std::count(expected_kinds.begin(), expected_kinds.end(), kind),
+              0);
+  }
+
+  auto sequential = DetectSequential(ps, params);
+  ASSERT_TRUE(sequential.ok()) << sequential.status();
+  EXPECT_EQ(sequential->kinds, expected_kinds) << "sequential";
+  {
+    ThreadPool pool(3);
+    auto r = DetectSharedMemory(ps, params, &pool);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->kinds, expected_kinds) << "shared-memory";
+  }
+  dataflow::ExecutionContext ctx(2, 4);
+  for (JoinStrategy join : {JoinStrategy::kPlain, JoinStrategy::kBroadcast,
+                            JoinStrategy::kGrouped}) {
+    Params pp = params;
+    pp.engine = Engine::kParallel;
+    pp.join = join;
+    auto r = DetectParallel(ps, pp, &ctx);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->kinds, expected_kinds) << JoinStrategyName(join);
+  }
+  {
+    const std::string path = ::testing::TempDir() + "/engine_matrix_highdim_" +
+                             std::to_string(::getpid()) + ".dbsc";
+    ASSERT_TRUE(SavePointsBinary(path, ps).ok());
+    external::ExternalParams ext;
+    ext.eps = params.eps;
+    ext.min_pts = params.min_pts;
+    ext.target_stripe_points = 100;  // several stripes
+    ext.tmp_dir = ::testing::TempDir();
+    auto r = external::DetectExternal(path, ext);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_GT(r->stripes, 1u);
+    EXPECT_EQ(r->outliers, expected) << "external";
+    std::remove(path.c_str());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, HighDimEngineTest, ::testing::Values(7, 9),
+                         [](const auto& info) {
+                           return std::to_string(info.param) + "d";
                          });
 
 }  // namespace

@@ -39,16 +39,15 @@ constexpr uint32_t kMinPts = 4;
 
 struct Built {
   grid::Grid g;
-  const grid::NeighborStencil* stencil;
+  grid::NeighborCells neighbors;  // every cell's list
   BoundKernels kernels;
 };
 
 Built Build(const PointSet& ps) {
   auto g = grid::Grid::Build(ps, std::sqrt(2.0));
   EXPECT_TRUE(g.ok());
-  auto stencil = grid::GetNeighborStencil(ps.dims());
-  EXPECT_TRUE(stencil.ok());
-  return {std::move(*g), *stencil, BindKernels(ps.dims())};
+  grid::NeighborCells neighbors = grid::NeighborCells::Build(g->CellCoords());
+  return {std::move(*g), std::move(neighbors), BindKernels(ps.dims())};
 }
 
 TEST(PhasesTest, DensityPredicates) {
@@ -87,17 +86,29 @@ TEST(PhasesTest, ClassifyDenseCellsCountsAndFlags) {
   EXPECT_EQ(set, num_dense);
 }
 
+TEST(PhasesTest, ScannedCellsAreTheNonDenseOnesOrAllWithScores) {
+  const PointSet ps = Sample();
+  Built b = Build(ps);
+  const std::vector<uint8_t> scan = ScannedCells(b.g, kMinPts, false);
+  const std::vector<uint8_t> all = ScannedCells(b.g, kMinPts, true);
+  ASSERT_EQ(scan.size(), b.g.num_cells());
+  ASSERT_EQ(all.size(), b.g.num_cells());
+  for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
+    EXPECT_EQ(scan[c] == 1, !IsDense(b.g.CellSize(c), kMinPts));
+    EXPECT_EQ(all[c], 1);
+  }
+}
+
 TEST(PhasesTest, CoreScanMatchesBruteForce) {
   const PointSet ps = Sample();
   Built b = Build(ps);
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
   ClassifyDenseCells(b.g, kMinPts, cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
-  std::vector<uint32_t> scratch;
   uint64_t distances = 0;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    distances += CoreScanCell(b.g, *b.stencil, b.kernels, kEps2, kMinPts, c,
-                              cell_dense.data(), is_core.data(), &scratch);
+    distances += CoreScanCell(b.g, b.neighbors, b.kernels, kEps2, kMinPts, c,
+                              cell_dense.data(), is_core.data());
   }
   // Dense cells contribute no distance work (Lemma 1 short-circuit).
   EXPECT_GT(distances, 0u);
@@ -113,10 +124,9 @@ TEST(PhasesTest, SparseCoreCsrLayout) {
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
   ClassifyDenseCells(b.g, kMinPts, cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
-  std::vector<uint32_t> scratch;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    CoreScanCell(b.g, *b.stencil, b.kernels, kEps2, kMinPts, c,
-                 cell_dense.data(), is_core.data(), &scratch);
+    CoreScanCell(b.g, b.neighbors, b.kernels, kEps2, kMinPts, c,
+                 cell_dense.data(), is_core.data());
   }
   std::vector<uint8_t> cell_core(b.g.num_cells(), 0);
   SparseCoreCsr csr;
@@ -155,8 +165,8 @@ TEST(PhasesTest, OutlierScanAppliesLemmaTwoAndOncn) {
   std::vector<uint8_t> is_core(ps.size(), 0);
   std::vector<uint32_t> scratch;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    CoreScanCell(b.g, *b.stencil, b.kernels, kEps2, kMinPts, c,
-                 cell_dense.data(), is_core.data(), &scratch);
+    CoreScanCell(b.g, b.neighbors, b.kernels, kEps2, kMinPts, c,
+                 cell_dense.data(), is_core.data());
   }
   std::vector<uint8_t> cell_core(b.g.num_cells(), 0);
   SparseCoreCsr csr;
@@ -165,7 +175,7 @@ TEST(PhasesTest, OutlierScanAppliesLemmaTwoAndOncn) {
   std::vector<PointKind> kinds(ps.size(), PointKind::kBorder);
   uint64_t distances = 0;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    distances += OutlierScanCell(b.g, *b.stencil, b.kernels, kEps2,
+    distances += OutlierScanCell(b.g, b.neighbors, b.kernels, kEps2,
                                  /*scores=*/false, c, cell_dense.data(),
                                  cell_core.data(), is_core.data(), csr,
                                  kinds.data(), nullptr, &scratch);
@@ -190,8 +200,8 @@ TEST(PhasesTest, OutlierScanScoreModeComputesDistances) {
   std::vector<uint8_t> is_core(ps.size(), 0);
   std::vector<uint32_t> scratch;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    CoreScanCell(b.g, *b.stencil, b.kernels, kEps2, kMinPts, c,
-                 cell_dense.data(), is_core.data(), &scratch);
+    CoreScanCell(b.g, b.neighbors, b.kernels, kEps2, kMinPts, c,
+                 cell_dense.data(), is_core.data());
   }
   std::vector<uint8_t> cell_core(b.g.num_cells(), 0);
   SparseCoreCsr csr;
@@ -200,7 +210,7 @@ TEST(PhasesTest, OutlierScanScoreModeComputesDistances) {
   std::vector<PointKind> kinds(ps.size(), PointKind::kBorder);
   std::vector<double> core_distance(ps.size(), 0.0);
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    OutlierScanCell(b.g, *b.stencil, b.kernels, kEps2, /*scores=*/true, c,
+    OutlierScanCell(b.g, b.neighbors, b.kernels, kEps2, /*scores=*/true, c,
                     cell_dense.data(), cell_core.data(), is_core.data(), csr,
                     kinds.data(), core_distance.data(), &scratch);
   }

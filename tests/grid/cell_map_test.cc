@@ -1,8 +1,11 @@
 #include "grid/cell_map.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "grid/neighbor_cells.h"
 
 namespace dbscout::grid {
 namespace {
@@ -82,32 +85,43 @@ TEST(CellMapTest, InsertTypesByCallerVerdict) {
   EXPECT_EQ(map.CountOf(Coord2(0, 0)), 10u);
 }
 
-TEST(CellMapTest, HasCoreNeighborUsesStencil) {
-  auto stencil = GetNeighborStencil(2);
-  ASSERT_TRUE(stencil.ok());
+// The dataflow engine's O_ncn question (does a cell have a core
+// neighbor?) asked of the map through neighbor lists over its cells.
+TEST(CellMapTest, CoreNeighborFoundThroughNeighborLists) {
+  const std::vector<CellCoord> coords = {Coord2(0, 0), Coord2(2, 0),
+                                         Coord2(10, 10)};
   CellMap map;
-  map.Insert(Coord2(0, 0), 10, /*dense=*/true);    // dense -> core
-  map.Insert(Coord2(2, 0), 1, /*dense=*/false);    // neighbor at offset (-2,0)
-  map.Insert(Coord2(10, 10), 1, /*dense=*/false);  // isolated
-  EXPECT_TRUE(map.HasCoreNeighbor(Coord2(2, 0), **stencil));
-  EXPECT_TRUE(map.HasCoreNeighbor(Coord2(0, 0), **stencil));  // self counts
-  EXPECT_FALSE(map.HasCoreNeighbor(Coord2(10, 10), **stencil));
+  map.Insert(coords[0], 10, /*dense=*/true);  // dense -> core
+  map.Insert(coords[1], 1, /*dense=*/false);  // neighbor at offset (-2,0)
+  map.Insert(coords[2], 1, /*dense=*/false);  // isolated
+  const NeighborCells lists = NeighborCells::Build(coords);
+  auto has_core_neighbor = [&](uint32_t c) {
+    for (uint32_t nc : lists.Of(c)) {
+      if (map.IsCoreCell(coords[nc])) {
+        return true;
+      }
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_core_neighbor(1));
+  EXPECT_TRUE(has_core_neighbor(0));  // self counts
+  EXPECT_FALSE(has_core_neighbor(2));
 }
 
-TEST(CellMapTest, ForEachNonEmptyNeighborVisitsSelfAndNeighbors) {
-  auto stencil = GetNeighborStencil(2);
-  ASSERT_TRUE(stencil.ok());
+TEST(CellMapTest, NeighborListsVisitSelfAndNeighbors) {
+  const std::vector<CellCoord> coords = {Coord2(0, 0), Coord2(1, 1),
+                                         Coord2(50, 50)};
   CellMap map;
-  map.Insert(Coord2(0, 0), 3, /*dense=*/false);
-  map.Insert(Coord2(1, 1), 2, /*dense=*/false);
-  map.Insert(Coord2(50, 50), 9, /*dense=*/true);
+  map.Insert(coords[0], 3, /*dense=*/false);
+  map.Insert(coords[1], 2, /*dense=*/false);
+  map.Insert(coords[2], 9, /*dense=*/true);
+  const NeighborCells lists = NeighborCells::Build(coords);
   int visited = 0;
   uint32_t total_count = 0;
-  map.ForEachNonEmptyNeighbor(Coord2(0, 0), **stencil,
-                              [&](const CellCoord&, CellType, uint32_t count) {
-                                ++visited;
-                                total_count += count;
-                              });
+  for (uint32_t nc : lists.Of(0)) {
+    ++visited;
+    total_count += map.CountOf(coords[nc]);
+  }
   EXPECT_EQ(visited, 2);  // (0,0) itself and (1,1); (50,50) is far
   EXPECT_EQ(total_count, 5u);
 }

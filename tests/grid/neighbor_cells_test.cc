@@ -1,0 +1,198 @@
+// Exactness of the occupied-cell neighbor walk: for every dimensionality
+// the lists must equal a brute-force pairwise Definition 8 test, and, where
+// the stencil is small enough to materialize, the stencil probe's output
+// element for element.
+#include "grid/neighbor_cells.h"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "grid/grid.h"
+#include "grid/neighborhood.h"
+#include "testutil.h"
+
+namespace dbscout::grid {
+namespace {
+
+// Definition 8 on a pair of cells: sum_i max(0, |a_i - b_i| - 1)^2 < d.
+// The difference is taken in 128 bits, so cells at opposite ends of the
+// int64 range cannot wrap into neighbors, and any |j| > d ends the test
+// before its square could overflow.
+bool BruteForceNeighbors(const CellCoord& a, const CellCoord& b) {
+  const size_t d = a.dims();
+  __int128 gap = 0;
+  for (size_t i = 0; i < d; ++i) {
+    __int128 j = static_cast<__int128>(a[i]) - static_cast<__int128>(b[i]);
+    if (j < 0) {
+      j = -j;
+    }
+    if (j > static_cast<__int128>(d)) {
+      return false;  // (|j| - 1)^2 >= d
+    }
+    if (j > 1) {
+      gap += (j - 1) * (j - 1);
+    }
+    if (gap >= static_cast<__int128>(d)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The brute-force list of `c`: every cell passing the pairwise test, in
+// ascending coordinate order.
+std::vector<uint32_t> BruteForceList(const std::vector<CellCoord>& coords,
+                                     uint32_t c) {
+  std::vector<uint32_t> out;
+  for (uint32_t o = 0; o < coords.size(); ++o) {
+    if (BruteForceNeighbors(coords[c], coords[o])) {
+      out.push_back(o);
+    }
+  }
+  std::sort(out.begin(), out.end(), [&](uint32_t x, uint32_t y) {
+    return coords[x] < coords[y];
+  });
+  return out;
+}
+
+std::vector<uint32_t> ToVector(std::span<const uint32_t> s) {
+  return {s.begin(), s.end()};
+}
+
+// Distinct random cells: a crowded block around the origin (many
+// neighbors per cell), plus blocks next to +-4e18 (the Grid::Build limit)
+// and at the very ends of the int64 range, where c_k +- r and v - c_k
+// would overflow if computed naively.
+std::vector<CellCoord> RandomCells(Rng* rng, size_t dims, size_t per_block) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kLimit = 4'000'000'000'000'000'000;
+  const int64_t width = dims <= 3 ? 7 : (dims <= 6 ? 5 : 4);
+  std::set<CellCoord> cells;
+  auto add_block = [&](int64_t base, int64_t sign) {
+    for (size_t i = 0; i < per_block; ++i) {
+      CellCoord c = CellCoord::Zero(dims);
+      for (size_t k = 0; k < dims; ++k) {
+        const int64_t off = static_cast<int64_t>(rng->NextBounded(width));
+        // Mostly near the block's base; now and then a small coordinate,
+        // so blocks mix within one column.
+        c[k] = rng->NextBounded(8) == 0 ? off : base + sign * off;
+      }
+      cells.insert(c);
+    }
+  };
+  add_block(-3, 1);
+  add_block(kLimit, -1);
+  add_block(-kLimit, 1);
+  add_block(kMax, -1);
+  add_block(kMin, 1);
+  return {cells.begin(), cells.end()};
+}
+
+void Shuffle(Rng* rng, std::vector<CellCoord>* v) {
+  for (size_t i = v->size(); i > 1; --i) {
+    std::swap((*v)[i - 1], (*v)[rng->NextBounded(i)]);
+  }
+}
+
+TEST(NeighborCellsTest, EmptyInputHasNoCells) {
+  const NeighborCells lists = NeighborCells::Build({});
+  EXPECT_EQ(lists.num_cells(), 0u);
+  EXPECT_EQ(lists.num_entries(), 0u);
+}
+
+TEST(NeighborCellsTest, ListsEqualBruteForceForEveryDimensionality) {
+  for (size_t d = 1; d <= kMaxDims; ++d) {
+    Rng rng(100 + d);
+    std::vector<CellCoord> coords = RandomCells(&rng, d, 80);
+    Shuffle(&rng, &coords);  // ids need not follow coordinate order
+    const NeighborCells lists = NeighborCells::Build(coords);
+    ASSERT_EQ(lists.num_cells(), coords.size()) << "d=" << d;
+    size_t entries = 0;
+    for (uint32_t c = 0; c < coords.size(); ++c) {
+      const std::vector<uint32_t> got = ToVector(lists.Of(c));
+      ASSERT_EQ(got, BruteForceList(coords, c))
+          << "d=" << d << " cell " << coords[c];
+      EXPECT_NE(std::find(got.begin(), got.end(), c), got.end())
+          << "d=" << d << ": a cell is its own neighbor";
+      for (uint32_t nc : got) {
+        const auto back = lists.Of(nc);
+        EXPECT_NE(std::find(back.begin(), back.end(), c), back.end())
+            << "d=" << d << ": " << coords[c] << " -> " << coords[nc]
+            << " is not symmetric";
+      }
+      entries += got.size();
+    }
+    EXPECT_EQ(lists.num_entries(), entries);
+    // The crowded block must actually exercise the pruning.
+    EXPECT_GT(entries, 2 * coords.size()) << "d=" << d;
+  }
+}
+
+TEST(NeighborCellsTest, ListsEqualTheStencilProbeInOrder) {
+  for (size_t d = 1; d <= 5; ++d) {
+    Rng rng(7 + d);
+    const PointSet points =
+        testing::ClusteredPoints(&rng, 3000, d, /*clusters=*/4,
+                                 /*noise_fraction=*/0.2);
+    auto g = Grid::Build(points, 1.0);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    auto stencil = GetNeighborStencil(d);
+    ASSERT_TRUE(stencil.ok());
+    const NeighborCells lists = NeighborCells::Build(g->CellCoords());
+    for (uint32_t c = 0; c < g->num_cells(); ++c) {
+      std::vector<uint32_t> probed;
+      g->ForEachNeighborCell(c, **stencil,
+                             [&](uint32_t nc) { probed.push_back(nc); });
+      ASSERT_EQ(ToVector(lists.Of(c)), probed)
+          << "d=" << d << " cell " << g->CoordOf(c);
+    }
+  }
+}
+
+TEST(NeighborCellsTest, OnlyScannedCellsGetLists) {
+  Rng rng(5);
+  const std::vector<CellCoord> coords = RandomCells(&rng, 3, 60);
+  std::vector<uint8_t> scan(coords.size());
+  for (size_t c = 0; c < coords.size(); ++c) {
+    scan[c] = c % 3 == 0;
+  }
+  const NeighborCells all = NeighborCells::Build(coords);
+  const NeighborCells some = NeighborCells::Build(coords, scan);
+  for (uint32_t c = 0; c < coords.size(); ++c) {
+    if (scan[c]) {
+      EXPECT_EQ(ToVector(some.Of(c)), ToVector(all.Of(c)));
+    } else {
+      EXPECT_TRUE(some.Of(c).empty());
+    }
+  }
+}
+
+TEST(NeighborCellsTest, PoolBuildEqualsSingleThreadedBuild) {
+  Rng rng(11);
+  std::vector<CellCoord> coords = RandomCells(&rng, 4, 400);
+  Shuffle(&rng, &coords);
+  ASSERT_GT(coords.size(), 1000u);  // several tasks
+  std::vector<uint8_t> scan(coords.size());
+  for (size_t c = 0; c < coords.size(); ++c) {
+    scan[c] = rng.NextBounded(4) != 0;
+  }
+  ThreadPool pool(3);
+  const NeighborCells serial = NeighborCells::Build(coords, scan);
+  const NeighborCells pooled = NeighborCells::Build(coords, scan, &pool);
+  ASSERT_EQ(pooled.num_entries(), serial.num_entries());
+  for (uint32_t c = 0; c < coords.size(); ++c) {
+    EXPECT_EQ(ToVector(pooled.Of(c)), ToVector(serial.Of(c))) << c;
+  }
+}
+
+}  // namespace
+}  // namespace dbscout::grid

@@ -60,6 +60,16 @@ Enforces, statically, the contracts that the compiler cannot:
                      router calls it once per ingested point.
                      phase_recorder.h / driver.h orchestrate around the
                      kernels and are out of scope.
+  neighbor-discovery-locality
+                     The batch engines find neighbor cells (Definition 8)
+                     through grid::NeighborCells, whose cost is bounded by
+                     the occupied cells. No iteration over
+                     NeighborStencil::offsets and no GetNeighborStencil
+                     call in src/ outside src/grid/ (the stencil's home,
+                     and Grid::ForEachNeighborCell) and
+                     src/core/incremental.cc (the live detector, whose
+                     cell map changes on every insert, still probes the
+                     stencil).
 
 A finding on a given line is waived by `lint:allow(<rule>)` in a comment on
 that line; use sparingly and justify next to the waiver.
@@ -483,6 +493,37 @@ def check_hot_path_purity(path: str, lines: List[str]) -> Iterable[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: neighbor-discovery-locality
+# ---------------------------------------------------------------------------
+
+NEIGHBOR_STENCIL_HOMES = ("src/grid/", "src/core/incremental.cc")
+# `stencil->offsets`, `stencil.offsets`, `(*stencil)->offsets`, and the
+# accessor that hands out a stencil in the first place.
+STENCIL_OFFSETS_RE = re.compile(r"stencil\w*\)?\s*(?:->|\.)\s*offsets\b",
+                                re.IGNORECASE)
+GET_STENCIL_RE = re.compile(r"\bGetNeighborStencil\s*\(")
+
+
+def check_neighbor_discovery_locality(path: str, lines: List[str]
+                                      ) -> Iterable[Finding]:
+    rule = "neighbor-discovery-locality"
+    norm = path.replace(os.sep, "/")
+    if not norm.startswith("src/") or norm.startswith(NEIGHBOR_STENCIL_HOMES):
+        return
+    for i, line in enumerate(lines, 1):
+        if waived(line, rule):
+            continue
+        code = strip_line_comment(line)
+        m = STENCIL_OFFSETS_RE.search(code) or GET_STENCIL_RE.search(code)
+        if m:
+            yield Finding(path, i, rule,
+                          f"'{m.group(0).strip()}' probes all k_d stencil "
+                          "offsets per cell; batch engines find neighbor "
+                          "cells with grid::NeighborCells, whose cost is "
+                          "bounded by the occupied cells")
+
+
+# ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
 
@@ -524,6 +565,7 @@ def lint_files(files: List[Tuple[str, List[str]]],
         findings.extend(check_raw_thread(path, lines))
         findings.extend(check_raw_rng(path, lines))
         findings.extend(check_phase_logic_locality(path, lines))
+        findings.extend(check_neighbor_discovery_locality(path, lines))
         if regex_purity:
             findings.extend(check_hot_path_purity(path, lines))
         findings.extend(check_discarded(path, lines))
@@ -767,6 +809,35 @@ def self_test() -> int:
     expect("hot-path-purity",
            list(check_hot_path_purity("src/grid/regions.h", bad)), 0,
            "regions-out-of-scope")
+
+    # neighbor-discovery-locality
+    bad = lines("DBSCOUT_ASSIGN_OR_RETURN(const grid::NeighborStencil* stencil,\n"
+                "                         grid::GetNeighborStencil(d));\n"
+                "for (const grid::CellOffset& offset : stencil->offsets) {\n"
+                "for (const auto& o : (*stencil)->offsets) {\n"
+                "for (const auto& o : stencil.offsets) {\n")
+    expect("neighbor-discovery-locality",
+           list(check_neighbor_discovery_locality("src/core/parallel.cc",
+                                                  bad)), 4, "seeded")
+    expect("neighbor-discovery-locality",
+           list(check_neighbor_discovery_locality(
+               "src/baselines/rp_dbscan.cc", bad)), 4, "baselines-in-scope")
+    ok = lines("for (uint32_t nc : neighbors.Of(c)) {\n"
+               "const grid::NeighborCells lists =\n"
+               "    grid::NeighborCells::Build(g.CellCoords(), scan);\n"
+               "csr->begin[c + 1] = offsets[c];\n"
+               "// probing stencil->offsets costs k_d lookups per cell\n")
+    expect("neighbor-discovery-locality",
+           list(check_neighbor_discovery_locality("src/core/parallel.cc",
+                                                  ok)), 0, "clean")
+    for home in ("src/grid/grid.h", "src/grid/neighborhood.cc",
+                 "src/core/incremental.cc"):
+        expect("neighbor-discovery-locality",
+               list(check_neighbor_discovery_locality(home, bad)), 0,
+               "home:" + home)
+    expect("neighbor-discovery-locality",
+           list(check_neighbor_discovery_locality(
+               "tests/grid/neighborhood_test.cc", bad)), 0, "tests-exempt")
 
     # discarded-status
     header = ("src/api.h", lines("Status Frobnicate(int x);\n"
