@@ -50,14 +50,6 @@ RegionPlan RegionPlan::Build(
   return plan;
 }
 
-RegionPlan RegionPlan::FromStripes(std::vector<Stripe> stripes,
-                                   int64_t halo) {
-  RegionPlan plan;
-  plan.stripes_ = std::move(stripes);
-  plan.halo_ = halo;
-  return plan;
-}
-
 size_t RegionPlan::RegionOf(int64_t slab) const {
   const size_t r = FirstStripeAtOrAfter(stripes_, slab);
   return r < stripes_.size() ? r : stripes_.size() - 1;

@@ -41,14 +41,6 @@ class RegionPlan {
   static RegionPlan Build(const std::map<int64_t, uint64_t>& slab_histogram,
                           size_t num_regions, size_t dims);
 
-  /// Rehydrates a previously planned partition from its recorded stripes
-  /// and halo (the storage layer's WAL/snapshot plan records). Replaying a
-  /// sharded collection must route points to the same regions the live run
-  /// did, and the live plan was built from the first *coalesced* batch —
-  /// a histogram replay cannot reconstruct — so the plan itself is what
-  /// gets persisted.
-  static RegionPlan FromStripes(std::vector<Stripe> stripes, int64_t halo);
-
   size_t num_regions() const { return stripes_.size(); }
   bool empty() const { return stripes_.empty(); }
   int64_t halo() const { return halo_; }

@@ -73,8 +73,7 @@ Status WriteFrame(int fd, std::span<const uint8_t> payload) {
   // The header and payload must leave in one writev: two separate send()s
   // put the 4-byte prefix on the wire as its own segment, and with Nagle
   // active the payload then stalls behind the peer's delayed ACK — ~40ms
-  // per frame on loopback, which dominated request latency before
-  // bench_load caught it.
+  // per frame on loopback, enough to dominate request latency.
   iovec iov[2] = {
       {header, sizeof(header)},
       {const_cast<uint8_t*>(payload.data()), payload.size()},

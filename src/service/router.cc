@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "common/str_util.h"
 #include "common/timer.h"
 
 namespace dbscout::service {
@@ -154,24 +153,6 @@ uint64_t ShardRouter::distance_computations() const {
     total += shard->detector().distance_computations();
   }
   return total;
-}
-
-Status ShardRouter::AdoptPlan(const grid::RegionPlan& plan) {
-  if (plan_ != nullptr) {
-    return Status::FailedPrecondition("router already has a region plan");
-  }
-  if (epoch_ != 0) {
-    return Status::FailedPrecondition(
-        "region plan can only be adopted before the first ingest");
-  }
-  if (plan.num_regions() > shards_.size()) {
-    return Status::FailedPrecondition(StrFormat(
-        "recorded region plan has %zu regions but the service runs %zu "
-        "shards; restart with --shards >= %zu",
-        plan.num_regions(), shards_.size(), plan.num_regions()));
-  }
-  plan_ = std::make_shared<const grid::RegionPlan>(plan);
-  return Status::OK();
 }
 
 void ShardRouter::EnsurePlan(const PointSet& adds) {

@@ -176,18 +176,6 @@ class ShardRouter {
   /// barrier (or before any pass) for an epoch-consistent view.
   std::shared_ptr<const MergedSnapshot> PublishableSnapshot();
 
-  /// The region plan, null until the first non-empty multi-shard pass
-  /// builds it (always null in single-shard mode). Coordinator only. The
-  /// storage layer records it so replay can AdoptPlan() the identical
-  /// partition.
-  const grid::RegionPlan* plan() const { return plan_.get(); }
-
-  /// Installs a recorded plan before any point is ingested, so WAL
-  /// replay routes every point to the same region the live run chose.
-  /// Requires: epoch() == 0, no plan yet, and the plan's regions fit the
-  /// shard count.
-  Status AdoptPlan(const grid::RegionPlan& plan);
-
  private:
   ShardRouter() = default;
 

@@ -989,20 +989,12 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
       DBSCOUT_LOG(kWarning) << "coalesced apply failed: "
                             << apply_status.message();
     }
-    // ---- WAL: record what this pass just did, in replay order (plan,
-    // then the expiry, then each batch). Appends only; the group commit
-    // below makes them durable before any ticket completes. ----
+    // ---- WAL: record what this pass just did, in replay order (the
+    // expiry, then each batch). Appends only; the group commit below makes
+    // them durable before any ticket completes. ----
     storage::CollectionStore* store = collection->store.get();
     if (store != nullptr && apply_status.ok()) {
-      if (!collection->plan_logged && collection->router.plan() != nullptr) {
-        storage::WalRecord rec;
-        rec.type = storage::WalRecordType::kPlan;
-        rec.halo = collection->router.plan()->halo();
-        rec.stripes = collection->router.plan()->stripes();
-        work.wal_status = store->LogRecord(rec);
-        collection->plan_logged = work.wal_status.ok();
-      }
-      if (work.wal_status.ok() && work.expire_end > work.expire_begin) {
+      if (work.expire_end > work.expire_begin) {
         // The decision is recorded, not recomputed: replay removes exactly
         // this range regardless of wall-clock at recovery time.
         storage::WalRecord rec;
@@ -1236,17 +1228,12 @@ Status DetectionService::RecoverCollection(const std::string& name) {
 Status DetectionService::LoadCollection(Collection* collection,
                                         storage::CollectionState state) {
   ShardRouter& router = collection->router;
-  // The recorded region plan first, so every point routes to the region
-  // the live run chose (the live plan was built from its first coalesced
-  // batch, which the folded state cannot reconstruct).
-  if (state.has_plan) {
-    DBSCOUT_RETURN_IF_ERROR(router.AdoptPlan(grid::RegionPlan::FromStripes(
-        state.plan_stripes, state.plan_halo)));
-    collection->plan_logged = true;  // durable on disk already
-  }
   // The state keeps the coordinates of every id < epoch, expired ones
   // included, so ids stay dense: one add pass, then one expiry pass over
-  // the dead prefix, through the same router pass as live traffic.
+  // the dead prefix, through the same router pass as live traffic. The
+  // add pass plans the regions afresh from the whole point set; labels
+  // are exact under any plan (DESIGN.md section 14), so the shard count
+  // may differ from the one that wrote the log.
   DBSCOUT_ASSIGN_OR_RETURN(
       PointSet adds,
       PointSet::FromRowMajor(state.dims, std::move(state.coords)));

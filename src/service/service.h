@@ -248,9 +248,6 @@ class DetectionService {
     /// store has its own mutex (the apply loop appends/commits, service
     /// threads log CONFIGUREs).
     std::unique_ptr<storage::CollectionStore> store;
-    /// Apply-loop-private: whether the router's region plan has been
-    /// recorded in the WAL yet (set at replay when one was recovered).
-    bool plan_logged = false;
 
     Collection(std::string n, ShardRouter r)
         : name(std::move(n)), router(std::move(r)) {}
@@ -317,9 +314,9 @@ class DetectionService {
   /// loads the folded state and registers the collection.
   Status RecoverCollection(const std::string& name)
       DBSCOUT_EXCLUDES(collections_mu_);
-  /// Loads a folded state into a fresh collection: adopts the recorded
-  /// plan, then one add pass over [0, epoch) and one expiry pass over
-  /// [0, window_begin), then publishes. Labels depend only on the live
+  /// Loads a folded state into a fresh collection: one add pass over
+  /// [0, epoch) and one expiry pass over [0, window_begin), then
+  /// publishes. Labels depend only on the live
   /// point set, so this equals the pre-crash labeling at the durable epoch.
   Status LoadCollection(Collection* collection,
                         storage::CollectionState state);

@@ -99,10 +99,7 @@ Status ApplyRecordToState(const WalRecord& record, CollectionState* state) {
       state->ttl_seconds = record.ttl_seconds;
       return Status::OK();
     case WalRecordType::kPlan:
-      state->has_plan = true;
-      state->plan_halo = record.halo;
-      state->plan_stripes = record.stripes;
-      return Status::OK();
+      return Status::OK();  // legacy, ignored
   }
   return Status::IoError("unknown wal record type");
 }
@@ -114,15 +111,7 @@ Status WriteSnapshotFile(const std::string& path,
   Put<uint64_t>(&payload, state.epoch);
   Put<uint64_t>(&payload, state.window_begin);
   Put<double>(&payload, state.ttl_seconds);
-  Put<uint8_t>(&payload, state.has_plan ? 1 : 0);
-  if (state.has_plan) {
-    Put<int64_t>(&payload, state.plan_halo);
-    Put<uint32_t>(&payload, static_cast<uint32_t>(state.plan_stripes.size()));
-    for (const grid::Stripe& stripe : state.plan_stripes) {
-      Put<int64_t>(&payload, stripe.slab_lo);
-      Put<int64_t>(&payload, stripe.slab_hi);
-    }
-  }
+  Put<uint8_t>(&payload, 0);  // legacy plan flag: no plan block
   Put<uint64_t>(&payload, static_cast<uint64_t>(state.coords.size()));
   PutDoubles(&payload, state.coords);
 
@@ -238,17 +227,12 @@ Result<CollectionState> ReadSnapshotFile(const std::string& path) {
     return Status::IoError(
         StrFormat("%s: malformed snapshot plan flag", path.c_str()));
   }
-  state.has_plan = has_plan == 1;
-  if (state.has_plan) {
-    DBSCOUT_ASSIGN_OR_RETURN(state.plan_halo, reader.Read<int64_t>());
+  if (has_plan == 1) {
+    // Legacy plan block, [i64 halo][u32 count][count x 2 i64]: skipped.
+    DBSCOUT_RETURN_IF_ERROR(reader.Read<int64_t>().status());
     DBSCOUT_ASSIGN_OR_RETURN(const uint32_t count, reader.Read<uint32_t>());
-    state.plan_stripes.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      grid::Stripe stripe;
-      DBSCOUT_ASSIGN_OR_RETURN(stripe.slab_lo, reader.Read<int64_t>());
-      DBSCOUT_ASSIGN_OR_RETURN(stripe.slab_hi, reader.Read<int64_t>());
-      state.plan_stripes.push_back(stripe);
-    }
+    DBSCOUT_RETURN_IF_ERROR(
+        reader.ReadBytes(static_cast<uint64_t>(count) * 16).status());
   }
   DBSCOUT_ASSIGN_OR_RETURN(const uint64_t ncoords, reader.Read<uint64_t>());
   DBSCOUT_ASSIGN_OR_RETURN(state.coords, reader.ReadDoubles(ncoords));

@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "grid/regions.h"
 #include "storage/wal.h"
 
 namespace dbscout::storage {
@@ -25,9 +24,6 @@ struct CollectionState {
   uint64_t epoch = 0;         // points ever ingested
   uint64_t window_begin = 0;  // ids below are expired (alive mask is 0*1*)
   double ttl_seconds = 0.0;
-  bool has_plan = false;
-  int64_t plan_halo = 0;
-  std::vector<grid::Stripe> plan_stripes;
   std::vector<double> coords;  // row-major, epoch * dims doubles
 };
 
@@ -41,11 +37,12 @@ Status ApplyRecordToState(const WalRecord& record, CollectionState* state);
 ///
 ///   [u32 magic "DBSP"][u32 version][u64 payload_len][payload][u32 crc]
 ///
-/// with the payload in codec encoding (dims, epoch, window_begin, ttl,
-/// optional plan, then the coordinate block — the same row-major double
-/// layout as the DBSC point-stream format). The trailing CRC32C covers
-/// the payload; a mismatch or short file rejects the snapshot so recovery
-/// falls back to the previous generation.
+/// with the payload in codec encoding (dims, epoch, window_begin, ttl, a
+/// plan flag, then the coordinate block — the same row-major double
+/// layout as the DBSC point-stream format). The writer sets the plan flag
+/// to 0; the reader skips the plan block a legacy flag of 1 announces.
+/// The trailing CRC32C covers the payload; a mismatch or short file
+/// rejects the snapshot so recovery falls back to the previous generation.
 inline constexpr uint32_t kSnapshotMagic = 0x50534244;  // "DBSP" LE
 inline constexpr uint32_t kSnapshotVersion = 1;
 

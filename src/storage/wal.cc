@@ -78,12 +78,10 @@ std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
       Put<double>(&out, record.ttl_seconds);
       break;
     case WalRecordType::kPlan:
-      Put<int64_t>(&out, record.halo);
-      Put<uint32_t>(&out, static_cast<uint32_t>(record.stripes.size()));
-      for (const grid::Stripe& stripe : record.stripes) {
-        Put<int64_t>(&out, stripe.slab_lo);
-        Put<int64_t>(&out, stripe.slab_hi);
-      }
+      // Legacy and never logged; an empty plan (halo, zero stripes) keeps
+      // the encoding total over the record types.
+      Put<int64_t>(&out, 0);
+      Put<uint32_t>(&out, 0);
       break;
   }
   return out;
@@ -133,18 +131,15 @@ Result<WalRecord> DecodeWalRecord(std::span<const uint8_t> payload) {
       break;
     }
     case WalRecordType::kPlan: {
-      DBSCOUT_ASSIGN_OR_RETURN(record.halo, reader.Read<int64_t>());
+      // Legacy: [i64 halo][u32 count][count x (i64 slab_lo, i64 slab_hi)].
+      // Validated so a malformed frame still fails, then dropped.
+      DBSCOUT_RETURN_IF_ERROR(reader.Read<int64_t>().status());
       DBSCOUT_ASSIGN_OR_RETURN(const uint32_t count, reader.Read<uint32_t>());
       if (count > kMaxWalPayload / 16) {
         return Status::InvalidArgument("wal plan record: oversized");
       }
-      record.stripes.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        grid::Stripe stripe;
-        DBSCOUT_ASSIGN_OR_RETURN(stripe.slab_lo, reader.Read<int64_t>());
-        DBSCOUT_ASSIGN_OR_RETURN(stripe.slab_hi, reader.Read<int64_t>());
-        record.stripes.push_back(stripe);
-      }
+      DBSCOUT_RETURN_IF_ERROR(
+          reader.ReadBytes(static_cast<uint64_t>(count) * 16).status());
       break;
     }
   }

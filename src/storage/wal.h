@@ -8,7 +8,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "grid/regions.h"
 
 namespace dbscout::storage {
 
@@ -52,10 +51,9 @@ enum class WalRecordType : uint8_t {
   kExpire = 3,
   /// CONFIGURE: the collection's TTL changed.
   kConfigure = 4,
-  /// The shard router planned its region partition (first non-empty
-  /// coalesced batch). Recorded so sharded replay adopts the identical
-  /// grid::RegionPlan instead of re-planning from differently-batched
-  /// replay input.
+  /// Legacy: a shard region plan. Nothing writes it any more; old logs
+  /// may hold one, which the decoder validates and the fold ignores
+  /// (labels are exact under any region plan, DESIGN.md section 14).
   kPlan = 5,
 };
 
@@ -76,10 +74,6 @@ struct WalRecord {
   // kExpire.
   uint64_t expire_begin = 0;
   uint64_t expire_end = 0;
-
-  // kPlan.
-  int64_t halo = 0;
-  std::vector<grid::Stripe> stripes;
 };
 
 /// Serializes one record into a frame payload (no frame header; the

@@ -1,6 +1,7 @@
 // Snapshot files and the WAL-record fold: round-trips, CRC rejection of
-// every single-bit flip, truncation rejection, and the continuity checks
-// ApplyRecordToState enforces (base-epoch gaps, non-prefix expiry).
+// every single-bit flip, truncation rejection, legacy plan blocks and
+// PLAN records skipped, and the continuity checks ApplyRecordToState
+// enforces (base-epoch gaps, non-prefix expiry).
 
 #include "storage/snapshot.h"
 
@@ -12,7 +13,8 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/regions.h"
+#include "common/codec.h"
+#include "common/crc32c.h"
 
 namespace dbscout::storage {
 namespace {
@@ -42,9 +44,6 @@ CollectionState SampleState() {
   state.epoch = 4;
   state.window_begin = 1;
   state.ttl_seconds = 7.5;
-  state.has_plan = true;
-  state.plan_halo = 2;
-  state.plan_stripes = {grid::Stripe{-2, 3}, grid::Stripe{4, 11}};
   for (uint64_t i = 0; i < state.epoch * state.dims; ++i) {
     state.coords.push_back(0.25 * static_cast<double>(i));
   }
@@ -61,10 +60,44 @@ TEST(SnapshotFileTest, RoundTrips) {
   EXPECT_EQ(loaded->epoch, state.epoch);
   EXPECT_EQ(loaded->window_begin, state.window_begin);
   EXPECT_DOUBLE_EQ(loaded->ttl_seconds, state.ttl_seconds);
-  ASSERT_TRUE(loaded->has_plan);
-  EXPECT_EQ(loaded->plan_halo, state.plan_halo);
-  ASSERT_EQ(loaded->plan_stripes.size(), 2u);
-  EXPECT_EQ(loaded->plan_stripes[1].slab_hi, 11);
+  EXPECT_EQ(loaded->coords, state.coords);
+}
+
+TEST(SnapshotFileTest, LegacyPlanBlockIsSkipped) {
+  // Older writers stored a shard region plan after the TTL: plan flag 1,
+  // then [i64 halo][u32 count][count x (i64 lo, i64 hi)]. Such a file
+  // still loads, with the plan dropped.
+  const std::string path = TestPath("snap_legacy_plan.snap");
+  const CollectionState state = SampleState();
+  ASSERT_TRUE(WriteSnapshotFile(path, state).ok());
+  const std::vector<uint8_t> clean = ReadFileBytes(path);
+  // Payload: u16 dims, u64 epoch, u64 window_begin, f64 ttl, u8 flag.
+  constexpr size_t kHeader = 16;
+  constexpr size_t kFlag = 2 + 8 + 8 + 8;
+  ASSERT_EQ(clean[kHeader + kFlag], 0);
+  std::vector<uint8_t> payload(clean.begin() + kHeader,
+                               clean.begin() + kHeader + kFlag);
+  Put<uint8_t>(&payload, 1);
+  Put<int64_t>(&payload, 2);
+  Put<uint32_t>(&payload, 2);
+  for (const int64_t bound : {-2, 3, 4, 11}) {
+    Put<int64_t>(&payload, bound);
+  }
+  payload.insert(payload.end(), clean.begin() + kHeader + kFlag + 1,
+                 clean.end() - 4);
+  std::vector<uint8_t> file;
+  Put<uint32_t>(&file, kSnapshotMagic);
+  Put<uint32_t>(&file, kSnapshotVersion);
+  Put<uint64_t>(&file, payload.size());
+  file.insert(file.end(), payload.begin(), payload.end());
+  Put<uint32_t>(&file, Crc32c(payload));
+  WriteFileBytes(path, file);
+
+  auto loaded = ReadSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->epoch, state.epoch);
+  EXPECT_EQ(loaded->window_begin, state.window_begin);
+  EXPECT_DOUBLE_EQ(loaded->ttl_seconds, state.ttl_seconds);
   EXPECT_EQ(loaded->coords, state.coords);
 }
 
@@ -76,7 +109,6 @@ TEST(SnapshotFileTest, EmptyStateRoundTrips) {
   auto loaded = ReadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->epoch, 0u);
-  EXPECT_FALSE(loaded->has_plan);
   EXPECT_TRUE(loaded->coords.empty());
 }
 
@@ -137,12 +169,10 @@ TEST(ApplyRecordToStateTest, FoldsALogIntoState) {
   EXPECT_EQ(state.dims, 2u);
   EXPECT_DOUBLE_EQ(state.ttl_seconds, 1.0);
 
-  WalRecord plan;
+  WalRecord plan;  // legacy: folds to nothing
   plan.type = WalRecordType::kPlan;
-  plan.halo = 4;
-  plan.stripes = {grid::Stripe{0, 5}};
   ASSERT_TRUE(ApplyRecordToState(plan, &state).ok());
-  EXPECT_TRUE(state.has_plan);
+  EXPECT_EQ(state.epoch, 0u);
 
   WalRecord ingest;
   ingest.type = WalRecordType::kIngest;

@@ -79,7 +79,6 @@ void ExpectSameState(const CollectionState& a, const CollectionState& b) {
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.window_begin, b.window_begin);
   EXPECT_DOUBLE_EQ(a.ttl_seconds, b.ttl_seconds);
-  EXPECT_EQ(a.has_plan, b.has_plan);
   EXPECT_EQ(a.coords, b.coords);
 }
 

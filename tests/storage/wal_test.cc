@@ -17,7 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/regions.h"
+#include "common/codec.h"
 
 namespace dbscout::storage {
 namespace {
@@ -51,37 +51,48 @@ WalRecord IngestRecord(uint16_t dims, uint64_t base_epoch,
   return record;
 }
 
-// Writes a small mixed log and returns its frame payloads.
+/// A PLAN frame as older writers logged it: type 5, [i64 halo][u32
+/// count][count x (i64 slab_lo, i64 slab_hi)]. `stripes` may differ from
+/// the bounds actually written, to build a malformed frame.
+std::vector<uint8_t> LegacyPlanPayload(uint32_t stripes,
+                                       const std::vector<int64_t>& bounds) {
+  std::vector<uint8_t> out;
+  Put<uint8_t>(&out, static_cast<uint8_t>(WalRecordType::kPlan));
+  Put<int64_t>(&out, 3);
+  Put<uint32_t>(&out, stripes);
+  for (const int64_t bound : bounds) {
+    Put<int64_t>(&out, bound);
+  }
+  return out;
+}
+
+// Writes a small mixed log, including a legacy PLAN frame, and returns
+// its frame payloads.
 std::vector<std::vector<uint8_t>> WriteMixedLog(const std::string& path) {
-  std::vector<WalRecord> records;
+  std::vector<std::vector<uint8_t>> payloads;
   WalRecord create;
   create.type = WalRecordType::kCreate;
   create.dims = 2;
   create.ttl_seconds = 0.5;
-  records.push_back(create);
-  WalRecord plan;
-  plan.type = WalRecordType::kPlan;
-  plan.halo = 3;
-  plan.stripes = {grid::Stripe{-4, 0}, grid::Stripe{1, 9}};
-  records.push_back(plan);
-  records.push_back(IngestRecord(2, 0, {0.0, 0.1, 1.0, 1.1, 2.0, 2.1}));
+  payloads.push_back(EncodeWalRecord(create));
+  payloads.push_back(LegacyPlanPayload(2, {-4, 0, 1, 9}));
+  payloads.push_back(
+      EncodeWalRecord(IngestRecord(2, 0, {0.0, 0.1, 1.0, 1.1, 2.0, 2.1})));
   WalRecord expire;
   expire.type = WalRecordType::kExpire;
   expire.expire_begin = 0;
   expire.expire_end = 2;
-  records.push_back(expire);
+  payloads.push_back(EncodeWalRecord(expire));
   WalRecord configure;
   configure.type = WalRecordType::kConfigure;
   configure.ttl_seconds = 2.25;
-  records.push_back(configure);
-  records.push_back(IngestRecord(2, 3, {5.0, 5.5}));
+  payloads.push_back(EncodeWalRecord(configure));
+  payloads.push_back(EncodeWalRecord(IngestRecord(2, 3, {5.0, 5.5})));
 
   auto writer = WalWriter::Create(path, 7);
   EXPECT_TRUE(writer.ok()) << writer.status();
-  std::vector<std::vector<uint8_t>> payloads;
-  for (const WalRecord& record : records) {
-    payloads.push_back(EncodeWalRecord(record));
-    EXPECT_TRUE(writer->Append(payloads.back()).ok());
+  for (const std::vector<uint8_t>& payload : payloads) {
+    EXPECT_TRUE(writer->Append(payload).ok());
   }
   EXPECT_TRUE(writer->Close().ok());
   return payloads;
@@ -103,12 +114,8 @@ TEST(WalRecordTest, AllTypesRoundTrip) {
   EXPECT_DOUBLE_EQ(create->ttl_seconds, 0.5);
 
   auto plan = DecodeWalRecord(scan->frames[1]);
-  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->type, WalRecordType::kPlan);
-  EXPECT_EQ(plan->halo, 3);
-  ASSERT_EQ(plan->stripes.size(), 2u);
-  EXPECT_EQ(plan->stripes[0].slab_lo, -4);
-  EXPECT_EQ(plan->stripes[1].slab_hi, 9);
 
   auto ingest = DecodeWalRecord(scan->frames[2]);
   ASSERT_TRUE(ingest.ok());
@@ -153,6 +160,8 @@ TEST(WalRecordTest, RejectsMalformedPayloads) {
   create.dims = 0;
   EXPECT_FALSE(DecodeWalRecord(EncodeWalRecord(create)).ok());
   EXPECT_FALSE(DecodeWalRecord(EncodeWalRecord(IngestRecord(0, 0, {}))).ok());
+  // A legacy PLAN frame whose stripe count overruns its bytes.
+  EXPECT_FALSE(DecodeWalRecord(LegacyPlanPayload(2, {-4, 0})).ok());
 }
 
 TEST(WalScanTest, TornTailIsTruncatedCleanly) {

@@ -12,9 +12,10 @@
 #                   plus the fixture self-test            (needs build/)
 #   7. thread-safety  clang -Wthread-safety -Werror build of the
 #                   annotated targets                     (build-tsa/)
-#   8. bench-gate   tools/bench_gate.sh: fresh bench_service/bench_kernels
-#                   runs vs the checked-in BENCH_*.json, fail on >10%
-#                   regression. Run on an idle machine.
+#   8. bench-gate   tools/bench_gate.sh: five perfbench runs per workload,
+#                   medians vs BENCH_perfbench.json within BENCHMARK.json's
+#                   bounds, plus bench_kernels vs BENCH_kernels.json.
+#                   Builds .bench_build/ and build/. Run on an idle machine.
 #
 # Prints a per-stage summary table and exits non-zero if any stage failed.
 # Stages that cannot run in this environment (e.g. no clang-tidy binary)
@@ -134,7 +135,8 @@ stage_thread_safety() {
 }
 
 stage_bench_gate() {
-  # Needs the tier1 build tree (configures one if missing).
+  # perfbench builds .bench_build/ itself; bench_kernels comes from the
+  # tier1 build tree (configured if missing).
   tools/bench_gate.sh build
 }
 

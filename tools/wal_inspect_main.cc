@@ -79,8 +79,7 @@ void PrintRecord(const WalRecord& record, size_t index, const Flags& flags) {
       std::cout << " ttl=" << record.ttl_seconds;
       break;
     case WalRecordType::kPlan:
-      std::cout << " halo=" << record.halo
-                << " stripes=" << record.stripes.size();
+      std::cout << " (legacy, ignored)";
       break;
   }
   std::cout << "\n";
@@ -120,12 +119,7 @@ int InspectSnapshot(const std::string& path, const Flags& flags) {
   std::cout << path << ": dims=" << state->dims << " epoch=" << state->epoch
             << " window_begin=" << state->window_begin
             << " ttl=" << state->ttl_seconds << " live="
-            << (state->epoch - state->window_begin);
-  if (state->has_plan) {
-    std::cout << " plan{halo=" << state->plan_halo
-              << " stripes=" << state->plan_stripes.size() << "}";
-  }
-  std::cout << "\n";
+            << (state->epoch - state->window_begin) << "\n";
   (void)flags;
   return 0;
 }
