@@ -114,7 +114,9 @@ class ByteReader {
       return Truncated();
     }
     std::vector<double> out(count);
-    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(double));
+    if (count > 0) {  // an empty vector's data() may be null
+      std::memcpy(out.data(), data_.data() + pos_, count * sizeof(double));
+    }
     pos_ += count * sizeof(double);
     return out;
   }

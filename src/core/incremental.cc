@@ -697,8 +697,6 @@ Status IncrementalDetector::Remove(uint32_t id) {
     ctx.outlier_delta -= 1;
     home_cell->outlier_points -= 1;
   }
-  // Emptied cells stay in the map as stubs: the cached neighbor pointers
-  // wired at creation must never dangle.
   alive_.Set(id, 0);
   live_points_ -= 1;
 
@@ -805,8 +803,31 @@ Status IncrementalDetector::Remove(uint32_t id) {
       candidate_home->outlier_points += 1;
     }
   }
+  if (home_cell->points->empty()) {
+    EraseCell(home, home_cell);
+  }
   MergeCtx(ctx);
   return Status::OK();
+}
+
+void IncrementalDetector::EraseCell(const grid::CellCoord& coord,
+                                    Cell* cell) {
+  // The caches are symmetric, so `cell` sits in exactly the caches of the
+  // cells in its own. Swap-erase it from each, moving the owner's self
+  // entry back into the last slot.
+  for (Cell* neighbor : cell->neighbors) {
+    if (neighbor == cell) {
+      continue;
+    }
+    std::vector<Cell*>& list = neighbor->neighbors;
+    const size_t pos =
+        std::find(list.begin(), list.end(), cell) - list.begin();
+    const size_t last = list.size() - 1;  // the neighbor's self entry
+    list[pos] = list[last - 1];
+    list[last - 1] = list[last];
+    list.pop_back();
+  }
+  cells_.erase(coord);
 }
 
 std::vector<PointKind> IncrementalDetector::kinds() const {

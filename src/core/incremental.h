@@ -67,6 +67,8 @@ class IncrementalSnapshot {
   size_t dims() const { return points_.width(); }
   size_t num_core() const { return num_core_; }
   size_t num_outliers() const { return num_outliers_; }
+  /// Occupied grid cells at this epoch (cells emptied by removals are
+  /// erased, so this tracks the live window, not lifetime ingest).
   size_t num_cells() const { return cells_.size(); }
   /// Points inserted and not yet removed at this epoch.
   size_t live_points() const { return live_points_; }
@@ -221,16 +223,17 @@ class IncrementalDetector {
 
   size_t num_core() const { return num_core_; }
   size_t num_outliers() const { return num_outliers_; }
+  /// Occupied grid cells: Remove() erases a cell it empties.
   size_t num_cells() const { return cells_.size(); }
 
   /// Total point-to-point distance evaluations performed by mutations
   /// (monotone; the service's STATS verb reports deltas per apply pass).
   uint64_t distance_computations() const { return distance_comps_; }
 
-  /// Freezes the current state into an immutable snapshot. O(cells +
-  /// size/chunk-size); subsequent writes copy-on-write only the chunks and
-  /// cells they touch. Must be called from the writer thread, never
-  /// concurrently with AddBatchParallel shard tasks.
+  /// Freezes the current state into an immutable snapshot. O(occupied
+  /// cells + size/chunk-size); subsequent writes copy-on-write only the
+  /// chunks and cells they touch. Must be called from the writer thread,
+  /// never concurrently with AddBatchParallel shard tasks.
   std::shared_ptr<const IncrementalSnapshot> SnapshotNow();
 
  private:
@@ -246,10 +249,10 @@ class IncrementalDetector {
     std::shared_ptr<std::vector<uint32_t>> points;
     std::vector<double> coords;
     /// Stencil-neighbor cells (self included, last), resolved once at
-    /// creation and kept symmetric as later cells appear — the mutation
-    /// paths never pay per-point stencil hash lookups. Cells are never
-    /// erased (an emptied cell stays as a stub) so these pointers stay
-    /// valid; unordered_map nodes are stable under rehash.
+    /// creation and kept symmetric as later cells appear and as emptied
+    /// cells are erased (EraseCell unlinks them) — the mutation paths never
+    /// pay per-point stencil hash lookups. unordered_map nodes are stable
+    /// under rehash, so the pointers stay valid while their cell exists.
     std::vector<Cell*> neighbors;
     /// Lower corner of the cell's box (coord * side per axis), so scans can
     /// skip this cell outright when the whole box lies beyond eps of the
@@ -296,6 +299,10 @@ class IncrementalDetector {
 
   /// The cell at `coord`; must exist.
   Cell* CellAt(const grid::CellCoord& coord);
+
+  /// Unlinks the (emptied) cell at `coord` from its neighbors' caches and
+  /// erases it, so the map holds only occupied cells. O(its neighbors).
+  void EraseCell(const grid::CellCoord& coord, Cell* cell);
 
   /// Full insertion of one appended point x: neighborhood scan (count +
   /// cover + neighbor count bumps), registration, promotions. Requires

@@ -14,10 +14,10 @@ namespace dbscout::service {
 const core::IncrementalSnapshot& MergedSnapshot::Home(uint32_t i,
                                                       uint32_t* local) const {
   if (single_) {
-    *local = i;
+    *local = static_cast<uint32_t>(i - base_);
     return *shards_[0];
   }
-  const PointLoc loc = locs_[i];
+  const PointLoc loc = locs_[i - base_];
   *local = loc.local;
   return *shards_[loc.shard];
 }
@@ -41,7 +41,7 @@ size_t MergedSnapshot::num_core() const {
       num_outliers_ = shards_[0]->num_outliers();
       return;
     }
-    for (uint64_t i = 0; i < epoch_; ++i) {
+    for (uint64_t i = 0; i < epoch_ - base_; ++i) {
       const PointLoc loc = locs_[i];
       const core::IncrementalSnapshot& home = *shards_[loc.shard];
       if (!home.IsAlive(loc.local)) {
@@ -70,17 +70,20 @@ core::PointKind MergedSnapshot::KindOf(uint32_t i) const {
 }
 
 bool MergedSnapshot::IsAlive(uint32_t i) const {
+  if (i < base_) {
+    return false;
+  }
   uint32_t local = 0;
   const core::IncrementalSnapshot& home = Home(i, &local);
   return home.IsAlive(local);
 }
 
 std::vector<core::PointKind> MergedSnapshot::Kinds() const {
-  if (single_) {
+  if (single_ && base_ == 0) {
     return shards_[0]->Kinds();
   }
-  std::vector<core::PointKind> kinds(epoch_);
-  for (uint64_t i = 0; i < epoch_; ++i) {
+  std::vector<core::PointKind> kinds(epoch_, core::PointKind::kOutlier);
+  for (uint64_t i = base_; i < epoch_; ++i) {
     kinds[i] = KindOf(static_cast<uint32_t>(i));
   }
   return kinds;
@@ -135,6 +138,9 @@ Result<ShardRouter> ShardRouter::Create(const std::string& collection,
   router.shard_apply_seconds_ = registry->GetHistogram(
       "dbscout_shard_apply_seconds",
       "Per-shard batch apply latency within one epoch-barriered pass");
+  router.snapshot_freeze_seconds_ = registry->GetHistogram(
+      "dbscout_snapshot_freeze_seconds",
+      "Per-shard detector snapshot (SnapshotNow) after each applied pass");
   router.ghost_points_total_ = registry->GetCounter(
       "dbscout_ghost_points_total",
       "Ghost replicas created by the shard router's halo exchange");
@@ -185,10 +191,10 @@ Status ShardRouter::ApplyPass(const PointSet& adds, uint64_t expire_begin,
   for (uint64_t id = expire_begin; id < expire_end; ++id) {
     const auto id32 = static_cast<uint32_t>(id);
     if (single) {
-      works[0].removals.push_back(id32);
+      works[0].removals.push_back(static_cast<uint32_t>(id - base_));
       continue;
     }
-    const PointLoc home = locs_[id32];
+    const PointLoc home = locs_[id - base_];
     works[home.shard].removals.push_back(home.local);
     const auto ghost = ghosts_.find(id32);
     if (ghost != ghosts_.end()) {
@@ -268,6 +274,7 @@ Status ShardRouter::ApplyPass(const PointSet& adds, uint64_t expire_begin,
     if (shard_apply_seconds_ != nullptr && outcome.apply_seconds > 0) {
       shard_apply_seconds_->Observe(outcome.apply_seconds);
     }
+    snapshot_freeze_seconds_->Observe(outcome.freeze_seconds);
     if (shard_points_[s] != nullptr) {
       shard_points_[s]->Set(
           static_cast<int64_t>(shards_[s]->detector().live_points()));
@@ -297,6 +304,7 @@ std::shared_ptr<const MergedSnapshot> ShardRouter::PublishableSnapshot() {
     merged->locs_ = locs_.Freeze();
   }
   merged->plan_ = plan_;
+  merged->base_ = base_;
   merged->epoch_ = epoch_;
   merged->dims_ = dims_;
   merged->live_ = static_cast<size_t>(live_);

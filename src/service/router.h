@@ -36,11 +36,18 @@ struct PointLoc {
 /// exact by the ghost-halo argument (DESIGN.md section 14).
 ///
 /// With one shard this is a thin wrapper over the single shard snapshot
-/// (local ids == global ids), byte-for-byte identical answers to the
+/// (local id = global id - base), byte-for-byte identical answers to the
 /// pre-shard service.
+///
+/// Global ids below base() were expired before the collection was
+/// recovered, and no shard holds a row for them: IsAlive is false and
+/// Kinds() reports kOutlier there. The by-id readers (KindOf,
+/// NearestCoreDistance) require base() <= i < epoch().
 class MergedSnapshot {
  public:
   uint64_t epoch() const { return epoch_; }
+  /// First global id a shard holds a row for (see ShardRouter::SetBase).
+  uint64_t base() const { return base_; }
   size_t dims() const { return dims_; }
   size_t live_points() const;
   /// Live core / outlier counts over OWNED points (ghost replicas are
@@ -79,6 +86,7 @@ class MergedSnapshot {
   CowChunkedVector<PointLoc>::Frozen locs_;  // unused in single-shard mode
   std::shared_ptr<const grid::RegionPlan> plan_;  // null until first batch
   bool single_ = true;
+  uint64_t base_ = 0;
   uint64_t epoch_ = 0;
   size_t dims_ = 0;
   size_t live_ = 0;
@@ -150,6 +158,12 @@ class ShardRouter {
   size_t num_shards() const { return shards_.size(); }
   /// Global insertion epoch (= points ever ingested). Coordinator only.
   uint64_t epoch() const { return epoch_; }
+
+  /// Starts the global id space at `base`: the first ingested point gets
+  /// global id `base`, and ids below it have no rows anywhere (they
+  /// expired before a restart, and recovery loads only the live window).
+  /// Coordinator only, on a router that has applied nothing yet.
+  void SetBase(uint64_t base) { base_ = epoch_ = base; }
   /// Sum of shard distance-computation counters. Coordinator only, and
   /// only while quiescent (after the last pass's barrier).
   uint64_t distance_computations() const;
@@ -162,7 +176,8 @@ class ShardRouter {
   }
 
   /// One epoch-barriered pass: removes global ids [expire_begin,
-  /// expire_end) — home copy and every ghost replica — and ingests `adds`
+  /// expire_end) (never below the base) — home copy and every ghost
+  /// replica — and ingests `adds`
   /// (global ids epoch()..epoch()+adds.size()), scattering each point to
   /// its covering regions. Blocks until every touched shard has applied
   /// and republished its snapshot. `inner_pool` is forwarded to the
@@ -192,7 +207,8 @@ class ShardRouter {
   std::vector<std::unique_ptr<DetectorShard>> shards_;
 
   // Multi-shard routing state (coordinator-thread only; locs_ is frozen
-  // into every published snapshot).
+  // into every published snapshot). locs_[k] places global id base_ + k.
+  uint64_t base_ = 0;
   CowChunkedVector<PointLoc> locs_;
   std::unordered_map<uint32_t, std::vector<PointLoc>> ghosts_;
   std::vector<uint32_t> next_local_;
@@ -202,6 +218,7 @@ class ShardRouter {
 
   std::vector<obs::Gauge*> shard_points_;
   obs::Histogram* shard_apply_seconds_ = nullptr;
+  obs::Histogram* snapshot_freeze_seconds_ = nullptr;
   obs::Counter* ghost_points_total_ = nullptr;
   obs::Counter* ghost_bytes_total_ = nullptr;
   obs::Histogram* ghost_exchange_seconds_ = nullptr;

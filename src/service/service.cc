@@ -153,7 +153,7 @@ DetectionService::DetectionService(const ServiceOptions& options)
       "WAL records replayed during crash recovery");
   replay_points_total_ = registry_->GetCounter(
       "dbscout_replay_points_total",
-      "Points re-ingested during crash recovery (snapshot + WAL)");
+      "Live points re-ingested during crash recovery (snapshot + WAL)");
   replay_seconds_ = registry_->GetHistogram(
       "dbscout_replay_seconds", "Crash-recovery replay time per collection",
       obs::HistogramLayout::Latency());
@@ -548,6 +548,14 @@ Response DetectionService::DoQuery(const Request& request) {
       response.status = Status::OutOfRange(
           StrFormat("point id %u >= snapshot epoch %llu", request.query_id,
                     static_cast<unsigned long long>(snap->epoch())));
+      return response;
+    }
+    if (request.query_id < snap->base()) {
+      // Expired before the last restart: recovery loaded only the live
+      // window, so no label is held for this id.
+      response.status = Status::NotFound(StrFormat(
+          "point id %u expired before recovery (ids below %llu are gone)",
+          request.query_id, static_cast<unsigned long long>(snap->base())));
       return response;
     }
     response.query.kind = snap->KindOf(request.query_id);
@@ -1058,7 +1066,11 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
   }
 
   // ---- Publish: one snapshot per touched collection, after all of this
-  // pass's mutations. The release store pairs with readers' acquire. ----
+  // pass's mutations. The release exchange pairs with readers' acquire.
+  // The replaced snapshots are held until the tickets below complete:
+  // tearing one down (its cell map, its last shared chunks) is off the
+  // acknowledgement path. ----
+  std::vector<std::shared_ptr<const MergedSnapshot>> retired;
   for (Work& work : works) {
     if (work.coalesced.size() == 0 && work.expired == 0 &&
         work.errors == 0) {
@@ -1066,8 +1078,8 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     }
     Collection* collection = work.collection;
     WallTimer publish_timer;
-    collection->snapshot.store(collection->router.PublishableSnapshot(),
-                               std::memory_order_release);
+    retired.push_back(collection->snapshot.exchange(
+        collection->router.PublishableSnapshot(), std::memory_order_acq_rel));
     if (trace_ != nullptr) {
       trace_->AddTracedSpan("snapshot_publish", "service", work.trace_id,
                             collection->name, publish_timer.ElapsedSeconds(),
@@ -1126,6 +1138,8 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     }
     tickets_cv_.NotifyAll();
   }
+  // `retired` drops here, after the acknowledgements: a reader that still
+  // holds one of these snapshots keeps it alive past this point anyway.
 }
 
 // ---------------------------------------------------------------------------
@@ -1211,7 +1225,7 @@ Status DetectionService::RecoverCollection(const std::string& name) {
                        << "': empty durability dir, nothing to recover";
     return store->Close();
   }
-  const uint64_t points = state.epoch;
+  const uint64_t points = state.epoch - state.window_begin;
   DBSCOUT_ASSIGN_OR_RETURN(std::unique_ptr<Collection> collection,
                            NewCollection(name, state.dims));
   collection->store = std::move(store);
@@ -1228,22 +1242,19 @@ Status DetectionService::RecoverCollection(const std::string& name) {
 Status DetectionService::LoadCollection(Collection* collection,
                                         storage::CollectionState state) {
   ShardRouter& router = collection->router;
-  // The state keeps the coordinates of every id < epoch, expired ones
-  // included, so ids stay dense: one add pass, then one expiry pass over
-  // the dead prefix, through the same router pass as live traffic. The
-  // add pass plans the regions afresh from the whole point set; labels
-  // are exact under any plan (DESIGN.md section 14), so the shard count
-  // may differ from the one that wrote the log.
+  // The state holds only the live rows [window_begin, epoch). The router's
+  // id space starts at window_begin, so the live points keep their global
+  // ids, and one add pass loads them through the same router pass as live
+  // traffic. The pass plans the regions afresh from the live points;
+  // labels are exact under any plan (DESIGN.md section 14), so the shard
+  // count may differ from the one that wrote the log.
+  router.SetBase(state.window_begin);
   DBSCOUT_ASSIGN_OR_RETURN(
       PointSet adds,
       PointSet::FromRowMajor(state.dims, std::move(state.coords)));
-  ShardRouter::PassStats stats;
   if (adds.size() > 0) {
-    DBSCOUT_RETURN_IF_ERROR(
-        router.ApplyPass(adds, 0, 0, shard_pool_.get(), &stats));
-  }
-  if (state.window_begin > 0) {
-    DBSCOUT_RETURN_IF_ERROR(router.ApplyPass(PointSet{state.dims}, 0,
+    ShardRouter::PassStats stats;
+    DBSCOUT_RETURN_IF_ERROR(router.ApplyPass(adds, state.window_begin,
                                              state.window_begin,
                                              shard_pool_.get(), &stats));
   }

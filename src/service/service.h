@@ -314,10 +314,11 @@ class DetectionService {
   /// loads the folded state and registers the collection.
   Status RecoverCollection(const std::string& name)
       DBSCOUT_EXCLUDES(collections_mu_);
-  /// Loads a folded state into a fresh collection: one add pass over
-  /// [0, epoch) and one expiry pass over [0, window_begin), then
-  /// publishes. Labels depend only on the live
-  /// point set, so this equals the pre-crash labeling at the durable epoch.
+  /// Loads a folded state into a fresh collection: the router's id space
+  /// starts at window_begin, one add pass loads the live rows
+  /// [window_begin, epoch), then it publishes. Labels depend only on the
+  /// live point set, so this equals the pre-crash labeling at the durable
+  /// epoch.
   Status LoadCollection(Collection* collection,
                         storage::CollectionState state);
 

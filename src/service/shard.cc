@@ -59,7 +59,15 @@ void DetectorShard::RunApply(ThreadPool* inner_pool) {
                           outcome.apply_seconds + outcome.remove_seconds,
                           work_.adds.size());
   }
-  snapshot_.store(detector_.SnapshotNow(), std::memory_order_release);
+  {
+    WallTimer timer;
+    snapshot_.store(detector_.SnapshotNow(), std::memory_order_release);
+    outcome.freeze_seconds = timer.ElapsedSeconds();
+  }
+  if (trace_ != nullptr) {
+    trace_->AddTracedSpan("snapshot_freeze", "shard", work_.trace_id,
+                          trace_scope_, outcome.freeze_seconds);
+  }
   outcome_ = outcome;
   queue_depth_.fetch_sub(1, std::memory_order_relaxed);
 }

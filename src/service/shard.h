@@ -57,6 +57,7 @@ class DetectorShard {
     Status status;             // first add-path failure, else OK
     double apply_seconds = 0;  // the AddBatchParallel segment
     double remove_seconds = 0;
+    double freeze_seconds = 0;  // the SnapshotNow that republishes
     uint64_t removed = 0;
     uint64_t remove_failures = 0;
     core::ApplyStats apply_stats;
@@ -70,8 +71,9 @@ class DetectorShard {
   /// Attaches a span sink (null detaches). The shard loop emits one
   /// shard_apply span per pass with nonzero work, timed on the loop thread
   /// itself — the true per-shard apply segment, not the coordinator's view
-  /// of it. Coordinator only, while the shard is quiescent; `scope` is the
-  /// owning collection's name.
+  /// of it — followed by a snapshot_freeze span for the SnapshotNow that
+  /// republishes the shard. Coordinator only, while the shard is
+  /// quiescent; `scope` is the owning collection's name.
   void AttachTrace(obs::TraceCollector* trace, std::string scope) {
     trace_ = trace;
     trace_scope_ = std::move(scope);

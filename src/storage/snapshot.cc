@@ -83,18 +83,29 @@ Status ApplyRecordToState(const WalRecord& record, CollectionState* state) {
       state->epoch += record.coords.size() / state->dims;
       return Status::OK();
     }
-    case WalRecordType::kExpire:
+    case WalRecordType::kExpire: {
       // Prefix-only expiry: the window never rewinds, and ranges arrive
-      // in order, so `end` monotonically advances window_begin.
+      // in order, so `end` monotonically advances window_begin and the
+      // expired rows are the front of `coords`.
       if (record.expire_end > state->epoch) {
         return Status::IoError("wal expire record past the epoch");
       }
-      if (record.expire_begin != state->window_begin) {
+      if (record.expire_begin != state->window_begin ||
+          record.expire_end < record.expire_begin) {
         return Status::IoError("wal expire record does not extend the "
                                "expired prefix");
       }
+      const uint64_t dropped =
+          (record.expire_end - record.expire_begin) * state->dims;
+      if (dropped > state->coords.size()) {
+        return Status::IoError("wal expire record drops rows it lacks");
+      }
+      state->coords.erase(state->coords.begin(),
+                          state->coords.begin() +
+                              static_cast<std::ptrdiff_t>(dropped));
       state->window_begin = record.expire_end;
       return Status::OK();
+    }
     case WalRecordType::kConfigure:
       state->ttl_seconds = record.ttl_seconds;
       return Status::OK();
@@ -111,7 +122,6 @@ Status WriteSnapshotFile(const std::string& path,
   Put<uint64_t>(&payload, state.epoch);
   Put<uint64_t>(&payload, state.window_begin);
   Put<double>(&payload, state.ttl_seconds);
-  Put<uint8_t>(&payload, 0);  // legacy plan flag: no plan block
   Put<uint64_t>(&payload, static_cast<uint64_t>(state.coords.size()));
   PutDoubles(&payload, state.coords);
 
@@ -152,7 +162,8 @@ Status WriteSnapshotFile(const std::string& path,
   return SyncParentDir(path);
 }
 
-Result<CollectionState> ReadSnapshotFile(const std::string& path) {
+Result<CollectionState> ReadSnapshotFile(const std::string& path,
+                                         uint32_t* version_out) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Errno("open snapshot", path);
@@ -196,7 +207,7 @@ Result<CollectionState> ReadSnapshotFile(const std::string& path) {
     return Status::IoError(
         StrFormat("%s: not a snapshot (bad magic)", path.c_str()));
   }
-  if (version != kSnapshotVersion) {
+  if (version != kSnapshotVersion && version != kSnapshotVersionAllRows) {
     return Status::IoError(StrFormat("%s: unsupported snapshot version %u",
                                      path.c_str(), version));
   }
@@ -222,17 +233,20 @@ Result<CollectionState> ReadSnapshotFile(const std::string& path) {
   DBSCOUT_ASSIGN_OR_RETURN(state.epoch, reader.Read<uint64_t>());
   DBSCOUT_ASSIGN_OR_RETURN(state.window_begin, reader.Read<uint64_t>());
   DBSCOUT_ASSIGN_OR_RETURN(state.ttl_seconds, reader.Read<double>());
-  DBSCOUT_ASSIGN_OR_RETURN(const uint8_t has_plan, reader.Read<uint8_t>());
-  if (has_plan > 1) {
-    return Status::IoError(
-        StrFormat("%s: malformed snapshot plan flag", path.c_str()));
-  }
-  if (has_plan == 1) {
-    // Legacy plan block, [i64 halo][u32 count][count x 2 i64]: skipped.
-    DBSCOUT_RETURN_IF_ERROR(reader.Read<int64_t>().status());
-    DBSCOUT_ASSIGN_OR_RETURN(const uint32_t count, reader.Read<uint32_t>());
-    DBSCOUT_RETURN_IF_ERROR(
-        reader.ReadBytes(static_cast<uint64_t>(count) * 16).status());
+  if (version == kSnapshotVersionAllRows) {
+    DBSCOUT_ASSIGN_OR_RETURN(const uint8_t has_plan, reader.Read<uint8_t>());
+    if (has_plan > 1) {
+      return Status::IoError(
+          StrFormat("%s: malformed snapshot plan flag", path.c_str()));
+    }
+    if (has_plan == 1) {
+      // Legacy plan block, [i64 halo][u32 count][count x 2 i64]: skipped.
+      DBSCOUT_RETURN_IF_ERROR(reader.Read<int64_t>().status());
+      DBSCOUT_ASSIGN_OR_RETURN(const uint32_t count,
+                               reader.Read<uint32_t>());
+      DBSCOUT_RETURN_IF_ERROR(
+          reader.ReadBytes(static_cast<uint64_t>(count) * 16).status());
+    }
   }
   DBSCOUT_ASSIGN_OR_RETURN(const uint64_t ncoords, reader.Read<uint64_t>());
   DBSCOUT_ASSIGN_OR_RETURN(state.coords, reader.ReadDoubles(ncoords));
@@ -244,13 +258,30 @@ Result<CollectionState> ReadSnapshotFile(const std::string& path) {
     return Status::IoError(
         StrFormat("%s: snapshot has points but dims 0", path.c_str()));
   }
-  if (state.dims != 0 && state.coords.size() / state.dims != state.epoch) {
-    return Status::IoError(
-        StrFormat("%s: snapshot coords do not match epoch", path.c_str()));
-  }
   if (state.window_begin > state.epoch) {
     return Status::IoError(
         StrFormat("%s: snapshot window past epoch", path.c_str()));
+  }
+  // The coordinate block must hold exactly its rows: version 1 stores
+  // every id, version 2 only the window. The product is checked without
+  // overflow (ReadDoubles already bounded the block by the file size).
+  const uint64_t first_row =
+      version == kSnapshotVersionAllRows ? 0 : state.window_begin;
+  const uint64_t rows = state.epoch - first_row;
+  if (state.dims != 0 &&
+      (rows > state.coords.size() / state.dims ||
+       rows * state.dims != state.coords.size())) {
+    return Status::IoError(
+        StrFormat("%s: snapshot coords do not match its rows", path.c_str()));
+  }
+  if (first_row < state.window_begin) {
+    state.coords.erase(state.coords.begin(),
+                       state.coords.begin() +
+                           static_cast<std::ptrdiff_t>(state.window_begin *
+                                                       state.dims));
+  }
+  if (version_out != nullptr) {
+    *version_out = version;
   }
   return state;
 }

@@ -12,19 +12,20 @@
 namespace dbscout::storage {
 
 /// Logical state of one collection, as reconstructible from disk: the
-/// compaction unit. Coordinates are kept for EVERY global id in
-/// [0, epoch) — expired ids included — because detector global ids are
-/// dense insertion indices that must be preserved across restart (the
-/// router's id->shard table and the prefix-only alive mask both index
-/// from 0). Replay re-adds all of them and then expires [0, window_begin)
-/// in one pass. Compacting the dead prefix out of the id space is future
-/// work (it needs an id-remap epoch in the protocol).
+/// compaction unit. Only the live window's coordinates are kept: `coords`
+/// holds rows [window_begin, epoch), and folding a kExpire record drops
+/// the rows it expires. Global ids stay dense insertion indices across
+/// restart without rows for the dead prefix: recovery loads the live rows
+/// at ids window_begin.. (the router's base id), so compaction, snapshot
+/// size and restart cost all scale with the window, not lifetime ingest.
 struct CollectionState {
   uint16_t dims = 0;
   uint64_t epoch = 0;         // points ever ingested
   uint64_t window_begin = 0;  // ids below are expired (alive mask is 0*1*)
   double ttl_seconds = 0.0;
-  std::vector<double> coords;  // row-major, epoch * dims doubles
+  /// Row-major, (epoch - window_begin) * dims doubles: row k is id
+  /// window_begin + k.
+  std::vector<double> coords;
 };
 
 /// Folds one WAL record into the state — the shared definition of replay
@@ -37,24 +38,33 @@ Status ApplyRecordToState(const WalRecord& record, CollectionState* state);
 ///
 ///   [u32 magic "DBSP"][u32 version][u64 payload_len][payload][u32 crc]
 ///
-/// with the payload in codec encoding (dims, epoch, window_begin, ttl, a
-/// plan flag, then the coordinate block — the same row-major double
-/// layout as the DBSC point-stream format). The writer sets the plan flag
-/// to 0; the reader skips the plan block a legacy flag of 1 announces.
-/// The trailing CRC32C covers the payload; a mismatch or short file
-/// rejects the snapshot so recovery falls back to the previous generation.
+/// Version 2 (written) payload, in codec encoding: u16 dims, u64 epoch,
+/// u64 window_begin, f64 ttl, u64 coordinate count, then the live rows
+/// [window_begin, epoch) — the same row-major double layout as the DBSC
+/// point-stream format.
+///
+/// Version 1 (read only) has a u8 plan flag after the ttl (a legacy flag
+/// of 1 announces a plan block, which is skipped) and the rows of EVERY id
+/// in [0, epoch); the reader drops the expired prefix. The trailing CRC32C
+/// covers the payload; a mismatch, a short file or a coordinate count that
+/// is not exactly the row count times dims rejects the snapshot, so
+/// recovery falls back to the previous generation.
 inline constexpr uint32_t kSnapshotMagic = 0x50534244;  // "DBSP" LE
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
+inline constexpr uint32_t kSnapshotVersionAllRows = 1;
 
 /// Writes atomically: tmp file + fdatasync + rename + directory fsync.
 /// A crash mid-write leaves the previous snapshot untouched.
 Status WriteSnapshotFile(const std::string& path,
                          const CollectionState& state);
 
-/// Reads and validates (magic, version, length, CRC). IoError on any
-/// mismatch — the caller treats that as "this generation is unusable",
-/// not as data loss, as long as an older generation + WAL suffix exists.
-Result<CollectionState> ReadSnapshotFile(const std::string& path);
+/// Reads and validates (magic, version, length, CRC, row count) either
+/// version into the window-only state. IoError on any mismatch — the
+/// caller treats that as "this generation is unusable", not as data loss,
+/// as long as an older generation + WAL suffix exists. `version`, when
+/// non-null, receives the file's format version.
+Result<CollectionState> ReadSnapshotFile(const std::string& path,
+                                         uint32_t* version = nullptr);
 
 }  // namespace dbscout::storage
 

@@ -1,9 +1,14 @@
 #include "core/incremental.h"
 
 #include <cmath>
+#include <deque>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/dbscout.h"
 #include "datasets/synthetic.h"
 #include "testutil.h"
@@ -235,6 +240,96 @@ TEST(IncrementalTest, DuplicateFlood) {
   EXPECT_TRUE(det->Outliers().empty());
   EXPECT_EQ(det->num_cells(), 1u);
 }
+
+// Sliding-window turnover at every supported dimension: the stream moves
+// between two sites every window, so each turnover empties every cell of
+// the old site (erasing it) and re-creates the cells it held two windows
+// earlier. After every pass the labels of the live points equal
+// DetectSequential on them, and the cell map holds exactly the occupied
+// cells — it does not grow with the number of turnovers.
+class WindowTurnoverTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(WindowTurnoverTest, LabelsAndCellsTrackTheLiveWindow) {
+  const size_t dims = GetParam();
+  const Params params = MakeParams(1.0, 4);
+  const double side = params.eps / std::sqrt(static_cast<double>(dims));
+  auto det = IncrementalDetector::Create(dims, params);
+  ASSERT_TRUE(det.ok());
+  ThreadPool pool(2);
+  Rng rng(0x7a11 + dims);
+  // Each site spans a few cells along dims 0 and 1. Creating a cell probes
+  // the full k_d stencil (0.2 s at d = 9), so above d = 6 a site keeps to
+  // two cells, and above d = 7 to one.
+  const uint64_t span0 = dims > 7 ? 1 : (dims > 6 ? 2 : 4);
+  const uint64_t span1 = dims > 6 || dims < 2 ? 1 : 2;
+  constexpr size_t kWindow = 24;
+  constexpr size_t kBatch = 8;
+  constexpr int kTurnovers = 20;
+  PointSet all(dims);
+  std::deque<uint32_t> live;
+  std::vector<double> p(dims);
+  bool saw_border = false;
+  bool saw_outlier = false;
+  for (int batch = 0; batch < kTurnovers * static_cast<int>(kWindow / kBatch);
+       ++batch) {
+    const int turnover = batch / static_cast<int>(kWindow / kBatch);
+    const double site = turnover % 2 == 0 ? 0.0 : 40.0;
+    PointSet adds(dims);
+    for (size_t i = 0; i < kBatch; ++i) {
+      // Cell-aligned offsets plus a jitter inside the cell: uneven cell
+      // counts give core, border and outlier points alike.
+      const uint64_t k0 = rng.NextBounded(span0);
+      const uint64_t k1 = rng.NextBounded(span1);
+      p[0] = site + (static_cast<double>(k0) + rng.NextDouble()) * side;
+      for (size_t k = 1; k < dims; ++k) {
+        p[k] = (k == 1 ? static_cast<double>(k1) * side : 0.0) +
+               rng.NextDouble() * side * 0.999;
+      }
+      adds.Add(p);
+      all.Add(p);
+      live.push_back(static_cast<uint32_t>(all.size() - 1));
+    }
+    ASSERT_TRUE(det->AddBatchParallel(adds, &pool).ok());
+    while (live.size() > kWindow) {
+      ASSERT_TRUE(det->Remove(live.front()).ok());
+      live.pop_front();
+    }
+
+    PointSet window(dims);
+    std::set<std::vector<int64_t>> occupied;
+    for (const uint32_t id : live) {
+      window.Add(all[id]);
+      std::vector<int64_t> cell(dims);
+      for (size_t k = 0; k < dims; ++k) {
+        cell[k] = static_cast<int64_t>(std::floor(all[id][k] / side));
+      }
+      occupied.insert(cell);
+    }
+    auto oracle = DetectSequential(window, params);
+    ASSERT_TRUE(oracle.ok());
+    for (size_t k = 0; k < live.size(); ++k) {
+      ASSERT_EQ(det->KindOf(live[k]), oracle->kinds[k])
+          << "d=" << dims << " batch " << batch << " live id " << live[k];
+      saw_border |= oracle->kinds[k] == PointKind::kBorder;
+      saw_outlier |= oracle->kinds[k] == PointKind::kOutlier;
+    }
+    ASSERT_EQ(det->num_core(), oracle->num_core) << "batch " << batch;
+    ASSERT_EQ(det->num_cells(), occupied.size()) << "batch " << batch;
+    ASSERT_EQ(det->SnapshotNow()->num_cells(), occupied.size());
+  }
+  EXPECT_EQ(det->live_points(), kWindow);
+  if (dims <= 5) {
+    EXPECT_TRUE(saw_border && saw_outlier) << "d=" << dims;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, WindowTurnoverTest,
+                         ::testing::Range(size_t{1}, kMaxDims + 1),
+                         [](const auto& info) {
+                           std::string name = "d";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace dbscout::core

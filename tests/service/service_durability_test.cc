@@ -4,7 +4,8 @@
 // labeling DetectSequential computes on the live points — for shard
 // counts 1 and 4, with and without a sliding-window TTL, across explicit
 // compactions, through a CONFIGURE change, and across a change of shard
-// count in either direction. Epochs never rewind across a restart, and a
+// count in either direction. After window turnovers only the live points
+// are stored and recovered. Epochs never rewind across a restart, and a
 // corrupt WAL frame or a broken log (a lost record, a non-extending
 // expiry, a dims-0 record) must surface as a recovery error and leave the
 // collection unserved rather than load corrupt points.
@@ -25,6 +26,7 @@
 #include "obs/metrics.h"
 #include "service/handle.h"
 #include "service/service.h"
+#include "storage/snapshot.h"
 #include "storage/store.h"
 #include "storage/wal.h"
 #include "testutil.h"
@@ -307,6 +309,113 @@ TEST_P(DurabilityShardedTest, CompactionThenRestartMatchesOracle) {
         << run.service.recovery_status();
     ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
                         "after compacted restart");
+  }
+}
+
+Request QueryByIdRequest(const std::string& collection, uint32_t id) {
+  Request request;
+  request.verb = Verb::kQuery;
+  request.collection = collection;
+  request.query_by_id = true;
+  request.query_id = id;
+  return request;
+}
+
+/// The newest snapshot file in `data_dir`'s collection "c".
+std::string NewestSnapshot(const std::string& data_dir) {
+  std::string newest;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(data_dir + "/c")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("snap-", 0) == 0 &&
+        (newest.empty() || entry.path().string() > newest)) {
+      newest = entry.path().string();
+    }
+  }
+  return newest;
+}
+
+// Twenty window turnovers on an injected clock: each turnover ingests at
+// one of two alternating sites and expires the whole previous window.
+// Compaction then writes only the live rows, recovery re-ingests only
+// them (at their original global ids), and a by-id QUERY below the
+// recovered base answers NotFound. The restart runs at the writer's shard
+// count and then at one shard (from four, when the writer had four).
+TEST_P(DurabilityShardedTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
+  const size_t shards = GetParam();
+  const std::string dir =
+      FreshDataDir("turnover_shards" + std::to_string(shards));
+  const size_t dims = 2;
+  Rng rng(0x7e57 + shards);
+  PointSet ingested(dims);
+  std::atomic<double> now{0.0};
+  uint64_t live = 0;
+  uint64_t window_begin = 0;
+
+  {
+    obs::Registry registry;
+    ServiceOptions options = DurableOptions(dir, shards, &registry, &now);
+    options.ttl_seconds = 5.0;
+    DurableRun run(options);
+    ASSERT_TRUE(run.service.recovery_status().ok());
+    for (int turnover = 0; turnover < 20; ++turnover) {
+      // The previous window (stamped 10 s ago, TTL 5) expires in the
+      // first ingest pass of this turnover.
+      now.store(10.0 * turnover);
+      const double site = turnover % 2 == 0 ? 0.0 : 30.0;
+      for (int half = 0; half < 2; ++half) {
+        PointSet batch = testing::ClusteredPoints(&rng, 30, dims, 2, 0.2);
+        PointSet shifted(dims);
+        for (size_t i = 0; i < batch.size(); ++i) {
+          shifted.Add(std::vector<double>{batch[i][0] + site, batch[i][1]});
+        }
+        Ingest(&run.handle, &ingested, shifted);  // lint:allow(discarded-status) void test helper
+      }
+    }
+    ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
+                        "after 20 turnovers");
+    auto stats = run.handle.Call(StatsRequest("c"));
+    ASSERT_TRUE(stats.ok() && stats->status.ok());
+    live = stats->stats.live_points;
+    window_begin = stats->stats.window_begin;
+    ASSERT_EQ(live, 60u);
+    ASSERT_EQ(window_begin, ingested.size() - live);
+    ASSERT_TRUE(run.service.CompactNow().ok());
+  }
+
+  // The compacted snapshot holds exactly the live rows.
+  const std::string newest = NewestSnapshot(dir);
+  ASSERT_FALSE(newest.empty());
+  auto state = storage::ReadSnapshotFile(newest);
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(state->window_begin, window_begin);
+  EXPECT_EQ(state->epoch, ingested.size());
+  EXPECT_EQ(state->coords.size(), live * dims);
+  EXPECT_EQ(std::filesystem::file_size(newest),
+            16u + 34u + live * dims * sizeof(double) + 4u);
+
+  for (const size_t restart_shards : {shards, size_t{1}}) {
+    SCOPED_TRACE(::testing::Message() << "restart at " << restart_shards
+                                      << " shards");
+    obs::Registry registry;
+    ServiceOptions options =
+        DurableOptions(dir, restart_shards, &registry, &now);
+    options.ttl_seconds = 5.0;
+    DurableRun run(options);
+    ASSERT_TRUE(run.service.recovery_status().ok())
+        << run.service.recovery_status();
+    EXPECT_EQ(registry.GetCounter("dbscout_replay_points_total", "")->Value(),
+              live);
+    ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
+                        "after turnover restart");
+    auto below = run.handle.Call(
+        QueryByIdRequest("c", static_cast<uint32_t>(window_begin - 1)));
+    ASSERT_TRUE(below.ok());
+    EXPECT_EQ(below->status.code(), StatusCode::kNotFound) << below->status;
+    auto at_base = run.handle.Call(
+        QueryByIdRequest("c", static_cast<uint32_t>(window_begin)));
+    ASSERT_TRUE(at_base.ok());
+    EXPECT_TRUE(at_base->status.ok()) << at_base->status;
   }
 }
 

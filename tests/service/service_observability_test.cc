@@ -263,6 +263,14 @@ TEST(ObservabilityTest, ShardedDurableIngestYieldsOneConnectedTrace) {
   EXPECT_EQ(CountSpans(spans, id, "queue_wait"), 1u);
   // Uniform points across the full planned range touch every slab region.
   EXPECT_GE(CountSpans(spans, id, "shard_apply"), 4u);
+  // Each applying shard then freezes its snapshot in a span of its own,
+  // which also feeds the freeze histogram.
+  EXPECT_EQ(CountSpans(spans, id, "snapshot_freeze"),
+            CountSpans(spans, id, "shard_apply"));
+  EXPECT_GE(registry.GetHistogram("dbscout_snapshot_freeze_seconds", "")
+                ->Snap()
+                .count,
+            CountSpans(spans, id, "snapshot_freeze"));
   EXPECT_EQ(CountSpans(spans, id, "ghost_exchange"), 1u);
   EXPECT_EQ(CountSpans(spans, id, "wal_commit"), 1u);
   EXPECT_EQ(CountSpans(spans, id, "snapshot_publish"), 1u);

@@ -1,7 +1,8 @@
 // Snapshot files and the WAL-record fold: round-trips, CRC rejection of
-// every single-bit flip, truncation rejection, legacy plan blocks and
-// PLAN records skipped, and the continuity checks ApplyRecordToState
-// enforces (base-epoch gaps, non-prefix expiry).
+// every single-bit flip, truncation rejection, version-1 files (every row,
+// optional legacy plan block) loading as the live window, partial rows
+// rejected, PLAN records skipped, and the continuity checks
+// ApplyRecordToState enforces (base-epoch gaps, non-prefix expiry).
 
 #include "storage/snapshot.h"
 
@@ -38,16 +39,60 @@ void WriteFileBytes(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Coordinates of every id in [0, epoch): value 0.25 * (id * dims + k).
+std::vector<double> AllRows(uint64_t epoch, uint16_t dims) {
+  std::vector<double> coords;
+  for (uint64_t i = 0; i < epoch * dims; ++i) {
+    coords.push_back(0.25 * static_cast<double>(i));
+  }
+  return coords;
+}
+
+/// Three live rows [1, 4) of 3-d points; id 0 has expired.
 CollectionState SampleState() {
   CollectionState state;
   state.dims = 3;
   state.epoch = 4;
   state.window_begin = 1;
   state.ttl_seconds = 7.5;
-  for (uint64_t i = 0; i < state.epoch * state.dims; ++i) {
-    state.coords.push_back(0.25 * static_cast<double>(i));
-  }
+  const std::vector<double> all = AllRows(state.epoch, state.dims);
+  state.coords.assign(all.begin() + state.window_begin * state.dims,
+                      all.end());
   return state;
+}
+
+/// Frames `payload` as a snapshot file of `version` with a valid CRC.
+void WriteRawSnapshot(const std::string& path, uint32_t version,
+                      const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> file;
+  Put<uint32_t>(&file, kSnapshotMagic);
+  Put<uint32_t>(&file, version);
+  Put<uint64_t>(&file, payload.size());
+  file.insert(file.end(), payload.begin(), payload.end());
+  Put<uint32_t>(&file, Crc32c(payload));
+  WriteFileBytes(path, file);
+}
+
+/// A version-1 payload: header fields, plan flag (and, when `plan`, a
+/// legacy plan block), then `coords` as the coordinate block.
+std::vector<uint8_t> Version1Payload(const CollectionState& state, bool plan,
+                                     const std::vector<double>& coords) {
+  std::vector<uint8_t> payload;
+  Put<uint16_t>(&payload, state.dims);
+  Put<uint64_t>(&payload, state.epoch);
+  Put<uint64_t>(&payload, state.window_begin);
+  Put<double>(&payload, state.ttl_seconds);
+  Put<uint8_t>(&payload, plan ? 1 : 0);
+  if (plan) {
+    Put<int64_t>(&payload, 2);
+    Put<uint32_t>(&payload, 2);
+    for (const int64_t bound : {-2, 3, 4, 11}) {
+      Put<int64_t>(&payload, bound);
+    }
+  }
+  Put<uint64_t>(&payload, coords.size());
+  PutDoubles(&payload, coords);
+  return payload;
 }
 
 TEST(SnapshotFileTest, RoundTrips) {
@@ -63,42 +108,70 @@ TEST(SnapshotFileTest, RoundTrips) {
   EXPECT_EQ(loaded->coords, state.coords);
 }
 
-TEST(SnapshotFileTest, LegacyPlanBlockIsSkipped) {
-  // Older writers stored a shard region plan after the TTL: plan flag 1,
-  // then [i64 halo][u32 count][count x (i64 lo, i64 hi)]. Such a file
-  // still loads, with the plan dropped.
-  const std::string path = TestPath("snap_legacy_plan.snap");
+TEST(SnapshotFileTest, WritesOnlyTheWindowRows) {
+  const std::string path = TestPath("snap_window_only.snap");
   const CollectionState state = SampleState();
   ASSERT_TRUE(WriteSnapshotFile(path, state).ok());
-  const std::vector<uint8_t> clean = ReadFileBytes(path);
-  // Payload: u16 dims, u64 epoch, u64 window_begin, f64 ttl, u8 flag.
-  constexpr size_t kHeader = 16;
-  constexpr size_t kFlag = 2 + 8 + 8 + 8;
-  ASSERT_EQ(clean[kHeader + kFlag], 0);
-  std::vector<uint8_t> payload(clean.begin() + kHeader,
-                               clean.begin() + kHeader + kFlag);
-  Put<uint8_t>(&payload, 1);
-  Put<int64_t>(&payload, 2);
-  Put<uint32_t>(&payload, 2);
-  for (const int64_t bound : {-2, 3, 4, 11}) {
-    Put<int64_t>(&payload, bound);
-  }
-  payload.insert(payload.end(), clean.begin() + kHeader + kFlag + 1,
-                 clean.end() - 4);
-  std::vector<uint8_t> file;
-  Put<uint32_t>(&file, kSnapshotMagic);
-  Put<uint32_t>(&file, kSnapshotVersion);
-  Put<uint64_t>(&file, payload.size());
-  file.insert(file.end(), payload.begin(), payload.end());
-  Put<uint32_t>(&file, Crc32c(payload));
-  WriteFileBytes(path, file);
-
-  auto loaded = ReadSnapshotFile(path);
+  uint32_t version = 0;
+  auto loaded = ReadSnapshotFile(path, &version);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->epoch, state.epoch);
-  EXPECT_EQ(loaded->window_begin, state.window_begin);
-  EXPECT_DOUBLE_EQ(loaded->ttl_seconds, state.ttl_seconds);
-  EXPECT_EQ(loaded->coords, state.coords);
+  EXPECT_EQ(version, kSnapshotVersion);
+  // Magic, version, length; dims, epoch, window_begin, ttl, count (34
+  // bytes); the 3 live rows; crc.
+  EXPECT_EQ(ReadFileBytes(path).size(), 16u + 34u + 3u * 3u * 8u + 4u);
+}
+
+TEST(SnapshotFileTest, LegacyPlanBlockIsSkipped) {
+  // Version-1 files store every id's row, and older writers stored a
+  // shard region plan after the TTL: plan flag 1, then [i64 halo][u32
+  // count][count x (i64 lo, i64 hi)]. Such files still load, with the plan
+  // and the expired prefix's rows dropped.
+  const std::string path = TestPath("snap_legacy_plan.snap");
+  const CollectionState state = SampleState();
+  for (const bool plan : {false, true}) {
+    WriteRawSnapshot(path, kSnapshotVersionAllRows,
+                     Version1Payload(state, plan,
+                                     AllRows(state.epoch, state.dims)));
+    uint32_t version = 0;
+    auto loaded = ReadSnapshotFile(path, &version);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(version, kSnapshotVersionAllRows);
+    EXPECT_EQ(loaded->epoch, state.epoch);
+    EXPECT_EQ(loaded->window_begin, state.window_begin);
+    EXPECT_DOUBLE_EQ(loaded->ttl_seconds, state.ttl_seconds);
+    EXPECT_EQ(loaded->coords, state.coords) << "plan " << plan;
+  }
+}
+
+TEST(SnapshotFileTest, PartialRowIsRejected) {
+  // CRC-valid files whose coordinate block is one double longer or
+  // shorter than its rows: a stray trailing double is not a row.
+  const std::string path = TestPath("snap_partial_row.snap");
+  const CollectionState state = SampleState();
+  for (const int delta : {+1, -1}) {
+    std::vector<double> window = state.coords;
+    std::vector<double> all = AllRows(state.epoch, state.dims);
+    if (delta > 0) {
+      window.push_back(9.0);
+      all.push_back(9.0);
+    } else {
+      window.pop_back();
+      all.pop_back();
+    }
+    CollectionState v2 = state;
+    v2.coords = window;
+    ASSERT_TRUE(WriteSnapshotFile(path, v2).ok());
+    EXPECT_FALSE(ReadSnapshotFile(path).ok()) << "v2 delta " << delta;
+    WriteRawSnapshot(path, kSnapshotVersionAllRows,
+                     Version1Payload(state, false, all));
+    EXPECT_FALSE(ReadSnapshotFile(path).ok()) << "v1 delta " << delta;
+  }
+}
+
+TEST(SnapshotFileTest, UnknownVersionIsRejected) {
+  const std::string path = TestPath("snap_unknown_version.snap");
+  WriteRawSnapshot(path, kSnapshotVersion + 1, {});
+  EXPECT_FALSE(ReadSnapshotFile(path).ok());
 }
 
 TEST(SnapshotFileTest, EmptyStateRoundTrips) {
@@ -189,8 +262,8 @@ TEST(ApplyRecordToStateTest, FoldsALogIntoState) {
   expire.expire_end = 1;
   ASSERT_TRUE(ApplyRecordToState(expire, &state).ok());
   EXPECT_EQ(state.window_begin, 1u);
-  // Coordinates of expired ids are kept: the id space stays dense.
-  EXPECT_EQ(state.coords.size(), 4u);
+  // The expired row is dropped: the state holds only the window.
+  EXPECT_EQ(state.coords, (std::vector<double>{3.0, 4.0}));
 
   WalRecord configure;
   configure.type = WalRecordType::kConfigure;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Bench regression gate: five perfbench runs per BENCHMARK.json workload,
 # medians compared against BENCH_perfbench.json with BENCHMARK.json's
-# bounds, plus bench_kernels against BENCH_kernels.json. The comparison
-# and its self-test live in tools/bench_gate.py.
+# bounds, plus the medians of five bench_kernels runs against
+# BENCH_kernels.json. The comparison and its self-test live in
+# tools/bench_gate.py.
 #
 # Usage:
 #   tools/bench_gate.sh [build-dir]           # gate; build-dir for bench_kernels

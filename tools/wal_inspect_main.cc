@@ -111,14 +111,17 @@ int InspectWal(const std::string& path, const Flags& flags) {
 }
 
 int InspectSnapshot(const std::string& path, const Flags& flags) {
-  auto state = ReadSnapshotFile(path);
+  uint32_t version = 0;
+  auto state = ReadSnapshotFile(path, &version);
   if (!state.ok()) {
     std::cout << path << ": CORRUPT: " << state.status().message() << "\n";
     return 2;
   }
-  std::cout << path << ": dims=" << state->dims << " epoch=" << state->epoch
+  std::cout << path << ": version=" << version << " dims=" << state->dims
+            << " epoch=" << state->epoch
             << " window_begin=" << state->window_begin
-            << " ttl=" << state->ttl_seconds << " live="
+            << " rows=[" << state->window_begin << ", " << state->epoch
+            << ") ttl=" << state->ttl_seconds << " live="
             << (state->epoch - state->window_begin) << "\n";
   (void)flags;
   return 0;
