@@ -111,10 +111,10 @@ struct StatsRow {
   friend bool operator==(const StatsRow&, const StatsRow&) = default;
 };
 
-/// One per-shard row in a STATS response: how the collection's points
-/// are spread over its detector shards. `points` counts what the shard
-/// holds (owned points plus ghost replicas); `epoch` is the shard-local
-/// insertion count; `queue_depth` is the shard apply loop's live depth.
+/// One per-shard row in a STATS response. Kept for wire compatibility
+/// with servers that split a collection over region detector shards;
+/// the current service backs each collection with one detector and
+/// sends no rows.
 struct ShardStatsRow {
   uint64_t shard = 0;
   uint64_t points = 0;
@@ -167,10 +167,10 @@ struct StatsAnswer {
   uint64_t queue_depth = 0;
   /// The collection's sliding-window TTL (0 = append-only).
   double ttl_seconds = 0.0;
-  /// Detector shards backing the collection (1 = unsharded layout).
+  /// Detector shards backing the collection; the current service always
+  /// sends 1 (one detector per collection).
   uint64_t shards = 1;
-  /// One row per shard (present for single-shard collections too; clients
-  /// typically render them only when shards > 1).
+  /// Per-shard rows; empty from the current service (see ShardStatsRow).
   std::vector<ShardStatsRow> shard_rows;
   std::vector<StatsRow> phases;
   /// Service-wide request latency quantiles per verb, from the

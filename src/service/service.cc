@@ -17,7 +17,6 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "common/timer.h"
-#include "grid/partition.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 
@@ -132,6 +131,9 @@ DetectionService::DetectionService(const ServiceOptions& options)
   apply_shard_seconds_ = registry_->GetHistogram(
       "dbscout_apply_shard_seconds", "Wall seconds per apply shard task",
       obs::HistogramLayout::Latency());
+  snapshot_freeze_seconds_ = registry_->GetHistogram(
+      "dbscout_snapshot_freeze_seconds",
+      "Detector snapshot (SnapshotNow) after each applied pass");
   for (const Verb verb :
        {Verb::kIngest, Verb::kQuery, Verb::kStats, Verb::kSnapshot,
         Verb::kMetrics, Verb::kConfigure, Verb::kTrace, Verb::kHealth}) {
@@ -161,8 +163,8 @@ DetectionService::DetectionService(const ServiceOptions& options)
       "dbscout_wal_commit_failures_total",
       "Apply passes whose WAL append/commit failed (tickets carry the "
       "error)");
-  // Crash recovery runs before the apply loop starts, so replay's router
-  // passes keep the coordinator-thread contract trivially. With
+  // Crash recovery runs before the apply loop starts, so replay's detector
+  // passes keep the single-writer contract trivially. With
   // defer_recovery both recovery AND the loop start wait for
   // RunDeferredRecovery() — the loop must not run expiry passes (which
   // share shard_pool_) concurrently with replay.
@@ -262,7 +264,7 @@ Response DetectionService::Dispatch(const Request& request) {
     request_seconds_[verb_slot]->ObserveWithExemplar(elapsed, trace_id);
   }
   if (trace_ != nullptr && trace_id != 0) {
-    // The root span of the request's trace; the decode/queue/shard/WAL
+    // The root span of the request's trace; the decode/queue/detector/WAL
     // spans nest under it by sharing the trace id.
     trace_->AddTracedSpan(VerbLabel(request.verb), "request", trace_id,
                           request.collection, elapsed);
@@ -394,10 +396,10 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
   auto it = collections_.find(name);
   if (it != collections_.end()) {
     Collection* collection = it->second.get();
-    if (dims != collection->router.dims()) {
+    if (dims != collection->dims) {
       return Status::InvalidArgument(
           StrFormat("collection '%s' has %zu dims, batch has %u",
-                    name.c_str(), collection->router.dims(), dims));
+                    name.c_str(), collection->dims, dims));
     }
     return collection;
   }
@@ -407,7 +409,7 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
                   options_.max_collections));
   }
   DBSCOUT_ASSIGN_OR_RETURN(std::unique_ptr<Collection> collection,
-                           NewCollection(name, dims));
+                           NewCollection(name, dims, /*base=*/0));
   if (!options_.data_dir.empty()) {
     storage::RecoveredCollection recovered;
     DBSCOUT_ASSIGN_OR_RETURN(collection->store, OpenStore(name, &recovered));
@@ -436,18 +438,17 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
 }
 
 Result<std::unique_ptr<DetectionService::Collection>>
-DetectionService::NewCollection(const std::string& name, uint16_t dims) {
+DetectionService::NewCollection(const std::string& name, uint16_t dims,
+                                uint64_t base) {
   DBSCOUT_ASSIGN_OR_RETURN(
-      ShardRouter router,
-      ShardRouter::Create(name, dims, options_.params, options_.num_shards,
-                          registry_));
-  auto collection = std::make_unique<Collection>(name, std::move(router));
-  collection->router.AttachTrace(trace_, name);
-  // Publish the epoch-0 snapshot right away so reads on a collection whose
-  // first batch is still queued get a well-defined (empty) answer. The
-  // apply loop cannot know this collection yet, so the coordinator-thread
-  // contract of PublishableSnapshot() holds trivially.
-  collection->snapshot.store(collection->router.PublishableSnapshot(),
+      core::IncrementalDetector detector,
+      core::IncrementalDetector::Create(dims, options_.params));
+  auto collection =
+      std::make_unique<Collection>(name, base, std::move(detector));
+  // Publish the empty snapshot right away so reads on a collection whose
+  // first batch is still queued get a well-defined answer. The apply loop
+  // cannot know this collection yet, so this thread is its only writer.
+  collection->snapshot.store(collection->detector.SnapshotNow(),
                              std::memory_order_release);
   collection->ttl_seconds.store(options_.ttl_seconds,
                                 std::memory_order_relaxed);
@@ -538,30 +539,33 @@ Response DetectionService::DoQuery(const Request& request) {
         StrFormat("no collection '%s'", request.collection.c_str()));
     return response;
   }
-  const std::shared_ptr<const MergedSnapshot> snap =
+  const std::shared_ptr<const core::IncrementalSnapshot> snap =
       collection->snapshot.load(std::memory_order_acquire);
   WallTimer timer;
   uint64_t distance_comps = 0;
-  response.query.epoch = snap->epoch();
+  const uint64_t epoch = collection->EpochOf(*snap);
+  response.query.epoch = epoch;
   if (request.query_by_id) {
-    if (request.query_id >= snap->epoch()) {
+    if (request.query_id >= epoch) {
       response.status = Status::OutOfRange(
           StrFormat("point id %u >= snapshot epoch %llu", request.query_id,
-                    static_cast<unsigned long long>(snap->epoch())));
+                    static_cast<unsigned long long>(epoch)));
       return response;
     }
-    if (request.query_id < snap->base()) {
+    if (request.query_id < collection->base) {
       // Expired before the last restart: recovery loaded only the live
       // window, so no label is held for this id.
       response.status = Status::NotFound(StrFormat(
           "point id %u expired before recovery (ids below %llu are gone)",
-          request.query_id, static_cast<unsigned long long>(snap->base())));
+          request.query_id,
+          static_cast<unsigned long long>(collection->base)));
       return response;
     }
-    response.query.kind = snap->KindOf(request.query_id);
+    const auto local = static_cast<uint32_t>(request.query_id -
+                                             collection->base);
+    response.query.kind = snap->KindOf(local);
     if (request.want_score) {
-      response.query.score =
-          snap->NearestCoreDistance(request.query_id, &distance_comps);
+      response.query.score = snap->NearestCoreDistance(local, &distance_comps);
       response.query.has_score = true;
     }
   } else {
@@ -594,11 +598,11 @@ Response DetectionService::DoStats(const Request& request) {
         StrFormat("no collection '%s'", request.collection.c_str()));
     return response;
   }
-  const std::shared_ptr<const MergedSnapshot> snap =
+  const std::shared_ptr<const core::IncrementalSnapshot> snap =
       collection->snapshot.load(std::memory_order_acquire);
   StatsAnswer& stats = response.stats;
-  stats.epoch = snap->epoch();
-  stats.num_points = snap->epoch();
+  stats.epoch = collection->EpochOf(*snap);
+  stats.num_points = stats.epoch;
   stats.num_core = snap->num_core();
   stats.num_cells = snap->num_cells();
   stats.num_outliers = snap->num_outliers();
@@ -609,13 +613,6 @@ Response DetectionService::DoStats(const Request& request) {
       collection->window_begin.load(std::memory_order_relaxed);
   stats.queue_depth = collection->queue_depth.load(std::memory_order_relaxed);
   stats.ttl_seconds = collection->ttl_seconds.load(std::memory_order_relaxed);
-  stats.shards = snap->num_shards();
-  for (size_t s = 0; s < snap->num_shards(); ++s) {
-    const core::IncrementalSnapshot& shard = snap->shard_view(s);
-    stats.shard_rows.push_back(ShardStatsRow{
-        static_cast<uint64_t>(s), shard.live_points(), shard.epoch(),
-        collection->router.shard_queue_depth(s)});
-  }
   {
     MutexLock lock(collection->stats_mu);
     for (const core::PhaseStats& row : collection->recorder.phases()) {
@@ -659,16 +656,21 @@ Response DetectionService::DoSnapshot(const Request& request) {
         StrFormat("no collection '%s'", request.collection.c_str()));
     return response;
   }
-  const std::shared_ptr<const MergedSnapshot> snap =
+  const std::shared_ptr<const core::IncrementalSnapshot> snap =
       collection->snapshot.load(std::memory_order_acquire);
-  response.snapshot.epoch = snap->epoch();
-  response.snapshot.num_core = snap->num_core();
-  response.snapshot.num_cells = snap->num_cells();
-  response.snapshot.kinds = snap->Kinds();
-  response.snapshot.alive.reserve(snap->epoch());
-  for (uint64_t i = 0; i < snap->epoch(); ++i) {
-    response.snapshot.alive.push_back(
-        snap->IsAlive(static_cast<uint32_t>(i)) ? 1 : 0);
+  SnapshotAnswer& answer = response.snapshot;
+  answer.epoch = collection->EpochOf(*snap);
+  answer.num_core = snap->num_core();
+  answer.num_cells = snap->num_cells();
+  // The arrays span global ids [0, epoch): ids below the base expired
+  // before the last restart, so they read dead, with kind kOutlier.
+  answer.kinds = snap->Kinds();
+  answer.kinds.insert(answer.kinds.begin(), collection->base,
+                      core::PointKind::kOutlier);
+  answer.alive.assign(collection->base, 0);
+  answer.alive.reserve(answer.epoch);
+  for (uint32_t i = 0; i < snap->epoch(); ++i) {
+    answer.alive.push_back(snap->IsAlive(i) ? 1 : 0);
   }
   return response;
 }
@@ -838,7 +840,7 @@ bool DetectionService::ComputeExpiry(Collection* collection, double now,
     return false;
   }
   // Advance the window before the removals execute: every id below *end
-  // is already handed to the router pass, and window_begin must never
+  // is already handed to the detector pass, and window_begin must never
   // re-offer an id for expiry.
   collection->window_begin.store(*end, std::memory_order_relaxed);
   return true;
@@ -861,13 +863,16 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     uint64_t errors = 0;
     uint64_t expired = 0;
     double expire_seconds = 0.0;
-    uint64_t expire_begin = 0;  // global-id range the router pass removes
+    uint64_t expire_begin = 0;  // global-id range the detector pass removes
     uint64_t expire_end = 0;
+    /// Frozen after the detector pass; installed by the publish step.
+    /// Null when the pass left the detector untouched.
+    std::shared_ptr<const core::IncrementalSnapshot> snapshot;
     /// First WAL append/commit error of this collection's pass; fails
     /// every ticket of the collection (durability barrier).
     Status wal_status;
     /// Trace id of the first traced op in this collection's pass: the
-    /// coalesced pass's shard/ghost/WAL/publish spans are attributed to
+    /// coalesced pass's detector/WAL/publish spans are attributed to
     /// it (a pass serves many requests; one representative links the
     /// trace end-to-end).
     uint64_t trace_id = 0;
@@ -900,19 +905,19 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     if (fresh) {
       works.emplace_back();
       works.back().collection = collection;
-      works.back().coalesced = PointSet(collection->router.dims());
+      works.back().coalesced = PointSet(collection->dims);
     }
     Work& work = works[it->second];
     if (work.trace_id == 0) {
       work.trace_id = op.trace_id;
     }
-    const size_t dims = collection->router.dims();
+    const size_t dims = collection->dims;
     const size_t count = op.coords.size() / dims;
     OpShape shape;
     shape.op = &op;
     for (size_t i = 0; i < count; ++i) {
       const std::span<const double> row(op.coords.data() + i * dims, dims);
-      shape.status = collection->router.ValidatePoint(row);
+      shape.status = collection->detector.ValidatePoint(row);
       if (!shape.status.ok()) {
         break;
       }
@@ -928,7 +933,7 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
   }
 
   // ---- Expiry sweep: every collection with a TTL window hands the
-  // aged-out global-id ranges to its router pass below (also reached via
+  // aged-out global-id ranges to its detector pass below (also reached via
   // timer wakeups and SweepExpiredNow ticks with an empty/tick-only
   // batch). A stamp taken at `now` can never age out at `now` (ttl > 0),
   // so computing expiry before this pass's adds are stamped is equivalent
@@ -952,43 +957,59 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     if (fresh) {
       works.emplace_back();
       works.back().collection = collection;
-      works.back().coalesced = PointSet(collection->router.dims());
+      works.back().coalesced = PointSet(collection->dims);
     }
     works[it->second].expire_begin = begin;
     works[it->second].expire_end = end;
   }
 
-  // ---- One epoch-barriered router pass per touched collection: the
-  // adds scatter to their home + halo regions, the expired ranges remove
-  // home copies and ghost replicas, and the pass returns only after every
-  // touched shard republished its snapshot. Collections run strictly one
-  // after another so the (optional) shared wave pool is never contended
-  // by two detectors. ----
+  // ---- One detector pass per touched collection: remove the aged-out
+  // range, apply the coalesced adds (slab-block waves on shard_pool_), then
+  // freeze the snapshot the publish step installs. Collections run strictly
+  // one after another so the shared wave pool is never contended by two
+  // detectors. ----
   uint64_t pass_points = 0;
   uint64_t pass_errors = 0;
   for (Work& work : works) {
     Collection* collection = work.collection;
-    const uint64_t base = collection->router.epoch();
+    core::IncrementalDetector& detector = collection->detector;
+    const uint64_t first_id = collection->base + detector.epoch();
     WallTimer timer;
-    ShardRouter::PassStats rstats;
+    for (uint64_t id = work.expire_begin; id < work.expire_end; ++id) {
+      const Status removed =
+          detector.Remove(static_cast<uint32_t>(id - collection->base));
+      if (!removed.ok()) {
+        DBSCOUT_LOG(kWarning) << "collection '" << collection->name
+                              << "': remove id=" << id
+                              << " failed: " << removed.ToString();
+      }
+    }
+    work.expire_seconds = timer.ElapsedSeconds();
+    work.expired = work.expire_end - work.expire_begin;
     Status apply_status = Status::OK();
-    if (work.coalesced.size() > 0 || work.expire_end > work.expire_begin) {
-      // The router stamps this id onto each shard's Work (shard_apply
-      // spans) and its own ghost_exchange span. Set per pass, so an
-      // untraced pass (id 0) never inherits the previous pass's id.
-      collection->router.SetPassTraceId(work.trace_id);
-      apply_status = collection->router.ApplyPass(
-          work.coalesced, work.expire_begin, work.expire_end,
-          shard_pool_.get(), &rstats);
+    if (work.coalesced.size() > 0) {
+      core::ApplyStats apply_stats;
+      apply_status = detector.AddBatchParallel(work.coalesced,
+                                               shard_pool_.get(), &apply_stats);
+      apply_shards_gauge_->Set(static_cast<int64_t>(apply_stats.shards));
+      for (double shard_seconds : apply_stats.shard_seconds) {
+        apply_shard_seconds_->Observe(shard_seconds);
+      }
     }
     work.seconds = timer.ElapsedSeconds();
-    work.expired = rstats.expired;
-    work.expire_seconds = rstats.expire_seconds;
-    if (work.coalesced.size() > 0) {
-      apply_shards_gauge_->Set(
-          static_cast<int64_t>(rstats.apply_stats.shards));
-      for (double shard_seconds : rstats.apply_stats.shard_seconds) {
-        apply_shard_seconds_->Observe(shard_seconds);
+    if (work.coalesced.size() > 0 || work.expired > 0) {
+      if (trace_ != nullptr) {
+        trace_->AddTracedSpan("detector_apply", "service", work.trace_id,
+                              collection->name, work.seconds,
+                              work.coalesced.size());
+      }
+      WallTimer freeze_timer;
+      work.snapshot = detector.SnapshotNow();
+      const double freeze_seconds = freeze_timer.ElapsedSeconds();
+      snapshot_freeze_seconds_->Observe(freeze_seconds);
+      if (trace_ != nullptr) {
+        trace_->AddTracedSpan("snapshot_freeze", "service", work.trace_id,
+                              collection->name, freeze_seconds);
       }
     }
     if (!apply_status.ok()) {
@@ -1012,7 +1033,7 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
         work.wal_status = store->LogRecord(rec);
       }
     }
-    uint64_t cum = base;
+    uint64_t cum = first_id;
     for (OpShape& shape : work.ops) {
       Status op_status =
           apply_status.ok() ? std::move(shape.status) : apply_status;
@@ -1020,7 +1041,7 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
         if (store != nullptr && shape.points > 0 && work.wal_status.ok()) {
           storage::WalRecord rec;
           rec.type = storage::WalRecordType::kIngest;
-          rec.dims = static_cast<uint16_t>(collection->router.dims());
+          rec.dims = static_cast<uint16_t>(collection->dims);
           rec.base_epoch = cum;  // replay cross-checks against its epoch
           rec.coords = std::move(shape.op->coords);
           work.wal_status = store->LogRecord(rec);
@@ -1038,7 +1059,7 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
         shape.op->ticket->epoch = cum;
       }
     }
-    if (apply_status.ok() && cum > base) {
+    if (apply_status.ok() && cum > first_id) {
       collection->stamps.push_back(Collection::StampRange{cum, now});
     }
   }
@@ -1070,22 +1091,24 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
   // The replaced snapshots are held until the tickets below complete:
   // tearing one down (its cell map, its last shared chunks) is off the
   // acknowledgement path. ----
-  std::vector<std::shared_ptr<const MergedSnapshot>> retired;
+  std::vector<std::shared_ptr<const core::IncrementalSnapshot>> retired;
   for (Work& work : works) {
-    if (work.coalesced.size() == 0 && work.expired == 0 &&
-        work.errors == 0) {
+    if (work.snapshot == nullptr && work.errors == 0) {
       continue;  // nothing happened to this collection
     }
     Collection* collection = work.collection;
-    WallTimer publish_timer;
-    retired.push_back(collection->snapshot.exchange(
-        collection->router.PublishableSnapshot(), std::memory_order_acq_rel));
-    if (trace_ != nullptr) {
-      trace_->AddTracedSpan("snapshot_publish", "service", work.trace_id,
-                            collection->name, publish_timer.ElapsedSeconds(),
-                            work.coalesced.size());
+    if (work.snapshot != nullptr) {
+      WallTimer publish_timer;
+      retired.push_back(collection->snapshot.exchange(
+          std::move(work.snapshot), std::memory_order_acq_rel));
+      if (trace_ != nullptr) {
+        trace_->AddTracedSpan("snapshot_publish", "service", work.trace_id,
+                              collection->name,
+                              publish_timer.ElapsedSeconds(),
+                              work.coalesced.size());
+      }
     }
-    const uint64_t total_comps = collection->router.distance_computations();
+    const uint64_t total_comps = collection->detector.distance_computations();
     MutexLock lock(collection->stats_mu);
     collection->recorder.Accumulate(
         "apply", work.seconds,
@@ -1227,7 +1250,8 @@ Status DetectionService::RecoverCollection(const std::string& name) {
   }
   const uint64_t points = state.epoch - state.window_begin;
   DBSCOUT_ASSIGN_OR_RETURN(std::unique_ptr<Collection> collection,
-                           NewCollection(name, state.dims));
+                           NewCollection(name, state.dims,
+                                         state.window_begin));
   collection->store = std::move(store);
   DBSCOUT_RETURN_IF_ERROR(LoadCollection(collection.get(), std::move(state)));
   replay_records_total_->Increment(recovered.suffix.size());
@@ -1241,22 +1265,15 @@ Status DetectionService::RecoverCollection(const std::string& name) {
 
 Status DetectionService::LoadCollection(Collection* collection,
                                         storage::CollectionState state) {
-  ShardRouter& router = collection->router;
-  // The state holds only the live rows [window_begin, epoch). The router's
-  // id space starts at window_begin, so the live points keep their global
-  // ids, and one add pass loads them through the same router pass as live
-  // traffic. The pass plans the regions afresh from the live points;
-  // labels are exact under any plan (DESIGN.md section 14), so the shard
-  // count may differ from the one that wrote the log.
-  router.SetBase(state.window_begin);
+  // The state holds only the live rows [window_begin, epoch), and the
+  // collection's base is window_begin, so the live points keep their
+  // global ids and one batch apply loads them the way live traffic does.
   DBSCOUT_ASSIGN_OR_RETURN(
       PointSet adds,
       PointSet::FromRowMajor(state.dims, std::move(state.coords)));
   if (adds.size() > 0) {
-    ShardRouter::PassStats stats;
-    DBSCOUT_RETURN_IF_ERROR(router.ApplyPass(adds, state.window_begin,
-                                             state.window_begin,
-                                             shard_pool_.get(), &stats));
+    DBSCOUT_RETURN_IF_ERROR(
+        collection->detector.AddBatchParallel(adds, shard_pool_.get()));
   }
   collection->ttl_seconds.store(state.ttl_seconds, std::memory_order_relaxed);
   if (state.ttl_seconds > 0.0) {
@@ -1273,7 +1290,7 @@ Status DetectionService::LoadCollection(Collection* collection,
     collection->stamps.push_back(
         Collection::StampRange{state.epoch, clock_()});
   }
-  collection->snapshot.store(router.PublishableSnapshot(),
+  collection->snapshot.store(collection->detector.SnapshotNow(),
                              std::memory_order_release);
   return Status::OK();
 }

@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/protocol.h"
-#include "service/router.h"
 #include "storage/store.h"
 
 namespace dbscout::service {
@@ -37,14 +36,6 @@ struct ServiceOptions {
   /// Collections are created implicitly by the first INGEST; this bounds
   /// how many a misbehaving client can create.
   size_t max_collections = 64;
-
-  /// Detector shards per collection: cell space is partitioned into this
-  /// many contiguous dim-0 slab regions, each backed by its own
-  /// IncrementalDetector and apply loop, with ghost-halo replication
-  /// keeping the merged outlier set exactly equal to a single detector
-  /// (see ShardRouter). 1 (or 0) keeps the pre-shard single-detector
-  /// layout.
-  size_t num_shards = 1;
 
   /// Sliding-window TTL (seconds) applied to every collection at creation;
   /// 0 means append-only. Points older than the TTL are expired by the
@@ -101,30 +92,27 @@ struct ServiceOptions {
   bool defer_recovery = false;
 };
 
-/// The long-running detection service: one ShardRouter per named
-/// collection (N region-partitioned detector shards; N == 1 is the plain
-/// single-detector layout), maintained by a single-writer apply loop,
-/// with lock-free snapshot reads.
+/// The long-running detection service: one IncrementalDetector per named
+/// collection, maintained by a single-writer apply loop, with lock-free
+/// snapshot reads.
 ///
 /// Concurrency design:
 ///  - All mutations flow through one apply loop (a long-running task on a
 ///    private one-thread pool). Each pass swaps out the *entire* pending
 ///    queue, concatenates each collection's batches into one coalesced
-///    router pass (scatter to the detector shards, ghost exchange, epoch
-///    barrier), then publishes one fresh merged snapshot per touched
-///    collection — so N queued batches cost one detector pass and one
-///    snapshot, not N.
+///    detector apply (its slab-block waves fan out on shard_pool_), then
+///    publishes one fresh snapshot per touched collection — so N queued
+///    batches cost one detector pass and one snapshot, not N.
 ///  - Sliding windows: collections with a TTL expire ingest batches whose
 ///    stamp has aged past it. Expiry runs inside the apply loop (every
 ///    pass, plus periodic wakeups while any window is configured), so the
 ///    single-writer contract of the detector is preserved; removals use
 ///    the detector's exact Remove() re-derivation.
 ///  - QUERY / STATS / SNAPSHOT never touch the detectors: they read the
-///    latest published MergedSnapshot through an atomic shared_ptr
+///    latest published IncrementalSnapshot through an atomic shared_ptr
 ///    (release store in the apply loop, acquire load here), so read
-///    latency is independent of ingest bursts. The merged snapshot is
-///    epoch-consistent: it is built only behind the router's epoch
-///    barrier, never mid-scatter.
+///    latency is independent of ingest bursts. A snapshot is frozen only
+///    after the pass's removals and adds complete, never mid-apply.
 ///  - Admission control: when the pending queue is at max_pending_ingests,
 ///    further INGESTs are refused with kUnavailable (explicit backpressure,
 ///    bounded memory). admission_rejections() counts the sheds.
@@ -211,13 +199,19 @@ class DetectionService {
   Status CompactNow() DBSCOUT_EXCLUDES(collections_mu_);
 
  private:
-  /// Per-collection state. The router (and through it every detector
-  /// shard) is mutated only by the apply loop; `snapshot` is the
-  /// publication point between that writer and all reader threads.
+  /// Per-collection state. The detector is mutated only by the apply loop
+  /// (and by recovery, before the collection is registered); `snapshot` is
+  /// the publication point between that writer and all reader threads.
   struct Collection {
     std::string name;  // span scope + log context; immutable after create
-    ShardRouter router;
-    std::atomic<std::shared_ptr<const MergedSnapshot>> snapshot;
+    const size_t dims;  // request threads read it without the detector
+    /// Global id of the detector's local id 0: the window_begin recovery
+    /// loaded from (0 for a collection created by ingest). Ids below it
+    /// expired before the restart and have no row. Set before the
+    /// collection is registered; readers translate `id - base`.
+    const uint64_t base;
+    core::IncrementalDetector detector;
+    std::atomic<std::shared_ptr<const core::IncrementalSnapshot>> snapshot;
 
     /// Sliding-window TTL in seconds; 0 = append-only. Written by
     /// CONFIGURE, read by the apply loop.
@@ -249,8 +243,16 @@ class DetectionService {
     /// threads log CONFIGUREs).
     std::unique_ptr<storage::CollectionStore> store;
 
-    Collection(std::string n, ShardRouter r)
-        : name(std::move(n)), router(std::move(r)) {}
+    Collection(std::string n, uint64_t b, core::IncrementalDetector d)
+        : name(std::move(n)),
+          dims(d.dims()),
+          base(b),
+          detector(std::move(d)) {}
+
+    /// Global epoch of `snap` (points ever ingested into the collection).
+    uint64_t EpochOf(const core::IncrementalSnapshot& snap) const {
+      return base + snap.epoch();
+    }
   };
 
   /// Completion token a blocking INGEST waits on; signalled after the
@@ -273,7 +275,7 @@ class DetectionService {
     /// difference into the queue-wait histogram.
     double enqueue_seconds = 0.0;
     /// Request trace id (0 = untraced): the apply loop tags this op's
-    /// queue_wait span and the pass's shard/WAL/publish spans with it.
+    /// queue_wait span and the pass's detector/WAL/publish spans with it.
     uint64_t trace_id = 0;
   };
 
@@ -299,11 +301,13 @@ class DetectionService {
   Result<std::unique_ptr<storage::CollectionStore>> OpenStore(
       const std::string& name, storage::RecoveredCollection* recovered);
 
-  /// A fresh, unregistered collection of `dims` with the service-wide
-  /// TTL, publishing its empty epoch-0 snapshot. The one place a
-  /// collection's router is built, for first ingest and recovery alike.
+  /// A fresh, unregistered collection of `dims` whose ids start at
+  /// `base`, with the service-wide TTL, publishing its empty snapshot. The
+  /// one place a collection's detector is built, for first ingest and
+  /// recovery alike.
   Result<std::unique_ptr<Collection>> NewCollection(const std::string& name,
-                                                    uint16_t dims);
+                                                    uint16_t dims,
+                                                    uint64_t base);
 
   /// Constructor-time crash recovery: scans data_dir and recovers every
   /// collection found there. Runs before the apply loop starts, so the
@@ -314,8 +318,8 @@ class DetectionService {
   /// loads the folded state and registers the collection.
   Status RecoverCollection(const std::string& name)
       DBSCOUT_EXCLUDES(collections_mu_);
-  /// Loads a folded state into a fresh collection: the router's id space
-  /// starts at window_begin, one add pass loads the live rows
+  /// Loads a folded state into a fresh collection whose base is the
+  /// state's window_begin: one AddBatchParallel loads the live rows
   /// [window_begin, epoch), then it publishes. Labels depend only on the
   /// live point set, so this equals the pre-crash labeling at the durable
   /// epoch.
@@ -335,16 +339,15 @@ class DetectionService {
       DBSCOUT_EXCLUDES(mu_);
 
   void ApplyLoop() DBSCOUT_EXCLUDES(mu_);
-  /// One coalesced apply pass: groups `batch` per collection, folds each
-  /// collection's adds plus its aged-out TTL ranges into one
-  /// epoch-barriered router pass, then publishes one merged snapshot per
-  /// touched collection. An empty `batch` is an expiry-only pass
-  /// (periodic window wakeup).
+  /// One coalesced apply pass: groups `batch` per collection, removes each
+  /// collection's aged-out TTL range and applies its adds in one detector
+  /// pass, then publishes one snapshot per touched collection. An empty
+  /// `batch` is an expiry-only pass (periodic window wakeup).
   void ApplyPass(std::vector<PendingIngest> batch)
       DBSCOUT_EXCLUDES(mu_, collections_mu_);
   /// Pops `collection`'s aged-out stamp ranges and advances window_begin,
   /// returning true and the global-id range [*begin, *end) to remove
-  /// (the router pass performs the actual removals). Apply loop only.
+  /// (the detector pass performs the actual removals). Apply loop only.
   bool ComputeExpiry(Collection* collection, double now, uint64_t* begin,
                      uint64_t* end);
 
@@ -394,6 +397,7 @@ class DetectionService {
   obs::Histogram* apply_batch_size_ = nullptr;
   obs::Gauge* apply_shards_gauge_ = nullptr;
   obs::Histogram* apply_shard_seconds_ = nullptr;
+  obs::Histogram* snapshot_freeze_seconds_ = nullptr;
   obs::Counter* replay_records_total_ = nullptr;
   obs::Counter* replay_points_total_ = nullptr;
   obs::Histogram* replay_seconds_ = nullptr;
@@ -405,11 +409,10 @@ class DetectionService {
   std::array<obs::Histogram*, kNumVerbSlots> request_seconds_{};
 
   /// Shard workers AddBatchParallel fans block tasks out on, one per
-  /// hardware thread; null on a single core (serial apply). Only forwarded to
-  /// single-detector (num_shards == 1) routers: AddBatchParallel's wave
-  /// barriers WaitIdle() the pool, so it must never be shared by
-  /// concurrently-applying detectors. Declared before apply_pool_ so the
-  /// apply loop never outlives its workers.
+  /// hardware thread; null on a single core (serial apply). Its wave
+  /// barriers WaitIdle() the pool, so the apply loop runs one collection's
+  /// detector at a time. Declared before apply_pool_ so the apply loop
+  /// never outlives its workers.
   std::unique_ptr<ThreadPool> shard_pool_;
 
   /// Declared last so it is destroyed first: the apply-loop task has

@@ -16,8 +16,9 @@ namespace dbscout::storage {
 /// holds rows [window_begin, epoch), and folding a kExpire record drops
 /// the rows it expires. Global ids stay dense insertion indices across
 /// restart without rows for the dead prefix: recovery loads the live rows
-/// at ids window_begin.. (the router's base id), so compaction, snapshot
-/// size and restart cost all scale with the window, not lifetime ingest.
+/// at ids window_begin.. (the collection's base id), so compaction,
+/// snapshot size and restart cost all scale with the window, not lifetime
+/// ingest.
 struct CollectionState {
   uint16_t dims = 0;
   uint64_t epoch = 0;         // points ever ingested

@@ -51,9 +51,9 @@ enum class WalRecordType : uint8_t {
   kExpire = 3,
   /// CONFIGURE: the collection's TTL changed.
   kConfigure = 4,
-  /// Legacy: a shard region plan. Nothing writes it any more; old logs
-  /// may hold one, which the decoder validates and the fold ignores
-  /// (labels are exact under any region plan, DESIGN.md section 14).
+  /// Legacy: the region plan of the deleted shard layer (DESIGN.md
+  /// section 14). Nothing writes it any more; old logs may hold one,
+  /// which the decoder validates and the fold ignores.
   kPlan = 5,
 };
 

@@ -5,9 +5,9 @@
 // are in the page cache even before the group fsync), the recovered
 // epoch must sit on a batch boundary of the sent stream, and the
 // restarted snapshot must equal DetectSequential on the recovered
-// prefix — for shard counts 1 and 4, with and without a sliding-window
-// TTL. The serve binary path arrives via the DBSCOUT_SERVE_BIN compile
-// definition.
+// prefix — with and without a sliding-window TTL. A server given a flag
+// it cannot honour must refuse to start. The serve binary path arrives
+// via the DBSCOUT_SERVE_BIN compile definition.
 
 #include <fcntl.h>
 #include <signal.h>
@@ -55,6 +55,10 @@ struct ServeProcess {
   pid_t pid = -1;
   int stdout_fd = -1;
   uint16_t port = 0;
+  /// The child's stdout up to the banner (or up to its exit).
+  std::string banner;
+  /// waitpid status when the child exited before listening, else -1.
+  int exit_status = -1;
 
   void Kill() {
     if (pid > 0) {
@@ -72,7 +76,9 @@ struct ServeProcess {
 
 /// Forks and execs dbscout_serve with the given extra flags, waiting for
 /// the listening banner. Returns a port of 0 (and a reaped pid) when the
-/// process exits before binding — e.g. when crash recovery fails.
+/// process exits before binding — e.g. when crash recovery fails. The
+/// extra flags precede the defaults, and dbscout_serve reads the first
+/// occurrence of a flag, so they override --eps, --min-pts and --port.
 ServeProcess StartServe(const std::vector<std::string>& extra_flags) {
   int pipe_fds[2] = {-1, -1};
   EXPECT_EQ(::pipe(pipe_fds), 0);
@@ -81,11 +87,9 @@ ServeProcess StartServe(const std::vector<std::string>& extra_flags) {
     ::dup2(pipe_fds[1], STDOUT_FILENO);
     ::close(pipe_fds[0]);
     ::close(pipe_fds[1]);
-    std::vector<std::string> args = {DBSCOUT_SERVE_BIN, "--eps=1.0",
-                                     "--min-pts=4", "--port=0"};
-    for (const std::string& flag : extra_flags) {
-      args.push_back(flag);
-    }
+    std::vector<std::string> args = {DBSCOUT_SERVE_BIN};
+    args.insert(args.end(), extra_flags.begin(), extra_flags.end());
+    args.insert(args.end(), {"--eps=1.0", "--min-pts=4", "--port=0"});
     std::vector<char*> argv;
     for (std::string& arg : args) {
       argv.push_back(arg.data());
@@ -99,14 +103,13 @@ ServeProcess StartServe(const std::vector<std::string>& extra_flags) {
   ServeProcess serve;
   serve.pid = pid;
   serve.stdout_fd = pipe_fds[0];
-  std::string banner;
+  std::string& banner = serve.banner;
   char buf[256];
   while (banner.find('\n') == std::string::npos) {
     const ssize_t n = ::read(pipe_fds[0], buf, sizeof(buf));
     if (n <= 0) {
       // The child died before listening (recovery failure path).
-      int wstatus = 0;
-      ::waitpid(pid, &wstatus, 0);
+      ::waitpid(pid, &serve.exit_status, 0);
       serve.pid = -1;
       return serve;
     }
@@ -193,20 +196,15 @@ void ExpectOracleSnapshot(Client* client, const std::vector<PointSet>& sent,
   EXPECT_EQ(probe->kind, PointKind::kOutlier) << where;
 }
 
-class CrashRecoveryTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(CrashRecoveryTest, Kill9MidIngestLosesNoAcknowledgedData) {
-  const size_t shards = GetParam();
-  const std::string dir = FreshDataDir("kill_shards" +
-                                       std::to_string(shards));
-  const std::string shards_flag = "--shards=" + std::to_string(shards);
+TEST(CrashRecoveryTest, Kill9MidIngestLosesNoAcknowledgedData) {
+  const std::string dir = FreshDataDir("kill");
   const std::string dir_flag = "--data-dir=" + dir;
 
-  Rng rng(0xdead + shards);
+  Rng rng(0xdeae);
   const std::vector<PointSet> batches = MakeBatches(&rng, 200);
 
   ServeProcess serve =
-      StartServe({shards_flag, dir_flag, "--wal-fsync=interval"});
+      StartServe({dir_flag, "--wal-fsync=interval"});
   ASSERT_NE(serve.port, 0);
 
   // Hammer the server from one connection (so the sent order is total)
@@ -240,7 +238,7 @@ TEST_P(CrashRecoveryTest, Kill9MidIngestLosesNoAcknowledgedData) {
   // Restart over the same directory: every acknowledged batch must be
   // there, and the labeling must match the sequential oracle.
   ServeProcess restarted =
-      StartServe({shards_flag, dir_flag, "--wal-fsync=interval"});
+      StartServe({dir_flag, "--wal-fsync=interval"});
   ASSERT_NE(restarted.port, 0) << "crash recovery failed on restart";
   {
     auto client = Client::Connect("127.0.0.1", restarted.port);
@@ -261,18 +259,15 @@ TEST_P(CrashRecoveryTest, Kill9MidIngestLosesNoAcknowledgedData) {
   restarted.Kill();
 }
 
-TEST_P(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
-  const size_t shards = GetParam();
-  const std::string dir = FreshDataDir("ttl_shards" +
-                                       std::to_string(shards));
-  const std::string shards_flag = "--shards=" + std::to_string(shards);
+TEST(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
+  const std::string dir = FreshDataDir("ttl");
   const std::string dir_flag = "--data-dir=" + dir;
 
-  Rng rng(0xfeed + shards);
+  Rng rng(0xfeee);
   std::vector<PointSet> sent;
 
   ServeProcess serve = StartServe(
-      {shards_flag, dir_flag, "--wal-fsync=interval", "--ttl-seconds=1"});
+      {dir_flag, "--wal-fsync=interval", "--ttl-seconds=1"});
   ASSERT_NE(serve.port, 0);
   {
     auto client = Client::Connect("127.0.0.1", serve.port);
@@ -292,7 +287,7 @@ TEST_P(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
   serve.Kill();
 
   ServeProcess restarted = StartServe(
-      {shards_flag, dir_flag, "--wal-fsync=interval", "--ttl-seconds=1"});
+      {dir_flag, "--wal-fsync=interval", "--ttl-seconds=1"});
   ASSERT_NE(restarted.port, 0) << "crash recovery failed on restart";
   {
     auto client = Client::Connect("127.0.0.1", restarted.port);
@@ -307,8 +302,24 @@ TEST_P(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
   restarted.Kill();
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, CrashRecoveryTest,
-                         ::testing::Values(1, 4));
+// Flags dbscout_serve cannot honour exit with usage (status 2) before
+// the server binds, instead of wrapping into a different value or
+// starting a server whose every INGEST fails.
+TEST(ServeFlagsTest, UnhonourableFlagsExitWithUsage) {
+  for (const char* flag :
+       {"--port=70000", "--min-pts=2147483648", "--min-pts=4294967297",
+        "--eps=-1", "--min-pts=0", "--eps=0"}) {
+    SCOPED_TRACE(flag);
+    ServeProcess serve = StartServe({flag});
+    serve.Kill();  // stops a server that did start; closes the pipe
+    EXPECT_EQ(serve.port, 0);
+    EXPECT_EQ(serve.banner.find("listening"), std::string::npos)
+        << serve.banner;
+    ASSERT_NE(serve.exit_status, -1);
+    EXPECT_TRUE(WIFEXITED(serve.exit_status));
+    EXPECT_EQ(WEXITSTATUS(serve.exit_status), 2);
+  }
+}
 
 }  // namespace
 }  // namespace dbscout::service

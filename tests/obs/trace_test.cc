@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
@@ -309,7 +311,10 @@ constexpr std::string_view kCanonicalPhases[] = {
 
 std::string WriteDetectInput() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "/trace_detect_input.bin";
+    // Per-process name: ctest runs each DetectTraceOutTest case in its own
+    // process concurrently, and a shared file is rewritten under readers.
+    const std::string p = ::testing::TempDir() + "/trace_detect_input_" +
+                          std::to_string(::getpid()) + ".bin";
     Rng rng(7);
     const PointSet points =
         testing::ClusteredPoints(&rng, 800, 2, 3, /*noise_fraction=*/0.05);

@@ -1,11 +1,10 @@
 // Restart-equality tests for the durability subsystem: a DetectionService
 // with a data_dir is stopped (destroyed) and reconstructed over the same
 // directory, and the recovered collection must publish exactly the
-// labeling DetectSequential computes on the live points — for shard
-// counts 1 and 4, with and without a sliding-window TTL, across explicit
-// compactions, through a CONFIGURE change, and across a change of shard
-// count in either direction. After window turnovers only the live points
-// are stored and recovered. Epochs never rewind across a restart, and a
+// labeling DetectSequential computes on the live points — with and
+// without a sliding-window TTL, across explicit compactions and through a
+// CONFIGURE change. After window turnovers only the live points are
+// stored and recovered. Epochs never rewind across a restart, and a
 // corrupt WAL frame or a broken log (a lost record, a non-extending
 // expiry, a dims-0 record) must surface as a recovery error and leave the
 // collection unserved rather than load corrupt points.
@@ -127,12 +126,11 @@ struct DurableRun {
   ServiceHandle handle;
 };
 
-ServiceOptions DurableOptions(const std::string& data_dir, size_t shards,
+ServiceOptions DurableOptions(const std::string& data_dir,
                               obs::Registry* registry,
                               std::atomic<double>* clock) {
   ServiceOptions options;
   options.params = TestParams();
-  options.num_shards = shards;
   options.data_dir = data_dir;
   options.registry = registry;
   if (clock != nullptr) {
@@ -159,20 +157,16 @@ void Ingest(ServiceHandle* handle, PointSet* ingested,
   ASSERT_EQ(response->epoch, ingested->size());
 }
 
-class DurabilityShardedTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(DurabilityShardedTest, RestartPreservesOutlierSetAndEpoch) {
-  const size_t shards = GetParam();
-  const std::string dir = FreshDataDir(
-      "restart_shards" + std::to_string(shards));
+TEST(DurabilityTest, RestartPreservesOutlierSetAndEpoch) {
+  const std::string dir = FreshDataDir("restart");
   const size_t dims = 2;
-  Rng rng(0x5eed0 + shards);
+  Rng rng(0x5eed1);
   PointSet ingested(dims);
   uint64_t epoch_before = 0;
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(DurableOptions(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok());
     Ingest(&run.handle, &ingested,
            testing::UniformPoints(&rng, 100, dims, 0.0, 10.0));
@@ -187,7 +181,7 @@ TEST_P(DurabilityShardedTest, RestartPreservesOutlierSetAndEpoch) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(DurableOptions(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok())
         << run.service.recovery_status();
     auto stats = run.handle.Call(StatsRequest("c"));
@@ -195,7 +189,6 @@ TEST_P(DurabilityShardedTest, RestartPreservesOutlierSetAndEpoch) {
     // The epoch never rewinds across a restart: every acknowledged id is
     // still assigned.
     EXPECT_EQ(stats->stats.epoch, epoch_before);
-    EXPECT_EQ(stats->stats.shards, shards);
     ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
                         "after restart");
 
@@ -211,26 +204,24 @@ TEST_P(DurabilityShardedTest, RestartPreservesOutlierSetAndEpoch) {
   // A third incarnation sees the union of both previous runs.
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(DurableOptions(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok());
     ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
                         "after second restart");
   }
 }
 
-TEST_P(DurabilityShardedTest, RestartPreservesSlidingWindow) {
-  const size_t shards = GetParam();
-  const std::string dir = FreshDataDir(
-      "ttl_shards" + std::to_string(shards));
+TEST(DurabilityTest, RestartPreservesSlidingWindow) {
+  const std::string dir = FreshDataDir("ttl");
   const size_t dims = 2;
-  Rng rng(0x7777 + shards);
+  Rng rng(0x7778);
   PointSet ingested(dims);
   std::atomic<double> now{0.0};
   uint64_t window_before = 0;
 
   {
     obs::Registry registry;
-    ServiceOptions options = DurableOptions(dir, shards, &registry, &now);
+    ServiceOptions options = DurableOptions(dir, &registry, &now);
     options.ttl_seconds = 5.0;
     DurableRun run(options);
     ASSERT_TRUE(run.service.recovery_status().ok());
@@ -252,7 +243,7 @@ TEST_P(DurabilityShardedTest, RestartPreservesSlidingWindow) {
 
   {
     obs::Registry registry;
-    ServiceOptions options = DurableOptions(dir, shards, &registry, &now);
+    ServiceOptions options = DurableOptions(dir, &registry, &now);
     options.ttl_seconds = 5.0;
     DurableRun run(options);
     ASSERT_TRUE(run.service.recovery_status().ok())
@@ -278,17 +269,15 @@ TEST_P(DurabilityShardedTest, RestartPreservesSlidingWindow) {
   }
 }
 
-TEST_P(DurabilityShardedTest, CompactionThenRestartMatchesOracle) {
-  const size_t shards = GetParam();
-  const std::string dir = FreshDataDir(
-      "compact_shards" + std::to_string(shards));
+TEST(DurabilityTest, CompactionThenRestartMatchesOracle) {
+  const std::string dir = FreshDataDir("compact");
   const size_t dims = 2;
-  Rng rng(0xc0de + shards);
+  Rng rng(0xc0df);
   PointSet ingested(dims);
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(DurableOptions(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok());
     Ingest(&run.handle, &ingested,
            testing::UniformPoints(&rng, 90, dims, 0.0, 10.0));
@@ -304,7 +293,7 @@ TEST_P(DurabilityShardedTest, CompactionThenRestartMatchesOracle) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, shards, &registry, nullptr));
+    DurableRun run(DurableOptions(dir, &registry, nullptr));
     ASSERT_TRUE(run.service.recovery_status().ok())
         << run.service.recovery_status();
     ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
@@ -339,14 +328,11 @@ std::string NewestSnapshot(const std::string& data_dir) {
 // one of two alternating sites and expires the whole previous window.
 // Compaction then writes only the live rows, recovery re-ingests only
 // them (at their original global ids), and a by-id QUERY below the
-// recovered base answers NotFound. The restart runs at the writer's shard
-// count and then at one shard (from four, when the writer had four).
-TEST_P(DurabilityShardedTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
-  const size_t shards = GetParam();
-  const std::string dir =
-      FreshDataDir("turnover_shards" + std::to_string(shards));
+// recovered base answers NotFound.
+TEST(DurabilityTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
+  const std::string dir = FreshDataDir("turnover");
   const size_t dims = 2;
-  Rng rng(0x7e57 + shards);
+  Rng rng(0x7e58);
   PointSet ingested(dims);
   std::atomic<double> now{0.0};
   uint64_t live = 0;
@@ -354,7 +340,7 @@ TEST_P(DurabilityShardedTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
 
   {
     obs::Registry registry;
-    ServiceOptions options = DurableOptions(dir, shards, &registry, &now);
+    ServiceOptions options = DurableOptions(dir, &registry, &now);
     options.ttl_seconds = 5.0;
     DurableRun run(options);
     ASSERT_TRUE(run.service.recovery_status().ok());
@@ -394,12 +380,9 @@ TEST_P(DurabilityShardedTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
   EXPECT_EQ(std::filesystem::file_size(newest),
             16u + 34u + live * dims * sizeof(double) + 4u);
 
-  for (const size_t restart_shards : {shards, size_t{1}}) {
-    SCOPED_TRACE(::testing::Message() << "restart at " << restart_shards
-                                      << " shards");
+  {
     obs::Registry registry;
-    ServiceOptions options =
-        DurableOptions(dir, restart_shards, &registry, &now);
+    ServiceOptions options = DurableOptions(dir, &registry, &now);
     options.ttl_seconds = 5.0;
     DurableRun run(options);
     ASSERT_TRUE(run.service.recovery_status().ok())
@@ -419,9 +402,6 @@ TEST_P(DurabilityShardedTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, DurabilityShardedTest,
-                         ::testing::Values(1, 4));
-
 TEST(DurabilityTest, ConfigurePersistsAcrossRestart) {
   const std::string dir = FreshDataDir("configure");
   const size_t dims = 2;
@@ -430,7 +410,7 @@ TEST(DurabilityTest, ConfigurePersistsAcrossRestart) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+    DurableRun run(DurableOptions(dir, &registry, nullptr));
     Ingest(&run.handle, &ingested,
            testing::UniformPoints(&rng, 40, dims, 0.0, 8.0));
     auto configured = run.handle.Call(ConfigureRequest("c", 3.5));
@@ -439,7 +419,7 @@ TEST(DurabilityTest, ConfigurePersistsAcrossRestart) {
   }
 
   obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+  DurableRun run(DurableOptions(dir, &registry, nullptr));
   ASSERT_TRUE(run.service.recovery_status().ok());
   auto stats = run.handle.Call(StatsRequest("c"));
   ASSERT_TRUE(stats.ok() && stats->status.ok());
@@ -454,7 +434,7 @@ TEST(DurabilityTest, AutoCompactionUnderTinySegmentsStaysExact) {
 
   {
     obs::Registry registry;
-    ServiceOptions options = DurableOptions(dir, 1, &registry, nullptr);
+    ServiceOptions options = DurableOptions(dir, &registry, nullptr);
     // Every commit overflows a 512-byte segment, so compaction runs
     // constantly and the restart below recovers almost entirely from
     // snapshots.
@@ -469,66 +449,11 @@ TEST(DurabilityTest, AutoCompactionUnderTinySegmentsStaysExact) {
   }
 
   obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+  DurableRun run(DurableOptions(dir, &registry, nullptr));
   ASSERT_TRUE(run.service.recovery_status().ok())
       << run.service.recovery_status();
   ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
                       "after restart");
-}
-
-TEST(DurabilityTest, RestartWithMoreShardsMatchesOracle) {
-  const std::string dir = FreshDataDir("upshard");
-  const size_t dims = 2;
-  Rng rng(0x1111);
-  PointSet ingested(dims);
-
-  {
-    obs::Registry registry;
-    DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
-    Ingest(&run.handle, &ingested,
-           testing::UniformPoints(&rng, 80, dims, 0.0, 10.0));
-  }
-
-  // The sharded replay plans its regions from the recovered points and
-  // reproduces the single-shard labeling exactly.
-  obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 4, &registry, nullptr));
-  ASSERT_TRUE(run.service.recovery_status().ok())
-      << run.service.recovery_status();
-  ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
-                      "after upshard restart");
-}
-
-TEST(DurabilityTest, RestartWithFewerShardsMatchesOracle) {
-  const std::string dir = FreshDataDir("downshard");
-  const size_t dims = 2;
-  Rng rng(0x2222);
-  PointSet ingested(dims);
-
-  {
-    obs::Registry registry;
-    DurableRun run(DurableOptions(dir, 4, &registry, nullptr));
-    Ingest(&run.handle, &ingested,
-           testing::UniformPoints(&rng, 120, dims, 0.0, 12.0));
-    auto stats = run.handle.Call(StatsRequest("c"));
-    ASSERT_TRUE(stats.ok() && stats->status.ok());
-    // The points really spread over several regions, so the restart
-    // below folds a multi-region log into one detector.
-    ASSERT_GT(stats->stats.shard_rows.size(), 1u);
-  }
-
-  // Labels are exact under any region plan, so a 4-shard directory
-  // recovers at 1 shard and keeps serving.
-  obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
-  ASSERT_TRUE(run.service.recovery_status().ok())
-      << run.service.recovery_status();
-  ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
-                      "after downshard restart");
-  Ingest(&run.handle, &ingested,
-         testing::UniformPoints(&rng, 40, dims, 0.0, 12.0));
-  ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
-                      "after ingest past the downshard restart");
 }
 
 TEST(DurabilityTest, CorruptWalFrameFailsRecovery) {
@@ -539,7 +464,7 @@ TEST(DurabilityTest, CorruptWalFrameFailsRecovery) {
 
   {
     obs::Registry registry;
-    DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+    DurableRun run(DurableOptions(dir, &registry, nullptr));
     Ingest(&run.handle, &ingested,
            testing::UniformPoints(&rng, 50, dims, 0.0, 10.0));
   }
@@ -559,7 +484,7 @@ TEST(DurabilityTest, CorruptWalFrameFailsRecovery) {
   }
 
   obs::Registry registry;
-  DurableRun run(DurableOptions(dir, 1, &registry, nullptr));
+  DurableRun run(DurableOptions(dir, &registry, nullptr));
   EXPECT_FALSE(run.service.recovery_status().ok());
 }
 
@@ -611,7 +536,7 @@ storage::WalRecord ExpireRecord(uint64_t begin, uint64_t end) {
 /// be neither readable nor writable afterwards.
 void ExpectRecoveryRefused(const std::string& data_dir, StatusCode code) {
   obs::Registry registry;
-  DurableRun run(DurableOptions(data_dir, 1, &registry, nullptr));
+  DurableRun run(DurableOptions(data_dir, &registry, nullptr));
   EXPECT_EQ(run.service.recovery_status().code(), code)
       << run.service.recovery_status();
   EXPECT_EQ(run.service.recovery_state(), RecoveryState::kFailed);

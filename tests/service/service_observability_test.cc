@@ -1,10 +1,10 @@
 // Observability contract of the detection service: one stamped INGEST on
-// a sharded durable collection must come back as one *connected* trace —
-// every layer's span (admission queue wait, per-shard apply, ghost
-// exchange, WAL group commit, snapshot publish) carrying the same trace
-// id — plus the slow-request log, the HEALTH verb's readiness semantics
-// across deferred crash recovery, the TRACE verb's filtered dumps, and
-// the latency-quantile rows in STATS.
+// a durable collection must come back as one *connected* trace — every
+// layer's span (frame decode, admission queue wait, detector apply,
+// snapshot freeze, WAL group commit, snapshot publish) carrying the same
+// trace id — plus the slow-request log, the HEALTH verb's readiness
+// semantics across deferred crash recovery, the TRACE verb's filtered
+// dumps, and the latency-quantile rows in STATS.
 
 #include <algorithm>
 #include <cctype>
@@ -22,7 +22,9 @@
 #include "common/str_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "service/client.h"
 #include "service/handle.h"
+#include "service/server.h"
 #include "service/service.h"
 #include "testutil.h"
 
@@ -224,16 +226,16 @@ size_t CountSpans(const std::vector<obs::TraceSpan>& spans, uint64_t id,
   return n;
 }
 
-// The tentpole acceptance scenario: a single stamped INGEST against a
-// 4-shard durable collection produces one trace whose spans cover every
-// layer, all linked by the request's id, and the TRACE dump of that id is
-// schema-valid Chrome JSON.
-TEST(ObservabilityTest, ShardedDurableIngestYieldsOneConnectedTrace) {
+// A single stamped INGEST over TCP against a durable collection produces
+// one trace whose spans cover every layer — frame decode, queue wait,
+// detector apply, snapshot freeze, WAL commit, snapshot publish and the
+// request itself — all linked by the request's id, and the TRACE dump of
+// that id is schema-valid Chrome JSON.
+TEST(ObservabilityTest, DurableIngestYieldsOneConnectedTrace) {
   const size_t dims = 2;
   ServiceOptions options;
   options.params.eps = 1.0;
   options.params.min_pts = 4;
-  options.num_shards = 4;
   options.data_dir = FreshDir("obs_connected_trace");
   obs::Registry registry;
   options.registry = &registry;
@@ -241,39 +243,41 @@ TEST(ObservabilityTest, ShardedDurableIngestYieldsOneConnectedTrace) {
   options.trace = &trace;
   DetectionService service(options);
   ASSERT_TRUE(service.recovery_status().ok());
-  ServiceHandle handle(&service);
+  auto server = Server::Start(&service, ServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto client = Client::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok()) << client.status();
 
   Rng rng(20260809);
-  // A wide untraced batch first, so the region plan spans [0, 12) and the
-  // traced batch below scatters onto all four shards.
-  auto plan = handle.Call(IngestRequest(
-      "c", dims, Flatten(testing::UniformPoints(&rng, 160, dims, 0.0, 12.0))));
-  ASSERT_TRUE(plan.ok() && plan->status.ok()) << plan->status;
-
   const uint64_t id = 0x0b5c0a7d5eedull;
-  auto traced = handle.Call(IngestRequest(
+  auto traced = client->Call(IngestRequest(
       "c", dims, Flatten(testing::UniformPoints(&rng, 120, dims, 0.0, 12.0)),
       id));
-  ASSERT_TRUE(traced.ok() && traced->status.ok()) << traced->status;
+  ASSERT_TRUE(traced.ok()) << traced.status();
+  ASSERT_TRUE(traced->status.ok()) << traced->status;
   EXPECT_EQ(traced->trace_id, id);  // stamped request: id echoed
   EXPECT_GT(traced->server_seconds, 0.0);
 
   const auto spans = trace.Spans();
-  EXPECT_EQ(CountSpans(spans, id, "ingest"), 1u);  // root request span
-  EXPECT_EQ(CountSpans(spans, id, "queue_wait"), 1u);
-  // Uniform points across the full planned range touch every slab region.
-  EXPECT_GE(CountSpans(spans, id, "shard_apply"), 4u);
-  // Each applying shard then freezes its snapshot in a span of its own,
-  // which also feeds the freeze histogram.
-  EXPECT_EQ(CountSpans(spans, id, "snapshot_freeze"),
-            CountSpans(spans, id, "shard_apply"));
+  for (const char* name :
+       {"frame_decode", "queue_wait", "detector_apply", "snapshot_freeze",
+        "wal_commit", "snapshot_publish"}) {
+    EXPECT_EQ(CountSpans(spans, id, name), 1u) << name;
+  }
+  // The root request span is named after the verb.
+  size_t roots = 0;
+  for (const auto& span : spans) {
+    if (span.trace_id == id && span.cat == "request") {
+      ++roots;
+      EXPECT_EQ(span.name, "ingest");
+    }
+  }
+  EXPECT_EQ(roots, 1u);
+  // The freeze span also feeds the freeze histogram.
   EXPECT_GE(registry.GetHistogram("dbscout_snapshot_freeze_seconds", "")
                 ->Snap()
                 .count,
-            CountSpans(spans, id, "snapshot_freeze"));
-  EXPECT_EQ(CountSpans(spans, id, "ghost_exchange"), 1u);
-  EXPECT_EQ(CountSpans(spans, id, "wal_commit"), 1u);
-  EXPECT_EQ(CountSpans(spans, id, "snapshot_publish"), 1u);
+            1u);
   // Every one of the request's spans is scoped to its collection.
   for (const auto& span : spans) {
     if (span.trace_id == id && span.name != "apply_pass") {
@@ -289,9 +293,10 @@ TEST(ObservabilityTest, ShardedDurableIngestYieldsOneConnectedTrace) {
   const std::string hex =
       StrFormat("%016llx", static_cast<unsigned long long>(id));
   EXPECT_NE(json.find("\"trace_id\":\"" + hex + "\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"shard_apply\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"detector_apply\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"wal_commit\""), std::string::npos);
 
+  (*server)->Stop();
   service.Stop();
 }
 

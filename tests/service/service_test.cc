@@ -1,6 +1,8 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -9,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "core/dbscout.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -529,6 +532,217 @@ TEST(ServiceTest, StatsReportsQueueDepthWhilePaused) {
   service.Drain();
   stats = handle.Call(StatsRequest("c"));
   EXPECT_EQ(stats->stats.queue_depth, 0u);
+}
+
+Request QueryByIdRequest(const std::string& collection, uint32_t id) {
+  Request request;
+  request.verb = Verb::kQuery;
+  request.collection = collection;
+  request.query_by_id = true;
+  request.query_id = id;
+  return request;
+}
+
+Request ProbeRequest(const std::string& collection,
+                     std::vector<double> point) {
+  Request request;
+  request.verb = Verb::kQuery;
+  request.collection = collection;
+  request.query_by_id = false;
+  request.query_point = std::move(point);
+  return request;
+}
+
+/// Asserts the collection's published state equals DetectSequential on its
+/// live points: SNAPSHOT kinds (live points only; expired ones keep their
+/// last label), STATS live and outlier counts, a by-id QUERY of every live
+/// point, and probe QUERYs against brute force on the live set + probe.
+void ExpectMatchesLiveOracle(ServiceHandle* handle, const std::string& name,
+                             const PointSet& ingested,
+                             const core::Params& params,
+                             const std::vector<std::vector<double>>& probes,
+                             const char* where) {
+  auto snapshot = handle->Call(SnapshotRequest(name));
+  ASSERT_TRUE(snapshot.ok()) << where;
+  ASSERT_TRUE(snapshot->status.ok()) << where << ": " << snapshot->status;
+  const SnapshotAnswer& snap = snapshot->snapshot;
+  ASSERT_EQ(snap.epoch, ingested.size()) << where;
+
+  PointSet live(ingested.dims());
+  std::vector<uint32_t> live_ids;
+  for (size_t i = 0; i < ingested.size(); ++i) {
+    if (snap.alive[i] != 0) {
+      live.Add(ingested[i]);
+      live_ids.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  auto oracle = core::DetectSequential(live, params);
+  ASSERT_TRUE(oracle.ok()) << where;
+  for (size_t j = 0; j < live_ids.size(); ++j) {
+    ASSERT_EQ(snap.kinds[live_ids[j]], oracle->kinds[j])
+        << where << ": live point " << live_ids[j] << " (oracle index " << j
+        << ")";
+    auto by_id = handle->Call(QueryByIdRequest(name, live_ids[j]));
+    ASSERT_TRUE(by_id.ok() && by_id->status.ok()) << where;
+    ASSERT_EQ(by_id->query.kind, oracle->kinds[j])
+        << where << ": by-id query of live point " << live_ids[j];
+  }
+
+  auto stats = handle->Call(StatsRequest(name));
+  ASSERT_TRUE(stats.ok() && stats->status.ok()) << where;
+  EXPECT_EQ(stats->stats.live_points, live.size()) << where;
+  EXPECT_EQ(stats->stats.num_outliers,
+            static_cast<uint64_t>(std::count(oracle->kinds.begin(),
+                                             oracle->kinds.end(),
+                                             PointKind::kOutlier)))
+      << where;
+
+  for (size_t t = 0; t < probes.size(); ++t) {
+    PointSet appended = live;
+    appended.Add(probes[t]);
+    const PointKind expected =
+        testing::BruteForceKinds(appended, params.eps, params.min_pts).back();
+    auto probe = handle->Call(ProbeRequest(name, probes[t]));
+    ASSERT_TRUE(probe.ok() && probe->status.ok()) << where;
+    ASSERT_EQ(probe->query.kind, expected) << where << ": probe " << t;
+  }
+}
+
+// A randomized workload under a sliding window: a first wide batch, then
+// rounds of clustered, uniform and exact dim-0 slab-boundary points, with
+// the published state checked against the oracle after every ingest and
+// every expiry sweep. Slab-boundary points sit where AddBatchParallel's
+// slab blocks meet, so a wave-scheduling bug shows up as a wrong label.
+TEST(ServiceTest, WindowedWorkloadMatchesOracleAtEveryEpoch) {
+  const size_t dims = 2;
+  core::Params params;
+  params.eps = 1.0;
+  params.min_pts = 4;
+  // The detector's cell side; multiples of it are exact dim-0 slab edges.
+  const double side = params.eps / std::sqrt(static_cast<double>(dims));
+
+  std::atomic<double> now{0.0};
+  ServiceOptions options = MakeOptions(params.eps, params.min_pts);
+  options.clock = [&now] { return now.load(); };
+  obs::Registry registry;
+  options.registry = &registry;
+  DetectionService service(options);
+  ServiceHandle handle(&service);
+
+  Rng rng(20260809);
+  PointSet ingested(dims);
+  auto ingest = [&](const PointSet& batch) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ingested.Add(batch[i]);
+    }
+    auto response = handle.Call(
+        IngestRequest("c", dims, Flatten(batch, 0, batch.size())));
+    ASSERT_TRUE(response.ok() && response->status.ok());
+    ASSERT_EQ(response->epoch, ingested.size());
+  };
+  // Probes at random spots and on slab edges, fresh for every check.
+  auto probes = [&] {
+    std::vector<std::vector<double>> out;
+    for (int k = 0; k < 6; ++k) {
+      out.push_back({rng.Uniform(-2.0, 14.0), rng.Uniform(-2.0, 5.0)});
+      out.push_back({static_cast<double>(rng.NextBounded(17)) * side,
+                     rng.Uniform(0.0, 3.0)});
+    }
+    return out;
+  };
+
+  ingest(testing::UniformPoints(&rng, 120, dims, 0.0, 12.0));
+  ExpectMatchesLiveOracle(&handle, "c", ingested, params, probes(),
+                          "after first batch");
+  {
+    // One detector: STATS encodes one shard and no per-shard rows.
+    auto stats = handle.Call(StatsRequest("c"));
+    ASSERT_TRUE(stats.ok() && stats->status.ok());
+    EXPECT_EQ(stats->stats.shards, 1u);
+    EXPECT_TRUE(stats->stats.shard_rows.empty());
+  }
+
+  ASSERT_TRUE(handle.Call(ConfigureRequest("c", 5.0))->status.ok());
+
+  for (int round = 1; round <= 5; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    PointSet batch(dims);
+    // Tight clusters at random centers: dense cores whose neighborhoods
+    // can straddle slab blocks.
+    const PointSet clusters = testing::ClusteredPoints(&rng, 50, dims, 3, 0.2);
+    for (size_t i = 0; i < clusters.size(); ++i) {
+      batch.Add(clusters[i]);
+    }
+    const PointSet noise = testing::UniformPoints(&rng, 20, dims, -2.0, 14.0);
+    for (size_t i = 0; i < noise.size(); ++i) {
+      batch.Add(noise[i]);
+    }
+    // Slab-boundary points: x exactly on a dim-0 slab edge, plus the
+    // nearest double to each side of it.
+    for (int k = 0; k < 6; ++k) {
+      const double edge = static_cast<double>(rng.NextBounded(17)) * side;
+      const double y = rng.Uniform(0.0, 3.0);
+      batch.Add({edge, y});
+      batch.Add({std::nextafter(edge, -1e9), y});
+      batch.Add({std::nextafter(edge, 1e9), y});
+    }
+    ingest(batch);
+    ExpectMatchesLiveOracle(&handle, "c", ingested, params, probes(),
+                            "after ingest");
+
+    // Age the window by 2 s per round: round r's sweep expires everything
+    // stamped at or before t = 2r - 5 (the first batch, then each round's
+    // batch in turn); the removals run in the same detector pass shape as
+    // the adds.
+    now.store(2.0 * round);
+    service.SweepExpiredNow();
+    ExpectMatchesLiveOracle(&handle, "c", ingested, params, probes(),
+                            "after sweep");
+  }
+
+  // Everything ages out, then one fresh batch over the old coordinate
+  // range still labels exactly.
+  now.store(1000.0);
+  service.SweepExpiredNow();
+  {
+    auto stats = handle.Call(StatsRequest("c"));
+    ASSERT_TRUE(stats.ok() && stats->status.ok());
+    EXPECT_EQ(stats->stats.live_points, 0u);
+  }
+  ingest(testing::ClusteredPoints(&rng, 60, dims, 2, 0.3));
+  ExpectMatchesLiveOracle(&handle, "c", ingested, params, probes(),
+                          "after refill");
+}
+
+// Collections share the service's apply loop and wave pool: creating more
+// of them must not start threads of their own.
+TEST(ServiceTest, ThreadsDoNotGrowWithCollections) {
+  ServiceOptions options = MakeOptions(1.0, 2);
+  obs::Registry registry;
+  options.registry = &registry;
+  DetectionService service(options);
+  ServiceHandle handle(&service);
+  Request health;
+  health.verb = Verb::kHealth;
+  auto threads = [&] {
+    auto response = handle.Call(health);
+    EXPECT_TRUE(response.ok() && response->status.ok());
+    return response.ok() ? response->health.threads : 0;
+  };
+
+  ASSERT_TRUE(
+      handle.Call(IngestRequest("c0", 2, {0.0, 0.0, 0.5, 0.0}))->status.ok());
+  const uint64_t after_first = threads();
+  if (after_first == 0) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  for (int k = 1; k < 8; ++k) {
+    ASSERT_TRUE(handle
+                    .Call(IngestRequest(StrFormat("c%d", k), 2,
+                                        {0.0, 0.0, 0.5, 0.0}))
+                    ->status.ok());
+  }
+  EXPECT_EQ(threads(), after_first);
 }
 
 }  // namespace

@@ -312,13 +312,6 @@ int main(int argc, char** argv) {
               << " ttl=" << stats->ttl_seconds
               << " shards=" << stats->shards
               << " uptime=" << stats->uptime_seconds << "\n";
-    if (stats->shards > 1) {
-      for (const auto& row : stats->shard_rows) {
-        std::cout << "shard " << row.shard << " points=" << row.points
-                  << " epoch=" << row.epoch
-                  << " queue-depth=" << row.queue_depth << "\n";
-      }
-    }
     for (const auto& row : stats->phases) {
       std::cout << "phase " << row.name << " seconds=" << row.seconds
                 << " dist-comps=" << row.distance_comps

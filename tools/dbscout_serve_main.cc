@@ -5,15 +5,15 @@
 //
 // usage: dbscout_serve --eps=X --min-pts=N [--host=H] [--port=P]
 //                      [--max-sessions=S] [--max-pending=Q]
-//                      [--shards=N] [--ttl-seconds=T]
+//                      [--ttl-seconds=T]
 //                      [--data-dir=DIR] [--wal-fsync=always|interval|never]
 //                      [--snapshot-interval=BYTES]
 //                      [--slow-request-ms=N] [--trace-spans=CAP]
 //
-// --shards=N backs every collection with N region-partitioned detector
-// shards (ghost-halo replication keeps the merged outlier set exact);
-// STATS then reports one row per shard. Default 1 = single detector,
-// whose apply loop fans slab-block tasks out on one worker per core.
+// Every collection is backed by one incremental detector; the apply loop
+// fans its slab-block tasks out on one worker per core.
+// --eps must be > 0, --min-pts in [1, INT_MAX] and --port <= 65535; any
+// other value exits with usage (status 2) before binding.
 // --ttl-seconds=T gives every collection a sliding window: points older
 // than T seconds are expired by the apply loop (0 = append-only; override
 // per collection with dbscout_client --set-ttl).
@@ -29,7 +29,7 @@
 // over partial recovery would silently drop acknowledged data.
 //
 // Tracing is always on: every request's spans (frame decode, queue wait,
-// per-shard apply, WAL commit, snapshot publish, reply encode) land in an
+// detector apply, WAL commit, snapshot publish, reply encode) land in an
 // in-memory ring buffer (--trace-spans=CAP spans, default 16384) that
 // `dbscout_client --trace-dump` reads live over the TRACE verb as
 // Chrome/Perfetto JSON. --slow-request-ms=N logs a structured warning line
@@ -46,7 +46,9 @@
 #include <time.h>
 
 #include <atomic>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <iostream>
 #include <string>
 
@@ -78,7 +80,7 @@ const char* FlagValue(int argc, char** argv, const std::string& name) {
 int Usage() {
   std::cerr << "usage: dbscout_serve --eps=X --min-pts=N [--host=H] "
                "[--port=P] [--max-sessions=S] [--max-pending=Q] "
-               "[--shards=N] [--ttl-seconds=T] "
+               "[--ttl-seconds=T] "
                "[--data-dir=DIR] [--wal-fsync=always|interval|never] "
                "[--snapshot-interval=BYTES] "
                "[--slow-request-ms=N] [--trace-spans=CAP]\n";
@@ -98,26 +100,24 @@ int main(int argc, char** argv) {
   }
   auto eps = ParseDouble(eps_text);
   auto min_pts = ParseUint64(min_pts_text);
-  if (!eps.ok() || !min_pts.ok()) {
+  if (!eps.ok() || !min_pts.ok() || *min_pts > INT_MAX) {
     return Usage();
   }
 
   dbscout::service::ServiceOptions service_options;
   service_options.params.eps = *eps;
   service_options.params.min_pts = static_cast<int>(*min_pts);
+  if (const dbscout::Status valid = service_options.params.Validate();
+      !valid.ok()) {
+    std::cerr << "dbscout_serve: " << valid << "\n";
+    return Usage();
+  }
   if (const char* text = FlagValue(argc, argv, "max-pending")) {
     auto value = ParseUint64(text);
     if (!value.ok()) {
       return Usage();
     }
     service_options.max_pending_ingests = *value;
-  }
-  if (const char* text = FlagValue(argc, argv, "shards")) {
-    auto value = ParseUint64(text);
-    if (!value.ok() || *value == 0) {
-      return Usage();
-    }
-    service_options.num_shards = *value;
   }
   if (const char* text = FlagValue(argc, argv, "ttl-seconds")) {
     auto value = ParseDouble(text);
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
   }
   if (const char* text = FlagValue(argc, argv, "port")) {
     auto value = ParseUint64(text);
-    if (!value.ok()) {
+    if (!value.ok() || *value > UINT16_MAX) {
       return Usage();
     }
     server_options.port = static_cast<uint16_t>(*value);

@@ -55,9 +55,7 @@ Enforces, statically, the contracts that the compiler cannot:
                      lock would serialize the waves). Observability for
                      these paths flows through the sharded obs::Counter
                      cells and the PhaseRecorder, which publish outside the
-                     scan loops. The region-routing module
-                     (src/grid/partition.*) is in scope too: the shard
-                     router calls it once per ingested point.
+                     scan loops.
                      phase_recorder.h / driver.h orchestrate around the
                      kernels and are out of scope.
   neighbor-discovery-locality
@@ -440,10 +438,7 @@ def check_phase_logic_locality(path: str, lines: List[str]
 
 HOT_PATH_FILE_RE = re.compile(
     r"^(src/simd/[^/]+\.(?:cc|cpp|h|hpp)"
-    r"|src/core/phases/(?:phase_kernels|insert_kernels)\.(?:cc|cpp|h|hpp)"
-    # Region routing runs once per ingested point in the shard router's
-    # scatter loop (RegionOf / CoveringRegions / SlabOfCoord).
-    r"|src/grid/partition\.(?:cc|h))$")
+    r"|src/core/phases/(?:phase_kernels|insert_kernels)\.(?:cc|cpp|h|hpp))$")
 HOT_PATH_LOG_RE = re.compile(r"\bDBSCOUT_(?:LOG|CHECK)\b")
 HOT_PATH_MUTEX_RE = re.compile(
     r"(std::(?:recursive_|shared_|timed_)*mutex\b"
@@ -719,15 +714,6 @@ def self_test() -> int:
     expect("phase-logic-locality",
            list(check_phase_logic_locality("src/service/service.cc",
                                            exempt)), 1, "service-in-scope")
-    # The shard/router layer routes points and merges labels; re-deriving
-    # density decisions there would fork the phase logic, so it stays in
-    # scope like the rest of src/service/.
-    expect("phase-logic-locality",
-           list(check_phase_logic_locality("src/service/shard.cc",
-                                           exempt)), 1, "shard-in-scope")
-    expect("phase-logic-locality",
-           list(check_phase_logic_locality("src/service/router.cc",
-                                           exempt)), 1, "router-in-scope")
     # Durable replay feeds recovered points back through the apply
     # pipeline; deciding density during replay would fork the phase logic.
     expect("phase-logic-locality",
@@ -798,14 +784,6 @@ def self_test() -> int:
     expect("hot-path-purity",
            list(check_hot_path_purity("src/simd/distance_kernel.cc",
                                       wrappers)), 3, "dbscout-wrappers")
-    # Region routing (grid/partition) runs per ingested point in the shard
-    # router's scatter loop: same silence/wait-freedom bar as the kernels.
-    expect("hot-path-purity",
-           list(check_hot_path_purity("src/grid/partition.h", bad)), 4,
-           "partition-header-seeded")
-    expect("hot-path-purity",
-           list(check_hot_path_purity("src/grid/partition.cc", bad)), 4,
-           "partition-impl-seeded")
     expect("hot-path-purity",
            list(check_hot_path_purity("src/grid/regions.h", bad)), 0,
            "regions-out-of-scope")

@@ -6,7 +6,8 @@
 # shuts the server down with SIGTERM and verifies a clean exit. A second
 # durable leg ingests into a --data-dir server, kill -9s it, checks the
 # WAL with wal_inspect, restarts over the same directory, and asserts the
-# stats and a probe query are unchanged.
+# stats (live, epoch, outliers, core, cells) and a probe query are
+# unchanged.
 #
 # usage: tools/serve_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -183,6 +184,16 @@ OUT1="$(stat_field "$DSTATS1" outliers)"
 OUT2="$(stat_field "$DSTATS2" outliers)"
 [[ "$OUT1" -eq "$OUT2" ]] \
   || { echo "FAIL: outlier count changed across restart ($OUT1 -> $OUT2)"; exit 1; }
+# Recovery rebuilds the one detector from the live rows, so its core and
+# occupied-cell counts come back exactly too.
+CORE1="$(stat_field "$DSTATS1" core)"
+CORE2="$(stat_field "$DSTATS2" core)"
+[[ -n "$CORE1" && "$CORE1" -eq "$CORE2" ]] \
+  || { echo "FAIL: core count changed across restart ($CORE1 -> $CORE2)"; exit 1; }
+CELLS1="$(stat_field "$DSTATS1" cells)"
+CELLS2="$(stat_field "$DSTATS2" cells)"
+[[ -n "$CELLS1" && "$CELLS1" -eq "$CELLS2" ]] \
+  || { echo "FAIL: cell count changed across restart ($CELLS1 -> $CELLS2)"; exit 1; }
 grep -q "kind=outlier" <<<"$DPROBE2" \
   || { echo "FAIL: far probe after restart not an outlier"; exit 1; }
 [[ "$DPROBE1" == "$DPROBE2" ]] \
