@@ -382,6 +382,16 @@ DetectionService::Collection* DetectionService::FindCollection(
   return it == collections_.end() ? nullptr : it->second.get();
 }
 
+std::vector<DetectionService::Collection*> DetectionService::AllCollections() {
+  MutexLock lock(collections_mu_);
+  std::vector<Collection*> all;
+  all.reserve(collections_.size());
+  for (auto& [name, collection] : collections_) {
+    all.push_back(collection.get());
+  }
+  return all;
+}
+
 Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
     const std::string& name, uint16_t dims, size_t coords_size) {
   if (dims == 0) {
@@ -474,25 +484,13 @@ Status DetectionService::Enqueue(Collection* collection,
         StrFormat("ingest queue at admission cap (%zu); retry later",
                   options_.max_pending_ingests));
   }
-  const bool was_empty = queue_.empty();
-  const bool ticketed = ticket != nullptr;
-  if (ticketed) {
-    ++ticketed_pending_;
-  }
   queue_.push_back(PendingIngest{collection, std::move(coords),
                                  std::move(ticket), MonotonicSeconds(),
                                  trace_id});
   ++enqueued_;
   collection->depth_gauge->Set(static_cast<int64_t>(
       collection->queue_depth.fetch_add(1, std::memory_order_relaxed) + 1));
-  // Wake the loop when the queue transitions to non-empty, or when a
-  // blocking caller just arrived (it cuts a coalescing window short).
-  // Fire-and-forget batches landing on a non-empty queue stay silent: the
-  // loop is already awake, and skipping the wakeup lets it coalesce them
-  // instead of thrashing through one-batch passes.
-  if (was_empty || ticketed) {
-    queue_cv_.NotifyOne();
-  }
+  queue_cv_.NotifyOne();
   return Status::OK();
 }
 
@@ -660,6 +658,15 @@ Response DetectionService::DoSnapshot(const Request& request) {
       collection->snapshot.load(std::memory_order_acquire);
   SnapshotAnswer& answer = response.snapshot;
   answer.epoch = collection->EpochOf(*snap);
+  // Two bytes per global id (kind + alive), a recovered base included:
+  // past the frame cap (with headroom for the envelope) the transport
+  // could not send the reply, so refuse before building it.
+  if (answer.epoch > (kMaxFramePayload - 4096) / 2) {
+    response.status = Status::FailedPrecondition(StrFormat(
+        "snapshot of %llu ids too large for one frame; use STATS or QUERY",
+        static_cast<unsigned long long>(answer.epoch)));
+    return response;
+  }
   answer.num_core = snap->num_core();
   answer.num_cells = snap->num_cells();
   // The arrays span global ids [0, epoch): ids below the base expired
@@ -727,7 +734,6 @@ void DetectionService::SweepExpiredNow() {
       return;
     }
     // Bypasses the admission cap: an expiry tick carries no points.
-    ++ticketed_pending_;
     queue_.push_back(PendingIngest{nullptr, {}, ticket, MonotonicSeconds()});
     ++enqueued_;
     queue_cv_.NotifyOne();
@@ -776,28 +782,6 @@ void DetectionService::ApplyLoop() {
           queue_cv_.Wait(mu_);
         }
       }
-      // Throughput coalescing: while everything queued is fire-and-forget
-      // (no caller blocked on a ticket), linger in short slices as long as
-      // the producer keeps the queue growing — bigger passes amortize the
-      // per-pass snapshot, and nobody is waiting on the latency. The first
-      // ticketed arrival notifies and cuts the window short; a stalled
-      // producer ends it at the next slice boundary.
-      if (!stop_ && !apply_paused_ && !queue_.empty() &&
-          ticketed_pending_ == 0) {
-        constexpr auto kCoalesceSlice = std::chrono::microseconds(200);
-        constexpr int kMaxCoalesceSlices = 25;  // <= 5ms added latency
-        for (int slice = 0; slice < kMaxCoalesceSlices; ++slice) {
-          const size_t before = queue_.size();
-          if (before >= options_.max_pending_ingests / 2) {
-            break;  // half-full queue: apply before admission sheds
-          }
-          queue_cv_.WaitFor(mu_, kCoalesceSlice);
-          if (stop_ || apply_paused_ || ticketed_pending_ > 0 ||
-              queue_.size() == before) {
-            break;
-          }
-        }
-      }
       // Stop overrides a pause: shutdown always drains what is queued.
       const bool can_take = !queue_.empty() && (!apply_paused_ || stop_);
       if (!can_take) {
@@ -811,13 +795,19 @@ void DetectionService::ApplyLoop() {
       } else {
         // Coalesce: take everything queued so this pass runs one detector
         // apply and publishes one snapshot per touched collection no
-        // matter how many batches piled up behind a slow apply.
+        // matter how many batches piled up behind a slow apply. The depth
+        // drops here, under mu_ like Enqueue's rise, so the gauge can never
+        // be overwritten with a stale value.
         batch.reserve(queue_.size());
         while (!queue_.empty()) {
-          batch.push_back(std::move(queue_.front()));
+          PendingIngest& op = batch.emplace_back(std::move(queue_.front()));
           queue_.pop_front();
+          if (Collection* collection = op.collection) {
+            const uint64_t depth =
+                collection->queue_depth.fetch_sub(1, std::memory_order_relaxed);
+            collection->depth_gauge->Set(static_cast<int64_t>(depth - 1));
+          }
         }
-        ticketed_pending_ = 0;  // the take is all-or-nothing
       }
     }
     ApplyPass(std::move(batch));
@@ -847,52 +837,66 @@ bool DetectionService::ComputeExpiry(Collection* collection, double now,
 }
 
 void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
-  // ---- Group the pass's ops per collection, first-seen order, validating
-  // each client batch up front: a malformed batch is rejected atomically
-  // (its ticket carries the error) and never reaches the coalesced apply.
-  struct OpShape {
-    PendingIngest* op = nullptr;
-    size_t points = 0;  // 0 when rejected
+  // What this pass does to one collection: the WAL records it applies and
+  // then logs, in replay order.
+  struct CollectionPass {
+    Collection* collection = nullptr;
+    std::vector<storage::WalRecord> records;
+    uint64_t next_id = 0;  // global id of the next accepted point
+    uint64_t points = 0;   // rows of the ingest records
+    uint64_t errors = 0;   // batches refused by validation
+    /// Trace id of the collection's first traced op: its detector, WAL
+    /// and publish spans are attributed to it (a pass serves many
+    /// requests; one representative links the trace end-to-end).
+    uint64_t trace_id = 0;
+    /// The apply or WAL failure of this collection's pass; it fails every
+    /// ticket of the collection (durability barrier).
     Status status;
   };
-  struct Work {
-    Collection* collection = nullptr;
-    PointSet coalesced{2};
-    std::vector<OpShape> ops;
-    double seconds = 0.0;
-    uint64_t errors = 0;
-    uint64_t expired = 0;
-    double expire_seconds = 0.0;
-    uint64_t expire_begin = 0;  // global-id range the detector pass removes
-    uint64_t expire_end = 0;
-    /// Frozen after the detector pass; installed by the publish step.
-    /// Null when the pass left the detector untouched.
-    std::shared_ptr<const core::IncrementalSnapshot> snapshot;
-    /// First WAL append/commit error of this collection's pass; fails
-    /// every ticket of the collection (durability barrier).
-    Status wal_status;
-    /// Trace id of the first traced op in this collection's pass: the
-    /// coalesced pass's detector/WAL/publish spans are attributed to
-    /// it (a pass serves many requests; one representative links the
-    /// trace end-to-end).
-    uint64_t trace_id = 0;
+  std::vector<CollectionPass> passes;
+  std::unordered_map<Collection*, size_t> pass_of;
+  const auto pass_for = [&](Collection* collection) -> CollectionPass& {
+    auto [it, fresh] = pass_of.try_emplace(collection, passes.size());
+    if (fresh) {
+      CollectionPass& pass = passes.emplace_back();
+      pass.collection = collection;
+      pass.next_id = collection->base + collection->detector.epoch();
+    }
+    return passes[it->second];
   };
-  std::vector<Work> works;
-  std::unordered_map<Collection*, size_t> work_of;
 
   WallTimer pass_timer;
   const double apply_start = MonotonicSeconds();
-  const bool has_ops = !batch.empty();
   uint64_t real_ops = 0;
+  uint64_t pass_trace_id = 0;  // the first traced op's
 
+  // ---- Expiry, first in each collection's records: every collection
+  // with a TTL window records its aged-out global-id range (also reached
+  // via timer wakeups and SweepExpiredNow ticks with an empty/tick-only
+  // batch). A stamp taken at `now` can never age out at `now` (ttl > 0),
+  // so expiring first never removes this pass's own adds. The decision is
+  // recorded, not recomputed: replay removes exactly this range
+  // regardless of the clock at recovery time. ----
+  const double now = clock_();
+  for (Collection* collection : AllCollections()) {
+    storage::WalRecord expire;
+    expire.type = storage::WalRecordType::kExpire;
+    if (ComputeExpiry(collection, now, &expire.expire_begin,
+                      &expire.expire_end)) {
+      pass_for(collection).records.push_back(std::move(expire));
+    }
+  }
+
+  // ---- One ingest record per client batch that validates, in queue
+  // order, taking the next global ids. A malformed batch is rejected
+  // atomically (its ticket carries the error) and never reaches the
+  // coalesced apply; it and a zero-point batch log nothing. ----
   for (PendingIngest& op : batch) {
     if (op.collection == nullptr) {
       continue;  // expiry tick: no points, completed with the pass
     }
     ++real_ops;
     Collection* collection = op.collection;
-    collection->depth_gauge->Set(static_cast<int64_t>(
-        collection->queue_depth.fetch_sub(1, std::memory_order_relaxed) - 1));
     const double wait_seconds = apply_start - op.enqueue_seconds;
     queue_wait_seconds_->Observe(wait_seconds);
     if (trace_ != nullptr && op.trace_id != 0) {
@@ -901,81 +905,187 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
       trace_->AddTracedSpan("queue_wait", "service", op.trace_id,
                             collection->name, wait_seconds);
     }
-    auto [it, fresh] = work_of.try_emplace(collection, works.size());
-    if (fresh) {
-      works.emplace_back();
-      works.back().collection = collection;
-      works.back().coalesced = PointSet(collection->dims);
-    }
-    Work& work = works[it->second];
-    if (work.trace_id == 0) {
-      work.trace_id = op.trace_id;
-    }
+    CollectionPass& pass = pass_for(collection);
+    pass.trace_id = pass.trace_id != 0 ? pass.trace_id : op.trace_id;
+    pass_trace_id = pass_trace_id != 0 ? pass_trace_id : op.trace_id;
     const size_t dims = collection->dims;
     const size_t count = op.coords.size() / dims;
-    OpShape shape;
-    shape.op = &op;
-    for (size_t i = 0; i < count; ++i) {
-      const std::span<const double> row(op.coords.data() + i * dims, dims);
-      shape.status = collection->detector.ValidatePoint(row);
-      if (!shape.status.ok()) {
-        break;
-      }
+    Status status;
+    for (size_t i = 0; i < count && status.ok(); ++i) {
+      status = collection->detector.ValidatePoint(
+          std::span<const double>(op.coords.data() + i * dims, dims));
     }
-    if (shape.status.ok()) {
-      shape.points = count;
-      for (size_t i = 0; i < count; ++i) {
-        work.coalesced.Add(
-            std::span<const double>(op.coords.data() + i * dims, dims));
-      }
+    if (!status.ok()) {
+      ++pass.errors;
+    } else if (count > 0) {
+      storage::WalRecord ingest;
+      ingest.type = storage::WalRecordType::kIngest;
+      ingest.dims = static_cast<uint16_t>(dims);
+      ingest.base_epoch = pass.next_id;  // replay cross-checks its epoch
+      ingest.coords = std::move(op.coords);
+      pass.records.push_back(std::move(ingest));
+      pass.next_id += count;
+      pass.points += count;
     }
-    work.ops.push_back(std::move(shape));
+    if (op.ticket != nullptr) {
+      // Safe without mu_: the waiter only reads these after `done` flips
+      // under mu_ below.
+      op.ticket->status = std::move(status);
+      op.ticket->epoch = pass.next_id;
+    }
   }
 
-  // ---- Expiry sweep: every collection with a TTL window hands the
-  // aged-out global-id ranges to its detector pass below (also reached via
-  // timer wakeups and SweepExpiredNow ticks with an empty/tick-only
-  // batch). A stamp taken at `now` can never age out at `now` (ttl > 0),
-  // so computing expiry before this pass's adds are stamped is equivalent
-  // to the historical adds-then-sweep order. ----
-  const double now = clock_();
-  std::vector<Collection*> all;
-  {
-    MutexLock lock(collections_mu_);
-    all.reserve(collections_.size());
-    for (auto& [name, collection] : collections_) {
-      all.push_back(collection.get());
-    }
-  }
-  for (Collection* collection : all) {
-    uint64_t begin = 0;
-    uint64_t end = 0;
-    if (!ComputeExpiry(collection, now, &begin, &end)) {
-      continue;
-    }
-    auto [it, fresh] = work_of.try_emplace(collection, works.size());
-    if (fresh) {
-      works.emplace_back();
-      works.back().collection = collection;
-      works.back().coalesced = PointSet(collection->dims);
-    }
-    works[it->second].expire_begin = begin;
-    works[it->second].expire_end = end;
-  }
-
-  // ---- One detector pass per touched collection: remove the aged-out
-  // range, apply the coalesced adds (slab-block waves on shard_pool_), then
-  // freeze the snapshot the publish step installs. Collections run strictly
-  // one after another so the shared wave pool is never contended by two
-  // detectors. ----
+  // ---- Per touched collection: apply the records (removals, then one
+  // coalesced add in slab-block waves on shard_pool_), freeze the
+  // snapshot, log and group-commit the same records, publish. Apply comes
+  // before append, so a failed apply never reaches the log, and the
+  // commit makes the records as durable as the fsync policy promises
+  // before any ticket completes. A failed append or commit fails the
+  // collection's tickets; the in-memory state already holds the batch, so
+  // a client retry re-ingests it, and restart recovers only what the WAL
+  // holds. Collections run strictly one after another so the shared wave
+  // pool is never contended by two detectors. The replaced snapshots are
+  // held until the tickets complete: tearing one down (its cell map, its
+  // last shared chunks) is off the acknowledgement path. ----
+  std::vector<std::shared_ptr<const core::IncrementalSnapshot>> retired;
   uint64_t pass_points = 0;
   uint64_t pass_errors = 0;
-  for (Work& work : works) {
-    Collection* collection = work.collection;
-    core::IncrementalDetector& detector = collection->detector;
-    const uint64_t first_id = collection->base + detector.epoch();
-    WallTimer timer;
-    for (uint64_t id = work.expire_begin; id < work.expire_end; ++id) {
+  for (CollectionPass& pass : passes) {
+    Collection* collection = pass.collection;
+    const auto span = [&](const char* name, double seconds,
+                          uint64_t records) {
+      if (trace_ != nullptr) {
+        trace_->AddTracedSpan(name, "service", pass.trace_id,
+                              collection->name, seconds, records);
+      }
+    };
+    double apply_seconds = 0.0;
+    double expire_seconds = 0.0;
+    std::shared_ptr<const core::IncrementalSnapshot> snapshot;
+    if (!pass.records.empty()) {
+      WallTimer timer;
+      pass.status = ApplyRecords(collection, pass.records, &expire_seconds);
+      apply_seconds = timer.ElapsedSeconds();
+      span("detector_apply", apply_seconds, pass.points);
+      WallTimer freeze_timer;
+      snapshot = collection->detector.SnapshotNow();
+      const double freeze_seconds = freeze_timer.ElapsedSeconds();
+      snapshot_freeze_seconds_->Observe(freeze_seconds);
+      span("snapshot_freeze", freeze_seconds, 0);
+    }
+    if (!pass.status.ok()) {
+      // Pre-validation makes this unreachable short of detector-level
+      // capacity errors; the tickets carry it.
+      DBSCOUT_LOG(kWarning) << "collection '" << collection->name
+                            << "': apply failed: " << pass.status.message();
+    } else {
+      pass_points += pass.points;
+      if (pass.points > 0) {
+        collection->stamps.push_back(
+            Collection::StampRange{pass.next_id, now});
+      }
+      if (storage::CollectionStore* store = collection->store.get()) {
+        for (size_t i = 0; i < pass.records.size() && pass.status.ok(); ++i) {
+          pass.status = store->LogRecord(pass.records[i]);
+        }
+        if (pass.status.ok()) {
+          pass.status = store->Commit(pass.trace_id);
+        }
+        if (!pass.status.ok()) {
+          wal_commit_failures_total_->Increment();
+          DBSCOUT_LOG(kError) << "wal commit failed: "
+                              << pass.status.message();
+        }
+      }
+    }
+    // Publish after all of this collection's mutations; the release
+    // exchange pairs with readers' acquire.
+    if (snapshot != nullptr) {
+      WallTimer publish_timer;
+      retired.push_back(collection->snapshot.exchange(
+          std::move(snapshot), std::memory_order_acq_rel));
+      span("snapshot_publish", publish_timer.ElapsedSeconds(), pass.points);
+    }
+    pass_errors += pass.errors;
+    if (pass.records.empty() && pass.errors == 0) {
+      continue;  // nothing happened to this collection
+    }
+    const uint64_t total_comps = collection->detector.distance_computations();
+    MutexLock lock(collection->stats_mu);
+    collection->recorder.Accumulate(
+        "apply", apply_seconds,
+        total_comps - collection->last_distance_comps, pass.points);
+    if (!pass.records.empty() &&
+        pass.records.front().type == storage::WalRecordType::kExpire) {
+      const storage::WalRecord& expire = pass.records.front();
+      collection->recorder.Accumulate("expire", expire_seconds, 0,
+                                      expire.expire_end - expire.expire_begin);
+    }
+    collection->last_distance_comps = total_comps;
+    collection->ingest_errors += pass.errors;
+  }
+
+  if (batch.empty()) {
+    return;  // timer wakeup: no ingest to count, nobody to acknowledge
+  }
+  apply_batch_size_->Observe(static_cast<double>(real_ops));
+  ingest_batches_total_->Increment(real_ops);
+  ingest_points_total_->Increment(pass_points);
+  ingest_errors_total_->Increment(pass_errors);
+  if (trace_ != nullptr) {
+    // One span per coalesced apply pass, attributed to the apply thread
+    // and (when any op was traced) to the first traced op's id.
+    trace_->AddTracedSpan("apply_pass", "service", pass_trace_id,
+                          /*scope=*/"", pass_timer.ElapsedSeconds(),
+                          pass_points);
+  }
+  // Complete tickets only now, so the epoch a blocking INGEST returns is
+  // already covered by a published snapshot and a committed WAL.
+  MutexLock lock(mu_);
+  applied_ += batch.size();
+  for (PendingIngest& op : batch) {
+    if (op.ticket == nullptr) {
+      continue;
+    }
+    if (op.collection != nullptr && op.ticket->status.ok()) {
+      op.ticket->status = passes[pass_of.at(op.collection)].status;
+    }
+    op.ticket->done = true;
+  }
+  tickets_cv_.NotifyAll();
+  // `retired` drops on return, after the acknowledgements: a reader that
+  // still holds one of these snapshots keeps it alive past this point.
+}
+
+Status DetectionService::ApplyRecords(
+    Collection* collection, std::span<const storage::WalRecord> records,
+    double* expire_seconds) {
+  core::IncrementalDetector& detector = collection->detector;
+  // Gather every ingest row before touching the detector; the rows must
+  // continue the collection's ids with no gap (the continuity rule
+  // storage::ApplyRecordToState enforces on replay).
+  std::vector<double> rows;
+  uint64_t next_id = collection->base + detector.epoch();
+  for (const storage::WalRecord& record : records) {
+    if (record.type != storage::WalRecordType::kIngest) {
+      continue;
+    }
+    if (record.base_epoch != next_id) {
+      return Status::Internal(StrFormat(
+          "ingest record at epoch %llu but collection '%s' is at %llu",
+          static_cast<unsigned long long>(record.base_epoch),
+          collection->name.c_str(),
+          static_cast<unsigned long long>(next_id)));
+    }
+    next_id += record.coords.size() / collection->dims;
+    rows.insert(rows.end(), record.coords.begin(), record.coords.end());
+  }
+  WallTimer timer;
+  for (const storage::WalRecord& record : records) {
+    if (record.type != storage::WalRecordType::kExpire) {
+      continue;
+    }
+    for (uint64_t id = record.expire_begin; id < record.expire_end; ++id) {
       const Status removed =
           detector.Remove(static_cast<uint32_t>(id - collection->base));
       if (!removed.ok()) {
@@ -984,185 +1094,23 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
                               << " failed: " << removed.ToString();
       }
     }
-    work.expire_seconds = timer.ElapsedSeconds();
-    work.expired = work.expire_end - work.expire_begin;
-    Status apply_status = Status::OK();
-    if (work.coalesced.size() > 0) {
-      core::ApplyStats apply_stats;
-      apply_status = detector.AddBatchParallel(work.coalesced,
-                                               shard_pool_.get(), &apply_stats);
-      apply_shards_gauge_->Set(static_cast<int64_t>(apply_stats.shards));
-      for (double shard_seconds : apply_stats.shard_seconds) {
-        apply_shard_seconds_->Observe(shard_seconds);
-      }
-    }
-    work.seconds = timer.ElapsedSeconds();
-    if (work.coalesced.size() > 0 || work.expired > 0) {
-      if (trace_ != nullptr) {
-        trace_->AddTracedSpan("detector_apply", "service", work.trace_id,
-                              collection->name, work.seconds,
-                              work.coalesced.size());
-      }
-      WallTimer freeze_timer;
-      work.snapshot = detector.SnapshotNow();
-      const double freeze_seconds = freeze_timer.ElapsedSeconds();
-      snapshot_freeze_seconds_->Observe(freeze_seconds);
-      if (trace_ != nullptr) {
-        trace_->AddTracedSpan("snapshot_freeze", "service", work.trace_id,
-                              collection->name, freeze_seconds);
-      }
-    }
-    if (!apply_status.ok()) {
-      // Pre-validation makes this unreachable short of detector-level
-      // capacity errors; fail every op of the collection explicitly.
-      DBSCOUT_LOG(kWarning) << "coalesced apply failed: "
-                            << apply_status.message();
-    }
-    // ---- WAL: record what this pass just did, in replay order (the
-    // expiry, then each batch). Appends only; the group commit below makes
-    // them durable before any ticket completes. ----
-    storage::CollectionStore* store = collection->store.get();
-    if (store != nullptr && apply_status.ok()) {
-      if (work.expire_end > work.expire_begin) {
-        // The decision is recorded, not recomputed: replay removes exactly
-        // this range regardless of wall-clock at recovery time.
-        storage::WalRecord rec;
-        rec.type = storage::WalRecordType::kExpire;
-        rec.expire_begin = work.expire_begin;
-        rec.expire_end = work.expire_end;
-        work.wal_status = store->LogRecord(rec);
-      }
-    }
-    uint64_t cum = first_id;
-    for (OpShape& shape : work.ops) {
-      Status op_status =
-          apply_status.ok() ? std::move(shape.status) : apply_status;
-      if (op_status.ok()) {
-        if (store != nullptr && shape.points > 0 && work.wal_status.ok()) {
-          storage::WalRecord rec;
-          rec.type = storage::WalRecordType::kIngest;
-          rec.dims = static_cast<uint16_t>(collection->dims);
-          rec.base_epoch = cum;  // replay cross-checks against its epoch
-          rec.coords = std::move(shape.op->coords);
-          work.wal_status = store->LogRecord(rec);
-        }
-        cum += shape.points;
-        pass_points += shape.points;
-      } else {
-        ++work.errors;
-        ++pass_errors;
-      }
-      if (shape.op->ticket != nullptr) {
-        // Safe without mu_: the waiter only reads these after `done` flips
-        // under mu_ below.
-        shape.op->ticket->status = std::move(op_status);
-        shape.op->ticket->epoch = cum;
-      }
-    }
-    if (apply_status.ok() && cum > first_id) {
-      collection->stamps.push_back(Collection::StampRange{cum, now});
-    }
   }
-
-  // ---- Durability barrier: one group commit per touched store before
-  // any ticket completes, so an acknowledged batch is exactly as durable
-  // as the fsync policy promises. A failed append or commit fails every
-  // ticket of that collection this pass; the in-memory state may already
-  // hold the batch, so a client retry re-ingests it, and restart recovers
-  // only what the WAL holds. ----
-  std::unordered_map<Collection*, Status> wal_failures;
-  for (Work& work : works) {
-    if (work.collection->store == nullptr) {
-      continue;
-    }
-    Status durable = work.wal_status;
-    if (durable.ok()) {
-      durable = work.collection->store->Commit(work.trace_id);
-    }
-    if (!durable.ok()) {
-      wal_commit_failures_total_->Increment();
-      DBSCOUT_LOG(kError) << "wal commit failed: " << durable.message();
-      wal_failures.emplace(work.collection, std::move(durable));
-    }
+  if (expire_seconds != nullptr) {
+    *expire_seconds = timer.ElapsedSeconds();
   }
-
-  // ---- Publish: one snapshot per touched collection, after all of this
-  // pass's mutations. The release exchange pairs with readers' acquire.
-  // The replaced snapshots are held until the tickets below complete:
-  // tearing one down (its cell map, its last shared chunks) is off the
-  // acknowledgement path. ----
-  std::vector<std::shared_ptr<const core::IncrementalSnapshot>> retired;
-  for (Work& work : works) {
-    if (work.snapshot == nullptr && work.errors == 0) {
-      continue;  // nothing happened to this collection
-    }
-    Collection* collection = work.collection;
-    if (work.snapshot != nullptr) {
-      WallTimer publish_timer;
-      retired.push_back(collection->snapshot.exchange(
-          std::move(work.snapshot), std::memory_order_acq_rel));
-      if (trace_ != nullptr) {
-        trace_->AddTracedSpan("snapshot_publish", "service", work.trace_id,
-                              collection->name,
-                              publish_timer.ElapsedSeconds(),
-                              work.coalesced.size());
-      }
-    }
-    const uint64_t total_comps = collection->detector.distance_computations();
-    MutexLock lock(collection->stats_mu);
-    collection->recorder.Accumulate(
-        "apply", work.seconds,
-        total_comps - collection->last_distance_comps,
-        work.coalesced.size());
-    if (work.expired > 0) {
-      collection->recorder.Accumulate("expire", work.expire_seconds, 0,
-                                      work.expired);
-    }
-    collection->last_distance_comps = total_comps;
-    collection->ingest_errors += work.errors;
+  if (rows.empty()) {
+    return Status::OK();
   }
-
-  if (has_ops) {
-    apply_batch_size_->Observe(static_cast<double>(real_ops));
-    ingest_batches_total_->Increment(real_ops);
-    ingest_points_total_->Increment(pass_points);
-    ingest_errors_total_->Increment(pass_errors);
-    if (trace_ != nullptr) {
-      // One span per coalesced apply pass, attributed to the apply thread
-      // and (when any op was traced) to the first traced op's id.
-      uint64_t pass_trace_id = 0;
-      for (const Work& work : works) {
-        if (work.trace_id != 0) {
-          pass_trace_id = work.trace_id;
-          break;
-        }
-      }
-      trace_->AddTracedSpan("apply_pass", "service", pass_trace_id,
-                            /*scope=*/"", pass_timer.ElapsedSeconds(),
-                            pass_points);
-    }
+  DBSCOUT_ASSIGN_OR_RETURN(
+      PointSet adds, PointSet::FromRowMajor(collection->dims, std::move(rows)));
+  core::ApplyStats apply_stats;
+  const Status added =
+      detector.AddBatchParallel(adds, shard_pool_.get(), &apply_stats);
+  apply_shards_gauge_->Set(static_cast<int64_t>(apply_stats.shards));
+  for (double shard_seconds : apply_stats.shard_seconds) {
+    apply_shard_seconds_->Observe(shard_seconds);
   }
-
-  // Complete tickets only now, so the epoch a blocking INGEST returns is
-  // already covered by a published snapshot.
-  if (has_ops) {
-    MutexLock lock(mu_);
-    applied_ += batch.size();
-    for (PendingIngest& op : batch) {
-      if (op.ticket != nullptr) {
-        if (op.collection != nullptr && !wal_failures.empty()) {
-          const auto failed = wal_failures.find(op.collection);
-          if (failed != wal_failures.end() && op.ticket->status.ok()) {
-            op.ticket->status = failed->second;
-          }
-        }
-        op.ticket->done = true;
-      }
-    }
-    tickets_cv_.NotifyAll();
-  }
-  // `retired` drops here, after the acknowledgements: a reader that still
-  // holds one of these snapshots keeps it alive past this point anyway.
+  return added;
 }
 
 // ---------------------------------------------------------------------------
@@ -1267,14 +1215,13 @@ Status DetectionService::LoadCollection(Collection* collection,
                                         storage::CollectionState state) {
   // The state holds only the live rows [window_begin, epoch), and the
   // collection's base is window_begin, so the live points keep their
-  // global ids and one batch apply loads them the way live traffic does.
-  DBSCOUT_ASSIGN_OR_RETURN(
-      PointSet adds,
-      PointSet::FromRowMajor(state.dims, std::move(state.coords)));
-  if (adds.size() > 0) {
-    DBSCOUT_RETURN_IF_ERROR(
-        collection->detector.AddBatchParallel(adds, shard_pool_.get()));
-  }
+  // global ids and load as one ingest record, the way live traffic does.
+  storage::WalRecord live;
+  live.type = storage::WalRecordType::kIngest;
+  live.dims = state.dims;
+  live.base_epoch = state.window_begin;
+  live.coords = std::move(state.coords);
+  DBSCOUT_RETURN_IF_ERROR(ApplyRecords(collection, {&live, 1}));
   collection->ttl_seconds.store(state.ttl_seconds, std::memory_order_relaxed);
   if (state.ttl_seconds > 0.0) {
     has_window_.store(true, std::memory_order_relaxed);
@@ -1296,15 +1243,7 @@ Status DetectionService::LoadCollection(Collection* collection,
 }
 
 Status DetectionService::CompactNow() {
-  std::vector<Collection*> all;
-  {
-    MutexLock lock(collections_mu_);
-    all.reserve(collections_.size());
-    for (auto& [name, collection] : collections_) {
-      all.push_back(collection.get());
-    }
-  }
-  for (Collection* collection : all) {
+  for (Collection* collection : AllCollections()) {
     if (collection->store != nullptr) {
       DBSCOUT_RETURN_IF_ERROR(collection->store->CompactNow());
     }

@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "obs/trace.h"
 #include "service/protocol.h"
 #include "storage/store.h"
+#include "storage/wal.h"
 
 namespace dbscout::service {
 
@@ -99,10 +101,13 @@ struct ServiceOptions {
 /// Concurrency design:
 ///  - All mutations flow through one apply loop (a long-running task on a
 ///    private one-thread pool). Each pass swaps out the *entire* pending
-///    queue, concatenates each collection's batches into one coalesced
-///    detector apply (its slab-block waves fan out on shard_pool_), then
-///    publishes one fresh snapshot per touched collection — so N queued
-///    batches cost one detector pass and one snapshot, not N.
+///    queue and turns each touched collection's share of it into the WAL
+///    records it logs (an expiry, then one ingest per accepted batch).
+///    ApplyRecords applies that list as one detector pass (its slab-block
+///    waves fan out on shard_pool_), then the pass logs the same records
+///    and publishes one fresh snapshot — so N queued batches cost one
+///    detector pass and one snapshot, not N. Recovery loads through the
+///    same ApplyRecords.
 ///  - Sliding windows: collections with a TTL expire ingest batches whose
 ///    stamp has aged past it. Expiry runs inside the apply loop (every
 ///    pass, plus periodic wakeups while any window is configured), so the
@@ -134,8 +139,8 @@ class DetectionService {
 
   /// Fire-and-forget ingest: enqueues and returns without waiting for the
   /// apply loop. kUnavailable when the queue is at the admission cap.
-  /// Used by overload tests and the throughput bench; batch-level errors
-  /// (dims mismatch, non-finite coordinates) surface in STATS only.
+  /// Tests use it to park batches in the queue; batch-level errors
+  /// (non-finite coordinates) surface in STATS only.
   Status IngestAsync(const std::string& collection, uint16_t dims,
                      std::vector<double> coords);
 
@@ -220,6 +225,8 @@ class DetectionService {
     /// Written by the apply loop, read by STATS.
     std::atomic<uint64_t> window_begin{0};
     /// Ingest batches of this collection currently in the apply queue.
+    /// Changed only under the service's mu_ (enqueue and the apply loop's
+    /// take), so the gauge below never lags it; STATS reads it lock-free.
     std::atomic<uint64_t> queue_depth{0};
     /// dbscout_pending_batches{collection=...}; mirrors queue_depth.
     obs::Gauge* depth_gauge = nullptr;
@@ -295,6 +302,8 @@ class DetectionService {
   /// Looks up a collection (null when absent). Never creates.
   Collection* FindCollection(const std::string& name)
       DBSCOUT_EXCLUDES(collections_mu_);
+  /// Every registered collection (they are never unregistered).
+  std::vector<Collection*> AllCollections() DBSCOUT_EXCLUDES(collections_mu_);
 
   /// Opens `name`'s CollectionStore under data_dir (null options_.data_dir
   /// = null store). `recovered` receives the on-disk state to replay.
@@ -319,10 +328,10 @@ class DetectionService {
   Status RecoverCollection(const std::string& name)
       DBSCOUT_EXCLUDES(collections_mu_);
   /// Loads a folded state into a fresh collection whose base is the
-  /// state's window_begin: one AddBatchParallel loads the live rows
-  /// [window_begin, epoch), then it publishes. Labels depend only on the
-  /// live point set, so this equals the pre-crash labeling at the durable
-  /// epoch.
+  /// state's window_begin: ApplyRecords loads the live rows
+  /// [window_begin, epoch) as one ingest record, then it publishes. Labels
+  /// depend only on the live point set, so this equals the pre-crash
+  /// labeling at the durable epoch.
   Status LoadCollection(Collection* collection,
                         storage::CollectionState state);
 
@@ -339,12 +348,23 @@ class DetectionService {
       DBSCOUT_EXCLUDES(mu_);
 
   void ApplyLoop() DBSCOUT_EXCLUDES(mu_);
-  /// One coalesced apply pass: groups `batch` per collection, removes each
-  /// collection's aged-out TTL range and applies its adds in one detector
-  /// pass, then publishes one snapshot per touched collection. An empty
-  /// `batch` is an expiry-only pass (periodic window wakeup).
+  /// One coalesced apply pass: builds each touched collection's WAL
+  /// records (its aged-out TTL range, then one ingest per accepted batch),
+  /// and per collection applies them, freezes a snapshot, logs and commits
+  /// them, and publishes. Tickets complete after every collection. An
+  /// empty `batch` is an expiry-only pass (periodic window wakeup).
   void ApplyPass(std::vector<PendingIngest> batch)
       DBSCOUT_EXCLUDES(mu_, collections_mu_);
+  /// The one detector mutation step, for live passes and recovery alike:
+  /// every kExpire removes its id range, then the rows of every kIngest
+  /// go in as one AddBatchParallel on shard_pool_ (feeding the
+  /// dbscout_apply_shards* series). Other record types are skipped. An
+  /// ingest record whose base_epoch is not the next global id fails the
+  /// call before anything is mutated. `expire_seconds`, when non-null,
+  /// receives the removals' wall time.
+  Status ApplyRecords(Collection* collection,
+                      std::span<const storage::WalRecord> records,
+                      double* expire_seconds = nullptr);
   /// Pops `collection`'s aged-out stamp ranges and advances window_begin,
   /// returning true and the global-id range [*begin, *end) to remove
   /// (the detector pass performs the actual removals). Apply loop only.
@@ -362,10 +382,6 @@ class DetectionService {
   CondVar queue_cv_;    // apply loop wakeups
   CondVar tickets_cv_;  // ticket completion + drain
   std::deque<PendingIngest> queue_ DBSCOUT_GUARDED_BY(mu_);
-  /// Queued ops somebody blocks on (ticketed). While zero, the apply loop
-  /// may linger briefly to coalesce fire-and-forget batches into bigger
-  /// passes; the first ticketed arrival cuts that window short.
-  uint64_t ticketed_pending_ DBSCOUT_GUARDED_BY(mu_) = 0;
   uint64_t enqueued_ DBSCOUT_GUARDED_BY(mu_) = 0;  // batches ever enqueued
   uint64_t applied_ DBSCOUT_GUARDED_BY(mu_) = 0;   // batches published
   bool stop_ DBSCOUT_GUARDED_BY(mu_) = false;

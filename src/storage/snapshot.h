@@ -30,9 +30,11 @@ struct CollectionState {
 };
 
 /// Folds one WAL record into the state — the shared definition of replay
-/// used by compaction (file-level merge) and wal_inspect. Validates
-/// continuity: an ingest record whose base_epoch is not the current epoch
-/// means a lost or reordered record and fails.
+/// used by compaction (file-level merge) and crash recovery
+/// (DetectionService::RecoverCollection folds the WAL suffix onto the
+/// snapshot base). Validates continuity: an ingest record whose
+/// base_epoch is not the current epoch means a lost or reordered record
+/// and fails.
 Status ApplyRecordToState(const WalRecord& record, CollectionState* state);
 
 /// Snapshot files:

@@ -7,13 +7,16 @@
 // stored and recovered. Epochs never rewind across a restart, and a
 // corrupt WAL frame or a broken log (a lost record, a non-extending
 // expiry, a dims-0 record) must surface as a recovery error and leave the
-// collection unserved rather than load corrupt points.
+// collection unserved rather than load corrupt points. The WAL a service
+// writes is decoded record by record, and a recovered base too large for
+// a SNAPSHOT reply is refused up front.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -577,6 +580,147 @@ TEST(DurabilityTest, ZeroDimsRecordFailsRecoveryCleanly) {
     WriteLog(dir, {record});
     ExpectRecoveryRefused(dir, StatusCode::kInvalidArgument);
   }
+}
+
+/// Every record of collection "c"'s WAL under `data_dir`, segment by
+/// segment in sequence order.
+std::vector<storage::WalRecord> ReadLog(const std::string& data_dir) {
+  std::vector<std::string> segments;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(data_dir + "/c")) {
+    if (entry.path().filename().string().rfind("wal-", 0) == 0) {
+      segments.push_back(entry.path().string());
+    }
+  }
+  std::sort(segments.begin(), segments.end());  // zero-padded sequence
+  std::vector<storage::WalRecord> records;
+  for (const std::string& path : segments) {
+    auto scan = storage::ScanWalFile(path);
+    EXPECT_TRUE(scan.ok()) << path << ": " << scan.status();
+    if (!scan.ok()) {
+      continue;
+    }
+    EXPECT_FALSE(scan->torn) << path;
+    for (const std::vector<uint8_t>& frame : scan->frames) {
+      auto record = storage::DecodeWalRecord(frame);
+      EXPECT_TRUE(record.ok()) << path << ": " << record.status();
+      if (record.ok()) {
+        records.push_back(*std::move(record));
+      }
+    }
+  }
+  return records;
+}
+
+void ExpectIngestRecord(const storage::WalRecord& record,
+                        uint64_t base_epoch,
+                        const std::vector<double>& coords) {
+  EXPECT_EQ(record.type, storage::WalRecordType::kIngest);
+  EXPECT_EQ(record.dims, 2u);
+  EXPECT_EQ(record.base_epoch, base_epoch);
+  EXPECT_EQ(record.coords, coords);
+}
+
+// The WAL a service writes, record by record: the create record first; in
+// a pass that both expires and ingests, the expiry before the pass's
+// ingests; one ingest record per accepted batch at consecutive base
+// epochs; nothing for a rejected (NaN) batch or a zero-point batch; and
+// after a restart the next ingest continues at the recovered epoch.
+TEST(DurabilityTest, WalHoldsOneRecordPerAcceptedBatchInApplyOrder) {
+  const std::string dir = FreshDataDir("wal_sequence");
+  std::atomic<double> now{0.0};
+  const std::vector<double> a = {0.0, 0.0, 0.5, 0.0, 0.0, 0.5};
+  const std::vector<double> b = {5.0, 5.0, 5.5, 5.0};
+  const std::vector<double> c = {9.0, 9.0, 9.5, 9.0, 9.0, 9.5, 9.5, 9.5};
+  const std::vector<double> d = {2.0, 2.0, 2.5, 2.5};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  {
+    obs::Registry registry;
+    ServiceOptions options = DurableOptions(dir, &registry, &now);
+    options.ttl_seconds = 5.0;
+    DurableRun run(options);
+    ASSERT_TRUE(run.service.recovery_status().ok());
+    auto first = run.handle.Call(IngestRequest("c", 2, a));
+    ASSERT_TRUE(first.ok() && first->status.ok());
+    EXPECT_EQ(first->epoch, 3u);
+    // Four batches wait behind the pause while the first batch (stamped
+    // 0, TTL 5) ages out; the resumed take applies them in one pass.
+    run.service.SetApplyPausedForTest(true);
+    ASSERT_TRUE(run.service.IngestAsync("c", 2, b).ok());
+    ASSERT_TRUE(run.service.IngestAsync("c", 2, {nan, 0.0}).ok());
+    ASSERT_TRUE(run.service.IngestAsync("c", 2, {}).ok());
+    ASSERT_TRUE(run.service.IngestAsync("c", 2, c).ok());
+    now.store(10.0);
+    run.service.SetApplyPausedForTest(false);
+    run.service.Drain();
+    auto stats = run.handle.Call(StatsRequest("c"));
+    ASSERT_TRUE(stats.ok() && stats->status.ok());
+    EXPECT_EQ(stats->stats.epoch, 9u);
+    EXPECT_EQ(stats->stats.window_begin, 3u);
+    EXPECT_EQ(stats->stats.live_points, 6u);
+    run.service.Stop();
+  }
+
+  {
+    obs::Registry registry;
+    ServiceOptions options = DurableOptions(dir, &registry, &now);
+    options.ttl_seconds = 5.0;
+    DurableRun run(options);
+    ASSERT_TRUE(run.service.recovery_status().ok())
+        << run.service.recovery_status();
+    auto next = run.handle.Call(IngestRequest("c", 2, d));
+    ASSERT_TRUE(next.ok() && next->status.ok());
+    EXPECT_EQ(next->epoch, 11u);
+  }
+
+  const std::vector<storage::WalRecord> log = ReadLog(dir);
+  ASSERT_EQ(log.size(), 6u);
+  EXPECT_EQ(log[0].type, storage::WalRecordType::kCreate);
+  EXPECT_EQ(log[0].dims, 2u);
+  EXPECT_DOUBLE_EQ(log[0].ttl_seconds, 5.0);
+  ExpectIngestRecord(log[1], 0, a);
+  EXPECT_EQ(log[2].type, storage::WalRecordType::kExpire);
+  EXPECT_EQ(log[2].expire_begin, 0u);
+  EXPECT_EQ(log[2].expire_end, 3u);
+  ExpectIngestRecord(log[3], 3, b);
+  ExpectIngestRecord(log[4], 5, c);
+  ExpectIngestRecord(log[5], 9, d);  // the recovered epoch
+}
+
+// A SNAPSHOT reply carries two bytes per global id, a recovered base
+// included. A collection recovered at window_begin 40M would need an
+// 80 MB reply, past the frame cap: the service refuses it up front, and
+// STATS and QUERY keep answering.
+TEST(DurabilityTest, OversizedSnapshotReplyIsRefused) {
+  const std::string dir = FreshDataDir("oversized_snapshot");
+  storage::CollectionState state;
+  state.dims = 2;
+  state.window_begin = 40'000'000;
+  state.epoch = state.window_begin + 2;
+  state.coords = {0.0, 0.0, 0.5, 0.5};
+  std::filesystem::create_directories(dir + "/c");
+  ASSERT_TRUE(
+      storage::WriteSnapshotFile(dir + "/c/snap-000001.snap", state).ok());
+
+  obs::Registry registry;
+  DurableRun run(DurableOptions(dir, &registry, nullptr));
+  ASSERT_TRUE(run.service.recovery_status().ok())
+      << run.service.recovery_status();
+  auto snapshot = run.handle.Call(SnapshotRequest("c"));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  EXPECT_EQ(snapshot->status.code(), StatusCode::kFailedPrecondition)
+      << snapshot->status;
+
+  auto stats = run.handle.Call(StatsRequest("c"));
+  ASSERT_TRUE(stats.ok() && stats->status.ok());
+  EXPECT_EQ(stats->stats.epoch, state.epoch);
+  EXPECT_EQ(stats->stats.live_points, 2u);
+  auto query = run.handle.Call(
+      QueryByIdRequest("c", static_cast<uint32_t>(state.window_begin + 1)));
+  ASSERT_TRUE(query.ok());
+  ASSERT_TRUE(query->status.ok()) << query->status;
+  EXPECT_EQ(query->query.kind, PointKind::kOutlier);  // 2 points < min_pts
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 # durable leg ingests into a --data-dir server, kill -9s it, checks the
 # WAL with wal_inspect, restarts over the same directory, and asserts the
 # stats (live, epoch, outliers, core, cells) and a probe query are
-# unchanged.
+# unchanged. It then ingests the dataset again into the recovered server
+# (ids continue at the recovered epoch, so the epoch doubles) and repeats
+# the kill -9 / wal_inspect / restart / compare cycle.
 #
 # usage: tools/serve_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -151,20 +153,22 @@ DSTATS1="$("$CLIENT" --port="$DPORT" --collection=smoke --stats | head -1)"
 DPROBE1="$("$CLIENT" --port="$DPORT" --collection=smoke --query=1000,1000)"
 echo "   before kill: $DSTATS1"
 
-kill -9 "$DURABLE_PID"
-wait "$DURABLE_PID" 2>/dev/null || true
-DURABLE_PID=""
+crash_and_restart() {  # crash_and_restart LOGFILE: kill -9, inspect, reboot
+  kill -9 "$DURABLE_PID"
+  wait "$DURABLE_PID" 2>/dev/null || true
+  DURABLE_PID=""
+  echo "== wal_inspect after kill -9 (torn tail ok, corruption is not)"
+  "$WAL_INSPECT" --quiet "$DATA_DIR" \
+    || { echo "FAIL: wal_inspect found corruption"; exit 1; }
+  "$SERVE" --eps=0.7 --min-pts=5 --port=0 --data-dir="$DATA_DIR" \
+    --wal-fsync=interval >"$1" 2>&1 &
+  DURABLE_PID=$!
+  DPORT="$(wait_port "$1" "$DURABLE_PID")" \
+    || { echo "FAIL: restart after kill -9 did not come up"; exit 1; }
+  echo "   restarted port=$DPORT"
+}
 
-echo "== wal_inspect after kill -9 (torn tail ok, corruption is not)"
-"$WAL_INSPECT" --quiet "$DATA_DIR" \
-  || { echo "FAIL: wal_inspect found corruption"; exit 1; }
-
-"$SERVE" --eps=0.7 --min-pts=5 --port=0 --data-dir="$DATA_DIR" \
-  --wal-fsync=interval >"$WORK/serve_durable2.log" 2>&1 &
-DURABLE_PID=$!
-DPORT="$(wait_port "$WORK/serve_durable2.log" "$DURABLE_PID")" \
-  || { echo "FAIL: restart after kill -9 did not come up"; exit 1; }
-echo "   restarted port=$DPORT"
+crash_and_restart "$WORK/serve_durable2.log"
 DSTATS2="$("$CLIENT" --port="$DPORT" --collection=smoke --stats | head -1)"
 DPROBE2="$("$CLIENT" --port="$DPORT" --collection=smoke --query=1000,1000)"
 echo "   after restart: $DSTATS2"
@@ -172,32 +176,35 @@ echo "   after restart: $DSTATS2"
 stat_field() {  # stat_field LINE NAME -> value
   sed -n "s/.*$2=\([0-9][0-9]*\).*/\1/p" <<<"$1"
 }
-LIVE1="$(stat_field "$DSTATS1" live)"
-LIVE2="$(stat_field "$DSTATS2" live)"
-[[ -n "$LIVE1" && "$LIVE1" -eq "$LIVE2" ]] \
-  || { echo "FAIL: live points changed across restart ($LIVE1 -> $LIVE2)"; exit 1; }
-EPOCH1="$(stat_field "$DSTATS1" epoch)"
-EPOCH2="$(stat_field "$DSTATS2" epoch)"
-[[ "$EPOCH1" -eq "$EPOCH2" ]] \
-  || { echo "FAIL: epoch changed across restart ($EPOCH1 -> $EPOCH2)"; exit 1; }
-OUT1="$(stat_field "$DSTATS1" outliers)"
-OUT2="$(stat_field "$DSTATS2" outliers)"
-[[ "$OUT1" -eq "$OUT2" ]] \
-  || { echo "FAIL: outlier count changed across restart ($OUT1 -> $OUT2)"; exit 1; }
 # Recovery rebuilds the one detector from the live rows, so its core and
 # occupied-cell counts come back exactly too.
-CORE1="$(stat_field "$DSTATS1" core)"
-CORE2="$(stat_field "$DSTATS2" core)"
-[[ -n "$CORE1" && "$CORE1" -eq "$CORE2" ]] \
-  || { echo "FAIL: core count changed across restart ($CORE1 -> $CORE2)"; exit 1; }
-CELLS1="$(stat_field "$DSTATS1" cells)"
-CELLS2="$(stat_field "$DSTATS2" cells)"
-[[ -n "$CELLS1" && "$CELLS1" -eq "$CELLS2" ]] \
-  || { echo "FAIL: cell count changed across restart ($CELLS1 -> $CELLS2)"; exit 1; }
+same_stats() {  # same_stats BEFORE AFTER: live/epoch/outliers/core/cells agree
+  local field before after
+  for field in live epoch outliers core cells; do
+    before="$(stat_field "$1" "$field")"
+    after="$(stat_field "$2" "$field")"
+    [[ -n "$before" && "$before" -eq "$after" ]] \
+      || { echo "FAIL: $field changed across restart ($before -> $after)"; exit 1; }
+  done
+}
+same_stats "$DSTATS1" "$DSTATS2"
 grep -q "kind=outlier" <<<"$DPROBE2" \
   || { echo "FAIL: far probe after restart not an outlier"; exit 1; }
 [[ "$DPROBE1" == "$DPROBE2" ]] \
   || { echo "FAIL: probe answer changed across restart ($DPROBE1 -> $DPROBE2)"; exit 1; }
+
+echo "== durability: ingest after recovery, kill -9, restart again"
+EPOCH1="$(stat_field "$DSTATS1" epoch)"
+"$CLIENT" --port="$DPORT" --collection=smoke --ingest="$WORK/blobs.dbsc"
+DSTATS3="$("$CLIENT" --port="$DPORT" --collection=smoke --stats | head -1)"
+echo "   after post-recovery ingest: $DSTATS3"
+EPOCH3="$(stat_field "$DSTATS3" epoch)"
+[[ "$EPOCH3" -eq $((2 * EPOCH1)) ]] \
+  || { echo "FAIL: post-recovery ingest epoch $EPOCH3, want $((2 * EPOCH1))"; exit 1; }
+crash_and_restart "$WORK/serve_durable3.log"
+DSTATS4="$("$CLIENT" --port="$DPORT" --collection=smoke --stats | head -1)"
+echo "   after restart: $DSTATS4"
+same_stats "$DSTATS3" "$DSTATS4"
 
 echo "== health across recovery: not-ready while replaying, then ready"
 # Grow the WAL so the next crash recovery is long enough to observe: the
@@ -216,7 +223,7 @@ DURABLE_PID=""
 # (with --port=0 the port is only known after recovery completes).
 FPORT="$(python3 -c 'import socket; s=socket.socket(); s.bind(("127.0.0.1",0)); print(s.getsockname()[1]); s.close()')"
 "$SERVE" --eps=0.7 --min-pts=5 --port="$FPORT" --data-dir="$DATA_DIR" \
-  --wal-fsync=interval >"$WORK/serve_durable3.log" 2>&1 &
+  --wal-fsync=interval >"$WORK/serve_durable4.log" 2>&1 &
 DURABLE_PID=$!
 SAW_NOTREADY=0
 READY=0
