@@ -143,7 +143,9 @@ class CowChunkedVector {
    public:
     Frozen() = default;
     size_t size() const { return size_; }
-    T operator[](size_t i) const {
+    /// By reference: nothing writes a frozen chunk, and entries that own
+    /// memory (the detector's per-cell heads) are read without a copy.
+    const T& operator[](size_t i) const {
       return chunks_[i >> kChunkShift]->data[i & (kChunkSize - 1)];
     }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "common/str_util.h"
@@ -70,21 +71,29 @@ std::vector<uint32_t> IncrementalSnapshot::Outliers() const {
   return out;
 }
 
+template <typename Visit>
+void IncrementalSnapshot::ForEachNeighborCell(std::span<const double> point,
+                                              Visit visit) const {
+  thread_local std::vector<uint32_t> slots;
+  slots.clear();
+  cells_.AppendNeighbors(CellCoordFor(point, side_, dims()), &slots);
+  for (uint32_t slot : slots) {
+    visit(heads_[slot]);
+  }
+}
+
 double IncrementalSnapshot::NearestCoreDistance(
     uint32_t i, uint64_t* distance_comps) const {
   if (kinds_[i] == PointKind::kCore) {
     return 0.0;
   }
   const auto pv = points_[i];
-  const grid::CellCoord home = CellCoordFor(pv, side_, dims());
   double best2 = std::numeric_limits<double>::infinity();
-  for (const grid::CellOffset& offset : stencil_->offsets) {
-    const grid::CellCoord neighbor = home.Translated({offset.data(), dims()});
-    auto it = cells_.find(neighbor);
-    if (it == cells_.end() || it->second.core_points == 0) {
-      continue;
+  ForEachNeighborCell(pv, [&](const SnapCell& cell) {
+    if (cell.core_points == 0) {
+      return;
     }
-    for (uint32_t q : *it->second.points) {
+    for (uint32_t q : *cell.points) {
       if (kinds_[q] != PointKind::kCore) {
         continue;
       }
@@ -94,7 +103,7 @@ double IncrementalSnapshot::NearestCoreDistance(
         best2 = d2;
       }
     }
-  }
+  });
   return std::sqrt(best2);
 }
 
@@ -102,20 +111,13 @@ Result<ProbeResult> IncrementalSnapshot::Classify(
     std::span<const double> point, bool want_score) const {
   DBSCOUT_RETURN_IF_ERROR(ValidateCoordinates(point, dims(), side_));
   const uint32_t min_pts = static_cast<uint32_t>(params_.min_pts);
-  const grid::CellCoord home = CellCoordFor(point, side_, dims());
 
   ProbeResult out;
   uint64_t count = 1;  // the probe itself (Definition 2)
   bool covered = false;
   double best2 = std::numeric_limits<double>::infinity();
-  for (const grid::CellOffset& offset : stencil_->offsets) {
-    const grid::CellCoord neighbor =
-        home.Translated({offset.data(), dims()});
-    auto it = cells_.find(neighbor);
-    if (it == cells_.end()) {
-      continue;
-    }
-    for (uint32_t q : *it->second.points) {
+  ForEachNeighborCell(point, [&](const SnapCell& cell) {
+    for (uint32_t q : *cell.points) {
       const double d2 = PointSet::SquaredDistance(point, points_[q]);
       ++out.distance_comps;
       const bool within = d2 <= eps2_;
@@ -135,7 +137,7 @@ Result<ProbeResult> IncrementalSnapshot::Classify(
         best2 = d2;
       }
     }
-  }
+  });
   if (phases::IsDense(count, min_pts)) {
     out.kind = PointKind::kCore;
   } else {
@@ -158,20 +160,17 @@ Result<IncrementalDetector> IncrementalDetector::Create(size_t dims,
     return Status::InvalidArgument(
         StrFormat("dims=%zu out of supported range [1, %zu]", dims, kMaxDims));
   }
-  DBSCOUT_ASSIGN_OR_RETURN(const grid::NeighborStencil* stencil,
-                           grid::GetNeighborStencil(dims));
-  return IncrementalDetector(dims, params, stencil);
+  return IncrementalDetector(dims, params);
 }
 
-IncrementalDetector::IncrementalDetector(size_t dims, const Params& params,
-                                         const grid::NeighborStencil* stencil)
+IncrementalDetector::IncrementalDetector(size_t dims, const Params& params)
     : params_(params),
-      stencil_(stencil),
       kernels_(phases::BindKernels(dims)),
       side_(params.eps / std::sqrt(static_cast<double>(dims))),
       eps2_(params.eps * params.eps),
       block_width_(grid::HaloSlabs(dims)),
-      points_(dims) {}
+      points_(dims),
+      index_(dims) {}
 
 grid::CellCoord IncrementalDetector::CoordOf(
     std::span<const double> p) const {
@@ -181,15 +180,22 @@ grid::CellCoord IncrementalDetector::CoordOf(
 void IncrementalDetector::EnsureOwnedCell(Cell* cell) {
   if (cell->points == nullptr) {
     cell->points = std::make_shared<std::vector<uint32_t>>();
-    cell->serial = freeze_serial_;
   } else if (cell->serial != freeze_serial_) {
     // A snapshot still shares the index vector: clone before mutating so
     // its readers keep the frozen contents (appending in place could also
     // reallocate the buffer out from under them). The coords mirror is
     // detector-private — no snapshot reads it — so it never clones.
     cell->points = std::make_shared<std::vector<uint32_t>>(*cell->points);
-    cell->serial = freeze_serial_;
+  } else {
+    return;
   }
+  cell->serial = freeze_serial_;
+  heads_.MutableSlot(cell->slot)->points = cell->points;
+}
+
+void IncrementalDetector::AddCorePoints(Cell* cell, int delta) {
+  cell->core_points += delta;
+  heads_.MutableSlot(cell->slot)->core_points = cell->core_points;
 }
 
 void IncrementalDetector::AppendToCell(Cell* cell, uint32_t x,
@@ -202,40 +208,50 @@ void IncrementalDetector::AppendToCell(Cell* cell, uint32_t x,
 
 IncrementalDetector::Cell* IncrementalDetector::GetOrCreateCell(
     const grid::CellCoord& coord) {
-  auto [it, fresh] = cells_.try_emplace(coord);
-  Cell* cell = &it->second;
-  if (fresh) {
-    // Wire the neighbor caches both ways: the stencil is symmetric (the
-    // Definition 8 condition depends only on |j_i|), so this cell belongs
-    // in exactly the caches of the cells it now caches.
-    const size_t dims = points_.width();
-    for (size_t k = 0; k < dims; ++k) {
-      cell->box_origin[k] = static_cast<double>(coord[k]) * side_;
-    }
-    cell->neighbors.reserve(stencil_->size());
-    for (const grid::CellOffset& offset : stencil_->offsets) {
-      const grid::CellCoord neighbor = coord.Translated({offset.data(), dims});
-      auto nit = cells_.find(neighbor);
-      if (nit == cells_.end() || &nit->second == cell) {
-        continue;
-      }
-      cell->neighbors.push_back(&nit->second);
-      nit->second.neighbors.push_back(cell);
-    }
-    cell->neighbors.push_back(cell);  // self, last
+  if (const uint32_t slot = index_.Find(coord);
+      slot != grid::CellIndex::kNoSlot) {
+    return cells_[slot].get();
   }
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(cells_.size());
+    cells_.push_back(std::make_unique<Cell>());
+    heads_.PushBack({});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Cell* cell = cells_[slot].get();
+  cell->slot = slot;
+  const size_t dims = points_.width();
+  for (size_t k = 0; k < dims; ++k) {
+    cell->box_origin[k] = static_cast<double>(coord[k]) * side_;
+  }
+  // Wire the neighbor caches both ways: Definition 8 is symmetric (it
+  // depends only on |j_i|), so this cell belongs in exactly the caches of
+  // the cells it now caches. Each goes just before its owner's self entry.
+  neighbor_scratch_.clear();
+  index_.AppendNeighbors(coord, &neighbor_scratch_);
+  cell->neighbors.reserve(neighbor_scratch_.size() + 1);
+  for (uint32_t other_slot : neighbor_scratch_) {
+    Cell* other = cells_[other_slot].get();
+    std::vector<Link>& list = other->neighbors;
+    const uint32_t at = static_cast<uint32_t>(list.size() - 1);
+    list.push_back({other, at + 1});  // self, still last
+    list[at] = {cell, static_cast<uint32_t>(cell->neighbors.size())};
+    cell->neighbors.push_back({other, at});
+  }
+  cell->neighbors.push_back(
+      {cell, static_cast<uint32_t>(cell->neighbors.size())});  // self, last
+  index_.Insert(coord, slot);
   return cell;
 }
 
-IncrementalDetector::Cell* IncrementalDetector::CellAt(
-    const grid::CellCoord& coord) {
-  return &cells_.find(coord)->second;
-}
-
-void IncrementalDetector::Promote(uint32_t q, ApplyCtx* ctx) {
+void IncrementalDetector::Promote(PointInCell q_in, ApplyCtx* ctx) {
   const size_t dims = points_.width();
+  const uint32_t q = q_in.id;
+  Cell* home = q_in.cell;
   const auto qv = points_[q];
-  Cell* home = CellAt(CoordOf(qv));
   if (kinds_[q] != PointKind::kCore) {
     ctx->core_delta += 1;
     if (kinds_[q] == PointKind::kOutlier) {
@@ -244,10 +260,11 @@ void IncrementalDetector::Promote(uint32_t q, ApplyCtx* ctx) {
     }
     kinds_.Set(q, PointKind::kCore);
   }
-  home->core_points += 1;
+  AddCorePoints(home, 1);
   // Rescue: every current outlier within eps of the new core point becomes
   // a border point (Definition 3). Cells without outliers skip outright.
-  for (Cell* cell : home->neighbors) {
+  for (const Link& link : home->neighbors) {
+    Cell* cell = link.cell;
     if (cell->outlier_points == 0 ||
         phases::CellBoxBeyondEps(qv.data(), cell->box_origin.data(), dims,
                                  side_, eps2_)) {
@@ -279,7 +296,8 @@ void IncrementalDetector::ApplyPoint(uint32_t x, std::span<const double> pv,
   // packed cell block, then bump the flagged points' counts and collect
   // the ones whose count just crossed minPts.
   const size_t dims = points_.width();
-  for (Cell* cell : home_cell->neighbors) {
+  for (const Link& link : home_cell->neighbors) {
+    Cell* cell = link.cell;
     const size_t n = cell->points == nullptr ? 0 : cell->points->size();
     if (n == 0 || phases::CellBoxBeyondEps(pv.data(), cell->box_origin.data(),
                                            dims, side_, eps2_)) {
@@ -316,7 +334,7 @@ void IncrementalDetector::ApplyPoint(uint32_t x, std::span<const double> pv,
         uint32_t* cnt = neighbor_counts_.MutableSlot(q);
         const uint32_t new_count = ++*cnt;
         if (phases::CrossesDensityThreshold(new_count, min_pts)) {
-          ctx->promoted.push_back(q);
+          ctx->promoted.push_back({q, cell});
         }
       }
     }
@@ -325,11 +343,11 @@ void IncrementalDetector::ApplyPoint(uint32_t x, std::span<const double> pv,
   // Register x only now, so the scan above never saw it.
   AppendToCell(home_cell, x, pv);
 
-  for (uint32_t q : ctx->promoted) {
+  for (const PointInCell& q : ctx->promoted) {
     Promote(q, ctx);
   }
   if (phases::IsDense(count_x, min_pts)) {
-    Promote(x, ctx);
+    Promote({x, home_cell}, ctx);
   } else if (covered_by_core || !ctx->promoted.empty()) {
     // Any point promoted by this insertion is within eps of x by
     // construction, so x is covered either way. A Promote above may have
@@ -393,7 +411,7 @@ void IncrementalDetector::ApplyGroupBatched(
             }
             uint32_t* cnt = neighbor_counts_.MutableSlot(q);
             if (phases::CrossesDensityThreshold(++*cnt, min_pts)) {
-              ctx->promoted.push_back(q);
+              ctx->promoted.push_back({q, home_cell});
             }
           }
         }
@@ -407,7 +425,8 @@ void IncrementalDetector::ApplyGroupBatched(
   // +k (threshold crossing detected in batched form), not k scattered
   // read-modify-writes. Coverage uses a per-block core mask built at most
   // once per group; kinds_ is stable here because promotions defer. ----
-  for (Cell* cell : home_cell->neighbors) {
+  for (const Link& link : home_cell->neighbors) {
+    Cell* cell = link.cell;
     if (cell == home_cell) {
       continue;  // self (last) was the home pass above
     }
@@ -472,7 +491,7 @@ void IncrementalDetector::ApplyGroupBatched(
       const uint32_t old_count = *cnt;
       *cnt = old_count + added;
       if (phases::CrossesDensityThresholdBy(old_count, added, min_pts)) {
-        ctx->promoted.push_back(idx[j]);
+        ctx->promoted.push_back({idx[j], cell});
       }
     }
   }
@@ -483,13 +502,13 @@ void IncrementalDetector::ApplyGroupBatched(
   for (size_t i = 0; i < m; ++i) {
     neighbor_counts_.Set(members[i], ctx->member_counts[i]);
   }
-  for (uint32_t q : ctx->promoted) {
+  for (const PointInCell& q : ctx->promoted) {
     Promote(q, ctx);
   }
   for (size_t i = 0; i < m; ++i) {
     const uint32_t x = members[i];
     if (phases::IsDense(ctx->member_counts[i], min_pts)) {
-      Promote(x, ctx);
+      Promote({x, home_cell}, ctx);
     } else if (ctx->member_covered[i] && kinds_[x] == PointKind::kOutlier) {
       kinds_.Set(x, PointKind::kBorder);
       ctx->outlier_delta -= 1;
@@ -553,41 +572,43 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
     DBSCOUT_RETURN_IF_ERROR(ValidateCoordinates(batch[i], dims, side_));
   }
 
-  // ---- Serial pre-phase: append rows and group points by home cell. ----
+  // ---- Serial pre-phase: append rows, group points by home cell (a
+  // stable sort by cell coordinate, so each group's members ascend) and
+  // create every home cell. The wave tasks then only read the index and
+  // the (now stable) cached neighbor lists, never create or erase a cell,
+  // so no index write or cache rewiring can happen under a concurrent
+  // task. ----
   const uint32_t base = static_cast<uint32_t>(points_.size());
-  struct Group {
-    grid::CellCoord coord;
-    Cell* cell = nullptr;
-    int64_t block = 0;
-    std::vector<uint32_t> members;  // ascending appended indices
-  };
-  std::vector<Group> groups;
-  std::unordered_map<grid::CellCoord, size_t, grid::CellCoordHash> group_of;
+  std::vector<grid::CellCoord> homes(n);
+  std::vector<uint32_t> order(n);
   for (size_t i = 0; i < n; ++i) {
     const auto p = batch[i];
     points_.PushBack(p);
     kinds_.PushBack(PointKind::kOutlier);  // provisional
     neighbor_counts_.PushBack(1);          // itself
     alive_.PushBack(1);
-    const grid::CellCoord home = CoordOf(p);
-    auto [it, fresh] = group_of.try_emplace(home, groups.size());
-    if (fresh) {
-      Group g;
-      g.coord = home;
-      g.block = grid::SlabBlock(home[0], block_width_);
-      groups.push_back(std::move(g));
+    homes[i] = CoordOf(p);
+    order[i] = static_cast<uint32_t>(i);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return homes[a] < homes[b];
+  });
+  struct Group {
+    Cell* cell = nullptr;
+    int64_t block = 0;
+    std::vector<uint32_t> members;  // ascending appended indices
+  };
+  std::vector<Group> groups;
+  for (size_t r = 0; r < n; ++r) {
+    const grid::CellCoord& home = homes[order[r]];
+    if (r == 0 || !(homes[order[r - 1]] == home)) {
+      groups.push_back({GetOrCreateCell(home),
+                        grid::SlabBlock(home[0], block_width_), {}});
     }
-    groups[it->second].members.push_back(base + static_cast<uint32_t>(i));
+    groups.back().members.push_back(base + order[r]);
   }
   num_outliers_ += n;
   live_points_ += n;
-  // Create every home cell now, serially: the wave tasks then only read
-  // the cell map's structure and the (now stable) cached neighbor lists,
-  // never insert, so no rehash or cache rewiring can happen under a
-  // concurrent task.
-  for (Group& g : groups) {
-    g.cell = GetOrCreateCell(g.coord);
-  }
 
   // ---- Partition home-cell groups into slab-block shard tasks. ----
   std::unordered_map<int64_t, std::vector<size_t>> blocks;
@@ -676,7 +697,7 @@ Status IncrementalDetector::Remove(uint32_t id) {
 
   // ---- Unregister id from its home cell (swap-erase of both parallel
   // arrays) so the scans below never see it. ----
-  Cell* home_cell = CellAt(home);
+  Cell* home_cell = cells_[index_.Find(home)].get();
   EnsureOwnedCell(home_cell);
   {
     std::vector<uint32_t>& idx = *home_cell->points;
@@ -691,7 +712,7 @@ Status IncrementalDetector::Remove(uint32_t id) {
     coords.resize(last * dims);
   }
   if (old_kind == PointKind::kCore) {
-    home_cell->core_points -= 1;
+    AddCorePoints(home_cell, -1);
     ctx.core_delta -= 1;
   } else if (old_kind == PointKind::kOutlier) {
     ctx.outlier_delta -= 1;
@@ -703,9 +724,10 @@ Status IncrementalDetector::Remove(uint32_t id) {
   // ---- Decrement the counts of id's eps-neighbors; a core point whose
   // count falls off the minPts threshold demotes. Border neighbors of a
   // removed core may have lost their cover: collect them for re-check. ----
-  std::vector<uint32_t> demoted;
-  std::vector<uint32_t> candidates;
-  for (Cell* cell : home_cell->neighbors) {
+  std::vector<PointInCell> demoted;
+  std::vector<PointInCell> candidates;
+  for (const Link& link : home_cell->neighbors) {
+    Cell* cell = link.cell;
     const size_t cn = cell->points == nullptr ? 0 : cell->points->size();
     if (cn == 0 || phases::CellBoxBeyondEps(pv.data(), cell->box_origin.data(),
                                             dims, side_, eps2_)) {
@@ -727,10 +749,10 @@ Status IncrementalDetector::Remove(uint32_t id) {
       const uint32_t old_count = neighbor_counts_[q];
       neighbor_counts_.Set(q, old_count - 1);
       if (phases::LeavesDensityThreshold(old_count, min_pts)) {
-        demoted.push_back(q);  // was exactly at the threshold: core until now
+        demoted.push_back({q, cell});  // at the threshold: core until now
       } else if (old_kind == PointKind::kCore &&
                  kinds_[q] == PointKind::kBorder) {
-        candidates.push_back(q);
+        candidates.push_back({q, cell});
       }
     }
   }
@@ -739,15 +761,16 @@ Status IncrementalDetector::Remove(uint32_t id) {
   // for every border point in reach of a lost core (the demoted points
   // themselves included). Demotions never cascade — neighbor counts are
   // independent of core status — so one round settles the core set. ----
-  for (uint32_t q : demoted) {
-    kinds_.Set(q, PointKind::kBorder);
+  for (const PointInCell& q : demoted) {
+    kinds_.Set(q.id, PointKind::kBorder);
     ctx.core_delta -= 1;
-    CellAt(CoordOf(points_[q]))->core_points -= 1;
+    AddCorePoints(q.cell, -1);
     candidates.push_back(q);
   }
-  for (uint32_t q : demoted) {
-    const auto qv = points_[q];
-    for (Cell* cell : CellAt(CoordOf(qv))->neighbors) {
+  for (const PointInCell& q : demoted) {
+    const auto qv = points_[q.id];
+    for (const Link& link : q.cell->neighbors) {
+      Cell* cell = link.cell;
       const size_t cn = cell->points == nullptr ? 0 : cell->points->size();
       if (cn == 0 ||
           phases::CellBoxBeyondEps(qv.data(), cell->box_origin.data(), dims,
@@ -767,22 +790,29 @@ Status IncrementalDetector::Remove(uint32_t id) {
         }
         --hits;
         if (kinds_[idx[i]] == PointKind::kBorder) {
-          candidates.push_back(idx[i]);
+          candidates.push_back({idx[i], cell});
         }
       }
     }
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  for (uint32_t c : candidates) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const PointInCell& a, const PointInCell& b) {
+              return a.id < b.id;
+            });
+  candidates.erase(
+      std::unique(candidates.begin(), candidates.end(),
+                  [](const PointInCell& a, const PointInCell& b) {
+                    return a.id == b.id;
+                  }),
+      candidates.end());
+  for (const auto& [c, candidate_home] : candidates) {
     if (kinds_[c] != PointKind::kBorder) {
       continue;  // promoted-away or already handled
     }
     const auto cv = points_[c];
-    Cell* candidate_home = CellAt(CoordOf(cv));
     bool covered = false;
-    for (Cell* cell : candidate_home->neighbors) {
+    for (const Link& link : candidate_home->neighbors) {
+      Cell* cell = link.cell;
       if (cell->core_points == 0 || cell->points == nullptr ||
           phases::CellBoxBeyondEps(cv.data(), cell->box_origin.data(), dims,
                                    side_, eps2_)) {
@@ -813,21 +843,31 @@ Status IncrementalDetector::Remove(uint32_t id) {
 void IncrementalDetector::EraseCell(const grid::CellCoord& coord,
                                     Cell* cell) {
   // The caches are symmetric, so `cell` sits in exactly the caches of the
-  // cells in its own. Swap-erase it from each, moving the owner's self
-  // entry back into the last slot.
-  for (Cell* neighbor : cell->neighbors) {
-    if (neighbor == cell) {
+  // cells in its own, at the positions its links record. Swap-erase it
+  // from each: the owner's second-to-last entry fills the hole (its
+  // partner learns the new position) and the self entry moves up to stay
+  // last.
+  for (const Link& link : cell->neighbors) {
+    Cell* owner = link.cell;
+    if (owner == cell) {
       continue;
     }
-    std::vector<Cell*>& list = neighbor->neighbors;
-    const size_t pos =
-        std::find(list.begin(), list.end(), cell) - list.begin();
-    const size_t last = list.size() - 1;  // the neighbor's self entry
-    list[pos] = list[last - 1];
-    list[last - 1] = list[last];
+    std::vector<Link>& list = owner->neighbors;
+    const uint32_t pos = link.back;
+    const uint32_t last = static_cast<uint32_t>(list.size() - 1);
+    if (pos != last - 1) {
+      list[pos] = list[last - 1];
+      list[pos].cell->neighbors[list[pos].back].back = pos;
+    }
+    list[last - 1] = {owner, last - 1};
     list.pop_back();
   }
-  cells_.erase(coord);
+  index_.Erase(coord);
+  // Snapshots keep the point vector through their own head copies.
+  heads_.Set(cell->slot, {});
+  const uint32_t slot = cell->slot;
+  *cell = Cell();
+  free_slots_.push_back(slot);
 }
 
 std::vector<PointKind> IncrementalDetector::kinds() const {
@@ -852,24 +892,19 @@ std::vector<uint32_t> IncrementalDetector::Outliers() const {
 std::shared_ptr<const IncrementalSnapshot> IncrementalDetector::SnapshotNow() {
   auto snap = std::make_shared<IncrementalSnapshot>();
   snap->params_ = params_;
-  snap->stencil_ = stencil_;
   snap->side_ = side_;
   snap->eps2_ = eps2_;
   snap->points_ = points_.Freeze();
   snap->kinds_ = kinds_.Freeze();
   snap->neighbor_counts_ = neighbor_counts_.Freeze();
   snap->alive_ = alive_.Freeze();
-  snap->cells_.reserve(cells_.size());
-  for (const auto& [coord, cell] : cells_) {
-    snap->cells_.emplace(coord,
-                         IncrementalSnapshot::SnapCell{
-                             cell.points, cell.core_points});
-  }
+  snap->cells_ = index_.Freeze();
+  snap->heads_ = heads_.Freeze();
   snap->num_core_ = num_core_;
   snap->num_outliers_ = num_outliers_;
   snap->live_points_ = live_points_;
-  // From here on, the first write into any chunk or cell the snapshot
-  // shares must clone it.
+  // From here on, the first write into any chunk, index node or cell the
+  // snapshot shares must clone it.
   ++freeze_serial_;
   return snap;
 }

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cow.h"
@@ -14,7 +13,7 @@
 #include "core/phases/phase_kernels.h"
 #include "data/point_set.h"
 #include "grid/cell_coord.h"
-#include "grid/neighborhood.h"
+#include "grid/cell_index.h"
 
 namespace dbscout {
 class ThreadPool;
@@ -38,10 +37,10 @@ struct ProbeResult {
   uint64_t distance_comps = 0;
 };
 
-/// Per-pass statistics of one (possibly sharded) batch apply: how many
-/// region shards the batch split into and how long each executed shard
-/// task ran. Feeds the service's dbscout_apply_shards gauge and
-/// dbscout_apply_shard_seconds histogram.
+/// Per-pass statistics of one batch apply: how many dim-0 slab-block tasks
+/// the batch split into and how long each executed task ran. Feeds the
+/// service's dbscout_apply_shards gauge and dbscout_apply_shard_seconds
+/// histogram.
 struct ApplyStats {
   size_t shards = 1;
   std::vector<double> shard_seconds;
@@ -49,12 +48,14 @@ struct ApplyStats {
 
 /// An immutable view of the incremental detector's state at one epoch (=
 /// number of points inserted when the snapshot was taken). Snapshots share
-/// chunked storage with the live detector via copy-on-write, so taking one
-/// costs O(epoch / chunk-size) pointer copies, and any number of threads
-/// may read a snapshot concurrently with further insertions into the
-/// producing detector — provided the snapshot pointer itself is published
-/// with release/acquire ordering (the detection service stores it in a
-/// std::atomic shared_ptr).
+/// storage with the live detector via copy-on-write: the cell index is a
+/// root pointer (grid::CellIndex), the per-cell heads and the per-id rows
+/// are chunk lists, so taking one costs O(1) for the cells plus
+/// O((epoch + cell slots) / chunk-size) pointer copies. Any number of
+/// threads may read a snapshot concurrently with further insertions into
+/// the producing detector — provided the snapshot pointer itself is
+/// published with release/acquire ordering (the detection service stores
+/// it in a std::atomic shared_ptr).
 class IncrementalSnapshot {
  public:
   IncrementalSnapshot() = default;
@@ -94,9 +95,9 @@ class IncrementalSnapshot {
   /// Classifies a point NOT in the set against this epoch: the label it
   /// would receive from DetectSequential on the epoch's live points +
   /// probe. Fails on dims mismatch or non-finite coordinates.
-  /// `want_score` additionally computes the nearest-core distance
-  /// (disables no early exits here; the scan always walks the full
-  /// stencil).
+  /// `want_score` additionally computes the nearest-core distance. The
+  /// scan visits the occupied Definition 8 neighbor cells of the probe's
+  /// cell, found by the index descent, never the k_d stencil.
   Result<ProbeResult> Classify(std::span<const double> point,
                                bool want_score) const;
 
@@ -109,13 +110,19 @@ class IncrementalSnapshot {
  private:
   friend class IncrementalDetector;
 
+  /// What a reader needs of one cell: its live point indices and its
+  /// core count. One head per cell slot of the detector.
   struct SnapCell {
     std::shared_ptr<const std::vector<uint32_t>> points;
     uint32_t core_points = 0;
   };
 
+  /// Calls visit(head) for every occupied neighbor cell of the cell of
+  /// `point`.
+  template <typename Visit>
+  void ForEachNeighborCell(std::span<const double> point, Visit visit) const;
+
   Params params_;
-  const grid::NeighborStencil* stencil_ = nullptr;
   double side_ = 0.0;
   double eps2_ = 0.0;
 
@@ -123,7 +130,8 @@ class IncrementalSnapshot {
   CowChunkedVector<PointKind>::Frozen kinds_;
   CowChunkedVector<uint32_t>::Frozen neighbor_counts_;
   CowChunkedVector<uint8_t>::Frozen alive_;
-  std::unordered_map<grid::CellCoord, SnapCell, grid::CellCoordHash> cells_;
+  grid::CellIndex::Frozen cells_;  // cell coordinate -> slot in heads_
+  CowChunkedVector<SnapCell>::Frozen heads_;
   size_t num_core_ = 0;
   size_t num_outliers_ = 0;
   size_t live_points_ = 0;
@@ -140,9 +148,12 @@ class IncrementalSnapshot {
 /// grow, so core points stay core and non-outliers stay non-outliers; the
 /// only transitions are non-core -> core (a count crossing minPts) and
 /// outlier -> border (a rescue by a newly-core point). Each insertion
-/// therefore costs one stencil scan for the new point plus one stencil
-/// scan per point it promotes to core — O(minPts * k_d) amortized, the
-/// same constant as the batch algorithm's per-point cost.
+/// therefore costs one neighbor-cell scan for the new point plus one per
+/// point it promotes to core — O(minPts) cell scans amortized over at most
+/// k_d cells each, the same bound as the batch algorithm's per-point cost.
+/// A cell finds its neighbor cells once, when it is created, by a
+/// Definition 8 descent over the sorted cell index (grid::CellIndex), so
+/// the cost is bounded by the occupied cells, never by k_d.
 ///
 /// Removals break that monotonicity, so Remove() re-derives the affected
 /// transitions: counts of the removed point's eps-neighbors decrement
@@ -154,15 +165,16 @@ class IncrementalSnapshot {
 /// Threading contract: all mutating calls (Add/AddBatch/AddBatchParallel/
 /// Remove/SnapshotNow) must come from one writer at a time; SnapshotNow()
 /// hands out immutable views that other threads may read concurrently
-/// with subsequent writes (the storage is copy-on-write at chunk/cell
-/// granularity, see common/cow.h). AddBatchParallel additionally fans the
-/// batch out over a caller-provided ThreadPool: points are grouped by
-/// home cell, groups by dim-0 slab block of width 2*ceil(sqrt(d)) cells,
-/// and blocks run in three waves colored so that concurrently running
-/// tasks' read/write footprints never overlap (see grid/regions.h). The
-/// final state is identical to sequential insertion — point labels are an
-/// order-independent function of the point set — and no snapshot is taken
-/// mid-batch, so readers only ever observe exact epochs.
+/// with subsequent writes (the storage is copy-on-write at chunk, index
+/// node and cell granularity, see common/cow.h and grid/cell_index.h).
+/// AddBatchParallel additionally fans the batch out over a caller-provided
+/// ThreadPool: points are grouped by home cell, groups by dim-0 slab block
+/// of width 2*ceil(sqrt(d)) cells, and blocks run in three waves colored
+/// so that concurrently running tasks' read/write footprints never
+/// overlap (see grid/regions.h). The final state is identical to
+/// sequential insertion — point labels are an order-independent function
+/// of the point set — and no snapshot is taken mid-batch, so readers only
+/// ever observe exact epochs.
 class IncrementalDetector {
  public:
   /// Fails on invalid params or dims outside [1, kMaxDims].
@@ -224,43 +236,63 @@ class IncrementalDetector {
   size_t num_core() const { return num_core_; }
   size_t num_outliers() const { return num_outliers_; }
   /// Occupied grid cells: Remove() erases a cell it empties.
-  size_t num_cells() const { return cells_.size(); }
+  size_t num_cells() const { return index_.size(); }
 
   /// Total point-to-point distance evaluations performed by mutations
   /// (monotone; the service's STATS verb reports deltas per apply pass).
   uint64_t distance_computations() const { return distance_comps_; }
 
-  /// Freezes the current state into an immutable snapshot. O(occupied
-  /// cells + size/chunk-size); subsequent writes copy-on-write only the
+  /// Freezes the current state into an immutable snapshot: a root pointer
+  /// for the cell index plus O((size + cell slots) / chunk-size) chunk
+  /// pointers; subsequent writes copy-on-write only the index nodes,
   /// chunks and cells they touch. Must be called from the writer thread,
   /// never concurrently with AddBatchParallel shard tasks.
   std::shared_ptr<const IncrementalSnapshot> SnapshotNow();
 
  private:
+  struct Cell;
+
+  /// One entry of a cell's neighbor cache: the neighbor, and where the
+  /// reverse entry sits in the neighbor's own cache (unused for the self
+  /// entry), so unlinking an erased cell costs O(1) per neighbor.
+  struct Link {
+    Cell* cell;
+    uint32_t back;
+  };
+
   struct Cell {
     /// Point indices and their packed row-major coordinates (parallel
     /// arrays: coords rows line up with points entries), so neighborhood
     /// scans run the SIMD block kernels over one contiguous block per
-    /// cell. Only `points` is COW (snapshots share it via SnapCell and it
-    /// clones on first mutation after a SnapshotNow()); `coords` is a
-    /// detector-private scan mirror no snapshot ever reads — readers
-    /// resolve coordinates through the frozen row store — so it mutates in
-    /// place across snapshots.
+    /// cell. Only `points` is COW (snapshots share it through the cell's
+    /// head in heads_, and it clones on first mutation after a
+    /// SnapshotNow()); `coords` is a detector-private scan mirror no
+    /// snapshot ever reads — readers resolve coordinates through the
+    /// frozen row store — so it mutates in place across snapshots.
     std::shared_ptr<std::vector<uint32_t>> points;
     std::vector<double> coords;
-    /// Stencil-neighbor cells (self included, last), resolved once at
-    /// creation and kept symmetric as later cells appear and as emptied
-    /// cells are erased (EraseCell unlinks them) — the mutation paths never
-    /// pay per-point stencil hash lookups. unordered_map nodes are stable
-    /// under rehash, so the pointers stay valid while their cell exists.
-    std::vector<Cell*> neighbors;
+    /// Neighbor cells (Definition 8; self included, last), found once at
+    /// creation by the index descent and kept symmetric as later cells
+    /// appear and as emptied cells are erased (EraseCell unlinks them) —
+    /// the mutation paths never search for neighbor cells per point.
+    /// Cells live behind unique_ptrs in cells_, so the pointers stay valid
+    /// while their cell exists.
+    std::vector<Link> neighbors;
     /// Lower corner of the cell's box (coord * side per axis), so scans can
     /// skip this cell outright when the whole box lies beyond eps of the
     /// query (phases::CellBoxBeyondEps). Fixed at creation.
     std::array<double, kMaxDims> box_origin{};
-    uint32_t core_points = 0;     // core cell iff > 0
+    uint32_t core_points = 0;     // core cell iff > 0; mirrored in heads_
     uint32_t outlier_points = 0;  // rescue scans skip cells with none
     uint64_t serial = 0;          // freeze serial at last clone/create
+    uint32_t slot = 0;            // position in cells_ and heads_
+  };
+
+  /// A point and the cell that holds it, so the label passes reach the
+  /// cell without an index lookup.
+  struct PointInCell {
+    uint32_t id;
+    Cell* cell;
   };
 
   /// Mutable per-task state of one apply task: counter deltas (merged
@@ -270,7 +302,7 @@ class IncrementalDetector {
     int64_t core_delta = 0;
     int64_t outlier_delta = 0;
     uint64_t distance_comps = 0;
-    std::vector<uint32_t> promoted;
+    std::vector<PointInCell> promoted;
     std::vector<uint8_t> flags;
     /// Batched group-apply scratch (ApplyGroupBatched): per-block-position
     /// hit totals, the block's core mask, and per-member count/coverage
@@ -281,14 +313,16 @@ class IncrementalDetector {
     std::vector<uint8_t> member_covered;
   };
 
-  IncrementalDetector(size_t dims, const Params& params,
-                      const grid::NeighborStencil* stencil);
+  IncrementalDetector(size_t dims, const Params& params);
 
   grid::CellCoord CoordOf(std::span<const double> p) const;
 
-  /// Clones the cell's point/coord vectors if a snapshot still shares
-  /// them (or creates them when empty).
+  /// Clones the cell's point vector if a snapshot still shares it (or
+  /// creates it when absent), publishing the new one in the cell's head.
   void EnsureOwnedCell(Cell* cell);
+
+  /// Adds `delta` to the cell's core count and its head's.
+  void AddCorePoints(Cell* cell, int delta);
 
   /// Registers point x (row pv) in `cell` as a provisional outlier.
   void AppendToCell(Cell* cell, uint32_t x, std::span<const double> pv);
@@ -297,11 +331,9 @@ class IncrementalDetector {
   /// neighbor caches on creation. Structural: serial contexts only.
   Cell* GetOrCreateCell(const grid::CellCoord& coord);
 
-  /// The cell at `coord`; must exist.
-  Cell* CellAt(const grid::CellCoord& coord);
-
   /// Unlinks the (emptied) cell at `coord` from its neighbors' caches and
-  /// erases it, so the map holds only occupied cells. O(its neighbors).
+  /// erases it from the index, so the index holds only occupied cells; its
+  /// slot is recycled. O(its neighbors).
   void EraseCell(const grid::CellCoord& coord, Cell* cell);
 
   /// Full insertion of one appended point x: neighborhood scan (count +
@@ -323,17 +355,16 @@ class IncrementalDetector {
                          ApplyCtx* ctx);
 
   /// Marks q core and rescues outliers within eps of it.
-  void Promote(uint32_t q, ApplyCtx* ctx);
+  void Promote(PointInCell q, ApplyCtx* ctx);
 
   /// Folds a task's counter deltas into the detector-level counters.
   void MergeCtx(const ApplyCtx& ctx);
 
   Params params_;
-  const grid::NeighborStencil* stencil_;
   phases::BoundKernels kernels_{};
   double side_ = 0.0;
   double eps2_ = 0.0;
-  /// Slab-block width of the sharded apply (2 * stencil reach along dim
+  /// Slab-block width of the sharded apply (2 * neighbor reach along dim
   /// 0): wide enough that a block task writes at most one block to each
   /// side, so three wave colors make same-wave tasks conflict-free.
   int64_t block_width_ = 2;
@@ -342,7 +373,17 @@ class IncrementalDetector {
   CowChunkedVector<PointKind> kinds_;
   CowChunkedVector<uint32_t> neighbor_counts_;  // |{q: dist <= eps}|, self incl.
   CowChunkedVector<uint8_t> alive_;
-  std::unordered_map<grid::CellCoord, Cell, grid::CellCoordHash> cells_;
+  /// Occupied cell coordinate -> slot. Structural writes (creating and
+  /// erasing cells) happen in serial contexts only.
+  grid::CellIndex index_;
+  /// Cells by slot; a slot freed by EraseCell is reused by the next
+  /// created cell.
+  std::vector<std::unique_ptr<Cell>> cells_;
+  std::vector<uint32_t> free_slots_;
+  /// Per-slot heads (point vector + core count) that snapshots read. Wave
+  /// tasks write the heads of their own cells, disjoint by construction.
+  CowChunkedVector<IncrementalSnapshot::SnapCell> heads_;
+  std::vector<uint32_t> neighbor_scratch_;  // GetOrCreateCell's descent
   size_t num_core_ = 0;
   size_t num_outliers_ = 0;
   size_t live_points_ = 0;

@@ -1,8 +1,9 @@
 #include "grid/neighbor_cells.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
+
+#include "grid/gap_pruning.h"
 
 namespace dbscout::grid {
 namespace {
@@ -10,33 +11,6 @@ namespace {
 // Cells per task when the build runs on a pool: coarse enough to amortize
 // the claim, fine enough to balance clustered grids.
 constexpr size_t kCellsPerTask = 256;
-
-// x + delta, clamped to the int64 range.
-int64_t SaturatingAdd(int64_t x, int64_t delta) {
-  int64_t out;
-  if (__builtin_add_overflow(x, delta, &out)) {
-    return delta < 0 ? std::numeric_limits<int64_t>::min()
-                     : std::numeric_limits<int64_t>::max();
-  }
-  return out;
-}
-
-// Squared gap, in cell sides, that a displacement of j cells along one axis
-// adds to the minimum distance between two cells: max(0, |j| - 1)^2.
-int64_t AxisGap(int64_t j) {
-  const int64_t a = j < 0 ? -j : j;
-  return a <= 1 ? 0 : (a - 1) * (a - 1);
-}
-
-// Largest |j| with AxisGap(j) < budget, for budget >= 1: ceil(sqrt(budget)).
-// With the whole budget d this is SlabReach(d).
-int64_t ReachWithin(int64_t budget) {
-  int64_t a = 1;
-  while (a * a < budget) {
-    ++a;
-  }
-  return a;
-}
 
 /// The cells sorted lexicographically and stored column by column: within
 /// the sorted range of one prefix (the cells sharing coordinates 0..k-1),
@@ -48,7 +22,8 @@ class SortedCells {
         dims_(coords[0].dims()),
         ids_(n_),
         cols_(n_ * dims_),
-        run_end_(n_ * dims_) {
+        run_end_(n_ * dims_),
+        pruning_(dims_) {
     std::iota(ids_.begin(), ids_.end(), 0u);
     std::sort(ids_.begin(), ids_.end(), [&](uint32_t a, uint32_t b) {
       return coords[a] < coords[b];
@@ -69,9 +44,6 @@ class SortedCells {
         run_end_[at] = same ? run_end_[at + 1] : static_cast<uint32_t>(i + 1);
       }
     }
-    for (size_t budget = 0; budget <= dims_; ++budget) {
-      reach_[budget] = ReachWithin(static_cast<int64_t>(budget));
-    }
   }
 
   /// Id of the cell at sorted position i.
@@ -90,23 +62,21 @@ class SortedCells {
             std::vector<uint32_t>* out) const {
     const int64_t* col = cols_.data() + k * n_;
     const int64_t xk = x[k];
-    // The children within `reach` of xk are exactly those that keep the
-    // gap below d, so no branch is entered only to be cut.
-    const int64_t reach = reach_[static_cast<int64_t>(dims_) - gap];
-    const int64_t top = SaturatingAdd(xk, reach);
+    // The children inside the window are exactly those that keep the gap
+    // below d, so no branch is entered only to be cut.
+    const GapPruning::Window window = pruning_.At(xk, gap);
     size_t i = static_cast<size_t>(
-        std::lower_bound(col + lo, col + hi, SaturatingAdd(xk, -reach)) -
-        col);
+        std::lower_bound(col + lo, col + hi, window.lo) - col);
     if (k + 1 == dims_) {
-      for (; i < hi && col[i] <= top; ++i) {  // leaves: one cell each
+      for (; i < hi && col[i] <= window.hi; ++i) {  // leaves: one cell each
         out->push_back(ids_[i]);
       }
       return;
     }
     const uint32_t* run_end = run_end_.data() + k * n_;
-    while (i < hi && col[i] <= top) {
+    while (i < hi && col[i] <= window.hi) {
       const size_t end = run_end[i];
-      Walk(x, k + 1, i, end, gap + AxisGap(col[i] - xk), out);
+      Walk(x, k + 1, i, end, gap + GapPruning::AxisGap(col[i] - xk), out);
       i = end;
     }
   }
@@ -116,7 +86,7 @@ class SortedCells {
   std::vector<uint32_t> ids_;      // sorted position -> cell id
   std::vector<int64_t> cols_;      // dims_ columns of n_ coordinates
   std::vector<uint32_t> run_end_;  // dims_ columns of n_ run ends
-  int64_t reach_[kMaxDims + 1];    // remaining gap budget -> max |j|
+  GapPruning pruning_;
 };
 
 }  // namespace

@@ -25,12 +25,13 @@ namespace dbscout::grid {
 ///    reaches d. That is exactly the neighbor test of Definition 8, and the
 ///    gap only grows along a path, so no neighbor is ever cut. The cut is
 ///    applied before descending: once a path has gap g, the next level's
-///    window shrinks to the |j| with max(0,|j|-1)^2 < d - g.
+///    window shrinks to the |j| with max(0,|j|-1)^2 < d - g. That
+///    arithmetic is GapPruning (gap_pruning.h), which CellIndex's descent
+///    over the live detector's cells shares.
 ///
 /// Each list holds the cell itself and comes out in ascending coordinate
 /// order, the order the stencil visits cells in, so scans with early exits
-/// do the same work either way. Window bounds saturate, so the walk is
-/// exact over the whole int64 coordinate range.
+/// do the same work either way.
 class NeighborCells {
  public:
   NeighborCells() = default;

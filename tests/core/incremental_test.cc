@@ -1,7 +1,11 @@
 #include "core/incremental.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <deque>
+#include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -247,6 +251,30 @@ TEST(IncrementalTest, DuplicateFlood) {
 // earlier. After every pass the labels of the live points equal
 // DetectSequential on them, and the cell map holds exactly the occupied
 // cells — it does not grow with the number of turnovers.
+// One batch of a two-site turnover stream: `n` points at `site` along dim
+// 0, spanning 4 cells along dim 0 and 2 along dim 1, so every turnover
+// creates and erases real cells at every d.
+PointSet TurnoverBatch(Rng* rng, size_t dims, double side, double site,
+                       size_t n) {
+  const uint64_t span0 = 4;
+  const uint64_t span1 = dims < 2 ? 1 : 2;
+  PointSet batch(dims);
+  std::vector<double> p(dims);
+  for (size_t i = 0; i < n; ++i) {
+    // Cell-aligned offsets plus a jitter inside the cell: uneven cell
+    // counts give core, border and outlier points alike.
+    const uint64_t k0 = rng->NextBounded(span0);
+    const uint64_t k1 = rng->NextBounded(span1);
+    p[0] = site + (static_cast<double>(k0) + rng->NextDouble()) * side;
+    for (size_t k = 1; k < dims; ++k) {
+      p[k] = (k == 1 ? static_cast<double>(k1) * side : 0.0) +
+             rng->NextDouble() * side * 0.999;
+    }
+    batch.Add(p);
+  }
+  return batch;
+}
+
 class WindowTurnoverTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(WindowTurnoverTest, LabelsAndCellsTrackTheLiveWindow) {
@@ -257,36 +285,20 @@ TEST_P(WindowTurnoverTest, LabelsAndCellsTrackTheLiveWindow) {
   ASSERT_TRUE(det.ok());
   ThreadPool pool(2);
   Rng rng(0x7a11 + dims);
-  // Each site spans a few cells along dims 0 and 1. Creating a cell probes
-  // the full k_d stencil (0.2 s at d = 9), so above d = 6 a site keeps to
-  // two cells, and above d = 7 to one.
-  const uint64_t span0 = dims > 7 ? 1 : (dims > 6 ? 2 : 4);
-  const uint64_t span1 = dims > 6 || dims < 2 ? 1 : 2;
   constexpr size_t kWindow = 24;
   constexpr size_t kBatch = 8;
   constexpr int kTurnovers = 20;
   PointSet all(dims);
   std::deque<uint32_t> live;
-  std::vector<double> p(dims);
   bool saw_border = false;
   bool saw_outlier = false;
   for (int batch = 0; batch < kTurnovers * static_cast<int>(kWindow / kBatch);
        ++batch) {
     const int turnover = batch / static_cast<int>(kWindow / kBatch);
     const double site = turnover % 2 == 0 ? 0.0 : 40.0;
-    PointSet adds(dims);
-    for (size_t i = 0; i < kBatch; ++i) {
-      // Cell-aligned offsets plus a jitter inside the cell: uneven cell
-      // counts give core, border and outlier points alike.
-      const uint64_t k0 = rng.NextBounded(span0);
-      const uint64_t k1 = rng.NextBounded(span1);
-      p[0] = site + (static_cast<double>(k0) + rng.NextDouble()) * side;
-      for (size_t k = 1; k < dims; ++k) {
-        p[k] = (k == 1 ? static_cast<double>(k1) * side : 0.0) +
-               rng.NextDouble() * side * 0.999;
-      }
-      adds.Add(p);
-      all.Add(p);
+    const PointSet adds = TurnoverBatch(&rng, dims, side, site, kBatch);
+    for (size_t i = 0; i < adds.size(); ++i) {
+      all.Add(adds[i]);
       live.push_back(static_cast<uint32_t>(all.size() - 1));
     }
     ASSERT_TRUE(det->AddBatchParallel(adds, &pool).ok());
@@ -330,6 +342,270 @@ INSTANTIATE_TEST_SUITE_P(Dims, WindowTurnoverTest,
                            name += std::to_string(info.param);
                            return name;
                          });
+
+// ---------------------------------------------------------------------------
+// Held snapshots: a snapshot keeps answering for its own epoch while the
+// detector applies later passes (inserts, removals, cells created and
+// erased), and its probe classification and scores are exact.
+// ---------------------------------------------------------------------------
+
+// Definition 8 on the cells of two points: sum_i max(0,|j_i|-1)^2 < d.
+bool CellsAreNeighbors(std::span<const double> a, std::span<const double> b,
+                       double side) {
+  const size_t d = a.size();
+  int64_t gap = 0;
+  for (size_t k = 0; k < d; ++k) {
+    const int64_t j = static_cast<int64_t>(std::floor(a[k] / side)) -
+                      static_cast<int64_t>(std::floor(b[k] / side));
+    const int64_t m = j < 0 ? -j : j;
+    if (m > 1) {
+      gap += (m - 1) * (m - 1);
+    }
+  }
+  return gap < static_cast<int64_t>(d);
+}
+
+// Nearest distance from x to a point of `points` marked core in `kinds`
+// whose cell neighbors x's cell (+infinity when there is none).
+double BruteForceNearestCore(std::span<const double> x, const PointSet& points,
+                             const std::vector<PointKind>& kinds,
+                             double side) {
+  double best2 = std::numeric_limits<double>::infinity();
+  for (size_t j = 0; j < points.size(); ++j) {
+    if (kinds[j] == PointKind::kCore && CellsAreNeighbors(x, points[j], side)) {
+      best2 = std::min(best2, PointSet::SquaredDistance(x, points[j]));
+    }
+  }
+  return std::sqrt(best2);
+}
+
+// The live points of a snapshot, with their ids.
+PointSet LivePointsOf(const IncrementalSnapshot& snap,
+                      std::vector<uint32_t>* ids) {
+  PointSet live(snap.dims());
+  for (uint32_t i = 0; i < snap.epoch(); ++i) {
+    if (snap.IsAlive(i)) {
+      live.Add(snap.PointAt(i));
+      ids->push_back(i);
+    }
+  }
+  return live;
+}
+
+// A probe near one of the two turnover sites, landing in occupied and
+// empty cells alike.
+std::vector<double> TurnoverProbe(Rng* rng, size_t dims, double side) {
+  std::vector<double> p(dims);
+  const double site = rng->NextBounded(2) == 0 ? 0.0 : 40.0;
+  p[0] = site + (rng->NextDouble() * 8.0 - 2.0) * side;
+  for (size_t k = 1; k < dims; ++k) {
+    p[k] = (rng->NextDouble() * (k == 1 ? 4.0 : 2.0) - 1.0) * side;
+  }
+  return p;
+}
+
+// Classify(probe) against a snapshot equals the brute-force label of the
+// probe among the snapshot's live points plus the probe, and its score is
+// the nearest core of that set in a Definition 8 neighbor cell.
+void ExpectProbeExact(const IncrementalSnapshot& snap, const PointSet& live,
+                      std::span<const double> probe, const Params& params,
+                      double side) {
+  PointSet with = live;
+  with.Add(probe);
+  const std::vector<PointKind> kinds =
+      testing::BruteForceKinds(with, params.eps, params.min_pts);
+  auto got = snap.Classify(probe, /*want_score=*/true);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->kind, kinds.back());
+  const double want_score =
+      kinds.back() == PointKind::kCore
+          ? 0.0
+          : BruteForceNearestCore(probe, live, kinds, side);
+  EXPECT_EQ(got->score, want_score);
+}
+
+struct HeldSnapshot {
+  std::shared_ptr<const IncrementalSnapshot> snap;
+  size_t num_cells = 0;
+  std::vector<PointKind> kinds;  // every id below the epoch
+  std::vector<uint32_t> outliers;
+  std::vector<uint32_t> live_ids;
+  PointSet live;
+};
+
+// The held snapshot still reports what it reported when taken. With
+// `probes`, also checks every live point's NearestCoreDistance and 20
+// probe classifications against brute force.
+void ExpectStillExact(const HeldSnapshot& held, const Params& params,
+                      double side, Rng* rng, bool probes) {
+  const IncrementalSnapshot& snap = *held.snap;
+  ASSERT_EQ(snap.num_cells(), held.num_cells);
+  ASSERT_EQ(snap.live_points(), held.live_ids.size());
+  for (uint32_t i = 0; i < held.kinds.size(); ++i) {
+    ASSERT_EQ(snap.KindOf(i), held.kinds[i]) << "id " << i;
+  }
+  ASSERT_EQ(snap.Outliers(), held.outliers);
+  if (!probes) {
+    return;
+  }
+  std::vector<PointKind> live_kinds;
+  for (uint32_t id : held.live_ids) {
+    live_kinds.push_back(held.kinds[id]);
+  }
+  for (size_t k = 0; k < held.live_ids.size(); ++k) {
+    uint64_t comps = 0;
+    const double want =
+        live_kinds[k] == PointKind::kCore
+            ? 0.0
+            : BruteForceNearestCore(held.live[k], held.live, live_kinds,
+                                    side);
+    EXPECT_EQ(snap.NearestCoreDistance(held.live_ids[k], &comps), want)
+        << "id " << held.live_ids[k];
+  }
+  for (int i = 0; i < 20; ++i) {
+    const std::vector<double> probe =
+        TurnoverProbe(rng, snap.dims(), side);
+    ExpectProbeExact(snap, held.live, probe, params, side);
+  }
+}
+
+class HeldSnapshotTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(HeldSnapshotTest, StayExactAcrossLaterPasses) {
+  const size_t dims = GetParam();
+  const Params params = MakeParams(1.0, 4);
+  const double side = params.eps / std::sqrt(static_cast<double>(dims));
+  auto det = IncrementalDetector::Create(dims, params);
+  ASSERT_TRUE(det.ok());
+  ThreadPool pool(2);
+  Rng rng(0x5a4e + dims);
+  constexpr size_t kWindow = 24;
+  constexpr size_t kBatch = 8;
+  constexpr size_t kHeld = 4;
+  std::deque<uint32_t> live;
+  std::deque<HeldSnapshot> held;
+  uint32_t next_id = 0;
+  for (int pass = 0; pass < 36; ++pass) {
+    // A pass: one batch at the current site, then expiry to the window.
+    const double site = (pass / 3) % 2 == 0 ? 0.0 : 40.0;
+    const PointSet adds = TurnoverBatch(&rng, dims, side, site, kBatch);
+    ASSERT_TRUE(det->AddBatchParallel(adds, &pool).ok());
+    for (size_t i = 0; i < adds.size(); ++i) {
+      live.push_back(next_id++);
+    }
+    while (live.size() > kWindow) {
+      ASSERT_TRUE(det->Remove(live.front()).ok());
+      live.pop_front();
+    }
+    // Every held snapshot after every later pass; the oldest, which has
+    // seen kHeld later passes, also answers probes before it is dropped.
+    for (const HeldSnapshot& h : held) {
+      const bool oldest = &h == &held.front() && held.size() == kHeld;
+      ExpectStillExact(h, params, side, &rng, oldest);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "d=" << dims << " pass " << pass << ", snapshot of epoch "
+               << h.snap->epoch();
+      }
+    }
+    if (held.size() == kHeld) {
+      held.pop_front();
+    }
+
+    HeldSnapshot h;
+    h.snap = det->SnapshotNow();
+    h.num_cells = det->num_cells();
+    h.kinds = det->kinds();
+    h.outliers = det->Outliers();
+    h.live = LivePointsOf(*h.snap, &h.live_ids);
+    ASSERT_EQ(h.live_ids, std::vector<uint32_t>(live.begin(), live.end()));
+    const std::vector<PointKind> oracle =
+        testing::BruteForceKinds(h.live, params.eps, params.min_pts);
+    for (size_t k = 0; k < h.live_ids.size(); ++k) {
+      ASSERT_EQ(h.kinds[h.live_ids[k]], oracle[k])
+          << "d=" << dims << " pass " << pass;
+    }
+    held.push_back(std::move(h));
+  }
+  for (const HeldSnapshot& h : held) {
+    ExpectStillExact(h, params, side, &rng, /*probes=*/true);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, HeldSnapshotTest,
+                         ::testing::Range(size_t{1}, kMaxDims + 1),
+                         [](const auto& info) {
+                           std::string name = "d";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
+
+// Two readers classify whatever snapshot is published while the writer
+// applies passes and publishes after each one, as the detection service
+// does; every answer must be exact for the snapshot it was read from.
+// Runs in the TSan stage (label core).
+TEST(HeldSnapshotTest, ReadersClassifyWhileWriterApplies) {
+  constexpr size_t kDims = 3;
+  const Params params = MakeParams(1.0, 4);
+  const double side = params.eps / std::sqrt(static_cast<double>(kDims));
+  auto det = IncrementalDetector::Create(kDims, params);
+  ASSERT_TRUE(det.ok());
+  std::atomic<std::shared_ptr<const IncrementalSnapshot>> published(
+      det->SnapshotNow());
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> reads{0};
+  ThreadPool readers(2);
+  for (int r = 0; r < 2; ++r) {
+    readers.Submit([&, r] {
+      Rng rng(0xbead + static_cast<uint64_t>(r));
+      // At least a few reads even when the writer finishes first.
+      for (int i = 0; i < 8 || !done.load(std::memory_order_acquire); ++i) {
+        const std::shared_ptr<const IncrementalSnapshot> snap =
+            published.load(std::memory_order_acquire);
+        std::vector<uint32_t> ids;
+        const PointSet live = LivePointsOf(*snap, &ids);
+        const std::vector<double> probe = TurnoverProbe(&rng, kDims, side);
+        PointSet with = live;
+        with.Add(probe);
+        const std::vector<PointKind> kinds =
+            testing::BruteForceKinds(with, params.eps, params.min_pts);
+        auto got = snap->Classify(probe, /*want_score=*/true);
+        if (!got.ok() || got->kind != kinds.back()) {
+          mismatches.fetch_add(1);
+        }
+        const std::vector<PointKind> live_kinds =
+            testing::BruteForceKinds(live, params.eps, params.min_pts);
+        for (size_t k = 0; k < ids.size(); ++k) {
+          if (snap->KindOf(ids[k]) != live_kinds[k]) {
+            mismatches.fetch_add(1);
+          }
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  ThreadPool writer_pool(2);
+  Rng rng(0x3717);
+  std::deque<uint32_t> live;
+  uint32_t next_id = 0;
+  for (int pass = 0; pass < 60; ++pass) {
+    const double site = (pass / 3) % 2 == 0 ? 0.0 : 40.0;
+    const PointSet adds = TurnoverBatch(&rng, kDims, side, site, 8);
+    ASSERT_TRUE(det->AddBatchParallel(adds, &writer_pool).ok());
+    for (size_t i = 0; i < adds.size(); ++i) {
+      live.push_back(next_id++);
+    }
+    while (live.size() > 24) {
+      ASSERT_TRUE(det->Remove(live.front()).ok());
+      live.pop_front();
+    }
+    published.store(det->SnapshotNow(), std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  readers.WaitIdle();
+  EXPECT_GE(reads.load(), 16);
+  EXPECT_EQ(mismatches.load(), 0);
+}
 
 }  // namespace
 }  // namespace dbscout::core

@@ -6,8 +6,9 @@
 // epoch must sit on a batch boundary of the sent stream, and the
 // restarted snapshot must equal DetectSequential on the recovered
 // prefix — with and without a sliding-window TTL. A server given a flag
-// it cannot honour must refuse to start. The serve binary path arrives
-// via the DBSCOUT_SERVE_BIN compile definition.
+// it cannot honour must refuse to start, and dbscout_client must refuse
+// an out-of-range flag instead of wrapping it. The binary paths arrive via
+// the DBSCOUT_SERVE_BIN and DBSCOUT_CLIENT_BIN compile definitions.
 
 #include <fcntl.h>
 #include <signal.h>
@@ -319,6 +320,71 @@ TEST(ServeFlagsTest, UnhonourableFlagsExitWithUsage) {
     EXPECT_TRUE(WIFEXITED(serve.exit_status));
     EXPECT_EQ(WEXITSTATUS(serve.exit_status), 2);
   }
+}
+
+/// Runs dbscout_client with `args` (output discarded) and returns its
+/// waitpid status.
+int RunClient(const std::vector<std::string>& args) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    ::dup2(null_fd, STDOUT_FILENO);
+    ::dup2(null_fd, STDERR_FILENO);
+    std::vector<std::string> full = {DBSCOUT_CLIENT_BIN};
+    full.insert(full.end(), args.begin(), args.end());
+    std::vector<char*> argv;
+    for (std::string& arg : full) {
+      argv.push_back(arg.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  int wstatus = -1;
+  ::waitpid(pid, &wstatus, 0);
+  return wstatus;
+}
+
+// Integer flags dbscout_client would have to narrow exit with usage
+// (status 2) before connecting, instead of wrapping into a different port
+// or id: against a live server, a wrapped --port=P+65536 would reach P
+// and a wrapped --query-id=2^32+5 would answer for id 5.
+TEST(ClientFlagsTest, OutOfRangeFlagsExitWithUsage) {
+  ServeProcess serve = StartServe({});
+  ASSERT_NE(serve.port, 0);
+  const std::string port = "--port=" + std::to_string(serve.port);
+  {
+    auto client = Client::Connect("127.0.0.1", serve.port);
+    ASSERT_TRUE(client.ok()) << client.status();
+    Rng rng(0xc1);
+    const PointSet points = testing::UniformPoints(&rng, 8, 2, 0.0, 1.0);
+    ASSERT_TRUE(client->Ingest("c", 2, Flatten(points)).ok());
+  }
+  // In range, the same verbs succeed, so a refusal below is the check.
+  for (const std::vector<std::string>& ok :
+       {std::vector<std::string>{port, "--collection=c", "--query-id=5"},
+        std::vector<std::string>{port, "--trace-dump",
+                                 "--trace-limit=4294967295"}}) {
+    const int status = RunClient(ok);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << ok[1] << " " << ok[2];
+  }
+  const std::string wrapped_port =
+      "--port=" + std::to_string(serve.port + 65536);
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{wrapped_port, "--collection=c", "--stats"},
+        std::vector<std::string>{"--port=18446744073709551616",
+                                 "--collection=c", "--stats"},
+        std::vector<std::string>{port, "--collection=c",
+                                 "--query-id=4294967301"},
+        std::vector<std::string>{port, "--trace-dump",
+                                 "--trace-limit=4294967296"}}) {
+    SCOPED_TRACE(bad[0] + " " + bad[2]);
+    const int status = RunClient(bad);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+  }
+  serve.Kill();
 }
 
 }  // namespace

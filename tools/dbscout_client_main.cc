@@ -22,9 +22,15 @@
 // trace=HEX) so a follow-up --trace-dump --trace-id=HEX isolates that
 // request's spans. Only use it against trace-aware servers: the stamp
 // sets the verb high bit, which pre-trace servers reject.
+//
+// --port must be <= 65535 and --query-id / --trace-limit <= 4294967295;
+// any other value exits with usage (status 2) before connecting, instead
+// of wrapping into a different port or id.
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -53,6 +59,23 @@ bool HasFlag(int argc, char** argv, const std::string& name) {
     }
   }
   return false;
+}
+
+/// Parses the value of --`name` as an unsigned integer no larger than
+/// `max`. False when the flag is present but malformed or out of range;
+/// *out keeps its value when the flag is absent.
+bool ParseBoundedFlag(int argc, char** argv, const std::string& name,
+                      uint64_t max, uint64_t* out) {
+  const char* text = FlagValue(argc, argv, name);
+  if (text == nullptr) {
+    return true;
+  }
+  auto value = dbscout::ParseUint64(text);
+  if (!value.ok() || *value > max) {
+    return false;
+  }
+  *out = *value;
+  return true;
 }
 
 int Usage() {
@@ -118,7 +141,6 @@ const char* KindName(dbscout::core::PointKind kind) {
 
 int main(int argc, char** argv) {
   using dbscout::ParseDouble;
-  using dbscout::ParseUint64;
   using dbscout::Split;
   namespace service = dbscout::service;
 
@@ -134,15 +156,21 @@ int main(int argc, char** argv) {
        !want_trace_dump)) {
     return Usage();
   }
-  auto port = ParseUint64(port_text);
-  if (!port.ok()) {
+  // Range-check every narrowed integer flag before connecting.
+  constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  uint64_t port = 0;
+  uint64_t query_id = 0;
+  uint64_t trace_limit = 0;
+  if (!ParseBoundedFlag(argc, argv, "port", 65535, &port) ||
+      !ParseBoundedFlag(argc, argv, "query-id", kMaxU32, &query_id) ||
+      !ParseBoundedFlag(argc, argv, "trace-limit", kMaxU32, &trace_limit)) {
     return Usage();
   }
   const char* host_text = FlagValue(argc, argv, "host");
   const std::string host = host_text != nullptr ? host_text : "127.0.0.1";
 
   auto client =
-      service::Client::Connect(host, static_cast<uint16_t>(*port));
+      service::Client::Connect(host, static_cast<uint16_t>(port));
   if (!client.ok()) {
     std::cerr << "dbscout_client: " << client.status() << "\n";
     return 1;
@@ -191,14 +219,7 @@ int main(int argc, char** argv) {
         return Usage();
       }
     }
-    uint32_t limit = 0;
-    if (const char* text = FlagValue(argc, argv, "trace-limit")) {
-      auto value = ParseUint64(text);
-      if (!value.ok()) {
-        return Usage();
-      }
-      limit = static_cast<uint32_t>(*value);
-    }
+    const uint32_t limit = static_cast<uint32_t>(trace_limit);
     const char* name = FlagValue(argc, argv, "span-name");
     auto answer = client->TraceDump(
         collection != nullptr ? collection : "",
@@ -261,12 +282,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (const char* id_text = FlagValue(argc, argv, "query-id")) {
-    auto id = ParseUint64(id_text);
-    if (!id.ok()) {
-      return Usage();
-    }
-    auto answer = client->QueryId(collection, static_cast<uint32_t>(*id),
+  if (FlagValue(argc, argv, "query-id") != nullptr) {
+    auto answer = client->QueryId(collection, static_cast<uint32_t>(query_id),
                                   want_score);
     if (!answer.ok()) {
       std::cerr << "dbscout_client: " << answer.status() << "\n";

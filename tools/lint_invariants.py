@@ -59,15 +59,14 @@ Enforces, statically, the contracts that the compiler cannot:
                      phase_recorder.h / driver.h orchestrate around the
                      kernels and are out of scope.
   neighbor-discovery-locality
-                     The batch engines find neighbor cells (Definition 8)
-                     through grid::NeighborCells, whose cost is bounded by
-                     the occupied cells. No iteration over
+                     Every engine finds neighbor cells (Definition 8)
+                     through grid::NeighborCells or grid::CellIndex, whose
+                     cost is bounded by the occupied cells. No iteration over
                      NeighborStencil::offsets and no GetNeighborStencil
                      call in src/ outside src/grid/ (the stencil's home,
-                     and Grid::ForEachNeighborCell) and
-                     src/core/incremental.cc (the live detector, whose
-                     cell map changes on every insert, still probes the
-                     stencil).
+                     Grid::ForEachNeighborCell, and grid::CellIndex, the
+                     live detector's sorted cell index, which finds a new
+                     cell's neighbors with the same gap-pruned descent).
 
 A finding on a given line is waived by `lint:allow(<rule>)` in a comment on
 that line; use sparingly and justify next to the waiver.
@@ -491,7 +490,7 @@ def check_hot_path_purity(path: str, lines: List[str]) -> Iterable[Finding]:
 # Rule: neighbor-discovery-locality
 # ---------------------------------------------------------------------------
 
-NEIGHBOR_STENCIL_HOMES = ("src/grid/", "src/core/incremental.cc")
+NEIGHBOR_STENCIL_HOMES = ("src/grid/",)
 # `stencil->offsets`, `stencil.offsets`, `(*stencil)->offsets`, and the
 # accessor that hands out a stencil in the first place.
 STENCIL_OFFSETS_RE = re.compile(r"stencil\w*\)?\s*(?:->|\.)\s*offsets\b",
@@ -513,9 +512,10 @@ def check_neighbor_discovery_locality(path: str, lines: List[str]
         if m:
             yield Finding(path, i, rule,
                           f"'{m.group(0).strip()}' probes all k_d stencil "
-                          "offsets per cell; batch engines find neighbor "
-                          "cells with grid::NeighborCells, whose cost is "
-                          "bounded by the occupied cells")
+                          "offsets per cell; find neighbor cells with "
+                          "grid::NeighborCells (batch) or grid::CellIndex "
+                          "(live), whose cost is bounded by the occupied "
+                          "cells")
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +808,11 @@ def self_test() -> int:
     expect("neighbor-discovery-locality",
            list(check_neighbor_discovery_locality("src/core/parallel.cc",
                                                   ok)), 0, "clean")
+    expect("neighbor-discovery-locality",
+           list(check_neighbor_discovery_locality("src/core/incremental.cc",
+                                                  bad)), 4, "live-detector")
     for home in ("src/grid/grid.h", "src/grid/neighborhood.cc",
-                 "src/core/incremental.cc"):
+                 "src/grid/cell_index.cc"):
         expect("neighbor-discovery-locality",
                list(check_neighbor_discovery_locality(home, bad)), 0,
                "home:" + home)
