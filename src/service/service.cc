@@ -837,11 +837,14 @@ bool DetectionService::ComputeExpiry(Collection* collection, double now,
 }
 
 void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
-  // What this pass does to one collection: the WAL records it applies and
-  // then logs, in replay order.
+  // What this pass does to one collection: the WAL records it logs, in
+  // apply order.
   struct CollectionPass {
     Collection* collection = nullptr;
+    /// One ingest per accepted batch, then the kExpire when a range aged
+    /// out (`expires`).
     std::vector<storage::WalRecord> records;
+    bool expires = false;
     uint64_t next_id = 0;  // global id of the next accepted point
     uint64_t points = 0;   // rows of the ingest records
     uint64_t errors = 0;   // batches refused by validation
@@ -852,6 +855,10 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     /// The apply or WAL failure of this collection's pass; it fails every
     /// ticket of the collection (durability barrier).
     Status status;
+
+    /// An ingest pass applies its kExpire after the acknowledgement; an
+    /// expiry-only pass applies it at once.
+    bool DefersExpiry() const { return expires && points > 0; }
   };
   std::vector<CollectionPass> passes;
   std::unordered_map<Collection*, size_t> pass_of;
@@ -864,28 +871,40 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     }
     return passes[it->second];
   };
+  const auto span = [&](const CollectionPass& pass, const char* name,
+                        double seconds, uint64_t records) {
+    if (trace_ != nullptr) {
+      trace_->AddTracedSpan(name, "service", pass.trace_id,
+                            pass.collection->name, seconds, records);
+    }
+  };
+  const auto freeze = [&](const CollectionPass& pass) {
+    WallTimer timer;
+    std::shared_ptr<const core::IncrementalSnapshot> snapshot =
+        pass.collection->detector.SnapshotNow();
+    const double seconds = timer.ElapsedSeconds();
+    snapshot_freeze_seconds_->Observe(seconds);
+    span(pass, "snapshot_freeze", seconds, 0);
+    return snapshot;
+  };
+  // The replaced snapshots are held until the pass returns: tearing one
+  // down (its cell map, its last shared chunks) is off the
+  // acknowledgement path. The release exchange pairs with readers'
+  // acquire.
+  std::vector<std::shared_ptr<const core::IncrementalSnapshot>> retired;
+  const auto publish =
+      [&](const CollectionPass& pass,
+          std::shared_ptr<const core::IncrementalSnapshot> snapshot) {
+        WallTimer timer;
+        retired.push_back(pass.collection->snapshot.exchange(
+            std::move(snapshot), std::memory_order_acq_rel));
+        span(pass, "snapshot_publish", timer.ElapsedSeconds(), pass.points);
+      };
 
   WallTimer pass_timer;
   const double apply_start = MonotonicSeconds();
   uint64_t real_ops = 0;
   uint64_t pass_trace_id = 0;  // the first traced op's
-
-  // ---- Expiry, first in each collection's records: every collection
-  // with a TTL window records its aged-out global-id range (also reached
-  // via timer wakeups and SweepExpiredNow ticks with an empty/tick-only
-  // batch). A stamp taken at `now` can never age out at `now` (ttl > 0),
-  // so expiring first never removes this pass's own adds. The decision is
-  // recorded, not recomputed: replay removes exactly this range
-  // regardless of the clock at recovery time. ----
-  const double now = clock_();
-  for (Collection* collection : AllCollections()) {
-    storage::WalRecord expire;
-    expire.type = storage::WalRecordType::kExpire;
-    if (ComputeExpiry(collection, now, &expire.expire_begin,
-                      &expire.expire_end)) {
-      pass_for(collection).records.push_back(std::move(expire));
-    }
-  }
 
   // ---- One ingest record per client batch that validates, in queue
   // order, taking the next global ids. A malformed batch is rejected
@@ -935,43 +954,54 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     }
   }
 
-  // ---- Per touched collection: apply the records (removals, then one
-  // coalesced add in slab-block waves on shard_pool_), freeze the
-  // snapshot, log and group-commit the same records, publish. Apply comes
-  // before append, so a failed apply never reaches the log, and the
-  // commit makes the records as durable as the fsync policy promises
-  // before any ticket completes. A failed append or commit fails the
-  // collection's tickets; the in-memory state already holds the batch, so
-  // a client retry re-ingests it, and restart recovers only what the WAL
-  // holds. Collections run strictly one after another so the shared wave
-  // pool is never contended by two detectors. The replaced snapshots are
-  // held until the tickets complete: tearing one down (its cell map, its
-  // last shared chunks) is off the acknowledgement path. ----
-  std::vector<std::shared_ptr<const core::IncrementalSnapshot>> retired;
+  // ---- Expiry, last in each collection's records: every collection
+  // with a TTL window records its aged-out global-id range (also reached
+  // via timer wakeups and SweepExpiredNow ticks with an empty/tick-only
+  // batch). Stamps cover only earlier passes, so the range ends at or
+  // before this pass's first id and never removes its own adds. The
+  // decision is recorded, not recomputed: replay removes exactly this
+  // range regardless of the clock at recovery time. ----
+  const double now = clock_();
+  for (Collection* collection : AllCollections()) {
+    storage::WalRecord expire;
+    expire.type = storage::WalRecordType::kExpire;
+    if (ComputeExpiry(collection, now, &expire.expire_begin,
+                      &expire.expire_end)) {
+      CollectionPass& pass = pass_for(collection);
+      pass.records.push_back(std::move(expire));
+      pass.expires = true;
+    }
+  }
+
+  // ---- Per touched collection, up to the acknowledgement: apply the
+  // records (one coalesced add in slab-block waves on shard_pool_; an
+  // expiry-only pass's removals), freeze the snapshot, log and
+  // group-commit every record of the pass (the ingests, then the
+  // kExpire), publish. Apply comes before append, so a failed apply never
+  // reaches the log, and the commit makes the records as durable as the
+  // fsync policy promises before any ticket completes. A failed append or
+  // commit fails the collection's tickets; the in-memory state already
+  // holds the batch, so a client retry re-ingests it, and restart
+  // recovers only what the WAL holds. Collections run strictly one after
+  // another so the shared wave pool is never contended by two
+  // detectors. ----
   uint64_t pass_points = 0;
   uint64_t pass_errors = 0;
   for (CollectionPass& pass : passes) {
     Collection* collection = pass.collection;
-    const auto span = [&](const char* name, double seconds,
-                          uint64_t records) {
-      if (trace_ != nullptr) {
-        trace_->AddTracedSpan(name, "service", pass.trace_id,
-                              collection->name, seconds, records);
-      }
-    };
+    std::span<const storage::WalRecord> records(pass.records);
+    if (pass.DefersExpiry()) {
+      records = records.first(records.size() - 1);
+    }
     double apply_seconds = 0.0;
     double expire_seconds = 0.0;
     std::shared_ptr<const core::IncrementalSnapshot> snapshot;
-    if (!pass.records.empty()) {
+    if (!records.empty()) {
       WallTimer timer;
-      pass.status = ApplyRecords(collection, pass.records, &expire_seconds);
+      pass.status = ApplyRecords(collection, records, &expire_seconds);
       apply_seconds = timer.ElapsedSeconds();
-      span("detector_apply", apply_seconds, pass.points);
-      WallTimer freeze_timer;
-      snapshot = collection->detector.SnapshotNow();
-      const double freeze_seconds = freeze_timer.ElapsedSeconds();
-      snapshot_freeze_seconds_->Observe(freeze_seconds);
-      span("snapshot_freeze", freeze_seconds, 0);
+      span(pass, "detector_apply", apply_seconds, pass.points);
+      snapshot = freeze(pass);
     }
     if (!pass.status.ok()) {
       // Pre-validation makes this unreachable short of detector-level
@@ -998,13 +1028,8 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
         }
       }
     }
-    // Publish after all of this collection's mutations; the release
-    // exchange pairs with readers' acquire.
     if (snapshot != nullptr) {
-      WallTimer publish_timer;
-      retired.push_back(collection->snapshot.exchange(
-          std::move(snapshot), std::memory_order_acq_rel));
-      span("snapshot_publish", publish_timer.ElapsedSeconds(), pass.points);
+      publish(pass, std::move(snapshot));
     }
     pass_errors += pass.errors;
     if (pass.records.empty() && pass.errors == 0) {
@@ -1015,9 +1040,8 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     collection->recorder.Accumulate(
         "apply", apply_seconds,
         total_comps - collection->last_distance_comps, pass.points);
-    if (!pass.records.empty() &&
-        pass.records.front().type == storage::WalRecordType::kExpire) {
-      const storage::WalRecord& expire = pass.records.front();
+    if (pass.expires && !pass.DefersExpiry()) {
+      const storage::WalRecord& expire = pass.records.back();
       collection->recorder.Accumulate("expire", expire_seconds, 0,
                                       expire.expire_end - expire.expire_begin);
     }
@@ -1039,18 +1063,56 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
                           /*scope=*/"", pass_timer.ElapsedSeconds(),
                           pass_points);
   }
-  // Complete tickets only now, so the epoch a blocking INGEST returns is
-  // already covered by a published snapshot and a committed WAL.
+  // Acknowledge the INGESTs now: the epoch a blocking INGEST returns is
+  // covered by a published snapshot and a committed WAL.
+  {
+    MutexLock lock(mu_);
+    for (PendingIngest& op : batch) {
+      if (op.ticket == nullptr || op.collection == nullptr) {
+        continue;
+      }
+      if (op.ticket->status.ok()) {
+        op.ticket->status = passes[pass_of.at(op.collection)].status;
+      }
+      op.ticket->done = true;
+    }
+    tickets_cv_.NotifyAll();
+  }
+
+  // ---- After the acknowledgement: each ingest pass's kExpire, logged
+  // and committed with its ingests above, is applied, frozen and
+  // published. No INGEST waits on it (an acknowledgement promises only
+  // the client's own points); a crash before this publish recovers the
+  // post-expiry window from the log. It applies after a failed pass too:
+  // window_begin has already moved past the range. Its spans start after
+  // apply_pass closed, so they nest under no pass. ----
+  for (CollectionPass& pass : passes) {
+    if (!pass.DefersExpiry()) {
+      continue;
+    }
+    const storage::WalRecord& expire = pass.records.back();
+    double expire_seconds = 0.0;
+    // Removals only: ApplyRecords logs and skips a failed Remove, so this
+    // cannot fail.
+    const Status expired =
+        ApplyRecords(pass.collection, {&expire, 1}, &expire_seconds);
+    DBSCOUT_CHECK(expired.ok()) << expired.ToString();
+    span(pass, "expire", expire_seconds,
+         expire.expire_end - expire.expire_begin);
+    publish(pass, freeze(pass));
+    MutexLock lock(pass.collection->stats_mu);
+    pass.collection->recorder.Accumulate(
+        "expire", expire_seconds, 0, expire.expire_end - expire.expire_begin);
+  }
+
+  // The pass counts as applied (Drain) and the expiry ticks complete
+  // (SweepExpiredNow) only once every expiry is published.
   MutexLock lock(mu_);
   applied_ += batch.size();
   for (PendingIngest& op : batch) {
-    if (op.ticket == nullptr) {
-      continue;
+    if (op.ticket != nullptr && op.collection == nullptr) {
+      op.ticket->done = true;
     }
-    if (op.collection != nullptr && op.ticket->status.ok()) {
-      op.ticket->status = passes[pass_of.at(op.collection)].status;
-    }
-    op.ticket->done = true;
   }
   tickets_cv_.NotifyAll();
   // `retired` drops on return, after the acknowledgements: a reader that

@@ -102,22 +102,25 @@ struct ServiceOptions {
 ///  - All mutations flow through one apply loop (a long-running task on a
 ///    private one-thread pool). Each pass swaps out the *entire* pending
 ///    queue and turns each touched collection's share of it into the WAL
-///    records it logs (an expiry, then one ingest per accepted batch).
-///    ApplyRecords applies that list as one detector pass (its slab-block
-///    waves fan out on shard_pool_), then the pass logs the same records
-///    and publishes one fresh snapshot — so N queued batches cost one
-///    detector pass and one snapshot, not N. Recovery loads through the
-///    same ApplyRecords.
+///    records it logs (one ingest per accepted batch, then an expiry).
+///    ApplyRecords applies the ingests as one detector pass (its
+///    slab-block waves fan out on shard_pool_), then the pass logs every
+///    record and publishes one fresh snapshot — so N queued batches cost
+///    one detector pass and one snapshot, not N. Recovery loads through
+///    the same ApplyRecords.
 ///  - Sliding windows: collections with a TTL expire ingest batches whose
 ///    stamp has aged past it. Expiry runs inside the apply loop (every
 ///    pass, plus periodic wakeups while any window is configured), so the
 ///    single-writer contract of the detector is preserved; removals use
-///    the detector's exact Remove() re-derivation.
+///    the detector's exact Remove() re-derivation. An ingest pass applies
+///    its logged expiry after its tickets complete and publishes a second
+///    snapshot; no INGEST waits on expiry.
 ///  - QUERY / STATS / SNAPSHOT never touch the detectors: they read the
 ///    latest published IncrementalSnapshot through an atomic shared_ptr
 ///    (release store in the apply loop, acquire load here), so read
 ///    latency is independent of ingest bursts. A snapshot is frozen only
-///    after the pass's removals and adds complete, never mid-apply.
+///    after the pass's adds complete, and again after its deferred
+///    removals complete, never mid-apply.
 ///  - Admission control: when the pending queue is at max_pending_ingests,
 ///    further INGESTs are refused with kUnavailable (explicit backpressure,
 ///    bounded memory). admission_rejections() counts the sheds.
@@ -133,8 +136,9 @@ class DetectionService {
   ~DetectionService();
 
   /// Serves one request. INGEST blocks until the batch is applied AND its
-  /// snapshot published, so the returned epoch is immediately queryable;
-  /// reads return against the latest published snapshot without blocking.
+  /// snapshot published, so the returned epoch is immediately queryable
+  /// (the pass's expiry may still be publishing); reads return against
+  /// the latest published snapshot without blocking.
   Response Dispatch(const Request& request);
 
   /// Fire-and-forget ingest: enqueues and returns without waiting for the
@@ -145,7 +149,7 @@ class DetectionService {
                      std::vector<double> coords);
 
   /// Blocks until every batch enqueued so far has been applied and
-  /// published.
+  /// published, the expiry of its pass included.
   void Drain() DBSCOUT_EXCLUDES(mu_);
 
   /// Forces one expiry sweep on the apply loop and blocks until its
@@ -274,7 +278,8 @@ class DetectionService {
 
   struct PendingIngest {
     /// Null marks an expiry tick (SweepExpiredNow): the pass applies no
-    /// points for it, but runs the expiry sweep and completes the ticket.
+    /// points for it, but runs the expiry sweep and completes the ticket
+    /// once every expiry of the pass is published.
     Collection* collection = nullptr;
     std::vector<double> coords;  // row-major, collection's dims
     std::shared_ptr<Ticket> ticket;  // null for async ingests
@@ -349,10 +354,14 @@ class DetectionService {
 
   void ApplyLoop() DBSCOUT_EXCLUDES(mu_);
   /// One coalesced apply pass: builds each touched collection's WAL
-  /// records (its aged-out TTL range, then one ingest per accepted batch),
-  /// and per collection applies them, freezes a snapshot, logs and commits
-  /// them, and publishes. Tickets complete after every collection. An
-  /// empty `batch` is an expiry-only pass (periodic window wakeup).
+  /// records (one ingest per accepted batch, then its aged-out TTL range),
+  /// and per collection applies the ingests, freezes a snapshot, logs and
+  /// commits every record, and publishes. INGEST tickets complete after
+  /// every collection; then each collection's logged expiry is applied,
+  /// frozen and published, and only then do Drain() and expiry ticks see
+  /// the pass. A collection with no ingest in the pass applies its expiry
+  /// before the log, as one record list. An empty `batch` is an
+  /// expiry-only pass (periodic window wakeup).
   void ApplyPass(std::vector<PendingIngest> batch)
       DBSCOUT_EXCLUDES(mu_, collections_mu_);
   /// The one detector mutation step, for live passes and recovery alike:

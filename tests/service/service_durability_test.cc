@@ -622,9 +622,10 @@ void ExpectIngestRecord(const storage::WalRecord& record,
 }
 
 // The WAL a service writes, record by record: the create record first; in
-// a pass that both expires and ingests, the expiry before the pass's
-// ingests; one ingest record per accepted batch at consecutive base
-// epochs; nothing for a rejected (NaN) batch or a zero-point batch; and
+// a pass that both expires and ingests, the pass's ingests before its
+// expiry (the order they apply in: the expiry applies after the
+// acknowledgement); one ingest record per accepted batch at consecutive
+// base epochs; nothing for a rejected (NaN) batch or a zero-point batch; and
 // after a restart the next ingest continues at the recovered epoch.
 TEST(DurabilityTest, WalHoldsOneRecordPerAcceptedBatchInApplyOrder) {
   const std::string dir = FreshDataDir("wal_sequence");
@@ -680,12 +681,73 @@ TEST(DurabilityTest, WalHoldsOneRecordPerAcceptedBatchInApplyOrder) {
   EXPECT_EQ(log[0].dims, 2u);
   EXPECT_DOUBLE_EQ(log[0].ttl_seconds, 5.0);
   ExpectIngestRecord(log[1], 0, a);
-  EXPECT_EQ(log[2].type, storage::WalRecordType::kExpire);
-  EXPECT_EQ(log[2].expire_begin, 0u);
-  EXPECT_EQ(log[2].expire_end, 3u);
-  ExpectIngestRecord(log[3], 3, b);
-  ExpectIngestRecord(log[4], 5, c);
+  ExpectIngestRecord(log[2], 3, b);
+  ExpectIngestRecord(log[3], 5, c);
+  EXPECT_EQ(log[4].type, storage::WalRecordType::kExpire);
+  EXPECT_EQ(log[4].expire_begin, 0u);
+  EXPECT_EQ(log[4].expire_end, 3u);
   ExpectIngestRecord(log[5], 9, d);  // the recovered epoch
+}
+
+// An INGEST whose pass expires a range returns once its own points are
+// published and committed, before the expiry applies; the expiry's record
+// is committed with the pass all the same. A copy of the data dir taken
+// as the INGEST returns is a crash image at that point (the expiry
+// writes nothing more): restarting on it recovers the post-expiry window,
+// labeled as DetectSequential labels the live points.
+TEST(DurabilityTest, IngestAckFindsItsExpiryCommittedAndRecoverable) {
+  const std::string dir = FreshDataDir("ack_expiry");
+  const std::string crash = FreshDataDir("ack_expiry_crash");
+  const size_t dims = 2;
+  Rng rng(0xac4e);
+  PointSet ingested(dims);
+  std::atomic<double> now{0.0};
+  // Large and dense, so that removing it outlasts the copy and the log
+  // read below: an expiry committed only after it applied would be
+  // missing from both.
+  const PointSet first = testing::ClusteredPoints(&rng, 4000, dims, 2, 0.2);
+  const PointSet second = testing::ClusteredPoints(&rng, 30, dims, 2, 0.2);
+
+  {
+    obs::Registry registry;
+    ServiceOptions options = DurableOptions(dir, &registry, &now);
+    options.ttl_seconds = 5.0;
+    DurableRun run(options);
+    ASSERT_TRUE(run.service.recovery_status().ok());
+    Ingest(&run.handle, &ingested, first);  // lint:allow(discarded-status) void test helper
+    // t=10: the first batch (stamped 0, TTL 5) is due in the next pass.
+    now.store(10.0);
+    Ingest(&run.handle, &ingested, second);  // lint:allow(discarded-status) void test helper
+    std::filesystem::copy(dir, crash,
+                          std::filesystem::copy_options::recursive);
+
+    const std::vector<storage::WalRecord> log = ReadLog(dir);
+    ASSERT_EQ(log.size(), 4u);
+    EXPECT_EQ(log[0].type, storage::WalRecordType::kCreate);
+    ExpectIngestRecord(log[1], 0, first.values());
+    ExpectIngestRecord(log[2], first.size(), second.values());
+    EXPECT_EQ(log[3].type, storage::WalRecordType::kExpire);
+    EXPECT_EQ(log[3].expire_begin, 0u);
+    EXPECT_EQ(log[3].expire_end, first.size());
+
+    run.service.Drain();
+    ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
+                        "after drain");
+  }
+
+  obs::Registry registry;
+  ServiceOptions options = DurableOptions(crash, &registry, &now);
+  options.ttl_seconds = 5.0;
+  DurableRun run(options);
+  ASSERT_TRUE(run.service.recovery_status().ok())
+      << run.service.recovery_status();
+  auto stats = run.handle.Call(StatsRequest("c"));
+  ASSERT_TRUE(stats.ok() && stats->status.ok());
+  EXPECT_EQ(stats->stats.window_begin, first.size());
+  EXPECT_EQ(stats->stats.live_points, second.size());
+  EXPECT_EQ(stats->stats.epoch, ingested.size());
+  ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
+                      "after restart on the crash image");
 }
 
 // A SNAPSHOT reply carries two bytes per global id, a recovered base

@@ -381,6 +381,68 @@ TEST(ServiceTest, ApplyPassEmitsServiceTraceSpans) {
   EXPECT_TRUE(saw_apply_pass);
 }
 
+// An ingest pass whose window expires a range applies that expiry after
+// the acknowledgement: its expire, snapshot_freeze and snapshot_publish
+// spans carry the pass's trace id and start only after apply_pass ended,
+// so no stage arithmetic nests them in the pass. The STATS expire row
+// still counts the removals.
+TEST(ServiceTest, ExpiryAfterAckEmitsSpansOutsideThePass) {
+  std::atomic<double> now{0.0};
+  obs::Registry registry;
+  obs::TraceCollector trace;
+  ServiceOptions options = MakeOptions(1.0, 2);
+  options.registry = &registry;
+  options.trace = &trace;
+  options.ttl_seconds = 5.0;
+  options.clock = [&now] { return now.load(); };
+  DetectionService service(options);
+  Request first = IngestRequest("c", 2, {0.0, 0.0, 0.1, 0.0, 0.2, 0.0});
+  ASSERT_TRUE(service.Dispatch(first).status.ok());
+  now.store(10.0);  // the first batch is due in the next pass
+  Request second = IngestRequest("c", 2, {5.0, 5.0, 5.1, 5.0});
+  second.context.trace_id = 0x5eed;
+  ASSERT_TRUE(service.Dispatch(second).status.ok());
+  service.Drain();
+
+  const obs::TraceSpan* pass = nullptr;
+  // The pass's apply-thread spans that end past it.
+  std::vector<obs::TraceSpan> after;
+  const std::vector<obs::TraceSpan> spans = trace.Spans();
+  for (const obs::TraceSpan& span : spans) {
+    if (span.name == "apply_pass" && span.trace_id == 0x5eed) {
+      pass = &span;
+    }
+  }
+  ASSERT_NE(pass, nullptr);
+  const double pass_end = pass->start_seconds + pass->duration_seconds;
+  for (const obs::TraceSpan& span : spans) {
+    if (span.trace_id == 0x5eed && span.cat == "service" &&
+        span.name != "apply_pass" &&
+        span.start_seconds + span.duration_seconds > pass_end) {
+      after.push_back(span);
+    }
+  }
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[0].name, "expire");
+  EXPECT_EQ(after[0].records, 3u);
+  EXPECT_EQ(after[1].name, "snapshot_freeze");
+  EXPECT_EQ(after[2].name, "snapshot_publish");
+  for (const obs::TraceSpan& span : after) {
+    EXPECT_GE(span.start_seconds, pass_end) << span.name;
+    EXPECT_EQ(span.scope, "c");
+  }
+
+  auto stats = ServiceHandle(&service).Call(StatsRequest("c"));
+  ASSERT_TRUE(stats.ok() && stats->status.ok());
+  EXPECT_EQ(stats->stats.live_points, 2u);
+  EXPECT_EQ(stats->stats.window_begin, 3u);
+  const auto expire_row =
+      std::find_if(stats->stats.phases.begin(), stats->stats.phases.end(),
+                   [](const auto& row) { return row.name == "expire"; });
+  ASSERT_NE(expire_row, stats->stats.phases.end());
+  EXPECT_EQ(expire_row->records, 3u);
+}
+
 TEST(ServiceTest, ReadsOnFreshCollectionSeeEpochZero) {
   DetectionService service(MakeOptions(1.0, 3));
   service.SetApplyPausedForTest(true);
