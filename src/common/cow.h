@@ -19,9 +19,9 @@ namespace dbscout {
 ///    one thread, with no concurrent access of any kind.
 ///  - Between structural operations, multiple worker threads may call
 ///    Set() and operator[] concurrently as long as no two threads touch
-///    the same index ("disjoint-index phase"). The sharded apply pipeline
-///    uses this: stripe tasks overwrite labels/counts for their own points
-///    while reading neighbors owned by no concurrent writer.
+///    the same index ("disjoint-index phase"). The slab-wave apply
+///    pipeline uses this: block tasks overwrite labels/counts for their
+///    own points while reading neighbors owned by no concurrent writer.
 ///  - Freeze() produces an immutable view of the first size() entries that
 ///    shares the chunk storage (O(size/chunk) pointer copies, no element
 ///    copies).

@@ -559,8 +559,7 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
     return Status::InvalidArgument("batch dims mismatch");
   }
   if (stats != nullptr) {
-    stats->shards = 1;
-    stats->shard_seconds.clear();
+    stats->task_seconds.clear();
   }
   const size_t n = batch.size();
   if (n == 0) {
@@ -610,7 +609,7 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
   num_outliers_ += n;
   live_points_ += n;
 
-  // ---- Partition home-cell groups into slab-block shard tasks. ----
+  // ---- Partition home-cell groups into slab-block tasks. ----
   std::unordered_map<int64_t, std::vector<size_t>> blocks;
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     blocks[groups[gi].block].push_back(gi);
@@ -641,7 +640,7 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
     }
     MergeCtx(ctx);
     if (stats != nullptr) {
-      stats->shard_seconds.push_back(timer.ElapsedSeconds());
+      stats->task_seconds.push_back(timer.ElapsedSeconds());
     }
     return Status::OK();
   }
@@ -649,10 +648,7 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
   // ---- Three conflict-free waves (see grid/regions.h: same-wave blocks
   // are >= 3 apart, and a block task's read/write footprint spans at most
   // one block to each side). Each task owns a private ApplyCtx; counter
-  // deltas and shard timings merge under the mutex as tasks finish. ----
-  if (stats != nullptr) {
-    stats->shards = blocks.size();
-  }
+  // deltas and task timings merge under the mutex as tasks finish. ----
   Mutex merge_mu;
   for (int wave = 0; wave < grid::kNumWaves; ++wave) {
     for (const auto& [block, gis] : blocks) {
@@ -670,7 +666,7 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
         MutexLock lock(merge_mu);
         MergeCtx(ctx);
         if (stats != nullptr) {
-          stats->shard_seconds.push_back(timer.ElapsedSeconds());
+          stats->task_seconds.push_back(timer.ElapsedSeconds());
         }
       });
     }

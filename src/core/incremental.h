@@ -37,13 +37,11 @@ struct ProbeResult {
   uint64_t distance_comps = 0;
 };
 
-/// Per-pass statistics of one batch apply: how many dim-0 slab-block tasks
-/// the batch split into and how long each executed task ran. Feeds the
-/// service's dbscout_apply_shards gauge and dbscout_apply_shard_seconds
-/// histogram.
+/// Per-pass statistics of one batch apply: the wall time of each executed
+/// dim-0 slab-block task (one entry when the batch ran inline). Feeds the
+/// service's dbscout_apply_task_seconds histogram.
 struct ApplyStats {
-  size_t shards = 1;
-  std::vector<double> shard_seconds;
+  std::vector<double> task_seconds;
 };
 
 /// An immutable view of the incremental detector's state at one epoch (=
@@ -191,10 +189,10 @@ class IncrementalDetector {
   /// validated first, so on error the detector is unchanged.
   Status AddBatch(const PointSet& batch);
 
-  /// Inserts every point of `batch` using the sharded apply pipeline on
-  /// `pool` (nullptr runs the same grouped scan inline, single-threaded).
+  /// Inserts every point of `batch` in slab-block wave tasks on `pool`
+  /// (nullptr runs the same grouped scan inline, single-threaded).
   /// Validates the whole batch first (atomic failure). `stats`, when
-  /// non-null, receives shard count and per-shard-task seconds.
+  /// non-null, receives the seconds of every task.
   Status AddBatchParallel(const PointSet& batch, ThreadPool* pool,
                           ApplyStats* stats = nullptr);
 
@@ -246,7 +244,7 @@ class IncrementalDetector {
   /// for the cell index plus O((size + cell slots) / chunk-size) chunk
   /// pointers; subsequent writes copy-on-write only the index nodes,
   /// chunks and cells they touch. Must be called from the writer thread,
-  /// never concurrently with AddBatchParallel shard tasks.
+  /// never concurrently with AddBatchParallel wave tasks.
   std::shared_ptr<const IncrementalSnapshot> SnapshotNow();
 
  private:
@@ -296,7 +294,7 @@ class IncrementalDetector {
   };
 
   /// Mutable per-task state of one apply task: counter deltas (merged
-  /// serially under the merge mutex — shard tasks never touch the
+  /// serially under the merge mutex — wave tasks never touch the
   /// detector-level counters) and reusable scratch buffers.
   struct ApplyCtx {
     int64_t core_delta = 0;
@@ -364,7 +362,7 @@ class IncrementalDetector {
   phases::BoundKernels kernels_{};
   double side_ = 0.0;
   double eps2_ = 0.0;
-  /// Slab-block width of the sharded apply (2 * neighbor reach along dim
+  /// Slab-block width of the wave apply (2 * neighbor reach along dim
   /// 0): wide enough that a block task writes at most one block to each
   /// side, so three wave colors make same-wave tasks conflict-free.
   int64_t block_width_ = 2;

@@ -12,7 +12,7 @@ namespace dbscout::grid {
 
 /// Region math shared by the engines that partition cell space along
 /// dimension 0: the external (out-of-core) engine stripes its spill files
-/// by dim-0 cell slab, and the incremental engine's sharded apply pipeline
+/// by dim-0 cell slab, and the incremental engine's apply pipeline
 /// colors slab blocks into non-conflicting waves. Both rely on the same
 /// geometric fact: with cell side eps/sqrt(d), a point's eps-neighborhood
 /// spans at most SlabReach(d) slabs in each direction along dim 0
@@ -33,9 +33,8 @@ inline int64_t SlabReach(size_t dims) {
 /// whose label depends on the partition's owned cells — including
 /// second-order effects (a core decision in the first halo ring) — is
 /// present locally: two stencil reaches. This is THE halo width of the
-/// codebase; the external engine's spill ghost zones, the incremental
-/// engine's slab-block width, and the service's detector-shard replicas
-/// all use it.
+/// codebase; the external engine's spill ghost zones and the incremental
+/// engine's slab-block width both use it.
 inline int64_t HaloSlabs(size_t dims) { return 2 * SlabReach(dims); }
 
 /// Greedy stripe planning over an ordered dim-0 slab histogram: accumulate
@@ -51,7 +50,7 @@ std::vector<Stripe> PlanStripes(
 /// slab); stripes.size() when none. Binary search.
 size_t FirstStripeAtOrAfter(std::span<const Stripe> stripes, int64_t slab);
 
-/// Fixed-width slab blocks for the incremental engine's sharded apply.
+/// Fixed-width slab blocks for the incremental engine's wave apply.
 /// Block b owns slabs [b*width, (b+1)*width); floor division so negative
 /// slabs block correctly.
 inline int64_t SlabBlock(int64_t slab, int64_t width) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -100,7 +101,7 @@ DetectionService::DetectionService(const ServiceOptions& options)
       trace_(options.trace),
       apply_pool_(1) {
   if (const unsigned cores = std::thread::hardware_concurrency(); cores > 1) {
-    shard_pool_ = std::make_unique<ThreadPool>(cores);
+    apply_workers_ = std::make_unique<ThreadPool>(cores);
   }
   if (options.ttl_seconds > 0.0) {
     has_window_.store(true, std::memory_order_relaxed);
@@ -125,11 +126,9 @@ DetectionService::DetectionService(const ServiceOptions& options)
       "dbscout_apply_batch_size",
       "Ingest batches coalesced into one apply pass",
       obs::HistogramLayout::Count());
-  apply_shards_gauge_ = registry_->GetGauge(
-      "dbscout_apply_shards",
-      "Slab-block shards of the most recent coalesced apply");
-  apply_shard_seconds_ = registry_->GetHistogram(
-      "dbscout_apply_shard_seconds", "Wall seconds per apply shard task",
+  apply_task_seconds_ = registry_->GetHistogram(
+      "dbscout_apply_task_seconds",
+      "Wall seconds per slab-block task of an apply pass",
       obs::HistogramLayout::Latency());
   snapshot_freeze_seconds_ = registry_->GetHistogram(
       "dbscout_snapshot_freeze_seconds",
@@ -167,7 +166,7 @@ DetectionService::DetectionService(const ServiceOptions& options)
   // passes keep the single-writer contract trivially. With
   // defer_recovery both recovery AND the loop start wait for
   // RunDeferredRecovery() — the loop must not run expiry passes (which
-  // share shard_pool_) concurrently with replay.
+  // share apply_workers_) concurrently with replay.
   if (!options_.data_dir.empty()) {
     recovery_state_.store(RecoveryState::kRecovering,
                           std::memory_order_relaxed);
@@ -838,13 +837,13 @@ bool DetectionService::ComputeExpiry(Collection* collection, double now,
 
 void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
   // What this pass does to one collection: the WAL records it logs, in
-  // apply order.
+  // log order.
   struct CollectionPass {
     Collection* collection = nullptr;
-    /// One ingest per accepted batch, then the kExpire when a range aged
-    /// out (`expires`).
-    std::vector<storage::WalRecord> records;
-    bool expires = false;
+    std::vector<storage::WalRecord> ingests;  // one per accepted batch
+    /// The aged-out range, logged after the ingests and applied after the
+    /// acknowledgement.
+    std::optional<storage::WalRecord> expire;
     uint64_t next_id = 0;  // global id of the next accepted point
     uint64_t points = 0;   // rows of the ingest records
     uint64_t errors = 0;   // batches refused by validation
@@ -855,10 +854,6 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     /// The apply or WAL failure of this collection's pass; it fails every
     /// ticket of the collection (durability barrier).
     Status status;
-
-    /// An ingest pass applies its kExpire after the acknowledgement; an
-    /// expiry-only pass applies it at once.
-    bool DefersExpiry() const { return expires && points > 0; }
   };
   std::vector<CollectionPass> passes;
   std::unordered_map<Collection*, size_t> pass_of;
@@ -942,7 +937,7 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
       ingest.dims = static_cast<uint16_t>(dims);
       ingest.base_epoch = pass.next_id;  // replay cross-checks its epoch
       ingest.coords = std::move(op.coords);
-      pass.records.push_back(std::move(ingest));
+      pass.ingests.push_back(std::move(ingest));
       pass.next_id += count;
       pass.points += count;
     }
@@ -954,51 +949,45 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     }
   }
 
-  // ---- Expiry, last in each collection's records: every collection
-  // with a TTL window records its aged-out global-id range (also reached
-  // via timer wakeups and SweepExpiredNow ticks with an empty/tick-only
-  // batch). Stamps cover only earlier passes, so the range ends at or
-  // before this pass's first id and never removes its own adds. The
-  // decision is recorded, not recomputed: replay removes exactly this
-  // range regardless of the clock at recovery time. ----
+  // ---- Expiry: every collection with a TTL window records its aged-out
+  // global-id range (also reached via timer wakeups and SweepExpiredNow
+  // ticks with an empty/tick-only batch). Stamps cover only earlier
+  // passes, so the range ends at or before this pass's first id and never
+  // removes its own adds. The decision is recorded, not recomputed:
+  // replay removes exactly this range regardless of the clock at recovery
+  // time. ----
   const double now = clock_();
   for (Collection* collection : AllCollections()) {
     storage::WalRecord expire;
     expire.type = storage::WalRecordType::kExpire;
     if (ComputeExpiry(collection, now, &expire.expire_begin,
                       &expire.expire_end)) {
-      CollectionPass& pass = pass_for(collection);
-      pass.records.push_back(std::move(expire));
-      pass.expires = true;
+      pass_for(collection).expire = std::move(expire);
     }
   }
 
   // ---- Per touched collection, up to the acknowledgement: apply the
-  // records (one coalesced add in slab-block waves on shard_pool_; an
-  // expiry-only pass's removals), freeze the snapshot, log and
-  // group-commit every record of the pass (the ingests, then the
-  // kExpire), publish. Apply comes before append, so a failed apply never
-  // reaches the log, and the commit makes the records as durable as the
-  // fsync policy promises before any ticket completes. A failed append or
-  // commit fails the collection's tickets; the in-memory state already
-  // holds the batch, so a client retry re-ingests it, and restart
-  // recovers only what the WAL holds. Collections run strictly one after
-  // another so the shared wave pool is never contended by two
-  // detectors. ----
+  // ingest records (one coalesced add in slab-block waves on
+  // apply_workers_), freeze the snapshot, log the ingests, then the
+  // kExpire, group-commit them, publish. Apply comes before append, so a
+  // failed apply never reaches the log, and the commit makes the records
+  // as durable as the fsync policy promises before any ticket completes.
+  // A failed append or commit fails the collection's tickets; the
+  // in-memory state already holds the batch, so a client retry re-ingests
+  // it, and restart recovers only what the WAL holds. Collections run
+  // strictly one after another so the shared wave pool is never contended
+  // by two detectors. ----
   uint64_t pass_points = 0;
   uint64_t pass_errors = 0;
   for (CollectionPass& pass : passes) {
     Collection* collection = pass.collection;
-    std::span<const storage::WalRecord> records(pass.records);
-    if (pass.DefersExpiry()) {
-      records = records.first(records.size() - 1);
-    }
+    core::IncrementalDetector& detector = collection->detector;
+    const uint64_t comps = detector.distance_computations();
     double apply_seconds = 0.0;
-    double expire_seconds = 0.0;
     std::shared_ptr<const core::IncrementalSnapshot> snapshot;
-    if (!records.empty()) {
+    if (!pass.ingests.empty()) {
       WallTimer timer;
-      pass.status = ApplyRecords(collection, records, &expire_seconds);
+      pass.status = ApplyRecords(collection, pass.ingests);
       apply_seconds = timer.ElapsedSeconds();
       span(pass, "detector_apply", apply_seconds, pass.points);
       snapshot = freeze(pass);
@@ -1015,8 +1004,11 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
             Collection::StampRange{pass.next_id, now});
       }
       if (storage::CollectionStore* store = collection->store.get()) {
-        for (size_t i = 0; i < pass.records.size() && pass.status.ok(); ++i) {
-          pass.status = store->LogRecord(pass.records[i]);
+        for (size_t i = 0; i < pass.ingests.size() && pass.status.ok(); ++i) {
+          pass.status = store->LogRecord(pass.ingests[i]);
+        }
+        if (pass.status.ok() && pass.expire) {
+          pass.status = store->LogRecord(*pass.expire);
         }
         if (pass.status.ok()) {
           pass.status = store->Commit(pass.trace_id);
@@ -1032,40 +1024,30 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
       publish(pass, std::move(snapshot));
     }
     pass_errors += pass.errors;
-    if (pass.records.empty() && pass.errors == 0) {
-      continue;  // nothing happened to this collection
+    if (pass.ingests.empty() && pass.errors == 0) {
+      continue;  // no ingest op reached this collection
     }
-    const uint64_t total_comps = collection->detector.distance_computations();
     MutexLock lock(collection->stats_mu);
     collection->recorder.Accumulate(
-        "apply", apply_seconds,
-        total_comps - collection->last_distance_comps, pass.points);
-    if (pass.expires && !pass.DefersExpiry()) {
-      const storage::WalRecord& expire = pass.records.back();
-      collection->recorder.Accumulate("expire", expire_seconds, 0,
-                                      expire.expire_end - expire.expire_begin);
-    }
-    collection->last_distance_comps = total_comps;
+        "apply", apply_seconds, detector.distance_computations() - comps,
+        pass.points);
     collection->ingest_errors += pass.errors;
   }
 
-  if (batch.empty()) {
-    return;  // timer wakeup: no ingest to count, nobody to acknowledge
-  }
-  apply_batch_size_->Observe(static_cast<double>(real_ops));
-  ingest_batches_total_->Increment(real_ops);
-  ingest_points_total_->Increment(pass_points);
-  ingest_errors_total_->Increment(pass_errors);
-  if (trace_ != nullptr) {
-    // One span per coalesced apply pass, attributed to the apply thread
-    // and (when any op was traced) to the first traced op's id.
-    trace_->AddTracedSpan("apply_pass", "service", pass_trace_id,
-                          /*scope=*/"", pass_timer.ElapsedSeconds(),
-                          pass_points);
-  }
-  // Acknowledge the INGESTs now: the epoch a blocking INGEST returns is
-  // covered by a published snapshot and a committed WAL.
-  {
+  if (!batch.empty()) {
+    apply_batch_size_->Observe(static_cast<double>(real_ops));
+    ingest_batches_total_->Increment(real_ops);
+    ingest_points_total_->Increment(pass_points);
+    ingest_errors_total_->Increment(pass_errors);
+    if (trace_ != nullptr) {
+      // One span per coalesced apply pass, attributed to the apply thread
+      // and (when any op was traced) to the first traced op's id.
+      trace_->AddTracedSpan("apply_pass", "service", pass_trace_id,
+                            /*scope=*/"", pass_timer.ElapsedSeconds(),
+                            pass_points);
+    }
+    // Acknowledge the INGESTs now: the epoch a blocking INGEST returns is
+    // covered by a published snapshot and a committed WAL.
     MutexLock lock(mu_);
     for (PendingIngest& op : batch) {
       if (op.ticket == nullptr || op.collection == nullptr) {
@@ -1079,32 +1061,44 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     tickets_cv_.NotifyAll();
   }
 
-  // ---- After the acknowledgement: each ingest pass's kExpire, logged
-  // and committed with its ingests above, is applied, frozen and
-  // published. No INGEST waits on it (an acknowledgement promises only
-  // the client's own points); a crash before this publish recovers the
-  // post-expiry window from the log. It applies after a failed pass too:
-  // window_begin has already moved past the range. Its spans start after
-  // apply_pass closed, so they nest under no pass. ----
+  // ---- After the acknowledgement, the one place a kExpire applies: each
+  // collection's logged range is removed, frozen and published. No INGEST
+  // waits on it (an acknowledgement promises only the client's own
+  // points); a crash before this publish recovers the post-expiry window
+  // from the log. It applies after a failed pass too: window_begin has
+  // already moved past the range. Its spans start after apply_pass
+  // closed, so they nest under no pass. ----
   for (CollectionPass& pass : passes) {
-    if (!pass.DefersExpiry()) {
+    if (!pass.expire) {
       continue;
     }
-    const storage::WalRecord& expire = pass.records.back();
-    double expire_seconds = 0.0;
-    // Removals only: ApplyRecords logs and skips a failed Remove, so this
-    // cannot fail.
-    const Status expired =
-        ApplyRecords(pass.collection, {&expire, 1}, &expire_seconds);
-    DBSCOUT_CHECK(expired.ok()) << expired.ToString();
-    span(pass, "expire", expire_seconds,
-         expire.expire_end - expire.expire_begin);
+    const storage::WalRecord& expire = *pass.expire;
+    Collection* collection = pass.collection;
+    core::IncrementalDetector& detector = collection->detector;
+    const uint64_t comps = detector.distance_computations();
+    WallTimer timer;
+    for (uint64_t id = expire.expire_begin; id < expire.expire_end; ++id) {
+      const Status removed =
+          detector.Remove(static_cast<uint32_t>(id - collection->base));
+      if (!removed.ok()) {
+        DBSCOUT_LOG(kWarning) << "collection '" << collection->name
+                              << "': remove id=" << id
+                              << " failed: " << removed.ToString();
+      }
+    }
+    const double expire_seconds = timer.ElapsedSeconds();
+    const uint64_t expired = expire.expire_end - expire.expire_begin;
+    span(pass, "expire", expire_seconds, expired);
     publish(pass, freeze(pass));
-    MutexLock lock(pass.collection->stats_mu);
-    pass.collection->recorder.Accumulate(
-        "expire", expire_seconds, 0, expire.expire_end - expire.expire_begin);
+    MutexLock lock(collection->stats_mu);
+    collection->recorder.Accumulate(
+        "expire", expire_seconds, detector.distance_computations() - comps,
+        expired);
   }
 
+  if (batch.empty()) {
+    return;  // timer wakeup: nothing to count, nobody to complete
+  }
   // The pass counts as applied (Drain) and the expiry ticks complete
   // (SweepExpiredNow) only once every expiry is published.
   MutexLock lock(mu_);
@@ -1120,17 +1114,17 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
 }
 
 Status DetectionService::ApplyRecords(
-    Collection* collection, std::span<const storage::WalRecord> records,
-    double* expire_seconds) {
-  core::IncrementalDetector& detector = collection->detector;
-  // Gather every ingest row before touching the detector; the rows must
-  // continue the collection's ids with no gap (the continuity rule
+    Collection* collection, std::span<const storage::WalRecord> ingests) {
+  // Gather every row before touching the detector; the rows must continue
+  // the collection's ids with no gap (the continuity rule
   // storage::ApplyRecordToState enforces on replay).
   std::vector<double> rows;
-  uint64_t next_id = collection->base + detector.epoch();
-  for (const storage::WalRecord& record : records) {
+  uint64_t next_id = collection->base + collection->detector.epoch();
+  for (const storage::WalRecord& record : ingests) {
     if (record.type != storage::WalRecordType::kIngest) {
-      continue;
+      return Status::Internal(
+          StrFormat("collection '%s': only ingest records apply here",
+                    collection->name.c_str()));
     }
     if (record.base_epoch != next_id) {
       return Status::Internal(StrFormat(
@@ -1142,35 +1136,16 @@ Status DetectionService::ApplyRecords(
     next_id += record.coords.size() / collection->dims;
     rows.insert(rows.end(), record.coords.begin(), record.coords.end());
   }
-  WallTimer timer;
-  for (const storage::WalRecord& record : records) {
-    if (record.type != storage::WalRecordType::kExpire) {
-      continue;
-    }
-    for (uint64_t id = record.expire_begin; id < record.expire_end; ++id) {
-      const Status removed =
-          detector.Remove(static_cast<uint32_t>(id - collection->base));
-      if (!removed.ok()) {
-        DBSCOUT_LOG(kWarning) << "collection '" << collection->name
-                              << "': remove id=" << id
-                              << " failed: " << removed.ToString();
-      }
-    }
-  }
-  if (expire_seconds != nullptr) {
-    *expire_seconds = timer.ElapsedSeconds();
-  }
   if (rows.empty()) {
     return Status::OK();
   }
   DBSCOUT_ASSIGN_OR_RETURN(
       PointSet adds, PointSet::FromRowMajor(collection->dims, std::move(rows)));
   core::ApplyStats apply_stats;
-  const Status added =
-      detector.AddBatchParallel(adds, shard_pool_.get(), &apply_stats);
-  apply_shards_gauge_->Set(static_cast<int64_t>(apply_stats.shards));
-  for (double shard_seconds : apply_stats.shard_seconds) {
-    apply_shard_seconds_->Observe(shard_seconds);
+  const Status added = collection->detector.AddBatchParallel(
+      adds, apply_workers_.get(), &apply_stats);
+  for (double task_seconds : apply_stats.task_seconds) {
+    apply_task_seconds_->Observe(task_seconds);
   }
   return added;
 }
@@ -1182,7 +1157,6 @@ Result<std::unique_ptr<storage::CollectionStore>> DetectionService::OpenStore(
     const std::string& name, storage::RecoveredCollection* recovered) {
   storage::StoreOptions store_options;
   store_options.fsync = options_.wal_fsync;
-  store_options.fsync_interval_seconds = options_.wal_fsync_interval_seconds;
   store_options.snapshot_interval_bytes = options_.snapshot_interval_bytes;
   store_options.clock = clock_;
   store_options.registry = registry_;

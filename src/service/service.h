@@ -61,11 +61,9 @@ struct ServiceOptions {
   std::string data_dir;
 
   /// When WAL appends are fdatasync'd relative to ingest acknowledgement
-  /// (see storage::FsyncPolicy for the loss contract per mode).
+  /// (see storage::FsyncPolicy for the loss contract per mode). kInterval
+  /// uses the store's default interval (StoreOptions).
   storage::FsyncPolicy wal_fsync = storage::FsyncPolicy::kAlways;
-
-  /// kInterval policy: max seconds between group fsyncs.
-  double wal_fsync_interval_seconds = 0.05;
 
   /// Compact a collection's WAL into a snapshot once its active segment
   /// exceeds this many bytes (0 disables automatic compaction).
@@ -104,23 +102,23 @@ struct ServiceOptions {
 ///    queue and turns each touched collection's share of it into the WAL
 ///    records it logs (one ingest per accepted batch, then an expiry).
 ///    ApplyRecords applies the ingests as one detector pass (its
-///    slab-block waves fan out on shard_pool_), then the pass logs every
-///    record and publishes one fresh snapshot — so N queued batches cost
-///    one detector pass and one snapshot, not N. Recovery loads through
-///    the same ApplyRecords.
+///    slab-block waves fan out on apply_workers_), then the pass logs
+///    every record and publishes one fresh snapshot — so N queued batches
+///    cost one detector pass and one snapshot, not N. Recovery loads
+///    through the same ApplyRecords.
 ///  - Sliding windows: collections with a TTL expire ingest batches whose
 ///    stamp has aged past it. Expiry runs inside the apply loop (every
 ///    pass, plus periodic wakeups while any window is configured), so the
 ///    single-writer contract of the detector is preserved; removals use
-///    the detector's exact Remove() re-derivation. An ingest pass applies
-///    its logged expiry after its tickets complete and publishes a second
-///    snapshot; no INGEST waits on expiry.
+///    the detector's exact Remove() re-derivation. Every pass logs its
+///    expiry with its ingests and applies it after the acknowledgements,
+///    publishing one more snapshot; no INGEST waits on expiry.
 ///  - QUERY / STATS / SNAPSHOT never touch the detectors: they read the
 ///    latest published IncrementalSnapshot through an atomic shared_ptr
 ///    (release store in the apply loop, acquire load here), so read
 ///    latency is independent of ingest bursts. A snapshot is frozen only
-///    after the pass's adds complete, and again after its deferred
-///    removals complete, never mid-apply.
+///    after the pass's adds complete, and again after its removals
+///    complete, never mid-apply.
 ///  - Admission control: when the pending queue is at max_pending_ingests,
 ///    further INGESTs are refused with kUnavailable (explicit backpressure,
 ///    bounded memory). admission_rejections() counts the sheds.
@@ -246,7 +244,6 @@ class DetectionService {
 
     Mutex stats_mu;
     core::phases::PhaseRecorder recorder DBSCOUT_GUARDED_BY(stats_mu);
-    uint64_t last_distance_comps DBSCOUT_GUARDED_BY(stats_mu) = 0;
     uint64_t ingest_errors DBSCOUT_GUARDED_BY(stats_mu) = 0;
 
     /// Durability engine; null when the service runs in-memory. The
@@ -354,26 +351,22 @@ class DetectionService {
 
   void ApplyLoop() DBSCOUT_EXCLUDES(mu_);
   /// One coalesced apply pass: builds each touched collection's WAL
-  /// records (one ingest per accepted batch, then its aged-out TTL range),
-  /// and per collection applies the ingests, freezes a snapshot, logs and
-  /// commits every record, and publishes. INGEST tickets complete after
-  /// every collection; then each collection's logged expiry is applied,
-  /// frozen and published, and only then do Drain() and expiry ticks see
-  /// the pass. A collection with no ingest in the pass applies its expiry
-  /// before the log, as one record list. An empty `batch` is an
-  /// expiry-only pass (periodic window wakeup).
+  /// records (one ingest per accepted batch, then its aged-out TTL range).
+  /// Per collection it applies the ingests, if any, freezes a snapshot,
+  /// logs the ingests and then the expiry under one commit, and
+  /// publishes. INGEST tickets complete after every collection; then each
+  /// collection's logged expiry is removed, frozen and published, and
+  /// only then do Drain() and expiry ticks see the pass. An empty `batch`
+  /// is a periodic window wakeup: no ingest, the same expiry step.
   void ApplyPass(std::vector<PendingIngest> batch)
       DBSCOUT_EXCLUDES(mu_, collections_mu_);
-  /// The one detector mutation step, for live passes and recovery alike:
-  /// every kExpire removes its id range, then the rows of every kIngest
-  /// go in as one AddBatchParallel on shard_pool_ (feeding the
-  /// dbscout_apply_shards* series). Other record types are skipped. An
-  /// ingest record whose base_epoch is not the next global id fails the
-  /// call before anything is mutated. `expire_seconds`, when non-null,
-  /// receives the removals' wall time.
+  /// The one detector add step, for live passes and recovery alike: the
+  /// rows of every kIngest go in as one AddBatchParallel on
+  /// apply_workers_ (feeding dbscout_apply_task_seconds). Any other
+  /// record type, or an ingest record whose base_epoch is not the next
+  /// global id, fails the call before anything is mutated.
   Status ApplyRecords(Collection* collection,
-                      std::span<const storage::WalRecord> records,
-                      double* expire_seconds = nullptr);
+                      std::span<const storage::WalRecord> ingests);
   /// Pops `collection`'s aged-out stamp ranges and advances window_begin,
   /// returning true and the global-id range [*begin, *end) to remove
   /// (the detector pass performs the actual removals). Apply loop only.
@@ -420,8 +413,7 @@ class DetectionService {
   obs::Gauge* collections_gauge_ = nullptr;
   obs::Histogram* queue_wait_seconds_ = nullptr;
   obs::Histogram* apply_batch_size_ = nullptr;
-  obs::Gauge* apply_shards_gauge_ = nullptr;
-  obs::Histogram* apply_shard_seconds_ = nullptr;
+  obs::Histogram* apply_task_seconds_ = nullptr;
   obs::Histogram* snapshot_freeze_seconds_ = nullptr;
   obs::Counter* replay_records_total_ = nullptr;
   obs::Counter* replay_points_total_ = nullptr;
@@ -433,12 +425,12 @@ class DetectionService {
   /// Request latency by verb, indexed by Verb's numeric value.
   std::array<obs::Histogram*, kNumVerbSlots> request_seconds_{};
 
-  /// Shard workers AddBatchParallel fans block tasks out on, one per
+  /// Workers AddBatchParallel fans slab-block tasks out on, one per
   /// hardware thread; null on a single core (serial apply). Its wave
   /// barriers WaitIdle() the pool, so the apply loop runs one collection's
   /// detector at a time. Declared before apply_pool_ so the apply loop
   /// never outlives its workers.
-  std::unique_ptr<ThreadPool> shard_pool_;
+  std::unique_ptr<ThreadPool> apply_workers_;
 
   /// Declared last so it is destroyed first: the apply-loop task has
   /// already exited by then (the destructor calls Stop()).

@@ -126,7 +126,7 @@ TEST(CowChunkedVectorTest, MoveTransfersContentsAndViewsSurvive) {
 }
 
 TEST(CowChunkedVectorTest, DisjointConcurrentSetsLandAndViewsStayIntact) {
-  // The sharded apply pipeline's contract: between structural operations,
+  // The slab-wave apply pipeline's contract: between structural operations,
   // worker threads may Set/read disjoint index ranges concurrently. Every
   // chunk here is shared with a frozen view, so first-touch clones race on
   // the clone mutex; all writes must land and the view must be unchanged.

@@ -255,8 +255,8 @@ TEST_P(DbscoutPropertyTest, OutliersMonotoneInParameters) {
   }
 }
 
-// The sharded parallel apply pipeline (home-cell grouping, slab-block
-// shards over a real ThreadPool, three-wave scheduling, group-batched
+// The parallel apply pipeline (home-cell grouping, slab-block tasks
+// over a real ThreadPool, three-wave scheduling, group-batched
 // neighbor scans) must be invisible: after every randomized batch the
 // detector state equals the sequential oracle on the full prefix. Batch
 // sizes are drawn at random so passes cross the group-batching threshold
@@ -272,7 +272,7 @@ TEST(ShardedApplyPropertyTest, RandomBatchesMatchOracleAtEveryEpoch) {
     ASSERT_TRUE(det.ok());
     ThreadPool pool(3);
     size_t pos = 0;
-    bool saw_multi_shard = false;
+    bool saw_multi_task = false;
     while (pos < stream.size()) {
       const size_t take = std::min<size_t>(1 + rng.NextBounded(96),
                                            stream.size() - pos);
@@ -283,7 +283,7 @@ TEST(ShardedApplyPropertyTest, RandomBatchesMatchOracleAtEveryEpoch) {
       pos += take;
       ApplyStats stats;
       ASSERT_TRUE(det->AddBatchParallel(batch, &pool, &stats).ok());
-      saw_multi_shard |= stats.shards > 1;
+      saw_multi_task |= stats.task_seconds.size() > 1;
       PointSet prefix(2);
       for (size_t j = 0; j < pos; ++j) {
         prefix.Add(stream[j]);
@@ -295,8 +295,8 @@ TEST(ShardedApplyPropertyTest, RandomBatchesMatchOracleAtEveryEpoch) {
       ASSERT_EQ(det->num_core(), oracle->num_core) << "epoch " << pos;
     }
     // The point of the sweep is exercising the concurrent path; a stream
-    // this size must shard (blocks >= 2) at least once.
-    EXPECT_TRUE(saw_multi_shard) << "seed " << seed;
+    // this size must split into several tasks (blocks >= 2) at least once.
+    EXPECT_TRUE(saw_multi_task) << "seed " << seed;
   }
 }
 

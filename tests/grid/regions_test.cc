@@ -19,9 +19,8 @@ TEST(RegionsTest, SlabReachMatchesStencilRadius) {
 }
 
 TEST(RegionsTest, HaloSlabsIsTwoStencilReaches) {
-  // The shared ghost-zone width: external spill stripes, incremental
-  // slab blocks, and service detector shards all replicate this many
-  // slabs of context per side.
+  // The shared ghost-zone width: external spill stripes and incremental
+  // slab blocks both replicate this many slabs of context per side.
   EXPECT_EQ(HaloSlabs(1), 2);
   EXPECT_EQ(HaloSlabs(2), 4);
   EXPECT_EQ(HaloSlabs(4), 4);

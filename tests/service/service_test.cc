@@ -66,6 +66,14 @@ Request StatsRequest(const std::string& collection) {
   return request;
 }
 
+Request ConfigureRequest(const std::string& collection, double ttl) {
+  Request request;
+  request.verb = Verb::kConfigure;
+  request.collection = collection;
+  request.ttl_seconds = ttl;
+  return request;
+}
+
 TEST(ServiceTest, IngestThenReadsMatchSequentialOracle) {
   Rng rng(20260806);
   const PointSet points = testing::ClusteredPoints(&rng, 600, 2, 3, 0.2);
@@ -443,6 +451,110 @@ TEST(ServiceTest, ExpiryAfterAckEmitsSpansOutsideThePass) {
   EXPECT_EQ(expire_row->records, 3u);
 }
 
+const StatsRow* FindPhase(const StatsAnswer& stats, const std::string& name) {
+  for (const StatsRow& row : stats.phases) {
+    if (row.name == name) {
+      return &row;
+    }
+  }
+  return nullptr;
+}
+
+// Each STATS row counts its own work: an expiry sweep's removals land in
+// the expire row, seconds and distance computations alike, and leave the
+// apply row exactly as the ingest left it.
+TEST(ServiceTest, ExpirySweepCountsItsWorkInTheExpireRowOnly) {
+  std::atomic<double> now{0.0};
+  obs::Registry registry;
+  ServiceOptions options = MakeOptions(1.0, 2);
+  options.registry = &registry;
+  options.ttl_seconds = 5.0;
+  options.clock = [&now] { return now.load(); };
+  DetectionService service(options);
+  ServiceHandle handle(&service);
+  // Three neighbors: removing each re-derives the counts of the others.
+  ASSERT_TRUE(
+      service.IngestAsync("c", 2, {0.0, 0.0, 0.1, 0.0, 0.2, 0.0}).ok());
+  service.Drain();
+  auto before = handle.Call(StatsRequest("c"));
+  ASSERT_TRUE(before.ok() && before->status.ok());
+  const StatsRow* apply_before = FindPhase(before->stats, "apply");
+  ASSERT_NE(apply_before, nullptr);
+  EXPECT_EQ(apply_before->records, 3u);
+
+  now.store(10.0);  // a timer tick may expire the range first; either way
+  service.SweepExpiredNow();
+  auto after = handle.Call(StatsRequest("c"));
+  ASSERT_TRUE(after.ok() && after->status.ok());
+  EXPECT_EQ(after->stats.live_points, 0u);
+  const StatsRow* apply_after = FindPhase(after->stats, "apply");
+  ASSERT_NE(apply_after, nullptr);
+  EXPECT_EQ(apply_after->seconds, apply_before->seconds);
+  EXPECT_EQ(apply_after->distance_comps, apply_before->distance_comps);
+  EXPECT_EQ(apply_after->records, 3u);
+  const StatsRow* expire = FindPhase(after->stats, "expire");
+  ASSERT_NE(expire, nullptr);
+  EXPECT_EQ(expire->records, 3u);
+  EXPECT_GT(expire->distance_comps, 0u);
+}
+
+// Collection b's range falls due while collection a ingests. Whether the
+// ingest's coalesced pass or a 100 ms timer tick expires it, b's removals
+// run only as an expire step after the acknowledgement: b's one
+// detector_apply span is its own ingest's, and after Drain() its window
+// and alive mask are exact.
+TEST(ServiceTest, ExpiryDueWhileAnotherCollectionIngestsIsOneExpireStep) {
+  std::atomic<double> now{0.0};
+  obs::Registry registry;
+  obs::TraceCollector trace;
+  ServiceOptions options = MakeOptions(1.0, 2);
+  options.registry = &registry;
+  options.trace = &trace;
+  options.ttl_seconds = 5.0;
+  options.clock = [&now] { return now.load(); };
+  DetectionService service(options);
+  ServiceHandle handle(&service);
+  ASSERT_TRUE(handle.Call(IngestRequest("a", 2, {0.0, 0.0, 0.1, 0.0}))
+                  ->status.ok());
+  // a keeps its points; only b's window moves.
+  ASSERT_TRUE(handle.Call(ConfigureRequest("a", 100.0))->status.ok());
+  ASSERT_TRUE(
+      handle.Call(IngestRequest("b", 2, {3.0, 3.0, 3.1, 3.0, 3.2, 3.0}))
+          ->status.ok());
+  now.store(10.0);  // b's batch (stamped 0, TTL 5) is due
+  ASSERT_TRUE(handle.Call(IngestRequest("a", 2, {0.2, 0.0}))->status.ok());
+  service.Drain();
+
+  size_t b_applies = 0;
+  size_t b_expires = 0;
+  for (const obs::TraceSpan& span : trace.Spans()) {
+    if (span.scope != "b") {
+      continue;
+    }
+    if (span.name == "detector_apply") {
+      ++b_applies;
+      EXPECT_EQ(span.records, 3u);
+    } else if (span.name == "expire") {
+      ++b_expires;
+      EXPECT_EQ(span.records, 3u);
+    }
+  }
+  EXPECT_EQ(b_applies, 1u);
+  EXPECT_EQ(b_expires, 1u);
+
+  auto stats = handle.Call(StatsRequest("b"));
+  ASSERT_TRUE(stats.ok() && stats->status.ok());
+  EXPECT_EQ(stats->stats.epoch, 3u);
+  EXPECT_EQ(stats->stats.window_begin, 3u);
+  EXPECT_EQ(stats->stats.live_points, 0u);
+  auto snapshot = handle.Call(SnapshotRequest("b"));
+  ASSERT_TRUE(snapshot.ok() && snapshot->status.ok());
+  EXPECT_EQ(snapshot->snapshot.alive, (std::vector<uint8_t>{0, 0, 0}));
+  auto a_snapshot = handle.Call(SnapshotRequest("a"));
+  ASSERT_TRUE(a_snapshot.ok() && a_snapshot->status.ok());
+  EXPECT_EQ(a_snapshot->snapshot.alive, (std::vector<uint8_t>{1, 1, 1}));
+}
+
 TEST(ServiceTest, ReadsOnFreshCollectionSeeEpochZero) {
   DetectionService service(MakeOptions(1.0, 3));
   service.SetApplyPausedForTest(true);
@@ -460,14 +572,6 @@ TEST(ServiceTest, ReadsOnFreshCollectionSeeEpochZero) {
   snapshot = handle.Call(SnapshotRequest("c"));
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->snapshot.epoch, 1u);
-}
-
-Request ConfigureRequest(const std::string& collection, double ttl) {
-  Request request;
-  request.verb = Verb::kConfigure;
-  request.collection = collection;
-  request.ttl_seconds = ttl;
-  return request;
 }
 
 TEST(ServiceTest, ConfigureValidatesAndEchoesTtl) {

@@ -9,7 +9,11 @@
 # stats (live, epoch, outliers, core, cells) and a probe query are
 # unchanged. It then ingests the dataset again into the recovered server
 # (ids continue at the recovered epoch, so the epoch doubles) and repeats
-# the kill -9 / wal_inspect / restart / compare cycle.
+# the kill -9 / wal_inspect / restart / compare cycle. A TTL leg boots a
+# durable --ttl-seconds=1 server, ingests once, and waits for the apply
+# loop's timer passes to expire the whole window (the expire row must
+# count every point and some distance computations); after a kill -9 and
+# a restart the window is still empty at the same epoch.
 #
 # usage: tools/serve_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -243,6 +247,56 @@ done
   || { echo "FAIL: never observed the not-ready recovery window"; exit 1; }
 echo "   observed not-ready/recovering, then ready on port $FPORT"
 
+kill -9 "$DURABLE_PID"
+wait "$DURABLE_PID" 2>/dev/null || true
+DURABLE_PID=""
+
+echo "== TTL window: timer-driven expiry over TCP, kill -9, restart"
+TTL_DIR="$WORK/ttl"
+boot_ttl() {  # boot_ttl LOGFILE: durable server with a 1 s window
+  "$SERVE" --eps=0.7 --min-pts=5 --port=0 --data-dir="$TTL_DIR" \
+    --ttl-seconds=1 >"$1" 2>&1 &
+  DURABLE_PID=$!
+  TPORT="$(wait_port "$1" "$DURABLE_PID")" \
+    || { echo "FAIL: TTL server did not come up"; exit 1; }
+}
+boot_ttl "$WORK/serve_ttl1.log"
+"$CLIENT" --port="$TPORT" --collection=ttl --ingest="$WORK/blobs.dbsc"
+# Nothing else is sent, so only the apply loop's 100 ms timer passes can
+# expire the window.
+TSTATS=""
+for _ in $(seq 1 50); do
+  TSTATS="$("$CLIENT" --port="$TPORT" --collection=ttl --stats)"
+  TLINE="$(head -1 <<<"$TSTATS")"
+  [[ "$(stat_field "$TLINE" live)" -eq 0 &&
+     "$(stat_field "$TLINE" window-begin)" -eq "$(stat_field "$TLINE" epoch)" ]] \
+    && break
+  sleep 0.1
+done
+echo "   $TLINE"
+TEPOCH="$(stat_field "$TLINE" epoch)"
+[[ "$TEPOCH" -gt 0 && "$(stat_field "$TLINE" live)" -eq 0 &&
+   "$(stat_field "$TLINE" window-begin)" -eq "$TEPOCH" ]] \
+  || { echo "FAIL: window did not expire within 5 s: $TLINE"; exit 1; }
+EXPIRE_ROW="$(grep '^phase expire ' <<<"$TSTATS")" \
+  || { echo "FAIL: no expire row in STATS"; echo "$TSTATS"; exit 1; }
+echo "   $EXPIRE_ROW"
+[[ "$(stat_field "$EXPIRE_ROW" records)" -eq "$TEPOCH" ]] \
+  || { echo "FAIL: expire row records != epoch $TEPOCH"; exit 1; }
+[[ "$(stat_field "$EXPIRE_ROW" dist-comps)" -gt 0 ]] \
+  || { echo "FAIL: expire row counts no distance computations"; exit 1; }
+kill -9 "$DURABLE_PID"
+wait "$DURABLE_PID" 2>/dev/null || true
+DURABLE_PID=""
+"$WAL_INSPECT" --quiet "$TTL_DIR" \
+  || { echo "FAIL: wal_inspect found corruption in the TTL log"; exit 1; }
+boot_ttl "$WORK/serve_ttl2.log"
+TLINE2="$("$CLIENT" --port="$TPORT" --collection=ttl --stats | head -1)"
+echo "   after restart: $TLINE2"
+for field in epoch window-begin live; do
+  [[ "$(stat_field "$TLINE2" "$field")" -eq "$(stat_field "$TLINE" "$field")" ]] \
+    || { echo "FAIL: $field changed across the TTL restart"; exit 1; }
+done
 kill -9 "$DURABLE_PID"
 wait "$DURABLE_PID" 2>/dev/null || true
 DURABLE_PID=""
