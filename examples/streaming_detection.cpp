@@ -5,7 +5,9 @@
 // as their neighborhoods fill in.
 //
 //   ./build/examples/streaming_detection
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "core/dbscout.h"
 #include "core/incremental.h"
@@ -41,9 +43,9 @@ int main() {
     std::printf(
         "batch %2d: %6zu points seen | %5zu outliers (%+6.2f%% of feed) | "
         "%6zu core | %zu cells\n",
-        batch, detector->size(), outliers,
+        batch, detector->epoch(), outliers,
         100.0 * static_cast<double>(outliers) /
-            static_cast<double>(detector->size()),
+            static_cast<double>(detector->epoch()),
         detector->num_core(), detector->num_cells());
     previous_outliers = outliers;
   }
@@ -65,9 +67,12 @@ int main() {
   // the test suite enforces); demonstrate it once here.
   const Result<core::Detection> batch_run = core::Detect(day, params);
   if (batch_run.ok()) {
+    const std::vector<uint64_t> incremental = detector->Outliers();
+    const bool identical =
+        std::equal(batch_run->outliers.begin(), batch_run->outliers.end(),
+                   incremental.begin(), incremental.end());
     std::printf("final cross-check vs batch DBSCOUT: %s\n",
-                batch_run->outliers == detector->Outliers() ? "identical"
-                                                            : "MISMATCH");
+                identical ? "identical" : "MISMATCH");
   }
   (void)previous_outliers;
   return 0;

@@ -76,13 +76,14 @@ Result<PointSet> LoadInput(const std::string& path,
   return Status::InvalidArgument("unknown --format=" + fmt);
 }
 
+template <typename Index>
 Status WriteIndices(const std::string& path,
-                    const std::vector<uint32_t>& indices) {
+                    const std::vector<Index>& indices) {
   std::ofstream out(path);
   if (!out) {
     return Status::IoError("cannot create file: " + path);
   }
-  for (uint32_t i : indices) {
+  for (Index i : indices) {
     out << i << '\n';
   }
   if (!out) {
@@ -185,7 +186,7 @@ Status CmdDetect(const Flags& flags, std::ostream& out) {
     WallTimer timer;
     DBSCOUT_RETURN_IF_ERROR(detector.AddBatch(points));
     const double seconds = timer.ElapsedSeconds();
-    const std::vector<uint32_t> outliers = detector.Outliers();
+    const std::vector<uint64_t> outliers = detector.Outliers();
     out << StrFormat(
         "incremental: %zu points -> %zu outliers, %zu core | cells=%zu | "
         "%llu dist-comps | %.3fs\n",

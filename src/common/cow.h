@@ -22,9 +22,13 @@ namespace dbscout {
 ///    the same index ("disjoint-index phase"). The slab-wave apply
 ///    pipeline uses this: block tasks overwrite labels/counts for their
 ///    own points while reading neighbors owned by no concurrent writer.
-///  - Freeze() produces an immutable view of the first size() entries that
-///    shares the chunk storage (O(size/chunk) pointer copies, no element
+///  - Freeze() produces an immutable view of the held entries that shares
+///    the chunk storage (one pointer copy per held chunk, no element
 ///    copies).
+///  - DropChunksBelow(end) releases every chunk wholly below index `end`
+///    (a sliding window's expired prefix). Indices never shift: entry i
+///    keeps index i, and only indices at or above the first held chunk
+///    may be read. Frozen views keep the chunks they already share.
 ///  - After a Freeze, the first overwrite of an entry inside a frozen chunk
 ///    clones that chunk (copy-on-write), so frozen views never observe the
 ///    change. Appends never clone: they write slots at indices >= every
@@ -92,16 +96,19 @@ class CowChunkedVector {
   /// other threads: the acquire load pairs with Set()'s release publication
   /// of a cloned chunk.
   T operator[](size_t i) const {
-    return chunks_[i >> kChunkShift]
+    return chunks_[(i >> kChunkShift) - first_chunk_]
         .live.load(std::memory_order_acquire)
         ->data[i & (kChunkSize - 1)];
   }
+
+  /// Index of the first entry the held chunks cover (0 until a drop).
+  size_t held_begin() const { return first_chunk_ << kChunkShift; }
 
   /// Appends one entry (structural: single-writer, no concurrent access).
   /// Never clones: the slot is beyond every frozen view's bound, so
   /// writing it in a shared chunk is race-free.
   void PushBack(T value) {
-    const size_t chunk = size_ >> kChunkShift;
+    const size_t chunk = (size_ >> kChunkShift) - first_chunk_;
     if (chunk == chunks_.size()) {
       chunks_.emplace_back(std::make_shared<Chunk>(), freeze_serial_);
     }
@@ -123,7 +130,7 @@ class CowChunkedVector {
   /// freed) — hot read-modify-write loops use this to pay the clone check
   /// once per access instead of once per read plus once per write.
   T* MutableSlot(size_t i) {
-    Slot& slot = chunks_[i >> kChunkShift];
+    Slot& slot = chunks_[(i >> kChunkShift) - first_chunk_];
     if (slot.serial.load(std::memory_order_acquire) != freeze_serial_) {
       MutexLock lock(*clone_mu_);
       if (slot.serial.load(std::memory_order_relaxed) != freeze_serial_) {
@@ -138,20 +145,23 @@ class CowChunkedVector {
            (i & (kChunkSize - 1));
   }
 
-  /// Immutable view of the current contents; O(size/kChunkSize).
+  /// Immutable view of the held contents; one pointer copy per held chunk.
   class Frozen {
    public:
     Frozen() = default;
     size_t size() const { return size_; }
+    size_t chunks_held() const { return chunks_.size(); }
     /// By reference: nothing writes a frozen chunk, and entries that own
     /// memory (the detector's per-cell heads) are read without a copy.
     const T& operator[](size_t i) const {
-      return chunks_[i >> kChunkShift]->data[i & (kChunkSize - 1)];
+      return chunks_[(i >> kChunkShift) - first_chunk_]
+          ->data[i & (kChunkSize - 1)];
     }
 
    private:
     friend class CowChunkedVector;
     std::vector<std::shared_ptr<const Chunk>> chunks_;
+    size_t first_chunk_ = 0;
     size_t size_ = 0;
   };
 
@@ -164,6 +174,7 @@ class CowChunkedVector {
     for (const Slot& slot : chunks_) {
       view.chunks_.push_back(slot.owner);
     }
+    view.first_chunk_ = first_chunk_;
     view.size_ = size_;
     ++freeze_serial_;
     {
@@ -176,8 +187,28 @@ class CowChunkedVector {
     return view;
   }
 
+  /// Structural: releases every held chunk whose entries all lie below
+  /// `end` (<= size()). O(chunks held), and a no-op unless at least one
+  /// chunk goes.
+  void DropChunksBelow(size_t end) {
+    const size_t below = end >> kChunkShift;  // chunks [0, below) are full
+    if (below <= first_chunk_) {
+      return;
+    }
+    const size_t drop = below - first_chunk_;
+    std::vector<Slot> kept;
+    kept.reserve(chunks_.size() - drop);
+    for (size_t c = drop; c < chunks_.size(); ++c) {
+      kept.emplace_back(std::move(chunks_[c]));
+    }
+    chunks_ = std::move(kept);
+    first_chunk_ += drop;
+  }
+
  private:
   std::vector<Slot> chunks_;
+  /// Chunk index of chunks_[0]: chunks below it were dropped.
+  size_t first_chunk_ = 0;
   /// Old chunks displaced by mid-phase clones, kept alive until the next
   /// structural operation so concurrent readers' raw `live` pointers stay
   /// valid.
@@ -195,6 +226,8 @@ class CowChunkedVector {
 /// service-side point storage). Rows are immutable once written, so frozen
 /// views share all chunks unconditionally and appends never clone; each row
 /// is contiguous within one chunk so readers get a std::span per point.
+/// DropChunksBelow releases a whole-chunk prefix, as CowChunkedVector's
+/// does; row indices never shift.
 class ChunkedRows {
  public:
   static constexpr size_t kRowsPerChunk = 1024;
@@ -205,14 +238,14 @@ class ChunkedRows {
   size_t size() const { return rows_; }
 
   std::span<const double> operator[](size_t i) const {
-    return {chunks_[i / kRowsPerChunk]->data() +
+    return {chunks_[i / kRowsPerChunk - first_chunk_]->data() +
                 (i % kRowsPerChunk) * width_,
             width_};
   }
 
   /// Appends one row; `row` must have exactly width() entries.
   void PushBack(std::span<const double> row) {
-    const size_t chunk = rows_ / kRowsPerChunk;
+    const size_t chunk = rows_ / kRowsPerChunk - first_chunk_;
     if (chunk == chunks_.size()) {
       chunks_.push_back(
           std::make_shared<std::vector<double>>(kRowsPerChunk * width_));
@@ -225,14 +258,27 @@ class ChunkedRows {
     ++rows_;
   }
 
-  /// Immutable view of the first size() rows.
+  /// Releases every held chunk whose rows all lie below `end` (<= size()).
+  void DropChunksBelow(size_t end) {
+    const size_t below = end / kRowsPerChunk;  // chunks [0, below) are full
+    if (below <= first_chunk_) {
+      return;
+    }
+    chunks_.erase(chunks_.begin(),
+                  chunks_.begin() + static_cast<std::ptrdiff_t>(
+                                        below - first_chunk_));
+    first_chunk_ = below;
+  }
+
+  /// Immutable view of the held rows.
   class Frozen {
    public:
     Frozen() = default;
     size_t size() const { return rows_; }
     size_t width() const { return width_; }
+    size_t chunks_held() const { return chunks_.size(); }
     std::span<const double> operator[](size_t i) const {
-      return {chunks_[i / kRowsPerChunk]->data() +
+      return {chunks_[i / kRowsPerChunk - first_chunk_]->data() +
                   (i % kRowsPerChunk) * width_,
               width_};
     }
@@ -240,6 +286,7 @@ class ChunkedRows {
    private:
     friend class ChunkedRows;
     std::vector<std::shared_ptr<const std::vector<double>>> chunks_;
+    size_t first_chunk_ = 0;
     size_t rows_ = 0;
     size_t width_ = 0;
   };
@@ -247,6 +294,7 @@ class ChunkedRows {
   Frozen Freeze() const {
     Frozen view;
     view.chunks_.assign(chunks_.begin(), chunks_.end());
+    view.first_chunk_ = first_chunk_;
     view.rows_ = rows_;
     view.width_ = width_;
     return view;
@@ -255,6 +303,8 @@ class ChunkedRows {
  private:
   size_t width_;
   size_t rows_ = 0;
+  /// Chunk index of chunks_[0]: chunks below it were dropped.
+  size_t first_chunk_ = 0;
   std::vector<std::shared_ptr<std::vector<double>>> chunks_;
 };
 

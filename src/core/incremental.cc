@@ -54,18 +54,18 @@ Status ValidateCoordinates(std::span<const double> point, size_t dims,
 
 std::vector<PointKind> IncrementalSnapshot::Kinds() const {
   std::vector<PointKind> out;
-  out.reserve(kinds_.size());
-  for (size_t i = 0; i < kinds_.size(); ++i) {
-    out.push_back(kinds_[i]);
+  out.reserve(epoch() - window_begin_);
+  for (uint64_t id = window_begin_; id < epoch(); ++id) {
+    out.push_back(KindOf(id));
   }
   return out;
 }
 
-std::vector<uint32_t> IncrementalSnapshot::Outliers() const {
-  std::vector<uint32_t> out;
-  for (size_t i = 0; i < kinds_.size(); ++i) {
-    if (kinds_[i] == PointKind::kOutlier && alive_[i] != 0) {
-      out.push_back(static_cast<uint32_t>(i));
+std::vector<uint64_t> IncrementalSnapshot::Outliers() const {
+  std::vector<uint64_t> out;
+  for (uint64_t id = window_begin_; id < epoch(); ++id) {
+    if (KindOf(id) == PointKind::kOutlier && IsAlive(id)) {
+      out.push_back(id);
     }
   }
   return out;
@@ -83,11 +83,11 @@ void IncrementalSnapshot::ForEachNeighborCell(std::span<const double> point,
 }
 
 double IncrementalSnapshot::NearestCoreDistance(
-    uint32_t i, uint64_t* distance_comps) const {
-  if (kinds_[i] == PointKind::kCore) {
+    uint64_t id, uint64_t* distance_comps) const {
+  if (KindOf(id) == PointKind::kCore) {
     return 0.0;
   }
-  const auto pv = points_[i];
+  const auto pv = PointAt(id);
   double best2 = std::numeric_limits<double>::infinity();
   ForEachNeighborCell(pv, [&](const SnapCell& cell) {
     if (cell.core_points == 0) {
@@ -154,21 +154,37 @@ Result<ProbeResult> IncrementalSnapshot::Classify(
 // ---------------------------------------------------------------------------
 
 Result<IncrementalDetector> IncrementalDetector::Create(size_t dims,
-                                                        const Params& params) {
+                                                        const Params& params,
+                                                        uint64_t first_id) {
   DBSCOUT_RETURN_IF_ERROR(params.Validate());
   if (dims < 1 || dims > kMaxDims) {
     return Status::InvalidArgument(
         StrFormat("dims=%zu out of supported range [1, %zu]", dims, kMaxDims));
   }
-  return IncrementalDetector(dims, params);
+  return IncrementalDetector(dims, params, first_id);
 }
 
-IncrementalDetector::IncrementalDetector(size_t dims, const Params& params)
+Status IncrementalDetector::CheckRowCapacity(uint64_t rows, uint64_t adding) {
+  if (rows > kMaxRows || adding > kMaxRows - rows) {
+    return Status::OutOfRange(StrFormat(
+        "detector holds %llu rows since its creation; %llu more would pass "
+        "its limit of %llu",
+        static_cast<unsigned long long>(rows),
+        static_cast<unsigned long long>(adding),
+        static_cast<unsigned long long>(kMaxRows)));
+  }
+  return Status::OK();
+}
+
+IncrementalDetector::IncrementalDetector(size_t dims, const Params& params,
+                                         uint64_t first_id)
     : params_(params),
       kernels_(phases::BindKernels(dims)),
       side_(params.eps / std::sqrt(static_cast<double>(dims))),
       eps2_(params.eps * params.eps),
       block_width_(grid::HaloSlabs(dims)),
+      first_id_(first_id),
+      window_begin_(first_id),
       points_(dims),
       index_(dims) {}
 
@@ -529,10 +545,11 @@ Status IncrementalDetector::ValidatePoint(std::span<const double> point) const {
   return ValidateCoordinates(point, points_.width(), side_);
 }
 
-Result<uint32_t> IncrementalDetector::Add(std::span<const double> point) {
+Result<uint64_t> IncrementalDetector::Add(std::span<const double> point) {
   DBSCOUT_RETURN_IF_ERROR(
       ValidateCoordinates(point, points_.width(), side_));
-  const uint32_t x = static_cast<uint32_t>(points_.size());
+  DBSCOUT_RETURN_IF_ERROR(CheckRowCapacity(kinds_.size(), 1));
+  const uint32_t x = static_cast<uint32_t>(kinds_.size());
   points_.PushBack(point);
   kinds_.PushBack(PointKind::kOutlier);  // provisional
   neighbor_counts_.PushBack(1);          // itself
@@ -544,7 +561,7 @@ Result<uint32_t> IncrementalDetector::Add(std::span<const double> point) {
   ApplyCtx ctx;
   ApplyPoint(x, point, home_cell, &ctx);
   MergeCtx(ctx);
-  return x;
+  return first_id_ + x;
 }
 
 Status IncrementalDetector::AddBatch(const PointSet& batch) {
@@ -570,6 +587,7 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
   for (size_t i = 0; i < n; ++i) {
     DBSCOUT_RETURN_IF_ERROR(ValidateCoordinates(batch[i], dims, side_));
   }
+  DBSCOUT_RETURN_IF_ERROR(CheckRowCapacity(kinds_.size(), n));
 
   // ---- Serial pre-phase: append rows, group points by home cell (a
   // stable sort by cell coordinate, so each group's members ascend) and
@@ -577,7 +595,7 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
   // the (now stable) cached neighbor lists, never create or erase a cell,
   // so no index write or cache rewiring can happen under a concurrent
   // task. ----
-  const uint32_t base = static_cast<uint32_t>(points_.size());
+  const uint32_t base = static_cast<uint32_t>(kinds_.size());
   std::vector<grid::CellCoord> homes(n);
   std::vector<uint32_t> order(n);
   for (size_t i = 0; i < n; ++i) {
@@ -676,14 +694,53 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
   return Status::OK();
 }
 
-Status IncrementalDetector::Remove(uint32_t id) {
-  if (id >= kinds_.size()) {
+Status IncrementalDetector::Remove(uint64_t id) {
+  if (id >= epoch()) {
     return Status::InvalidArgument(
-        StrFormat("remove: id %u was never inserted", id));
+        StrFormat("remove: id %llu was never inserted",
+                  static_cast<unsigned long long>(id)));
   }
-  if (alive_[id] == 0) {
-    return Status::NotFound(StrFormat("remove: id %u already removed", id));
+  if (id < window_begin_) {
+    return Status::NotFound(
+        StrFormat("remove: id %llu expired (ids below %llu are gone)",
+                  static_cast<unsigned long long>(id),
+                  static_cast<unsigned long long>(window_begin_)));
   }
+  if (!IsAlive(id)) {
+    return Status::NotFound(
+        StrFormat("remove: id %llu already removed",
+                  static_cast<unsigned long long>(id)));
+  }
+  RemoveRow(Row(id));
+  return Status::OK();
+}
+
+Status IncrementalDetector::ExpireBefore(uint64_t end) {
+  if (end > epoch()) {
+    return Status::InvalidArgument(StrFormat(
+        "expire: end %llu is past the epoch %llu",
+        static_cast<unsigned long long>(end),
+        static_cast<unsigned long long>(epoch())));
+  }
+  if (end <= window_begin_) {
+    return Status::OK();
+  }
+  for (; window_begin_ < end; ++window_begin_) {
+    if (IsAlive(window_begin_)) {
+      RemoveRow(Row(window_begin_));
+    }
+  }
+  // Every id below `end` is dead now, so no cell lists it any more and
+  // nothing reads these rows again; held snapshots keep their own chunks.
+  const size_t rows_end = Row(end);
+  points_.DropChunksBelow(rows_end);
+  kinds_.DropChunksBelow(rows_end);
+  neighbor_counts_.DropChunksBelow(rows_end);
+  alive_.DropChunksBelow(rows_end);
+  return Status::OK();
+}
+
+void IncrementalDetector::RemoveRow(uint32_t id) {
   const size_t dims = points_.width();
   const uint32_t min_pts = static_cast<uint32_t>(params_.min_pts);
   const auto pv = points_[id];
@@ -833,7 +890,6 @@ Status IncrementalDetector::Remove(uint32_t id) {
     EraseCell(home, home_cell);
   }
   MergeCtx(ctx);
-  return Status::OK();
 }
 
 void IncrementalDetector::EraseCell(const grid::CellCoord& coord,
@@ -868,18 +924,18 @@ void IncrementalDetector::EraseCell(const grid::CellCoord& coord,
 
 std::vector<PointKind> IncrementalDetector::kinds() const {
   std::vector<PointKind> out;
-  out.reserve(kinds_.size());
-  for (size_t i = 0; i < kinds_.size(); ++i) {
-    out.push_back(kinds_[i]);
+  out.reserve(epoch() - window_begin_);
+  for (uint64_t id = window_begin_; id < epoch(); ++id) {
+    out.push_back(KindOf(id));
   }
   return out;
 }
 
-std::vector<uint32_t> IncrementalDetector::Outliers() const {
-  std::vector<uint32_t> out;
-  for (size_t i = 0; i < kinds_.size(); ++i) {
-    if (kinds_[i] == PointKind::kOutlier && alive_[i] != 0) {
-      out.push_back(static_cast<uint32_t>(i));
+std::vector<uint64_t> IncrementalDetector::Outliers() const {
+  std::vector<uint64_t> out;
+  for (uint64_t id = window_begin_; id < epoch(); ++id) {
+    if (KindOf(id) == PointKind::kOutlier && IsAlive(id)) {
+      out.push_back(id);
     }
   }
   return out;
@@ -890,6 +946,8 @@ std::shared_ptr<const IncrementalSnapshot> IncrementalDetector::SnapshotNow() {
   snap->params_ = params_;
   snap->side_ = side_;
   snap->eps2_ = eps2_;
+  snap->first_id_ = first_id_;
+  snap->window_begin_ = window_begin_;
   snap->points_ = points_.Freeze();
   snap->kinds_ = kinds_.Freeze();
   snap->neighbor_counts_ = neighbor_counts_.Freeze();

@@ -45,11 +45,13 @@ struct ApplyStats {
 };
 
 /// An immutable view of the incremental detector's state at one epoch (=
-/// number of points inserted when the snapshot was taken). Snapshots share
-/// storage with the live detector via copy-on-write: the cell index is a
-/// root pointer (grid::CellIndex), the per-cell heads and the per-id rows
-/// are chunk lists, so taking one costs O(1) for the cells plus
-/// O((epoch + cell slots) / chunk-size) pointer copies. Any number of
+/// one past the last id inserted when the snapshot was taken). It holds
+/// the window [window_begin(), epoch()): every id below window_begin()
+/// has expired and has no row to read. Snapshots share storage with the
+/// live detector via copy-on-write: the cell index is a root pointer
+/// (grid::CellIndex), the per-cell heads and the per-id rows are chunk
+/// lists, so taking one costs O(1) for the cells plus O((window + cell
+/// slots) / chunk-size) pointer copies. Any number of
 /// threads may read a snapshot concurrently with further insertions into
 /// the producing detector — provided the snapshot pointer itself is
 /// published with release/acquire ordering (the detection service stores
@@ -58,11 +60,12 @@ class IncrementalSnapshot {
  public:
   IncrementalSnapshot() = default;
 
-  /// Number of points this snapshot covers; labels answer for exactly the
-  /// first epoch() points of the insertion sequence (removed points carry
-  /// their last label but are excluded from Outliers() and flagged dead in
-  /// the alive mask).
-  uint64_t epoch() const { return kinds_.size(); }
+  /// One past the last id this snapshot covers; labels answer for the ids
+  /// [window_begin(), epoch()) (removed points carry their last label but
+  /// are excluded from Outliers() and flagged dead in the alive mask).
+  uint64_t epoch() const { return first_id_ + kinds_.size(); }
+  /// First id not expired at this epoch; ids below it have no row.
+  uint64_t window_begin() const { return window_begin_; }
   size_t dims() const { return points_.width(); }
   size_t num_core() const { return num_core_; }
   size_t num_outliers() const { return num_outliers_; }
@@ -73,22 +76,31 @@ class IncrementalSnapshot {
   size_t live_points() const { return live_points_; }
   const Params& params() const { return params_; }
 
-  /// Label of point i (< epoch()) at this epoch.
-  PointKind KindOf(uint32_t i) const { return kinds_[i]; }
+  /// Label of point `id` (in [window_begin(), epoch())) at this epoch.
+  PointKind KindOf(uint64_t id) const { return kinds_[Row(id)]; }
 
-  /// False when point i was removed (explicitly or by window expiry).
-  bool IsAlive(uint32_t i) const { return alive_[i] != 0; }
+  /// False when point `id` (in [window_begin(), epoch())) was removed.
+  bool IsAlive(uint64_t id) const { return alive_[Row(id)] != 0; }
 
-  /// Materialized copy of all labels, index-aligned with insertion order.
-  /// Removed points keep the label they had when removed.
+  /// Materialized copy of the labels of ids [window_begin(), epoch()), in
+  /// id order. Removed points keep the label they had when removed.
   std::vector<PointKind> Kinds() const;
 
-  /// Live outlier indices at this epoch, ascending (removed points never
+  /// Live outlier ids at this epoch, ascending (removed points never
   /// appear).
-  std::vector<uint32_t> Outliers() const;
+  std::vector<uint64_t> Outliers() const;
 
-  /// Coordinates of point i (< epoch()).
-  std::span<const double> PointAt(uint32_t i) const { return points_[i]; }
+  /// Coordinates of point `id` (in [window_begin(), epoch())).
+  std::span<const double> PointAt(uint64_t id) const {
+    return points_[Row(id)];
+  }
+
+  /// Chunks the four per-id row lists hold: O(window / chunk-size), not
+  /// O(epoch), once the detector expires its prefix.
+  size_t chunks_held() const {
+    return points_.chunks_held() + kinds_.chunks_held() +
+           neighbor_counts_.chunks_held() + alive_.chunks_held();
+  }
 
   /// Classifies a point NOT in the set against this epoch: the label it
   /// would receive from DetectSequential on the epoch's live points +
@@ -99,11 +111,12 @@ class IncrementalSnapshot {
   Result<ProbeResult> Classify(std::span<const double> point,
                                bool want_score) const;
 
-  /// Distance from existing point i (< epoch()) to its nearest core point
-  /// within the neighbor-cell horizon — Detection::core_distance
-  /// semantics: 0 for core points, +infinity when no core point is in
-  /// range. Adds the distance evaluations performed to *distance_comps.
-  double NearestCoreDistance(uint32_t i, uint64_t* distance_comps) const;
+  /// Distance from existing point `id` (in [window_begin(), epoch())) to
+  /// its nearest core point within the neighbor-cell horizon —
+  /// Detection::core_distance semantics: 0 for core points, +infinity when
+  /// no core point is in range. Adds the distance evaluations performed to
+  /// *distance_comps.
+  double NearestCoreDistance(uint64_t id, uint64_t* distance_comps) const;
 
  private:
   friend class IncrementalDetector;
@@ -120,9 +133,16 @@ class IncrementalSnapshot {
   template <typename Visit>
   void ForEachNeighborCell(std::span<const double> point, Visit visit) const;
 
+  /// Row offset of `id` in the per-id vectors.
+  uint32_t Row(uint64_t id) const {
+    return static_cast<uint32_t>(id - first_id_);
+  }
+
   Params params_;
   double side_ = 0.0;
   double eps2_ = 0.0;
+  uint64_t first_id_ = 0;
+  uint64_t window_begin_ = 0;
 
   ChunkedRows::Frozen points_;
   CowChunkedVector<PointKind>::Frozen kinds_;
@@ -160,11 +180,20 @@ class IncrementalSnapshot {
 /// may fall to outlier. Cells hold only live points, so scans never see a
 /// removed point; the alive mask records removals for snapshot readers.
 ///
+/// Ids are global: the detector's first point gets `first_id` (Create),
+/// so a detector recovered at a window's start keeps the ids its points
+/// had before. ExpireBefore(end) is the sliding window: it removes every
+/// id below `end` and releases the per-id rows of whole chunks below it,
+/// so memory follows the window, not lifetime ingest. Rows are uint32
+/// offsets from first_id, so one detector takes at most kMaxRows
+/// insertions over its lifetime.
+///
 /// Threading contract: all mutating calls (Add/AddBatch/AddBatchParallel/
-/// Remove/SnapshotNow) must come from one writer at a time; SnapshotNow()
-/// hands out immutable views that other threads may read concurrently
-/// with subsequent writes (the storage is copy-on-write at chunk, index
-/// node and cell granularity, see common/cow.h and grid/cell_index.h).
+/// Remove/ExpireBefore/SnapshotNow) must come from one writer at a time;
+/// SnapshotNow() hands out immutable views that other threads may read
+/// concurrently with subsequent writes (the storage is copy-on-write at
+/// chunk, index node and cell granularity, see common/cow.h and
+/// grid/cell_index.h).
 /// AddBatchParallel additionally fans the batch out over a caller-provided
 /// ThreadPool: points are grouped by home cell, groups by dim-0 slab block
 /// of width 2*ceil(sqrt(d)) cells, and blocks run in three waves colored
@@ -175,24 +204,36 @@ class IncrementalSnapshot {
 /// ever observe exact epochs.
 class IncrementalDetector {
  public:
-  /// Fails on invalid params or dims outside [1, kMaxDims].
-  static Result<IncrementalDetector> Create(size_t dims, const Params& params);
+  /// Insertions one detector can take over its lifetime: its rows are
+  /// uint32 offsets from its first id.
+  static constexpr uint64_t kMaxRows = uint64_t{1} << 32;
+
+  /// Fails on invalid params or dims outside [1, kMaxDims]. The first
+  /// inserted point gets id `first_id`; every id below it reads as
+  /// expired.
+  static Result<IncrementalDetector> Create(size_t dims, const Params& params,
+                                            uint64_t first_id = 0);
+
+  /// OutOfRange when a detector holding `rows` rows since its creation
+  /// cannot take `adding` more (the total would pass kMaxRows).
+  static Status CheckRowCapacity(uint64_t rows, uint64_t adding);
 
   IncrementalDetector(IncrementalDetector&&) noexcept = default;
   IncrementalDetector& operator=(IncrementalDetector&&) noexcept = default;
 
-  /// Inserts one point; returns its index. The label of the new point and
+  /// Inserts one point; returns its id. The label of the new point and
   /// every affected older point is updated before returning.
-  Result<uint32_t> Add(std::span<const double> point);
+  Result<uint64_t> Add(std::span<const double> point);
 
   /// Inserts every point of `batch` (same dims). The whole batch is
-  /// validated first, so on error the detector is unchanged.
+  /// validated first (coordinates and CheckRowCapacity), so on error the
+  /// detector is unchanged.
   Status AddBatch(const PointSet& batch);
 
   /// Inserts every point of `batch` in slab-block wave tasks on `pool`
   /// (nullptr runs the same grouped scan inline, single-threaded).
-  /// Validates the whole batch first (atomic failure). `stats`, when
-  /// non-null, receives the seconds of every task.
+  /// Validates the whole batch first (atomic failure, as AddBatch).
+  /// `stats`, when non-null, receives the seconds of every task.
   Status AddBatchParallel(const PointSet& batch, ThreadPool* pool,
                           ApplyStats* stats = nullptr);
 
@@ -205,31 +246,43 @@ class IncrementalDetector {
   /// Removes point `id` from the live set and re-derives every affected
   /// label (core -> non-core demotions of points whose neighbor count
   /// falls off the minPts threshold, border -> outlier demotions of
-  /// points that lose their last covering core). InvalidArgument when id
-  /// was never inserted; NotFound when already removed.
-  Status Remove(uint32_t id);
+  /// points that lose their last covering core). Its row stays, so its
+  /// last label stays readable. InvalidArgument when id was never
+  /// inserted; NotFound when already removed or expired.
+  Status Remove(uint64_t id);
 
-  size_t size() const { return kinds_.size(); }
+  /// Expires every id in [window_begin(), end): the live ones are removed
+  /// as by Remove, window_begin() becomes `end`, and the per-id rows of
+  /// every chunk wholly below `end` are released. Snapshots taken earlier
+  /// keep the rows they cover. A no-op when end <= window_begin();
+  /// InvalidArgument when end > epoch().
+  Status ExpireBefore(uint64_t end);
+
   size_t dims() const { return points_.width(); }
 
-  /// Epoch = number of points inserted so far (the prefix length a
-  /// snapshot taken now would cover). Removals do not rewind the epoch:
-  /// indices are stable for the detector's lifetime.
-  uint64_t epoch() const { return kinds_.size(); }
+  /// Epoch = one past the last id inserted (the id range a snapshot taken
+  /// now would cover ends here). Removals do not rewind the epoch: ids are
+  /// stable for the detector's lifetime.
+  uint64_t epoch() const { return first_id_ + kinds_.size(); }
+  /// First id not expired: ids below it have no row.
+  uint64_t window_begin() const { return window_begin_; }
+  /// Per-id rows the live chunk lists hold (the same in each of the four
+  /// row vectors): the window plus at most one partly expired chunk.
+  size_t rows_held() const { return kinds_.size() - kinds_.held_begin(); }
 
   /// Points inserted and not yet removed.
   size_t live_points() const { return live_points_; }
-  /// False when point i was removed.
-  bool IsAlive(uint32_t i) const { return alive_[i] != 0; }
+  /// False when point `id` (in [window_begin(), epoch())) was removed.
+  bool IsAlive(uint64_t id) const { return alive_[Row(id)] != 0; }
 
-  /// Current classification of point i.
-  PointKind KindOf(uint32_t i) const { return kinds_[i]; }
-  /// Materialized copy of all labels (insertion order; removed points
-  /// keep their last label).
+  /// Current classification of point `id` (in [window_begin(), epoch())).
+  PointKind KindOf(uint64_t id) const { return kinds_[Row(id)]; }
+  /// Materialized copy of the labels of ids [window_begin(), epoch()) (id
+  /// order; removed points keep their last label).
   std::vector<PointKind> kinds() const;
 
-  /// Current live outlier indices, ascending.
-  std::vector<uint32_t> Outliers() const;
+  /// Current live outlier ids, ascending.
+  std::vector<uint64_t> Outliers() const;
 
   size_t num_core() const { return num_core_; }
   size_t num_outliers() const { return num_outliers_; }
@@ -241,8 +294,8 @@ class IncrementalDetector {
   uint64_t distance_computations() const { return distance_comps_; }
 
   /// Freezes the current state into an immutable snapshot: a root pointer
-  /// for the cell index plus O((size + cell slots) / chunk-size) chunk
-  /// pointers; subsequent writes copy-on-write only the index nodes,
+  /// for the cell index plus O((rows_held() + cell slots) / chunk-size)
+  /// chunk pointers; subsequent writes copy-on-write only the index nodes,
   /// chunks and cells they touch. Must be called from the writer thread,
   /// never concurrently with AddBatchParallel wave tasks.
   std::shared_ptr<const IncrementalSnapshot> SnapshotNow();
@@ -311,9 +364,17 @@ class IncrementalDetector {
     std::vector<uint8_t> member_covered;
   };
 
-  IncrementalDetector(size_t dims, const Params& params);
+  IncrementalDetector(size_t dims, const Params& params, uint64_t first_id);
+
+  /// Row offset of `id` in the per-id vectors.
+  uint32_t Row(uint64_t id) const {
+    return static_cast<uint32_t>(id - first_id_);
+  }
 
   grid::CellCoord CoordOf(std::span<const double> p) const;
+
+  /// Remove() of a live row, without the id checks.
+  void RemoveRow(uint32_t row);
 
   /// Clones the cell's point vector if a snapshot still shares it (or
   /// creates it when absent), publishing the new one in the cell's head.
@@ -367,6 +428,10 @@ class IncrementalDetector {
   /// side, so three wave colors make same-wave tasks conflict-free.
   int64_t block_width_ = 2;
 
+  uint64_t first_id_ = 0;
+  uint64_t window_begin_ = 0;
+  /// Per-id rows by offset from first_id_; chunks wholly below
+  /// window_begin_ are released.
   ChunkedRows points_;
   CowChunkedVector<PointKind> kinds_;
   CowChunkedVector<uint32_t> neighbor_counts_;  // |{q: dist <= eps}|, self incl.

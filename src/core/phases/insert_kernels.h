@@ -10,8 +10,8 @@
 #include "data/point_set.h"
 
 /// Mutation-side phase primitives: the cell-granular scans behind the
-/// incremental engine's insert and remove paths (and the service's sharded
-/// apply pipeline built on them). Like phase_kernels.h, these hold the
+/// incremental engine's insert and remove paths (and the slab-block wave
+/// apply that the service's passes run on them). Like phase_kernels.h, these hold the
 /// decision logic once — engines pass packed per-cell blocks (row-major
 /// coordinates parallel to an index list) and get back per-point
 /// within-eps verdicts; the density-threshold decisions stay in

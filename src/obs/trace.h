@@ -27,7 +27,7 @@ struct TraceSpan {
   uint64_t records = 0;
   /// Request trace id that this span belongs to; 0 = not request-scoped
   /// (engine phase spans, whole apply passes). Links the decode /
-  /// queue-wait / shard-apply / wal-commit / publish spans of one request
+  /// queue-wait / detector-apply / wal-commit / publish spans of one request
   /// into one trace.
   uint64_t trace_id = 0;
   /// Scope label for dump-time filtering: the collection name for

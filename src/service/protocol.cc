@@ -236,14 +236,6 @@ std::vector<uint8_t> EncodeResponse(const Response& response) {
       Put<uint64_t>(&out, s.window_begin);
       Put<uint64_t>(&out, s.queue_depth);
       Put<double>(&out, s.ttl_seconds);
-      Put<uint64_t>(&out, s.shards);
-      Put<uint32_t>(&out, static_cast<uint32_t>(s.shard_rows.size()));
-      for (const ShardStatsRow& row : s.shard_rows) {
-        Put<uint64_t>(&out, row.shard);
-        Put<uint64_t>(&out, row.points);
-        Put<uint64_t>(&out, row.epoch);
-        Put<uint64_t>(&out, row.queue_depth);
-      }
       Put<uint32_t>(&out, static_cast<uint32_t>(s.phases.size()));
       for (const StatsRow& row : s.phases) {
         PutString(&out, row.name);
@@ -369,17 +361,6 @@ Result<Response> DecodeResponse(std::span<const uint8_t> payload) {
       DBSCOUT_ASSIGN_OR_RETURN(s.window_begin, reader.Read<uint64_t>());
       DBSCOUT_ASSIGN_OR_RETURN(s.queue_depth, reader.Read<uint64_t>());
       DBSCOUT_ASSIGN_OR_RETURN(s.ttl_seconds, reader.Read<double>());
-      DBSCOUT_ASSIGN_OR_RETURN(s.shards, reader.Read<uint64_t>());
-      DBSCOUT_ASSIGN_OR_RETURN(const uint32_t shard_rows,
-                               reader.Read<uint32_t>());
-      for (uint32_t i = 0; i < shard_rows; ++i) {
-        ShardStatsRow row;
-        DBSCOUT_ASSIGN_OR_RETURN(row.shard, reader.Read<uint64_t>());
-        DBSCOUT_ASSIGN_OR_RETURN(row.points, reader.Read<uint64_t>());
-        DBSCOUT_ASSIGN_OR_RETURN(row.epoch, reader.Read<uint64_t>());
-        DBSCOUT_ASSIGN_OR_RETURN(row.queue_depth, reader.Read<uint64_t>());
-        s.shard_rows.push_back(row);
-      }
       DBSCOUT_ASSIGN_OR_RETURN(const uint32_t rows, reader.Read<uint32_t>());
       for (uint32_t i = 0; i < rows; ++i) {
         StatsRow row;

@@ -38,7 +38,7 @@ inline constexpr size_t kNumVerbSlots = 9;
 inline constexpr uint8_t kTraceHeaderFlag = 0x80;
 
 /// Request-scoped trace context: a 64-bit id linking every span a request
-/// produces (decode, admission, queue-wait, shard applies, WAL commit,
+/// produces (decode, admission, queue-wait, detector apply, WAL commit,
 /// snapshot publish, reply encode) plus the originator's send timestamp
 /// (seconds on the originator's clock; carried for client-side skew
 /// accounting, never compared against server clocks). trace_id 0 means
@@ -111,20 +111,6 @@ struct StatsRow {
   friend bool operator==(const StatsRow&, const StatsRow&) = default;
 };
 
-/// One per-shard row in a STATS response. Kept for wire compatibility
-/// with servers that split a collection over region detector shards;
-/// the current service backs each collection with one detector and
-/// sends no rows.
-struct ShardStatsRow {
-  uint64_t shard = 0;
-  uint64_t points = 0;
-  uint64_t epoch = 0;
-  uint64_t queue_depth = 0;
-
-  friend bool operator==(const ShardStatsRow&, const ShardStatsRow&) =
-      default;
-};
-
 /// One per-verb latency summary row in a STATS response.
 struct LatencyRow {
   std::string verb;  // verb label, e.g. "ingest"
@@ -167,11 +153,6 @@ struct StatsAnswer {
   uint64_t queue_depth = 0;
   /// The collection's sliding-window TTL (0 = append-only).
   double ttl_seconds = 0.0;
-  /// Detector shards backing the collection; the current service always
-  /// sends 1 (one detector per collection).
-  uint64_t shards = 1;
-  /// Per-shard rows; empty from the current service (see ShardStatsRow).
-  std::vector<ShardStatsRow> shard_rows;
   std::vector<StatsRow> phases;
   /// Service-wide request latency quantiles per verb, from the
   /// dbscout_request_seconds histograms (log-bucket interpolation, so

@@ -418,7 +418,7 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
                   options_.max_collections));
   }
   DBSCOUT_ASSIGN_OR_RETURN(std::unique_ptr<Collection> collection,
-                           NewCollection(name, dims, /*base=*/0));
+                           NewCollection(name, dims, /*first_id=*/0));
   if (!options_.data_dir.empty()) {
     storage::RecoveredCollection recovered;
     DBSCOUT_ASSIGN_OR_RETURN(collection->store, OpenStore(name, &recovered));
@@ -448,12 +448,11 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
 
 Result<std::unique_ptr<DetectionService::Collection>>
 DetectionService::NewCollection(const std::string& name, uint16_t dims,
-                                uint64_t base) {
+                                uint64_t first_id) {
   DBSCOUT_ASSIGN_OR_RETURN(
       core::IncrementalDetector detector,
-      core::IncrementalDetector::Create(dims, options_.params));
-  auto collection =
-      std::make_unique<Collection>(name, base, std::move(detector));
+      core::IncrementalDetector::Create(dims, options_.params, first_id));
+  auto collection = std::make_unique<Collection>(name, std::move(detector));
   // Publish the empty snapshot right away so reads on a collection whose
   // first batch is still queued get a well-defined answer. The apply loop
   // cannot know this collection yet, so this thread is its only writer.
@@ -540,7 +539,7 @@ Response DetectionService::DoQuery(const Request& request) {
       collection->snapshot.load(std::memory_order_acquire);
   WallTimer timer;
   uint64_t distance_comps = 0;
-  const uint64_t epoch = collection->EpochOf(*snap);
+  const uint64_t epoch = snap->epoch();
   response.query.epoch = epoch;
   if (request.query_by_id) {
     if (request.query_id >= epoch) {
@@ -549,20 +548,17 @@ Response DetectionService::DoQuery(const Request& request) {
                     static_cast<unsigned long long>(epoch)));
       return response;
     }
-    if (request.query_id < collection->base) {
-      // Expired before the last restart: recovery loaded only the live
-      // window, so no label is held for this id.
+    if (request.query_id < snap->window_begin()) {
+      // Expired, in this process or before a restart: no row is held.
       response.status = Status::NotFound(StrFormat(
-          "point id %u expired before recovery (ids below %llu are gone)",
-          request.query_id,
-          static_cast<unsigned long long>(collection->base)));
+          "point id %u expired (ids below %llu are gone)", request.query_id,
+          static_cast<unsigned long long>(snap->window_begin())));
       return response;
     }
-    const auto local = static_cast<uint32_t>(request.query_id -
-                                             collection->base);
-    response.query.kind = snap->KindOf(local);
+    response.query.kind = snap->KindOf(request.query_id);
     if (request.want_score) {
-      response.query.score = snap->NearestCoreDistance(local, &distance_comps);
+      response.query.score =
+          snap->NearestCoreDistance(request.query_id, &distance_comps);
       response.query.has_score = true;
     }
   } else {
@@ -598,7 +594,7 @@ Response DetectionService::DoStats(const Request& request) {
   const std::shared_ptr<const core::IncrementalSnapshot> snap =
       collection->snapshot.load(std::memory_order_acquire);
   StatsAnswer& stats = response.stats;
-  stats.epoch = collection->EpochOf(*snap);
+  stats.epoch = snap->epoch();
   stats.num_points = stats.epoch;
   stats.num_core = snap->num_core();
   stats.num_cells = snap->num_cells();
@@ -606,8 +602,7 @@ Response DetectionService::DoStats(const Request& request) {
   stats.admission_rejections = admission_rejections();
   stats.uptime_seconds = UptimeSeconds();
   stats.live_points = snap->live_points();
-  stats.window_begin =
-      collection->window_begin.load(std::memory_order_relaxed);
+  stats.window_begin = snap->window_begin();
   stats.queue_depth = collection->queue_depth.load(std::memory_order_relaxed);
   stats.ttl_seconds = collection->ttl_seconds.load(std::memory_order_relaxed);
   {
@@ -656,9 +651,9 @@ Response DetectionService::DoSnapshot(const Request& request) {
   const std::shared_ptr<const core::IncrementalSnapshot> snap =
       collection->snapshot.load(std::memory_order_acquire);
   SnapshotAnswer& answer = response.snapshot;
-  answer.epoch = collection->EpochOf(*snap);
-  // Two bytes per global id (kind + alive), a recovered base included:
-  // past the frame cap (with headroom for the envelope) the transport
+  answer.epoch = snap->epoch();
+  // Two bytes per global id (kind + alive), expired ids included: past
+  // the frame cap (with headroom for the envelope) the transport
   // could not send the reply, so refuse before building it.
   if (answer.epoch > (kMaxFramePayload - 4096) / 2) {
     response.status = Status::FailedPrecondition(StrFormat(
@@ -668,15 +663,16 @@ Response DetectionService::DoSnapshot(const Request& request) {
   }
   answer.num_core = snap->num_core();
   answer.num_cells = snap->num_cells();
-  // The arrays span global ids [0, epoch): ids below the base expired
-  // before the last restart, so they read dead, with kind kOutlier.
-  answer.kinds = snap->Kinds();
-  answer.kinds.insert(answer.kinds.begin(), collection->base,
-                      core::PointKind::kOutlier);
-  answer.alive.assign(collection->base, 0);
+  // The arrays span global ids [0, epoch): expired ids have no row, so
+  // they read dead, with kind kOutlier.
+  const uint64_t window_begin = snap->window_begin();
+  answer.kinds.assign(window_begin, core::PointKind::kOutlier);
+  answer.alive.assign(window_begin, 0);
+  answer.kinds.reserve(answer.epoch);
   answer.alive.reserve(answer.epoch);
-  for (uint32_t i = 0; i < snap->epoch(); ++i) {
-    answer.alive.push_back(snap->IsAlive(i) ? 1 : 0);
+  for (uint64_t id = window_begin; id < answer.epoch; ++id) {
+    answer.kinds.push_back(snap->KindOf(id));
+    answer.alive.push_back(snap->IsAlive(id) ? 1 : 0);
   }
   return response;
 }
@@ -815,7 +811,7 @@ void DetectionService::ApplyLoop() {
 
 bool DetectionService::ComputeExpiry(Collection* collection, double now,
                                      uint64_t* begin, uint64_t* end) {
-  *begin = *end = collection->window_begin.load(std::memory_order_relaxed);
+  *begin = *end = collection->detector.window_begin();
   const double ttl = collection->ttl_seconds.load(std::memory_order_relaxed);
   if (ttl <= 0.0 || collection->stamps.empty()) {
     return false;
@@ -825,14 +821,7 @@ bool DetectionService::ComputeExpiry(Collection* collection, double now,
     *end = collection->stamps.front().end_epoch;
     collection->stamps.pop_front();
   }
-  if (*end == *begin) {
-    return false;
-  }
-  // Advance the window before the removals execute: every id below *end
-  // is already handed to the detector pass, and window_begin must never
-  // re-offer an id for expiry.
-  collection->window_begin.store(*end, std::memory_order_relaxed);
-  return true;
+  return *end != *begin;
 }
 
 void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
@@ -862,7 +851,7 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     if (fresh) {
       CollectionPass& pass = passes.emplace_back();
       pass.collection = collection;
-      pass.next_id = collection->base + collection->detector.epoch();
+      pass.next_id = collection->detector.epoch();
     }
     return passes[it->second];
   };
@@ -1062,12 +1051,12 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
   }
 
   // ---- After the acknowledgement, the one place a kExpire applies: each
-  // collection's logged range is removed, frozen and published. No INGEST
+  // collection's logged range is expired, frozen and published. No INGEST
   // waits on it (an acknowledgement promises only the client's own
   // points); a crash before this publish recovers the post-expiry window
-  // from the log. It applies after a failed pass too: window_begin has
-  // already moved past the range. Its spans start after apply_pass
-  // closed, so they nest under no pass. ----
+  // from the log. It applies after a failed pass too, so the detector's
+  // window_begin never offers the range again. Its spans start after
+  // apply_pass closed, so they nest under no pass. ----
   for (CollectionPass& pass : passes) {
     if (!pass.expire) {
       continue;
@@ -1077,14 +1066,10 @@ void DetectionService::ApplyPass(std::vector<PendingIngest> batch) {
     core::IncrementalDetector& detector = collection->detector;
     const uint64_t comps = detector.distance_computations();
     WallTimer timer;
-    for (uint64_t id = expire.expire_begin; id < expire.expire_end; ++id) {
-      const Status removed =
-          detector.Remove(static_cast<uint32_t>(id - collection->base));
-      if (!removed.ok()) {
-        DBSCOUT_LOG(kWarning) << "collection '" << collection->name
-                              << "': remove id=" << id
-                              << " failed: " << removed.ToString();
-      }
+    if (const Status expired = detector.ExpireBefore(expire.expire_end);
+        !expired.ok()) {
+      DBSCOUT_LOG(kWarning) << "collection '" << collection->name
+                            << "': expire failed: " << expired.ToString();
     }
     const double expire_seconds = timer.ElapsedSeconds();
     const uint64_t expired = expire.expire_end - expire.expire_begin;
@@ -1119,7 +1104,7 @@ Status DetectionService::ApplyRecords(
   // the collection's ids with no gap (the continuity rule
   // storage::ApplyRecordToState enforces on replay).
   std::vector<double> rows;
-  uint64_t next_id = collection->base + collection->detector.epoch();
+  uint64_t next_id = collection->detector.epoch();
   for (const storage::WalRecord& record : ingests) {
     if (record.type != storage::WalRecordType::kIngest) {
       return Status::Internal(
@@ -1250,8 +1235,8 @@ Status DetectionService::RecoverCollection(const std::string& name) {
 Status DetectionService::LoadCollection(Collection* collection,
                                         storage::CollectionState state) {
   // The state holds only the live rows [window_begin, epoch), and the
-  // collection's base is window_begin, so the live points keep their
-  // global ids and load as one ingest record, the way live traffic does.
+  // detector starts at window_begin, so the live points keep their global
+  // ids and load as one ingest record, the way live traffic does.
   storage::WalRecord live;
   live.type = storage::WalRecordType::kIngest;
   live.dims = state.dims;
@@ -1264,8 +1249,6 @@ Status DetectionService::LoadCollection(Collection* collection,
   }
   // The window and the epoch end exactly where the durable log ended, so
   // neither rewinds across a restart.
-  collection->window_begin.store(state.window_begin,
-                                 std::memory_order_relaxed);
   if (state.epoch > state.window_begin) {
     // Re-stamp the surviving range at recovery time: the WAL records no
     // wall-clock provenance, so recovered points live one more full TTL

@@ -109,10 +109,13 @@ struct ServiceOptions {
 ///  - Sliding windows: collections with a TTL expire ingest batches whose
 ///    stamp has aged past it. Expiry runs inside the apply loop (every
 ///    pass, plus periodic wakeups while any window is configured), so the
-///    single-writer contract of the detector is preserved; removals use
-///    the detector's exact Remove() re-derivation. Every pass logs its
-///    expiry with its ingests and applies it after the acknowledgements,
-///    publishing one more snapshot; no INGEST waits on expiry.
+///    single-writer contract of the detector is preserved; the detector's
+///    ExpireBefore() removes the range with the exact Remove()
+///    re-derivation and releases its rows. Every pass logs its expiry
+///    with its ingests and applies it after the acknowledgements,
+///    publishing one more snapshot; no INGEST waits on expiry. An id
+///    below a snapshot's window_begin() is expired, whether it expired in
+///    this process or before a restart.
 ///  - QUERY / STATS / SNAPSHOT never touch the detectors: they read the
 ///    latest published IncrementalSnapshot through an atomic shared_ptr
 ///    (release store in the apply loop, acquire load here), so read
@@ -212,20 +215,14 @@ class DetectionService {
   struct Collection {
     std::string name;  // span scope + log context; immutable after create
     const size_t dims;  // request threads read it without the detector
-    /// Global id of the detector's local id 0: the window_begin recovery
-    /// loaded from (0 for a collection created by ingest). Ids below it
-    /// expired before the restart and have no row. Set before the
-    /// collection is registered; readers translate `id - base`.
-    const uint64_t base;
+    /// Owns the window: its ids are the collection's global ids, and its
+    /// snapshots say which of them have expired (window_begin()).
     core::IncrementalDetector detector;
     std::atomic<std::shared_ptr<const core::IncrementalSnapshot>> snapshot;
 
     /// Sliding-window TTL in seconds; 0 = append-only. Written by
     /// CONFIGURE, read by the apply loop.
     std::atomic<double> ttl_seconds{0.0};
-    /// First epoch still inside the window (everything below is expired).
-    /// Written by the apply loop, read by STATS.
-    std::atomic<uint64_t> window_begin{0};
     /// Ingest batches of this collection currently in the apply queue.
     /// Changed only under the service's mu_ (enqueue and the apply loop's
     /// take), so the gauge below never lags it; STATS reads it lock-free.
@@ -251,16 +248,8 @@ class DetectionService {
     /// threads log CONFIGUREs).
     std::unique_ptr<storage::CollectionStore> store;
 
-    Collection(std::string n, uint64_t b, core::IncrementalDetector d)
-        : name(std::move(n)),
-          dims(d.dims()),
-          base(b),
-          detector(std::move(d)) {}
-
-    /// Global epoch of `snap` (points ever ingested into the collection).
-    uint64_t EpochOf(const core::IncrementalSnapshot& snap) const {
-      return base + snap.epoch();
-    }
+    Collection(std::string n, core::IncrementalDetector d)
+        : name(std::move(n)), dims(d.dims()), detector(std::move(d)) {}
   };
 
   /// Completion token a blocking INGEST waits on; signalled after the
@@ -313,12 +302,12 @@ class DetectionService {
       const std::string& name, storage::RecoveredCollection* recovered);
 
   /// A fresh, unregistered collection of `dims` whose ids start at
-  /// `base`, with the service-wide TTL, publishing its empty snapshot. The
-  /// one place a collection's detector is built, for first ingest and
-  /// recovery alike.
+  /// `first_id`, with the service-wide TTL, publishing its empty snapshot.
+  /// The one place a collection's detector is built, for first ingest
+  /// (first_id 0) and recovery (the folded window_begin) alike.
   Result<std::unique_ptr<Collection>> NewCollection(const std::string& name,
                                                     uint16_t dims,
-                                                    uint64_t base);
+                                                    uint64_t first_id);
 
   /// Constructor-time crash recovery: scans data_dir and recovers every
   /// collection found there. Runs before the apply loop starts, so the
@@ -329,8 +318,8 @@ class DetectionService {
   /// loads the folded state and registers the collection.
   Status RecoverCollection(const std::string& name)
       DBSCOUT_EXCLUDES(collections_mu_);
-  /// Loads a folded state into a fresh collection whose base is the
-  /// state's window_begin: ApplyRecords loads the live rows
+  /// Loads a folded state into a fresh collection whose detector starts at
+  /// the state's window_begin: ApplyRecords loads the live rows
   /// [window_begin, epoch) as one ingest record, then it publishes. Labels
   /// depend only on the live point set, so this equals the pre-crash
   /// labeling at the durable epoch.
@@ -367,9 +356,10 @@ class DetectionService {
   /// global id, fails the call before anything is mutated.
   Status ApplyRecords(Collection* collection,
                       std::span<const storage::WalRecord> ingests);
-  /// Pops `collection`'s aged-out stamp ranges and advances window_begin,
-  /// returning true and the global-id range [*begin, *end) to remove
-  /// (the detector pass performs the actual removals). Apply loop only.
+  /// Pops `collection`'s aged-out stamp ranges, returning true and the
+  /// global-id range [*begin, *end) to expire: *begin is the detector's
+  /// window_begin(), which the pass's ExpireBefore(*end) advances. Apply
+  /// loop only.
   bool ComputeExpiry(Collection* collection, double now, uint64_t* begin,
                      uint64_t* end);
 

@@ -168,6 +168,60 @@ TEST(CowChunkedVectorTest, DisjointConcurrentSetsLandAndViewsStayIntact) {
   EXPECT_EQ(v[0], 42u);
 }
 
+// Dropping a whole-chunk prefix keeps every index in place, writes and
+// appends still land, and a view frozen before the drop keeps reading
+// the released chunks.
+TEST(CowChunkedVectorTest, DropChunksBelowKeepsIndicesAndFrozenViews) {
+  constexpr size_t kChunk = CowChunkedVector<int>::kChunkSize;
+  CowChunkedVector<int> v;
+  for (size_t i = 0; i < 3 * kChunk + 5; ++i) {
+    v.PushBack(static_cast<int>(i));
+  }
+  const CowChunkedVector<int>::Frozen before = v.Freeze();
+  v.DropChunksBelow(2 * kChunk - 1);  // only chunk 0 lies wholly below
+  EXPECT_EQ(v.held_begin(), kChunk);
+  v.DropChunksBelow(kChunk);  // nothing more to drop
+  EXPECT_EQ(v.held_begin(), kChunk);
+  v.DropChunksBelow(2 * kChunk + 7);
+  EXPECT_EQ(v.held_begin(), 2 * kChunk);
+  EXPECT_EQ(v.size(), 3 * kChunk + 5);
+  v.Set(2 * kChunk, -1);
+  v.PushBack(-2);
+  EXPECT_EQ(v[2 * kChunk], -1);
+  EXPECT_EQ(v[3 * kChunk + 5], -2);
+  EXPECT_EQ(v[3 * kChunk + 4], static_cast<int>(3 * kChunk + 4));
+  const CowChunkedVector<int>::Frozen after = v.Freeze();
+  EXPECT_EQ(after.chunks_held(), 2u);
+  EXPECT_EQ(before.chunks_held(), 4u);
+  for (size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(before[i], static_cast<int>(i));
+  }
+  v.DropChunksBelow(v.size());  // every full chunk; the partial one stays
+  EXPECT_EQ(v.held_begin(), 3 * kChunk);
+  EXPECT_EQ(v.Freeze().chunks_held(), 1u);
+}
+
+TEST(ChunkedRowsTest, DropChunksBelowKeepsIndicesAndFrozenViews) {
+  constexpr size_t kChunk = ChunkedRows::kRowsPerChunk;
+  ChunkedRows rows(2);
+  for (size_t i = 0; i < 2 * kChunk + 3; ++i) {
+    const double row[] = {static_cast<double>(i), -static_cast<double>(i)};
+    rows.PushBack(row);
+  }
+  const ChunkedRows::Frozen before = rows.Freeze();
+  rows.DropChunksBelow(kChunk + 1);
+  const double last[] = {9.0, 9.5};
+  rows.PushBack(last);
+  EXPECT_EQ(rows.size(), 2 * kChunk + 4);
+  EXPECT_EQ(rows[kChunk][0], static_cast<double>(kChunk));
+  EXPECT_EQ(rows[2 * kChunk + 3][1], 9.5);
+  EXPECT_EQ(rows.Freeze().chunks_held(), 2u);
+  EXPECT_EQ(before.chunks_held(), 3u);
+  for (size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(before[i][1], -static_cast<double>(i));
+  }
+}
+
 TEST(ChunkedRowsTest, RowsRoundTrip) {
   ChunkedRows rows(3);
   EXPECT_EQ(rows.width(), 3u);

@@ -78,7 +78,7 @@ TEST_P(EngineMatrixTest, AllSevenPathsAgree) {
     auto det = IncrementalDetector::Create(2, params);
     ASSERT_TRUE(det.ok());
     ASSERT_TRUE(det->AddBatch(ps).ok());
-    EXPECT_EQ(det->Outliers(), expected) << "incremental";
+    EXPECT_EQ(det->Outliers(), testing::Widen(expected)) << "incremental";
     EXPECT_EQ(det->kinds(), sequential->kinds);
   }
 }

@@ -98,7 +98,7 @@ TEST_P(IncrementalEquivalenceTest, MatchesBatchDetectionAtEveryCheckpoint) {
       auto batch = DetectSequential(prefix, batch_params);
       ASSERT_TRUE(batch.ok());
       EXPECT_EQ(det->kinds(), batch->kinds) << "prefix " << i + 1;
-      EXPECT_EQ(det->Outliers(), batch->outliers);
+      EXPECT_EQ(det->Outliers(), testing::Widen(batch->outliers));
       EXPECT_EQ(det->num_core(), batch->num_core);
     }
   }
@@ -169,11 +169,11 @@ TEST(IncrementalTest, RemoveUpdatesLivenessNotEpoch) {
   EXPECT_FALSE(det->IsAlive(2));
   EXPECT_TRUE(det->IsAlive(1));
   // Removed points drop out of the outlier list but keep their last label.
-  EXPECT_EQ(det->Outliers(), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(det->Outliers(), (std::vector<uint64_t>{0, 1, 3}));
   auto snap = det->SnapshotNow();
   EXPECT_EQ(snap->live_points(), 3u);
   EXPECT_FALSE(snap->IsAlive(2));
-  EXPECT_EQ(snap->Outliers(), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(snap->Outliers(), (std::vector<uint64_t>{0, 1, 3}));
 }
 
 // Layout (1D, eps = 1, minPts = 6): four copies of A at 0.0, one helper at
@@ -203,7 +203,7 @@ TEST(IncrementalTest, RemoveCoreDemotesToNonCoreAndUncoversBorders) {
   // whole live set falls to outlier.
   ASSERT_TRUE(det->Remove(0).ok());
   EXPECT_EQ(det->num_core(), 0u);
-  EXPECT_EQ(det->Outliers(), (std::vector<uint32_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(det->Outliers(), (std::vector<uint64_t>{1, 2, 3, 4, 5}));
 }
 
 TEST(IncrementalTest, RemoveBorderCanDemoteCoresItSupported) {
@@ -215,7 +215,7 @@ TEST(IncrementalTest, RemoveBorderCanDemoteCoresItSupported) {
   // the helper falls border -> outlier with them.
   ASSERT_TRUE(det->Remove(5).ok());
   EXPECT_EQ(det->num_core(), 0u);
-  EXPECT_EQ(det->Outliers(), (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(det->Outliers(), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(IncrementalTest, RemoveThenReinsertRebuildsTheCluster) {
@@ -344,6 +344,159 @@ INSTANTIATE_TEST_SUITE_P(Dims, WindowTurnoverTest,
                          });
 
 // ---------------------------------------------------------------------------
+// ExpireBefore: the detector owns its window. Expired ids hold no row, so
+// memory follows the window, not lifetime ingest.
+// ---------------------------------------------------------------------------
+
+TEST(ExpireBeforeTest, StartsAtFirstIdAndExpiresAPrefix) {
+  auto det = IncrementalDetector::Create(1, MakeParams(1.0, 3), 1000);
+  ASSERT_TRUE(det.ok());
+  EXPECT_EQ(det->epoch(), 1000u);
+  EXPECT_EQ(det->window_begin(), 1000u);
+  ASSERT_TRUE(det->ExpireBefore(5).ok());  // below the first id: no-op
+  EXPECT_EQ(det->window_begin(), 1000u);
+  for (int i = 0; i < 6; ++i) {
+    const double p[] = {static_cast<double>(i) * 10.0};  // isolated outliers
+    auto id = det->Add({p, 1});
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, 1000u + static_cast<uint64_t>(i));
+  }
+  EXPECT_EQ(det->Remove(999).code(), StatusCode::kNotFound);
+  EXPECT_EQ(det->Remove(1006).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(det->Remove(1001).ok());  // a hole the expiry steps over
+
+  EXPECT_EQ(det->ExpireBefore(1007).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(det->ExpireBefore(1003).ok());
+  EXPECT_EQ(det->window_begin(), 1003u);
+  EXPECT_EQ(det->live_points(), 3u);
+  EXPECT_EQ(det->Outliers(), (std::vector<uint64_t>{1003, 1004, 1005}));
+  EXPECT_EQ(det->kinds().size(), 3u);
+  EXPECT_EQ(det->Remove(1002).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(det->ExpireBefore(1002).ok());  // behind the window: no-op
+  EXPECT_EQ(det->window_begin(), 1003u);
+
+  auto snap = det->SnapshotNow();
+  EXPECT_EQ(snap->epoch(), 1006u);
+  EXPECT_EQ(snap->window_begin(), 1003u);
+  EXPECT_EQ(snap->Outliers(), (std::vector<uint64_t>{1003, 1004, 1005}));
+  EXPECT_EQ(snap->PointAt(1004)[0], 40.0);
+  ASSERT_TRUE(det->ExpireBefore(1006).ok());
+  EXPECT_EQ(det->live_points(), 0u);
+  EXPECT_EQ(det->num_cells(), 0u);
+  EXPECT_EQ(snap->live_points(), 3u);  // the held snapshot is unchanged
+  EXPECT_TRUE(snap->IsAlive(1005));
+}
+
+TEST(ExpireBeforeTest, RowCapacityIsTwoToTheThirtyTwoInsertions) {
+  const uint64_t max = IncrementalDetector::kMaxRows;
+  ASSERT_EQ(max, uint64_t{1} << 32);
+  EXPECT_TRUE(IncrementalDetector::CheckRowCapacity(max - 2, 1).ok());
+  EXPECT_TRUE(IncrementalDetector::CheckRowCapacity(max - 1, 1).ok());
+  EXPECT_EQ(IncrementalDetector::CheckRowCapacity(max, 1).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(IncrementalDetector::CheckRowCapacity(0, max).ok());
+  EXPECT_EQ(IncrementalDetector::CheckRowCapacity(1, max).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(IncrementalDetector::CheckRowCapacity(max + 1, 0).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(IncrementalDetector::CheckRowCapacity(
+                2, std::numeric_limits<uint64_t>::max())
+                .code(),
+            StatusCode::kOutOfRange);
+}
+
+// What a window of kWindow points costs after 2 and after 200 turnovers:
+// the detector's held rows and a frozen snapshot's chunk lists are
+// window-sized (equal within one chunk per vector), labels equal
+// DetectSequential on the window at every checked turnover, and a
+// snapshot frozen before later expiries keeps reading every label and
+// coordinate it covered.
+TEST(ExpireBeforeTest, TwoHundredTurnoversHoldWhatTwoDo) {
+  constexpr size_t kDims = 2;
+  constexpr size_t kWindow = 1000;
+  constexpr size_t kBatch = 250;
+  const Params params = MakeParams(1.0, 5);
+  auto det = IncrementalDetector::Create(kDims, params);
+  ASSERT_TRUE(det.ok());
+  ThreadPool pool(2);
+  Rng rng(0x200);
+  std::deque<std::vector<double>> window;  // coordinates of the window ids
+  struct Held {
+    std::shared_ptr<const IncrementalSnapshot> snap;
+    std::vector<PointKind> kinds;
+    std::vector<std::vector<double>> coords;
+  };
+  std::vector<Held> held;
+  size_t rows_at_2 = 0;
+  size_t chunks_at_2 = 0;
+  bool saw_border = false;
+  bool saw_outlier = false;
+  for (int turnover = 1; turnover <= 200; ++turnover) {
+    for (size_t b = 0; b < kWindow / kBatch; ++b) {
+      const PointSet adds =
+          testing::ClusteredPoints(&rng, kBatch, kDims, 3, 0.3);
+      ASSERT_TRUE(det->AddBatchParallel(adds, &pool).ok());
+      for (size_t i = 0; i < adds.size(); ++i) {
+        window.emplace_back(adds[i].begin(), adds[i].end());
+      }
+      if (turnover == 100 && b == 0) {
+        // Frozen before this turnover's expiries release its chunks.
+        Held h{det->SnapshotNow(), det->kinds(), {}};
+        for (uint64_t id = h.snap->window_begin(); id < h.snap->epoch();
+             ++id) {
+          const auto p = h.snap->PointAt(id);
+          h.coords.emplace_back(p.begin(), p.end());
+        }
+        held.push_back(std::move(h));
+      }
+      while (window.size() > kWindow) {
+        window.pop_front();
+      }
+      ASSERT_TRUE(det->ExpireBefore(det->epoch() - window.size()).ok());
+    }
+    ASSERT_EQ(det->live_points(), kWindow);
+    ASSERT_EQ(det->window_begin(), det->epoch() - kWindow);
+    const std::shared_ptr<const IncrementalSnapshot> snap = det->SnapshotNow();
+    if (turnover == 2) {
+      rows_at_2 = det->rows_held();
+      chunks_at_2 = snap->chunks_held();
+    }
+    if (turnover == 200) {
+      constexpr size_t kChunk = CowChunkedVector<int>::kChunkSize;
+      EXPECT_LE(det->rows_held(), rows_at_2 + kChunk);
+      EXPECT_GE(det->rows_held() + kChunk, rows_at_2);
+      EXPECT_LE(snap->chunks_held(), chunks_at_2 + 4);
+      EXPECT_GE(snap->chunks_held() + 4, chunks_at_2);
+    }
+    if (turnover == 2 || turnover % 40 == 0) {
+      PointSet live(kDims);
+      for (const auto& p : window) {
+        live.Add(p);
+      }
+      auto oracle = DetectSequential(live, params);
+      ASSERT_TRUE(oracle.ok());
+      ASSERT_EQ(snap->Kinds(), oracle->kinds) << "turnover " << turnover;
+      ASSERT_EQ(det->num_core(), oracle->num_core) << "turnover " << turnover;
+      for (PointKind kind : oracle->kinds) {
+        saw_border |= kind == PointKind::kBorder;
+        saw_outlier |= kind == PointKind::kOutlier;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_border && saw_outlier);
+  ASSERT_EQ(held.size(), 1u);
+  const Held& h = held.front();
+  ASSERT_GT(det->window_begin(), h.snap->epoch());  // its rows all expired
+  ASSERT_EQ(h.snap->Kinds(), h.kinds);
+  for (uint64_t id = h.snap->window_begin(); id < h.snap->epoch(); ++id) {
+    const auto p = h.snap->PointAt(id);
+    ASSERT_TRUE(std::equal(p.begin(), p.end(),
+                           h.coords[id - h.snap->window_begin()].begin()))
+        << "id " << id;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Held snapshots: a snapshot keeps answering for its own epoch while the
 // detector applies later passes (inserts, removals, cells created and
 // erased), and its probe classification and scores are exact.
@@ -428,7 +581,7 @@ struct HeldSnapshot {
   std::shared_ptr<const IncrementalSnapshot> snap;
   size_t num_cells = 0;
   std::vector<PointKind> kinds;  // every id below the epoch
-  std::vector<uint32_t> outliers;
+  std::vector<uint64_t> outliers;
   std::vector<uint32_t> live_ids;
   PointSet live;
 };

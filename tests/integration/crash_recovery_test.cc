@@ -266,6 +266,8 @@ TEST(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
 
   Rng rng(0xfeee);
   std::vector<PointSet> sent;
+  std::vector<PointKind> kinds_before;
+  std::vector<uint8_t> alive_before;
 
   ServeProcess serve = StartServe(
       {dir_flag, "--wal-fsync=interval", "--ttl-seconds=1"});
@@ -284,6 +286,14 @@ TEST(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
     ASSERT_TRUE(stats.ok()) << stats.status();
     ASSERT_EQ(stats->window_begin, sent[0].size())
         << "first batch should have expired before the kill";
+    // The expired plan batch answers as it will after the restart.
+    auto expired = client->QueryId("c", 0, /*want_score=*/false);
+    EXPECT_EQ(expired.status().code(), StatusCode::kNotFound)
+        << expired.status();
+    auto snapshot = client->Snapshot("c");
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    kinds_before = snapshot->kinds;
+    alive_before = snapshot->alive;
   }
   serve.Kill();
 
@@ -299,6 +309,15 @@ TEST(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
     EXPECT_GE(stats->window_begin, sent[0].size());
     EXPECT_EQ(stats->epoch, sent[0].size() + sent[1].size());
     ExpectOracleSnapshot(&*client, sent, "after TTL restart");
+    // One rule for expired ids, before the kill and after the restart:
+    // the SNAPSHOT arrays over [0, epoch) match id for id.
+    auto snapshot = client->Snapshot("c");
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    EXPECT_EQ(snapshot->kinds, kinds_before);
+    EXPECT_EQ(snapshot->alive, alive_before);
+    auto expired = client->QueryId("c", 0, /*want_score=*/false);
+    EXPECT_EQ(expired.status().code(), StatusCode::kNotFound)
+        << expired.status();
   }
   restarted.Kill();
 }

@@ -303,42 +303,6 @@ TEST(ProtocolTest, StatsWindowFieldsRoundTrip) {
   }
 }
 
-TEST(ProtocolTest, StatsShardRowsRoundTrip) {
-  Response response;
-  response.verb = Verb::kStats;
-  response.stats.epoch = 50;
-  response.stats.num_points = 50;
-  response.stats.shards = 4;
-  response.stats.shard_rows = {{0, 20, 18, 0},
-                               {1, 15, 15, 1},
-                               {2, 12, 10, 0},
-                               {3, 9, 7, 0}};
-  response.stats.phases = {{"apply", 0.5, 1000, 50}};
-  const std::vector<uint8_t> bytes = EncodeResponse(response);
-  auto decoded = DecodeResponse(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->stats.shards, 4u);
-  EXPECT_EQ(decoded->stats.shard_rows, response.stats.shard_rows);
-  EXPECT_EQ(decoded->stats.phases, response.stats.phases);
-  // Truncation through the per-shard block (and everything after it) must
-  // fail cleanly for every proper prefix.
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(DecodeResponse({bytes.data(), len}).ok()) << "len " << len;
-  }
-}
-
-TEST(ProtocolTest, StatsDefaultShardFieldsRoundTrip) {
-  // An unsharded service reports shards=1 and may omit the rows entirely;
-  // the block must survive the round trip as-is.
-  Response response;
-  response.verb = Verb::kStats;
-  response.stats.epoch = 3;
-  auto decoded = DecodeResponse(EncodeResponse(response));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->stats.shards, 1u);
-  EXPECT_TRUE(decoded->stats.shard_rows.empty());
-}
-
 TEST(ProtocolTest, SnapshotAliveMaskRoundTrip) {
   Response response;
   response.verb = Verb::kSnapshot;

@@ -327,11 +327,28 @@ std::string NewestSnapshot(const std::string& data_dir) {
   return newest;
 }
 
+// A by-id QUERY of `id` answers NotFound when `expired`, else a label.
+void ExpectQueryExpired(ServiceHandle* handle, uint64_t id, bool expired,
+                        const char* where) {
+  auto answer =
+      handle->Call(QueryByIdRequest("c", static_cast<uint32_t>(id)));
+  ASSERT_TRUE(answer.ok()) << where;
+  if (expired) {
+    EXPECT_EQ(answer->status.code(), StatusCode::kNotFound)
+        << where << ": id " << id << ": " << answer->status;
+  } else {
+    EXPECT_TRUE(answer->status.ok())
+        << where << ": id " << id << ": " << answer->status;
+  }
+}
+
 // Twenty window turnovers on an injected clock: each turnover ingests at
 // one of two alternating sites and expires the whole previous window.
 // Compaction then writes only the live rows, recovery re-ingests only
-// them (at their original global ids), and a by-id QUERY below the
-// recovered base answers NotFound.
+// them (at their original global ids), and one rule holds before and
+// after the restart alike: a by-id QUERY below window_begin answers
+// NotFound, and SNAPSHOT reads every such id as a dead outlier, so its
+// arrays over [0, epoch) are identical across the restart.
 TEST(DurabilityTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
   const std::string dir = FreshDataDir("turnover");
   const size_t dims = 2;
@@ -340,6 +357,7 @@ TEST(DurabilityTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
   std::atomic<double> now{0.0};
   uint64_t live = 0;
   uint64_t window_begin = 0;
+  SnapshotAnswer before;
 
   {
     obs::Registry registry;
@@ -369,6 +387,13 @@ TEST(DurabilityTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
     window_begin = stats->stats.window_begin;
     ASSERT_EQ(live, 60u);
     ASSERT_EQ(window_begin, ingested.size() - live);
+    ExpectQueryExpired(&run.handle, 0, true, "before restart");
+    ExpectQueryExpired(&run.handle, window_begin - 1, true, "before restart");
+    ExpectQueryExpired(&run.handle, window_begin, false, "before restart");
+    auto snapshot = run.handle.Call(SnapshotRequest("c"));
+    ASSERT_TRUE(snapshot.ok() && snapshot->status.ok());
+    before = snapshot->snapshot;
+    ASSERT_EQ(before.kinds.size(), ingested.size());
     ASSERT_TRUE(run.service.CompactNow().ok());
   }
 
@@ -394,14 +419,14 @@ TEST(DurabilityTest, WindowTurnoversStoreAndRecoverOnlyLivePoints) {
               live);
     ExpectMatchesOracle(&run.handle, "c", ingested, TestParams(),
                         "after turnover restart");
-    auto below = run.handle.Call(
-        QueryByIdRequest("c", static_cast<uint32_t>(window_begin - 1)));
-    ASSERT_TRUE(below.ok());
-    EXPECT_EQ(below->status.code(), StatusCode::kNotFound) << below->status;
-    auto at_base = run.handle.Call(
-        QueryByIdRequest("c", static_cast<uint32_t>(window_begin)));
-    ASSERT_TRUE(at_base.ok());
-    EXPECT_TRUE(at_base->status.ok()) << at_base->status;
+    ExpectQueryExpired(&run.handle, 0, true, "after restart");
+    ExpectQueryExpired(&run.handle, window_begin - 1, true, "after restart");
+    ExpectQueryExpired(&run.handle, window_begin, false, "after restart");
+    auto after = run.handle.Call(SnapshotRequest("c"));
+    ASSERT_TRUE(after.ok() && after->status.ok());
+    EXPECT_EQ(after->snapshot.epoch, before.epoch);
+    EXPECT_EQ(after->snapshot.kinds, before.kinds);
+    EXPECT_EQ(after->snapshot.alive, before.alive);
   }
 }
 

@@ -820,13 +820,6 @@ TEST(ServiceTest, WindowedWorkloadMatchesOracleAtEveryEpoch) {
   ingest(testing::UniformPoints(&rng, 120, dims, 0.0, 12.0));
   ExpectMatchesLiveOracle(&handle, "c", ingested, params, probes(),
                           "after first batch");
-  {
-    // One detector: STATS encodes one shard and no per-shard rows.
-    auto stats = handle.Call(StatsRequest("c"));
-    ASSERT_TRUE(stats.ok() && stats->status.ok());
-    EXPECT_EQ(stats->stats.shards, 1u);
-    EXPECT_TRUE(stats->stats.shard_rows.empty());
-  }
 
   ASSERT_TRUE(handle.Call(ConfigureRequest("c", 5.0))->status.ok());
 

@@ -356,16 +356,18 @@ TEST(ServiceStressTest, WindowedIngestExpiryVsReadersStaysConsistent) {
         stats_req.verb = Verb::kStats;
         stats_req.collection = "window";
         const Response stats = service.Dispatch(stats_req);
-        // window_begin is a live atomic and may run ahead of the snapshot
-        // the other fields came from, so only snapshot-internal invariants
-        // are checked here.
+        // Every field comes from one published snapshot, so the window
+        // adds up: the live points are exactly the ids not yet expired.
         if (!stats.status.ok() ||
-            stats.stats.live_points > stats.stats.num_points ||
+            stats.stats.live_points !=
+                stats.stats.epoch - stats.stats.window_begin ||
             stats.stats.ttl_seconds != 0.02) {
           ++failures;
         }
         if (epoch > 0) {
-          // By-id queries answer for expired ids too (last label carried).
+          // A by-id query answers NotFound only for an expired id: one
+          // below the window_begin of a STATS read after it (the window
+          // only moves forward).
           Request query;
           query.verb = Verb::kQuery;
           query.collection = "window";
@@ -373,7 +375,13 @@ TEST(ServiceStressTest, WindowedIngestExpiryVsReadersStaysConsistent) {
           query.query_id =
               static_cast<uint32_t>(reader_rng.NextBounded(epoch));
           const Response answer = service.Dispatch(query);
-          if (!answer.status.ok()) {
+          if (answer.status.code() == StatusCode::kNotFound) {
+            const Response after = service.Dispatch(stats_req);
+            if (!after.status.ok() ||
+                query.query_id >= after.stats.window_begin) {
+              ++failures;
+            }
+          } else if (!answer.status.ok()) {
             ++failures;
           }
         }
@@ -415,7 +423,9 @@ TEST(ServiceStressTest, WindowedIngestExpiryVsReadersStaysConsistent) {
 // (a timer sweep between the clock step and the pass publishes only the
 // latter). Every snapshot's alive mask must be 0*1* and its live labels
 // must equal DetectSequential on exactly its live ids; a by-id QUERY of a
-// point live in both windows must match the oracle on one of them.
+// point live in both windows must match the oracle on one of them, and
+// may answer NotFound only once its batch has expired at the answering
+// epoch.
 TEST(ServiceStressTest, ExpiryAfterAckKeepsReadersExact) {
   constexpr size_t kWindowBatch = 30;
   Rng rng(20260812);
@@ -526,12 +536,20 @@ TEST(ServiceStressTest, ExpiryAfterAckKeepsReadersExact) {
         query.query_id = static_cast<uint32_t>(
             epoch - kWindowBatch + reader_rng.NextBounded(kWindowBatch));
         const Response answer = service.Dispatch(query);
+        const uint64_t at = answer.query.epoch;
+        const uint64_t id = query.query_id;
+        if (answer.status.code() == StatusCode::kNotFound) {
+          // Expired at `at` in at least the post-expiry window.
+          if (at % kWindowBatch != 0 || at < epoch ||
+              at < 2 * kWindowBatch || id >= at - 2 * kWindowBatch) {
+            ++failures;
+          }
+          continue;
+        }
         if (!answer.status.ok()) {
           ++failures;
           continue;
         }
-        const uint64_t at = answer.query.epoch;
-        const uint64_t id = query.query_id;
         if (at % kWindowBatch != 0 || at < epoch) {
           ++failures;
         } else if (at < 2 * kWindowBatch || id >= at - 2 * kWindowBatch) {

@@ -108,4 +108,8 @@ PointSet LatticePoints(size_t per_side, size_t dims, double step) {
   return out;
 }
 
+std::vector<uint64_t> Widen(const std::vector<uint32_t>& ids) {
+  return std::vector<uint64_t>(ids.begin(), ids.end());
+}
+
 }  // namespace dbscout::testing

@@ -34,6 +34,10 @@ PointSet ClusteredPoints(Rng* rng, size_t n, size_t dims, int clusters,
 /// boundary handling: coordinates land on cell edges).
 PointSet LatticePoints(size_t per_side, size_t dims, double step);
 
+/// `ids` widened to the incremental detector's uint64 ids, so batch
+/// engines' outlier lists compare with IncrementalDetector::Outliers().
+std::vector<uint64_t> Widen(const std::vector<uint32_t>& ids);
+
 }  // namespace dbscout::testing
 
 #endif  // DBSCOUT_TESTS_TESTUTIL_H_

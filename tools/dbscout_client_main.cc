@@ -327,7 +327,6 @@ int main(int argc, char** argv) {
               << " window-begin=" << stats->window_begin
               << " queue-depth=" << stats->queue_depth
               << " ttl=" << stats->ttl_seconds
-              << " shards=" << stats->shards
               << " uptime=" << stats->uptime_seconds << "\n";
     for (const auto& row : stats->phases) {
       std::cout << "phase " << row.name << " seconds=" << row.seconds

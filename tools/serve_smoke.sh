@@ -12,8 +12,9 @@
 # the kill -9 / wal_inspect / restart / compare cycle. A TTL leg boots a
 # durable --ttl-seconds=1 server, ingests once, and waits for the apply
 # loop's timer passes to expire the whole window (the expire row must
-# count every point and some distance computations); after a kill -9 and
-# a restart the window is still empty at the same epoch.
+# count every point and some distance computations); a by-id QUERY of
+# the expired id 0 answers NotFound; after a kill -9 and a restart the
+# window is still empty at the same epoch and id 0 still answers NotFound.
 #
 # usage: tools/serve_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -260,6 +261,15 @@ boot_ttl() {  # boot_ttl LOGFILE: durable server with a 1 s window
   TPORT="$(wait_port "$1" "$DURABLE_PID")" \
     || { echo "FAIL: TTL server did not come up"; exit 1; }
 }
+expect_expired() {  # expect_expired WHEN: by-id QUERY of id 0 is NotFound
+  local out
+  if out="$("$CLIENT" --port="$TPORT" --collection=ttl --query-id=0 2>&1)"; then
+    echo "FAIL: expired id 0 answered $out $1"; exit 1
+  fi
+  grep -q "NotFound" <<<"$out" \
+    || { echo "FAIL: expired id 0 $1: $out"; exit 1; }
+  echo "   query-id=0 $1: $out"
+}
 boot_ttl "$WORK/serve_ttl1.log"
 "$CLIENT" --port="$TPORT" --collection=ttl --ingest="$WORK/blobs.dbsc"
 # Nothing else is sent, so only the apply loop's 100 ms timer passes can
@@ -285,6 +295,7 @@ echo "   $EXPIRE_ROW"
   || { echo "FAIL: expire row records != epoch $TEPOCH"; exit 1; }
 [[ "$(stat_field "$EXPIRE_ROW" dist-comps)" -gt 0 ]] \
   || { echo "FAIL: expire row counts no distance computations"; exit 1; }
+expect_expired "before kill -9"
 kill -9 "$DURABLE_PID"
 wait "$DURABLE_PID" 2>/dev/null || true
 DURABLE_PID=""
@@ -297,6 +308,7 @@ for field in epoch window-begin live; do
   [[ "$(stat_field "$TLINE2" "$field")" -eq "$(stat_field "$TLINE" "$field")" ]] \
     || { echo "FAIL: $field changed across the TTL restart"; exit 1; }
 done
+expect_expired "after restart"
 kill -9 "$DURABLE_PID"
 wait "$DURABLE_PID" 2>/dev/null || true
 DURABLE_PID=""
