@@ -64,7 +64,7 @@ std::vector<PointKind> IncrementalSnapshot::Kinds() const {
 std::vector<uint64_t> IncrementalSnapshot::Outliers() const {
   std::vector<uint64_t> out;
   for (uint64_t id = window_begin_; id < epoch(); ++id) {
-    if (KindOf(id) == PointKind::kOutlier && IsAlive(id)) {
+    if (KindOf(id) == PointKind::kOutlier) {
       out.push_back(id);
     }
   }
@@ -302,58 +302,63 @@ void IncrementalDetector::Promote(PointInCell q_in, ApplyCtx* ctx) {
   }
 }
 
+template <typename Hit>
+uint32_t IncrementalDetector::ForEachWithin(std::span<const double> pv,
+                                            const Cell* cell, ApplyCtx* ctx,
+                                            Hit hit) {
+  const size_t n = cell->points == nullptr ? 0 : cell->points->size();
+  if (n == 0 || phases::CellBoxBeyondEps(pv.data(), cell->box_origin.data(),
+                                         points_.width(), side_, eps2_)) {
+    return 0;
+  }
+  // Room for one full word past the block so the walk below can read the
+  // flags 8 at a time; the pad is zeroed so it never reads as a hit.
+  if (ctx->flags.size() < n + sizeof(uint64_t)) {
+    ctx->flags.resize(n + sizeof(uint64_t));
+  }
+  const uint32_t hits = phases::NeighborFlagsScanCell(
+      kernels_, pv.data(), cell->coords.data(), n, eps2_, ctx->flags.data(),
+      &ctx->distance_comps);
+  if (hits == 0) {
+    return 0;
+  }
+  std::memset(ctx->flags.data() + n, 0, sizeof(uint64_t));
+  const uint8_t* flags = ctx->flags.data();
+  // Word-at-a-time walk of the 0/1 flag bytes: only flagged entries cost
+  // anything (a set flag is a single bit at its byte's LSB position).
+  uint32_t left = hits;
+  for (size_t i = 0; left > 0; i += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, flags + i, sizeof(word));
+    while (word != 0) {
+      hit(i + (static_cast<size_t>(std::countr_zero(word)) >> 3));
+      word &= word - 1;
+      --left;
+    }
+  }
+  return hits;
+}
+
 void IncrementalDetector::ApplyPoint(uint32_t x, std::span<const double> pv,
                                      Cell* home_cell, ApplyCtx* ctx) {
   const uint32_t min_pts = static_cast<uint32_t>(params_.min_pts);
   ctx->promoted.clear();
   uint32_t count_x = 1;
   bool covered_by_core = false;
-  // One pass over the cached neighbor cells: flag x's eps-neighbors per
-  // packed cell block, then bump the flagged points' counts and collect
-  // the ones whose count just crossed minPts.
-  const size_t dims = points_.width();
+  // One pass over the cached neighbor cells: bump the counts of x's
+  // eps-neighbors and collect the ones whose count just crossed minPts.
   for (const Link& link : home_cell->neighbors) {
     Cell* cell = link.cell;
-    const size_t n = cell->points == nullptr ? 0 : cell->points->size();
-    if (n == 0 || phases::CellBoxBeyondEps(pv.data(), cell->box_origin.data(),
-                                           dims, side_, eps2_)) {
-      continue;
-    }
-    // Room for one full word past the block so the walk below can read the
-    // flags 8 at a time; the pad is zeroed so it never reads as a hit.
-    if (ctx->flags.size() < n + sizeof(uint64_t)) {
-      ctx->flags.resize(n + sizeof(uint64_t));
-    }
-    uint32_t hits = phases::NeighborFlagsScanCell(
-        kernels_, pv.data(), cell->coords.data(), n, eps2_,
-        ctx->flags.data(), &ctx->distance_comps);
-    if (hits == 0) {
-      continue;
-    }
-    std::memset(ctx->flags.data() + n, 0, sizeof(uint64_t));
-    count_x += hits;
-    const uint32_t* idx = cell->points->data();
-    const uint8_t* flags = ctx->flags.data();
-    // Word-at-a-time walk of the 0/1 flag bytes: only flagged entries cost
-    // anything (a set flag is a single bit at its byte's LSB position).
-    for (size_t i = 0; hits > 0; i += sizeof(uint64_t)) {
-      uint64_t word;
-      std::memcpy(&word, flags + i, sizeof(word));
-      while (word != 0) {
-        const size_t j = i + (static_cast<size_t>(std::countr_zero(word)) >> 3);
-        word &= word - 1;
-        --hits;
-        const uint32_t q = idx[j];
-        if (!covered_by_core) {
-          covered_by_core = kinds_[q] == PointKind::kCore;
-        }
-        uint32_t* cnt = neighbor_counts_.MutableSlot(q);
-        const uint32_t new_count = ++*cnt;
-        if (phases::CrossesDensityThreshold(new_count, min_pts)) {
-          ctx->promoted.push_back({q, cell});
-        }
+    count_x += ForEachWithin(pv, cell, ctx, [&](size_t j) {
+      const uint32_t q = (*cell->points)[j];
+      if (!covered_by_core) {
+        covered_by_core = kinds_[q] == PointKind::kCore;
       }
-    }
+      if (phases::CrossesDensityThreshold(++*neighbor_counts_.MutableSlot(q),
+                                          min_pts)) {
+        ctx->promoted.push_back({q, cell});
+      }
+    });
   }
   neighbor_counts_.Set(x, count_x);
   // Register x only now, so the scan above never saw it.
@@ -396,43 +401,20 @@ void IncrementalDetector::ApplyGroupBatched(
   for (size_t i = 0; i < m; ++i) {
     const uint32_t x = members[i];
     const auto pv = points_[x];
-    const size_t n = home_cell->points->size();
-    if (n > 0) {
-      if (ctx->flags.size() < n + sizeof(uint64_t)) {
-        ctx->flags.resize(n + sizeof(uint64_t));
+    ctx->member_counts[i] += ForEachWithin(pv, home_cell, ctx, [&](size_t j) {
+      if (j >= pre_n) {
+        ctx->member_counts[j - pre_n] += 1;
+        return;
       }
-      uint32_t hits = phases::NeighborFlagsScanCell(
-          kernels_, pv.data(), home_cell->coords.data(), n, eps2_,
-          ctx->flags.data(), &ctx->distance_comps);
-      if (hits > 0) {
-        std::memset(ctx->flags.data() + n, 0, sizeof(uint64_t));
-        ctx->member_counts[i] += hits;
-        const uint32_t* idx = home_cell->points->data();
-        const uint8_t* flags = ctx->flags.data();
-        for (size_t base = 0; hits > 0; base += sizeof(uint64_t)) {
-          uint64_t word;
-          std::memcpy(&word, flags + base, sizeof(word));
-          while (word != 0) {
-            const size_t j =
-                base + (static_cast<size_t>(std::countr_zero(word)) >> 3);
-            word &= word - 1;
-            --hits;
-            if (j >= pre_n) {
-              ctx->member_counts[j - pre_n] += 1;
-              continue;
-            }
-            const uint32_t q = idx[j];
-            if (!ctx->member_covered[i]) {
-              ctx->member_covered[i] = kinds_[q] == PointKind::kCore;
-            }
-            uint32_t* cnt = neighbor_counts_.MutableSlot(q);
-            if (phases::CrossesDensityThreshold(++*cnt, min_pts)) {
-              ctx->promoted.push_back({q, home_cell});
-            }
-          }
-        }
+      const uint32_t q = (*home_cell->points)[j];
+      if (!ctx->member_covered[i]) {
+        ctx->member_covered[i] = kinds_[q] == PointKind::kCore;
       }
-    }
+      if (phases::CrossesDensityThreshold(++*neighbor_counts_.MutableSlot(q),
+                                          min_pts)) {
+        ctx->promoted.push_back({q, home_cell});
+      }
+    });
     AppendToCell(home_cell, x, pv);
   }
 
@@ -553,9 +535,7 @@ Result<uint64_t> IncrementalDetector::Add(std::span<const double> point) {
   points_.PushBack(point);
   kinds_.PushBack(PointKind::kOutlier);  // provisional
   neighbor_counts_.PushBack(1);          // itself
-  alive_.PushBack(1);
   num_outliers_ += 1;
-  live_points_ += 1;
 
   Cell* home_cell = GetOrCreateCell(CoordOf(point));
   ApplyCtx ctx;
@@ -603,7 +583,6 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
     points_.PushBack(p);
     kinds_.PushBack(PointKind::kOutlier);  // provisional
     neighbor_counts_.PushBack(1);          // itself
-    alive_.PushBack(1);
     homes[i] = CoordOf(p);
     order[i] = static_cast<uint32_t>(i);
   }
@@ -625,7 +604,6 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
     groups.back().members.push_back(base + order[r]);
   }
   num_outliers_ += n;
-  live_points_ += n;
 
   // ---- Partition home-cell groups into slab-block tasks. ----
   std::unordered_map<int64_t, std::vector<size_t>> blocks;
@@ -706,13 +684,13 @@ Status IncrementalDetector::Remove(uint64_t id) {
                   static_cast<unsigned long long>(id),
                   static_cast<unsigned long long>(window_begin_)));
   }
-  if (!IsAlive(id)) {
-    return Status::NotFound(
-        StrFormat("remove: id %llu already removed",
-                  static_cast<unsigned long long>(id)));
+  if (id != window_begin_) {
+    return Status::FailedPrecondition(
+        StrFormat("remove: id %llu is not the oldest live id %llu",
+                  static_cast<unsigned long long>(id),
+                  static_cast<unsigned long long>(window_begin_)));
   }
-  RemoveRow(Row(id));
-  return Status::OK();
+  return ExpireBefore(id + 1);
 }
 
 Status IncrementalDetector::ExpireBefore(uint64_t end) {
@@ -726,17 +704,14 @@ Status IncrementalDetector::ExpireBefore(uint64_t end) {
     return Status::OK();
   }
   for (; window_begin_ < end; ++window_begin_) {
-    if (IsAlive(window_begin_)) {
-      RemoveRow(Row(window_begin_));
-    }
+    RemoveRow(Row(window_begin_));
   }
-  // Every id below `end` is dead now, so no cell lists it any more and
+  // Every id below `end` is expired now, so no cell lists it any more and
   // nothing reads these rows again; held snapshots keep their own chunks.
   const size_t rows_end = Row(end);
   points_.DropChunksBelow(rows_end);
   kinds_.DropChunksBelow(rows_end);
   neighbor_counts_.DropChunksBelow(rows_end);
-  alive_.DropChunksBelow(rows_end);
   return Status::OK();
 }
 
@@ -771,8 +746,6 @@ void IncrementalDetector::RemoveRow(uint32_t id) {
     ctx.outlier_delta -= 1;
     home_cell->outlier_points -= 1;
   }
-  alive_.Set(id, 0);
-  live_points_ -= 1;
 
   // ---- Decrement the counts of id's eps-neighbors; a core point whose
   // count falls off the minPts threshold demotes. Border neighbors of a
@@ -781,24 +754,8 @@ void IncrementalDetector::RemoveRow(uint32_t id) {
   std::vector<PointInCell> candidates;
   for (const Link& link : home_cell->neighbors) {
     Cell* cell = link.cell;
-    const size_t cn = cell->points == nullptr ? 0 : cell->points->size();
-    if (cn == 0 || phases::CellBoxBeyondEps(pv.data(), cell->box_origin.data(),
-                                            dims, side_, eps2_)) {
-      continue;
-    }
-    if (ctx.flags.size() < cn) {
-      ctx.flags.resize(cn);
-    }
-    uint32_t hits = phases::NeighborFlagsScanCell(
-        kernels_, pv.data(), cell->coords.data(), cn, eps2_,
-        ctx.flags.data(), &ctx.distance_comps);
-    const uint32_t* idx = cell->points->data();
-    for (size_t i = 0; i < cn && hits > 0; ++i) {
-      if (!ctx.flags[i]) {
-        continue;
-      }
-      --hits;
-      const uint32_t q = idx[i];
+    ForEachWithin(pv, cell, &ctx, [&](size_t j) {
+      const uint32_t q = (*cell->points)[j];
       const uint32_t old_count = neighbor_counts_[q];
       neighbor_counts_.Set(q, old_count - 1);
       if (phases::LeavesDensityThreshold(old_count, min_pts)) {
@@ -807,7 +764,7 @@ void IncrementalDetector::RemoveRow(uint32_t id) {
                  kinds_[q] == PointKind::kBorder) {
         candidates.push_back({q, cell});
       }
-    }
+    });
   }
 
   // ---- Demotions: core -> provisional border, then re-derive coverage
@@ -824,28 +781,12 @@ void IncrementalDetector::RemoveRow(uint32_t id) {
     const auto qv = points_[q.id];
     for (const Link& link : q.cell->neighbors) {
       Cell* cell = link.cell;
-      const size_t cn = cell->points == nullptr ? 0 : cell->points->size();
-      if (cn == 0 ||
-          phases::CellBoxBeyondEps(qv.data(), cell->box_origin.data(), dims,
-                                   side_, eps2_)) {
-        continue;
-      }
-      if (ctx.flags.size() < cn) {
-        ctx.flags.resize(cn);
-      }
-      uint32_t hits = phases::NeighborFlagsScanCell(
-          kernels_, qv.data(), cell->coords.data(), cn, eps2_,
-          ctx.flags.data(), &ctx.distance_comps);
-      const uint32_t* idx = cell->points->data();
-      for (size_t i = 0; i < cn && hits > 0; ++i) {
-        if (!ctx.flags[i]) {
-          continue;
+      ForEachWithin(qv, cell, &ctx, [&](size_t j) {
+        const uint32_t r = (*cell->points)[j];
+        if (kinds_[r] == PointKind::kBorder) {
+          candidates.push_back({r, cell});
         }
-        --hits;
-        if (kinds_[idx[i]] == PointKind::kBorder) {
-          candidates.push_back({idx[i], cell});
-        }
-      }
+      });
     }
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -934,7 +875,7 @@ std::vector<PointKind> IncrementalDetector::kinds() const {
 std::vector<uint64_t> IncrementalDetector::Outliers() const {
   std::vector<uint64_t> out;
   for (uint64_t id = window_begin_; id < epoch(); ++id) {
-    if (KindOf(id) == PointKind::kOutlier && IsAlive(id)) {
+    if (KindOf(id) == PointKind::kOutlier) {
       out.push_back(id);
     }
   }
@@ -951,12 +892,10 @@ std::shared_ptr<const IncrementalSnapshot> IncrementalDetector::SnapshotNow() {
   snap->points_ = points_.Freeze();
   snap->kinds_ = kinds_.Freeze();
   snap->neighbor_counts_ = neighbor_counts_.Freeze();
-  snap->alive_ = alive_.Freeze();
   snap->cells_ = index_.Freeze();
   snap->heads_ = heads_.Freeze();
   snap->num_core_ = num_core_;
   snap->num_outliers_ = num_outliers_;
-  snap->live_points_ = live_points_;
   // From here on, the first write into any chunk, index node or cell the
   // snapshot shares must clone it.
   ++freeze_serial_;

@@ -60,9 +60,8 @@ class IncrementalSnapshot {
  public:
   IncrementalSnapshot() = default;
 
-  /// One past the last id this snapshot covers; labels answer for the ids
-  /// [window_begin(), epoch()) (removed points carry their last label but
-  /// are excluded from Outliers() and flagged dead in the alive mask).
+  /// One past the last id this snapshot covers; an id is live iff it is in
+  /// [window_begin(), epoch()), and labels answer for exactly those ids.
   uint64_t epoch() const { return first_id_ + kinds_.size(); }
   /// First id not expired at this epoch; ids below it have no row.
   uint64_t window_begin() const { return window_begin_; }
@@ -72,22 +71,18 @@ class IncrementalSnapshot {
   /// Occupied grid cells at this epoch (cells emptied by removals are
   /// erased, so this tracks the live window, not lifetime ingest).
   size_t num_cells() const { return cells_.size(); }
-  /// Points inserted and not yet removed at this epoch.
-  size_t live_points() const { return live_points_; }
+  /// Points in the window at this epoch.
+  size_t live_points() const { return epoch() - window_begin_; }
   const Params& params() const { return params_; }
 
   /// Label of point `id` (in [window_begin(), epoch())) at this epoch.
   PointKind KindOf(uint64_t id) const { return kinds_[Row(id)]; }
 
-  /// False when point `id` (in [window_begin(), epoch())) was removed.
-  bool IsAlive(uint64_t id) const { return alive_[Row(id)] != 0; }
-
   /// Materialized copy of the labels of ids [window_begin(), epoch()), in
-  /// id order. Removed points keep the label they had when removed.
+  /// id order.
   std::vector<PointKind> Kinds() const;
 
-  /// Live outlier ids at this epoch, ascending (removed points never
-  /// appear).
+  /// Outlier ids of [window_begin(), epoch()) at this epoch, ascending.
   std::vector<uint64_t> Outliers() const;
 
   /// Coordinates of point `id` (in [window_begin(), epoch())).
@@ -95,11 +90,11 @@ class IncrementalSnapshot {
     return points_[Row(id)];
   }
 
-  /// Chunks the four per-id row lists hold: O(window / chunk-size), not
+  /// Chunks the three per-id row lists hold: O(window / chunk-size), not
   /// O(epoch), once the detector expires its prefix.
   size_t chunks_held() const {
     return points_.chunks_held() + kinds_.chunks_held() +
-           neighbor_counts_.chunks_held() + alive_.chunks_held();
+           neighbor_counts_.chunks_held();
   }
 
   /// Classifies a point NOT in the set against this epoch: the label it
@@ -147,20 +142,18 @@ class IncrementalSnapshot {
   ChunkedRows::Frozen points_;
   CowChunkedVector<PointKind>::Frozen kinds_;
   CowChunkedVector<uint32_t>::Frozen neighbor_counts_;
-  CowChunkedVector<uint8_t>::Frozen alive_;
   grid::CellIndex::Frozen cells_;  // cell coordinate -> slot in heads_
   CowChunkedVector<SnapCell>::Frozen heads_;
   size_t num_core_ = 0;
   size_t num_outliers_ = 0;
-  size_t live_points_ = 0;
 };
 
 /// Exact incremental DBSCOUT for online streams (the paper's motivation of
 /// data "generated and collected in a daily manner"): points are added one
-/// batch at a time — and, for sliding-window workloads, removed again —
-/// while the outlier labeling is maintained exactly after every mutation:
-/// equal, at any moment, to what DetectSequential would produce on the
-/// live points (enforced by tests).
+/// batch at a time — and, for sliding-window workloads, expired again
+/// oldest first — while the outlier labeling is maintained exactly after
+/// every mutation: equal, at any moment, to what DetectSequential would
+/// produce on the live points (enforced by tests).
 ///
 /// Insertions are monotone under Definitions 1-3: neighbor counts only
 /// grow, so core points stay core and non-outliers stay non-outliers; the
@@ -173,20 +166,21 @@ class IncrementalSnapshot {
 /// Definition 8 descent over the sorted cell index (grid::CellIndex), so
 /// the cost is bounded by the occupied cells, never by k_d.
 ///
-/// Removals break that monotonicity, so Remove() re-derives the affected
-/// transitions: counts of the removed point's eps-neighbors decrement
-/// (demoting cores that fall off the minPts threshold), and border points
-/// that were covered only by the removed/demoted cores are re-checked and
-/// may fall to outlier. Cells hold only live points, so scans never see a
-/// removed point; the alive mask records removals for snapshot readers.
-///
 /// Ids are global: the detector's first point gets `first_id` (Create),
 /// so a detector recovered at a window's start keeps the ids its points
-/// had before. ExpireBefore(end) is the sliding window: it removes every
-/// id below `end` and releases the per-id rows of whole chunks below it,
-/// so memory follows the window, not lifetime ingest. Rows are uint32
+/// had before. An id is live iff it is in [window_begin(), epoch()): the
+/// only removal is ExpireBefore(end), the sliding window, which removes
+/// every id below `end` and releases the per-id rows of whole chunks below
+/// it, so memory follows the window, not lifetime ingest. Rows are uint32
 /// offsets from first_id, so one detector takes at most kMaxRows
 /// insertions over its lifetime.
+///
+/// Removals break the insertion monotonicity, so each expired point's
+/// removal re-derives the affected transitions: counts of its
+/// eps-neighbors decrement (demoting cores that fall off the minPts
+/// threshold), and border points that were covered only by the
+/// removed/demoted cores are re-checked and may fall to outlier. Cells
+/// hold only live points, so scans never see an expired one.
 ///
 /// Threading contract: all mutating calls (Add/AddBatch/AddBatchParallel/
 /// Remove/ExpireBefore/SnapshotNow) must come from one writer at a time;
@@ -243,50 +237,49 @@ class IncrementalDetector {
   /// apply pass.
   Status ValidatePoint(std::span<const double> point) const;
 
-  /// Removes point `id` from the live set and re-derives every affected
-  /// label (core -> non-core demotions of points whose neighbor count
-  /// falls off the minPts threshold, border -> outlier demotions of
-  /// points that lose their last covering core). Its row stays, so its
-  /// last label stays readable. InvalidArgument when id was never
-  /// inserted; NotFound when already removed or expired.
+  /// Expires the oldest live id: exactly ExpireBefore(id + 1), accepted
+  /// only for id == window_begin(). InvalidArgument when id was never
+  /// inserted; NotFound when it has expired; FailedPrecondition when it
+  /// is not the oldest live id.
   Status Remove(uint64_t id);
 
-  /// Expires every id in [window_begin(), end): the live ones are removed
-  /// as by Remove, window_begin() becomes `end`, and the per-id rows of
-  /// every chunk wholly below `end` are released. Snapshots taken earlier
-  /// keep the rows they cover. A no-op when end <= window_begin();
-  /// InvalidArgument when end > epoch().
+  /// Expires every id in [window_begin(), end): each is removed and every
+  /// affected label re-derived (core -> non-core demotions of points whose
+  /// neighbor count falls off the minPts threshold, border -> outlier
+  /// demotions of points that lose their last covering core),
+  /// window_begin() becomes `end`, and the per-id rows of every chunk
+  /// wholly below `end` are released. Snapshots taken earlier keep the
+  /// rows they cover. A no-op when end <= window_begin(); InvalidArgument
+  /// when end > epoch().
   Status ExpireBefore(uint64_t end);
 
   size_t dims() const { return points_.width(); }
 
   /// Epoch = one past the last id inserted (the id range a snapshot taken
-  /// now would cover ends here). Removals do not rewind the epoch: ids are
+  /// now would cover ends here). Expiry does not rewind the epoch: ids are
   /// stable for the detector's lifetime.
   uint64_t epoch() const { return first_id_ + kinds_.size(); }
   /// First id not expired: ids below it have no row.
   uint64_t window_begin() const { return window_begin_; }
-  /// Per-id rows the live chunk lists hold (the same in each of the four
+  /// Per-id rows the live chunk lists hold (the same in each of the three
   /// row vectors): the window plus at most one partly expired chunk.
   size_t rows_held() const { return kinds_.size() - kinds_.held_begin(); }
 
-  /// Points inserted and not yet removed.
-  size_t live_points() const { return live_points_; }
-  /// False when point `id` (in [window_begin(), epoch())) was removed.
-  bool IsAlive(uint64_t id) const { return alive_[Row(id)] != 0; }
+  /// Points in the window.
+  size_t live_points() const { return epoch() - window_begin_; }
 
   /// Current classification of point `id` (in [window_begin(), epoch())).
   PointKind KindOf(uint64_t id) const { return kinds_[Row(id)]; }
-  /// Materialized copy of the labels of ids [window_begin(), epoch()) (id
-  /// order; removed points keep their last label).
+  /// Materialized copy of the labels of ids [window_begin(), epoch()), in
+  /// id order.
   std::vector<PointKind> kinds() const;
 
-  /// Current live outlier ids, ascending.
+  /// Current outlier ids of [window_begin(), epoch()), ascending.
   std::vector<uint64_t> Outliers() const;
 
   size_t num_core() const { return num_core_; }
   size_t num_outliers() const { return num_outliers_; }
-  /// Occupied grid cells: Remove() erases a cell it empties.
+  /// Occupied grid cells: expiry erases a cell it empties.
   size_t num_cells() const { return index_.size(); }
 
   /// Total point-to-point distance evaluations performed by mutations
@@ -373,7 +366,8 @@ class IncrementalDetector {
 
   grid::CellCoord CoordOf(std::span<const double> p) const;
 
-  /// Remove() of a live row, without the id checks.
+  /// Removes the live point at `row` and re-derives the labels it
+  /// affected (ExpireBefore's step for one id).
   void RemoveRow(uint32_t row);
 
   /// Clones the cell's point vector if a snapshot still shares it (or
@@ -395,9 +389,17 @@ class IncrementalDetector {
   /// slot is recycled. O(its neighbors).
   void EraseCell(const grid::CellCoord& coord, Cell* cell);
 
+  /// Unless `cell` is empty or its box lies beyond eps of `pv`, flags the
+  /// cell's points within eps of `pv` (SIMD kernel, counted in
+  /// ctx->distance_comps) and calls hit(j) for each, ascending by position
+  /// j in cell->points. Returns the number of hits. `hit` must not touch
+  /// ctx->flags or the cell's point arrays.
+  template <typename Hit>
+  uint32_t ForEachWithin(std::span<const double> pv, const Cell* cell,
+                         ApplyCtx* ctx, Hit hit);
+
   /// Full insertion of one appended point x: neighborhood scan (count +
-  /// cover + neighbor count bumps), registration, promotions. Requires
-  /// ctx->neighbors collected for x's home cell.
+  /// cover + neighbor count bumps), registration, promotions.
   void ApplyPoint(uint32_t x, std::span<const double> pv, Cell* home_cell,
                   ApplyCtx* ctx);
 
@@ -435,7 +437,6 @@ class IncrementalDetector {
   ChunkedRows points_;
   CowChunkedVector<PointKind> kinds_;
   CowChunkedVector<uint32_t> neighbor_counts_;  // |{q: dist <= eps}|, self incl.
-  CowChunkedVector<uint8_t> alive_;
   /// Occupied cell coordinate -> slot. Structural writes (creating and
   /// erasing cells) happen in serial contexts only.
   grid::CellIndex index_;
@@ -449,7 +450,6 @@ class IncrementalDetector {
   std::vector<uint32_t> neighbor_scratch_;  // GetOrCreateCell's descent
   size_t num_core_ = 0;
   size_t num_outliers_ = 0;
-  size_t live_points_ = 0;
   uint64_t freeze_serial_ = 0;
   uint64_t distance_comps_ = 0;
 };

@@ -144,7 +144,7 @@ struct StatsAnswer {
   uint64_t admission_rejections = 0;
   /// Seconds since the service was constructed (monotonic clock).
   double uptime_seconds = 0.0;
-  /// Points inserted and not yet expired/removed (== num_points while the
+  /// Points in the window, epoch - window_begin (== num_points while the
   /// collection is append-only).
   uint64_t live_points = 0;
   /// First epoch still inside the sliding window; ids below it are expired.

@@ -412,10 +412,9 @@ Result<DetectionService::Collection*> DetectionService::CollectionForIngest(
     }
     return collection;
   }
-  if (collections_.size() >= options_.max_collections) {
+  if (collections_.size() >= kMaxCollections) {
     return Status::FailedPrecondition(
-        StrFormat("collection limit (%zu) reached",
-                  options_.max_collections));
+        StrFormat("collection limit (%zu) reached", kMaxCollections));
   }
   DBSCOUT_ASSIGN_OR_RETURN(std::unique_ptr<Collection> collection,
                            NewCollection(name, dims, /*first_id=*/0));
@@ -663,16 +662,16 @@ Response DetectionService::DoSnapshot(const Request& request) {
   }
   answer.num_core = snap->num_core();
   answer.num_cells = snap->num_cells();
-  // The arrays span global ids [0, epoch): expired ids have no row, so
-  // they read dead, with kind kOutlier.
+  // The arrays span global ids [0, epoch). An id is live iff it is in
+  // [window_begin, epoch); expired ids have no row, so they read dead,
+  // with kind kOutlier.
   const uint64_t window_begin = snap->window_begin();
-  answer.kinds.assign(window_begin, core::PointKind::kOutlier);
   answer.alive.assign(window_begin, 0);
+  answer.alive.resize(answer.epoch, 1);
+  answer.kinds.assign(window_begin, core::PointKind::kOutlier);
   answer.kinds.reserve(answer.epoch);
-  answer.alive.reserve(answer.epoch);
   for (uint64_t id = window_begin; id < answer.epoch; ++id) {
     answer.kinds.push_back(snap->KindOf(id));
-    answer.alive.push_back(snap->IsAlive(id) ? 1 : 0);
   }
   return response;
 }

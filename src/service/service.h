@@ -27,6 +27,10 @@
 
 namespace dbscout::service {
 
+/// Collections are created implicitly by the first INGEST; this bounds how
+/// many a misbehaving client can create.
+inline constexpr size_t kMaxCollections = 64;
+
 struct ServiceOptions {
   /// Detection parameters applied to every collection the service creates.
   core::Params params;
@@ -34,10 +38,6 @@ struct ServiceOptions {
   /// Admission cap: INGEST requests beyond this many queued batches are
   /// shed with kUnavailable instead of growing the queue without bound.
   size_t max_pending_ingests = 256;
-
-  /// Collections are created implicitly by the first INGEST; this bounds
-  /// how many a misbehaving client can create.
-  size_t max_collections = 64;
 
   /// Sliding-window TTL (seconds) applied to every collection at creation;
   /// 0 means append-only. Points older than the TTL are expired by the

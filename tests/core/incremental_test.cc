@@ -163,35 +163,79 @@ TEST(IncrementalTest, RemoveUpdatesLivenessNotEpoch) {
     const double p[] = {static_cast<double>(i) * 10.0};  // isolated outliers
     ASSERT_TRUE(det->Add({p, 1}).ok());
   }
-  ASSERT_TRUE(det->Remove(2).ok());
+  ASSERT_TRUE(det->Remove(0).ok());
   EXPECT_EQ(det->epoch(), 4u);  // indices never rewind
+  EXPECT_EQ(det->window_begin(), 1u);
   EXPECT_EQ(det->live_points(), 3u);
-  EXPECT_FALSE(det->IsAlive(2));
-  EXPECT_TRUE(det->IsAlive(1));
-  // Removed points drop out of the outlier list but keep their last label.
-  EXPECT_EQ(det->Outliers(), (std::vector<uint64_t>{0, 1, 3}));
+  // The removed id leaves the window, and with it the outlier list.
+  EXPECT_EQ(det->Outliers(), (std::vector<uint64_t>{1, 2, 3}));
   auto snap = det->SnapshotNow();
+  EXPECT_EQ(snap->window_begin(), 1u);
   EXPECT_EQ(snap->live_points(), 3u);
-  EXPECT_FALSE(snap->IsAlive(2));
-  EXPECT_EQ(snap->Outliers(), (std::vector<uint64_t>{0, 1, 3}));
+  EXPECT_EQ(snap->Outliers(), (std::vector<uint64_t>{1, 2, 3}));
+}
+
+// Remove takes only the oldest live id, and taking it is exactly
+// ExpireBefore(id + 1): a twin detector that expires instead ends with the
+// same labels after every step, demotions and uncoverings included.
+TEST(IncrementalTest, RemoveTakesOnlyTheOldestLiveId) {
+  const Params params = MakeParams(1.0, 5);
+  auto det = IncrementalDetector::Create(2, params);
+  auto twin = IncrementalDetector::Create(2, params);
+  ASSERT_TRUE(det.ok() && twin.ok());
+  Rng rng(0x01d);
+  const PointSet points = testing::ClusteredPoints(&rng, 300, 2, 3, 0.4);
+  ASSERT_TRUE(det->AddBatch(points).ok());
+  ASSERT_TRUE(twin->AddBatch(points).ok());
+  bool saw_demotion = false;
+  while (det->live_points() > 1) {
+    const uint64_t epoch = det->epoch();
+    const uint64_t begin = det->window_begin();
+    const std::vector<PointKind> kinds = det->kinds();
+    const uint64_t comps = det->distance_computations();
+    EXPECT_EQ(det->Remove(begin + 1).code(), StatusCode::kFailedPrecondition);
+    ASSERT_EQ(det->epoch(), epoch);
+    ASSERT_EQ(det->window_begin(), begin);
+    ASSERT_EQ(det->kinds(), kinds);
+    ASSERT_EQ(det->distance_computations(), comps);
+
+    const size_t cores = det->num_core();
+    const size_t removed_cores = kinds.front() == PointKind::kCore ? 1 : 0;
+    ASSERT_TRUE(det->Remove(begin).ok());
+    ASSERT_TRUE(twin->ExpireBefore(begin + 1).ok());
+    EXPECT_EQ(det->Remove(begin).code(), StatusCode::kNotFound);
+    ASSERT_EQ(det->window_begin(), begin + 1);
+    ASSERT_EQ(det->kinds(), twin->kinds()) << "removed id " << begin;
+    ASSERT_EQ(det->Outliers(), twin->Outliers());
+    ASSERT_EQ(det->num_core(), twin->num_core());
+    saw_demotion |= det->num_core() + removed_cores < cores;
+  }
+  EXPECT_TRUE(saw_demotion);
 }
 
 // Layout (1D, eps = 1, minPts = 6): four copies of A at 0.0, one helper at
 // -0.5, one border point d at 0.95. Each A reaches all six points (count 6,
 // core); the helper (count 5) and d (count 5) are border, covered only by
-// the A cores.
-void BuildCoveredCluster(IncrementalDetector* det) {
+// the A cores. Ids follow insertion: A copies 0..3, helper 4, d 5 — or,
+// with `d_first`, d 0 (the oldest id, the one Remove takes), A copies
+// 1..4, helper 5.
+void BuildCoveredCluster(IncrementalDetector* det, bool d_first = false) {
   const double a[] = {0.0};
   const double helper[] = {-0.5};
   const double d[] = {0.95};
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(det->Add({a, 1}).ok());  // ids 0..3
+  if (d_first) {
+    ASSERT_TRUE(det->Add({d, 1}).ok());
   }
-  ASSERT_TRUE(det->Add({helper, 1}).ok());  // id 4
-  ASSERT_TRUE(det->Add({d, 1}).ok());       // id 5
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(det->Add({a, 1}).ok());
+  }
+  ASSERT_TRUE(det->Add({helper, 1}).ok());
+  if (!d_first) {
+    ASSERT_TRUE(det->Add({d, 1}).ok());
+  }
   ASSERT_EQ(det->num_core(), 4u);
-  ASSERT_EQ(det->KindOf(4), PointKind::kBorder);
-  ASSERT_EQ(det->KindOf(5), PointKind::kBorder);
+  ASSERT_EQ(det->KindOf(d_first ? 5 : 4), PointKind::kBorder);  // helper
+  ASSERT_EQ(det->KindOf(d_first ? 0 : 5), PointKind::kBorder);  // d
 }
 
 TEST(IncrementalTest, RemoveCoreDemotesToNonCoreAndUncoversBorders) {
@@ -209,21 +253,22 @@ TEST(IncrementalTest, RemoveCoreDemotesToNonCoreAndUncoversBorders) {
 TEST(IncrementalTest, RemoveBorderCanDemoteCoresItSupported) {
   auto det = IncrementalDetector::Create(1, MakeParams(1.0, 6));
   ASSERT_TRUE(det.ok());
-  BuildCoveredCluster(&*det);
+  BuildCoveredCluster(&*det, /*d_first=*/true);
   // d is only a border point, but its neighbor count is what keeps the A
   // copies on the minPts threshold: removing it demotes all four cores and
   // the helper falls border -> outlier with them.
-  ASSERT_TRUE(det->Remove(5).ok());
+  ASSERT_TRUE(det->Remove(0).ok());
   EXPECT_EQ(det->num_core(), 0u);
-  EXPECT_EQ(det->Outliers(), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(det->Outliers(), (std::vector<uint64_t>{1, 2, 3, 4, 5}));
 }
 
 TEST(IncrementalTest, RemoveThenReinsertRebuildsTheCluster) {
   auto det = IncrementalDetector::Create(1, MakeParams(1.0, 6));
   ASSERT_TRUE(det.ok());
   BuildCoveredCluster(&*det);
-  ASSERT_TRUE(det->Remove(1).ok());
+  ASSERT_TRUE(det->Remove(0).ok());
   ASSERT_EQ(det->num_core(), 0u);
+  EXPECT_EQ(det->Outliers(), (std::vector<uint64_t>{1, 2, 3, 4, 5}));
   // A new copy of A restores every count; labels recover exactly.
   const double a[] = {0.0};
   ASSERT_TRUE(det->Add({a, 1}).ok());  // id 6
@@ -363,7 +408,9 @@ TEST(ExpireBeforeTest, StartsAtFirstIdAndExpiresAPrefix) {
   }
   EXPECT_EQ(det->Remove(999).code(), StatusCode::kNotFound);
   EXPECT_EQ(det->Remove(1006).code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(det->Remove(1001).ok());  // a hole the expiry steps over
+  EXPECT_EQ(det->Remove(1001).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(det->Remove(1000).ok());  // the oldest: ExpireBefore(1001)
+  EXPECT_EQ(det->window_begin(), 1001u);
 
   EXPECT_EQ(det->ExpireBefore(1007).code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(det->ExpireBefore(1003).ok());
@@ -384,7 +431,7 @@ TEST(ExpireBeforeTest, StartsAtFirstIdAndExpiresAPrefix) {
   EXPECT_EQ(det->live_points(), 0u);
   EXPECT_EQ(det->num_cells(), 0u);
   EXPECT_EQ(snap->live_points(), 3u);  // the held snapshot is unchanged
-  EXPECT_TRUE(snap->IsAlive(1005));
+  EXPECT_EQ(snap->KindOf(1005), PointKind::kOutlier);
 }
 
 TEST(ExpireBeforeTest, RowCapacityIsTwoToTheThirtyTwoInsertions) {
@@ -407,7 +454,7 @@ TEST(ExpireBeforeTest, RowCapacityIsTwoToTheThirtyTwoInsertions) {
 
 // What a window of kWindow points costs after 2 and after 200 turnovers:
 // the detector's held rows and a frozen snapshot's chunk lists are
-// window-sized (equal within one chunk per vector), labels equal
+// window-sized (equal within one chunk per row vector), labels equal
 // DetectSequential on the window at every checked turnover, and a
 // snapshot frozen before later expiries keeps reading every label and
 // coordinate it covered.
@@ -465,8 +512,8 @@ TEST(ExpireBeforeTest, TwoHundredTurnoversHoldWhatTwoDo) {
       constexpr size_t kChunk = CowChunkedVector<int>::kChunkSize;
       EXPECT_LE(det->rows_held(), rows_at_2 + kChunk);
       EXPECT_GE(det->rows_held() + kChunk, rows_at_2);
-      EXPECT_LE(snap->chunks_held(), chunks_at_2 + 4);
-      EXPECT_GE(snap->chunks_held() + 4, chunks_at_2);
+      EXPECT_LE(snap->chunks_held(), chunks_at_2 + 3);
+      EXPECT_GE(snap->chunks_held() + 3, chunks_at_2);
     }
     if (turnover == 2 || turnover % 40 == 0) {
       PointSet live(kDims);
@@ -532,15 +579,13 @@ double BruteForceNearestCore(std::span<const double> x, const PointSet& points,
   return std::sqrt(best2);
 }
 
-// The live points of a snapshot, with their ids.
+// The live points of a snapshot (its window), with their ids.
 PointSet LivePointsOf(const IncrementalSnapshot& snap,
                       std::vector<uint32_t>* ids) {
   PointSet live(snap.dims());
-  for (uint32_t i = 0; i < snap.epoch(); ++i) {
-    if (snap.IsAlive(i)) {
-      live.Add(snap.PointAt(i));
-      ids->push_back(i);
-    }
+  for (uint64_t i = snap.window_begin(); i < snap.epoch(); ++i) {
+    live.Add(snap.PointAt(i));
+    ids->push_back(static_cast<uint32_t>(i));
   }
   return live;
 }
@@ -580,7 +625,7 @@ void ExpectProbeExact(const IncrementalSnapshot& snap, const PointSet& live,
 struct HeldSnapshot {
   std::shared_ptr<const IncrementalSnapshot> snap;
   size_t num_cells = 0;
-  std::vector<PointKind> kinds;  // every id below the epoch
+  std::vector<PointKind> kinds;  // the window's ids, parallel to live_ids
   std::vector<uint64_t> outliers;
   std::vector<uint32_t> live_ids;
   PointSet live;
@@ -594,23 +639,20 @@ void ExpectStillExact(const HeldSnapshot& held, const Params& params,
   const IncrementalSnapshot& snap = *held.snap;
   ASSERT_EQ(snap.num_cells(), held.num_cells);
   ASSERT_EQ(snap.live_points(), held.live_ids.size());
-  for (uint32_t i = 0; i < held.kinds.size(); ++i) {
-    ASSERT_EQ(snap.KindOf(i), held.kinds[i]) << "id " << i;
+  for (size_t k = 0; k < held.live_ids.size(); ++k) {
+    ASSERT_EQ(snap.KindOf(held.live_ids[k]), held.kinds[k])
+        << "id " << held.live_ids[k];
   }
   ASSERT_EQ(snap.Outliers(), held.outliers);
   if (!probes) {
     return;
   }
-  std::vector<PointKind> live_kinds;
-  for (uint32_t id : held.live_ids) {
-    live_kinds.push_back(held.kinds[id]);
-  }
   for (size_t k = 0; k < held.live_ids.size(); ++k) {
     uint64_t comps = 0;
     const double want =
-        live_kinds[k] == PointKind::kCore
+        held.kinds[k] == PointKind::kCore
             ? 0.0
-            : BruteForceNearestCore(held.live[k], held.live, live_kinds,
+            : BruteForceNearestCore(held.live[k], held.live, held.kinds,
                                     side);
     EXPECT_EQ(snap.NearestCoreDistance(held.live_ids[k], &comps), want)
         << "id " << held.live_ids[k];
@@ -673,10 +715,7 @@ TEST_P(HeldSnapshotTest, StayExactAcrossLaterPasses) {
     ASSERT_EQ(h.live_ids, std::vector<uint32_t>(live.begin(), live.end()));
     const std::vector<PointKind> oracle =
         testing::BruteForceKinds(h.live, params.eps, params.min_pts);
-    for (size_t k = 0; k < h.live_ids.size(); ++k) {
-      ASSERT_EQ(h.kinds[h.live_ids[k]], oracle[k])
-          << "d=" << dims << " pass " << pass;
-    }
+    ASSERT_EQ(h.kinds, oracle) << "d=" << dims << " pass " << pass;
     held.push_back(std::move(h));
   }
   for (const HeldSnapshot& h : held) {

@@ -251,15 +251,19 @@ TEST(ServiceTest, QueryIdBeyondEpochIsOutOfRange) {
 }
 
 TEST(ServiceTest, CollectionLimitEnforced) {
-  ServiceOptions options = MakeOptions(1.0, 3);
-  options.max_collections = 2;
-  DetectionService service(options);
+  DetectionService service(MakeOptions(1.0, 3));
   ServiceHandle handle(&service);
-  ASSERT_TRUE(handle.Call(IngestRequest("a", 2, {0.0, 0.0}))->status.ok());
-  ASSERT_TRUE(handle.Call(IngestRequest("b", 2, {0.0, 0.0}))->status.ok());
-  auto r = handle.Call(IngestRequest("d", 2, {0.0, 0.0}));
+  for (size_t i = 0; i < kMaxCollections; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    ASSERT_TRUE(handle.Call(IngestRequest(name, 2, {0.0, 0.0}))->status.ok())
+        << name;
+  }
+  auto r = handle.Call(IngestRequest("one_too_many", 2, {0.0, 0.0}));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->status.code(), StatusCode::kFailedPrecondition);
+  // An existing collection still takes batches at the limit.
+  EXPECT_TRUE(handle.Call(IngestRequest("c0", 2, {1.0, 1.0}))->status.ok());
 }
 
 TEST(ServiceTest, StopDrainsQueueAndRefusesNewIngests) {

@@ -347,9 +347,11 @@ int main(int argc, char** argv) {
       std::cerr << "dbscout_client: " << snapshot.status() << "\n";
       return 1;
     }
+    // Expired ids read as kOutlier with alive 0: count live ones only.
     size_t outliers = 0;
-    for (auto kind : snapshot->kinds) {
-      if (kind == dbscout::core::PointKind::kOutlier) {
+    for (size_t id = 0; id < snapshot->kinds.size(); ++id) {
+      if (snapshot->alive[id] != 0 &&
+          snapshot->kinds[id] == dbscout::core::PointKind::kOutlier) {
         ++outliers;
       }
     }

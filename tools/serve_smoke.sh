@@ -261,7 +261,7 @@ boot_ttl() {  # boot_ttl LOGFILE: durable server with a 1 s window
   TPORT="$(wait_port "$1" "$DURABLE_PID")" \
     || { echo "FAIL: TTL server did not come up"; exit 1; }
 }
-expect_expired() {  # expect_expired WHEN: by-id QUERY of id 0 is NotFound
+expect_expired() {  # expect_expired WHEN: id 0 is NotFound, no outliers left
   local out
   if out="$("$CLIENT" --port="$TPORT" --collection=ttl --query-id=0 2>&1)"; then
     echo "FAIL: expired id 0 answered $out $1"; exit 1
@@ -269,6 +269,10 @@ expect_expired() {  # expect_expired WHEN: by-id QUERY of id 0 is NotFound
   grep -q "NotFound" <<<"$out" \
     || { echo "FAIL: expired id 0 $1: $out"; exit 1; }
   echo "   query-id=0 $1: $out"
+  out="$("$CLIENT" --port="$TPORT" --collection=ttl --snapshot)"
+  [[ "$(stat_field "$out" outliers)" -eq 0 ]] \
+    || { echo "FAIL: expired window still counts outliers $1: $out"; exit 1; }
+  echo "   snapshot $1: $out"
 }
 boot_ttl "$WORK/serve_ttl1.log"
 "$CLIENT" --port="$TPORT" --collection=ttl --ingest="$WORK/blobs.dbsc"
