@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the building blocks underneath
 // the paper's end-to-end numbers: grid construction (Algorithm 1+2),
-// neighbor-stencil application, cell-map lookups, kd-tree k-NN (the LOF
-// substrate), dataflow shuffles, and the sequential detector itself.
+// neighbor-stencil application, kd-tree k-NN (the LOF substrate), dataflow
+// shuffles, and the sequential detector itself.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -9,7 +9,6 @@
 #include "core/incremental.h"
 #include "dataflow/pair_ops.h"
 #include "datasets/geo.h"
-#include "grid/cell_map.h"
 #include "grid/grid.h"
 #include "index/kdtree.h"
 #include "simd/distance_kernel.h"
@@ -50,25 +49,6 @@ void BM_NeighborStencilApply(benchmark::State& state) {
                           (*stencil)->size());
 }
 BENCHMARK(BM_NeighborStencilApply)->Arg(2);
-
-void BM_CellMapLookup(benchmark::State& state) {
-  const PointSet points = MakePoints(50000);
-  auto g = grid::Grid::Build(points, 1e6);
-  grid::CellMap map;
-  for (uint32_t c = 0; c < g->num_cells(); ++c) {
-    const uint32_t count = static_cast<uint32_t>(g->CellSize(c));
-    map.Insert(g->CoordOf(c), count, count >= 100);
-  }
-  for (auto _ : state) {
-    size_t dense = 0;
-    for (uint32_t c = 0; c < g->num_cells(); ++c) {
-      dense += map.TypeOf(g->CoordOf(c)) == grid::CellType::kDense;
-    }
-    benchmark::DoNotOptimize(dense);
-  }
-  state.SetItemsProcessed(state.iterations() * g->num_cells());
-}
-BENCHMARK(BM_CellMapLookup);
 
 void BM_KdTreeKnn(benchmark::State& state) {
   const PointSet points = MakePoints(static_cast<size_t>(state.range(0)));

@@ -14,17 +14,16 @@
 #include "common/timer.h"
 #include "core/phases/insert_kernels.h"
 #include "core/phases/phase_kernels.h"
+#include "grid/grid.h"
 #include "grid/regions.h"
 
 namespace dbscout::core {
 namespace {
 
-grid::CellCoord CellCoordFor(std::span<const double> p, double side,
-                             size_t dims) {
-  grid::CellCoord coord = grid::CellCoord::Zero(dims);
-  for (size_t k = 0; k < p.size(); ++k) {
-    coord[k] = static_cast<int64_t>(std::floor(p[k] / side));
-  }
+// The cell of `p`, a point ValidateCoordinates accepted.
+grid::CellCoord CellCoordFor(std::span<const double> p, double side) {
+  grid::CellCoord coord;
+  (void)grid::CellOfPoint(p, side, &coord);  // validated on the way in
   return coord;
 }
 
@@ -35,15 +34,8 @@ Status ValidateCoordinates(std::span<const double> point, size_t dims,
         StrFormat("point has %zu dims, detector expects %zu", point.size(),
                   dims));
   }
-  for (double v : point) {
-    if (!std::isfinite(v)) {
-      return Status::InvalidArgument("non-finite coordinate");
-    }
-    if (std::abs(std::floor(v / side)) > 4.0e18) {
-      return Status::OutOfRange("cell index overflow");
-    }
-  }
-  return Status::OK();
+  grid::CellCoord coord;
+  return grid::CellOfPoint(point, side, &coord);
 }
 
 }  // namespace
@@ -76,7 +68,7 @@ void IncrementalSnapshot::ForEachNeighborCell(std::span<const double> point,
                                               Visit visit) const {
   thread_local std::vector<uint32_t> slots;
   slots.clear();
-  cells_.AppendNeighbors(CellCoordFor(point, side_, dims()), &slots);
+  cells_.AppendNeighbors(CellCoordFor(point, side_), &slots);
   for (uint32_t slot : slots) {
     visit(heads_[slot]);
   }
@@ -190,7 +182,7 @@ IncrementalDetector::IncrementalDetector(size_t dims, const Params& params,
 
 grid::CellCoord IncrementalDetector::CoordOf(
     std::span<const double> p) const {
-  return CellCoordFor(p, side_, points_.width());
+  return CellCoordFor(p, side_);
 }
 
 void IncrementalDetector::EnsureOwnedCell(Cell* cell) {

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,7 +13,7 @@
 #include "dataflow/dataset.h"
 #include "dataflow/pair_ops.h"
 #include "grid/cell_coord.h"
-#include "grid/cell_map.h"
+#include "grid/grid.h"
 #include "grid/neighbor_cells.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -28,31 +27,14 @@ using dataflow::Dataset;
 using dataflow::ExecutionContext;
 using grid::CellCoord;
 using grid::CellCoordHash;
-using grid::CellMap;
-using grid::CellType;
 
-/// (cell coordinates, point id) — the records of the grid dataset G
-/// produced by Algorithm 1.
-using GridRecord = std::pair<CellCoord, uint32_t>;
+/// (cell coordinates, point id): the grid dataset G of Algorithm 1, which
+/// Algorithm 2 reduces by cell.
+using CoordRecord = std::pair<CellCoord, uint32_t>;
 
-// Largest |cell index| we accept: the same limit as Grid::Build.
-constexpr double kMaxCellIndex = 4.0e18;
-
-/// The occupied cells of the dense cell map with the neighbor lists
-/// (Definition 8) of its non-dense cells, broadcast next to the map: phase
-/// 3 emits the points of non-dense cells to their neighbor cells, and
-/// phase 5 those of non-core cells (all non-dense) to their core ones.
-struct CellNeighborhoods {
-  std::vector<CellCoord> coords;  // cell id -> coordinates
-  std::unordered_map<CellCoord, uint32_t, CellCoordHash> ids;  // non-dense
-  grid::NeighborCells lists;
-
-  /// Neighbor cell ids of the non-dense cell at `coord`, itself included,
-  /// in ascending coordinate order.
-  std::span<const uint32_t> Of(const CellCoord& coord) const {
-    return lists.Of(ids.find(coord)->second);
-  }
-};
+/// (cell id, point id): G re-keyed by the id phase 2 numbers each cell
+/// with, and the records phases 3 and 5 emit to neighbor cells.
+using GridRecord = std::pair<uint32_t, uint32_t>;
 
 // Copies the coordinates of `ids` into one contiguous row-major block so
 // the grouped-join tasks can run the batched distance kernels; the gather
@@ -119,82 +101,83 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
 
   // Input validation pass (the sequential Grid::Build performs the same
   // checks; here there is no Grid object, so validate up front).
+  CellCoord coord;
   for (size_t i = 0; i < n; ++i) {
-    const auto p = points[i];
-    for (size_t k = 0; k < d; ++k) {
-      if (!std::isfinite(p[k])) {
-        return Status::InvalidArgument(
-            StrFormat("point %zu has non-finite coordinate %zu", i, k));
-      }
-      if (std::abs(std::floor(p[k] / side)) > kMaxCellIndex) {
-        return Status::OutOfRange(
-            StrFormat("point %zu: cell index overflow", i));
-      }
-    }
+    DBSCOUT_RETURN_IF_ERROR(grid::CellOfPoint(points[i], side, &coord));
   }
 
   const PointSet* pts = &points;  // outlives every task of this call
-  auto cell_of = [pts, d, side](uint32_t i) {
-    CellCoord coord = CellCoord::Zero(d);
-    const auto p = (*pts)[i];
-    for (size_t k = 0; k < d; ++k) {
-      coord[k] = static_cast<int64_t>(std::floor(p[k] / side));
-    }
-    return coord;
-  };
   auto sqdist = [pts](uint32_t a, uint32_t b) {
     return PointSet::SquaredDistance((*pts)[a], (*pts)[b]);
   };
 
   // ---- Phase 1: grid definition (Algorithm 1). -------------------------
-  Dataset<GridRecord> g;
+  Dataset<CoordRecord> by_coord;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseGrid);
     auto ids = Dataset<uint32_t>::Iota(ctx, static_cast<uint32_t>(n), parts);
-    g = ids.Map([cell_of](uint32_t i) { return GridRecord(cell_of(i), i); },
-                "CreateGrid");
+    by_coord = ids.Map(
+        [pts, side](uint32_t i) {
+          CoordRecord rec(CellCoord(), i);
+          (void)grid::CellOfPoint((*pts)[i], side, &rec.first);  // validated
+          return rec;
+        },
+        "CreateGrid");
     phase.records = n;
   }
 
   // ---- Phase 2: dense cell map construction (Algorithm 2). -------------
-  Broadcast<CellMap> cell_map;
-  Broadcast<CellNeighborhoods> cells;
+  // The driver numbers the cells it collects; the dense cell map is then a
+  // byte per cell id, broadcast with the neighbor lists (Definition 8) of
+  // the non-dense cells. Phase 3 emits the points of non-dense cells to
+  // their neighbor cells, and phase 5 those of non-core cells (all
+  // non-dense) to their core ones. G is re-keyed by cell id once, so every
+  // later record is (cell id, point), 8 bytes.
+  Dataset<GridRecord> g;
+  Broadcast<std::vector<uint8_t>> cell_dense;
+  Broadcast<grid::NeighborCells> neighbors;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseDenseCellMap);
-    auto ones = g.Map(
-        [](const GridRecord& rec) { return std::make_pair(rec.first, 1u); },
-        "CellOnes");
-    auto counts =
-        ReduceByKey(ones, [](uint32_t a, uint32_t b) { return a + b; }, parts,
-                    CellCoordHash(), "CountCells");
-    CellMap map;
-    CellNeighborhoods neighborhoods;
-    std::vector<uint8_t> non_dense;
+    // The (cell, 1) records are a temporary, freed once they are reduced.
+    auto counts = ReduceByKey(
+        by_coord.Map(
+            [](const CoordRecord& rec) {
+              return std::make_pair(rec.first, 1u);
+            },
+            "CellOnes"),
+        [](uint32_t a, uint32_t b) { return a + b; }, parts, CellCoordHash(),
+        "CountCells");
+    std::unordered_map<CellCoord, uint32_t, CellCoordHash> ids;
+    std::vector<CellCoord> coords;  // cell id -> coordinates
+    std::vector<uint8_t> dense, non_dense;
     counts.ForEach([&](const std::pair<CellCoord, uint32_t>& kv) {
-      const bool dense = phases::IsDense(kv.second, min_pts);
-      map.Insert(kv.first, kv.second, dense);
-      if (!dense) {
-        neighborhoods.ids.emplace(
-            kv.first, static_cast<uint32_t>(neighborhoods.coords.size()));
-      }
-      neighborhoods.coords.push_back(kv.first);
-      non_dense.push_back(dense ? 0 : 1);
+      ids.emplace(kv.first, static_cast<uint32_t>(coords.size()));
+      coords.push_back(kv.first);
+      const bool is_dense = phases::IsDense(kv.second, min_pts);
+      dense.push_back(is_dense);
+      non_dense.push_back(!is_dense);
+      out.num_dense_cells += is_dense;
     });
-    neighborhoods.lists = grid::NeighborCells::Build(
-        neighborhoods.coords, non_dense, &ctx->pool());
-    out.num_cells = map.size();
-    out.num_dense_cells = map.CountByType(CellType::kDense);
+    neighbors = Broadcast<grid::NeighborCells>(
+        grid::NeighborCells::Build(coords, non_dense, &ctx->pool()));
+    out.num_cells = coords.size();
     phase.records = out.num_cells;
-    cell_map = Broadcast<CellMap>(std::move(map));
-    cells = Broadcast<CellNeighborhoods>(std::move(neighborhoods));
+    cell_dense = Broadcast<std::vector<uint8_t>>(std::move(dense));
+    Broadcast<decltype(ids)> id_of(std::move(ids));
+    g = by_coord.Map(
+        [id_of](const CoordRecord& rec) {
+          return GridRecord(id_of->find(rec.first)->second, rec.second);
+        },
+        "KeyByCellId");
+    by_coord = Dataset<CoordRecord>();  // release the 88-byte records
   }
 
   // ---- Phase 3: core points identification (Algorithm 3). --------------
   std::vector<uint8_t> is_core(n, 0);
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseCorePoints);
-    auto is_dense_cell = [cell_map](const GridRecord& rec) {
-      return phases::IsDenseCell(*cell_map, rec.first);
+    auto is_dense_cell = [cell_dense](const GridRecord& rec) {
+      return phases::IsDenseCell(cell_dense->data(), rec.first);
     };
     // C_d: points of dense cells are core outright (Lemma 1).
     auto dense_core =
@@ -208,24 +191,23 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
     // Emit the points to check on every non-empty neighboring cell. The
     // paper's Algorithm 3 emits (N, (C, p)); since p determines its home
     // cell C, the records here carry only (N, p), halving shuffle volume.
-    auto emit_to_neighbors =
-        [cells](const GridRecord& rec,
-                std::vector<std::pair<CellCoord, uint32_t>>* sink) {
-          for (uint32_t nc : cells->Of(rec.first)) {
-            sink->push_back({cells->coords[nc], rec.second});
-          }
-        };
+    auto emit_to_neighbors = [neighbors](const GridRecord& rec,
+                                         std::vector<GridRecord>* sink) {
+      for (uint32_t nc : neighbors->Of(rec.first)) {
+        sink->push_back({nc, rec.second});
+      }
+    };
 
     Dataset<std::pair<uint32_t, uint32_t>> contributions;  // (point, count)
     switch (params.join) {
       case JoinStrategy::kPlain: {
-        auto to_check = non_dense.FlatMap<std::pair<CellCoord, uint32_t>>(
+        auto to_check = non_dense.FlatMap<GridRecord>(
             emit_to_neighbors, "EmitToCheck");
-        auto joined = Join(g, to_check, parts, CellCoordHash(), "JoinGrid");
+        auto joined =
+            Join(g, to_check, parts, std::hash<uint32_t>(), "JoinGrid");
         contributions = joined.Map(
             [&phase, sqdist, eps2](
-                const std::pair<CellCoord,
-                                std::pair<uint32_t, uint32_t>>& rec) {
+                const std::pair<uint32_t, GridRecord>& rec) {
               phase.distances.fetch_add(1, std::memory_order_relaxed);
               const uint32_t q = rec.second.first;
               const uint32_t p = rec.second.second;
@@ -235,20 +217,20 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
         break;
       }
       case JoinStrategy::kGrouped: {
-        auto to_check = non_dense.FlatMap<std::pair<CellCoord, uint32_t>>(
+        auto to_check = non_dense.FlatMap<GridRecord>(
             emit_to_neighbors, "EmitToCheck");
         auto checks_grouped =
-            GroupByKey(to_check, parts, CellCoordHash(), "GroupChecks");
-        auto grid_grouped = GroupByKey(g, parts, CellCoordHash(), "GroupGrid");
+            GroupByKey(to_check, parts, std::hash<uint32_t>(), "GroupChecks");
+        auto grid_grouped =
+            GroupByKey(g, parts, std::hash<uint32_t>(), "GroupGrid");
         auto joined = Join(grid_grouped, checks_grouped, parts,
-                           CellCoordHash(), "JoinGrouped");
+                           std::hash<uint32_t>(), "JoinGrouped");
         contributions =
             joined.FlatMap<std::pair<uint32_t, uint32_t>>(
                 [&phase, pts, d, count_within, eps2, min_pts](
                     const std::pair<
-                        CellCoord,
-                        std::pair<std::vector<uint32_t>,
-                                  std::vector<uint32_t>>>& rec,
+                        uint32_t, std::pair<std::vector<uint32_t>,
+                                            std::vector<uint32_t>>>& rec,
                     std::vector<std::pair<uint32_t, uint32_t>>* sink) {
                   const auto& cell_points = rec.second.first;
                   // Gather the cell's coordinates once, then run the
@@ -273,9 +255,9 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
         break;
       }
       case JoinStrategy::kBroadcast: {
-        auto to_check = non_dense.FlatMap<std::pair<CellCoord, uint32_t>>(
+        auto to_check = non_dense.FlatMap<GridRecord>(
             emit_to_neighbors, "EmitToCheck");
-        auto local = CollectGrouped(to_check, CellCoordHash());
+        auto local = CollectGrouped(to_check, std::hash<uint32_t>());
         Broadcast<decltype(local)> checks_by_cell(std::move(local));
         contributions =
             g.FlatMap<std::pair<uint32_t, uint32_t>>(
@@ -319,38 +301,40 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
   }
 
   // ---- Phase 4: core cell map construction (Algorithm 4). --------------
-  Broadcast<CellMap> core_map;
+  Broadcast<std::vector<uint8_t>> cell_core;
+  Dataset<GridRecord> core_points;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseCoreCellMap);
-    CellMap updated = *cell_map;  // dense cells already rank as core
-    for (size_t i = 0; i < n; ++i) {
-      if (is_core[i]) {
-        updated.MarkCore(cell_of(static_cast<uint32_t>(i)));
-      }
-    }
-    out.num_core_cells = updated.CountByType(CellType::kCore) +
-                         updated.CountByType(CellType::kDense);
+    Broadcast<std::vector<uint8_t>> core_flags(is_core);
+    core_points = g.Filter(
+        [core_flags](const GridRecord& rec) {
+          return (*core_flags)[rec.second] != 0;
+        },
+        "FilterCorePoints");
+    std::vector<uint8_t> core = *cell_dense;  // dense cells are core
+    core_points.ForEach(
+        [&core](const GridRecord& rec) { core[rec.first] = 1; });
+    out.num_core_cells = std::count(core.begin(), core.end(), uint8_t{1});
     phase.records = out.num_core_cells;
-    core_map = Broadcast<CellMap>(std::move(updated));
+    cell_core = Broadcast<std::vector<uint8_t>>(std::move(core));
   }
 
   // ---- Phase 5: outliers identification (Algorithm 5). -----------------
   std::vector<uint32_t> outliers;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseOutliers);
-    Broadcast<std::vector<uint8_t>> core_flags(is_core);
     auto non_core = g.Filter(
-        [core_map](const GridRecord& rec) {
-          return !phases::IsCoreCell(*core_map, rec.first);
+        [cell_core](const GridRecord& rec) {
+          return !phases::IsCoreCell(cell_core->data(), rec.first);
         },
         "FilterNonCore");
     // O_ncn: no neighboring core cell at all -> outright outliers.
     auto o_ncn =
         non_core
             .Filter(
-                [core_map, cells](const GridRecord& rec) {
-                  for (uint32_t nc : cells->Of(rec.first)) {
-                    if (phases::IsCoreCell(*core_map, cells->coords[nc])) {
+                [cell_core, neighbors](const GridRecord& rec) {
+                  for (uint32_t nc : neighbors->Of(rec.first)) {
+                    if (phases::IsCoreCell(cell_core->data(), nc)) {
                       return false;
                     }
                   }
@@ -360,33 +344,27 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
             .Map([](const GridRecord& rec) { return rec.second; });
 
     // Points of non-core cells, emitted on their neighboring *core* cells.
-    auto emit_to_core_neighbors =
-        [core_map, cells](const GridRecord& rec,
-                          std::vector<std::pair<CellCoord, uint32_t>>* sink) {
-          for (uint32_t nc : cells->Of(rec.first)) {
-            const CellCoord& neighbor = cells->coords[nc];
-            if (phases::IsCoreCell(*core_map, neighbor)) {
-              sink->push_back({neighbor, rec.second});
-            }
-          }
-        };
-    auto core_points = g.Filter(
-        [core_flags](const GridRecord& rec) {
-          return (*core_flags)[rec.second] != 0;
-        },
-        "FilterCorePoints");
+    auto emit_to_core_neighbors = [cell_core, neighbors](
+                                      const GridRecord& rec,
+                                      std::vector<GridRecord>* sink) {
+      for (uint32_t nc : neighbors->Of(rec.first)) {
+        if (phases::IsCoreCell(cell_core->data(), nc)) {
+          sink->push_back({nc, rec.second});
+        }
+      }
+    };
 
     Dataset<std::pair<uint32_t, uint8_t>> flags;  // (point, outlier flag)
     switch (params.join) {
       case JoinStrategy::kPlain: {
-        auto to_check = non_core.FlatMap<std::pair<CellCoord, uint32_t>>(
+        auto to_check = non_core.FlatMap<GridRecord>(
             emit_to_core_neighbors, "EmitToCheck2");
         auto joined =
-            Join(core_points, to_check, parts, CellCoordHash(), "JoinCore");
+            Join(core_points, to_check, parts, std::hash<uint32_t>(),
+                 "JoinCore");
         flags = joined.Map(
             [&phase, sqdist, eps2](
-                const std::pair<CellCoord, std::pair<uint32_t, uint32_t>>&
-                    rec) {
+                const std::pair<uint32_t, GridRecord>& rec) {
               phase.distances.fetch_add(1, std::memory_order_relaxed);
               const uint32_t q = rec.second.first;   // core point
               const uint32_t p = rec.second.second;  // point to check
@@ -397,17 +375,17 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
         break;
       }
       case JoinStrategy::kGrouped: {
-        auto to_check = non_core.FlatMap<std::pair<CellCoord, uint32_t>>(
+        auto to_check = non_core.FlatMap<GridRecord>(
             emit_to_core_neighbors, "EmitToCheck2");
         auto checks_grouped =
-            GroupByKey(to_check, parts, CellCoordHash(), "GroupChecks2");
+            GroupByKey(to_check, parts, std::hash<uint32_t>(), "GroupChecks2");
         auto core_grouped =
-            GroupByKey(core_points, parts, CellCoordHash(), "GroupCore");
+            GroupByKey(core_points, parts, std::hash<uint32_t>(), "GroupCore");
         auto joined = Join(core_grouped, checks_grouped, parts,
-                           CellCoordHash(), "JoinGrouped2");
+                           std::hash<uint32_t>(), "JoinGrouped2");
         flags = joined.FlatMap<std::pair<uint32_t, uint8_t>>(
             [&phase, pts, d, any_within, eps2](
-                const std::pair<CellCoord,
+                const std::pair<uint32_t,
                                 std::pair<std::vector<uint32_t>,
                                           std::vector<uint32_t>>>& rec,
                 std::vector<std::pair<uint32_t, uint8_t>>* sink) {
@@ -431,9 +409,9 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
         break;
       }
       case JoinStrategy::kBroadcast: {
-        auto to_check = non_core.FlatMap<std::pair<CellCoord, uint32_t>>(
+        auto to_check = non_core.FlatMap<GridRecord>(
             emit_to_core_neighbors, "EmitToCheck2");
-        auto local = CollectGrouped(to_check, CellCoordHash());
+        auto local = CollectGrouped(to_check, std::hash<uint32_t>());
         Broadcast<decltype(local)> checks_by_cell(std::move(local));
         flags = core_points.FlatMap<std::pair<uint32_t, uint8_t>>(
             [&phase, checks_by_cell, sqdist, eps2](

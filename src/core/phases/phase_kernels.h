@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/detection.h"
-#include "grid/cell_map.h"
 #include "grid/grid.h"
 #include "grid/neighbor_cells.h"
 #include "simd/distance_kernel.h"
@@ -54,16 +53,16 @@ inline bool CrossesDensityThreshold(uint32_t new_count, uint32_t min_pts) {
   return new_count == min_pts;
 }
 
-/// Dense-cell membership of a broadcast CellMap (Algorithm 2's output as
-/// the dataflow engine sees it).
-inline bool IsDenseCell(const grid::CellMap& map, const grid::CellCoord& c) {
-  return map.TypeOf(c) == grid::CellType::kDense;
+/// Dense-cell membership of cell id `c` in Algorithm 2's per-cell verdicts
+/// (ClassifyDenseCells's output, or the dataflow engine's broadcast copy).
+inline bool IsDenseCell(const uint8_t* cell_dense, uint32_t c) {
+  return cell_dense[c] != 0;
 }
 
-/// Core-cell membership of a broadcast CellMap (Lemma 2's precondition in
-/// the dataflow engine).
-inline bool IsCoreCell(const grid::CellMap& map, const grid::CellCoord& c) {
-  return map.TypeOf(c) >= grid::CellType::kCore;
+/// Core-cell membership of cell id `c` in Algorithm 4's per-cell verdicts,
+/// where dense cells are core too (Lemma 2's precondition).
+inline bool IsCoreCell(const uint8_t* cell_core, uint32_t c) {
+  return cell_core[c] != 0;
 }
 
 /// The batched one-point-vs-block distance primitives bound to one

@@ -5,19 +5,24 @@
 #include "common/str_util.h"
 
 namespace dbscout::grid {
-namespace {
 
-// Largest |cell index| we accept; beyond this, translating by a stencil
-// offset could overflow int64.
-constexpr double kMaxCellIndex = 4.0e18;
-
-}  // namespace
+Status internal::CellIndexError(std::span<const double> point, double side) {
+  for (size_t k = 0; k < point.size(); ++k) {
+    if (!std::isfinite(point[k])) {
+      return Status::InvalidArgument(
+          StrFormat("non-finite coordinate %zu (%g)", k, point[k]));
+    }
+    if (!(std::abs(std::floor(point[k] / side)) <= kMaxCellIndex)) {
+      return Status::OutOfRange(StrFormat(
+          "cell index overflow (|%g / %g| too large)", point[k], side));
+    }
+  }
+  return Status::OK();
+}
 
 CellCoord Grid::CellOf(std::span<const double> point) const {
-  CellCoord coord = CellCoord::Zero(dims_);
-  for (size_t i = 0; i < dims_; ++i) {
-    coord[i] = static_cast<int64_t>(std::floor(point[i] / side_));
-  }
+  CellCoord coord;
+  (void)CellOfPoint(point, side_, &coord);  // Build accepted the point
   return coord;
 }
 
@@ -46,23 +51,9 @@ Result<Grid> Grid::Build(const PointSet& points, double eps) {
 
   // Pass 1: assign cell ids and count cell sizes.
   std::vector<uint32_t> cell_sizes;
+  CellCoord coord;
   for (size_t i = 0; i < n; ++i) {
-    const auto p = points[i];
-    CellCoord coord = CellCoord::Zero(d);
-    for (size_t k = 0; k < d; ++k) {
-      const double v = p[k];
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument(
-            StrFormat("point %zu has non-finite coordinate %zu", i, k));
-      }
-      const double scaled = std::floor(v / grid.side_);
-      if (std::abs(scaled) > kMaxCellIndex) {
-        return Status::OutOfRange(
-            StrFormat("point %zu: cell index overflow (|%g / %g| too large)",
-                      i, v, grid.side_));
-      }
-      coord[k] = static_cast<int64_t>(scaled);
-    }
+    DBSCOUT_RETURN_IF_ERROR(CellOfPoint(points[i], grid.side_, &coord));
     auto [it, inserted] = grid.cell_ids_.try_emplace(
         coord, static_cast<uint32_t>(grid.cell_coords_.size()));
     if (inserted) {

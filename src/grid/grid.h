@@ -9,11 +9,43 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/status.h"
 #include "data/point_set.h"
 #include "grid/cell_coord.h"
 #include "grid/neighborhood.h"
 
 namespace dbscout::grid {
+
+/// Largest |cell index| a point may map to; beyond it, translating by a
+/// neighbor offset could overflow int64.
+inline constexpr double kMaxCellIndex = 4.0e18;
+
+namespace internal {
+/// CellOfPoint's error for `point`, kept out of line: InvalidArgument for
+/// the first non-finite coordinate, OutOfRange for the first cell index
+/// beyond kMaxCellIndex, whichever comes first.
+Status CellIndexError(std::span<const double> point, double side);
+}  // namespace internal
+
+/// The cell containing `point` for cell side `side` (Algorithm 1:
+/// floor(x_k / side) per dimension), the one point-to-cell mapping of every
+/// engine. Fails with InvalidArgument on a non-finite coordinate and with
+/// OutOfRange on a cell index beyond kMaxCellIndex; `cell` is then
+/// unspecified. point.size() must be in [1, kMaxDims]. Inline, as
+/// Grid::Build and the dataflow engine call it once per point.
+inline Status CellOfPoint(std::span<const double> point, double side,
+                          CellCoord* cell) {
+  *cell = CellCoord::Zero(point.size());
+  for (size_t k = 0; k < point.size(); ++k) {
+    const double index = std::floor(point[k] / side);
+    // One comparison rejects NaN, infinities and overflowing indices.
+    if (!(std::abs(index) <= kMaxCellIndex)) {
+      return internal::CellIndexError(point, side);
+    }
+    (*cell)[k] = static_cast<int64_t>(index);
+  }
+  return Status::OK();
+}
 
 /// The non-empty cells of the epsilon-grid over a point set (Definition 5),
 /// stored in CSR layout: point indices grouped by cell id, with one offset
@@ -40,8 +72,8 @@ class Grid {
   size_t num_cells() const { return cell_coords_.size(); }
   size_t num_points() const { return point_cell_.size(); }
 
-  /// Integer coordinates of the cell containing `point` (Algorithm 1:
-  /// floor(x_i * sqrt(d) / eps) per dimension).
+  /// Integer coordinates of the cell containing `point`, which must be a
+  /// point Build accepts (CellOfPoint with this grid's side).
   CellCoord CellOf(std::span<const double> point) const;
 
   /// Coordinates of cell `id`.

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <tuple>
 
@@ -116,6 +117,59 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EngineMatrixTest,
                          [](const auto& info) {
                            return "case" + std::to_string(info.index);
                          });
+
+// Every engine maps a point to its cell through grid::CellOfPoint, so each
+// rejects the same bad inputs with the same code: a NaN coordinate is
+// InvalidArgument, a coordinate whose cell index would overflow int64 is
+// OutOfRange.
+TEST(EngineInputTest, EveryEngineRejectsNanAndOverflowingCoordinates) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* name;
+    double bad;
+    StatusCode code;
+  } cases[] = {{"NaN", kNan, StatusCode::kInvalidArgument},
+               {"1e300", 1e300, StatusCode::kOutOfRange}};
+  for (const auto& c : cases) {
+    PointSet ps(2);
+    ps.Add({0.0, 0.0});
+    ps.Add({0.5, 0.5});
+    ps.Add({c.bad, 5.0});
+    ps.Add({3.0, 3.0});
+    Params params;
+    params.eps = 1.0;
+    params.min_pts = 2;
+    const std::string what = std::string("bad coordinate ") + c.name;
+
+    EXPECT_EQ(DetectSequential(ps, params).status().code(), c.code) << what;
+    ThreadPool pool(2);
+    EXPECT_EQ(DetectSharedMemory(ps, params, &pool).status().code(), c.code)
+        << what;
+    dataflow::ExecutionContext ctx(2, 4);
+    for (JoinStrategy join : {JoinStrategy::kPlain, JoinStrategy::kBroadcast,
+                              JoinStrategy::kGrouped}) {
+      Params pp = params;
+      pp.engine = Engine::kParallel;
+      pp.join = join;
+      EXPECT_EQ(DetectParallel(ps, pp, &ctx).status().code(), c.code)
+          << what << ", " << JoinStrategyName(join);
+    }
+    const std::string path = ::testing::TempDir() + "/engine_input_" +
+                             std::to_string(::getpid()) + ".dbsc";
+    ASSERT_TRUE(SavePointsBinary(path, ps).ok());
+    external::ExternalParams ext;
+    ext.eps = params.eps;
+    ext.min_pts = params.min_pts;
+    ext.tmp_dir = ::testing::TempDir();
+    EXPECT_EQ(external::DetectExternal(path, ext).status().code(), c.code)
+        << what << ", external";
+    std::remove(path.c_str());
+    auto det = IncrementalDetector::Create(2, params);
+    ASSERT_TRUE(det.ok());
+    EXPECT_EQ(det->AddBatch(ps).code(), c.code) << what << ", incremental";
+    EXPECT_EQ(det->live_points(), 0u) << "a rejected batch applies nothing";
+  }
+}
 
 // At d = 7 and 9 the stencil has 472k and 8.1M offsets (Table I); the
 // batch engines find neighbor cells from the occupied cells instead, so

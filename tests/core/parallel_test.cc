@@ -1,8 +1,13 @@
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dbscout.h"
+#include "grid/grid.h"
+#include "grid/neighbor_cells.h"
 #include "testutil.h"
 
 namespace dbscout::core {
@@ -102,6 +107,65 @@ TEST_F(ParallelTest, RecordsPhaseAndShuffleStats) {
   EXPECT_EQ(r->phases[4].name, "outliers");
   EXPECT_GT(r->shuffled_records, 0u);
   EXPECT_FALSE(ctx_.stages().empty());
+}
+
+// The records phases 3 and 5 emit, counted from the sequential grid: a
+// point of a non-dense cell c goes to every cell of N(c), a point of a
+// non-core cell to every core cell of N(c). Every join strategy emits the
+// same records.
+TEST_F(ParallelTest, EmitCountsFollowTheNeighborLists) {
+  Rng rng(21);
+  const PointSet ps = testing::ClusteredPoints(&rng, 600, 2, 4, 0.3);
+  const double eps = 1.0;
+  const uint32_t min_pts = 6;
+  auto g = grid::Grid::Build(ps, eps);
+  ASSERT_TRUE(g.ok()) << g.status();
+  const grid::NeighborCells lists =
+      grid::NeighborCells::Build(g->CellCoords());
+  Params seq;
+  seq.eps = eps;
+  seq.min_pts = min_pts;
+  auto expected = DetectSequential(ps, seq);
+  ASSERT_TRUE(expected.ok());
+  std::vector<uint8_t> core_cell(g->num_cells(), 0);
+  for (uint32_t p = 0; p < ps.size(); ++p) {
+    if (expected->kinds[p] == PointKind::kCore) {
+      core_cell[g->CellIdOfPoint(p)] = 1;
+    }
+  }
+  uint64_t to_check = 0;
+  uint64_t to_check2 = 0;
+  size_t sparse_core_cells = 0;
+  for (uint32_t c = 0; c < g->num_cells(); ++c) {
+    const uint64_t size = g->CellSize(c);
+    if (size < min_pts) {
+      to_check += size * lists.Of(c).size();
+      sparse_core_cells += core_cell[c];
+    }
+    if (!core_cell[c]) {
+      for (uint32_t nc : lists.Of(c)) {
+        to_check2 += size * core_cell[nc];
+      }
+    }
+  }
+  // Both phases have work, and some sparse cells are core, so the two
+  // emits differ.
+  ASSERT_GT(to_check2, 0u);
+  ASSERT_GT(sparse_core_cells, 0u);
+
+  for (JoinStrategy join : {JoinStrategy::kPlain, JoinStrategy::kBroadcast,
+                            JoinStrategy::kGrouped}) {
+    ctx_.ResetMetrics();
+    auto r = DetectParallel(ps, MakeParams(eps, min_pts, join), &ctx_);
+    ASSERT_TRUE(r.ok()) << r.status();
+    std::map<std::string, uint64_t> records_out;
+    for (const auto& stage : ctx_.stages()) {
+      records_out[stage.name] += stage.records_out;
+    }
+    EXPECT_EQ(records_out["EmitToCheck"], to_check) << JoinStrategyName(join);
+    EXPECT_EQ(records_out["EmitToCheck2"], to_check2)
+        << JoinStrategyName(join);
+  }
 }
 
 TEST_F(ParallelTest, FacadeDispatchesBothEngines) {

@@ -135,6 +135,23 @@ TEST(NeighborCellsTest, ListsEqualBruteForceForEveryDimensionality) {
     // The crowded block must actually exercise the pruning.
     EXPECT_GT(entries, 2 * coords.size()) << "d=" << d;
   }
+  // Hand-checked at d = 2: (2,0) reaches (0,0) across one empty column
+  // (gap 1 < 2), (1,1) touches both, and the far cells list only
+  // themselves.
+  auto coord2 = [](int64_t x, int64_t y) {
+    const int64_t v[] = {x, y};
+    return CellCoord({v, 2});
+  };
+  const std::vector<CellCoord> fixed = {coord2(0, 0), coord2(2, 0),
+                                        coord2(10, 10), coord2(1, 1),
+                                        coord2(50, 50)};
+  const NeighborCells lists = NeighborCells::Build(fixed);
+  const std::vector<uint32_t> block = {0, 3, 1};  // ascending coordinates
+  EXPECT_EQ(ToVector(lists.Of(0)), block);
+  EXPECT_EQ(ToVector(lists.Of(1)), block);
+  EXPECT_EQ(ToVector(lists.Of(2)), std::vector<uint32_t>{2});
+  EXPECT_EQ(ToVector(lists.Of(3)), block);
+  EXPECT_EQ(ToVector(lists.Of(4)), std::vector<uint32_t>{4});
 }
 
 TEST(NeighborCellsTest, ListsEqualTheStencilProbeInOrder) {

@@ -35,9 +35,8 @@ Enforces, statically, the contracts that the compiler cannot:
                      other than literal validation (call phases::IsDense /
                      CrossesDensityThreshold), no branching on the
                      cell_dense[]/cell_core[] flag arrays (populating them
-                     as kernel input is fine), and no CellType::kDense/kCore
-                     comparisons outside the CellMap storage type itself
-                     (call phases::IsDenseCell / IsCoreCell). Scope:
+                     is fine; read them through phases::IsDenseCell /
+                     IsCoreCell or pass them to the cell kernels). Scope:
                      src/core (minus src/core/phases/), src/external,
                      src/grid, src/service (the serving layer answers from
                      snapshots and must not re-classify), src/storage (WAL
@@ -352,9 +351,6 @@ def make_check_discarded_status(files: List[Tuple[str, List[str]]]
 PHASE_HOME = "src/core/phases/"
 PHASE_SCOPE_PREFIXES = ("src/core/", "src/external/", "src/grid/",
                         "src/service/", "src/storage/")
-# CellMap is the storage type the CellType verdicts live in; its own
-# accessors necessarily compare the enum.
-PHASE_CELLTYPE_EXEMPT = ("src/grid/cell_map.h", "src/grid/cell_map.cc")
 
 # A comparison operator that is not part of ->, <<, >>, <=>, or a template
 # bracket pair is close enough for the flagged patterns in this codebase.
@@ -363,12 +359,11 @@ _NUM_LITERAL_RE = re.compile(r"\d+[uUlL]*")
 
 MIN_PTS_LEFT_RE = re.compile(r"\bmin_pts\w*\s*(" + _CMP + r")\s*([^\s;)]+)")
 MIN_PTS_RIGHT_RE = re.compile(r"([^\s(!&|]+)\s*(" + _CMP + r")\s*min_pts\w*\b")
-CELL_FLAG_RE = re.compile(r"\b(cell_dense|cell_core)\s*\[")
-CELL_FLAG_ASSIGN_RE = re.compile(
-    r"\b(cell_dense|cell_core)\s*\[[^\]]*\]\s*=(?!=)")
-CELLTYPE_CMP_RE = re.compile(
-    r"(" + _CMP + r")\s*(?:grid::)?CellType::k(?:Dense|Core)\b"
-    r"|(?:grid::)?CellType::k(?:Dense|Core)\s*(" + _CMP + r")")
+# The arrays themselves or a dereferenced broadcast of one: cell_dense[c],
+# (*cell_core)[c].
+_CELL_FLAG = r"(?:\(\s*\*\s*)?\b(cell_dense|cell_core)(?:\s*\))?\s*\["
+CELL_FLAG_RE = re.compile(_CELL_FLAG)
+CELL_FLAG_ASSIGN_RE = re.compile(_CELL_FLAG + r"[^\]]*\]\s*=(?!=)")
 
 
 def in_phase_scope(path: str) -> bool:
@@ -382,8 +377,6 @@ def check_phase_logic_locality(path: str, lines: List[str]
     rule = "phase-logic-locality"
     if not in_phase_scope(path):
         return
-    norm = path.replace(os.sep, "/")
-    celltype_exempt = norm in PHASE_CELLTYPE_EXEMPT
     for i, line in enumerate(lines, 1):
         if waived(line, rule):
             continue
@@ -411,8 +404,10 @@ def check_phase_logic_locality(path: str, lines: List[str]
                               "transitions)")
 
         # Family 2: branching on the per-cell flag arrays outside the
-        # kernels. Writing them (the engines populate kernel input) is the
-        # intended interface; reads are phase-3/5 logic.
+        # kernels. Writing them (the engines populate kernel input and the
+        # dataflow engine's broadcast maps) is the intended interface;
+        # reads are phase-3/5 logic and go through phases::IsDenseCell /
+        # IsCoreCell.
         assigns = {m.start() for m in CELL_FLAG_ASSIGN_RE.finditer(code)}
         for m in CELL_FLAG_RE.finditer(code):
             if m.start() not in assigns:
@@ -420,15 +415,8 @@ def check_phase_logic_locality(path: str, lines: List[str]
                               f"read of {m.group(1)}[] outside "
                               "src/core/phases/ re-implements a phase "
                               "decision; engines only populate these arrays "
-                              "and pass them to the cell kernels")
-
-        # Family 3: CellType verdict comparisons belong to
-        # phases::IsDenseCell / IsCoreCell (CellMap itself excepted).
-        if not celltype_exempt and CELLTYPE_CMP_RE.search(code):
-            yield Finding(path, i, rule,
-                          "CellType::kDense/kCore comparison outside "
-                          "src/core/phases/; call core::phases::IsDenseCell "
-                          "or IsCoreCell so Lemma 2 has one implementation")
+                              "and read them through phases::IsDenseCell / "
+                              "IsCoreCell or the cell kernels")
 
 
 # ---------------------------------------------------------------------------
@@ -684,14 +672,16 @@ def self_test() -> int:
                 "}\n"
                 "if (++neighbor_counts_[q] == min_pts) promote(q);\n"
                 "if (cell_core[c]) continue;\n"
-                "if (map.TypeOf(c) == CellType::kDense) dense = true;\n")
+                "if (cell_dense[rec.first]) return false;\n"
+                "return (*cell_core)[rec.first] != 0;\n")
     expect("phase-logic-locality",
-           list(check_phase_logic_locality("src/core/x.cc", bad)), 4,
+           list(check_phase_logic_locality("src/core/parallel.cc", bad)), 5,
            "seeded")
     ok = lines("if (min_pts < 1) return Status::InvalidArgument(\"\");\n"
-               "map.Insert(c, n, phases::IsDense(n, min_pts));\n"
+               "dense.push_back(phases::IsDense(n, min_pts));\n"
                "cell_dense[c] = eligible[c] && phases::IsDense(sz, min_pts);\n"
-               "out.num_dense_cells = map.CountByType(CellType::kDense);\n"
+               "(*cell_core)[c] = 1;\n"
+               "return phases::IsDenseCell(cell_dense->data(), rec.first);\n"
                "if (count >= min_pts) {  // lint:allow(phase-logic-locality)\n")
     expect("phase-logic-locality",
            list(check_phase_logic_locality("src/external/y.cc", ok)), 0,
@@ -719,13 +709,10 @@ def self_test() -> int:
     expect("phase-logic-locality",
            list(check_phase_logic_locality("src/storage/store.cc",
                                            exempt)), 1, "storage-in-scope")
-    storage = lines("return TypeOf(coord) >= CellType::kCore;\n")
+    flag_read = lines("if (cell_dense[c]) ++dense;\n")
     expect("phase-logic-locality",
-           list(check_phase_logic_locality("src/grid/cell_map.h", storage)),
-           0, "cellmap-exempt")
-    expect("phase-logic-locality",
-           list(check_phase_logic_locality("src/grid/grid.cc", storage)), 1,
-           "celltype-outside-cellmap")
+           list(check_phase_logic_locality("src/grid/grid.cc", flag_read)), 1,
+           "flag-read-in-grid")
 
     # hot-path-purity
     bad = lines("DBSCOUT_LOG(kDebug) << \"cell \" << c;\n"
