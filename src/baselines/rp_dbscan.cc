@@ -1,5 +1,6 @@
 #include "baselines/rp_dbscan.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <unordered_map>
@@ -124,29 +125,30 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
   // Flatten for indexed access and group sub-cells by their eps-cell.
   std::vector<CellCoord> sub_coords;
   std::vector<SubCell> sub_cells;
-  std::vector<uint32_t> sub_cell_of;  // sub-cell id -> eps-cell id
+  std::vector<CellCoord> cell_coords;
   sub_coords.reserve(dictionary.size());
   sub_cells.reserve(dictionary.size());
-  sub_cell_of.reserve(dictionary.size());
-  std::unordered_map<CellCoord, uint32_t, CellCoordHash> cell_ids;
-  std::vector<CellCoord> cell_coords;
-  std::vector<std::vector<uint32_t>> cell_subs;
-  std::vector<uint32_t> cell_counts;
   for (const auto& [sub, info] : dictionary) {
-    const uint32_t id = static_cast<uint32_t>(sub_cells.size());
     sub_coords.push_back(sub);
     sub_cells.push_back(info);
-    const CellCoord cell = CoordOf(points[info.representative], side, d);
-    auto [it, inserted] = cell_ids.try_emplace(
-        cell, static_cast<uint32_t>(cell_coords.size()));
-    if (inserted) {
-      cell_coords.push_back(cell);
-      cell_subs.emplace_back();
-      cell_counts.push_back(0);
-    }
-    cell_subs[it->second].push_back(id);
-    cell_counts[it->second] += info.count;
-    sub_cell_of.push_back(it->second);
+    cell_coords.push_back(CoordOf(points[info.representative], side, d));
+  }
+  // Eps-cell ids in ascending coordinate order, as grid::Grid numbers them.
+  std::sort(cell_coords.begin(), cell_coords.end());
+  cell_coords.erase(std::unique(cell_coords.begin(), cell_coords.end()),
+                    cell_coords.end());
+  std::vector<std::vector<uint32_t>> cell_subs(cell_coords.size());
+  std::vector<uint32_t> cell_counts(cell_coords.size(), 0);
+  std::vector<uint32_t> sub_cell_of(sub_cells.size());  // -> eps-cell id
+  for (uint32_t s = 0; s < sub_cells.size(); ++s) {
+    const uint32_t cell = static_cast<uint32_t>(
+        std::lower_bound(
+            cell_coords.begin(), cell_coords.end(),
+            CoordOf(points[sub_cells[s].representative], side, d)) -
+        cell_coords.begin());
+    cell_subs[cell].push_back(s);
+    cell_counts[cell] += sub_cells[s].count;
+    sub_cell_of[s] = cell;
   }
   result.num_cells = cell_coords.size();
   const grid::NeighborCells neighbors =
@@ -215,7 +217,7 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
       continue;  // no core sub-cell in this cell
     }
     for (uint32_t nc : neighbors.Of(cell)) {
-      if (!(cell_coords[cell] < cell_coords[nc])) {
+      if (nc <= cell) {
         continue;  // visit each cell pair once
       }
       bool linked = false;

@@ -92,6 +92,17 @@ Status WriteIndices(const std::string& path,
   return Status::OK();
 }
 
+/// One row per phase: name, wall time, distance computations.
+void PrintPhases(const std::vector<core::PhaseStats>& phases,
+                 std::ostream& out) {
+  for (const core::PhaseStats& phase : phases) {
+    out << StrFormat("  %-15s %9.2f ms  %12llu dist-comps\n",
+                     phase.name.c_str(), phase.seconds * 1e3,
+                     static_cast<unsigned long long>(
+                         phase.distance_computations));
+  }
+}
+
 Result<std::vector<uint32_t>> ReadIndices(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -158,6 +169,7 @@ Status CmdDetect(const Flags& flags, std::ostream& out) {
         detection.num_cells, detection.num_dense_cells, detection.stripes,
         static_cast<unsigned long long>(detection.spilled_records),
         detection.max_stripe_points, detection.seconds);
+    PrintPhases(detection.phases, out);
     if (flags.Has("output")) {
       DBSCOUT_RETURN_IF_ERROR(
           WriteIndices(flags.GetString("output"), detection.outliers));
@@ -217,12 +229,7 @@ Status CmdDetect(const Flags& flags, std::ostream& out) {
       detection.num_outliers(), detection.num_core, detection.num_border,
       detection.num_cells, detection.num_dense_cells,
       detection.num_core_cells, detection.total_seconds);
-  for (const auto& phase : detection.phases) {
-    out << StrFormat("  %-15s %9.2f ms  %12llu dist-comps\n",
-                     phase.name.c_str(), phase.seconds * 1e3,
-                     static_cast<unsigned long long>(
-                         phase.distance_computations));
-  }
+  PrintPhases(detection.phases, out);
   if (params.compute_scores && !detection.outliers.empty()) {
     out << "top outliers by core distance:\n";
     std::vector<uint32_t> ranked = detection.outliers;

@@ -127,12 +127,13 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
   }
 
   // ---- Phase 2: dense cell map construction (Algorithm 2). -------------
-  // The driver numbers the cells it collects; the dense cell map is then a
-  // byte per cell id, broadcast with the neighbor lists (Definition 8) of
-  // the non-dense cells. Phase 3 emits the points of non-dense cells to
-  // their neighbor cells, and phase 5 those of non-core cells (all
-  // non-dense) to their core ones. G is re-keyed by cell id once, so every
-  // later record is (cell id, point), 8 bytes.
+  // The driver sorts the cells it collects and numbers them in that order,
+  // as Grid::Build does, so the ids do not depend on the partition count.
+  // The dense cell map is then a byte per cell id, broadcast with the
+  // neighbor lists (Definition 8) of the non-dense cells. Phase 3 emits the
+  // points of non-dense cells to their neighbor cells, and phase 5 those of
+  // non-core cells (all non-dense) to their core ones. G is re-keyed by
+  // cell id once, so every later record is (cell id, point), 8 bytes.
   Dataset<GridRecord> g;
   Broadcast<std::vector<uint8_t>> cell_dense;
   Broadcast<grid::NeighborCells> neighbors;
@@ -147,17 +148,19 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
             "CellOnes"),
         [](uint32_t a, uint32_t b) { return a + b; }, parts, CellCoordHash(),
         "CountCells");
+    std::vector<std::pair<CellCoord, uint32_t>> cells = counts.Collect();
+    std::sort(cells.begin(), cells.end());  // the coordinates are distinct
     std::unordered_map<CellCoord, uint32_t, CellCoordHash> ids;
     std::vector<CellCoord> coords;  // cell id -> coordinates
     std::vector<uint8_t> dense, non_dense;
-    counts.ForEach([&](const std::pair<CellCoord, uint32_t>& kv) {
-      ids.emplace(kv.first, static_cast<uint32_t>(coords.size()));
-      coords.push_back(kv.first);
-      const bool is_dense = phases::IsDense(kv.second, min_pts);
+    for (const auto& [cell, count] : cells) {
+      ids.emplace(cell, static_cast<uint32_t>(coords.size()));
+      coords.push_back(cell);
+      const bool is_dense = phases::IsDense(count, min_pts);
       dense.push_back(is_dense);
       non_dense.push_back(!is_dense);
       out.num_dense_cells += is_dense;
-    });
+    }
     neighbors = Broadcast<grid::NeighborCells>(
         grid::NeighborCells::Build(coords, non_dense, &ctx->pool()));
     out.num_cells = coords.size();

@@ -115,8 +115,8 @@ Result<Detection> DetectWithGrid(const PointSet& points, const Params& params,
                                &obs::Registry::Global(), params.trace);
 
   // Phase 1: grid partitioning and point-cell assignment (Algorithm 1).
-  // Grid::Build is single-threaded in both policies: hash-map insertion
-  // order must stay deterministic so cell ids are reproducible. The
+  // Grid::Build is single-threaded in both policies; it numbers the cells
+  // by ascending coordinates, so the ids depend only on the data. The
   // neighbor lists (Definition 8) of the cells phases 3 and 5 scan are
   // built here too, on the policy's pool when it has one.
   recorder.Start();

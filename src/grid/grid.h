@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -49,15 +48,17 @@ inline Status CellOfPoint(std::span<const double> point, double side,
 
 /// The non-empty cells of the epsilon-grid over a point set (Definition 5),
 /// stored in CSR layout: point indices grouped by cell id, with one offset
-/// array. Construction is linear in the number of points (Lemma 4): a single
-/// pass assigns ids to distinct cells, a counting pass groups the points.
+/// array; cell ids ascend with the coordinates, so they depend only on the
+/// data. Construction is linear in the number of points (Lemma 4): a hash
+/// pass finds the cells, they are sorted to number them, and a counting
+/// pass groups the points by id.
 ///
 /// Build also materializes a grid-ordered copy of the point coordinates:
 /// cell c's points occupy one contiguous row-major block (rows
-/// [CellBeginRow(c), CellBeginRow(c+1)) of OrderedData()), with old<->new
-/// index maps. Neighbor-cell scans over CellBlock() are linear streams the
-/// batched distance kernels (simd/distance_kernel.h) can consume, instead
-/// of gathers scattered across the original PointSet.
+/// [CellBeginRow(c), CellBeginRow(c+1)) of OrderedData()). Neighbor-cell
+/// scans over CellBlock() are linear streams the batched distance kernels
+/// (simd/distance_kernel.h) can consume, instead of gathers scattered
+/// across the original PointSet.
 class Grid {
  public:
   /// Builds the grid for `points` with cell diagonal `eps` (side
@@ -79,11 +80,11 @@ class Grid {
   /// Coordinates of cell `id`.
   const CellCoord& CoordOf(uint32_t id) const { return cell_coords_[id]; }
 
-  /// Coordinates of every cell, indexed by cell id (the input of
-  /// NeighborCells::Build).
+  /// Coordinates of every cell, indexed by cell id and so strictly
+  /// ascending (the input of NeighborCells::Build).
   std::span<const CellCoord> CellCoords() const { return cell_coords_; }
 
-  /// Id of the non-empty cell at `coord`, if any.
+  /// Id of the non-empty cell at `coord`, if any (a binary search).
   std::optional<uint32_t> FindCell(const CellCoord& coord) const;
 
   /// Indices (into the original PointSet) of the points in cell `id`.
@@ -120,28 +121,21 @@ class Grid {
     return {ordered_points_.data() + static_cast<size_t>(row) * dims_, dims_};
   }
 
-  /// Original PointSet index of grid-ordered row `row` (the inverse of
-  /// OrderedRow; rows within a cell keep ascending original order).
+  /// Original PointSet index of grid-ordered row `row` (rows within a
+  /// cell keep ascending original order).
   uint32_t OriginalIndex(uint32_t row) const { return point_indices_[row]; }
-
-  /// Grid-ordered row of original point `point_index`.
-  uint32_t OrderedRow(uint32_t point_index) const {
-    return point_row_[point_index];
-  }
 
   /// Invokes fn(neighbor_cell_id) for every non-empty neighboring cell of
   /// `id`, including `id` itself, in ascending coordinate order. The
-  /// stencil has k_d entries, so this is O(k_d) hash probes; the batch
-  /// engines use the occupied-cell walk of NeighborCells instead.
+  /// stencil has k_d entries, so this is O(k_d) FindCell searches; the
+  /// batch engines use the occupied-cell walk of NeighborCells instead.
   template <typename Fn>
   void ForEachNeighborCell(uint32_t id, const NeighborStencil& stencil,
                            Fn&& fn) const {
     const CellCoord& base = cell_coords_[id];
     for (const CellOffset& offset : stencil.offsets) {
-      const CellCoord neighbor =
-          base.Translated({offset.data(), dims_});
-      if (auto it = cell_ids_.find(neighbor); it != cell_ids_.end()) {
-        fn(it->second);
+      if (auto found = FindCell(base.Translated({offset.data(), dims_}))) {
+        fn(*found);
       }
     }
   }
@@ -155,12 +149,10 @@ class Grid {
   size_t dims_;
   double eps_;
   double side_;
-  std::vector<CellCoord> cell_coords_;
-  std::unordered_map<CellCoord, uint32_t, CellCoordHash> cell_ids_;
+  std::vector<CellCoord> cell_coords_;   // cell id -> coordinates, ascending
   std::vector<uint32_t> cell_begin_;     // size num_cells()+1
   std::vector<uint32_t> point_indices_;  // grouped by cell (row -> original)
   std::vector<uint32_t> point_cell_;     // point index -> cell id
-  std::vector<uint32_t> point_row_;      // original -> grid-ordered row
   std::vector<double> ordered_points_;   // coordinates in CSR cell order
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/logging.h"
 #include "grid/gap_pruning.h"
 
 namespace dbscout::grid {
@@ -12,26 +13,24 @@ namespace {
 // the claim, fine enough to balance clustered grids.
 constexpr size_t kCellsPerTask = 256;
 
-/// The cells sorted lexicographically and stored column by column: within
-/// the sorted range of one prefix (the cells sharing coordinates 0..k-1),
-/// column k is itself sorted, so every trie level is a binary search.
+/// The sorted cells stored column by column: within the range of one
+/// prefix (the cells sharing coordinates 0..k-1), column k is itself
+/// sorted, so every trie level is a binary search. A cell's id is its
+/// position.
 class SortedCells {
  public:
   explicit SortedCells(std::span<const CellCoord> coords)
       : n_(coords.size()),
         dims_(coords[0].dims()),
-        ids_(n_),
         cols_(n_ * dims_),
         run_end_(n_ * dims_),
         pruning_(dims_) {
-    std::iota(ids_.begin(), ids_.end(), 0u);
-    std::sort(ids_.begin(), ids_.end(), [&](uint32_t a, uint32_t b) {
-      return coords[a] < coords[b];
-    });
     for (size_t i = 0; i < n_; ++i) {
-      const CellCoord& c = coords[ids_[i]];
+      DBSCOUT_CHECK(i == 0 || coords[i - 1] < coords[i])
+          << "NeighborCells needs strictly ascending cells, got "
+          << coords[i - 1] << " then " << coords[i];
       for (size_t k = 0; k < dims_; ++k) {
-        cols_[k * n_ + i] = c[k];
+        cols_[k * n_ + i] = coords[i][k];
       }
     }
     // Column k of run_end_ holds, for each position, the end of the run of
@@ -45,9 +44,6 @@ class SortedCells {
       }
     }
   }
-
-  /// Id of the cell at sorted position i.
-  uint32_t IdAt(size_t i) const { return ids_[i]; }
 
   /// Appends the ids of the neighbors of `x` (itself included, when
   /// present) in ascending coordinate order.
@@ -69,7 +65,7 @@ class SortedCells {
         std::lower_bound(col + lo, col + hi, window.lo) - col);
     if (k + 1 == dims_) {
       for (; i < hi && col[i] <= window.hi; ++i) {  // leaves: one cell each
-        out->push_back(ids_[i]);
+        out->push_back(static_cast<uint32_t>(i));
       }
       return;
     }
@@ -83,7 +79,6 @@ class SortedCells {
 
   size_t n_;
   size_t dims_;
-  std::vector<uint32_t> ids_;      // sorted position -> cell id
   std::vector<int64_t> cols_;      // dims_ columns of n_ coordinates
   std::vector<uint32_t> run_end_;  // dims_ columns of n_ run ends
   GapPruning pruning_;
@@ -96,7 +91,6 @@ NeighborCells NeighborCells::Build(std::span<const CellCoord> coords,
                                    ThreadPool* pool) {
   NeighborCells out;
   const size_t n = coords.size();
-  out.rank_.resize(n);
   out.begin_.assign(n + 1, 0);
   if (n == 0) {
     return out;
@@ -105,20 +99,18 @@ NeighborCells NeighborCells::Build(std::span<const CellCoord> coords,
   const size_t tasks =
       pool != nullptr ? (n + kCellsPerTask - 1) / kCellsPerTask : 1;
   std::vector<std::vector<uint32_t>> task_ids(tasks);
-  // Task t walks the cells at sorted positions [t*n/tasks, (t+1)*n/tasks)
-  // into its own buffer and writes only their slots, so tasks never share
-  // one. In sorted order, consecutive walks search the same columns.
+  // Task t walks the cells [t*n/tasks, (t+1)*n/tasks) into its own buffer
+  // and writes only their slots, so tasks never share one. In id order,
+  // consecutive walks search the same columns.
   auto walk = [&](size_t t) {
     std::vector<uint32_t>& ids = task_ids[t];
-    for (size_t r = t * n / tasks; r < (t + 1) * n / tasks; ++r) {
-      const uint32_t c = sorted.IdAt(r);
-      out.rank_[c] = static_cast<uint32_t>(r);
+    for (size_t c = t * n / tasks; c < (t + 1) * n / tasks; ++c) {
       if (!scan.empty() && scan[c] == 0) {
         continue;
       }
       const size_t before = ids.size();
       sorted.AppendNeighbors(coords[c], &ids);
-      out.begin_[r + 1] = ids.size() - before;
+      out.begin_[c + 1] = ids.size() - before;
     }
   };
   if (pool != nullptr) {

@@ -16,8 +16,8 @@ namespace dbscout::grid {
 /// are found from the occupied cells alone, so the cost is bounded by the
 /// cells that exist, not by k_d:
 ///
-///  - the cells are sorted lexicographically, which makes them the leaves
-///    of an implicit prefix trie (one level per dimension);
+///  - the cells come in ascending order (Grid's ids), which makes them
+///    the leaves of an implicit prefix trie (one level per dimension);
 ///  - for a source cell c, the walk descends that trie dimension by
 ///    dimension, binary-searching each level for the window
 ///    [c_k - r, c_k + r], r = SlabReach(d) = ceil(sqrt(d));
@@ -38,31 +38,27 @@ class NeighborCells {
 
   /// Builds the lists of the cells c with scan[c] != 0, or of every cell
   /// when `scan` is empty; the other cells get empty lists. Ids are
-  /// positions in `coords`, whose entries must be distinct and share one
-  /// dimensionality in [1, kMaxDims]. With a `pool`, chunks of cells are
-  /// walked on its workers; the lists do not depend on the schedule.
+  /// positions in `coords`: strictly ascending (checked), one dims in
+  /// [1, kMaxDims]. With a `pool`, chunks of cells are walked on its
+  /// workers; the lists do not depend on the schedule.
   static NeighborCells Build(std::span<const CellCoord> coords,
                              std::span<const uint8_t> scan = {},
                              ThreadPool* pool = nullptr);
 
-  /// Neighbor cell ids of cell `c`, itself included, in ascending
-  /// coordinate order. Empty for cells that were not scanned.
+  /// Neighbor cell ids of cell `c`, itself included, in ascending order
+  /// (ids and coordinates agree). Empty for cells that were not scanned.
   std::span<const uint32_t> Of(uint32_t c) const {
-    const uint32_t r = rank_[c];
-    return {ids_.data() + begin_[r], begin_[r + 1] - begin_[r]};
+    return {ids_.data() + begin_[c], begin_[c + 1] - begin_[c]};
   }
 
-  size_t num_cells() const { return rank_.size(); }
+  size_t num_cells() const { return begin_.size() - 1; }
 
   /// Total number of list entries over all cells.
   size_t num_entries() const { return ids_.size(); }
 
  private:
-  // Lists are stored in sorted-coordinate order of their cells: cell c's
-  // list is ids_[begin_[rank_[c]], begin_[rank_[c] + 1]).
-  std::vector<uint32_t> rank_;  // cell id -> sorted position
-  std::vector<size_t> begin_;   // size num_cells()+1
-  std::vector<uint32_t> ids_;
+  std::vector<size_t> begin_ = {0};  // size num_cells()+1
+  std::vector<uint32_t> ids_;        // cell c's: [begin_[c], begin_[c+1])
 };
 
 }  // namespace dbscout::grid

@@ -121,6 +121,14 @@ TEST(CliTest, DetectExternalEngineMatchesSequential) {
              "--engine=external", "--stripe-points=200",
              "--output=" + ext_out});
   ASSERT_EQ(run.code, 0) << run.err;
+  // The external engine prints the same five phase rows as the in-memory
+  // ones.
+  for (const char* phase : {"grid", "dense_cell_map", "core_points",
+                            "core_cell_map", "outliers"}) {
+    EXPECT_NE(run.out.find(std::string("\n  ") + phase + " "),
+              std::string::npos)
+        << phase << " row missing from:\n" << run.out;
+  }
   std::ifstream a(seq_out);
   std::ifstream b(ext_out);
   const std::string seq_text((std::istreambuf_iterator<char>(a)),

@@ -138,16 +138,25 @@ TEST_P(CellIndexTest, ChurnMatchesOrderedMapAndBruteForce) {
 TEST_P(CellIndexTest, DescentEqualsNeighborCells) {
   const size_t dims = GetParam();
   Rng rng(0x5ca1 + dims);
-  CellIndex index(dims);
-  std::vector<CellCoord> coords;
-  CellMap seen;
+  std::vector<CellCoord> inserted;  // distinct, in random order
+  CellMap id_of;
   const int64_t span = dims == 1 ? 200 : (dims == 2 ? 20 : 5);
   for (int i = 0; i < 300; ++i) {
     const CellCoord c = RandomCell(&rng, dims, span);
-    if (seen.emplace(c, static_cast<uint32_t>(coords.size())).second) {
-      index.Insert(c, static_cast<uint32_t>(coords.size()));
-      coords.push_back(c);
+    if (id_of.emplace(c, 0).second) {
+      inserted.push_back(c);
     }
+  }
+  // NeighborCells numbers the cells by ascending coordinates, the map's
+  // order; the index gets those ids as slots, in the random insert order.
+  std::vector<CellCoord> coords;
+  for (auto& [c, id] : id_of) {
+    id = static_cast<uint32_t>(coords.size());
+    coords.push_back(c);
+  }
+  CellIndex index(dims);
+  for (const CellCoord& c : inserted) {
+    index.Insert(c, id_of.at(c));
   }
   const NeighborCells lists = NeighborCells::Build(coords);
   for (uint32_t c = 0; c < coords.size(); ++c) {

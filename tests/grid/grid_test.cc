@@ -1,7 +1,10 @@
 #include "grid/grid.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,9 +115,7 @@ TEST(GridTest, OrderedStorageMirrorsCsrLayout) {
     for (size_t j = 0; j < cell_points.size(); ++j) {
       const uint32_t p = cell_points[j];
       const uint32_t row = g->CellBeginRow(c) + static_cast<uint32_t>(j);
-      // Old<->new index maps are mutually inverse.
       EXPECT_EQ(g->OriginalIndex(row), p);
-      EXPECT_EQ(g->OrderedRow(p), row);
       // The permuted block holds exactly the point's coordinates, and the
       // cell's rows form one contiguous row-major stream.
       const auto expected = ps[p];
@@ -136,6 +137,42 @@ TEST(GridTest, OrderedRowsWithinCellKeepAscendingOriginalOrder) {
     const auto cell_points = g->PointsInCell(c);
     for (size_t j = 1; j < cell_points.size(); ++j) {
       EXPECT_LT(cell_points[j - 1], cell_points[j]);
+    }
+  }
+}
+
+TEST(GridTest, CellIdsDependOnlyOnTheData) {
+  // The same points in another order get the same cells under the same
+  // ids, numbered by ascending coordinates.
+  for (size_t d : {2u, 4u}) {
+    Rng rng(41 + d);
+    const PointSet ps = testing::ClusteredPoints(&rng, 2000, d, 5, 0.2);
+    std::vector<uint32_t> perm(ps.size());  // shuffled[j] = ps[perm[j]]
+    std::iota(perm.begin(), perm.end(), 0u);
+    for (size_t i = perm.size(); i > 1; --i) {
+      std::swap(perm[i - 1], perm[rng.NextBounded(i)]);
+    }
+    PointSet shuffled(d);
+    for (uint32_t p : perm) {
+      shuffled.Add(ps[p]);
+    }
+    auto g = Grid::Build(ps, 1.1);
+    auto h = Grid::Build(shuffled, 1.1);
+    ASSERT_TRUE(g.ok() && h.ok());
+    ASSERT_EQ(g->num_cells(), h->num_cells()) << "d=" << d;
+    for (uint32_t c = 0; c < g->num_cells(); ++c) {
+      ASSERT_EQ(g->CoordOf(c), h->CoordOf(c)) << "d=" << d << " cell " << c;
+      if (c > 0) {
+        EXPECT_LT(g->CoordOf(c - 1), g->CoordOf(c)) << "d=" << d;
+      }
+      const auto points = g->PointsInCell(c);
+      std::vector<uint32_t> want(points.begin(), points.end());
+      std::vector<uint32_t> got;
+      for (uint32_t j : h->PointsInCell(c)) {
+        got.push_back(perm[j]);
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "d=" << d << " cell " << g->CoordOf(c);
     }
   }
 }

@@ -97,12 +97,6 @@ std::vector<CellCoord> RandomCells(Rng* rng, size_t dims, size_t per_block) {
   return {cells.begin(), cells.end()};
 }
 
-void Shuffle(Rng* rng, std::vector<CellCoord>* v) {
-  for (size_t i = v->size(); i > 1; --i) {
-    std::swap((*v)[i - 1], (*v)[rng->NextBounded(i)]);
-  }
-}
-
 TEST(NeighborCellsTest, EmptyInputHasNoCells) {
   const NeighborCells lists = NeighborCells::Build({});
   EXPECT_EQ(lists.num_cells(), 0u);
@@ -112,8 +106,7 @@ TEST(NeighborCellsTest, EmptyInputHasNoCells) {
 TEST(NeighborCellsTest, ListsEqualBruteForceForEveryDimensionality) {
   for (size_t d = 1; d <= kMaxDims; ++d) {
     Rng rng(100 + d);
-    std::vector<CellCoord> coords = RandomCells(&rng, d, 80);
-    Shuffle(&rng, &coords);  // ids need not follow coordinate order
+    const std::vector<CellCoord> coords = RandomCells(&rng, d, 80);
     const NeighborCells lists = NeighborCells::Build(coords);
     ASSERT_EQ(lists.num_cells(), coords.size()) << "d=" << d;
     size_t entries = 0;
@@ -142,15 +135,15 @@ TEST(NeighborCellsTest, ListsEqualBruteForceForEveryDimensionality) {
     const int64_t v[] = {x, y};
     return CellCoord({v, 2});
   };
-  const std::vector<CellCoord> fixed = {coord2(0, 0), coord2(2, 0),
-                                        coord2(10, 10), coord2(1, 1),
+  const std::vector<CellCoord> fixed = {coord2(0, 0), coord2(1, 1),
+                                        coord2(2, 0), coord2(10, 10),
                                         coord2(50, 50)};
   const NeighborCells lists = NeighborCells::Build(fixed);
-  const std::vector<uint32_t> block = {0, 3, 1};  // ascending coordinates
+  const std::vector<uint32_t> block = {0, 1, 2};
   EXPECT_EQ(ToVector(lists.Of(0)), block);
   EXPECT_EQ(ToVector(lists.Of(1)), block);
-  EXPECT_EQ(ToVector(lists.Of(2)), std::vector<uint32_t>{2});
-  EXPECT_EQ(ToVector(lists.Of(3)), block);
+  EXPECT_EQ(ToVector(lists.Of(2)), block);
+  EXPECT_EQ(ToVector(lists.Of(3)), std::vector<uint32_t>{3});
   EXPECT_EQ(ToVector(lists.Of(4)), std::vector<uint32_t>{4});
 }
 
@@ -195,8 +188,7 @@ TEST(NeighborCellsTest, OnlyScannedCellsGetLists) {
 
 TEST(NeighborCellsTest, PoolBuildEqualsSingleThreadedBuild) {
   Rng rng(11);
-  std::vector<CellCoord> coords = RandomCells(&rng, 4, 400);
-  Shuffle(&rng, &coords);
+  const std::vector<CellCoord> coords = RandomCells(&rng, 4, 400);
   ASSERT_GT(coords.size(), 1000u);  // several tasks
   std::vector<uint8_t> scan(coords.size());
   for (size_t c = 0; c < coords.size(); ++c) {
@@ -209,6 +201,25 @@ TEST(NeighborCellsTest, PoolBuildEqualsSingleThreadedBuild) {
   for (uint32_t c = 0; c < coords.size(); ++c) {
     EXPECT_EQ(ToVector(pooled.Of(c)), ToVector(serial.Of(c))) << c;
   }
+}
+
+// Ids are positions in the input, and the walk reads them as sorted
+// positions: out-of-order or repeated cells would silently give wrong
+// lists, so Build refuses them.
+TEST(NeighborCellsDeathTest, RejectsUnsortedCells) {
+  Rng rng(13);
+  std::vector<CellCoord> coords = RandomCells(&rng, 3, 20);
+  std::swap(coords[3], coords[7]);
+  EXPECT_DEATH(NeighborCells::Build(coords),
+               "NeighborCells needs strictly ascending cells");
+}
+
+TEST(NeighborCellsDeathTest, RejectsDuplicateCells) {
+  Rng rng(17);
+  std::vector<CellCoord> coords = RandomCells(&rng, 3, 20);
+  coords.insert(coords.begin() + 5, coords[5]);
+  EXPECT_DEATH(NeighborCells::Build(coords),
+               "NeighborCells needs strictly ascending cells");
 }
 
 }  // namespace
