@@ -4,7 +4,10 @@
 // shuffles, and the sequential detector itself.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/dbscout.h"
 #include "core/incremental.h"
 #include "dataflow/pair_ops.h"
@@ -21,15 +24,24 @@ PointSet MakePoints(size_t n) {
   return datasets::OsmLike(n, 77);
 }
 
+// Args: points, pool threads (0 = no pool, the one-task build).
 void BM_GridBuild(benchmark::State& state) {
   const PointSet points = MakePoints(static_cast<size_t>(state.range(0)));
+  const size_t threads = static_cast<size_t>(state.range(1));
+  std::optional<ThreadPool> pool;
+  if (threads > 0) {
+    pool.emplace(threads);
+  }
   for (auto _ : state) {
-    auto g = grid::Grid::Build(points, 1e6);
+    auto g = grid::Grid::Build(points, 1e6, pool ? &*pool : nullptr);
     benchmark::DoNotOptimize(g);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_GridBuild)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_GridBuild)
+    ->ArgsProduct({{10000, 100000, 2000000}, {0, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_NeighborStencilApply(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

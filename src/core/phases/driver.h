@@ -48,7 +48,7 @@ class SequentialExec {
     }
   }
 
-  /// No pool: the neighbor-list build walks every cell on this thread.
+  /// No pool: the grid and neighbor-list builds run on this thread.
   ThreadPool* pool() const { return nullptr; }
 };
 
@@ -90,7 +90,7 @@ class PooledExec {
     });
   }
 
-  /// The pool the neighbor-list build runs on.
+  /// The pool the grid and neighbor-list builds run on.
   ThreadPool* pool() const { return pool_; }
 
  private:
@@ -115,12 +115,13 @@ Result<Detection> DetectWithGrid(const PointSet& points, const Params& params,
                                &obs::Registry::Global(), params.trace);
 
   // Phase 1: grid partitioning and point-cell assignment (Algorithm 1).
-  // Grid::Build is single-threaded in both policies; it numbers the cells
-  // by ascending coordinates, so the ids depend only on the data. The
-  // neighbor lists (Definition 8) of the cells phases 3 and 5 scan are
-  // built here too, on the policy's pool when it has one.
+  // Grid::Build runs on the policy's pool when it has one, and as one task
+  // otherwise; it numbers the cells by ascending coordinates, so the ids
+  // depend only on the data. The neighbor lists (Definition 8) of the
+  // cells phases 3 and 5 scan are built here too, on the same pool.
   recorder.Start();
-  DBSCOUT_ASSIGN_OR_RETURN(grid::Grid g, grid::Grid::Build(points, params.eps));
+  DBSCOUT_ASSIGN_OR_RETURN(grid::Grid g,
+                           grid::Grid::Build(points, params.eps, exec.pool()));
   const bool scores = params.compute_scores;
   const grid::NeighborCells neighbors = grid::NeighborCells::Build(
       g.CellCoords(), ScannedCells(g, min_pts, scores), exec.pool());

@@ -2,11 +2,94 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <cstdint>
+#include <functional>
+#include <numeric>
 
 #include "common/str_util.h"
 
 namespace dbscout::grid {
+namespace {
+
+/// The cells one build task has met, numbered by first appearance. An
+/// open-addressing table: power-of-two slots hold a cell's id + 1 (0 is
+/// empty) and 32 bits of its hash, which also pick the home slot. Probes
+/// run linearly and read a cell's coordinates only when the hashes agree;
+/// the table doubles at half load, rehashing from the stored bits.
+class CellTable {
+ public:
+  /// The id of `coord`, which is numbered next if it is new.
+  uint32_t IdOf(const CellCoord& coord) {
+    const uint32_t hash = static_cast<uint32_t>(coord.Hash() >> 32);
+    for (size_t s = hash & mask_;; s = (s + 1) & mask_) {
+      Slot& slot = slots_[s];
+      if (slot.id_plus_1 == 0) {
+        const uint32_t id = static_cast<uint32_t>(coords_.size());
+        slot = {id + 1, hash};
+        coords_.push_back(coord);
+        if (2 * coords_.size() > slots_.size()) {
+          Grow();
+        }
+        return id;
+      }
+      if (slot.hash == hash && coords_[slot.id_plus_1 - 1] == coord) {
+        return slot.id_plus_1 - 1;
+      }
+    }
+  }
+
+  /// Coordinates by id.
+  const std::vector<CellCoord>& coords() const { return coords_; }
+
+ private:
+  struct Slot {
+    uint32_t id_plus_1;
+    uint32_t hash;
+  };
+
+  void Grow() {
+    std::vector<Slot> old(2 * slots_.size(), Slot{0, 0});
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id_plus_1 != 0) {
+        size_t s = slot.hash & mask_;
+        while (slots_[s].id_plus_1 != 0) {
+          s = (s + 1) & mask_;
+        }
+        slots_[s] = slot;
+      }
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(1024, Slot{0, 0});
+  size_t mask_ = slots_.size() - 1;
+  std::vector<CellCoord> coords_;
+};
+
+/// One build task's share: the cells of a contiguous range of points.
+struct TaskCells {
+  Status status;                 // the range's first bad point, if any
+  CellTable table;               // local id <-> coordinates
+  std::vector<uint32_t> rows;    // local id -> point count, then next row
+  std::vector<uint32_t> order;   // local ids by ascending coordinates
+  std::vector<uint32_t> global;  // local id -> cell id
+};
+
+/// Runs fn(t) for every task t < tasks, on `pool`'s workers when there is
+/// one.
+void RunTasks(ThreadPool* pool, size_t tasks,
+              const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(tasks, fn);
+  } else {
+    for (size_t t = 0; t < tasks; ++t) {
+      fn(t);
+    }
+  }
+}
+
+}  // namespace
 
 Status internal::CellIndexError(std::span<const double> point, double side) {
   for (size_t k = 0; k < point.size(); ++k) {
@@ -37,7 +120,8 @@ std::optional<uint32_t> Grid::FindCell(const CellCoord& coord) const {
   return static_cast<uint32_t>(it - cell_coords_.begin());
 }
 
-Result<Grid> Grid::Build(const PointSet& points, double eps) {
+Result<Grid> Grid::Build(const PointSet& points, double eps,
+                         ThreadPool* pool) {
   if (!(eps > 0.0) || !std::isfinite(eps)) {
     return Status::InvalidArgument(StrFormat("eps must be positive, got %g",
                                              eps));
@@ -47,57 +131,107 @@ Result<Grid> Grid::Build(const PointSet& points, double eps) {
         StrFormat("dims=%zu out of supported range [1, %zu]", points.dims(),
                   kMaxDims));
   }
+  if (points.size() > UINT32_MAX) {
+    return Status::OutOfRange("more than 2^32-1 points");
+  }
   Grid grid(points.dims(), eps);
   const size_t n = points.size();
   const size_t d = points.dims();
+  const size_t tasks = pool != nullptr ? pool->num_threads() : 1;
+  std::vector<TaskCells> cells(tasks);
+  auto range_begin = [&](size_t t) { return t * n / tasks; };
   grid.point_cell_.resize(n);
 
-  // Pass 1: find the distinct cells and count their sizes, indexed by
-  // first appearance for now.
-  std::unordered_map<CellCoord, uint32_t, CellCoordHash> first_ids;
-  first_ids.reserve(n / 4 + 16);
-  std::vector<uint32_t> cell_sizes;
-  CellCoord coord;
-  for (size_t i = 0; i < n; ++i) {
-    DBSCOUT_RETURN_IF_ERROR(CellOfPoint(points[i], grid.side_, &coord));
-    auto [it, inserted] = first_ids.try_emplace(
-        coord, static_cast<uint32_t>(cell_sizes.size()));
-    if (inserted) {
-      grid.cell_coords_.push_back(coord);
-      cell_sizes.push_back(0);
+  // Pass 1: task t maps the points [range_begin(t), range_begin(t+1)) to
+  // cells in its own table, counts them, and sorts its cells.
+  RunTasks(pool, tasks, [&](size_t t) {
+    TaskCells& task = cells[t];
+    CellCoord coord;
+    for (size_t i = range_begin(t); i < range_begin(t + 1); ++i) {
+      Status status = CellOfPoint(points[i], grid.side_, &coord);
+      if (!status.ok()) {
+        task.status = std::move(status);
+        return;
+      }
+      const uint32_t local = task.table.IdOf(coord);
+      if (local == task.rows.size()) {
+        task.rows.push_back(0);
+      }
+      ++task.rows[local];
+      grid.point_cell_[i] = local;
     }
-    grid.point_cell_[i] = it->second;
-    ++cell_sizes[it->second];
+    const std::vector<CellCoord>& coords = task.table.coords();
+    task.order.resize(coords.size());
+    std::iota(task.order.begin(), task.order.end(), 0u);
+    std::sort(task.order.begin(), task.order.end(),
+              [&](uint32_t a, uint32_t b) { return coords[a] < coords[b]; });
+    task.global.resize(coords.size());
+  });
+  // The lowest failing task holds the first bad point in input order.
+  for (const TaskCells& task : cells) {
+    DBSCOUT_RETURN_IF_ERROR(task.status);
   }
 
-  // Number the cells by ascending coordinates.
-  std::sort(grid.cell_coords_.begin(), grid.cell_coords_.end());
-  const size_t num_cells = grid.cell_coords_.size();
-  std::vector<uint32_t> id_of(num_cells);  // first-appearance index -> id
-  grid.cell_begin_.assign(num_cells + 1, 0);
-  for (uint32_t c = 0; c < num_cells; ++c) {
-    const uint32_t first = first_ids[grid.cell_coords_[c]];
-    id_of[first] = c;
-    grid.cell_begin_[c + 1] = grid.cell_begin_[c] + cell_sizes[first];
+  // Merge: walk the tasks' sorted cells together, numbering each distinct
+  // cell by ascending coordinates. A task's share of cell c starts after
+  // the shares of the tasks before it, so rows within a cell keep
+  // ascending original order.
+  std::vector<size_t> head(tasks, 0);
+  auto head_cell = [&](size_t t) -> const CellCoord* {
+    const TaskCells& task = cells[t];
+    return head[t] < task.order.size()
+               ? &task.table.coords()[task.order[head[t]]]
+               : nullptr;
+  };
+  grid.cell_begin_.push_back(0);
+  for (;;) {
+    const CellCoord* next = nullptr;
+    for (size_t t = 0; t < tasks; ++t) {
+      const CellCoord* c = head_cell(t);
+      if (c != nullptr && (next == nullptr || *c < *next)) {
+        next = c;
+      }
+    }
+    if (next == nullptr) {
+      break;
+    }
+    const uint32_t id = static_cast<uint32_t>(grid.cell_coords_.size());
+    grid.cell_coords_.push_back(*next);
+    uint32_t row = grid.cell_begin_.back();
+    for (size_t t = 0; t < tasks; ++t) {
+      const CellCoord* c = head_cell(t);
+      if (c != nullptr && *c == grid.cell_coords_.back()) {
+        TaskCells& task = cells[t];
+        const uint32_t local = task.order[head[t]++];
+        task.global[local] = id;
+        const uint32_t count = task.rows[local];
+        task.rows[local] = row;
+        row += count;
+      }
+    }
+    grid.cell_begin_.push_back(row);
   }
 
-  // Pass 2: counting sort of point indices by cell id, materializing the
-  // grid-ordered coordinate copy (cell c's points contiguous, row-major).
+  // Pass 2: each task renumbers its points to cell ids and scatters them
+  // to their rows of the CSR and of the grid-ordered coordinate copy (cell
+  // c's points contiguous, row-major). The rows of different tasks are
+  // disjoint.
   grid.point_indices_.resize(n);
   grid.ordered_points_.resize(n * d);
-  std::vector<uint32_t> cursor(grid.cell_begin_.begin(),
-                               grid.cell_begin_.end() - 1);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t c = id_of[grid.point_cell_[i]];
-    grid.point_cell_[i] = c;
-    const uint32_t row = cursor[c]++;
-    grid.point_indices_[row] = static_cast<uint32_t>(i);
-    const auto p = points[i];
-    double* dst = grid.ordered_points_.data() + static_cast<size_t>(row) * d;
-    for (size_t k = 0; k < d; ++k) {
-      dst[k] = p[k];
+  RunTasks(pool, tasks, [&](size_t t) {
+    TaskCells& task = cells[t];
+    for (size_t i = range_begin(t); i < range_begin(t + 1); ++i) {
+      const uint32_t local = grid.point_cell_[i];
+      grid.point_cell_[i] = task.global[local];
+      const uint32_t row = task.rows[local]++;
+      grid.point_indices_[row] = static_cast<uint32_t>(i);
+      const auto p = points[i];
+      double* dst = grid.ordered_points_.data() + static_cast<size_t>(row) * d;
+      for (size_t k = 0; k < d; ++k) {
+        dst[k] = p[k];
+      }
     }
-  }
+  });
   return grid;
 }
 

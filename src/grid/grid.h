@@ -3,12 +3,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "data/point_set.h"
 #include "grid/cell_coord.h"
 #include "grid/neighborhood.h"
@@ -20,6 +22,25 @@ namespace dbscout::grid {
 inline constexpr double kMaxCellIndex = 4.0e18;
 
 namespace internal {
+/// An allocator whose value-initialization leaves trivial elements
+/// uninitialized, so that resize() does not zero-fill an array that is
+/// about to be overwritten. Grid's per-point arrays use it: Build's tasks
+/// write every element, and touch the pages first on their own threads.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) {}
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 /// CellOfPoint's error for `point`, kept out of line: InvalidArgument for
 /// the first non-finite coordinate, OutOfRange for the first cell index
 /// beyond kMaxCellIndex, whichever comes first.
@@ -49,9 +70,18 @@ inline Status CellOfPoint(std::span<const double> point, double side,
 /// The non-empty cells of the epsilon-grid over a point set (Definition 5),
 /// stored in CSR layout: point indices grouped by cell id, with one offset
 /// array; cell ids ascend with the coordinates, so they depend only on the
-/// data. Construction is linear in the number of points (Lemma 4): a hash
-/// pass finds the cells, they are sorted to number them, and a counting
-/// pass groups the points by id.
+/// data. Construction is linear in the number of points (Lemma 4) and runs
+/// as tasks over contiguous ranges of points:
+///
+///  - pass 1: each task maps its points to cells in its own hash table,
+///    counts them, and sorts its distinct cells;
+///  - merge (serial, over the occupied cells only): the tasks' sorted cells
+///    are merged into ascending ids, and the counts summed into offsets;
+///    within a cell, each task's rows follow those of the tasks before it;
+///  - pass 2: each task scatters its points to their rows.
+///
+/// Rows within a cell therefore keep ascending original order, and the
+/// grid does not depend on the number of tasks or their schedule.
 ///
 /// Build also materializes a grid-ordered copy of the point coordinates:
 /// cell c's points occupy one contiguous row-major block (rows
@@ -62,9 +92,13 @@ inline Status CellOfPoint(std::span<const double> point, double side,
 class Grid {
  public:
   /// Builds the grid for `points` with cell diagonal `eps` (side
-  /// eps/sqrt(d)). Fails on eps <= 0, non-finite coordinates, dims >
-  /// kMaxDims, or coordinates so large that cell indices would overflow.
-  static Result<Grid> Build(const PointSet& points, double eps);
+  /// eps/sqrt(d)), as one task per thread of `pool`, or as one task on the
+  /// calling thread without a pool; the result is the same either way.
+  /// Fails on eps <= 0, dims > kMaxDims, more than 2^32-1 points, or a
+  /// point CellOfPoint rejects; the first such point in input order
+  /// decides the error.
+  static Result<Grid> Build(const PointSet& points, double eps,
+                            ThreadPool* pool = nullptr);
 
   size_t dims() const { return dims_; }
   double eps() const { return eps_; }
@@ -151,9 +185,11 @@ class Grid {
   double side_;
   std::vector<CellCoord> cell_coords_;   // cell id -> coordinates, ascending
   std::vector<uint32_t> cell_begin_;     // size num_cells()+1
-  std::vector<uint32_t> point_indices_;  // grouped by cell (row -> original)
-  std::vector<uint32_t> point_cell_;     // point index -> cell id
-  std::vector<double> ordered_points_;   // coordinates in CSR cell order
+  template <typename T>
+  using Array = std::vector<T, internal::DefaultInitAllocator<T>>;
+  Array<uint32_t> point_indices_;  // grouped by cell (row -> original)
+  Array<uint32_t> point_cell_;     // point index -> cell id
+  Array<double> ordered_points_;   // coordinates in CSR cell order
 };
 
 }  // namespace dbscout::grid

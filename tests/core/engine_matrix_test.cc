@@ -121,25 +121,31 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EngineMatrixTest,
 // Every engine maps a point to its cell through grid::CellOfPoint, so each
 // rejects the same bad inputs with the same code: a NaN coordinate is
 // InvalidArgument, a coordinate whose cell index would overflow int64 is
-// OutOfRange.
+// OutOfRange. Each set puts the bad point in the second of the shared
+// engine's two grid-build tasks; the large ones also split the cells.
 TEST(EngineInputTest, EveryEngineRejectsNanAndOverflowingCoordinates) {
   const double kNan = std::numeric_limits<double>::quiet_NaN();
   const struct {
     const char* name;
     double bad;
     StatusCode code;
-  } cases[] = {{"NaN", kNan, StatusCode::kInvalidArgument},
-               {"1e300", 1e300, StatusCode::kOutOfRange}};
+    size_t n;
+  } cases[] = {{"NaN", kNan, StatusCode::kInvalidArgument, 4},
+               {"1e300", 1e300, StatusCode::kOutOfRange, 4},
+               {"NaN", kNan, StatusCode::kInvalidArgument, 30000},
+               {"1e300", 1e300, StatusCode::kOutOfRange, 30000}};
   for (const auto& c : cases) {
     PointSet ps(2);
-    ps.Add({0.0, 0.0});
-    ps.Add({0.5, 0.5});
-    ps.Add({c.bad, 5.0});
-    ps.Add({3.0, 3.0});
+    for (size_t i = 0; i < c.n; ++i) {
+      const double x = 0.5 * static_cast<double>(i % 7);
+      const double y = 0.5 * static_cast<double>(i % 5);
+      ps.Add({i == c.n * 3 / 4 ? c.bad : x, y});
+    }
     Params params;
     params.eps = 1.0;
     params.min_pts = 2;
-    const std::string what = std::string("bad coordinate ") + c.name;
+    const std::string what = std::string("bad coordinate ") + c.name +
+                             ", n=" + std::to_string(c.n);
 
     EXPECT_EQ(DetectSequential(ps, params).status().code(), c.code) << what;
     ThreadPool pool(2);

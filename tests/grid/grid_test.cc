@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+#include "datasets/geo.h"
 #include "testutil.h"
 
 namespace dbscout::grid {
@@ -241,6 +245,100 @@ TEST(GridTest, DuplicatePointsShareOneCell) {
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_cells(), 1u);
   EXPECT_EQ(g->CellSize(0), 10u);
+}
+
+// Everything a grid exposes, flattened for comparison.
+struct GridImage {
+  std::vector<CellCoord> coords;
+  std::vector<uint32_t> begin_rows;
+  std::vector<uint32_t> original_index;
+  std::vector<uint32_t> cell_of_point;
+  std::vector<double> ordered;
+
+  explicit GridImage(const Grid& g)
+      : coords(g.CellCoords().begin(), g.CellCoords().end()),
+        ordered(g.OrderedData().begin(), g.OrderedData().end()) {
+    for (uint32_t c = 0; c <= g.num_cells(); ++c) {
+      begin_rows.push_back(g.CellBeginRow(c));
+    }
+    for (uint32_t i = 0; i < g.num_points(); ++i) {
+      original_index.push_back(g.OriginalIndex(i));
+      cell_of_point.push_back(g.CellIdOfPoint(i));
+    }
+  }
+};
+
+// The tasks split the points by position and merge their cells by
+// coordinates, so no schedule shows in the result: the pooled build equals
+// the one-task build bit for bit, whether the tasks share cells (OsmLike's
+// cities), barely do (4-d clusters), outnumber the points or see only one
+// cell.
+TEST(GridTest, PooledBuildEqualsSerialBuild) {
+  Rng rng(41);
+  PointSet duplicates(3);
+  for (int i = 0; i < 1000; ++i) {
+    duplicates.Add({-2.5, 7.0, 1e6});
+  }
+  const struct {
+    const char* name;
+    PointSet points;
+    double eps;
+  } cases[] = {
+      {"osm 2-d", datasets::OsmLike(60000, 5), 2.5e5},
+      {"clusters 4-d", testing::ClusteredPoints(&rng, 20000, 4, 6, 0.2), 1.0},
+      {"empty", PointSet(2), 1.0},
+      {"fewer points than tasks", TwoDPoints({{0, 0}, {5, 5}, {0.1, 0.2}}),
+       1.0},
+      {"all duplicates", duplicates, 1.0},
+  };
+  for (const auto& c : cases) {
+    auto serial = Grid::Build(c.points, c.eps);
+    ASSERT_TRUE(serial.ok()) << c.name;
+    const GridImage expected(*serial);
+    EXPECT_EQ(expected.cell_of_point.size(), c.points.size());
+    for (size_t threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      auto pooled = Grid::Build(c.points, c.eps, &pool);
+      ASSERT_TRUE(pooled.ok()) << c.name;
+      const GridImage got(*pooled);
+      const std::string what =
+          std::string(c.name) + ", " + std::to_string(threads) + " threads";
+      EXPECT_EQ(got.coords, expected.coords) << what;
+      EXPECT_EQ(got.begin_rows, expected.begin_rows) << what;
+      EXPECT_EQ(got.original_index, expected.original_index) << what;
+      EXPECT_EQ(got.cell_of_point, expected.cell_of_point) << what;
+      EXPECT_EQ(got.ordered, expected.ordered) << what;
+    }
+  }
+}
+
+// Each task stops at its own first bad point, and Build reports the
+// lowest failing task's: the first bad point in input order, as when one
+// task reads them all.
+TEST(GridTest, FirstBadPointInInputOrderWinsUnderThePool) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    double at_30k;
+    double at_80k;
+    StatusCode code;
+  } cases[] = {{1e300, kNan, StatusCode::kOutOfRange},
+               {kNan, 1e300, StatusCode::kInvalidArgument}};
+  for (const auto& c : cases) {
+    Rng rng(43);
+    PointSet ps(2);
+    for (size_t i = 0; i < 100000; ++i) {
+      const double x = i == 30000 ? c.at_30k
+                       : i == 80000 ? c.at_80k
+                                    : rng.Uniform(-100.0, 100.0);
+      ps.Add({x, rng.Uniform(-100.0, 100.0)});
+    }
+    EXPECT_EQ(Grid::Build(ps, 1.0).status().code(), c.code);
+    for (size_t threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(Grid::Build(ps, 1.0, &pool).status().code(), c.code)
+          << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #
 #   1. tier1        Release build + full ctest suite        (build/)
 #   2. asan-ubsan   ASan+UBSan build + full ctest suite     (build-asan/)
-#   3. tsan         TSan build + common/core/dataflow/
+#   3. tsan         TSan build + common/core/dataflow/grid/
 #                   service/stress test subset (`ctest -L`) (build-tsan/)
 #   4. clang-tidy   tools/run_clang_tidy.sh over src/       (needs build/)
 #   5. lint         tools/lint_invariants.py (+ self-test)
@@ -29,7 +29,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
-TSAN_LABELS='^(common|core|dataflow|service|stress)$'
+TSAN_LABELS='^(common|core|dataflow|grid|service|stress)$'
 
 ALL_STAGES=(tier1 asan-ubsan tsan clang-tidy lint analyzer thread-safety bench-gate)
 if [ $# -gt 0 ]; then
