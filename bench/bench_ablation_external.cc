@@ -1,14 +1,16 @@
 // Ablation C: the out-of-core engine. Streams a binary point file through
-// DetectExternal at several memory budgets and checks the output against
-// the in-memory engine — the single-machine answer to the paper's
-// "billions of tuples" motivation. Reports the spill amplification (halo
-// replication) and the largest stripe working set, i.e. the real memory
-// ceiling.
+// DetectExternal at several memory budgets, once without a pool and once on
+// a pool of one thread per core, and checks both outputs against the
+// in-memory engine — the single-machine answer to the paper's "billions of
+// tuples" motivation. Reports the spill amplification (halo replication)
+// and the largest stripe working set, i.e. the real memory ceiling.
 #include <cstdio>
 #include <iostream>
+#include <thread>
 
 #include "analysis/table.h"
 #include "bench_util.h"
+#include "common/thread_pool.h"
 #include "core/dbscout.h"
 #include "data/io.h"
 #include "datasets/geo.h"
@@ -44,9 +46,11 @@ int main(int argc, char** argv) {
   std::printf("in-memory reference: %.2fs, %zu outliers\n\n",
               reference->total_seconds, reference->num_outliers());
 
+  ThreadPool pool(std::thread::hardware_concurrency());
+  std::printf("pool: %zu threads\n\n", pool.num_threads());
   analysis::Table table({"Stripe budget (pts)", "Stripes", "Time (s)",
-                         "Spilled records", "Max stripe pts", "Outliers",
-                         "Exact?"});
+                         "Time, pooled (s)", "Spilled records",
+                         "Max stripe pts", "Outliers", "Exact?"});
   for (size_t budget : {n, n / 4, n / 16, n / 64}) {
     external::ExternalParams params;
     params.eps = eps;
@@ -54,17 +58,22 @@ int main(int argc, char** argv) {
     params.target_stripe_points = budget;
     params.tmp_dir = "/tmp";
     auto r = external::DetectExternal(path, params);
-    if (!r.ok()) {
-      std::fprintf(stderr, "budget=%zu failed: %s\n", budget,
-                   r.status().ToString().c_str());
-      return 1;
+    auto pooled = external::DetectExternal(path, params, &pool);
+    for (const auto* run : {&r, &pooled}) {
+      if (!run->ok()) {
+        std::fprintf(stderr, "budget=%zu failed: %s\n", budget,
+                     run->status().ToString().c_str());
+        return 1;
+      }
     }
+    const bool exact = r->outliers == reference->outliers &&
+                       pooled->outliers == reference->outliers;
     table.AddRow({std::to_string(budget), std::to_string(r->stripes),
-                  StrFormat("%.2f", r->seconds),
+                  StrFormat("%.3f", r->seconds),
+                  StrFormat("%.3f", pooled->seconds),
                   std::to_string(r->spilled_records),
                   std::to_string(r->max_stripe_points),
-                  std::to_string(r->num_outliers()),
-                  r->outliers == reference->outliers ? "yes" : "NO"});
+                  std::to_string(r->num_outliers()), exact ? "yes" : "NO"});
   }
   table.Print(std::cout);
   std::remove(path.c_str());
@@ -72,6 +81,6 @@ int main(int argc, char** argv) {
       "\nExpected shape: identical outliers at every budget; the working "
       "set (max stripe pts) shrinks with the budget while spilled records "
       "grow mildly (halo replication) — memory traded for I/O, exactness "
-      "untouched.\n");
+      "untouched; the pooled run is the same detection in less time.\n");
   return 0;
 }

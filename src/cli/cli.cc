@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/compare.h"
@@ -9,6 +10,7 @@
 #include "analysis/metrics.h"
 #include "cli/flags.h"
 #include "common/str_util.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/dbscout.h"
 #include "core/incremental.h"
@@ -158,8 +160,9 @@ Status CmdDetect(const Flags& flags, std::ostream& out) {
     DBSCOUT_ASSIGN_OR_RETURN(
         params.target_stripe_points,
         flags.GetUint("stripe-points", params.target_stripe_points));
+    ThreadPool pool(std::thread::hardware_concurrency());
     DBSCOUT_ASSIGN_OR_RETURN(auto detection,
-                             external::DetectExternal(input, params));
+                             external::DetectExternal(input, params, &pool));
     out << StrFormat(
         "external: %zu outliers, %llu core, %llu border | cells=%zu "
         "dense=%zu stripes=%zu spilled=%llu max-stripe=%zu | %.3fs\n",

@@ -161,4 +161,15 @@ void ThreadPool::ParallelForDynamic(
   }
 }
 
+void RunTasks(ThreadPool* pool, size_t tasks,
+              const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(tasks, fn);
+  } else {
+    for (size_t t = 0; t < tasks; ++t) {
+      fn(t);
+    }
+  }
+}
+
 }  // namespace dbscout

@@ -64,6 +64,13 @@ class ThreadPool {
   std::vector<std::thread> threads_;  // immutable after the constructor
 };
 
+/// Runs fn(t) for every task t < tasks: on `pool`'s workers when there is
+/// one, in order on this thread otherwise. The one "tasks on a pool, or
+/// inline" helper of the engines that split their input into one task per
+/// pool thread (Grid::Build, DetectExternal).
+void RunTasks(ThreadPool* pool, size_t tasks,
+              const std::function<void(size_t)>& fn);
+
 }  // namespace dbscout
 
 #endif  // DBSCOUT_COMMON_THREAD_POOL_H_

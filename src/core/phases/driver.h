@@ -52,6 +52,10 @@ class SequentialExec {
   ThreadPool* pool() const { return nullptr; }
 };
 
+/// Dynamic-chunk size, in cells, of PooledExec's phase-3/5 loops in the
+/// engines that run them on a pool (shared memory, external).
+inline constexpr size_t kDynamicCellChunk = 32;
+
 /// Thread-pool policy: phases 3/5 run with dynamic chunk claiming (cell
 /// populations are skewed — Geolife/OSM-like grids concentrate most points
 /// in a few cells — so statically-sized chunks leave workers idle), the

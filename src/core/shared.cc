@@ -3,18 +3,11 @@
 #include "core/phases/driver.h"
 
 namespace dbscout::core {
-namespace {
-
-// Dynamic-chunk size (in cells) for the phase-3/5 loops; see
-// phases::PooledExec for the rationale.
-constexpr size_t kDynamicCellChunk = 32;
-
-}  // namespace
 
 Result<Detection> DetectSharedMemory(const PointSet& points,
                                      const Params& params, ThreadPool* pool) {
-  return phases::DetectWithGrid(points, params,
-                                phases::PooledExec(pool, kDynamicCellChunk));
+  return phases::DetectWithGrid(
+      points, params, phases::PooledExec(pool, phases::kDynamicCellChunk));
 }
 
 }  // namespace dbscout::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <numeric>
 
 #include "common/str_util.h"
@@ -75,19 +74,6 @@ struct TaskCells {
   std::vector<uint32_t> order;   // local ids by ascending coordinates
   std::vector<uint32_t> global;  // local id -> cell id
 };
-
-/// Runs fn(t) for every task t < tasks, on `pool`'s workers when there is
-/// one.
-void RunTasks(ThreadPool* pool, size_t tasks,
-              const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(tasks, fn);
-  } else {
-    for (size_t t = 0; t < tasks; ++t) {
-      fn(t);
-    }
-  }
-}
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <tuple>
 
@@ -69,7 +70,8 @@ TEST_P(EngineMatrixTest, AllSevenPathsAgree) {
     ext.min_pts = min_pts;
     ext.target_stripe_points = 150;
     ext.tmp_dir = ::testing::TempDir();
-    auto r = external::DetectExternal(path, ext);
+    ThreadPool pool(2);
+    auto r = external::DetectExternal(path, ext, &pool);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_EQ(r->outliers, expected) << "external";
     std::remove(path.c_str());
@@ -122,7 +124,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, EngineMatrixTest,
 // rejects the same bad inputs with the same code: a NaN coordinate is
 // InvalidArgument, a coordinate whose cell index would overflow int64 is
 // OutOfRange. Each set puts the bad point in the second of the shared
-// engine's two grid-build tasks; the large ones also split the cells.
+// engine's two grid-build tasks, and in the second of the external
+// engine's two tasks of its one batch; the large ones also split the
+// cells. The last two sets add a second bad point of the other kind to
+// the first task's range: the earlier point's code wins.
 TEST(EngineInputTest, EveryEngineRejectsNanAndOverflowingCoordinates) {
   const double kNan = std::numeric_limits<double>::quiet_NaN();
   const struct {
@@ -130,16 +135,26 @@ TEST(EngineInputTest, EveryEngineRejectsNanAndOverflowingCoordinates) {
     double bad;
     StatusCode code;
     size_t n;
-  } cases[] = {{"NaN", kNan, StatusCode::kInvalidArgument, 4},
-               {"1e300", 1e300, StatusCode::kOutOfRange, 4},
-               {"NaN", kNan, StatusCode::kInvalidArgument, 30000},
-               {"1e300", 1e300, StatusCode::kOutOfRange, 30000}};
+    std::optional<double> earlier;  // at n / 4, deciding the code
+  } cases[] = {
+      {"NaN", kNan, StatusCode::kInvalidArgument, 4, std::nullopt},
+      {"1e300", 1e300, StatusCode::kOutOfRange, 4, std::nullopt},
+      {"NaN", kNan, StatusCode::kInvalidArgument, 30000, std::nullopt},
+      {"1e300", 1e300, StatusCode::kOutOfRange, 30000, std::nullopt},
+      {"1e300 then NaN", kNan, StatusCode::kOutOfRange, 30000, 1e300},
+      {"NaN then 1e300", 1e300, StatusCode::kInvalidArgument, 30000, kNan}};
   for (const auto& c : cases) {
     PointSet ps(2);
     for (size_t i = 0; i < c.n; ++i) {
       const double x = 0.5 * static_cast<double>(i % 7);
       const double y = 0.5 * static_cast<double>(i % 5);
-      ps.Add({i == c.n * 3 / 4 ? c.bad : x, y});
+      if (i == c.n * 3 / 4) {
+        ps.Add({c.bad, y});
+      } else if (i == c.n / 4 && c.earlier.has_value()) {
+        ps.Add({*c.earlier, y});
+      } else {
+        ps.Add({x, y});
+      }
     }
     Params params;
     params.eps = 1.0;
@@ -166,9 +181,13 @@ TEST(EngineInputTest, EveryEngineRejectsNanAndOverflowingCoordinates) {
     external::ExternalParams ext;
     ext.eps = params.eps;
     ext.min_pts = params.min_pts;
+    ext.batch_points = c.n;
     ext.tmp_dir = ::testing::TempDir();
     EXPECT_EQ(external::DetectExternal(path, ext).status().code(), c.code)
         << what << ", external";
+    EXPECT_EQ(external::DetectExternal(path, ext, &pool).status().code(),
+              c.code)
+        << what << ", external on a pool of 2";
     std::remove(path.c_str());
     auto det = IncrementalDetector::Create(2, params);
     ASSERT_TRUE(det.ok());
@@ -228,7 +247,8 @@ TEST_P(HighDimEngineTest, BatchEnginesEqualBruteForce) {
     ext.min_pts = params.min_pts;
     ext.target_stripe_points = 100;  // several stripes
     ext.tmp_dir = ::testing::TempDir();
-    auto r = external::DetectExternal(path, ext);
+    ThreadPool pool(2);
+    auto r = external::DetectExternal(path, ext, &pool);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_GT(r->stripes, 1u);
     EXPECT_EQ(r->outliers, expected) << "external";

@@ -3,8 +3,9 @@
 #
 #   1. tier1        Release build + full ctest suite        (build/)
 #   2. asan-ubsan   ASan+UBSan build + full ctest suite     (build-asan/)
-#   3. tsan         TSan build + common/core/dataflow/grid/
-#                   service/stress test subset (`ctest -L`) (build-tsan/)
+#   3. tsan         TSan build + common/core/dataflow/external/
+#                   grid/service/stress test subset (`ctest -L`)
+#                   (build-tsan/)
 #   4. clang-tidy   tools/run_clang_tidy.sh over src/       (needs build/)
 #   5. lint         tools/lint_invariants.py (+ self-test)
 #   6. analyzer     tools/analyzer/: libclang AST checks (purity,
@@ -29,7 +30,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
-TSAN_LABELS='^(common|core|dataflow|grid|service|stress)$'
+TSAN_LABELS='^(common|core|dataflow|external|grid|service|stress)$'
 
 ALL_STAGES=(tier1 asan-ubsan tsan clang-tidy lint analyzer thread-safety bench-gate)
 if [ $# -gt 0 ]; then
