@@ -12,8 +12,11 @@
 namespace dbscout {
 
 /// Fixed-size worker pool. Tasks are arbitrary void() callables; WaitIdle()
-/// blocks until every submitted task has finished. The pool is the execution
-/// substrate of the dataflow engine (dataflow/context.h).
+/// blocks until every submitted task has finished. Every parallel path runs
+/// on one: the dataflow engine's partitions (dataflow/context.h), the grid
+/// and neighbor-list builds, the phase loops of core::phases::RunPhases, the
+/// out-of-core passes and the service's apply waves. APIs that take a
+/// `ThreadPool*` run inline when it is null.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (minimum 1).
@@ -65,9 +68,9 @@ class ThreadPool {
 };
 
 /// Runs fn(t) for every task t < tasks: on `pool`'s workers when there is
-/// one, in order on this thread otherwise. The one "tasks on a pool, or
-/// inline" helper of the engines that split their input into one task per
-/// pool thread (Grid::Build, DetectExternal).
+/// one, in order on this thread otherwise. The "tasks on a pool, or inline"
+/// helper of the code that splits its input into one task per pool thread
+/// (Grid::Build, DetectExternal's streaming passes).
 void RunTasks(ThreadPool* pool, size_t tasks,
               const std::function<void(size_t)>& fn);
 

@@ -32,10 +32,12 @@ Result<Detection> DetectSequential(const PointSet& points,
 Result<Detection> DetectParallel(const PointSet& points, const Params& params,
                                  dataflow::ExecutionContext* ctx);
 
-/// Shared-memory multi-threaded implementation over one CSR grid: phases 3
-/// and 5 are parallelized over cells on `pool` (every point belongs to
-/// exactly one cell, so label writes are race-free). Identical output to
-/// the other engines; the scale-up (not scale-out) design point of SS V.
+/// Shared-memory multi-threaded implementation over one CSR grid: the grid
+/// build and phases 3-5 are parallelized over cells on `pool` (every point
+/// belongs to exactly one cell, so label writes are race-free). A null
+/// `pool` runs the same code inline, like DetectSequential. Identical
+/// output to the other engines; the scale-up (not scale-out) design point
+/// of SS V.
 Result<Detection> DetectSharedMemory(const PointSet& points,
                                      const Params& params, ThreadPool* pool);
 

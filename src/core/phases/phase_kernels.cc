@@ -17,19 +17,11 @@ BoundKernels BindKernels(size_t dims) {
                       table.min_sqdist[dims], table.within_flags[dims]};
 }
 
-uint32_t ClassifyDenseCells(const grid::Grid& g, uint32_t min_pts,
-                            uint8_t* cell_dense) {
-  const uint32_t num_cells = static_cast<uint32_t>(g.num_cells());
-  uint32_t num_dense = 0;
-  for (uint32_t c = 0; c < num_cells; ++c) {
-    if (IsDense(g.CellSize(c), min_pts)) {
-      cell_dense[c] = 1;
-      ++num_dense;
-    } else {
-      cell_dense[c] = 0;
-    }
+void ClassifyDenseCells(const grid::Grid& g, uint32_t min_pts,
+                        CellRange cells, uint8_t* cell_dense) {
+  for (uint32_t c = cells.begin; c < cells.end; ++c) {
+    cell_dense[c] = IsDense(g.CellSize(c), min_pts);
   }
-  return num_dense;
 }
 
 std::vector<uint8_t> ScannedCells(const grid::Grid& g, uint32_t min_pts,
@@ -122,25 +114,6 @@ void FillSparseCoreCell(const grid::Grid& g, uint32_t c,
               csr->coords.begin() + static_cast<size_t>(w) * d);
     ++w;
   }
-}
-
-uint32_t BuildSparseCoreCsr(const grid::Grid& g, const uint8_t* cell_dense,
-                            const uint8_t* is_core, uint8_t* cell_core,
-                            SparseCoreCsr* csr) {
-  const uint32_t num_cells = static_cast<uint32_t>(g.num_cells());
-  csr->begin.assign(num_cells + 1, 0);
-  for (uint32_t c = 0; c < num_cells; ++c) {
-    CountCoreCell(g, c, cell_dense, is_core, cell_core, csr);
-  }
-  FinishSparseCoreLayout(g.dims(), num_cells, csr);
-  for (uint32_t c = 0; c < num_cells; ++c) {
-    FillSparseCoreCell(g, c, cell_dense, cell_core, is_core, csr);
-  }
-  uint32_t num_core_cells = 0;
-  for (uint32_t c = 0; c < num_cells; ++c) {
-    num_core_cells += cell_core[c];
-  }
-  return num_core_cells;
 }
 
 uint64_t OutlierScanCell(const grid::Grid& g,

@@ -80,11 +80,18 @@ struct BoundKernels {
 /// [0, simd::kKernelMaxDims]; Grid::Build has validated this).
 BoundKernels BindKernels(size_t dims);
 
-/// Phase 2 (Algorithm 2): classifies every grid cell by local point count.
-/// `cell_dense` must have g.num_cells() entries; returns the number of
-/// dense cells. Every point of a dense cell is core (Lemma 1).
-uint32_t ClassifyDenseCells(const grid::Grid& g, uint32_t min_pts,
-                            uint8_t* cell_dense);
+/// A half-open range [begin, end) of cell ids. Cell ids ascend with the
+/// cell coordinates, so a range of dim-0 slabs is a range of ids.
+struct CellRange {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
+
+/// Phase 2 (Algorithm 2): classifies the cells in `cells` by local point
+/// count, writing cell_dense[c] for each of them; the other entries are
+/// left as they are. Every point of a dense cell is core (Lemma 1).
+void ClassifyDenseCells(const grid::Grid& g, uint32_t min_pts,
+                        CellRange cells, uint8_t* cell_dense);
 
 /// The cells whose neighbor lists phases 3 and 5 read: every cell with
 /// `scores` (phase 5 then visits core cells too), else the non-dense ones
@@ -142,12 +149,6 @@ void FinishSparseCoreLayout(size_t dims, size_t num_cells, SparseCoreCsr* csr);
 void FillSparseCoreCell(const grid::Grid& g, uint32_t c,
                         const uint8_t* cell_dense, const uint8_t* cell_core,
                         const uint8_t* is_core, SparseCoreCsr* csr);
-
-/// Convenience composition of the three phase-4 steps over all cells
-/// (sequential). Returns the number of core cells.
-uint32_t BuildSparseCoreCsr(const grid::Grid& g, const uint8_t* cell_dense,
-                            const uint8_t* is_core, uint8_t* cell_core,
-                            SparseCoreCsr* csr);
 
 /// Phase 5 (Algorithm 5): outlier scan of one cell. No point of a core
 /// cell is an outlier (Lemma 2), so core cells are skipped outright unless

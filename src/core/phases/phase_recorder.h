@@ -19,16 +19,14 @@ namespace dbscout::core::phases {
 /// and ordering are identical across engines (and therefore comparable in
 /// tests and benches).
 ///
-/// Two usage patterns:
-///  - scoped phases (in-memory engines): Start() then Record(name, ...) —
-///    the row gets the wall time elapsed since Start();
-///  - accumulation (the out-of-core engine, which revisits the same
-///    logical phase once per stripe): Accumulate(name, seconds, ...)
-///    merges into the existing row, creating it in first-call order.
+/// Engines record through one method, Accumulate(name, seconds, ...): it
+/// merges into the row named `name`, creating it in first-call order. The
+/// in-memory engines visit each phase once; the out-of-core engine revisits
+/// phases 1-5 once per stripe, and each of its rows merges every visit.
 ///
 /// A recorder may additionally be attached to the observability layer
-/// (AttachObservability): every Record/Accumulate then publishes one
-/// histogram observation + two counter increments per phase into the
+/// (AttachObservability): every Accumulate then publishes one
+/// histogram observation + two counter increments into the
 /// metrics registry and, when a TraceCollector is attached, one span.
 /// Publication happens at phase/stripe granularity — a handful of times
 /// per detection, never per point — so its cost is invisible next to the
@@ -46,16 +44,6 @@ class PhaseRecorder {
     engine_ = std::string(engine);
     registry_ = registry;
     trace_ = trace;
-  }
-
-  /// (Re)starts the phase timer.
-  void Start() { timer_.Reset(); }
-
-  /// Appends one row with the time elapsed since the last Start().
-  void Record(std::string_view name, uint64_t distances, uint64_t records) {
-    const double seconds = timer_.ElapsedSeconds();
-    phases_.push_back({std::string(name), seconds, distances, records});
-    Publish(name, seconds, distances, records);
   }
 
   /// Merges into the row named `name` (appending a zero row first if it
@@ -108,7 +96,6 @@ class PhaseRecorder {
     }
   }
 
-  WallTimer timer_;
   std::vector<PhaseStats> phases_;
   std::string engine_;
   obs::Registry* registry_ = nullptr;
@@ -117,16 +104,17 @@ class PhaseRecorder {
 
 /// RAII phase scope with thread-safe counters, for engines whose phase
 /// work runs as concurrent tasks (the dataflow engine): constructed at
-/// phase entry, records on destruction.
+/// phase entry, records the wall time since then on destruction.
 class ScopedPhase {
  public:
   ScopedPhase(PhaseRecorder* recorder, std::string_view name)
-      : recorder_(recorder), name_(name) {
-    recorder_->Start();
-  }
+      : recorder_(recorder), name_(name) {}
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
-  ~ScopedPhase() { recorder_->Record(name_, distances.load(), records.load()); }
+  ~ScopedPhase() {
+    recorder_->Accumulate(name_, timer_.ElapsedSeconds(), distances.load(),
+                          records.load());
+  }
 
   std::atomic<uint64_t> distances{0};
   std::atomic<uint64_t> records{0};
@@ -134,6 +122,7 @@ class ScopedPhase {
  private:
   PhaseRecorder* recorder_;
   std::string name_;
+  WallTimer timer_;
 };
 
 }  // namespace dbscout::core::phases

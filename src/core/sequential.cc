@@ -5,7 +5,8 @@ namespace dbscout::core {
 
 Result<Detection> DetectSequential(const PointSet& points,
                                    const Params& params) {
-  return phases::DetectWithGrid(points, params, phases::SequentialExec{});
+  return phases::DetectWithGrid(points, params, /*pool=*/nullptr,
+                                phases::kEngineSequential);
 }
 
 }  // namespace dbscout::core

@@ -6,8 +6,8 @@ namespace dbscout::core {
 
 Result<Detection> DetectSharedMemory(const PointSet& points,
                                      const Params& params, ThreadPool* pool) {
-  return phases::DetectWithGrid(
-      points, params, phases::PooledExec(pool, phases::kDynamicCellChunk));
+  return phases::DetectWithGrid(points, params, pool,
+                                phases::kEngineSharedMemory);
 }
 
 }  // namespace dbscout::core

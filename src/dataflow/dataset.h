@@ -6,11 +6,9 @@
 #include <memory>
 #include <numeric>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/timer.h"
 #include "dataflow/context.h"
 
@@ -176,25 +174,6 @@ class Dataset {
     return result;
   }
 
-  /// MAPPARTITIONS: fn(input_partition, output_partition) runs once per
-  /// partition — the escape hatch for per-partition state (local indices,
-  /// batched emission).
-  template <typename U, typename F>
-  Dataset<U> MapPartitions(F fn, const char* name = "MapPartitions") const {
-    return TransformPartitions<U>(name, fn);
-  }
-
-  /// SAMPLE: keeps each record independently with probability `fraction`,
-  /// deterministically in `seed` and the partition index.
-  Dataset<T> Sample(double fraction, uint64_t seed,
-                    const char* name = "Sample") const;
-
-  /// DISTINCT: unique records (requires std::hash<T> and operator==);
-  /// performs a full shuffle so duplicates across partitions collapse too.
-  template <typename Hash = std::hash<T>>
-  Dataset<T> Distinct(size_t num_partitions = 0, const Hash& hash = Hash(),
-                      const char* name = "Distinct") const;
-
   /// Driver-side sequential iteration (the FOREACH of Algorithm 4).
   template <typename F>
   void ForEach(F fn) const {
@@ -252,79 +231,6 @@ class Dataset {
   ExecutionContext* ctx_;
   std::shared_ptr<const Partitions> parts_;
 };
-
-// ---- Implementation details only below here. ------------------------------
-
-template <typename T>
-Dataset<T> Dataset<T>::Sample(double fraction, uint64_t seed,
-                              const char* name) const {
-  WallTimer timer;
-  Partitions out(parts_->size());
-  std::atomic<uint64_t> in_records{0};
-  std::atomic<uint64_t> out_records{0};
-  ctx_->pool().ParallelFor(parts_->size(), [&](size_t p) {
-    Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (p + 1)));
-    const std::vector<T>& in = (*parts_)[p];
-    for (const T& record : in) {
-      if (rng.NextBool(fraction)) {
-        out[p].push_back(record);
-      }
-    }
-    in_records.fetch_add(in.size(), std::memory_order_relaxed);
-    out_records.fetch_add(out[p].size(), std::memory_order_relaxed);
-  });
-  Dataset result(ctx_, std::move(out));
-  StageMetrics m;
-  m.name = name;
-  m.seconds = timer.ElapsedSeconds();
-  m.records_in = in_records.load();
-  m.records_out = out_records.load();
-  ctx_->RecordStage(std::move(m));
-  return result;
-}
-
-template <typename T>
-template <typename Hash>
-Dataset<T> Dataset<T>::Distinct(size_t num_partitions, const Hash& hash,
-                                const char* name) const {
-  WallTimer timer;
-  const size_t buckets =
-      num_partitions == 0 ? std::max<size_t>(1, parts_->size())
-                          : num_partitions;
-  // Shuffle into hash buckets so equal records meet in one bucket.
-  std::vector<std::vector<std::vector<T>>> shuffle(parts_->size());
-  std::atomic<uint64_t> moved{0};
-  ctx_->pool().ParallelFor(parts_->size(), [&](size_t p) {
-    auto& local = shuffle[p];
-    local.resize(buckets);
-    for (const T& record : (*parts_)[p]) {
-      local[hash(record) % buckets].push_back(record);
-    }
-    moved.fetch_add((*parts_)[p].size(), std::memory_order_relaxed);
-  });
-  Partitions out(buckets);
-  std::atomic<uint64_t> out_records{0};
-  ctx_->pool().ParallelFor(buckets, [&](size_t b) {
-    std::unordered_set<T, Hash> seen(16, hash);
-    for (const auto& per_part : shuffle) {
-      for (const T& record : per_part[b]) {
-        if (seen.insert(record).second) {
-          out[b].push_back(record);
-        }
-      }
-    }
-    out_records.fetch_add(out[b].size(), std::memory_order_relaxed);
-  });
-  Dataset result(ctx_, std::move(out));
-  StageMetrics m;
-  m.name = name;
-  m.seconds = timer.ElapsedSeconds();
-  m.records_in = moved.load();
-  m.records_out = out_records.load();
-  m.shuffled_records = moved.load();
-  ctx_->RecordStage(std::move(m));
-  return result;
-}
 
 }  // namespace dbscout::dataflow
 

@@ -185,100 +185,6 @@ Dataset<std::pair<K, std::pair<V, W>>> Join(
   return result;
 }
 
-/// COUNTBYKEY: number of records per key (the word-count pattern of
-/// Algorithm 2).
-template <typename K, typename V, typename Hash = std::hash<K>>
-Dataset<std::pair<K, uint64_t>> CountByKey(
-    const Dataset<std::pair<K, V>>& in, size_t num_partitions = 0,
-    const Hash& hash = Hash(), const char* name = "CountByKey") {
-  auto ones = in.Map(
-      [](const std::pair<K, V>& kv) {
-        return std::make_pair(kv.first, uint64_t{1});
-      },
-      "CountByKeyOnes");
-  return ReduceByKey(
-      ones, [](uint64_t a, uint64_t b) { return a + b; }, num_partitions,
-      hash, name);
-}
-
-/// KEYS / VALUES projections.
-template <typename K, typename V>
-Dataset<K> Keys(const Dataset<std::pair<K, V>>& in,
-                const char* name = "Keys") {
-  return in.Map([](const std::pair<K, V>& kv) { return kv.first; }, name);
-}
-
-template <typename K, typename V>
-Dataset<V> Values(const Dataset<std::pair<K, V>>& in,
-                  const char* name = "Values") {
-  return in.Map([](const std::pair<K, V>& kv) { return kv.second; }, name);
-}
-
-/// COGROUP: for every key present on either side, the pair of value lists
-/// (possibly empty on one side) — the general two-input grouping that JOIN
-/// and outer joins derive from.
-template <typename K, typename V, typename W, typename Hash = std::hash<K>>
-Dataset<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> CoGroup(
-    const Dataset<std::pair<K, V>>& left,
-    const Dataset<std::pair<K, W>>& right, size_t num_partitions = 0,
-    const Hash& hash = Hash(), const char* name = "CoGroup") {
-  ExecutionContext* ctx = left.context();
-  WallTimer timer;
-  const size_t buckets =
-      num_partitions == 0
-          ? std::max<size_t>({size_t{1}, left.num_partitions(),
-                              right.num_partitions()})
-          : num_partitions;
-  uint64_t shuffled_left = 0;
-  uint64_t shuffled_right = 0;
-  auto left_shuffle =
-      internal::ShuffleByKey(ctx, left, buckets, hash, &shuffled_left);
-  auto right_shuffle =
-      internal::ShuffleByKey(ctx, right, buckets, hash, &shuffled_right);
-
-  using Group = std::pair<std::vector<V>, std::vector<W>>;
-  typename Dataset<std::pair<K, Group>>::Partitions out(buckets);
-  std::atomic<uint64_t> out_records{0};
-  ctx->pool().ParallelFor(buckets, [&](size_t b) {
-    std::unordered_map<K, Group, Hash> acc(16, hash);
-    for (const auto& per_part : left_shuffle) {
-      for (const auto& kv : per_part[b]) {
-        acc[kv.first].first.push_back(kv.second);
-      }
-    }
-    for (const auto& per_part : right_shuffle) {
-      for (const auto& kw : per_part[b]) {
-        acc[kw.first].second.push_back(kw.second);
-      }
-    }
-    out[b].reserve(acc.size());
-    for (auto& kv : acc) {
-      out[b].emplace_back(kv.first, std::move(kv.second));
-    }
-    out_records.fetch_add(out[b].size(), std::memory_order_relaxed);
-  });
-  auto result =
-      Dataset<std::pair<K, Group>>::FromPartitions(ctx, std::move(out));
-  StageMetrics m;
-  m.name = name;
-  m.seconds = timer.ElapsedSeconds();
-  m.records_in = shuffled_left + shuffled_right;
-  m.records_out = out_records.load();
-  m.shuffled_records = shuffled_left + shuffled_right;
-  ctx->RecordStage(std::move(m));
-  return result;
-}
-
-/// Collects a pair dataset into a driver-side hash map (last write wins for
-/// duplicate keys). The building block of the broadcast-join optimization.
-template <typename K, typename V, typename Hash = std::hash<K>>
-std::unordered_map<K, V, Hash> CollectAsMap(
-    const Dataset<std::pair<K, V>>& in, const Hash& hash = Hash()) {
-  std::unordered_map<K, V, Hash> out(16, hash);
-  in.ForEach([&out](const std::pair<K, V>& kv) { out[kv.first] = kv.second; });
-  return out;
-}
-
 /// Collects a pair dataset into a driver-side multimap-as-map-of-vectors.
 template <typename K, typename V, typename Hash = std::hash<K>>
 std::unordered_map<K, std::vector<V>, Hash> CollectGrouped(

@@ -1,16 +1,22 @@
 // Unit tests for the shared phase-kernel library: the single home of the
 // Lemma 1/2 logic that every engine drives. These pin the cell-granular
 // contracts (what each primitive reads and writes) independently of any
-// engine's orchestration.
+// engine's orchestration, and the cell ranges of RunPhases, the one phase
+// 2-5 loop of the grid engines.
 #include "core/phases/phase_kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+#include "common/timer.h"
+#include "core/phases/driver.h"
 #include "core/phases/phase_recorder.h"
 #include "grid/grid.h"
+#include "grid/regions.h"
 #include "testutil.h"
 
 namespace dbscout::core::phases {
@@ -50,6 +56,29 @@ Built Build(const PointSet& ps) {
   return {std::move(*g), std::move(neighbors), BindKernels(ps.dims())};
 }
 
+CellRange AllCells(const grid::Grid& g) {
+  return {0, static_cast<uint32_t>(g.num_cells())};
+}
+
+// Phase 4 over every cell of `b`, as RunPhases composes it: the count
+// pass, the prefix sum, then the fill pass. Returns the core cell count.
+uint32_t BuildCoreCells(const Built& b, const uint8_t* cell_dense,
+                        const uint8_t* is_core, uint8_t* cell_core,
+                        SparseCoreCsr* csr) {
+  const uint32_t num_cells = static_cast<uint32_t>(b.g.num_cells());
+  csr->begin.assign(num_cells + 1, 0);
+  for (uint32_t c = 0; c < num_cells; ++c) {
+    CountCoreCell(b.g, c, cell_dense, is_core, cell_core, csr);
+  }
+  FinishSparseCoreLayout(b.g.dims(), num_cells, csr);
+  uint32_t num_core_cells = 0;
+  for (uint32_t c = 0; c < num_cells; ++c) {
+    FillSparseCoreCell(b.g, c, cell_dense, cell_core, is_core, csr);
+    num_core_cells += cell_core[c];
+  }
+  return num_core_cells;
+}
+
 TEST(PhasesTest, DensityPredicates) {
   EXPECT_FALSE(IsDense(0, 1));
   EXPECT_TRUE(IsDense(1, 1));
@@ -74,16 +103,20 @@ TEST(PhasesTest, ClassifyDenseCellsCountsAndFlags) {
   const PointSet ps = Sample();
   Built b = Build(ps);
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0xFF);
-  const uint32_t num_dense =
-      ClassifyDenseCells(b.g, kMinPts, cell_dense.data());
-  EXPECT_EQ(num_dense, 1u);
+  ClassifyDenseCells(b.g, kMinPts, AllCells(b.g), cell_dense.data());
   uint32_t set = 0;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
     EXPECT_TRUE(cell_dense[c] == 0 || cell_dense[c] == 1);  // fully rewritten
     set += cell_dense[c];
     EXPECT_EQ(cell_dense[c] == 1, IsDense(b.g.CellSize(c), kMinPts));
   }
-  EXPECT_EQ(set, num_dense);
+  EXPECT_EQ(set, 1u);
+  // A range writes only its own cells.
+  std::vector<uint8_t> ranged(b.g.num_cells(), 0xFF);
+  ClassifyDenseCells(b.g, kMinPts, {1, 2}, ranged.data());
+  for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
+    EXPECT_EQ(ranged[c], c == 1 ? cell_dense[c] : 0xFF) << "cell " << c;
+  }
 }
 
 TEST(PhasesTest, ScannedCellsAreTheNonDenseOnesOrAllWithScores) {
@@ -103,7 +136,7 @@ TEST(PhasesTest, CoreScanMatchesBruteForce) {
   const PointSet ps = Sample();
   Built b = Build(ps);
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
-  ClassifyDenseCells(b.g, kMinPts, cell_dense.data());
+  ClassifyDenseCells(b.g, kMinPts, AllCells(b.g), cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
   uint64_t distances = 0;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
@@ -122,7 +155,7 @@ TEST(PhasesTest, SparseCoreCsrLayout) {
   const PointSet ps = Sample();
   Built b = Build(ps);
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
-  ClassifyDenseCells(b.g, kMinPts, cell_dense.data());
+  ClassifyDenseCells(b.g, kMinPts, AllCells(b.g), cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
     CoreScanCell(b.g, b.neighbors, b.kernels, kEps2, kMinPts, c,
@@ -130,8 +163,8 @@ TEST(PhasesTest, SparseCoreCsrLayout) {
   }
   std::vector<uint8_t> cell_core(b.g.num_cells(), 0);
   SparseCoreCsr csr;
-  const uint32_t num_core_cells = BuildSparseCoreCsr(
-      b.g, cell_dense.data(), is_core.data(), cell_core.data(), &csr);
+  const uint32_t num_core_cells = BuildCoreCells(
+      b, cell_dense.data(), is_core.data(), cell_core.data(), &csr);
   EXPECT_EQ(num_core_cells, 2u);  // the dense cell and the sparse-core cell
   ASSERT_EQ(csr.begin.size(), b.g.num_cells() + 1);
   // Dense cells never hold CSR entries; sparse core cells hold exactly
@@ -161,7 +194,7 @@ TEST(PhasesTest, OutlierScanAppliesLemmaTwoAndOncn) {
   const PointSet ps = Sample();
   Built b = Build(ps);
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
-  ClassifyDenseCells(b.g, kMinPts, cell_dense.data());
+  ClassifyDenseCells(b.g, kMinPts, AllCells(b.g), cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
   std::vector<uint32_t> scratch;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
@@ -170,8 +203,7 @@ TEST(PhasesTest, OutlierScanAppliesLemmaTwoAndOncn) {
   }
   std::vector<uint8_t> cell_core(b.g.num_cells(), 0);
   SparseCoreCsr csr;
-  BuildSparseCoreCsr(b.g, cell_dense.data(), is_core.data(), cell_core.data(),
-                     &csr);
+  BuildCoreCells(b, cell_dense.data(), is_core.data(), cell_core.data(), &csr);
   std::vector<PointKind> kinds(ps.size(), PointKind::kBorder);
   uint64_t distances = 0;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
@@ -196,7 +228,7 @@ TEST(PhasesTest, OutlierScanScoreModeComputesDistances) {
   const PointSet ps = Sample();
   Built b = Build(ps);
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
-  ClassifyDenseCells(b.g, kMinPts, cell_dense.data());
+  ClassifyDenseCells(b.g, kMinPts, AllCells(b.g), cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
   std::vector<uint32_t> scratch;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
@@ -205,8 +237,7 @@ TEST(PhasesTest, OutlierScanScoreModeComputesDistances) {
   }
   std::vector<uint8_t> cell_core(b.g.num_cells(), 0);
   SparseCoreCsr csr;
-  BuildSparseCoreCsr(b.g, cell_dense.data(), is_core.data(), cell_core.data(),
-                     &csr);
+  BuildCoreCells(b, cell_dense.data(), is_core.data(), cell_core.data(), &csr);
   std::vector<PointKind> kinds(ps.size(), PointKind::kBorder);
   std::vector<double> core_distance(ps.size(), 0.0);
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
@@ -235,6 +266,93 @@ TEST(PhasesTest, OutlierScanScoreModeComputesDistances) {
       EXPECT_GT(core_distance[i], std::sqrt(kEps2)) << "point " << i;
     }
   }
+}
+
+// The stripes of the out-of-core engine: a stripe's grid holds only the
+// points within HaloSlabs(d) slabs of its owned slab band, phases 2-4 run
+// over the band plus the first halo ring and phase 5 over the band. Its
+// owned points must get the verdicts of a run over the whole grid
+// (Lemmas 1-2), inline and on a pool.
+TEST(PhasesTest, RunPhasesOverStripeBandsMatchesTheFullRun) {
+  Rng rng(17);
+  const PointSet ps = testing::ClusteredPoints(&rng, 3000, 2, 4, 0.5);
+  const double eps = 2.0;
+  const uint32_t min_pts = 8;
+  auto full_grid = grid::Grid::Build(ps, eps);
+  ASSERT_TRUE(full_grid.ok());
+  PhaseRecorder recorder;
+  const PhaseResult full =
+      RunPhases(*full_grid, AllCells(*full_grid), AllCells(*full_grid), eps,
+                min_pts, /*scores=*/false, nullptr, WallTimer(), &recorder);
+  const int64_t radius = grid::SlabReach(ps.dims());
+  const int64_t halo = grid::HaloSlabs(ps.dims());
+  const auto slab_of = [&](uint32_t p) {
+    return full_grid->CoordOf(full_grid->CellIdOfPoint(p))[0];
+  };
+  const int64_t first_slab = full_grid->CellCoords().front()[0];
+  const int64_t last_slab = full_grid->CellCoords().back()[0];
+
+  ThreadPool pool(2);
+  size_t owned_points = 0;
+  size_t core = 0;
+  size_t outliers = 0;
+  uint32_t dense_cells = 0;
+  for (int64_t slab_lo = first_slab; slab_lo <= last_slab; slab_lo += 3) {
+    const int64_t slab_hi = slab_lo + 2;
+    // The stripe's points, as pass 1 spills them, with their global ids.
+    PointSet local(ps.dims());
+    std::vector<uint32_t> gids;
+    for (uint32_t p = 0; p < ps.size(); ++p) {
+      if (slab_of(p) >= slab_lo - halo && slab_of(p) <= slab_hi + halo) {
+        local.Add(ps[p]);
+        gids.push_back(p);
+      }
+    }
+    auto g = grid::Grid::Build(local, eps);
+    ASSERT_TRUE(g.ok());
+    const auto cells = g->CellCoords();
+    const auto first_at_or_after = [&](int64_t slab) {
+      return static_cast<uint32_t>(
+          std::partition_point(cells.begin(), cells.end(),
+                               [slab](const grid::CellCoord& c) {
+                                 return c[0] < slab;
+                               }) -
+          cells.begin());
+    };
+    const CellRange eligible{first_at_or_after(slab_lo - radius),
+                             first_at_or_after(slab_hi + radius + 1)};
+    const CellRange owned{first_at_or_after(slab_lo),
+                          first_at_or_after(slab_hi + 1)};
+    for (ThreadPool* run_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      PhaseRecorder stripe_recorder;
+      const PhaseResult band =
+          RunPhases(*g, eligible, owned, eps, min_pts, /*scores=*/false,
+                    run_pool, WallTimer(), &stripe_recorder);
+      for (uint32_t c = owned.begin; c < owned.end; ++c) {
+        for (uint32_t p : g->PointsInCell(c)) {
+          ASSERT_EQ(band.is_core[p], full.is_core[gids[p]]) << gids[p];
+          ASSERT_EQ(band.kinds[p], full.kinds[gids[p]]) << gids[p];
+        }
+      }
+      if (run_pool == nullptr) {
+        dense_cells += band.num_dense_cells;
+        for (uint32_t c = owned.begin; c < owned.end; ++c) {
+          for (uint32_t p : g->PointsInCell(c)) {
+            ++owned_points;
+            core += band.is_core[p];
+            outliers += band.kinds[p] == PointKind::kOutlier;
+          }
+        }
+      }
+    }
+  }
+  // Every point is owned by exactly one band, and the bands hold every
+  // kind of verdict.
+  EXPECT_EQ(owned_points, ps.size());
+  EXPECT_EQ(dense_cells, full.num_dense_cells);
+  EXPECT_GT(dense_cells, 0u);
+  EXPECT_GT(core, 0u);
+  EXPECT_GT(outliers, 0u);
 }
 
 TEST(PhasesTest, RecorderAccumulatesInFirstCallOrder) {
@@ -294,10 +412,9 @@ TEST(PhasesTest, AttachedRecorderPublishesMetricsAndSpans) {
 }
 
 TEST(PhasesTest, UnattachedRecorderPublishesNothing) {
-  // No registry / trace attached: Record and Accumulate only build rows.
+  // No registry / trace attached: Accumulate only builds rows.
   PhaseRecorder recorder;
-  recorder.Start();
-  recorder.Record(kPhaseGrid, 1, 2);
+  recorder.Accumulate(kPhaseGrid, 0.0, 1, 2);
   recorder.Accumulate(kPhaseOutliers, 0.1, 3, 4);
   EXPECT_EQ(recorder.phases().size(), 2u);
 }

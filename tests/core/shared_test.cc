@@ -106,5 +106,25 @@ TEST(SharedMemoryTest, PhaseStatsPopulated) {
   EXPECT_GT(r->phases[2].distance_computations, 0u);
 }
 
+TEST(SharedMemoryTest, NullPoolRunsInlineLikeSequential) {
+  Rng rng(66);
+  const PointSet ps = testing::ClusteredPoints(&rng, 1200, 2, 4, 0.2);
+  Params params;
+  params.eps = 1.2;
+  params.min_pts = 6;
+  auto expected = DetectSequential(ps, params);
+  ASSERT_TRUE(expected.ok());
+  auto r = DetectSharedMemory(ps, params, /*pool=*/nullptr);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->outliers, expected->outliers);
+  ASSERT_EQ(r->phases.size(), expected->phases.size());
+  for (size_t i = 0; i < r->phases.size(); ++i) {
+    EXPECT_EQ(r->phases[i].name, expected->phases[i].name);
+    EXPECT_EQ(r->phases[i].distance_computations,
+              expected->phases[i].distance_computations)
+        << r->phases[i].name;
+  }
+}
+
 }  // namespace
 }  // namespace dbscout::core

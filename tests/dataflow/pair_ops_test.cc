@@ -100,13 +100,6 @@ TEST_F(PairOpsTest, ShuffleMetricsAreRecorded) {
   EXPECT_EQ(summary.shuffled_records, 3u);
 }
 
-TEST_F(PairOpsTest, CollectAsMapLastWriteWins) {
-  auto ds = Dataset<IntPair>::FromVector(&ctx_, {{1, 10}, {2, 20}}, 2);
-  auto map = CollectAsMap(ds);
-  EXPECT_EQ(map.size(), 2u);
-  EXPECT_EQ(map[1], 10);
-}
-
 TEST_F(PairOpsTest, CollectGroupedGathersValues) {
   auto ds =
       Dataset<IntPair>::FromVector(&ctx_, {{1, 10}, {1, 11}, {2, 20}}, 3);

@@ -36,7 +36,11 @@ Enforces, statically, the contracts that the compiler cannot:
                      CrossesDensityThreshold), no branching on the
                      cell_dense[]/cell_core[] flag arrays (populating them
                      is fine; read them through phases::IsDenseCell /
-                     IsCoreCell or pass them to the cell kernels). Scope:
+                     IsCoreCell or pass them to the cell kernels), and no
+                     call of the per-cell phase kernels CoreScanCell,
+                     OutlierScanCell, CountCoreCell or FillSparseCoreCell
+                     (engines run phases 2-5 through phases::RunPhases, so
+                     the phase loop exists once). Scope:
                      src/core (minus src/core/phases/), src/external,
                      src/grid, src/service (the serving layer answers from
                      snapshots and must not re-classify), src/storage (WAL
@@ -55,7 +59,7 @@ Enforces, statically, the contracts that the compiler cannot:
                      these paths flows through the sharded obs::Counter
                      cells and the PhaseRecorder, which publish outside the
                      scan loops.
-                     phase_recorder.h / driver.h orchestrate around the
+                     phase_recorder.h / driver.* orchestrate around the
                      kernels and are out of scope.
   neighbor-discovery-locality
                      Every engine finds neighbor cells (Definition 8)
@@ -364,6 +368,11 @@ MIN_PTS_RIGHT_RE = re.compile(r"([^\s(!&|]+)\s*(" + _CMP + r")\s*min_pts\w*\b")
 _CELL_FLAG = r"(?:\(\s*\*\s*)?\b(cell_dense|cell_core)(?:\s*\))?\s*\["
 CELL_FLAG_RE = re.compile(_CELL_FLAG)
 CELL_FLAG_ASSIGN_RE = re.compile(_CELL_FLAG + r"[^\]]*\]\s*=(?!=)")
+# The per-cell kernels of phases 3-5, which only phases::RunPhases loops
+# over.
+CELL_KERNEL_CALL_RE = re.compile(
+    r"\b(CoreScanCell|OutlierScanCell|CountCoreCell|FillSparseCoreCell)"
+    r"\s*\(")
 
 
 def in_phase_scope(path: str) -> bool:
@@ -417,6 +426,16 @@ def check_phase_logic_locality(path: str, lines: List[str]
                               "decision; engines only populate these arrays "
                               "and read them through phases::IsDenseCell / "
                               "IsCoreCell or the cell kernels")
+
+        # Family 3: an engine's own loop over the per-cell phase kernels.
+        # Phases 2-5 run once, in phases::RunPhases, over whatever cell
+        # ranges the engine owns.
+        for m in CELL_KERNEL_CALL_RE.finditer(code):
+            yield Finding(path, i, rule,
+                          f"call of {m.group(1)} outside src/core/phases/ "
+                          "forks the phase loop; run phases 2-5 through "
+                          "core::phases::RunPhases over the engine's "
+                          "eligible and owned cell ranges")
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +732,17 @@ def self_test() -> int:
     expect("phase-logic-locality",
            list(check_phase_logic_locality("src/grid/grid.cc", flag_read)), 1,
            "flag-read-in-grid")
+    kernel_loop = lines(
+        "return phases::CoreScanCell(g, neighbors, kernels, eps2, min_pts, c,\n"
+        "                            cell_dense.data(), is_core.data());\n")
+    expect("phase-logic-locality",
+           list(check_phase_logic_locality(
+               "src/external/external_detector.cc", kernel_loop)), 1,
+           "kernel-call-in-external")
+    expect("phase-logic-locality",
+           list(check_phase_logic_locality(
+               "src/core/phases/driver.cc", kernel_loop)), 0,
+           "kernel-call-in-phase-home")
 
     # hot-path-purity
     bad = lines("DBSCOUT_LOG(kDebug) << \"cell \" << c;\n"
