@@ -28,12 +28,9 @@ using dataflow::ExecutionContext;
 using grid::CellCoord;
 using grid::CellCoordHash;
 
-/// (cell coordinates, point id): the grid dataset G of Algorithm 1, which
-/// Algorithm 2 reduces by cell.
-using CoordRecord = std::pair<CellCoord, uint32_t>;
-
-/// (cell id, point id): G re-keyed by the id phase 2 numbers each cell
-/// with, and the records phases 3 and 5 emit to neighbor cells.
+/// (cell id, point id): the grid dataset G of Algorithm 1, keyed by the id
+/// phase 2 numbers each cell with, and the records phases 3 and 5 emit to
+/// neighbor cells.
 using GridRecord = std::pair<uint32_t, uint32_t>;
 
 // Copies the coordinates of `ids` into one contiguous row-major block so
@@ -112,49 +109,55 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
   };
 
   // ---- Phase 1: grid definition (Algorithm 1). -------------------------
-  Dataset<CoordRecord> by_coord;
+  // Only the point ids are materialized. Algorithm 1's (cell, point)
+  // records are pipelined into phase 2's map side, as a Spark stage runs
+  // its narrow maps fused: each task recomputes CellOfPoint where it needs
+  // the cell, so no n-sized dataset keyed by CellCoord exists.
+  Dataset<uint32_t> ids;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseGrid);
-    auto ids = Dataset<uint32_t>::Iota(ctx, static_cast<uint32_t>(n), parts);
-    by_coord = ids.Map(
-        [pts, side](uint32_t i) {
-          CoordRecord rec(CellCoord(), i);
-          (void)grid::CellOfPoint((*pts)[i], side, &rec.first);  // validated
-          return rec;
-        },
-        "CreateGrid");
+    ids = Dataset<uint32_t>::Iota(ctx, static_cast<uint32_t>(n), parts);
     phase.records = n;
   }
 
   // ---- Phase 2: dense cell map construction (Algorithm 2). -------------
-  // The driver sorts the cells it collects and numbers them in that order,
-  // as Grid::Build does, so the ids do not depend on the partition count.
-  // The dense cell map is then a byte per cell id, broadcast with the
-  // neighbor lists (Definition 8) of the non-dense cells. Phase 3 emits the
-  // points of non-dense cells to their neighbor cells, and phase 5 those of
-  // non-core cells (all non-dense) to their core ones. G is re-keyed by
-  // cell id once, so every later record is (cell id, point), 8 bytes.
+  // Each partition counts its points per cell, so at most #cells records
+  // per partition reach the CountCells shuffle. The driver sorts the cells
+  // it collects and numbers them in that order, as Grid::Build does, so
+  // the ids do not depend on the partition count. The dense cell map is
+  // then a byte per cell id, broadcast with the neighbor lists
+  // (Definition 8) of the non-dense cells. Phase 3 emits the points of
+  // non-dense cells to their neighbor cells, and phase 5 those of non-core
+  // cells (all non-dense) to their core ones. G is keyed by cell id, so
+  // every later record is (cell id, point), 8 bytes.
   Dataset<GridRecord> g;
   Broadcast<std::vector<uint8_t>> cell_dense;
   Broadcast<grid::NeighborCells> neighbors;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseDenseCellMap);
-    // The (cell, 1) records are a temporary, freed once they are reduced.
+    using CellCount = std::pair<CellCoord, uint32_t>;
     auto counts = ReduceByKey(
-        by_coord.Map(
-            [](const CoordRecord& rec) {
-              return std::make_pair(rec.first, 1u);
-            },
-            "CellOnes"),
+        ids.TransformPartitions<CellCount>(
+            "PartitionCellCounts",
+            [pts, side](const std::vector<uint32_t>& part,
+                        std::vector<CellCount>* sink) {
+              std::unordered_map<CellCoord, uint32_t, CellCoordHash> local;
+              CellCoord cell;
+              for (uint32_t i : part) {
+                (void)grid::CellOfPoint((*pts)[i], side, &cell);  // validated
+                ++local[cell];
+              }
+              sink->assign(local.begin(), local.end());
+            }),
         [](uint32_t a, uint32_t b) { return a + b; }, parts, CellCoordHash(),
         "CountCells");
-    std::vector<std::pair<CellCoord, uint32_t>> cells = counts.Collect();
+    std::vector<CellCount> cells = counts.Collect();
     std::sort(cells.begin(), cells.end());  // the coordinates are distinct
-    std::unordered_map<CellCoord, uint32_t, CellCoordHash> ids;
+    std::unordered_map<CellCoord, uint32_t, CellCoordHash> id_map;
     std::vector<CellCoord> coords;  // cell id -> coordinates
     std::vector<uint8_t> dense, non_dense;
     for (const auto& [cell, count] : cells) {
-      ids.emplace(cell, static_cast<uint32_t>(coords.size()));
+      id_map.emplace(cell, static_cast<uint32_t>(coords.size()));
       coords.push_back(cell);
       const bool is_dense = phases::IsDense(count, min_pts);
       dense.push_back(is_dense);
@@ -166,13 +169,15 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
     out.num_cells = coords.size();
     phase.records = out.num_cells;
     cell_dense = Broadcast<std::vector<uint8_t>>(std::move(dense));
-    Broadcast<decltype(ids)> id_of(std::move(ids));
-    g = by_coord.Map(
-        [id_of](const CoordRecord& rec) {
-          return GridRecord(id_of->find(rec.first)->second, rec.second);
+    Broadcast<decltype(id_map)> id_of(std::move(id_map));
+    g = ids.Map(
+        [pts, side, id_of](uint32_t i) {
+          CellCoord cell;
+          (void)grid::CellOfPoint((*pts)[i], side, &cell);  // validated
+          return GridRecord(id_of->find(cell)->second, i);
         },
         "KeyByCellId");
-    by_coord = Dataset<CoordRecord>();  // release the 88-byte records
+    ids = Dataset<uint32_t>();  // every later stage reads G
   }
 
   // ---- Phase 3: core points identification (Algorithm 3). --------------

@@ -21,7 +21,8 @@ struct StageMetrics {
   uint64_t records_in = 0;
   uint64_t records_out = 0;
   /// Records moved across partitions by a shuffle (ReduceByKey, GroupByKey,
-  /// Join, Repartition); 0 for narrow transformations.
+  /// Join); 0 for narrow transformations. ReduceByKey counts its records
+  /// after the map-side combine.
   uint64_t shuffled_records = 0;
 };
 

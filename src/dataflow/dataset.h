@@ -149,31 +149,6 @@ class Dataset {
     return result;
   }
 
-  /// Redistributes records round-robin into `num_partitions` partitions
-  /// (counts as a full shuffle).
-  Dataset<T> Repartition(size_t num_partitions,
-                         const char* name = "Repartition") const {
-    WallTimer timer;
-    const size_t parts = std::max<size_t>(1, num_partitions);
-    Partitions out(parts);
-    size_t cursor = 0;
-    for (const auto& p : *parts_) {
-      for (const T& record : p) {
-        out[cursor % parts].push_back(record);
-        ++cursor;
-      }
-    }
-    Dataset result(ctx_, std::move(out));
-    StageMetrics m;
-    m.name = name;
-    m.seconds = timer.ElapsedSeconds();
-    m.records_in = cursor;
-    m.records_out = cursor;
-    m.shuffled_records = cursor;
-    ctx_->RecordStage(std::move(m));
-    return result;
-  }
-
   /// Driver-side sequential iteration (the FOREACH of Algorithm 4).
   template <typename F>
   void ForEach(F fn) const {

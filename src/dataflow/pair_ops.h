@@ -16,7 +16,9 @@ namespace dbscout::dataflow {
 /// hash(key) % B, bucket b of every partition is concatenated into output
 /// partition b, and the per-key work happens bucket-locally. This mirrors
 /// the hash-partitioned shuffle of Spark and is what makes the partition
-/// count a genuine performance knob (Fig. 13).
+/// count a genuine performance knob (Fig. 13). ReduceByKey, like Spark's
+/// reduceByKey, first combines each input partition's records per key, so
+/// it shuffles at most one record per (partition, key).
 
 namespace internal {
 
@@ -45,6 +47,11 @@ std::vector<std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
 
 /// REDUCEBYKEY: combines all values sharing a key with `reduce(v1, v2)`.
 /// Output has `num_partitions` partitions (0 = keep input partition count).
+/// Each input partition first reduces its own records into one value per
+/// key (the map-side combine), and only those are shuffled; each bucket then
+/// reduces the partial values in input-partition order. So `reduce` must be
+/// associative and commutative, and the stage's `shuffled_records` counts
+/// the records after the combine, while `records_in` counts the input.
 template <typename K, typename V, typename Reduce,
           typename Hash = std::hash<K>>
 Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& in,
@@ -56,8 +63,31 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& in,
   const size_t buckets =
       num_partitions == 0 ? std::max<size_t>(1, in.num_partitions())
                           : num_partitions;
-  uint64_t shuffled = 0;
-  auto shuffle = internal::ShuffleByKey(ctx, in, buckets, hash, &shuffled);
+  auto fold = [&reduce](std::unordered_map<K, V, Hash>* acc, const K& key,
+                        const V& value) {
+    auto [it, inserted] = acc->try_emplace(key, value);
+    if (!inserted) {
+      it->second = reduce(it->second, value);
+    }
+  };
+
+  // shuffle[input_partition][bucket], one combined record per key.
+  std::vector<std::vector<std::vector<std::pair<K, V>>>> shuffle(
+      in.num_partitions());
+  std::atomic<uint64_t> shuffled{0};
+  ctx->pool().ParallelFor(in.num_partitions(), [&](size_t p) {
+    std::unordered_map<K, V, Hash> combined(16, hash);
+    for (const auto& kv : in.partition(p)) {
+      fold(&combined, kv.first, kv.second);
+    }
+    auto& local = shuffle[p];
+    local.resize(buckets);
+    for (auto& kv : combined) {
+      local[hash(kv.first) % buckets].emplace_back(kv.first,
+                                                   std::move(kv.second));
+    }
+    shuffled.fetch_add(combined.size(), std::memory_order_relaxed);
+  });
 
   typename Dataset<std::pair<K, V>>::Partitions out(buckets);
   std::atomic<uint64_t> out_records{0};
@@ -65,10 +95,7 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& in,
     std::unordered_map<K, V, Hash> acc(16, hash);
     for (const auto& per_part : shuffle) {
       for (const auto& kv : per_part[b]) {
-        auto [it, inserted] = acc.try_emplace(kv.first, kv.second);
-        if (!inserted) {
-          it->second = reduce(it->second, kv.second);
-        }
+        fold(&acc, kv.first, kv.second);
       }
     }
     out[b].reserve(acc.size());
@@ -83,9 +110,9 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& in,
   StageMetrics m;
   m.name = name;
   m.seconds = timer.ElapsedSeconds();
-  m.records_in = shuffled;
+  m.records_in = in.Count();
   m.records_out = out_records.load();
-  m.shuffled_records = shuffled;
+  m.shuffled_records = shuffled.load();
   ctx->RecordStage(std::move(m));
   return result;
 }

@@ -109,6 +109,30 @@ TEST_F(ParallelTest, RecordsPhaseAndShuffleStats) {
   EXPECT_FALSE(ctx_.stages().empty());
 }
 
+// Phase 2 counts cells inside each partition before the CountCells shuffle,
+// so that stage sees at most one record per (partition, cell), not one per
+// point.
+TEST_F(ParallelTest, CountCellsShufflesPerPartitionCounts) {
+  Rng rng(5);
+  const PointSet ps = testing::ClusteredPoints(&rng, 4000, 2, 3, 0.02);
+  const size_t partitions = 4;
+  ctx_.ResetMetrics();
+  auto r = DetectParallel(
+      ps, MakeParams(2.0, 6, JoinStrategy::kGrouped, partitions), &ctx_);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_LT(partitions * r->num_cells, ps.size());
+  size_t count_cells_stages = 0;
+  for (const auto& stage : ctx_.stages()) {
+    if (stage.name == "CountCells") {
+      ++count_cells_stages;
+      EXPECT_LE(stage.records_in, partitions * r->num_cells);
+      EXPECT_LE(stage.shuffled_records, stage.records_in);
+      EXPECT_EQ(stage.records_out, r->num_cells);
+    }
+  }
+  EXPECT_EQ(count_cells_stages, 1u);
+}
+
 // The records phases 3 and 5 emit, counted from the sequential grid: a
 // point of a non-dense cell c goes to every cell of N(c), a point of a
 // non-core cell to every core cell of N(c). Every join strategy emits the

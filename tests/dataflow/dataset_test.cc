@@ -92,17 +92,6 @@ TEST_F(DatasetTest, UnionConcatenates) {
   EXPECT_EQ(values, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_F(DatasetTest, RepartitionPreservesRecords) {
-  auto ds = Dataset<int>::Iota(&ctx_, 100, 2);
-  auto re = ds.Repartition(10);
-  EXPECT_EQ(re.num_partitions(), 10u);
-  auto values = re.Collect();
-  std::sort(values.begin(), values.end());
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(values[i], i);
-  }
-}
-
 TEST_F(DatasetTest, ForEachVisitsEverything) {
   auto ds = Dataset<int>::Iota(&ctx_, 20, 4);
   int sum = 0;
@@ -121,13 +110,6 @@ TEST_F(DatasetTest, TransformationsRecordStageMetrics) {
   EXPECT_EQ(last.records_in, 10u);
   EXPECT_EQ(last.records_out, 10u);
   EXPECT_EQ(last.shuffled_records, 0u);
-}
-
-TEST_F(DatasetTest, RepartitionCountsAsShuffle) {
-  ctx_.ResetMetrics();
-  auto ds = Dataset<int>::Iota(&ctx_, 10, 2);
-  ds.Repartition(4);
-  EXPECT_EQ(ctx_.Summary().shuffled_records, 10u);
 }
 
 TEST_F(DatasetTest, SourceIsImmutableUnderTransforms) {

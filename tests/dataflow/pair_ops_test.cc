@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -98,6 +99,38 @@ TEST_F(PairOpsTest, ShuffleMetricsAreRecorded) {
   ReduceByKey(ds, [](int a, int b) { return a + b; });
   const auto summary = ctx_.Summary();
   EXPECT_EQ(summary.shuffled_records, 3u);
+}
+
+// Each input partition combines its records per key before the shuffle, so
+// the stage shuffles one record per (partition, key), not one per input.
+TEST_F(PairOpsTest, ReduceByKeyCombinesEachPartitionBeforeTheShuffle) {
+  std::vector<IntPair> records;
+  std::map<int, int> reference;
+  for (int i = 0; i < 1000; ++i) {
+    records.push_back({i / 334, i});  // keys 0..2, each over a run of ids
+    reference[i / 334] += i;
+  }
+  auto ds = Dataset<IntPair>::FromVector(&ctx_, records, 4);
+  std::set<std::pair<size_t, int>> partition_keys;
+  for (size_t p = 0; p < ds.num_partitions(); ++p) {
+    for (const auto& kv : ds.partition(p)) {
+      partition_keys.emplace(p, kv.first);
+    }
+  }
+  ASSERT_LE(partition_keys.size(), 12u);
+
+  ctx_.ResetMetrics();
+  auto reduced = ReduceByKey(ds, [](int a, int b) { return a + b; }, 4);
+  std::map<int, int> result;
+  for (const auto& [k, v] : reduced.Collect()) {
+    EXPECT_TRUE(result.emplace(k, v).second) << "duplicate key " << k;
+  }
+  EXPECT_EQ(result, reference);
+  const auto stages = ctx_.stages();
+  ASSERT_EQ(stages.size(), 1u);
+  EXPECT_EQ(stages[0].records_in, 1000u);
+  EXPECT_EQ(stages[0].shuffled_records, partition_keys.size());
+  EXPECT_EQ(stages[0].records_out, 3u);
 }
 
 TEST_F(PairOpsTest, CollectGroupedGathersValues) {
