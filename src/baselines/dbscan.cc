@@ -31,7 +31,7 @@ Result<DbscanResult> Dbscan(const PointSet& points, double eps, int min_pts) {
   const double eps2 = eps * eps;
   const uint32_t min_pts_u = static_cast<uint32_t>(min_pts);
 
-  // Neighbor lists of every cell: the cluster expansion reaches any cell.
+  // Neighbor runs of every cell: the cluster expansion reaches any cell.
   const uint32_t num_cells = static_cast<uint32_t>(g.num_cells());
   const grid::NeighborCells neighbors =
       grid::NeighborCells::Build(g.CellCoords());
@@ -50,18 +50,15 @@ Result<DbscanResult> Dbscan(const PointSet& points, double eps, int min_pts) {
     for (uint32_t p : cell_points) {
       const auto pv = points[p];
       uint32_t count = 0;
-      for (uint32_t nc : neighbors.Of(c)) {
-        for (uint32_t q : g.PointsInCell(nc)) {
-          if (PointSet::SquaredDistance(pv, points[q]) <= eps2 &&
-              ++count >= min_pts_u) {
-            is_core[p] = 1;
-            break;
-          }
-        }
-        if (is_core[p]) {
-          break;
+      for (const grid::CellRun& run : neighbors.Of(c)) {
+        // The points of a run's cells are consecutive grid rows.
+        for (uint32_t row = g.CellBeginRow(run.begin);
+             row < g.CellBeginRow(run.end) && count < min_pts_u; ++row) {
+          count += PointSet::SquaredDistance(
+                       pv, points[g.OriginalIndex(row)]) <= eps2;
         }
       }
+      is_core[p] = count >= min_pts_u;
     }
   }
 
@@ -84,8 +81,10 @@ Result<DbscanResult> Dbscan(const PointSet& points, double eps, int min_pts) {
       queue.pop_front();
       const auto pv = points[p];
       const uint32_t c = g.CellIdOfPoint(p);
-      for (uint32_t nc : neighbors.Of(c)) {
-        for (uint32_t r : g.PointsInCell(nc)) {
+      for (const grid::CellRun& run : neighbors.Of(c)) {
+        for (uint32_t row = g.CellBeginRow(run.begin);
+             row < g.CellBeginRow(run.end); ++row) {
+          const uint32_t r = g.OriginalIndex(row);
           if (result.cluster[r] != DbscanResult::kNoise) {
             continue;
           }

@@ -161,13 +161,15 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
   // representative lies within eps contributes its full count.
   auto approx_count = [&](std::span<const double> query, uint32_t cell) {
     uint64_t count = 0;
-    for (uint32_t nc : neighbors.Of(cell)) {
-      for (uint32_t s : cell_subs[nc]) {
-        const auto rep = points[sub_cells[s].representative];
-        if (PointSet::SquaredDistance(query, rep) <= eps2) {
-          count += sub_cells[s].count;
-          if (count >= min_pts) {
-            return count;
+    for (const grid::CellRun& run : neighbors.Of(cell)) {
+      for (uint32_t nc = run.begin; nc < run.end; ++nc) {
+        for (uint32_t s : cell_subs[nc]) {
+          const auto rep = points[sub_cells[s].representative];
+          if (PointSet::SquaredDistance(query, rep) <= eps2) {
+            count += sub_cells[s].count;
+            if (count >= min_pts) {
+              return count;
+            }
           }
         }
       }
@@ -216,29 +218,29 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
     if (anchor == UINT32_MAX) {
       continue;  // no core sub-cell in this cell
     }
-    for (uint32_t nc : neighbors.Of(cell)) {
-      if (nc <= cell) {
-        continue;  // visit each cell pair once
-      }
-      bool linked = false;
-      for (uint32_t s : subs) {
-        if (!sub_cells[s].core) {
-          continue;
-        }
-        const auto rep = points[sub_cells[s].representative];
-        for (uint32_t t : cell_subs[nc]) {
-          if (!sub_cells[t].core) {
+    for (const grid::CellRun& run : neighbors.Of(cell)) {
+      // Only the cells after this one: visit each cell pair once.
+      for (uint32_t nc = std::max(run.begin, cell + 1); nc < run.end; ++nc) {
+        bool linked = false;
+        for (uint32_t s : subs) {
+          if (!sub_cells[s].core) {
             continue;
           }
-          if (PointSet::SquaredDistance(
-                  rep, points[sub_cells[t].representative]) <= eps2) {
-            uf.Union(s, t);
-            linked = true;
-            break;  // one edge joins the two cells' components
+          const auto rep = points[sub_cells[s].representative];
+          for (uint32_t t : cell_subs[nc]) {
+            if (!sub_cells[t].core) {
+              continue;
+            }
+            if (PointSet::SquaredDistance(
+                    rep, points[sub_cells[t].representative]) <= eps2) {
+              uf.Union(s, t);
+              linked = true;
+              break;  // one edge joins the two cells' components
+            }
           }
-        }
-        if (linked) {
-          break;
+          if (linked) {
+            break;
+          }
         }
       }
     }
@@ -272,13 +274,15 @@ Result<RpDbscanResult> RpDbscan(const PointSet& points,
       continue;  // exact: dense cells contain no noise (Lemma 1)
     }
     bool covered = false;
-    for (uint32_t nc : neighbors.Of(cell)) {
-      for (uint32_t t : cell_subs[nc]) {
-        if (sub_cells[t].core &&
-            PointSet::SquaredDistance(
-                rep, points[sub_cells[t].representative]) <= eps2) {
-          covered = true;
-          break;
+    for (const grid::CellRun& run : neighbors.Of(cell)) {
+      for (uint32_t nc = run.begin; nc < run.end && !covered; ++nc) {
+        for (uint32_t t : cell_subs[nc]) {
+          if (sub_cells[t].core &&
+              PointSet::SquaredDistance(
+                  rep, points[sub_cells[t].representative]) <= eps2) {
+            covered = true;
+            break;
+          }
         }
       }
       if (covered) {

@@ -125,7 +125,7 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
   // per partition reach the CountCells shuffle. The driver sorts the cells
   // it collects and numbers them in that order, as Grid::Build does, so
   // the ids do not depend on the partition count. The dense cell map is
-  // then a byte per cell id, broadcast with the neighbor lists
+  // then a byte per cell id, broadcast with the neighbor runs
   // (Definition 8) of the non-dense cells. Phase 3 emits the points of
   // non-dense cells to their neighbor cells, and phase 5 those of non-core
   // cells (all non-dense) to their core ones. G is keyed by cell id, so
@@ -201,8 +201,10 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
     // cell C, the records here carry only (N, p), halving shuffle volume.
     auto emit_to_neighbors = [neighbors](const GridRecord& rec,
                                          std::vector<GridRecord>* sink) {
-      for (uint32_t nc : neighbors->Of(rec.first)) {
-        sink->push_back({nc, rec.second});
+      for (const grid::CellRun& run : neighbors->Of(rec.first)) {
+        for (uint32_t nc = run.begin; nc < run.end; ++nc) {
+          sink->push_back({nc, rec.second});
+        }
       }
     };
 
@@ -341,9 +343,11 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
         non_core
             .Filter(
                 [cell_core, neighbors](const GridRecord& rec) {
-                  for (uint32_t nc : neighbors->Of(rec.first)) {
-                    if (phases::IsCoreCell(cell_core->data(), nc)) {
-                      return false;
+                  for (const grid::CellRun& run : neighbors->Of(rec.first)) {
+                    for (uint32_t nc = run.begin; nc < run.end; ++nc) {
+                      if (phases::IsCoreCell(cell_core->data(), nc)) {
+                        return false;
+                      }
                     }
                   }
                   return true;
@@ -355,9 +359,11 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
     auto emit_to_core_neighbors = [cell_core, neighbors](
                                       const GridRecord& rec,
                                       std::vector<GridRecord>* sink) {
-      for (uint32_t nc : neighbors->Of(rec.first)) {
-        if (phases::IsCoreCell(cell_core->data(), nc)) {
-          sink->push_back({nc, rec.second});
+      for (const grid::CellRun& run : neighbors->Of(rec.first)) {
+        for (uint32_t nc = run.begin; nc < run.end; ++nc) {
+          if (phases::IsCoreCell(cell_core->data(), nc)) {
+            sink->push_back({nc, rec.second});
+          }
         }
       }
     };

@@ -59,7 +59,7 @@ PhaseResult RunPhases(const grid::Grid& g, CellRange eligible,
   const BoundKernels kernels = BindKernels(g.dims());
   PhaseResult out;
 
-  // End of phase 1: the neighbor lists of the cells phases 3 and 5 scan.
+  // End of phase 1: the neighbor runs of the cells phases 3 and 5 scan.
   std::vector<uint8_t> scan = ScannedCells(g, min_pts, scores);
   std::fill(scan.begin(), scan.begin() + eligible.begin, 0);
   std::fill(scan.begin() + eligible.end, scan.end(), 0);

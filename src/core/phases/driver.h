@@ -36,10 +36,10 @@ struct PhaseResult {
 /// phase 5 over the `owned` ones, which must lie inside `eligible` with
 /// every neighbor cell of an owned cell eligible (Lemmas 1-2 then decide
 /// each owned point exactly as over the whole grid). Builds the neighbor
-/// lists (Definition 8) of the eligible cells that phases 3 and 5 scan.
+/// runs (Definition 8) of the eligible cells that phases 3 and 5 scan.
 /// Runs on `pool`, or inline when it is null; the result and every counter
 /// are the same either way. Records one row per phase into `recorder`: the
-/// grid row covers the neighbor lists and the time since `grid_timer`
+/// grid row covers the neighbor runs and the time since `grid_timer`
 /// started; the cell-map rows count g.num_cells() records and the others
 /// g.num_points().
 PhaseResult RunPhases(const grid::Grid& g, CellRange eligible,

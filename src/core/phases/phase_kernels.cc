@@ -46,18 +46,20 @@ uint64_t CoreScanCell(const grid::Grid& g, const grid::NeighborCells& neighbors,
     }
     return 0;
   }
-  const auto neighbor_cells = neighbors.Of(c);
+  const auto runs = neighbors.Of(c);
   const size_t d = g.dims();
   const double* cell_block = g.CellBlock(c);
   uint64_t distances = 0;
   for (size_t j = 0; j < cell_points.size(); ++j) {
     const double* pv = cell_block + j * d;
     uint32_t count = 0;
-    for (uint32_t nc : neighbor_cells) {
-      const size_t block_size = g.CellSize(nc);
+    for (const grid::CellRun& run : runs) {
+      // The cells of a run are consecutive grid rows: one block.
+      const size_t block_size =
+          g.CellBeginRow(run.end) - g.CellBeginRow(run.begin);
       distances += block_size;
-      count += kernels.count_within(pv, g.CellBlock(nc), block_size, eps2,
-                                    min_pts - count);
+      count += kernels.count_within(pv, g.CellBlock(run.begin), block_size,
+                                    eps2, min_pts - count);
       if (IsDense(count, min_pts)) {
         is_core[cell_points[j]] = 1;
         break;
@@ -127,13 +129,23 @@ uint64_t OutlierScanCell(const grid::Grid& g,
   if (cell_core[c] && !scores) {
     return 0;  // Lemma 2: no point of a core cell is an outlier
   }
+  // Keep the core cells among the neighbors without a branch per cell:
+  // write every id, and step past it only when it is core.
+  const auto runs = neighbors.Of(c);
+  size_t num_neighbors = 0;
+  for (const grid::CellRun& run : runs) {
+    num_neighbors += run.end - run.begin;
+  }
   std::vector<uint32_t>& core_neighbor_cells = *neighbor_scratch;
-  core_neighbor_cells.clear();
-  for (uint32_t nc : neighbors.Of(c)) {
-    if (cell_core[nc]) {
-      core_neighbor_cells.push_back(nc);  // lint:allow(hot-path-purity) caller-owned scratch, capacity amortized across cells
+  core_neighbor_cells.resize(num_neighbors);  // lint:allow(hot-path-purity) caller-owned scratch, capacity amortized across cells
+  size_t num_core = 0;
+  for (const grid::CellRun& run : runs) {
+    for (uint32_t nc = run.begin; nc < run.end; ++nc) {
+      core_neighbor_cells[num_core] = nc;
+      num_core += cell_core[nc] != 0;
     }
   }
+  core_neighbor_cells.resize(num_core);  // lint:allow(hot-path-purity) shrinks, never allocates
   if (core_neighbor_cells.empty()) {
     // O_ncn: non-core cell with no core neighbor — all points outliers.
     for (uint32_t p : g.PointsInCell(c)) {

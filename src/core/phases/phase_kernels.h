@@ -93,7 +93,7 @@ struct CellRange {
 void ClassifyDenseCells(const grid::Grid& g, uint32_t min_pts,
                         CellRange cells, uint8_t* cell_dense);
 
-/// The cells whose neighbor lists phases 3 and 5 read: every cell with
+/// The cells whose neighbor runs phases 3 and 5 read: every cell with
 /// `scores` (phase 5 then visits core cells too), else the non-dense ones
 /// (phase 5 visits only non-core cells, a subset). One byte per cell of
 /// `g`, the `scan` argument of grid::NeighborCells::Build.
@@ -104,12 +104,15 @@ std::vector<uint8_t> ScannedCells(const grid::Grid& g, uint32_t min_pts,
 /// every point core outright; points of sparse cells count neighbors
 /// within eps across the occupied neighbor cells (`neighbors.Of(c)`, built
 /// over g's cells) via the capped batched kernel, one contiguous
-/// grid-ordered block per neighbor cell. Early termination at minPts (the
-/// sequential analogue of the grouped-join optimization, SS III-G2)
-/// happens at block granularity: between neighbor cells exactly, and
-/// inside a block every simd::kKernelBatch points.
+/// grid-ordered block per run of neighbor cells (the cells of a run are
+/// consecutive grid rows). Early termination at minPts (the sequential
+/// analogue of the grouped-join optimization, SS III-G2) happens at block
+/// granularity: between runs exactly, and inside a block every
+/// simd::kKernelBatch points.
 /// Writes only is_core[p] for p in cell `c` (race-free under per-cell
-/// parallelism). Returns the number of distance computations submitted.
+/// parallelism). Returns the number of distance computations submitted:
+/// each scanned run's whole block, so it is an upper bound on the
+/// distances the kernel evaluates, which may stop inside a block.
 uint64_t CoreScanCell(const grid::Grid& g, const grid::NeighborCells& neighbors,
                       const BoundKernels& kernels, double eps2,
                       uint32_t min_pts, uint32_t c, const uint8_t* cell_dense,
@@ -163,7 +166,9 @@ void FillSparseCoreCell(const grid::Grid& g, uint32_t c,
 /// distances). Writes only kinds/core_distance entries of cell `c`'s
 /// points; kinds must be pre-initialized to PointKind::kBorder. Returns
 /// the number of distance computations submitted. `neighbors` is as for
-/// CoreScanCell; `neighbor_scratch` is caller-provided reusable storage.
+/// CoreScanCell, but blocks stay per cell: the ids inside each run are
+/// visited one by one, since a sparse core cell's block is its phase-4 CSR
+/// slice. `neighbor_scratch` is caller-provided reusable storage.
 uint64_t OutlierScanCell(const grid::Grid& g,
                          const grid::NeighborCells& neighbors,
                          const BoundKernels& kernels, double eps2, bool scores,

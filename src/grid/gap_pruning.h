@@ -11,7 +11,7 @@ namespace dbscout::grid {
 
 /// The Definition 8 pruning arithmetic of a gap-pruned descent over
 /// lexicographically sorted occupied cells, shared by NeighborCells (the
-/// batch engines' CSR) and CellIndex (the live detector's index).
+/// batch engines' neighbor runs) and CellIndex (the live detector's index).
 ///
 /// Cells c and x are neighbors iff sum_i max(0, |c_i - x_i| - 1)^2 < d.
 /// A descent fixes one coordinate per level, so the running gap of a path

@@ -137,7 +137,8 @@ class Grid {
   }
 
   /// First grid-ordered row of cell `id`; the cell's block spans rows
-  /// [CellBeginRow(id), CellBeginRow(id+1)).
+  /// [CellBeginRow(id), CellBeginRow(id+1)), and the cells [a, b) span
+  /// rows [CellBeginRow(a), CellBeginRow(b)). `id` may be num_cells().
   uint32_t CellBeginRow(uint32_t id) const { return cell_begin_[id]; }
 
   /// Contiguous row-major coordinates of cell `id`'s points (CellSize(id)

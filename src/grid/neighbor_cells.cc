@@ -10,8 +10,18 @@ namespace dbscout::grid {
 namespace {
 
 // Cells per task when the build runs on a pool: coarse enough to amortize
-// the claim, fine enough to balance clustered grids.
+// the claim and the pencil walks, fine enough to balance clustered grids.
 constexpr size_t kCellsPerTask = 256;
+
+/// A neighbor pencil of the pencil being swept: its cells, up to `end`,
+/// share one (d-1)-prefix, which lies at gap `gap` (< d) from the swept
+/// pencil's. `window` holds the swept cell's neighbors in it; it starts
+/// empty at the pencil's first cell.
+struct NeighborPencil {
+  CellRun window;
+  uint32_t end;
+  int64_t gap;
+};
 
 /// The sorted cells stored column by column: within the range of one
 /// prefix (the cells sharing coordinates 0..k-1), column k is itself
@@ -45,30 +55,76 @@ class SortedCells {
     }
   }
 
-  /// Appends the ids of the neighbors of `x` (itself included, when
-  /// present) in ascending coordinate order.
-  void AppendNeighbors(const CellCoord& x, std::vector<uint32_t>* out) const {
-    Walk(x, 0, 0, n_, 0, out);
+  /// End of the pencil that holds position `i`. At d = 1 every cell lies
+  /// in the one pencil.
+  size_t PencilEnd(size_t i) const {
+    return dims_ == 1 ? n_ : run_end_[(dims_ - 2) * n_ + i];
+  }
+
+  /// Appends the runs of the scanned cells among [lo, hi), which lie in
+  /// one pencil, to `runs`, and sets counts[c + 1] to the number of runs of
+  /// each scanned cell c. `pencils` is scratch storage.
+  void AppendRuns(std::span<const uint8_t> scan, size_t lo, size_t hi,
+                  std::vector<NeighborPencil>* pencils,
+                  std::vector<CellRun>* runs, size_t* counts) const {
+    const auto scanned = [&](size_t c) { return scan.empty() || scan[c]; };
+    while (lo < hi && !scanned(lo)) {
+      ++lo;
+    }
+    if (lo == hi) {
+      return;
+    }
+    pencils->clear();
+    Walk(lo, 0, 0, n_, 0, pencils);
+    // The cells ascend in their last coordinate, so both ends of every
+    // window only move forward.
+    const int64_t* last = cols_.data() + (dims_ - 1) * n_;
+    for (size_t c = lo; c < hi; ++c) {
+      if (!scanned(c)) {
+        continue;
+      }
+      const size_t before = runs->size();
+      for (NeighborPencil& pencil : *pencils) {
+        const GapPruning::Window w = pruning_.At(last[c], pencil.gap);
+        CellRun& run = pencil.window;
+        while (run.begin < pencil.end && last[run.begin] < w.lo) {
+          ++run.begin;
+        }
+        while (run.end < pencil.end && last[run.end] <= w.hi) {
+          ++run.end;
+        }
+        if (run.begin == run.end) {
+          continue;
+        }
+        if (runs->size() > before && runs->back().end == run.begin) {
+          runs->back().end = run.end;  // touches the previous run: merge
+        } else {
+          runs->push_back(run);
+        }
+      }
+      counts[c + 1] = runs->size() - before;
+    }
   }
 
  private:
-  // Visits the cells at sorted positions [lo, hi): the subtree of one trie
-  // node at level k, whose prefix lies at gap `gap` (< d) from x's.
-  void Walk(const CellCoord& x, size_t k, size_t lo, size_t hi, int64_t gap,
-            std::vector<uint32_t>* out) const {
+  // Visits the nodes under the trie node at level k that spans sorted
+  // positions [lo, hi), whose prefix lies at gap `gap` (< d) from that of
+  // the cell at position x. A node at level d-1 is a pencil: it is
+  // appended whole.
+  void Walk(size_t x, size_t k, size_t lo, size_t hi, int64_t gap,
+            std::vector<NeighborPencil>* out) const {
+    if (k + 1 == dims_) {
+      const uint32_t begin = static_cast<uint32_t>(lo);
+      out->push_back({{begin, begin}, static_cast<uint32_t>(hi), gap});
+      return;
+    }
     const int64_t* col = cols_.data() + k * n_;
-    const int64_t xk = x[k];
+    const int64_t xk = col[x];
     // The children inside the window are exactly those that keep the gap
     // below d, so no branch is entered only to be cut.
     const GapPruning::Window window = pruning_.At(xk, gap);
     size_t i = static_cast<size_t>(
         std::lower_bound(col + lo, col + hi, window.lo) - col);
-    if (k + 1 == dims_) {
-      for (; i < hi && col[i] <= window.hi; ++i) {  // leaves: one cell each
-        out->push_back(static_cast<uint32_t>(i));
-      }
-      return;
-    }
     const uint32_t* run_end = run_end_.data() + k * n_;
     while (i < hi && col[i] <= window.hi) {
       const size_t end = run_end[i];
@@ -98,19 +154,18 @@ NeighborCells NeighborCells::Build(std::span<const CellCoord> coords,
   const SortedCells sorted(coords);
   const size_t tasks =
       pool != nullptr ? (n + kCellsPerTask - 1) / kCellsPerTask : 1;
-  std::vector<std::vector<uint32_t>> task_ids(tasks);
-  // Task t walks the cells [t*n/tasks, (t+1)*n/tasks) into its own buffer
-  // and writes only their slots, so tasks never share one. In id order,
-  // consecutive walks search the same columns.
-  auto walk = [&](size_t t) {
-    std::vector<uint32_t>& ids = task_ids[t];
-    for (size_t c = t * n / tasks; c < (t + 1) * n / tasks; ++c) {
-      if (!scan.empty() && scan[c] == 0) {
-        continue;
-      }
-      const size_t before = ids.size();
-      sorted.AppendNeighbors(coords[c], &ids);
-      out.begin_[c + 1] = ids.size() - before;
+  std::vector<std::vector<CellRun>> task_runs(tasks);
+  // Task t sweeps the cells [t*n/tasks, (t+1)*n/tasks) into its own buffer
+  // and writes only their slots, so tasks never share one. A pencil that
+  // straddles two tasks is walked by both.
+  auto sweep = [&](size_t t) {
+    std::vector<NeighborPencil> pencils;
+    const size_t end = (t + 1) * n / tasks;
+    for (size_t c = t * n / tasks; c < end;) {
+      const size_t pencil_end = std::min(sorted.PencilEnd(c), end);
+      sorted.AppendRuns(scan, c, pencil_end, &pencils, &task_runs[t],
+                        out.begin_.data());
+      c = pencil_end;
     }
   };
   if (pool != nullptr) {
@@ -118,19 +173,19 @@ NeighborCells NeighborCells::Build(std::span<const CellCoord> coords,
     // neighborhoods are.
     pool->ParallelForDynamic(tasks, 1, [&](size_t begin, size_t end) {
       for (size_t t = begin; t < end; ++t) {
-        walk(t);
+        sweep(t);
       }
     });
   } else {
-    walk(0);
+    sweep(0);
   }
   std::partial_sum(out.begin_.begin(), out.begin_.end(), out.begin_.begin());
   if (tasks == 1) {
-    out.ids_ = std::move(task_ids[0]);
+    out.runs_ = std::move(task_runs[0]);
   } else {
-    out.ids_.reserve(out.begin_[n]);
-    for (const std::vector<uint32_t>& ids : task_ids) {
-      out.ids_.insert(out.ids_.end(), ids.begin(), ids.end());
+    out.runs_.reserve(out.begin_[n]);
+    for (const std::vector<CellRun>& runs : task_runs) {
+      out.runs_.insert(out.runs_.end(), runs.begin(), runs.end());
     }
   }
   return out;

@@ -45,7 +45,7 @@ constexpr uint32_t kMinPts = 4;
 
 struct Built {
   grid::Grid g;
-  grid::NeighborCells neighbors;  // every cell's list
+  grid::NeighborCells neighbors;  // every cell's runs
   BoundKernels kernels;
 };
 

@@ -1,7 +1,8 @@
 // Exactness of the occupied-cell neighbor walk: for every dimensionality
-// the lists must equal a brute-force pairwise Definition 8 test, and, where
-// the stencil is small enough to materialize, the stencil probe's output
-// element for element.
+// the expanded runs must equal a brute-force pairwise Definition 8 test,
+// and, where the stencil is small enough to materialize, the stencil
+// probe's output element for element. The runs themselves must be
+// ascending, disjoint and merged, one per neighbor pencil.
 #include "grid/neighbor_cells.h"
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "grid/gap_pruning.h"
 #include "grid/grid.h"
 #include "grid/neighborhood.h"
 #include "testutil.h"
@@ -63,9 +65,11 @@ std::vector<uint32_t> BruteForceList(const std::vector<CellCoord>& coords,
   return out;
 }
 
-std::vector<uint32_t> ToVector(std::span<const uint32_t> s) {
+std::vector<CellRun> ToVector(std::span<const CellRun> s) {
   return {s.begin(), s.end()};
 }
+
+using testing::ExpandRuns;
 
 // Distinct random cells: a crowded block around the origin (many
 // neighbors per cell), plus blocks next to +-4e18 (the Grid::Build limit)
@@ -100,7 +104,6 @@ std::vector<CellCoord> RandomCells(Rng* rng, size_t dims, size_t per_block) {
 TEST(NeighborCellsTest, EmptyInputHasNoCells) {
   const NeighborCells lists = NeighborCells::Build({});
   EXPECT_EQ(lists.num_cells(), 0u);
-  EXPECT_EQ(lists.num_entries(), 0u);
 }
 
 TEST(NeighborCellsTest, ListsEqualBruteForceForEveryDimensionality) {
@@ -111,20 +114,19 @@ TEST(NeighborCellsTest, ListsEqualBruteForceForEveryDimensionality) {
     ASSERT_EQ(lists.num_cells(), coords.size()) << "d=" << d;
     size_t entries = 0;
     for (uint32_t c = 0; c < coords.size(); ++c) {
-      const std::vector<uint32_t> got = ToVector(lists.Of(c));
+      const std::vector<uint32_t> got = ExpandRuns(lists.Of(c));
       ASSERT_EQ(got, BruteForceList(coords, c))
           << "d=" << d << " cell " << coords[c];
       EXPECT_NE(std::find(got.begin(), got.end(), c), got.end())
           << "d=" << d << ": a cell is its own neighbor";
       for (uint32_t nc : got) {
-        const auto back = lists.Of(nc);
+        const std::vector<uint32_t> back = ExpandRuns(lists.Of(nc));
         EXPECT_NE(std::find(back.begin(), back.end(), c), back.end())
             << "d=" << d << ": " << coords[c] << " -> " << coords[nc]
             << " is not symmetric";
       }
       entries += got.size();
     }
-    EXPECT_EQ(lists.num_entries(), entries);
     // The crowded block must actually exercise the pruning.
     EXPECT_GT(entries, 2 * coords.size()) << "d=" << d;
   }
@@ -140,11 +142,13 @@ TEST(NeighborCellsTest, ListsEqualBruteForceForEveryDimensionality) {
                                         coord2(50, 50)};
   const NeighborCells lists = NeighborCells::Build(fixed);
   const std::vector<uint32_t> block = {0, 1, 2};
-  EXPECT_EQ(ToVector(lists.Of(0)), block);
-  EXPECT_EQ(ToVector(lists.Of(1)), block);
-  EXPECT_EQ(ToVector(lists.Of(2)), block);
-  EXPECT_EQ(ToVector(lists.Of(3)), std::vector<uint32_t>{3});
-  EXPECT_EQ(ToVector(lists.Of(4)), std::vector<uint32_t>{4});
+  EXPECT_EQ(ExpandRuns(lists.Of(0)), block);
+  EXPECT_EQ(ExpandRuns(lists.Of(1)), block);
+  EXPECT_EQ(ExpandRuns(lists.Of(2)), block);
+  EXPECT_EQ(ExpandRuns(lists.Of(3)), std::vector<uint32_t>{3});
+  EXPECT_EQ(ExpandRuns(lists.Of(4)), std::vector<uint32_t>{4});
+  // Three pencils (x = 0, 1, 2) whose runs touch, so they merge into one.
+  EXPECT_EQ(ToVector(lists.Of(1)), (std::vector<CellRun>{{0, 3}}));
 }
 
 TEST(NeighborCellsTest, ListsEqualTheStencilProbeInOrder) {
@@ -162,7 +166,7 @@ TEST(NeighborCellsTest, ListsEqualTheStencilProbeInOrder) {
       std::vector<uint32_t> probed;
       g->ForEachNeighborCell(c, **stencil,
                              [&](uint32_t nc) { probed.push_back(nc); });
-      ASSERT_EQ(ToVector(lists.Of(c)), probed)
+      ASSERT_EQ(ExpandRuns(lists.Of(c)), probed)
           << "d=" << d << " cell " << g->CoordOf(c);
     }
   }
@@ -197,9 +201,93 @@ TEST(NeighborCellsTest, PoolBuildEqualsSingleThreadedBuild) {
   ThreadPool pool(3);
   const NeighborCells serial = NeighborCells::Build(coords, scan);
   const NeighborCells pooled = NeighborCells::Build(coords, scan, &pool);
-  ASSERT_EQ(pooled.num_entries(), serial.num_entries());
+  ASSERT_EQ(pooled.num_cells(), serial.num_cells());
   for (uint32_t c = 0; c < coords.size(); ++c) {
     EXPECT_EQ(ToVector(pooled.Of(c)), ToVector(serial.Of(c))) << c;
+  }
+}
+
+// A cell's runs are non-empty, strictly ascending and never touch (a run
+// that would start where the previous one ended is merged into it), and
+// one of them holds the cell itself.
+TEST(NeighborCellsTest, RunsAreAscendingDisjointAndMerged) {
+  for (size_t d = 1; d <= kMaxDims; ++d) {
+    Rng rng(300 + d);
+    const std::vector<CellCoord> coords = RandomCells(&rng, d, 80);
+    const NeighborCells lists = NeighborCells::Build(coords);
+    size_t runs = 0;
+    size_t cells = 0;
+    for (uint32_t c = 0; c < coords.size(); ++c) {
+      const auto of = lists.Of(c);
+      ASSERT_FALSE(of.empty()) << "d=" << d;
+      bool self = false;
+      for (size_t i = 0; i < of.size(); ++i) {
+        ASSERT_LT(of[i].begin, of[i].end) << "d=" << d << " cell " << c;
+        ASSERT_LE(of[i].end, coords.size());
+        if (i > 0) {
+          ASSERT_LT(of[i - 1].end, of[i].begin)
+              << "d=" << d << " cell " << c << ": runs " << i - 1 << " and "
+              << i << " overlap or touch";
+        }
+        self = self || (of[i].begin <= c && c < of[i].end);
+        cells += of[i].end - of[i].begin;
+      }
+      EXPECT_TRUE(self) << "d=" << d << " cell " << c;
+      runs += of.size();
+    }
+    // Runs do hold several cells each somewhere (d >= 2 has pencils with
+    // more than one neighbor in them).
+    EXPECT_LT(runs, cells) << "d=" << d;
+  }
+}
+
+// Table I from the runs: in a fully occupied block, an interior cell's runs
+// cover exactly its k_d stencil cells, and each neighbor pencil holds one
+// run. The block reaches one cell past the stencil on every side, so no
+// run fills its pencil and no two runs merge: at d = 4, 609 cells in 125
+// runs (the 5^3 prefixes within reach).
+TEST(NeighborCellsTest, FullBlockInteriorCellCoversTableI) {
+  for (size_t d = 1; d <= 5; ++d) {
+    const int64_t reach = GapPruning(d).At(0, 0).hi;
+    const int64_t side = 2 * reach + 3;
+    std::vector<CellCoord> coords;
+    CellCoord c = CellCoord::Zero(d);
+    size_t total = 1;
+    for (size_t k = 0; k < d; ++k) {
+      total *= static_cast<size_t>(side);
+    }
+    for (size_t i = 0; i < total; ++i) {  // lexicographic order
+      size_t rest = i;
+      for (size_t k = d; k-- > 0;) {
+        c[k] = static_cast<int64_t>(rest % side);
+        rest /= side;
+      }
+      coords.push_back(c);
+    }
+    // The center cell is the only one scanned.
+    const uint32_t center = static_cast<uint32_t>(total / 2);
+    std::vector<uint8_t> scan(total, 0);
+    scan[center] = 1;
+    const NeighborCells lists = NeighborCells::Build(coords, scan);
+    const auto runs = lists.Of(center);
+    const std::vector<uint32_t> cells = ExpandRuns(runs);
+    auto k_d = CountNeighborOffsets(d);
+    ASSERT_TRUE(k_d.ok());
+    EXPECT_EQ(cells.size(), *k_d) << "d=" << d;
+    std::set<std::vector<int64_t>> prefixes;
+    for (uint32_t nc : cells) {
+      ASSERT_TRUE(BruteForceNeighbors(coords[center], coords[nc]));
+      std::vector<int64_t> prefix;
+      for (size_t k = 0; k + 1 < d; ++k) {
+        prefix.push_back(coords[nc][k]);
+      }
+      prefixes.insert(prefix);
+    }
+    EXPECT_EQ(runs.size(), prefixes.size()) << "d=" << d;
+    if (d == 4) {
+      EXPECT_EQ(cells.size(), 609u);
+      EXPECT_EQ(runs.size(), 125u);
+    }
   }
 }
 

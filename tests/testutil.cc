@@ -112,4 +112,14 @@ std::vector<uint64_t> Widen(const std::vector<uint32_t>& ids) {
   return std::vector<uint64_t>(ids.begin(), ids.end());
 }
 
+std::vector<uint32_t> ExpandRuns(std::span<const grid::CellRun> runs) {
+  std::vector<uint32_t> ids;
+  for (const grid::CellRun& run : runs) {
+    for (uint32_t c = run.begin; c < run.end; ++c) {
+      ids.push_back(c);
+    }
+  }
+  return ids;
+}
+
 }  // namespace dbscout::testing

@@ -2,11 +2,13 @@
 #define DBSCOUT_TESTS_TESTUTIL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/detection.h"
 #include "data/point_set.h"
+#include "grid/neighbor_cells.h"
 
 namespace dbscout::testing {
 
@@ -37,6 +39,9 @@ PointSet LatticePoints(size_t per_side, size_t dims, double step);
 /// `ids` widened to the incremental detector's uint64 ids, so batch
 /// engines' outlier lists compare with IncrementalDetector::Outliers().
 std::vector<uint64_t> Widen(const std::vector<uint32_t>& ids);
+
+/// The cell ids of grid::NeighborCells runs, in run order.
+std::vector<uint32_t> ExpandRuns(std::span<const grid::CellRun> runs);
 
 }  // namespace dbscout::testing
 

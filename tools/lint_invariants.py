@@ -817,7 +817,8 @@ def self_test() -> int:
     expect("neighbor-discovery-locality",
            list(check_neighbor_discovery_locality(
                "src/baselines/rp_dbscan.cc", bad)), 4, "baselines-in-scope")
-    ok = lines("for (uint32_t nc : neighbors.Of(c)) {\n"
+    ok = lines("for (const grid::CellRun& run : neighbors.Of(c)) {\n"
+               "  for (uint32_t nc = run.begin; nc < run.end; ++nc) {\n"
                "const grid::NeighborCells lists =\n"
                "    grid::NeighborCells::Build(g.CellCoords(), scan);\n"
                "csr->begin[c + 1] = offsets[c];\n"
