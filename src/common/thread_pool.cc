@@ -6,9 +6,10 @@
 namespace dbscout {
 namespace {
 
-// Tracks whether the current thread is already running inside a pool task so
-// nested ParallelFor calls can fall back to inline execution.
-thread_local bool t_inside_pool_task = false;
+// The pool whose worker the current thread is; null on any other thread.
+// A loop fanned out onto this same pool runs inline (see the class
+// comment), one onto any other pool does not.
+thread_local const ThreadPool* t_worker_of = nullptr;
 
 }  // namespace
 
@@ -48,7 +49,7 @@ void ThreadPool::WaitIdle() {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_inside_pool_task = true;
+  t_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -74,26 +75,22 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& fn) {
-  ParallelForChunked(count, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      fn(i);
-    }
-  });
-}
-
-void ThreadPool::ParallelForChunked(
-    size_t count, const std::function<void(size_t, size_t)>& fn) {
+void ParallelForDynamic(ThreadPool* pool, size_t count, size_t chunk_size,
+                        const std::function<void(size_t, size_t)>& fn) {
   if (count == 0) {
     return;
   }
-  if (t_inside_pool_task || threads_.size() == 1 || count == 1) {
+  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
+  if (chunk_size == 0) {
+    chunk_size = std::max<size_t>(1, count / (8 * threads));
+  }
+  if (threads == 1 || t_worker_of == pool || count <= chunk_size) {
     fn(0, count);
     return;
   }
-  const size_t num_chunks = std::min(count, threads_.size());
-  const size_t chunk = (count + num_chunks - 1) / num_chunks;
+  const size_t num_workers =
+      std::min(threads, (count + chunk_size - 1) / chunk_size);
+  std::atomic<size_t> next{0};
   // `done` must be mutated and read under done_mu (not a bare atomic): the
   // caller may only pass the wait after the final worker has released the
   // lock, making that unlock the worker's last touch of these locals —
@@ -102,46 +99,8 @@ void ThreadPool::ParallelForChunked(
   size_t done = 0;
   Mutex done_mu;
   CondVar done_cv;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(count, begin + chunk);
-    Submit([&, begin, end] {
-      fn(begin, end);
-      MutexLock lock(done_mu);
-      if (++done == num_chunks) {
-        done_cv.NotifyAll();
-      }
-    });
-  }
-  MutexLock lock(done_mu);
-  while (done != num_chunks) {
-    done_cv.Wait(done_mu);
-  }
-}
-
-void ThreadPool::ParallelForDynamic(
-    size_t count, size_t chunk_size,
-    const std::function<void(size_t, size_t)>& fn) {
-  if (count == 0) {
-    return;
-  }
-  if (chunk_size == 0) {
-    chunk_size = std::max<size_t>(1, count / (8 * threads_.size()));
-  }
-  if (t_inside_pool_task || threads_.size() == 1 || count <= chunk_size) {
-    fn(0, count);
-    return;
-  }
-  const size_t num_workers =
-      std::min(threads_.size(), (count + chunk_size - 1) / chunk_size);
-  std::atomic<size_t> next{0};
-  // Guarded by done_mu; see ParallelForChunked for why this cannot be a
-  // bare atomic checked outside the lock.
-  size_t done = 0;
-  Mutex done_mu;
-  CondVar done_cv;
   for (size_t w = 0; w < num_workers; ++w) {
-    Submit([&, chunk_size] {
+    pool->Submit([&, chunk_size] {
       for (;;) {
         const size_t begin = next.fetch_add(chunk_size);
         if (begin >= count) {
@@ -163,13 +122,11 @@ void ThreadPool::ParallelForDynamic(
 
 void RunTasks(ThreadPool* pool, size_t tasks,
               const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(tasks, fn);
-  } else {
-    for (size_t t = 0; t < tasks; ++t) {
+  ParallelForDynamic(pool, tasks, 1, [&fn](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
       fn(t);
     }
-  }
+  });
 }
 
 }  // namespace dbscout

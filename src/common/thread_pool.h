@@ -11,12 +11,25 @@
 
 namespace dbscout {
 
-/// Fixed-size worker pool. Tasks are arbitrary void() callables; WaitIdle()
-/// blocks until every submitted task has finished. Every parallel path runs
-/// on one: the dataflow engine's partitions (dataflow/context.h), the grid
-/// and neighbor-list builds, the phase loops of core::phases::RunPhases, the
-/// out-of-core passes and the service's apply waves. APIs that take a
-/// `ThreadPool*` run inline when it is null.
+/// Fixed-size worker pool. Loops fan out over it through the two free
+/// functions below, never through Submit: ParallelForDynamic, where workers
+/// claim chunks of an index range, and RunTasks, the same with chunks of
+/// one index. Both take a nullable pool and run inline without one. Their
+/// users: the dataflow stages (one task per partition, dataflow/dataset.h
+/// and pair_ops.h), Grid::Build, NeighborCells::Build, the per-cell loops
+/// of core::phases::RunPhases, DetectExternal's streaming passes and the
+/// slab-block waves of IncrementalDetector::AddBatchParallel. Submit and
+/// WaitIdle serve only long-lived loops and their shutdown: the server's
+/// accept and session loops and the service's apply loop.
+///
+/// Nesting is per pool. A loop called from a worker of the same pool runs
+/// inline, since every other worker may be waiting in the very loop that
+/// called it. A loop called from a worker of another pool fans out onto
+/// its own pool as usual (the service's apply loop, a worker of a pool of
+/// one, spreads each wave over the apply workers this way). So a task must
+/// never fan out onto a pool one of whose workers is blocked waiting for
+/// that task: with that pool's workers all blocked, nothing would claim
+/// the chunks.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (minimum 1).
@@ -35,26 +48,6 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Runs fn(i) for i in [0, count), distributing contiguous chunks over the
-  /// workers, and waits for completion. Reentrant calls (fn itself calling
-  /// ParallelFor on the same pool) run inline to avoid deadlock.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
-  /// Runs fn(chunk_begin, chunk_end) over ~num_threads contiguous chunks and
-  /// waits. Lower overhead than per-index ParallelFor.
-  void ParallelForChunked(
-      size_t count, const std::function<void(size_t, size_t)>& fn);
-
-  /// Like ParallelForChunked, but dynamically load-balanced: workers claim
-  /// chunks of `chunk_size` indices from a shared atomic counter until the
-  /// range is exhausted. Use when per-index cost is skewed (e.g. grid cells
-  /// with wildly different populations), where static chunking leaves
-  /// workers idle. chunk_size 0 picks count / (8 * num_threads), min 1.
-  /// Reentrant calls run inline, like ParallelForChunked.
-  void ParallelForDynamic(
-      size_t count, size_t chunk_size,
-      const std::function<void(size_t, size_t)>& fn);
-
  private:
   void WorkerLoop() DBSCOUT_EXCLUDES(mu_);
 
@@ -67,10 +60,19 @@ class ThreadPool {
   std::vector<std::thread> threads_;  // immutable after the constructor
 };
 
-/// Runs fn(t) for every task t < tasks: on `pool`'s workers when there is
-/// one, in order on this thread otherwise. The "tasks on a pool, or inline"
-/// helper of the code that splits its input into one task per pool thread
-/// (Grid::Build, DetectExternal's streaming passes).
+/// Runs fn(begin, end) over chunks of `chunk_size` indices covering
+/// [0, count) and returns when all have run. `pool`'s workers claim the
+/// chunks one at a time from a shared counter, so skewed per-index costs
+/// (grid cells with wildly different populations) still balance. Runs
+/// fn(0, count) once on this thread when `pool` is null or has one thread,
+/// when the range fits one chunk, or when this thread is a worker of
+/// `pool` (see the class comment). chunk_size 0 picks
+/// count / (8 * threads), min 1.
+void ParallelForDynamic(ThreadPool* pool, size_t count, size_t chunk_size,
+                        const std::function<void(size_t, size_t)>& fn);
+
+/// Runs fn(t) for every task t < tasks: ParallelForDynamic with chunks of
+/// one, so inline and in order when it runs inline.
 void RunTasks(ThreadPool* pool, size_t tasks,
               const std::function<void(size_t)>& fn);
 

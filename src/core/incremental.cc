@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/str_util.h"
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/phases/insert_kernels.h"
@@ -618,48 +617,39 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
     }
   };
 
-  if (pool == nullptr || blocks.size() < 2) {
-    WallTimer timer;
-    ApplyCtx ctx;
-    for (const auto& [block, gis] : blocks) {
-      for (size_t gi : gis) {
-        run_group(groups[gi], &ctx);
-      }
-    }
-    MergeCtx(ctx);
-    if (stats != nullptr) {
-      stats->task_seconds.push_back(timer.ElapsedSeconds());
-    }
-    return Status::OK();
-  }
-
   // ---- Three conflict-free waves (see grid/regions.h: same-wave blocks
   // are >= 3 apart, and a block task's read/write footprint spans at most
-  // one block to each side). Each task owns a private ApplyCtx; counter
-  // deltas and task timings merge under the mutex as tasks finish. ----
-  Mutex merge_mu;
+  // one block to each side). A wave is one RunTasks over its blocks, on
+  // `pool` or in order on this thread; each block task fills its own
+  // ApplyCtx and seconds slot, merged serially once the wave has run. The
+  // next wave's blocks may read state this wave wrote. ----
+  std::vector<const std::vector<size_t>*> wave_blocks;
   for (int wave = 0; wave < grid::kNumWaves; ++wave) {
+    wave_blocks.clear();
     for (const auto& [block, gis] : blocks) {
-      if (grid::WaveOf(block) != wave) {
-        continue;
+      if (grid::WaveOf(block) == wave) {
+        wave_blocks.push_back(&gis);
       }
-      const std::vector<size_t>* task_groups = &gis;
-      pool->Submit([this, task_groups, &groups, &run_group, &merge_mu,
-                    stats] {
-        WallTimer timer;
-        ApplyCtx ctx;
-        for (size_t gi : *task_groups) {
-          run_group(groups[gi], &ctx);
-        }
-        MutexLock lock(merge_mu);
-        MergeCtx(ctx);
-        if (stats != nullptr) {
-          stats->task_seconds.push_back(timer.ElapsedSeconds());
-        }
-      });
     }
-    // Wave barrier: the next wave's blocks may read state this wave wrote.
-    pool->WaitIdle();
+    std::vector<ApplyCtx> ctxs(wave_blocks.size());
+    std::vector<double> seconds(wave_blocks.size());
+    RunTasks(pool, wave_blocks.size(), [&](size_t t) {
+      WallTimer timer;
+      ApplyCtx ctx;
+      for (size_t gi : *wave_blocks[t]) {
+        run_group(groups[gi], &ctx);
+      }
+      // Stored once, at the end: neighboring slots share cache lines.
+      ctxs[t] = std::move(ctx);
+      seconds[t] = timer.ElapsedSeconds();
+    });
+    for (const ApplyCtx& ctx : ctxs) {
+      MergeCtx(ctx);
+    }
+    if (stats != nullptr) {
+      stats->task_seconds.insert(stats->task_seconds.end(), seconds.begin(),
+                                 seconds.end());
+    }
   }
   return Status::OK();
 }

@@ -37,9 +37,9 @@ struct ProbeResult {
   uint64_t distance_comps = 0;
 };
 
-/// Per-pass statistics of one batch apply: the wall time of each executed
-/// dim-0 slab-block task (one entry when the batch ran inline). Feeds the
-/// service's dbscout_apply_task_seconds histogram.
+/// Per-pass statistics of one batch apply: the wall time of each dim-0
+/// slab-block task, wave by wave, whether it ran on a pool or inline.
+/// Feeds the service's dbscout_apply_task_seconds histogram.
 struct ApplyStats {
   std::vector<double> task_seconds;
 };
@@ -225,7 +225,7 @@ class IncrementalDetector {
   Status AddBatch(const PointSet& batch);
 
   /// Inserts every point of `batch` in slab-block wave tasks on `pool`
-  /// (nullptr runs the same grouped scan inline, single-threaded).
+  /// (nullptr runs the same waves inline, single-threaded).
   /// Validates the whole batch first (atomic failure, as AddBatch).
   /// `stats`, when non-null, receives the seconds of every task.
   Status AddBatchParallel(const PointSet& batch, ThreadPool* pool,

@@ -17,9 +17,9 @@ namespace {
 constexpr size_t kDynamicCellChunk = 32;
 
 /// Runs body(c, scratch) for every cell c in [begin, end) and returns the
-/// sum of the bodies' uint64 results (the distance counters): inline
-/// without a pool, in chunks of kDynamicCellChunk cells claimed by `pool`'s
-/// workers with one. `scratch` is reusable storage private to the chunk.
+/// sum of the bodies' uint64 results (the distance counters), in chunks of
+/// kDynamicCellChunk cells claimed by `pool`'s workers (one chunk inline
+/// without a pool). `scratch` is reusable storage private to the chunk.
 /// Each body writes only its own cell's slots, so the result is the same
 /// either way.
 template <typename Body>
@@ -33,15 +33,12 @@ uint64_t ForEachCell(ThreadPool* pool, uint32_t begin, uint32_t end,
     }
     return sum;
   };
-  if (pool == nullptr) {
-    return run(begin, end);
-  }
   std::atomic<uint64_t> total{0};
-  pool->ParallelForDynamic(end - begin, kDynamicCellChunk,
-                           [&](size_t lo, size_t hi) {
-                             total.fetch_add(run(begin + lo, begin + hi),
-                                             std::memory_order_relaxed);
-                           });
+  ParallelForDynamic(pool, end - begin, kDynamicCellChunk,
+                     [&](size_t lo, size_t hi) {
+                       total.fetch_add(run(begin + lo, begin + hi),
+                                       std::memory_order_relaxed);
+                     });
   return total.load(std::memory_order_relaxed);
 }
 

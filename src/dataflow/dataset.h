@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dataflow/context.h"
 
@@ -170,7 +171,7 @@ class Dataset {
     std::atomic<uint64_t> in_records{0};
     std::atomic<uint64_t> out_records{0};
     obs::TraceCollector* const trace = ctx_->trace();
-    ctx_->pool().ParallelFor(parts_->size(), [&](size_t p) {
+    RunTasks(&ctx_->pool(), parts_->size(), [&](size_t p) {
       const std::vector<T>& in = (*parts_)[p];
       if (trace != nullptr) {
         // Per-worker task span: one per partition, attributed to the

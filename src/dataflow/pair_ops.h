@@ -31,7 +31,7 @@ std::vector<std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
   std::vector<std::vector<std::vector<std::pair<K, V>>>> shuffle(
       in.num_partitions());
   std::atomic<uint64_t> moved{0};
-  ctx->pool().ParallelFor(in.num_partitions(), [&](size_t p) {
+  RunTasks(&ctx->pool(), in.num_partitions(), [&](size_t p) {
     auto& local = shuffle[p];
     local.resize(buckets);
     for (const auto& kv : in.partition(p)) {
@@ -75,7 +75,7 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& in,
   std::vector<std::vector<std::vector<std::pair<K, V>>>> shuffle(
       in.num_partitions());
   std::atomic<uint64_t> shuffled{0};
-  ctx->pool().ParallelFor(in.num_partitions(), [&](size_t p) {
+  RunTasks(&ctx->pool(), in.num_partitions(), [&](size_t p) {
     std::unordered_map<K, V, Hash> combined(16, hash);
     for (const auto& kv : in.partition(p)) {
       fold(&combined, kv.first, kv.second);
@@ -91,7 +91,7 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& in,
 
   typename Dataset<std::pair<K, V>>::Partitions out(buckets);
   std::atomic<uint64_t> out_records{0};
-  ctx->pool().ParallelFor(buckets, [&](size_t b) {
+  RunTasks(&ctx->pool(), buckets, [&](size_t b) {
     std::unordered_map<K, V, Hash> acc(16, hash);
     for (const auto& per_part : shuffle) {
       for (const auto& kv : per_part[b]) {
@@ -132,7 +132,7 @@ Dataset<std::pair<K, std::vector<V>>> GroupByKey(
 
   typename Dataset<std::pair<K, std::vector<V>>>::Partitions out(buckets);
   std::atomic<uint64_t> out_records{0};
-  ctx->pool().ParallelFor(buckets, [&](size_t b) {
+  RunTasks(&ctx->pool(), buckets, [&](size_t b) {
     std::unordered_map<K, std::vector<V>, Hash> acc(16, hash);
     for (const auto& per_part : shuffle) {
       for (const auto& kv : per_part[b]) {
@@ -181,7 +181,7 @@ Dataset<std::pair<K, std::pair<V, W>>> Join(
 
   typename Dataset<std::pair<K, std::pair<V, W>>>::Partitions out(buckets);
   std::atomic<uint64_t> out_records{0};
-  ctx->pool().ParallelFor(buckets, [&](size_t b) {
+  RunTasks(&ctx->pool(), buckets, [&](size_t b) {
     std::unordered_multimap<K, V, Hash> build(16, hash);
     for (const auto& per_part : left_shuffle) {
       for (const auto& kv : per_part[b]) {

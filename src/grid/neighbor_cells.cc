@@ -9,8 +9,8 @@
 namespace dbscout::grid {
 namespace {
 
-// Cells per task when the build runs on a pool: coarse enough to amortize
-// the claim and the pencil walks, fine enough to balance clustered grids.
+// Cells per task: coarse enough to amortize the claim and the pencil walks,
+// fine enough to balance clustered grids on a pool.
 constexpr size_t kCellsPerTask = 256;
 
 /// A neighbor pencil of the pencil being swept: its cells, up to `end`,
@@ -152,8 +152,7 @@ NeighborCells NeighborCells::Build(std::span<const CellCoord> coords,
     return out;
   }
   const SortedCells sorted(coords);
-  const size_t tasks =
-      pool != nullptr ? (n + kCellsPerTask - 1) / kCellsPerTask : 1;
+  const size_t tasks = (n + kCellsPerTask - 1) / kCellsPerTask;
   std::vector<std::vector<CellRun>> task_runs(tasks);
   // Task t sweeps the cells [t*n/tasks, (t+1)*n/tasks) into its own buffer
   // and writes only their slots, so tasks never share one. A pencil that
@@ -168,17 +167,9 @@ NeighborCells NeighborCells::Build(std::span<const CellCoord> coords,
       c = pencil_end;
     }
   };
-  if (pool != nullptr) {
-    // One task per claim: a task's cost follows how crowded its cells'
-    // neighborhoods are.
-    pool->ParallelForDynamic(tasks, 1, [&](size_t begin, size_t end) {
-      for (size_t t = begin; t < end; ++t) {
-        sweep(t);
-      }
-    });
-  } else {
-    sweep(0);
-  }
+  // One task per claim: a task's cost follows how crowded its cells'
+  // neighborhoods are.
+  RunTasks(pool, tasks, sweep);
   std::partial_sum(out.begin_.begin(), out.begin_.end(), out.begin_.begin());
   if (tasks == 1) {
     out.runs_ = std::move(task_runs[0]);

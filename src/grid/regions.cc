@@ -1,22 +1,12 @@
 #include "grid/regions.h"
 
-#include <algorithm>
-
 namespace dbscout::grid {
 
 std::vector<Stripe> PlanStripes(
-    const std::map<int64_t, uint64_t>& slab_histogram, uint64_t target,
-    uint64_t num_stripes) {
+    const std::map<int64_t, uint64_t>& slab_histogram, uint64_t target) {
   std::vector<Stripe> stripes;
   if (slab_histogram.empty()) {
     return stripes;
-  }
-  if (num_stripes > 0) {
-    uint64_t total = 0;
-    for (const auto& [slab, count] : slab_histogram) {
-      total += count;
-    }
-    target = std::max<uint64_t>(1, total / num_stripes);
   }
   Stripe current;
   current.slab_lo = slab_histogram.begin()->first;

@@ -39,12 +39,10 @@ inline int64_t HaloSlabs(size_t dims) { return 2 * SlabReach(dims); }
 
 /// Greedy stripe planning over an ordered dim-0 slab histogram: accumulate
 /// consecutive slabs until adding the next would exceed `target` points,
-/// then start a new stripe. When `num_stripes` > 0 it overrides `target`
-/// with total/num_stripes. Returns stripes sorted by slab, contiguous over
+/// then start a new stripe. Returns stripes sorted by slab, contiguous over
 /// the histogram's populated range; empty when the histogram is empty.
 std::vector<Stripe> PlanStripes(
-    const std::map<int64_t, uint64_t>& slab_histogram, uint64_t target,
-    uint64_t num_stripes);
+    const std::map<int64_t, uint64_t>& slab_histogram, uint64_t target);
 
 /// Index of the first stripe whose slab_hi >= slab (stripes sorted by
 /// slab); stripes.size() when none. Binary search.

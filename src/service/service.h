@@ -416,10 +416,12 @@ class DetectionService {
   std::array<obs::Histogram*, kNumVerbSlots> request_seconds_{};
 
   /// Workers AddBatchParallel fans slab-block tasks out on, one per
-  /// hardware thread; null on a single core (serial apply). Its wave
-  /// barriers WaitIdle() the pool, so the apply loop runs one collection's
-  /// detector at a time. Declared before apply_pool_ so the apply loop
-  /// never outlives its workers.
+  /// hardware thread; null on a single core (serial apply). Each wave is
+  /// one RunTasks over its blocks, called from the apply loop: a worker of
+  /// apply_pool_, not of this pool, so the waves do fan out (nesting is
+  /// per pool, common/thread_pool.h). Only the apply loop uses it, one
+  /// collection's detector at a time. Declared before apply_pool_ so the
+  /// apply loop never outlives its workers.
   std::unique_ptr<ThreadPool> apply_workers_;
 
   /// Declared last so it is destroyed first: the apply-loop task has

@@ -109,8 +109,6 @@ Status ApplyRecordToState(const WalRecord& record, CollectionState* state) {
     case WalRecordType::kConfigure:
       state->ttl_seconds = record.ttl_seconds;
       return Status::OK();
-    case WalRecordType::kPlan:
-      return Status::OK();  // legacy, ignored
   }
   return Status::IoError("unknown wal record type");
 }
@@ -162,8 +160,7 @@ Status WriteSnapshotFile(const std::string& path,
   return SyncParentDir(path);
 }
 
-Result<CollectionState> ReadSnapshotFile(const std::string& path,
-                                         uint32_t* version_out) {
+Result<CollectionState> ReadSnapshotFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Errno("open snapshot", path);
@@ -207,7 +204,7 @@ Result<CollectionState> ReadSnapshotFile(const std::string& path,
     return Status::IoError(
         StrFormat("%s: not a snapshot (bad magic)", path.c_str()));
   }
-  if (version != kSnapshotVersion && version != kSnapshotVersionAllRows) {
+  if (version != kSnapshotVersion) {
     return Status::IoError(StrFormat("%s: unsupported snapshot version %u",
                                      path.c_str(), version));
   }
@@ -233,21 +230,6 @@ Result<CollectionState> ReadSnapshotFile(const std::string& path,
   DBSCOUT_ASSIGN_OR_RETURN(state.epoch, reader.Read<uint64_t>());
   DBSCOUT_ASSIGN_OR_RETURN(state.window_begin, reader.Read<uint64_t>());
   DBSCOUT_ASSIGN_OR_RETURN(state.ttl_seconds, reader.Read<double>());
-  if (version == kSnapshotVersionAllRows) {
-    DBSCOUT_ASSIGN_OR_RETURN(const uint8_t has_plan, reader.Read<uint8_t>());
-    if (has_plan > 1) {
-      return Status::IoError(
-          StrFormat("%s: malformed snapshot plan flag", path.c_str()));
-    }
-    if (has_plan == 1) {
-      // Legacy plan block, [i64 halo][u32 count][count x 2 i64]: skipped.
-      DBSCOUT_RETURN_IF_ERROR(reader.Read<int64_t>().status());
-      DBSCOUT_ASSIGN_OR_RETURN(const uint32_t count,
-                               reader.Read<uint32_t>());
-      DBSCOUT_RETURN_IF_ERROR(
-          reader.ReadBytes(static_cast<uint64_t>(count) * 16).status());
-    }
-  }
   DBSCOUT_ASSIGN_OR_RETURN(const uint64_t ncoords, reader.Read<uint64_t>());
   DBSCOUT_ASSIGN_OR_RETURN(state.coords, reader.ReadDoubles(ncoords));
   if (!reader.AtEnd()) {
@@ -262,26 +244,15 @@ Result<CollectionState> ReadSnapshotFile(const std::string& path,
     return Status::IoError(
         StrFormat("%s: snapshot window past epoch", path.c_str()));
   }
-  // The coordinate block must hold exactly its rows: version 1 stores
-  // every id, version 2 only the window. The product is checked without
-  // overflow (ReadDoubles already bounded the block by the file size).
-  const uint64_t first_row =
-      version == kSnapshotVersionAllRows ? 0 : state.window_begin;
-  const uint64_t rows = state.epoch - first_row;
+  // The coordinate block must hold exactly the window's rows. The product
+  // is checked without overflow (ReadDoubles already bounded the block by
+  // the file size).
+  const uint64_t rows = state.epoch - state.window_begin;
   if (state.dims != 0 &&
       (rows > state.coords.size() / state.dims ||
        rows * state.dims != state.coords.size())) {
     return Status::IoError(
         StrFormat("%s: snapshot coords do not match its rows", path.c_str()));
-  }
-  if (first_row < state.window_begin) {
-    state.coords.erase(state.coords.begin(),
-                       state.coords.begin() +
-                           static_cast<std::ptrdiff_t>(state.window_begin *
-                                                       state.dims));
-  }
-  if (version_out != nullptr) {
-    *version_out = version;
   }
   return state;
 }

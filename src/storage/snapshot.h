@@ -41,33 +41,27 @@ Status ApplyRecordToState(const WalRecord& record, CollectionState* state);
 ///
 ///   [u32 magic "DBSP"][u32 version][u64 payload_len][payload][u32 crc]
 ///
-/// Version 2 (written) payload, in codec encoding: u16 dims, u64 epoch,
-/// u64 window_begin, f64 ttl, u64 coordinate count, then the live rows
-/// [window_begin, epoch) — the same row-major double layout as the DBSC
-/// point-stream format.
-///
-/// Version 1 (read only) has a u8 plan flag after the ttl (a legacy flag
-/// of 1 announces a plan block, which is skipped) and the rows of EVERY id
-/// in [0, epoch); the reader drops the expired prefix. The trailing CRC32C
-/// covers the payload; a mismatch, a short file or a coordinate count that
-/// is not exactly the row count times dims rejects the snapshot, so
-/// recovery falls back to the previous generation.
+/// The payload of version 2, the only one read or written, in codec
+/// encoding: u16 dims, u64 epoch, u64 window_begin, f64 ttl, u64
+/// coordinate count, then the live rows [window_begin, epoch) — the same
+/// row-major double layout as the DBSC point-stream format. The trailing
+/// CRC32C covers the payload; a mismatch, any other version, a short file
+/// or a coordinate count that is not exactly the row count times dims
+/// rejects the snapshot, so recovery falls back to the previous
+/// generation.
 inline constexpr uint32_t kSnapshotMagic = 0x50534244;  // "DBSP" LE
 inline constexpr uint32_t kSnapshotVersion = 2;
-inline constexpr uint32_t kSnapshotVersionAllRows = 1;
 
 /// Writes atomically: tmp file + fdatasync + rename + directory fsync.
 /// A crash mid-write leaves the previous snapshot untouched.
 Status WriteSnapshotFile(const std::string& path,
                          const CollectionState& state);
 
-/// Reads and validates (magic, version, length, CRC, row count) either
-/// version into the window-only state. IoError on any mismatch — the
+/// Reads and validates (magic, version, length, CRC, row count) a
+/// snapshot into the window-only state. IoError on any mismatch — the
 /// caller treats that as "this generation is unusable", not as data loss,
-/// as long as an older generation + WAL suffix exists. `version`, when
-/// non-null, receives the file's format version.
-Result<CollectionState> ReadSnapshotFile(const std::string& path,
-                                         uint32_t* version = nullptr);
+/// as long as an older generation + WAL suffix exists.
+Result<CollectionState> ReadSnapshotFile(const std::string& path);
 
 }  // namespace dbscout::storage
 

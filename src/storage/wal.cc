@@ -77,12 +77,6 @@ std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
     case WalRecordType::kConfigure:
       Put<double>(&out, record.ttl_seconds);
       break;
-    case WalRecordType::kPlan:
-      // Legacy and never logged; an empty plan (halo, zero stripes) keeps
-      // the encoding total over the record types.
-      Put<int64_t>(&out, 0);
-      Put<uint32_t>(&out, 0);
-      break;
   }
   return out;
 }
@@ -92,7 +86,7 @@ Result<WalRecord> DecodeWalRecord(std::span<const uint8_t> payload) {
   WalRecord record;
   DBSCOUT_ASSIGN_OR_RETURN(const uint8_t raw, reader.Read<uint8_t>());
   if (raw < static_cast<uint8_t>(WalRecordType::kCreate) ||
-      raw > static_cast<uint8_t>(WalRecordType::kPlan)) {
+      raw > static_cast<uint8_t>(WalRecordType::kConfigure)) {
     return Status::InvalidArgument(
         StrFormat("unknown wal record type %u", raw));
   }
@@ -128,18 +122,6 @@ Result<WalRecord> DecodeWalRecord(std::span<const uint8_t> payload) {
     }
     case WalRecordType::kConfigure: {
       DBSCOUT_ASSIGN_OR_RETURN(record.ttl_seconds, reader.Read<double>());
-      break;
-    }
-    case WalRecordType::kPlan: {
-      // Legacy: [i64 halo][u32 count][count x (i64 slab_lo, i64 slab_hi)].
-      // Validated so a malformed frame still fails, then dropped.
-      DBSCOUT_RETURN_IF_ERROR(reader.Read<int64_t>().status());
-      DBSCOUT_ASSIGN_OR_RETURN(const uint32_t count, reader.Read<uint32_t>());
-      if (count > kMaxWalPayload / 16) {
-        return Status::InvalidArgument("wal plan record: oversized");
-      }
-      DBSCOUT_RETURN_IF_ERROR(
-          reader.ReadBytes(static_cast<uint64_t>(count) * 16).status());
       break;
     }
   }

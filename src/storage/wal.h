@@ -51,10 +51,6 @@ enum class WalRecordType : uint8_t {
   kExpire = 3,
   /// CONFIGURE: the collection's TTL changed.
   kConfigure = 4,
-  /// Legacy: the region plan of the deleted shard layer (DESIGN.md
-  /// section 14). Nothing writes it any more; old logs may hold one,
-  /// which the decoder validates and the fold ignores.
-  kPlan = 5,
 };
 
 /// One decoded WAL record; `type` selects the meaningful fields.

@@ -302,6 +302,47 @@ TEST(ShardedApplyPropertyTest, RandomBatchesMatchOracleAtEveryEpoch) {
   }
 }
 
+// The service calls AddBatchParallel from its apply loop, a task on
+// another pool. Nesting is per pool, so the waves still fan out over the
+// pool passed in rather than running inline on the calling worker; the
+// labels must equal the sequential oracle at every epoch all the same.
+TEST(ShardedApplyPropertyTest, CalledFromAnotherPoolsTaskMatchesOracle) {
+  Rng rng(303);
+  const PointSet stream = testing::ClusteredPoints(&rng, 420, 2, 3, 0.25);
+  Params params;
+  params.eps = 0.9;
+  params.min_pts = 5;
+  auto det = IncrementalDetector::Create(2, params);
+  ASSERT_TRUE(det.ok());
+  ThreadPool apply_loop(1);
+  ThreadPool workers(3);
+  size_t pos = 0;
+  while (pos < stream.size()) {
+    const size_t take = std::min<size_t>(1 + rng.NextBounded(96),
+                                         stream.size() - pos);
+    PointSet batch(2);
+    for (size_t i = 0; i < take; ++i) {
+      batch.Add(stream[pos + i]);
+    }
+    pos += take;
+    Status added = Status::Internal("not run");
+    apply_loop.Submit(
+        [&] { added = det->AddBatchParallel(batch, &workers); });
+    apply_loop.WaitIdle();
+    ASSERT_TRUE(added.ok()) << added;
+    PointSet prefix(2);
+    for (size_t j = 0; j < pos; ++j) {
+      prefix.Add(stream[j]);
+    }
+    auto oracle = DetectSequential(prefix, params);
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_EQ(det->kinds(), oracle->kinds) << "epoch " << pos;
+    ASSERT_EQ(det->Outliers(), testing::Widen(oracle->outliers))
+        << "epoch " << pos;
+    ASSERT_EQ(det->num_core(), oracle->num_core) << "epoch " << pos;
+  }
+}
+
 // Sliding-window shape: sharded inserts interleaved with oldest-first
 // expiry through ExpireBefore (exactly what TTL expiry does). After every
 // step the live window must label identically to a from-scratch

@@ -32,12 +32,12 @@ TEST(RegionsTest, HaloSlabsIsTwoStencilReaches) {
 }
 
 TEST(RegionsTest, PlanStripesEmptyHistogram) {
-  EXPECT_TRUE(PlanStripes({}, 100, 0).empty());
+  EXPECT_TRUE(PlanStripes({}, 100).empty());
 }
 
 TEST(RegionsTest, PlanStripesSingleStripeWhenUnderTarget) {
   std::map<int64_t, uint64_t> hist{{-2, 5}, {0, 5}, {3, 5}};
-  auto stripes = PlanStripes(hist, 100, 0);
+  auto stripes = PlanStripes(hist, 100);
   ASSERT_EQ(stripes.size(), 1u);
   EXPECT_EQ(stripes[0].slab_lo, -2);
   EXPECT_EQ(stripes[0].slab_hi, 3);
@@ -48,7 +48,7 @@ TEST(RegionsTest, PlanStripesSplitsAtTargetAndCoversRange) {
   for (int64_t s = 0; s < 10; ++s) {
     hist[s] = 10;
   }
-  auto stripes = PlanStripes(hist, 25, 0);
+  auto stripes = PlanStripes(hist, 25);
   ASSERT_GE(stripes.size(), 2u);
   // Contiguous cover of the populated range.
   EXPECT_EQ(stripes.front().slab_lo, 0);
@@ -64,15 +64,6 @@ TEST(RegionsTest, PlanStripesSplitsAtTargetAndCoversRange) {
     }
     EXPECT_LE(points, 30u);
   }
-}
-
-TEST(RegionsTest, PlanStripesNumStripesOverridesTarget) {
-  std::map<int64_t, uint64_t> hist;
-  for (int64_t s = 0; s < 8; ++s) {
-    hist[s] = 10;
-  }
-  auto stripes = PlanStripes(hist, 1000, 4);
-  EXPECT_EQ(stripes.size(), 4u);
 }
 
 TEST(RegionsTest, FirstStripeAtOrAfterBinarySearch) {

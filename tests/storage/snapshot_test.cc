@@ -1,8 +1,7 @@
 // Snapshot files and the WAL-record fold: round-trips, CRC rejection of
-// every single-bit flip, truncation rejection, version-1 files (every row,
-// optional legacy plan block) loading as the live window, partial rows
-// rejected, PLAN records skipped, and the continuity checks
-// ApplyRecordToState enforces (base-epoch gaps, non-prefix expiry).
+// every single-bit flip, truncation rejection, partial rows and other
+// versions rejected, and the continuity checks ApplyRecordToState
+// enforces (base-epoch gaps, non-prefix expiry).
 
 #include "storage/snapshot.h"
 
@@ -73,23 +72,15 @@ void WriteRawSnapshot(const std::string& path, uint32_t version,
   WriteFileBytes(path, file);
 }
 
-/// A version-1 payload: header fields, plan flag (and, when `plan`, a
-/// legacy plan block), then `coords` as the coordinate block.
-std::vector<uint8_t> Version1Payload(const CollectionState& state, bool plan,
-                                     const std::vector<double>& coords) {
+/// A version-2 payload of `state`'s header fields with `coords` as the
+/// coordinate block.
+std::vector<uint8_t> Payload(const CollectionState& state,
+                             const std::vector<double>& coords) {
   std::vector<uint8_t> payload;
   Put<uint16_t>(&payload, state.dims);
   Put<uint64_t>(&payload, state.epoch);
   Put<uint64_t>(&payload, state.window_begin);
   Put<double>(&payload, state.ttl_seconds);
-  Put<uint8_t>(&payload, plan ? 1 : 0);
-  if (plan) {
-    Put<int64_t>(&payload, 2);
-    Put<uint32_t>(&payload, 2);
-    for (const int64_t bound : {-2, 3, 4, 11}) {
-      Put<int64_t>(&payload, bound);
-    }
-  }
   Put<uint64_t>(&payload, coords.size());
   PutDoubles(&payload, coords);
   return payload;
@@ -112,40 +103,18 @@ TEST(SnapshotFileTest, WritesOnlyTheWindowRows) {
   const std::string path = TestPath("snap_window_only.snap");
   const CollectionState state = SampleState();
   ASSERT_TRUE(WriteSnapshotFile(path, state).ok());
-  uint32_t version = 0;
-  auto loaded = ReadSnapshotFile(path, &version);
+  auto loaded = ReadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(version, kSnapshotVersion);
   // Magic, version, length; dims, epoch, window_begin, ttl, count (34
   // bytes); the 3 live rows; crc.
   EXPECT_EQ(ReadFileBytes(path).size(), 16u + 34u + 3u * 3u * 8u + 4u);
 }
 
-TEST(SnapshotFileTest, LegacyPlanBlockIsSkipped) {
-  // Version-1 files store every id's row, and older writers stored a
-  // shard region plan after the TTL: plan flag 1, then [i64 halo][u32
-  // count][count x (i64 lo, i64 hi)]. Such files still load, with the plan
-  // and the expired prefix's rows dropped.
-  const std::string path = TestPath("snap_legacy_plan.snap");
-  const CollectionState state = SampleState();
-  for (const bool plan : {false, true}) {
-    WriteRawSnapshot(path, kSnapshotVersionAllRows,
-                     Version1Payload(state, plan,
-                                     AllRows(state.epoch, state.dims)));
-    uint32_t version = 0;
-    auto loaded = ReadSnapshotFile(path, &version);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(version, kSnapshotVersionAllRows);
-    EXPECT_EQ(loaded->epoch, state.epoch);
-    EXPECT_EQ(loaded->window_begin, state.window_begin);
-    EXPECT_DOUBLE_EQ(loaded->ttl_seconds, state.ttl_seconds);
-    EXPECT_EQ(loaded->coords, state.coords) << "plan " << plan;
-  }
-}
-
 TEST(SnapshotFileTest, PartialRowIsRejected) {
   // CRC-valid files whose coordinate block is one double longer or
-  // shorter than its rows: a stray trailing double is not a row.
+  // shorter than its rows: a stray trailing double is not a row. The raw
+  // files hold every id's row, as version 1 did: a version-2 header over
+  // that layout is rejected too, with or without the stray double.
   const std::string path = TestPath("snap_partial_row.snap");
   const CollectionState state = SampleState();
   for (const int delta : {+1, -1}) {
@@ -162,16 +131,25 @@ TEST(SnapshotFileTest, PartialRowIsRejected) {
     v2.coords = window;
     ASSERT_TRUE(WriteSnapshotFile(path, v2).ok());
     EXPECT_FALSE(ReadSnapshotFile(path).ok()) << "v2 delta " << delta;
-    WriteRawSnapshot(path, kSnapshotVersionAllRows,
-                     Version1Payload(state, false, all));
-    EXPECT_FALSE(ReadSnapshotFile(path).ok()) << "v1 delta " << delta;
+    WriteRawSnapshot(path, kSnapshotVersion, Payload(state, all));
+    EXPECT_FALSE(ReadSnapshotFile(path).ok()) << "all rows delta " << delta;
   }
+  WriteRawSnapshot(path, kSnapshotVersion,
+                   Payload(state, AllRows(state.epoch, state.dims)));
+  EXPECT_FALSE(ReadSnapshotFile(path).ok()) << "all rows";
 }
 
 TEST(SnapshotFileTest, UnknownVersionIsRejected) {
+  // Version 1 (every id's row, and an optional region plan block) is no
+  // longer read either. Both payloads are otherwise valid version-2 ones.
   const std::string path = TestPath("snap_unknown_version.snap");
-  WriteRawSnapshot(path, kSnapshotVersion + 1, {});
-  EXPECT_FALSE(ReadSnapshotFile(path).ok());
+  const CollectionState state = SampleState();
+  for (const uint32_t version : {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
+    WriteRawSnapshot(path, version, Payload(state, state.coords));
+    EXPECT_FALSE(ReadSnapshotFile(path).ok()) << "version " << version;
+  }
+  WriteRawSnapshot(path, kSnapshotVersion, Payload(state, state.coords));
+  EXPECT_TRUE(ReadSnapshotFile(path).ok());
 }
 
 TEST(SnapshotFileTest, EmptyStateRoundTrips) {
@@ -241,11 +219,6 @@ TEST(ApplyRecordToStateTest, FoldsALogIntoState) {
   ASSERT_TRUE(ApplyRecordToState(create, &state).ok());
   EXPECT_EQ(state.dims, 2u);
   EXPECT_DOUBLE_EQ(state.ttl_seconds, 1.0);
-
-  WalRecord plan;  // legacy: folds to nothing
-  plan.type = WalRecordType::kPlan;
-  ASSERT_TRUE(ApplyRecordToState(plan, &state).ok());
-  EXPECT_EQ(state.epoch, 0u);
 
   WalRecord ingest;
   ingest.type = WalRecordType::kIngest;

@@ -14,8 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/codec.h"
-#include "common/crc32c.h"
 #include "obs/metrics.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
@@ -275,55 +273,6 @@ TEST(CollectionStoreTest, PartialRowSnapshotFallsBackOneGeneration) {
   EXPECT_LT(recovered.base.epoch, state->epoch);  // the older generation
   ExpectSameState(FoldRecovered(recovered), FoldAll(MixedLog()));
   EXPECT_TRUE((*store)->Close().ok());
-}
-
-TEST(CollectionStoreTest, Version1SnapshotRecovers) {
-  // Older writers stored every id's row. Rewrite the newest generation in
-  // that layout (the expired prefix's rows are arbitrary: they are
-  // dropped on read) and recover through it.
-  const std::string dir = FreshDir("store_v1");
-  obs::Registry registry;
-  const std::string newest = LogWithTwoGenerations(dir, &registry);
-  ASSERT_FALSE(newest.empty());
-  auto state = ReadSnapshotFile(newest);
-  ASSERT_TRUE(state.ok()) << state.status();
-  ASSERT_GT(state->window_begin, 0u);
-  std::vector<uint8_t> payload;
-  Put<uint16_t>(&payload, state->dims);
-  Put<uint64_t>(&payload, state->epoch);
-  Put<uint64_t>(&payload, state->window_begin);
-  Put<double>(&payload, state->ttl_seconds);
-  Put<uint8_t>(&payload, 0);  // no plan block
-  std::vector<double> all(state->window_begin * state->dims, -7.0);
-  all.insert(all.end(), state->coords.begin(), state->coords.end());
-  Put<uint64_t>(&payload, all.size());
-  PutDoubles(&payload, all);
-  std::vector<uint8_t> file;
-  Put<uint32_t>(&file, kSnapshotMagic);
-  Put<uint32_t>(&file, kSnapshotVersionAllRows);
-  Put<uint64_t>(&file, payload.size());
-  file.insert(file.end(), payload.begin(), payload.end());
-  Put<uint32_t>(&file, Crc32c(payload));
-  {
-    std::ofstream out(newest, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(file.data()),
-              static_cast<std::streamsize>(file.size()));
-  }
-
-  RecoveredCollection recovered;
-  auto store =
-      CollectionStore::Open(dir, TestOptions(&registry), &recovered);
-  ASSERT_TRUE(store.ok()) << store.status();
-  EXPECT_EQ(recovered.base.epoch, state->epoch);  // the v1 file was used
-  ExpectSameState(FoldRecovered(recovered), FoldAll(MixedLog()));
-  // The next compaction folds it into a version-2 file.
-  ASSERT_TRUE((*store)->CompactNow().ok());
-  EXPECT_TRUE((*store)->Close().ok());
-  RecoveredCollection again;
-  auto reopened = CollectionStore::Open(dir, TestOptions(&registry), &again);
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ExpectSameState(FoldRecovered(again), FoldAll(MixedLog()));
-  EXPECT_TRUE((*reopened)->Close().ok());
 }
 
 TEST(CollectionStoreTest, TornTailIsTruncatedAndAppendable) {

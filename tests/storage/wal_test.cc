@@ -51,23 +51,8 @@ WalRecord IngestRecord(uint16_t dims, uint64_t base_epoch,
   return record;
 }
 
-/// A PLAN frame as older writers logged it: type 5, [i64 halo][u32
-/// count][count x (i64 slab_lo, i64 slab_hi)]. `stripes` may differ from
-/// the bounds actually written, to build a malformed frame.
-std::vector<uint8_t> LegacyPlanPayload(uint32_t stripes,
-                                       const std::vector<int64_t>& bounds) {
-  std::vector<uint8_t> out;
-  Put<uint8_t>(&out, static_cast<uint8_t>(WalRecordType::kPlan));
-  Put<int64_t>(&out, 3);
-  Put<uint32_t>(&out, stripes);
-  for (const int64_t bound : bounds) {
-    Put<int64_t>(&out, bound);
-  }
-  return out;
-}
-
-// Writes a small mixed log, including a legacy PLAN frame, and returns
-// its frame payloads.
+// Writes a small mixed log of every record type and returns its frame
+// payloads.
 std::vector<std::vector<uint8_t>> WriteMixedLog(const std::string& path) {
   std::vector<std::vector<uint8_t>> payloads;
   WalRecord create;
@@ -75,7 +60,6 @@ std::vector<std::vector<uint8_t>> WriteMixedLog(const std::string& path) {
   create.dims = 2;
   create.ttl_seconds = 0.5;
   payloads.push_back(EncodeWalRecord(create));
-  payloads.push_back(LegacyPlanPayload(2, {-4, 0, 1, 9}));
   payloads.push_back(
       EncodeWalRecord(IngestRecord(2, 0, {0.0, 0.1, 1.0, 1.1, 2.0, 2.1})));
   WalRecord expire;
@@ -105,7 +89,7 @@ TEST(WalRecordTest, AllTypesRoundTrip) {
   ASSERT_TRUE(scan.ok()) << scan.status();
   EXPECT_EQ(scan->seq, 7u);
   EXPECT_FALSE(scan->torn);
-  ASSERT_EQ(scan->frames.size(), 6u);
+  ASSERT_EQ(scan->frames.size(), 5u);
 
   auto create = DecodeWalRecord(scan->frames[0]);
   ASSERT_TRUE(create.ok());
@@ -113,24 +97,20 @@ TEST(WalRecordTest, AllTypesRoundTrip) {
   EXPECT_EQ(create->dims, 2u);
   EXPECT_DOUBLE_EQ(create->ttl_seconds, 0.5);
 
-  auto plan = DecodeWalRecord(scan->frames[1]);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->type, WalRecordType::kPlan);
-
-  auto ingest = DecodeWalRecord(scan->frames[2]);
+  auto ingest = DecodeWalRecord(scan->frames[1]);
   ASSERT_TRUE(ingest.ok());
   EXPECT_EQ(ingest->type, WalRecordType::kIngest);
   EXPECT_EQ(ingest->base_epoch, 0u);
   EXPECT_EQ(ingest->coords,
             (std::vector<double>{0.0, 0.1, 1.0, 1.1, 2.0, 2.1}));
 
-  auto expire = DecodeWalRecord(scan->frames[3]);
+  auto expire = DecodeWalRecord(scan->frames[2]);
   ASSERT_TRUE(expire.ok());
   EXPECT_EQ(expire->type, WalRecordType::kExpire);
   EXPECT_EQ(expire->expire_begin, 0u);
   EXPECT_EQ(expire->expire_end, 2u);
 
-  auto configure = DecodeWalRecord(scan->frames[4]);
+  auto configure = DecodeWalRecord(scan->frames[3]);
   ASSERT_TRUE(configure.ok());
   EXPECT_EQ(configure->type, WalRecordType::kConfigure);
   EXPECT_DOUBLE_EQ(configure->ttl_seconds, 2.25);
@@ -160,8 +140,13 @@ TEST(WalRecordTest, RejectsMalformedPayloads) {
   create.dims = 0;
   EXPECT_FALSE(DecodeWalRecord(EncodeWalRecord(create)).ok());
   EXPECT_FALSE(DecodeWalRecord(EncodeWalRecord(IngestRecord(0, 0, {}))).ok());
-  // A legacy PLAN frame whose stripe count overruns its bytes.
-  EXPECT_FALSE(DecodeWalRecord(LegacyPlanPayload(2, {-4, 0})).ok());
+  // Type 5, the region plan older writers logged, is an unknown type now,
+  // even well formed: [i64 halo][u32 stripe count 0].
+  std::vector<uint8_t> plan;
+  Put<uint8_t>(&plan, 5);
+  Put<int64_t>(&plan, 3);
+  Put<uint32_t>(&plan, 0);
+  EXPECT_FALSE(DecodeWalRecord(plan).ok());
 }
 
 TEST(WalScanTest, TornTailIsTruncatedCleanly) {

@@ -84,9 +84,8 @@ TEST(SharedEngineStressTest, ConcurrentDetectionsOnSeparatePools) {
   // Two fully-parallel detections running at once (separate pools, shared
   // immutable input) must not interfere: the engine may only write through
   // its own Detection and locals. A stray static or global would race here.
-  // The drivers must be raw threads, not pool tasks: a nested ParallelFor
-  // issued from any pool's worker runs inline, which would serialize the
-  // engines and defeat the cross-pool race.
+  // The drivers are raw threads, so each engine's loops fan out over its
+  // own pool's workers.
   Rng rng(20260808);
   const PointSet ps = SkewedPoints(&rng, 2000);
   Params params;

@@ -1,9 +1,10 @@
-// TSan stress tests for ThreadPool::ParallelForDynamic and the atomic
-// chunk-claiming protocol. These run (and must pass) in every build mode,
-// but their purpose is a ThreadSanitizer build (-DDBSCOUT_SANITIZE=thread):
-// the loop bodies write to plain, non-atomic memory so that any double
-// claim, lost completion signal, or premature return from the parallel-for
-// shows up as a data race or a failed assertion.
+// TSan stress tests for ParallelForDynamic (common/thread_pool.h) and its
+// atomic chunk-claiming protocol. These run (and must pass) in every
+// build mode, but their purpose is a ThreadSanitizer build
+// (-DDBSCOUT_SANITIZE=thread): the loop bodies write to plain, non-atomic
+// memory so that any double claim, lost completion signal, or premature
+// return from the parallel-for shows up as a data race or a failed
+// assertion.
 
 #include "common/thread_pool.h"
 
@@ -25,11 +26,12 @@ TEST(ThreadPoolStressTest, DynamicTinyChunksHammerClaimCounter) {
   ThreadPool pool(8);
   for (int round = 0; round < 20; ++round) {
     std::vector<uint32_t> hits(4096, 0);
-    pool.ParallelForDynamic(hits.size(), 1, [&hits](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        hits[i] += 1;
-      }
-    });
+    ParallelForDynamic(&pool, hits.size(), 1,
+                       [&hits](size_t begin, size_t end) {
+                         for (size_t i = begin; i < end; ++i) {
+                           hits[i] += 1;
+                         }
+                       });
     const uint64_t total =
         std::accumulate(hits.begin(), hits.end(), uint64_t{0});
     ASSERT_EQ(total, hits.size()) << "round " << round;
@@ -43,11 +45,12 @@ TEST(ThreadPoolStressTest, DynamicPublishesResultsToCaller) {
   ThreadPool pool(4);
   for (int round = 0; round < 50; ++round) {
     std::vector<uint64_t> out(257, 0);
-    pool.ParallelForDynamic(out.size(), 3, [&out](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        out[i] = i * i;
-      }
-    });
+    ParallelForDynamic(&pool, out.size(), 3,
+                       [&out](size_t begin, size_t end) {
+                         for (size_t i = begin; i < end; ++i) {
+                           out[i] = i * i;
+                         }
+                       });
     for (size_t i = 0; i < out.size(); ++i) {
       ASSERT_EQ(out[i], i * i) << "round " << round;
     }
@@ -55,9 +58,11 @@ TEST(ThreadPoolStressTest, DynamicPublishesResultsToCaller) {
 }
 
 // Several client threads (tasks on an outer pool) each drive their own
-// dynamic loops on a shared inner pool. Inner calls run inline when issued
-// from a pool thread, so this exercises the reentrancy path concurrently
-// with direct calls from the main thread.
+// dynamic loops on a shared inner pool, concurrently with direct calls
+// from the main thread. Nesting is per pool, so the outer tasks' loops
+// fan out onto the inner workers too: up to five loops at a time share
+// one pool's queue and each keeps its own claim counter and completion
+// signal.
 TEST(ThreadPoolStressTest, ConcurrentClientsShareOnePool) {
   ThreadPool inner(4);
   ThreadPool outer(4);
@@ -67,12 +72,12 @@ TEST(ThreadPoolStressTest, ConcurrentClientsShareOnePool) {
       uint64_t local = 0;
       for (int round = 0; round < 10; ++round) {
         std::vector<uint32_t> hits(512, 0);
-        inner.ParallelForDynamic(hits.size(), 2,
-                                 [&hits](size_t begin, size_t end) {
-                                   for (size_t i = begin; i < end; ++i) {
-                                     hits[i] += 1;
-                                   }
-                                 });
+        ParallelForDynamic(&inner, hits.size(), 2,
+                           [&hits](size_t begin, size_t end) {
+                             for (size_t i = begin; i < end; ++i) {
+                               hits[i] += 1;
+                             }
+                           });
         local += std::accumulate(hits.begin(), hits.end(), uint64_t{0});
       }
       grand_total.fetch_add(local);
@@ -80,11 +85,12 @@ TEST(ThreadPoolStressTest, ConcurrentClientsShareOnePool) {
   }
   for (int round = 0; round < 10; ++round) {
     std::vector<uint32_t> hits(512, 0);
-    inner.ParallelForDynamic(hits.size(), 2, [&hits](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        hits[i] += 1;
-      }
-    });
+    ParallelForDynamic(&inner, hits.size(), 2,
+                       [&hits](size_t begin, size_t end) {
+                         for (size_t i = begin; i < end; ++i) {
+                           hits[i] += 1;
+                         }
+                       });
     grand_total.fetch_add(std::accumulate(hits.begin(), hits.end(),
                                           uint64_t{0}));
   }
@@ -103,11 +109,12 @@ TEST(ThreadPoolStressTest, DynamicInterleavedWithPlainSubmits) {
       pool.Submit([&submitted_work] { submitted_work.fetch_add(1); });
     }
     std::vector<uint32_t> hits(301, 0);
-    pool.ParallelForDynamic(hits.size(), 4, [&hits](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        hits[i] += 1;
-      }
-    });
+    ParallelForDynamic(&pool, hits.size(), 4,
+                       [&hits](size_t begin, size_t end) {
+                         for (size_t i = begin; i < end; ++i) {
+                           hits[i] += 1;
+                         }
+                       });
     ASSERT_EQ(std::accumulate(hits.begin(), hits.end(), uint64_t{0}),
               hits.size());
   }

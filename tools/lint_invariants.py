@@ -20,6 +20,14 @@ Enforces, statically, the contracts that the compiler cannot:
                      runs, shutdown, and reentrancy rules cover it.
                      (Querying std::thread::hardware_concurrency and
                      std::this_thread are allowed.)
+  pool-fanout        No ThreadPool::Submit( or WaitIdle( in src/ outside
+                     src/common/thread_pool.*, src/service/server.cc and
+                     src/service/service.cc. Loops fan out through
+                     ParallelForDynamic / RunTasks (common/thread_pool.h),
+                     which wait for their own tasks and nest per pool;
+                     Submit and WaitIdle are for the long-lived accept,
+                     session and apply loops and their shutdown, where a
+                     pool-wide barrier cannot wait on someone else's work.
   raw-rng            No rand()/srand()/std::random_device/drand48 outside
                      src/common/rng.*; experiments must be reproducible from
                      a seed.
@@ -226,6 +234,33 @@ def check_raw_thread(path: str, lines: List[str]) -> Iterable[Finding]:
                           "src/common/thread_pool.*: route parallelism "
                           "through ThreadPool (sanitizer coverage, shutdown "
                           "and reentrancy guarantees)")
+
+
+# ---------------------------------------------------------------------------
+# Rule: pool-fanout
+# ---------------------------------------------------------------------------
+
+POOL_FANOUT_RE = re.compile(r"\b(?:Submit|WaitIdle)\s*\(")
+POOL_FANOUT_HOMES = THREAD_POOL_FILES + ("src/service/server.cc",
+                                         "src/service/service.cc")
+
+
+def check_pool_fanout(path: str, lines: List[str]) -> Iterable[Finding]:
+    rule = "pool-fanout"
+    norm = path.replace(os.sep, "/")
+    if not norm.startswith("src/") or norm in POOL_FANOUT_HOMES:
+        return
+    for i, line in enumerate(lines, 1):
+        if waived(line, rule):
+            continue
+        m = POOL_FANOUT_RE.search(strip_line_comment(line))
+        if m:
+            yield Finding(path, i, rule,
+                          f"'{m.group(0).strip()}' outside the long-lived "
+                          "server and apply loops: fan a loop out with "
+                          "RunTasks / ParallelForDynamic "
+                          "(common/thread_pool.h), which wait for their own "
+                          "tasks only and nest per pool")
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +600,7 @@ def lint_files(files: List[Tuple[str, List[str]]],
         if os.path.basename(path).startswith("CMakeLists"):
             continue
         findings.extend(check_raw_thread(path, lines))
+        findings.extend(check_pool_fanout(path, lines))
         findings.extend(check_raw_rng(path, lines))
         findings.extend(check_phase_logic_locality(path, lines))
         findings.extend(check_neighbor_discovery_locality(path, lines))
@@ -675,6 +711,28 @@ def self_test() -> int:
     expect("raw-thread",
            list(check_raw_thread("src/storage/store.cc", storage_bad)), 1,
            "storage-in-scope")
+
+    # pool-fanout
+    bad = lines("pool->Submit([&] { run_block(b); });\n"
+                "pool->WaitIdle();\n"
+                "ctx->pool().Submit ([] {});\n")
+    expect("pool-fanout", list(check_pool_fanout("src/core/incremental.cc",
+                                                 bad)), 3, "seeded")
+    ok = lines("RunTasks(pool, blocks.size(), [&](size_t t) {\n"
+               "// a per-block Submit and WaitIdle() barrier used to run here\n"
+               "SubmitBatch(batch);\n"
+               "pool->WaitIdle();  // lint:allow(pool-fanout) drains a loop\n")
+    expect("pool-fanout", list(check_pool_fanout("src/core/incremental.cc",
+                                                 ok)), 0, "clean")
+    for home in ("src/common/thread_pool.cc", "src/service/server.cc",
+                 "src/service/service.cc"):
+        expect("pool-fanout", list(check_pool_fanout(home, bad)), 0,
+               "home:" + home)
+    expect("pool-fanout", list(check_pool_fanout("src/service/client.cc",
+                                                 bad)), 3,
+           "other-service-file-in-scope")
+    expect("pool-fanout", list(check_pool_fanout(
+        "tests/common/thread_pool_test.cc", bad)), 0, "tests-exempt")
 
     # raw-rng
     bad = lines("int x = rand() % 6;\n"

@@ -29,6 +29,7 @@ namespace {
 
 using dbscout::storage::CollectionState;
 using dbscout::storage::DecodeWalRecord;
+using dbscout::storage::kSnapshotVersion;
 using dbscout::storage::ReadSnapshotFile;
 using dbscout::storage::ScanWalFile;
 using dbscout::storage::WalRecord;
@@ -50,8 +51,6 @@ const char* RecordName(WalRecordType type) {
       return "EXPIRE";
     case WalRecordType::kConfigure:
       return "CONFIGURE";
-    case WalRecordType::kPlan:
-      return "PLAN";
   }
   return "?";
 }
@@ -77,9 +76,6 @@ void PrintRecord(const WalRecord& record, size_t index, const Flags& flags) {
       break;
     case WalRecordType::kConfigure:
       std::cout << " ttl=" << record.ttl_seconds;
-      break;
-    case WalRecordType::kPlan:
-      std::cout << " (legacy, ignored)";
       break;
   }
   std::cout << "\n";
@@ -111,13 +107,13 @@ int InspectWal(const std::string& path, const Flags& flags) {
 }
 
 int InspectSnapshot(const std::string& path, const Flags& flags) {
-  uint32_t version = 0;
-  auto state = ReadSnapshotFile(path, &version);
+  auto state = ReadSnapshotFile(path);
   if (!state.ok()) {
     std::cout << path << ": CORRUPT: " << state.status().message() << "\n";
     return 2;
   }
-  std::cout << path << ": version=" << version << " dims=" << state->dims
+  std::cout << path << ": version=" << kSnapshotVersion
+            << " dims=" << state->dims
             << " epoch=" << state->epoch
             << " window_begin=" << state->window_begin
             << " rows=[" << state->window_begin << ", " << state->epoch
