@@ -1,6 +1,7 @@
 #include "cli/cli.h"
 
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,9 +30,12 @@ constexpr const char* kUsage = R"(dbscout — density-based scalable outlier det
 
 usage: dbscout <command> [--flag=value ...]
 
+Point files (--input, generate's --output) are CSV when the path ends in
+.csv and DBSC binary otherwise; --format=csv|binary overrides.
+
 commands:
   detect    --input=FILE --eps=X --min-pts=N
-            [--format=csv|binary]           input format (default: by extension)
+            [--format=csv|binary]           input format
             [--engine=sequential|parallel|shared|external|incremental]
             [--partitions=P]                parallel engine partitions
             [--stripe-points=S]             external engine memory knob
@@ -61,22 +65,8 @@ commands:
   help      this text
 )";
 
-Result<PointSet> LoadInput(const std::string& path,
-                           const std::string& format) {
-  std::string fmt = format;
-  if (fmt.empty()) {
-    fmt = path.size() > 4 && path.substr(path.size() - 4) == ".csv"
-              ? "csv"
-              : "binary";
-  }
-  if (fmt == "csv") {
-    return LoadPointsCsv(path);
-  }
-  if (fmt == "binary") {
-    return LoadPointsBinary(path);
-  }
-  return Status::InvalidArgument("unknown --format=" + fmt);
-}
+constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr uint64_t kMaxSize = std::numeric_limits<size_t>::max();
 
 template <typename Index>
 Status WriteIndices(const std::string& path,
@@ -135,9 +125,11 @@ Status CmdDetect(const Flags& flags, std::ostream& out) {
        "stripe-points", "scores", "output", "trace-out"}));
   DBSCOUT_RETURN_IF_ERROR(flags.CheckRequired({"input", "eps", "min-pts"}));
   const std::string input = flags.GetString("input");
+  DBSCOUT_ASSIGN_OR_RETURN(const PointFormat format,
+                           PointFileFormat(input, flags.GetString("format")));
   DBSCOUT_ASSIGN_OR_RETURN(const double eps, flags.GetDouble("eps", 0.0));
   DBSCOUT_ASSIGN_OR_RETURN(const uint64_t min_pts,
-                           flags.GetUint("min-pts", 0));
+                           flags.GetUint("min-pts", 0, kMaxInt));
   const std::string engine = flags.GetString("engine", "sequential");
 
   // Spans accumulate here while the detection runs; written out at the end
@@ -159,7 +151,8 @@ Status CmdDetect(const Flags& flags, std::ostream& out) {
     params.trace = trace_ptr;
     DBSCOUT_ASSIGN_OR_RETURN(
         params.target_stripe_points,
-        flags.GetUint("stripe-points", params.target_stripe_points));
+        flags.GetUint("stripe-points", params.target_stripe_points,
+                      kMaxSize));
     ThreadPool pool(std::thread::hardware_concurrency());
     DBSCOUT_ASSIGN_OR_RETURN(auto detection,
                              external::DetectExternal(input, params, &pool));
@@ -180,16 +173,14 @@ Status CmdDetect(const Flags& flags, std::ostream& out) {
     return write_trace();
   }
 
-  DBSCOUT_ASSIGN_OR_RETURN(PointSet points,
-                           LoadInput(input, flags.GetString("format")));
+  DBSCOUT_ASSIGN_OR_RETURN(PointSet points, LoadPointFile(input, format));
   core::Params params;
   params.eps = eps;
   params.min_pts = static_cast<int>(min_pts);
   params.compute_scores = flags.GetBool("scores");
   params.trace = trace_ptr;
-  DBSCOUT_ASSIGN_OR_RETURN(const uint64_t partitions,
-                           flags.GetUint("partitions", 0));
-  params.num_partitions = partitions;
+  DBSCOUT_ASSIGN_OR_RETURN(params.num_partitions,
+                           flags.GetUint("partitions", 0, kMaxSize));
   if (engine == "incremental") {
     // Append-only maintenance: every point is inserted one at a time and
     // the labeling is exact after each insertion. This is the engine the
@@ -255,15 +246,18 @@ Status CmdKdist(const Flags& flags, std::ostream& out) {
   DBSCOUT_RETURN_IF_ERROR(
       flags.CheckAllowed({"input", "format", "k", "sample", "streaming"}));
   DBSCOUT_RETURN_IF_ERROR(flags.CheckRequired({"input", "k"}));
-  DBSCOUT_ASSIGN_OR_RETURN(const uint64_t k, flags.GetUint("k", 0));
-  DBSCOUT_ASSIGN_OR_RETURN(const uint64_t sample, flags.GetUint("sample", 0));
+  const std::string input = flags.GetString("input");
+  DBSCOUT_ASSIGN_OR_RETURN(const PointFormat format,
+                           PointFileFormat(input, flags.GetString("format")));
+  DBSCOUT_ASSIGN_OR_RETURN(const uint64_t k, flags.GetUint("k", 0, kMaxInt));
+  DBSCOUT_ASSIGN_OR_RETURN(const uint64_t sample,
+                           flags.GetUint("sample", 0, kMaxSize));
 
   if (flags.GetBool("streaming")) {
     // Out-of-core path: one streaming pass, reservoir sample.
     DBSCOUT_ASSIGN_OR_RETURN(
         auto sampled,
-        external::SampleKDistance(flags.GetString("input"),
-                                  static_cast<int>(k),
+        external::SampleKDistance(input, static_cast<int>(k),
                                   sample == 0 ? 5000 : sample));
     const auto& curve = sampled.curve;
     out << StrFormat(
@@ -280,9 +274,7 @@ Status CmdKdist(const Flags& flags, std::ostream& out) {
     return Status::OK();
   }
 
-  DBSCOUT_ASSIGN_OR_RETURN(
-      PointSet points,
-      LoadInput(flags.GetString("input"), flags.GetString("format")));
+  DBSCOUT_ASSIGN_OR_RETURN(PointSet points, LoadPointFile(input, format));
   DBSCOUT_ASSIGN_OR_RETURN(
       auto curve,
       analysis::ComputeKDistance(points, static_cast<int>(k), sample));
@@ -301,8 +293,14 @@ Status CmdGenerate(const Flags& flags, std::ostream& out) {
        "format"}));
   DBSCOUT_RETURN_IF_ERROR(flags.CheckRequired({"dataset", "n", "output"}));
   const std::string name = flags.GetString("dataset");
-  DBSCOUT_ASSIGN_OR_RETURN(const uint64_t n, flags.GetUint("n", 0));
-  DBSCOUT_ASSIGN_OR_RETURN(const uint64_t seed, flags.GetUint("seed", 1));
+  const std::string output = flags.GetString("output");
+  DBSCOUT_ASSIGN_OR_RETURN(
+      const PointFormat format,
+      PointFileFormat(output, flags.GetString("format")));
+  DBSCOUT_ASSIGN_OR_RETURN(const uint64_t n, flags.GetUint("n", 0, kMaxSize));
+  DBSCOUT_ASSIGN_OR_RETURN(
+      const uint64_t seed,
+      flags.GetUint("seed", 1, std::numeric_limits<uint64_t>::max()));
   DBSCOUT_ASSIGN_OR_RETURN(const double contamination,
                            flags.GetDouble("contamination", 0.02));
 
@@ -355,15 +353,7 @@ Status CmdGenerate(const Flags& flags, std::ostream& out) {
     return Status::InvalidArgument("unknown --dataset=" + name);
   }
 
-  const std::string output = flags.GetString("output");
-  const std::string format = flags.GetString("format", "binary");
-  if (format == "csv") {
-    DBSCOUT_RETURN_IF_ERROR(SavePointsCsv(output, points));
-  } else if (format == "binary") {
-    DBSCOUT_RETURN_IF_ERROR(SavePointsBinary(output, points));
-  } else {
-    return Status::InvalidArgument("unknown --format=" + format);
-  }
+  DBSCOUT_RETURN_IF_ERROR(SavePointFile(output, points, format));
   if (flags.Has("labels")) {
     if (!labeled) {
       return Status::InvalidArgument("--labels: dataset '" + name +

@@ -5,12 +5,22 @@
 namespace dbscout::cli {
 
 Result<Flags> Flags::Parse(int argc, const char* const* argv) {
-  Flags flags;
   if (argc < 2) {
     return Status::InvalidArgument("missing command");
   }
+  DBSCOUT_ASSIGN_OR_RETURN(Flags flags, Tokenize(argc, argv, 2));
   flags.command_ = argv[1];
-  for (int i = 2; i < argc; ++i) {
+  return flags;
+}
+
+Result<Flags> Flags::ParseFlags(int argc, const char* const* argv) {
+  return Tokenize(argc, argv, 1);
+}
+
+Result<Flags> Flags::Tokenize(int argc, const char* const* argv,
+                              int first) {
+  Flags flags;
+  for (int i = first; i < argc; ++i) {
     const std::string token = argv[i];
     if (token.size() < 3 || token[0] != '-' || token[1] != '-') {
       return Status::InvalidArgument("expected --flag[=value], got: " + token);
@@ -45,8 +55,8 @@ Result<double> Flags::GetDouble(const std::string& name,
   return parsed;
 }
 
-Result<uint64_t> Flags::GetUint(const std::string& name,
-                                uint64_t fallback) const {
+Result<uint64_t> Flags::GetUint(const std::string& name, uint64_t fallback,
+                                uint64_t max) const {
   auto it = values_.find(name);
   if (it == values_.end()) {
     return fallback;
@@ -55,6 +65,11 @@ Result<uint64_t> Flags::GetUint(const std::string& name,
   if (!parsed.ok()) {
     return Status::InvalidArgument("--" + name + ": " +
                                    parsed.status().message());
+  }
+  if (*parsed > max) {
+    return Status::InvalidArgument(StrFormat(
+        "--%s=%s exceeds %llu", name.c_str(), it->second.c_str(),
+        static_cast<unsigned long long>(max)));
   }
   return parsed;
 }

@@ -26,20 +26,6 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Adds the scope's elapsed seconds to `*sink` on destruction. Useful for
-/// accumulating per-phase timings.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* sink) : sink_(sink) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { *sink_ += timer_.ElapsedSeconds(); }
-
- private:
-  double* sink_;
-  WallTimer timer_;
-};
-
 }  // namespace dbscout
 
 #endif  // DBSCOUT_COMMON_TIMER_H_

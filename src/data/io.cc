@@ -1,16 +1,12 @@
 #include "data/io.h"
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
-#include "common/str_util.h"
+#include "data/point_stream.h"
 
 namespace dbscout {
 namespace {
-
-constexpr char kMagic[4] = {'D', 'B', 'S', 'C'};
-constexpr uint32_t kVersion = 1;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -44,8 +40,8 @@ Status SavePointsBinary(const std::string& path, const PointSet& points) {
   }
   const uint32_t dims = static_cast<uint32_t>(points.dims());
   const uint64_t count = points.size();
-  if (std::fwrite(kMagic, 1, 4, f.get()) != 4 ||
-      std::fwrite(&kVersion, sizeof(kVersion), 1, f.get()) != 1 ||
+  if (std::fwrite(kDbscMagic, 1, 4, f.get()) != 4 ||
+      std::fwrite(&kDbscVersion, sizeof(kDbscVersion), 1, f.get()) != 1 ||
       std::fwrite(&dims, sizeof(dims), 1, f.get()) != 1 ||
       std::fwrite(&count, sizeof(count), 1, f.get()) != 1) {
     return Status::IoError("header write failure: " + path);
@@ -60,37 +56,38 @@ Status SavePointsBinary(const std::string& path, const PointSet& points) {
 }
 
 Result<PointSet> LoadPointsBinary(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return Status::IoError("cannot open file: " + path);
+  DBSCOUT_ASSIGN_OR_RETURN(PointFileReader reader,
+                           PointFileReader::Open(path));
+  PointSet points(reader.dims());
+  DBSCOUT_RETURN_IF_ERROR(
+      reader.ReadBatch(reader.num_points(), &points).status());
+  return points;
+}
+
+Result<PointFormat> PointFileFormat(const std::string& path,
+                                    const std::string& format) {
+  if (format == "csv") {
+    return PointFormat::kCsv;
   }
-  char magic[4];
-  uint32_t version = 0;
-  uint32_t dims = 0;
-  uint64_t count = 0;
-  if (std::fread(magic, 1, 4, f.get()) != 4 ||
-      std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::InvalidArgument(path + ": not a DBSC binary point file");
+  if (format == "binary") {
+    return PointFormat::kDbsc;
   }
-  if (std::fread(&version, sizeof(version), 1, f.get()) != 1 ||
-      version != kVersion) {
-    return Status::InvalidArgument(
-        StrFormat("%s: unsupported version %u", path.c_str(), version));
+  if (!format.empty()) {
+    return Status::InvalidArgument("unknown --format=" + format +
+                                   " (csv|binary)");
   }
-  if (std::fread(&dims, sizeof(dims), 1, f.get()) != 1 ||
-      std::fread(&count, sizeof(count), 1, f.get()) != 1) {
-    return Status::IoError(path + ": truncated header");
-  }
-  if (dims == 0) {
-    return Status::InvalidArgument(path + ": dims must be >= 1");
-  }
-  std::vector<double> values(count * dims);
-  if (!values.empty() &&
-      std::fread(values.data(), sizeof(double), values.size(), f.get()) !=
-          values.size()) {
-    return Status::IoError(path + ": truncated data section");
-  }
-  return PointSet::FromRowMajor(dims, std::move(values));
+  return path.ends_with(".csv") ? PointFormat::kCsv : PointFormat::kDbsc;
+}
+
+Result<PointSet> LoadPointFile(const std::string& path, PointFormat format) {
+  return format == PointFormat::kCsv ? LoadPointsCsv(path)
+                                     : LoadPointsBinary(path);
+}
+
+Status SavePointFile(const std::string& path, const PointSet& points,
+                     PointFormat format) {
+  return format == PointFormat::kCsv ? SavePointsCsv(path, points)
+                                     : SavePointsBinary(path, points);
 }
 
 }  // namespace dbscout

@@ -17,15 +17,27 @@ Result<PointSet> LoadPointsCsv(const std::string& path,
 /// Writes a PointSet as CSV (lossless round-trip).
 Status SavePointsCsv(const std::string& path, const PointSet& points);
 
-/// Loads a PointSet from the compact binary format written by
-/// SavePointsBinary. The format is:
-///   magic "DBSC" | uint32 version | uint32 dims | uint64 count |
-///   count*dims little-endian float64.
+/// Loads a whole DBSC binary point file (format in data/point_stream.h)
+/// as one PointFileReader batch.
 Result<PointSet> LoadPointsBinary(const std::string& path);
 
-/// Writes a PointSet in the binary format above. Roughly 3x smaller and 10x
+/// Writes a PointSet in the DBSC binary format. Roughly 3x smaller and 10x
 /// faster than CSV for large experiment datasets.
 Status SavePointsBinary(const std::string& path, const PointSet& points);
+
+enum class PointFormat { kCsv, kDbsc };
+
+/// The one format rule for a point file named on a command line: a
+/// non-empty `format` ("csv" or "binary") decides; otherwise a path ending
+/// in ".csv" is CSV and any other path is DBSC. Any other `format` is
+/// InvalidArgument.
+Result<PointFormat> PointFileFormat(const std::string& path,
+                                    const std::string& format);
+
+/// Loads or saves a point file in `format`.
+Result<PointSet> LoadPointFile(const std::string& path, PointFormat format);
+Status SavePointFile(const std::string& path, const PointSet& points,
+                     PointFormat format);
 
 }  // namespace dbscout
 

@@ -1,17 +1,15 @@
 #include "data/point_stream.h"
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/str_util.h"
 
 namespace dbscout {
-namespace {
-
-constexpr char kMagic[4] = {'D', 'B', 'S', 'C'};
-constexpr uint32_t kVersion = 1;
-
-}  // namespace
 
 Result<PointFileReader> PointFileReader::Open(const std::string& path) {
   PointFileReader reader;
@@ -25,11 +23,12 @@ Result<PointFileReader> PointFileReader::Open(const std::string& path) {
   uint32_t dims = 0;
   uint64_t count = 0;
   std::FILE* f = reader.file_.get();
-  if (std::fread(magic, 1, 4, f) != 4 || std::memcmp(magic, kMagic, 4) != 0) {
+  if (std::fread(magic, 1, 4, f) != 4 ||
+      std::memcmp(magic, kDbscMagic, 4) != 0) {
     return Status::InvalidArgument(path + ": not a DBSC binary point file");
   }
   if (std::fread(&version, sizeof(version), 1, f) != 1 ||
-      version != kVersion) {
+      version != kDbscVersion) {
     return Status::InvalidArgument(
         StrFormat("%s: unsupported version %u", path.c_str(), version));
   }
@@ -40,8 +39,18 @@ Result<PointFileReader> PointFileReader::Open(const std::string& path) {
   if (dims == 0) {
     return Status::InvalidArgument(path + ": dims must be >= 1");
   }
+  if (count > std::numeric_limits<uint64_t>::max() / dims / sizeof(double)) {
+    return Status::InvalidArgument(
+        StrFormat("%s: header count %llu x dims %u overflows", path.c_str(),
+                  static_cast<unsigned long long>(count), dims));
+  }
+  struct stat st;
+  if (::fstat(::fileno(f), &st) != 0) {
+    return Status::IoError(path + ": fstat failed");
+  }
   reader.dims_ = dims;
   reader.num_points_ = count;
+  reader.file_bytes_ = static_cast<uint64_t>(st.st_size);
   reader.data_offset_ = std::ftell(f);
   if (reader.data_offset_ < 0) {
     return Status::IoError(path + ": ftell failed");
@@ -56,10 +65,14 @@ Result<size_t> PointFileReader::ReadBatch(size_t max_points, PointSet* batch) {
   }
   const size_t want = static_cast<size_t>(
       std::min<uint64_t>(max_points, num_points_ - position_));
+  // Open bounded count * dims * 8, so neither product overflows.
+  const uint64_t point_bytes = dims_ * sizeof(double);
+  const uint64_t offset = data_offset_ + position_ * point_bytes;
+  if (want * point_bytes > file_bytes_ - std::min(offset, file_bytes_)) {
+    return Status::IoError(path_ + ": truncated data section");
+  }
   std::vector<double> buffer(want * dims_);
-  const size_t got = std::fread(buffer.data(), sizeof(double) * dims_, want,
-                                file_.get());
-  if (got != want) {
+  if (std::fread(buffer.data(), point_bytes, want, file_.get()) != want) {
     return Status::IoError(path_ + ": truncated data section");
   }
   DBSCOUT_ASSIGN_OR_RETURN(*batch,

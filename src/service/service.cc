@@ -18,6 +18,7 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "common/timer.h"
+#include "storage/file_io.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 
@@ -1154,11 +1155,15 @@ Result<std::unique_ptr<storage::CollectionStore>> DetectionService::OpenStore(
 Status DetectionService::RecoverCollections() {
   namespace fs = std::filesystem;
   std::error_code ec;
-  fs::create_directories(options_.data_dir, ec);
+  const bool created = fs::create_directories(options_.data_dir, ec);
   if (ec) {
     return Status::IoError(StrFormat("create data dir %s: %s",
                                      options_.data_dir.c_str(),
                                      ec.message().c_str()));
+  }
+  if (created) {
+    // Like a collection directory (store.cc): durable before any ack.
+    DBSCOUT_RETURN_IF_ERROR(storage::SyncParentDir(options_.data_dir));
   }
   std::vector<std::pair<std::string, std::string>> found;  // name -> dir
   for (const fs::directory_entry& entry :

@@ -88,13 +88,6 @@ inline double MinSquaredDistance(const double* query, const double* block,
   return DispatchedKernels().min_sqdist[dims](query, block, count);
 }
 
-inline uint32_t WithinFlagsEps2(const double* query, const double* block,
-                                size_t count, size_t dims, double eps2,
-                                uint8_t* flags) {
-  return DispatchedKernels().within_flags[dims](query, block, count, eps2,
-                                                flags);
-}
-
 }  // namespace dbscout::simd
 
 #endif  // DBSCOUT_SIMD_DISTANCE_KERNEL_H_

@@ -3,55 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
-#include <filesystem>
 
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/str_util.h"
+#include "storage/file_io.h"
 
 namespace dbscout::storage {
-namespace {
-
-Status Errno(const char* what, const std::string& path) {
-  return Status::IoError(
-      StrFormat("%s %s: %s", what, path.c_str(), std::strerror(errno)));
-}
-
-Status WriteAll(int fd, const uint8_t* data, size_t len,
-                const std::string& path) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Errno("write", path);
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-/// fsync the directory containing `path`, making the rename durable.
-Status SyncParentDir(const std::string& path) {
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Errno("open dir", dir);
-  }
-  Status status = Status::OK();
-  if (::fsync(fd) != 0) {
-    status = Errno("fsync dir", dir);
-  }
-  ::close(fd);
-  return status;
-}
-
-}  // namespace
 
 Status ApplyRecordToState(const WalRecord& record, CollectionState* state) {
   switch (record.type) {
@@ -161,28 +120,8 @@ Status WriteSnapshotFile(const std::string& path,
 }
 
 Result<CollectionState> ReadSnapshotFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Errno("open snapshot", path);
-  }
-  std::vector<uint8_t> data;
-  uint8_t buf[1u << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      const Status status = Errno("read snapshot", path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) {
-      break;
-    }
-    data.insert(data.end(), buf, buf + n);
-  }
-  ::close(fd);
+  DBSCOUT_ASSIGN_OR_RETURN(const std::vector<uint8_t> data,
+                           ReadWholeFile(path, "snapshot"));
 
   ByteReader outer(data);
   uint32_t magic = 0;

@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "common/timer.h"
+#include "storage/file_io.h"
 
 namespace dbscout::storage {
 namespace {
@@ -75,18 +76,6 @@ Result<FsyncPolicy> ParseFsyncPolicy(const std::string& name) {
       "unknown fsync policy '%s' (always|interval|never)", name.c_str()));
 }
 
-const char* FsyncPolicyName(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kAlways:
-      return "always";
-    case FsyncPolicy::kInterval:
-      return "interval";
-    case FsyncPolicy::kNever:
-      return "never";
-  }
-  return "unknown";
-}
-
 std::string EncodeCollectionDirName(const std::string& name) {
   static constexpr char kHex[] = "0123456789ABCDEF";
   std::string out;
@@ -149,10 +138,15 @@ Result<std::unique_ptr<CollectionStore>> CollectionStore::Open(
     const std::string& dir, const StoreOptions& options,
     RecoveredCollection* recovered) {
   std::error_code ec;
-  fs::create_directories(dir, ec);
+  const bool created = fs::create_directories(dir, ec);
   if (ec) {
     return Status::IoError(
         StrFormat("mkdir %s: %s", dir.c_str(), ec.message().c_str()));
+  }
+  if (created) {
+    // A new collection directory must survive power loss before its WAL
+    // segment (synced into it by WalWriter::Create) acknowledges anything.
+    DBSCOUT_RETURN_IF_ERROR(SyncParentDir(dir));
   }
   std::unique_ptr<CollectionStore> store(new CollectionStore(dir));
   store->collection_ = options.collection;

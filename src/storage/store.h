@@ -37,7 +37,6 @@ enum class FsyncPolicy {
 
 /// Parses "always" | "interval" | "never" (the --wal-fsync flag values).
 Result<FsyncPolicy> ParseFsyncPolicy(const std::string& name);
-const char* FsyncPolicyName(FsyncPolicy policy);
 
 struct StoreOptions {
   FsyncPolicy fsync = FsyncPolicy::kAlways;

@@ -3,40 +3,16 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
 #include <utility>
 
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/str_util.h"
+#include "storage/file_io.h"
 
 namespace dbscout::storage {
 namespace {
-
-Status Errno(const char* what, const std::string& path) {
-  return Status::IoError(
-      StrFormat("%s %s: %s", what, path.c_str(), std::strerror(errno)));
-}
-
-/// Full write() loop: short writes only split frames on signals/ENOSPC,
-/// and a partial frame at EOF is exactly the torn tail the scanner
-/// truncates, so retrying the remainder is always safe.
-Status WriteAll(int fd, const uint8_t* data, size_t len,
-                const std::string& path) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Errno("write", path);
-    }
-    data += n;
-    len -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 std::vector<uint8_t> EncodeSegmentHeader(uint64_t seq) {
   std::vector<uint8_t> out;
@@ -144,10 +120,10 @@ Result<WalWriter> WalWriter::Create(const std::string& path, uint64_t seq) {
   writer.fd_ = fd;
   writer.path_ = path;
   const std::vector<uint8_t> header = EncodeSegmentHeader(seq);
-  const Status status = WriteAll(fd, header.data(), header.size(), path);
-  if (!status.ok()) {
-    return status;
-  }
+  DBSCOUT_RETURN_IF_ERROR(WriteAll(fd, header.data(), header.size(), path));
+  // The segment's directory entry must be durable before its first
+  // acknowledged frame: fdatasync on commit covers the data only.
+  DBSCOUT_RETURN_IF_ERROR(SyncParentDir(path));
   writer.bytes_ = header.size();
   return writer;
 }
@@ -253,28 +229,8 @@ Status WalWriter::Close() {
 // Scanning
 
 Result<WalScan> ScanWalFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Errno("open wal segment", path);
-  }
-  std::vector<uint8_t> data;
-  uint8_t buf[1u << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      const Status status = Errno("read wal segment", path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) {
-      break;
-    }
-    data.insert(data.end(), buf, buf + n);
-  }
-  ::close(fd);
+  DBSCOUT_ASSIGN_OR_RETURN(const std::vector<uint8_t> data,
+                           ReadWholeFile(path, "wal segment"));
 
   WalScan scan;
   if (data.size() < kWalHeaderBytes) {

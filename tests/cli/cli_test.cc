@@ -218,6 +218,51 @@ TEST(CliTest, EvaluateScoresAgainstLabelColumn) {
   std::remove(predicted.c_str());
 }
 
+TEST(CliTest, OutOfRangeIntegersFail) {
+  Rng rng(85);
+  const PointSet ps = testing::ClusteredPoints(&rng, 300, 2, 3, 0.2);
+  const std::string data = TempPath("cli_range.dbsc");
+  ASSERT_TRUE(SavePointsBinary(data, ps).ok());
+  // 2^32 + 1 and 2^32 + 4 would wrap to minPts 1 and k 4.
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"detect", "--input=" + data, "--eps=1",
+                                 "--min-pts=4294967297"},
+        std::vector<std::string>{"kdist", "--input=" + data,
+                                 "--k=4294967300"}}) {
+    SCOPED_TRACE(args.back());
+    const CliRun run = RunTool(args);
+    EXPECT_EQ(run.code, 1) << run.out;
+    EXPECT_NE(run.err.find("InvalidArgument"), std::string::npos) << run.err;
+    EXPECT_NE(run.err.find(args.back()), std::string::npos) << run.err;
+  }
+  std::remove(data.c_str());
+}
+
+// generate and detect apply one format rule: a .csv output is CSV, and
+// detecting it finds the outliers of the same dataset written as DBSC.
+TEST(CliTest, GenerateCsvThenDetectMatchesBinary) {
+  const std::string exts[2] = {".csv", ".dbsc"};
+  std::string outliers[2];
+  for (int i = 0; i < 2; ++i) {
+    const std::string& ext = exts[i];
+    const std::string data = TempPath("cli_gen" + ext);
+    const std::string out = TempPath("cli_gen_out" + ext);
+    CliRun run = RunTool({"generate", "--dataset=blobs", "--n=1500",
+                          "--seed=7", "--output=" + data});
+    ASSERT_EQ(run.code, 0) << run.err;
+    run = RunTool({"detect", "--input=" + data, "--eps=0.7", "--min-pts=5",
+                   "--output=" + out});
+    ASSERT_EQ(run.code, 0) << ext << ": " << run.err;
+    std::ifstream in(out);
+    outliers[i].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    std::remove(data.c_str());
+    std::remove(out.c_str());
+  }
+  EXPECT_FALSE(outliers[0].empty());
+  EXPECT_EQ(outliers[0], outliers[1]);
+}
+
 TEST(CliTest, TypoInFlagIsCaught) {
   const CliRun run = RunTool({"kdist", "--input=x", "--k=5", "--samle=10"});
   EXPECT_EQ(run.code, 1);

@@ -18,7 +18,7 @@ TEST(FlagsTest, ParsesCommandAndFlags) {
   EXPECT_TRUE(flags->GetBool("scores"));
   EXPECT_FALSE(flags->GetBool("missing"));
   EXPECT_DOUBLE_EQ(*flags->GetDouble("eps", 0.0), 1.5);
-  EXPECT_EQ(*flags->GetUint("min-pts", 0), 5u);
+  EXPECT_EQ(*flags->GetUint("min-pts", 0, 5), 5u);
 }
 
 TEST(FlagsTest, FallbacksWhenAbsent) {
@@ -26,7 +26,7 @@ TEST(FlagsTest, FallbacksWhenAbsent) {
   ASSERT_TRUE(flags.ok());
   EXPECT_EQ(flags->GetString("engine", "sequential"), "sequential");
   EXPECT_DOUBLE_EQ(*flags->GetDouble("eps", 2.5), 2.5);
-  EXPECT_EQ(*flags->GetUint("k", 7), 7u);
+  EXPECT_EQ(*flags->GetUint("k", 7, 7), 7u);
 }
 
 TEST(FlagsTest, RejectsMissingCommand) {
@@ -43,7 +43,29 @@ TEST(FlagsTest, RejectsMalformedValues) {
   auto flags = ParseArgs({"detect", "--eps=abc", "--min-pts=1.5"});
   ASSERT_TRUE(flags.ok());
   EXPECT_FALSE(flags->GetDouble("eps", 0.0).ok());
-  EXPECT_FALSE(flags->GetUint("min-pts", 0).ok());
+  EXPECT_FALSE(flags->GetUint("min-pts", 0, UINT64_MAX).ok());
+}
+
+TEST(FlagsTest, GetUintChecksTheBound) {
+  auto flags = ParseArgs({"detect", "--port=65535", "--id=65536"});
+  ASSERT_TRUE(flags.ok());
+  auto at_max = flags->GetUint("port", 0, 65535);
+  ASSERT_TRUE(at_max.ok()) << at_max.status();
+  EXPECT_EQ(*at_max, 65535u);
+  auto over = flags->GetUint("id", 0, 65535);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.status().message().find("--id"), std::string::npos);
+}
+
+TEST(FlagsTest, ParseFlagsTakesNoCommand) {
+  const char* argv[] = {"dbscout_serve", "--eps=1", "--data-dir=d"};
+  auto flags = Flags::ParseFlags(3, argv);
+  ASSERT_TRUE(flags.ok()) << flags.status();
+  EXPECT_EQ(flags->command(), "");
+  EXPECT_EQ(flags->GetString("data-dir"), "d");
+  const char* positional[] = {"dbscout_serve", "--eps=1", "extra"};
+  EXPECT_FALSE(Flags::ParseFlags(3, positional).ok());
 }
 
 TEST(FlagsTest, ValueWithEqualsSign) {

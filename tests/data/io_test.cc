@@ -77,6 +77,30 @@ TEST(IoTest, BinaryRejectsTruncatedFile) {
   std::remove(truncated_path.c_str());
 }
 
+// A header whose count * dims * 8 bytes overflows 64 bits (dims 1), or
+// whose count * dims wraps to 0 (dims 8), is an error: no abort on a huge
+// allocation, and no 0-point success.
+TEST(IoTest, BinaryRejectsOverflowingHeaderCount) {
+  for (const uint32_t dims : {1u, 8u}) {
+    SCOPED_TRACE(dims);
+    const std::string path = TempPath("huge.dbsc");
+    const uint32_t version = 1;
+    const uint64_t count = uint64_t{1} << 61;
+    const double value = 0.5;
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write("DBSC", 4);
+      out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+      out.write(reinterpret_cast<const char*>(&dims), sizeof(dims));
+      out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+      out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+    }
+    auto loaded = LoadPointsBinary(path);
+    EXPECT_FALSE(loaded.ok());
+    std::remove(path.c_str());
+  }
+}
+
 TEST(IoTest, LoadCsvRejectsEmptyFile) {
   const std::string path = TempPath("empty.csv");
   std::ofstream(path) << "";

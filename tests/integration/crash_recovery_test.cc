@@ -78,7 +78,7 @@ struct ServeProcess {
 /// Forks and execs dbscout_serve with the given extra flags, waiting for
 /// the listening banner. Returns a port of 0 (and a reaped pid) when the
 /// process exits before binding — e.g. when crash recovery fails. The
-/// extra flags precede the defaults, and dbscout_serve reads the first
+/// extra flags follow the defaults, and dbscout_serve keeps the last
 /// occurrence of a flag, so they override --eps, --min-pts and --port.
 ServeProcess StartServe(const std::vector<std::string>& extra_flags) {
   int pipe_fds[2] = {-1, -1};
@@ -88,9 +88,9 @@ ServeProcess StartServe(const std::vector<std::string>& extra_flags) {
     ::dup2(pipe_fds[1], STDOUT_FILENO);
     ::close(pipe_fds[0]);
     ::close(pipe_fds[1]);
-    std::vector<std::string> args = {DBSCOUT_SERVE_BIN};
+    std::vector<std::string> args = {DBSCOUT_SERVE_BIN, "--eps=1.0",
+                                     "--min-pts=4", "--port=0"};
     args.insert(args.end(), extra_flags.begin(), extra_flags.end());
-    args.insert(args.end(), {"--eps=1.0", "--min-pts=4", "--port=0"});
     std::vector<char*> argv;
     for (std::string& arg : args) {
       argv.push_back(arg.data());
@@ -323,12 +323,14 @@ TEST(CrashRecoveryTest, Kill9WithSlidingWindowKeepsExpiryDurable) {
 }
 
 // Flags dbscout_serve cannot honour exit with usage (status 2) before
-// the server binds, instead of wrapping into a different value or
-// starting a server whose every INGEST fails.
+// the server binds, instead of wrapping into a different value, starting
+// a server whose every INGEST fails, or ignoring a misspelt flag (a
+// --data_dir server would serve in memory) or a positional argument.
 TEST(ServeFlagsTest, UnhonourableFlagsExitWithUsage) {
   for (const char* flag :
        {"--port=70000", "--min-pts=2147483648", "--min-pts=4294967297",
-        "--eps=-1", "--min-pts=0", "--eps=0"}) {
+        "--eps=-1", "--min-pts=0", "--eps=0", "--data_dir=D",
+        "--ttl_seconds=5", "positional"}) {
     SCOPED_TRACE(flag);
     ServeProcess serve = StartServe({flag});
     serve.Kill();  // stops a server that did start; closes the pipe
@@ -367,7 +369,8 @@ int RunClient(const std::vector<std::string>& args) {
 // Integer flags dbscout_client would have to narrow exit with usage
 // (status 2) before connecting, instead of wrapping into a different port
 // or id: against a live server, a wrapped --port=P+65536 would reach P
-// and a wrapped --query-id=2^32+5 would answer for id 5.
+// and a wrapped --query-id=2^32+5 would answer for id 5. So does an
+// unknown flag, instead of being ignored.
 TEST(ClientFlagsTest, OutOfRangeFlagsExitWithUsage) {
   ServeProcess serve = StartServe({});
   ASSERT_NE(serve.port, 0);
@@ -397,7 +400,8 @@ TEST(ClientFlagsTest, OutOfRangeFlagsExitWithUsage) {
         std::vector<std::string>{port, "--collection=c",
                                  "--query-id=4294967301"},
         std::vector<std::string>{port, "--trace-dump",
-                                 "--trace-limit=4294967296"}}) {
+                                 "--trace-limit=4294967296"},
+        std::vector<std::string>{port, "--trace-dump", "--colection=c"}}) {
     SCOPED_TRACE(bad[0] + " " + bad[2]);
     const int status = RunClient(bad);
     ASSERT_TRUE(WIFEXITED(status));

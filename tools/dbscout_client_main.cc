@@ -23,9 +23,12 @@
 // request's spans. Only use it against trace-aware servers: the stamp
 // sets the verb high bit, which pre-trace servers reject.
 //
-// --port must be <= 65535 and --query-id / --trace-limit <= 4294967295;
-// any other value exits with usage (status 2) before connecting, instead
-// of wrapping into a different port or id.
+// Flags are parsed by the dbscout CLI's cli::Flags. An unknown flag, a
+// positional argument, a missing --port, or a value out of range (--port
+// must be <= 65535 and --query-id / --trace-limit <= 4294967295) exits
+// with usage (status 2) before connecting, instead of wrapping into a
+// different port or id. --ingest reads FILE as CSV when it ends in .csv
+// and as DBSC binary otherwise; --format overrides (data/io.h).
 
 #include <cstdint>
 #include <cstdlib>
@@ -34,52 +37,19 @@
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "common/str_util.h"
 #include "data/io.h"
 #include "service/client.h"
 
 namespace {
 
-const char* FlagValue(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return nullptr;
-}
+using dbscout::Status;
+using dbscout::cli::Flags;
 
-bool HasFlag(int argc, char** argv, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i]) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Parses the value of --`name` as an unsigned integer no larger than
-/// `max`. False when the flag is present but malformed or out of range;
-/// *out keeps its value when the flag is absent.
-bool ParseBoundedFlag(int argc, char** argv, const std::string& name,
-                      uint64_t max, uint64_t* out) {
-  const char* text = FlagValue(argc, argv, name);
-  if (text == nullptr) {
-    return true;
-  }
-  auto value = dbscout::ParseUint64(text);
-  if (!value.ok() || *value > max) {
-    return false;
-  }
-  *out = *value;
-  return true;
-}
-
-int Usage() {
+int Usage(const Status& status) {
   std::cerr
+      << "dbscout_client: " << status << "\n"
       << "usage: dbscout_client --port=P --collection=C "
          "(--ingest=FILE [--format=csv|binary] | --query=X,Y[,...] "
          "[--score] | --query-id=I [--score] | --stats | --snapshot | "
@@ -90,13 +60,67 @@ int Usage() {
   return 2;
 }
 
-dbscout::Result<dbscout::PointSet> LoadPoints(const std::string& path,
-                                              const std::string& format) {
-  const bool csv =
-      format == "csv" ||
-      (format.empty() && path.size() >= 4 &&
-       path.compare(path.size() - 4, 4, ".csv") == 0);
-  return csv ? dbscout::LoadPointsCsv(path) : dbscout::LoadPointsBinary(path);
+/// Every flag value, checked before connecting.
+struct Args {
+  uint64_t port = 0;
+  uint64_t query_id = 0;
+  uint64_t trace_limit = 0;
+  uint64_t trace_id = 0;
+  double ttl = 0.0;
+  std::vector<double> point;
+  dbscout::PointFormat format = dbscout::PointFormat::kDbsc;
+};
+
+Status CheckFlags(const Flags& flags, Args* args) {
+  constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  DBSCOUT_RETURN_IF_ERROR(flags.CheckAllowed(
+      {"host", "port", "collection", "ingest", "format", "query", "score",
+       "query-id", "stats", "snapshot", "set-ttl", "metrics", "health",
+       "trace-dump", "span-name", "trace-id", "trace-limit", "trace"}));
+  DBSCOUT_RETURN_IF_ERROR(flags.CheckRequired({"port"}));
+  // --metrics/--health/--trace-dump are service-wide, so they take no
+  // collection (for --trace-dump it is an optional scope filter).
+  if (!flags.Has("metrics") && !flags.Has("health") &&
+      !flags.Has("trace-dump")) {
+    DBSCOUT_RETURN_IF_ERROR(flags.CheckRequired({"collection"}));
+  }
+  DBSCOUT_ASSIGN_OR_RETURN(
+      args->port,
+      flags.GetUint("port", 0, std::numeric_limits<uint16_t>::max()));
+  DBSCOUT_ASSIGN_OR_RETURN(args->query_id,
+                           flags.GetUint("query-id", 0, kMaxU32));
+  DBSCOUT_ASSIGN_OR_RETURN(args->trace_limit,
+                           flags.GetUint("trace-limit", 0, kMaxU32));
+  DBSCOUT_ASSIGN_OR_RETURN(args->ttl, flags.GetDouble("set-ttl", 0.0));
+  if (flags.Has("trace-id")) {
+    const std::string text = flags.GetString("trace-id");
+    char* end = nullptr;
+    args->trace_id = std::strtoull(text.c_str(), &end, 16);
+    if (end == text.c_str() || *end != '\0') {
+      return Status::InvalidArgument("--trace-id: not hex: " + text);
+    }
+  }
+  if (flags.Has("query")) {
+    const std::string query = flags.GetString("query");
+    for (std::string_view field : dbscout::Split(query, ',')) {
+      DBSCOUT_ASSIGN_OR_RETURN(const double value,
+                               dbscout::ParseDouble(field));
+      args->point.push_back(value);
+    }
+  }
+  if (flags.Has("ingest")) {
+    DBSCOUT_ASSIGN_OR_RETURN(
+        args->format, dbscout::PointFileFormat(flags.GetString("ingest"),
+                                               flags.GetString("format")));
+  }
+  for (const char* action : {"metrics", "health", "trace-dump", "ingest",
+                             "query", "query-id", "set-ttl", "stats",
+                             "snapshot"}) {
+    if (flags.Has(action)) {
+      return Status::OK();
+    }
+  }
+  return Status::InvalidArgument("no action flag");
 }
 
 const char* HealthStateName(dbscout::service::HealthState state) {
@@ -140,47 +164,27 @@ const char* KindName(dbscout::core::PointKind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using dbscout::ParseDouble;
-  using dbscout::Split;
   namespace service = dbscout::service;
 
-  const char* port_text = FlagValue(argc, argv, "port");
-  const char* collection = FlagValue(argc, argv, "collection");
-  const bool want_metrics = HasFlag(argc, argv, "metrics");
-  const bool want_health = HasFlag(argc, argv, "health");
-  const bool want_trace_dump = HasFlag(argc, argv, "trace-dump");
-  // --metrics/--health/--trace-dump are service-wide, so they take no
-  // collection (for --trace-dump it is an optional scope filter).
-  if (port_text == nullptr ||
-      (collection == nullptr && !want_metrics && !want_health &&
-       !want_trace_dump)) {
-    return Usage();
+  auto flags = Flags::ParseFlags(argc, argv);
+  Args args;
+  const Status checked =
+      flags.ok() ? CheckFlags(*flags, &args) : flags.status();
+  if (!checked.ok()) {
+    return Usage(checked);
   }
-  // Range-check every narrowed integer flag before connecting.
-  constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
-  uint64_t port = 0;
-  uint64_t query_id = 0;
-  uint64_t trace_limit = 0;
-  if (!ParseBoundedFlag(argc, argv, "port", 65535, &port) ||
-      !ParseBoundedFlag(argc, argv, "query-id", kMaxU32, &query_id) ||
-      !ParseBoundedFlag(argc, argv, "trace-limit", kMaxU32, &trace_limit)) {
-    return Usage();
-  }
-  const char* host_text = FlagValue(argc, argv, "host");
-  const std::string host = host_text != nullptr ? host_text : "127.0.0.1";
-
-  auto client =
-      service::Client::Connect(host, static_cast<uint16_t>(port));
+  const std::string collection = flags->GetString("collection");
+  auto client = service::Client::Connect(flags->GetString("host", "127.0.0.1"),
+                                         static_cast<uint16_t>(args.port));
   if (!client.ok()) {
     std::cerr << "dbscout_client: " << client.status() << "\n";
     return 1;
   }
-  const bool want_score = HasFlag(argc, argv, "score");
-  if (HasFlag(argc, argv, "trace")) {
+  if (flags->Has("trace")) {
     client->EnableTracing();
   }
 
-  if (want_metrics) {
+  if (flags->Has("metrics")) {
     auto text = client->Metrics();
     if (!text.ok()) {
       std::cerr << "dbscout_client: " << text.status() << "\n";
@@ -190,7 +194,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (want_health) {
+  if (flags->Has("health")) {
     auto health = client->Health();
     if (!health.ok()) {
       std::cerr << "dbscout_client: " << health.status() << "\n";
@@ -210,20 +214,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (want_trace_dump) {
-    uint64_t trace_id = 0;
-    if (const char* text = FlagValue(argc, argv, "trace-id")) {
-      char* end = nullptr;
-      trace_id = std::strtoull(text, &end, 16);
-      if (end == text || *end != '\0') {
-        return Usage();
-      }
-    }
-    const uint32_t limit = static_cast<uint32_t>(trace_limit);
-    const char* name = FlagValue(argc, argv, "span-name");
+  if (flags->Has("trace-dump")) {
     auto answer = client->TraceDump(
-        collection != nullptr ? collection : "",
-        name != nullptr ? name : "", trace_id, limit);
+        collection, flags->GetString("span-name"), args.trace_id,
+        static_cast<uint32_t>(args.trace_limit));
     if (!answer.ok()) {
       std::cerr << "dbscout_client: " << answer.status() << "\n";
       return 1;
@@ -234,9 +228,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (const char* path = FlagValue(argc, argv, "ingest")) {
-    const char* format = FlagValue(argc, argv, "format");
-    auto points = LoadPoints(path, format != nullptr ? format : "");
+  if (flags->Has("ingest")) {
+    auto points =
+        dbscout::LoadPointFile(flags->GetString("ingest"), args.format);
     if (!points.ok()) {
       std::cerr << "dbscout_client: " << points.status() << "\n";
       return 1;
@@ -259,16 +253,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (const char* coords_text = FlagValue(argc, argv, "query")) {
-    std::vector<double> point;
-    for (std::string_view field : Split(coords_text, ',')) {
-      auto value = ParseDouble(field);
-      if (!value.ok()) {
-        return Usage();
-      }
-      point.push_back(*value);
-    }
-    auto answer = client->QueryPoint(collection, point, want_score);
+  if (flags->Has("query") || flags->Has("query-id")) {
+    const bool score = flags->Has("score");
+    auto answer =
+        flags->Has("query")
+            ? client->QueryPoint(collection, args.point, score)
+            : client->QueryId(collection,
+                              static_cast<uint32_t>(args.query_id), score);
     if (!answer.ok()) {
       std::cerr << "dbscout_client: " << answer.status() << "\n";
       return 1;
@@ -282,28 +273,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (FlagValue(argc, argv, "query-id") != nullptr) {
-    auto answer = client->QueryId(collection, static_cast<uint32_t>(query_id),
-                                  want_score);
-    if (!answer.ok()) {
-      std::cerr << "dbscout_client: " << answer.status() << "\n";
-      return 1;
-    }
-    std::cout << "kind=" << KindName(answer->kind)
-              << " epoch=" << answer->epoch;
-    if (answer->has_score) {
-      std::cout << " score=" << answer->score;
-    }
-    std::cout << "\n";
-    return 0;
-  }
-
-  if (const char* ttl_text = FlagValue(argc, argv, "set-ttl")) {
-    auto ttl = ParseDouble(ttl_text);
-    if (!ttl.ok()) {
-      return Usage();
-    }
-    auto applied = client->Configure(collection, *ttl);
+  if (flags->Has("set-ttl")) {
+    auto applied = client->Configure(collection, args.ttl);
     if (!applied.ok()) {
       std::cerr << "dbscout_client: " << applied.status() << "\n";
       return 1;
@@ -312,7 +283,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (HasFlag(argc, argv, "stats")) {
+  if (flags->Has("stats")) {
     auto stats = client->Stats(collection);
     if (!stats.ok()) {
       std::cerr << "dbscout_client: " << stats.status() << "\n";
@@ -341,25 +312,23 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (HasFlag(argc, argv, "snapshot")) {
-    auto snapshot = client->Snapshot(collection);
-    if (!snapshot.ok()) {
-      std::cerr << "dbscout_client: " << snapshot.status() << "\n";
-      return 1;
-    }
-    // Expired ids read as kOutlier with alive 0: count live ones only.
-    size_t outliers = 0;
-    for (size_t id = 0; id < snapshot->kinds.size(); ++id) {
-      if (snapshot->alive[id] != 0 &&
-          snapshot->kinds[id] == dbscout::core::PointKind::kOutlier) {
-        ++outliers;
-      }
-    }
-    std::cout << "epoch=" << snapshot->epoch << " core=" << snapshot->num_core
-              << " outliers=" << outliers << " cells=" << snapshot->num_cells
-              << "\n";
-    return 0;
+  // CheckFlags admits only command lines with an action: this is
+  // --snapshot.
+  auto snapshot = client->Snapshot(collection);
+  if (!snapshot.ok()) {
+    std::cerr << "dbscout_client: " << snapshot.status() << "\n";
+    return 1;
   }
-
-  return Usage();
+  // Expired ids read as kOutlier with alive 0: count live ones only.
+  size_t outliers = 0;
+  for (size_t id = 0; id < snapshot->kinds.size(); ++id) {
+    if (snapshot->alive[id] != 0 &&
+        snapshot->kinds[id] == dbscout::core::PointKind::kOutlier) {
+      ++outliers;
+    }
+  }
+  std::cout << "epoch=" << snapshot->epoch << " core=" << snapshot->num_core
+            << " outliers=" << outliers << " cells=" << snapshot->num_cells
+            << "\n";
+  return 0;
 }

@@ -12,8 +12,10 @@
 //
 // Every collection is backed by one incremental detector; the apply loop
 // fans its slab-block tasks out on one worker per core.
-// --eps must be > 0, --min-pts in [1, INT_MAX] and --port <= 65535; any
-// other value exits with usage (status 2) before binding.
+// Flags are parsed by the dbscout CLI's cli::Flags. An unknown flag, a
+// positional argument, a missing --eps or --min-pts, or a value out of
+// range (--eps must be > 0, --min-pts in [1, INT_MAX], --port <= 65535)
+// exits with usage (status 2) before binding.
 // --ttl-seconds=T gives every collection a sliding window: points older
 // than T seconds are expired by the apply loop (0 = append-only; override
 // per collection with dbscout_client --set-ttl).
@@ -46,13 +48,13 @@
 #include <time.h>
 
 #include <atomic>
-#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 
-#include "common/str_util.h"
+#include "cli/flags.h"
 #include "obs/trace.h"
 #include "service/server.h"
 #include "service/service.h"
@@ -60,22 +62,12 @@
 
 namespace {
 
+using dbscout::Status;
+using dbscout::cli::Flags;
+
 std::atomic<bool> g_stop{false};
 
 void HandleStopSignal(int /*signum*/) { g_stop.store(true); }
-
-// Minimal --name=value parser (the dbscout CLI's Flags class wants a
-// subcommand word, which this single-purpose tool doesn't have).
-const char* FlagValue(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return nullptr;
-}
 
 int Usage() {
   std::cerr << "usage: dbscout_serve --eps=X --min-pts=N [--host=H] "
@@ -87,101 +79,89 @@ int Usage() {
   return 2;
 }
 
+/// Sets *out to `scale` times the value of --`name` when it is given;
+/// the value must be >= 0.
+Status GetNonNegative(const Flags& flags, const std::string& name,
+                      double scale, double* out) {
+  if (!flags.Has(name)) {
+    return Status::OK();
+  }
+  DBSCOUT_ASSIGN_OR_RETURN(const double value, flags.GetDouble(name, 0.0));
+  if (value < 0.0) {
+    return Status::InvalidArgument("--" + name + " must be >= 0");
+  }
+  *out = value * scale;
+  return Status::OK();
+}
+
+/// Fills the options from the command line; any error means usage.
+Status ParseOptions(const Flags& flags,
+                    dbscout::service::ServiceOptions* service,
+                    dbscout::service::ServerOptions* server,
+                    size_t* trace_spans) {
+  constexpr uint64_t kMaxSize = std::numeric_limits<size_t>::max();
+  DBSCOUT_RETURN_IF_ERROR(flags.CheckAllowed(
+      {"eps", "min-pts", "host", "port", "max-sessions", "max-pending",
+       "ttl-seconds", "data-dir", "wal-fsync", "snapshot-interval",
+       "slow-request-ms", "trace-spans"}));
+  DBSCOUT_RETURN_IF_ERROR(flags.CheckRequired({"eps", "min-pts"}));
+  DBSCOUT_ASSIGN_OR_RETURN(service->params.eps, flags.GetDouble("eps", 0.0));
+  DBSCOUT_ASSIGN_OR_RETURN(
+      const uint64_t min_pts,
+      flags.GetUint("min-pts", 0, std::numeric_limits<int>::max()));
+  service->params.min_pts = static_cast<int>(min_pts);
+  DBSCOUT_RETURN_IF_ERROR(service->params.Validate());
+  DBSCOUT_ASSIGN_OR_RETURN(
+      service->max_pending_ingests,
+      flags.GetUint("max-pending", service->max_pending_ingests, kMaxSize));
+  DBSCOUT_RETURN_IF_ERROR(
+      GetNonNegative(flags, "ttl-seconds", 1.0, &service->ttl_seconds));
+  service->data_dir = flags.GetString("data-dir");
+  if (flags.Has("wal-fsync")) {
+    DBSCOUT_ASSIGN_OR_RETURN(
+        service->wal_fsync,
+        dbscout::storage::ParseFsyncPolicy(flags.GetString("wal-fsync")));
+  }
+  DBSCOUT_ASSIGN_OR_RETURN(
+      service->snapshot_interval_bytes,
+      flags.GetUint("snapshot-interval", service->snapshot_interval_bytes,
+                    std::numeric_limits<uint64_t>::max()));
+  // 0 = unbounded (batch-style full retention).
+  DBSCOUT_ASSIGN_OR_RETURN(*trace_spans,
+                           flags.GetUint("trace-spans", 16384, kMaxSize));
+  DBSCOUT_RETURN_IF_ERROR(GetNonNegative(flags, "slow-request-ms", 1e-3,
+                                         &service->slow_request_seconds));
+  server->host = flags.GetString("host", server->host);
+  DBSCOUT_ASSIGN_OR_RETURN(const uint64_t port,
+                           flags.GetUint("port", server->port,
+                                         std::numeric_limits<uint16_t>::max()));
+  server->port = static_cast<uint16_t>(port);
+  DBSCOUT_ASSIGN_OR_RETURN(
+      server->max_sessions,
+      flags.GetUint("max-sessions", server->max_sessions, kMaxSize));
+  return Status::OK();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using dbscout::ParseDouble;
-  using dbscout::ParseUint64;
-
-  const char* eps_text = FlagValue(argc, argv, "eps");
-  const char* min_pts_text = FlagValue(argc, argv, "min-pts");
-  if (eps_text == nullptr || min_pts_text == nullptr) {
-    return Usage();
-  }
-  auto eps = ParseDouble(eps_text);
-  auto min_pts = ParseUint64(min_pts_text);
-  if (!eps.ok() || !min_pts.ok() || *min_pts > INT_MAX) {
-    return Usage();
-  }
-
   dbscout::service::ServiceOptions service_options;
-  service_options.params.eps = *eps;
-  service_options.params.min_pts = static_cast<int>(*min_pts);
-  if (const dbscout::Status valid = service_options.params.Validate();
-      !valid.ok()) {
-    std::cerr << "dbscout_serve: " << valid << "\n";
+  dbscout::service::ServerOptions server_options;
+  size_t trace_spans = 0;
+  auto flags = Flags::ParseFlags(argc, argv);
+  const Status parsed =
+      flags.ok() ? ParseOptions(*flags, &service_options, &server_options,
+                                &trace_spans)
+                 : flags.status();
+  if (!parsed.ok()) {
+    std::cerr << "dbscout_serve: " << parsed << "\n";
     return Usage();
-  }
-  if (const char* text = FlagValue(argc, argv, "max-pending")) {
-    auto value = ParseUint64(text);
-    if (!value.ok()) {
-      return Usage();
-    }
-    service_options.max_pending_ingests = *value;
-  }
-  if (const char* text = FlagValue(argc, argv, "ttl-seconds")) {
-    auto value = ParseDouble(text);
-    if (!value.ok() || *value < 0.0) {
-      return Usage();
-    }
-    service_options.ttl_seconds = *value;
-  }
-  if (const char* text = FlagValue(argc, argv, "data-dir")) {
-    service_options.data_dir = text;
-  }
-  if (const char* text = FlagValue(argc, argv, "wal-fsync")) {
-    auto policy = dbscout::storage::ParseFsyncPolicy(text);
-    if (!policy.ok()) {
-      return Usage();
-    }
-    service_options.wal_fsync = *policy;
-  }
-  if (const char* text = FlagValue(argc, argv, "snapshot-interval")) {
-    auto value = ParseUint64(text);
-    if (!value.ok()) {
-      return Usage();
-    }
-    service_options.snapshot_interval_bytes = *value;
-  }
-  size_t trace_spans = 16384;
-  if (const char* text = FlagValue(argc, argv, "trace-spans")) {
-    auto value = ParseUint64(text);
-    if (!value.ok()) {
-      return Usage();
-    }
-    trace_spans = *value;  // 0 = unbounded (batch-style full retention)
   }
   // The ring is always attached so `dbscout_client --trace-dump` works
   // without a restart; at the default capacity an idle request path costs
   // only the span emissions themselves (no per-request allocation growth).
   dbscout::obs::TraceCollector trace(trace_spans);
   service_options.trace = &trace;
-  if (const char* text = FlagValue(argc, argv, "slow-request-ms")) {
-    auto value = ParseDouble(text);
-    if (!value.ok() || *value < 0.0) {
-      return Usage();
-    }
-    service_options.slow_request_seconds = *value / 1000.0;
-  }
-
-  dbscout::service::ServerOptions server_options;
-  if (const char* text = FlagValue(argc, argv, "host")) {
-    server_options.host = text;
-  }
-  if (const char* text = FlagValue(argc, argv, "port")) {
-    auto value = ParseUint64(text);
-    if (!value.ok() || *value > UINT16_MAX) {
-      return Usage();
-    }
-    server_options.port = static_cast<uint16_t>(*value);
-  }
-  if (const char* text = FlagValue(argc, argv, "max-sessions")) {
-    auto value = ParseUint64(text);
-    if (!value.ok()) {
-      return Usage();
-    }
-    server_options.max_sessions = *value;
-  }
 
   // Bind the port before replaying the WAL: during recovery the server is
   // reachable and HEALTH reports not-ready (collection verbs answer

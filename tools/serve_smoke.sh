@@ -2,8 +2,10 @@
 # End-to-end smoke for the detection service: boots dbscout_serve on an
 # ephemeral port, ingests a generated shape dataset through dbscout_client,
 # checks that stats report outliers, probes a far-away point, scrapes the
-# METRICS endpoint twice (Prometheus text format, monotone counters), then
-# shuts the server down with SIGTERM and verifies a clean exit. A second
+# METRICS endpoint twice (Prometheus text format, monotone counters),
+# ingests the same dataset written as CSV into a second collection (same
+# outliers), then shuts the server down with SIGTERM and verifies a clean
+# exit. A second
 # durable leg ingests into a --data-dir server, kill -9s it, checks the
 # WAL with wal_inspect, restarts over the same directory, and asserts the
 # stats (live, epoch, outliers, core, cells) and a probe query are
@@ -15,6 +17,9 @@
 # count every point and some distance computations); a by-id QUERY of
 # the expired id 0 answers NotFound; after a kill -9 and a restart the
 # window is still empty at the same epoch and id 0 still answers NotFound.
+#
+# Before all of this, a server started with the misspelt --data_dir must
+# exit with usage (status 2) without printing its listening banner.
 #
 # usage: tools/serve_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -38,6 +43,18 @@ trap cleanup EXIT
 echo "== generate dataset"
 "$DBSCOUT" generate --dataset=blobs --n=2000 --contamination=0.02 \
   --seed=11 --output="$WORK/blobs.dbsc"
+
+echo "== misspelt flag: exit 2 before binding"
+# --data_dir is not --data-dir: serving in memory instead would lose every
+# acknowledged ingest on restart, so the server must refuse to start.
+TYPO_STATUS=0
+timeout 10 "$SERVE" --eps=0.7 --min-pts=5 --data_dir="$WORK/typo" \
+  >"$WORK/serve_typo.log" 2>&1 || TYPO_STATUS=$?
+[[ "$TYPO_STATUS" -eq 2 ]] \
+  || { echo "FAIL: --data_dir exit status $TYPO_STATUS, want 2"; cat "$WORK/serve_typo.log"; exit 1; }
+if grep -q "listening on" "$WORK/serve_typo.log"; then
+  echo "FAIL: server with --data_dir printed a listening banner"; exit 1
+fi
 
 echo "== boot server"
 # --slow-request-ms=0 logs every request as "slow" so the tracing leg can
@@ -125,6 +142,16 @@ echo "== health: running server must be ready"
 HEALTH="$("$CLIENT" --port="$PORT" --health)"
 echo "   $HEALTH"
 grep -q "state=ready" <<<"$HEALTH" || { echo "FAIL: server not ready"; exit 1; }
+
+echo "== CSV ingest: a .csv path is CSV for generate and the client alike"
+"$DBSCOUT" generate --dataset=blobs --n=2000 --contamination=0.02 \
+  --seed=11 --output="$WORK/blobs.csv"
+"$CLIENT" --port="$PORT" --collection=smoke-csv --ingest="$WORK/blobs.csv"
+CSTATS="$("$CLIENT" --port="$PORT" --collection=smoke-csv --stats | head -1)"
+echo "   $CSTATS"
+grep -q "points=2000" <<<"$CSTATS" || { echo "FAIL: CSV ingest: expected points=2000"; exit 1; }
+[[ "$(sed -n 's/.*outliers=\([0-9]*\).*/\1/p' <<<"$CSTATS")" -eq "$OUTLIERS" ]] \
+  || { echo "FAIL: CSV ingest found other outliers than the DBSC one ($OUTLIERS)"; exit 1; }
 
 echo "== durability: ingest, kill -9, restart over the same --data-dir"
 WAL_INSPECT="$BUILD_DIR/tools/wal_inspect"
