@@ -182,15 +182,14 @@ Status CmdDetect(const Flags& flags, std::ostream& out) {
   DBSCOUT_ASSIGN_OR_RETURN(params.num_partitions,
                            flags.GetUint("partitions", 0, kMaxSize));
   if (engine == "incremental") {
-    // Append-only maintenance: every point is inserted one at a time and
-    // the labeling is exact after each insertion. This is the engine the
-    // detection service (src/service) runs on; the CLI path feeds the
-    // whole file through it as one stream.
+    // Append-only maintenance: the whole file is applied as one batch,
+    // and the labeling is exact once the batch has applied. This is the
+    // engine the detection service (src/service) runs on.
     DBSCOUT_ASSIGN_OR_RETURN(
         core::IncrementalDetector detector,
         core::IncrementalDetector::Create(points.dims(), params));
     WallTimer timer;
-    DBSCOUT_RETURN_IF_ERROR(detector.AddBatch(points));
+    DBSCOUT_RETURN_IF_ERROR(detector.AddBatchParallel(points, nullptr));
     const double seconds = timer.ElapsedSeconds();
     const std::vector<uint64_t> outliers = detector.Outliers();
     out << StrFormat(

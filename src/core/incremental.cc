@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/str_util.h"
@@ -373,139 +372,6 @@ void IncrementalDetector::ApplyPoint(uint32_t x, std::span<const double> pv,
   }
 }
 
-void IncrementalDetector::ApplyGroupBatched(
-    const std::vector<uint32_t>& members, Cell* home_cell, ApplyCtx* ctx) {
-  const size_t dims = points_.width();
-  const uint32_t min_pts = static_cast<uint32_t>(params_.min_pts);
-  const size_t m = members.size();
-  ctx->promoted.clear();
-  ctx->member_counts.assign(m, 1);  // each point neighbors itself
-  ctx->member_covered.assign(m, 0);
-
-  // ---- Home block, one member at a time: the block grows as members
-  // append, so each intra-group pair is counted exactly once (by the later
-  // member), mirroring the sequential path. Hits at positions >= pre_n are
-  // earlier members of this very group — their counts accumulate locally
-  // and publish with everyone else's at the end. ----
-  EnsureOwnedCell(home_cell);
-  const size_t pre_n = home_cell->points->size();
-  for (size_t i = 0; i < m; ++i) {
-    const uint32_t x = members[i];
-    const auto pv = points_[x];
-    ctx->member_counts[i] += ForEachWithin(pv, home_cell, ctx, [&](size_t j) {
-      if (j >= pre_n) {
-        ctx->member_counts[j - pre_n] += 1;
-        return;
-      }
-      const uint32_t q = (*home_cell->points)[j];
-      if (!ctx->member_covered[i]) {
-        ctx->member_covered[i] = kinds_[q] == PointKind::kCore;
-      }
-      if (phases::CrossesDensityThreshold(++*neighbor_counts_.MutableSlot(q),
-                                          min_pts)) {
-        ctx->promoted.push_back({q, home_cell});
-      }
-    });
-    AppendToCell(home_cell, x, pv);
-  }
-
-  // ---- Neighbor blocks, members batched: per-position flag bytes sum
-  // into `acc`, so a block point hit by k members pays one count update of
-  // +k (threshold crossing detected in batched form), not k scattered
-  // read-modify-writes. Coverage uses a per-block core mask built at most
-  // once per group; kinds_ is stable here because promotions defer. ----
-  for (const Link& link : home_cell->neighbors) {
-    Cell* cell = link.cell;
-    if (cell == home_cell) {
-      continue;  // self (last) was the home pass above
-    }
-    const size_t n = cell->points == nullptr ? 0 : cell->points->size();
-    if (n == 0) {
-      continue;
-    }
-    const double* block = cell->coords.data();
-    ctx->acc.assign(n, 0);
-    if (ctx->flags.size() < n) {
-      ctx->flags.resize(n);
-    }
-    bool any_hits = false;
-    bool mask_built = false;
-    for (size_t i = 0; i < m; ++i) {
-      const auto pv = points_[members[i]];
-      if (phases::CellBoxBeyondEps(pv.data(), cell->box_origin.data(), dims,
-                                   side_, eps2_)) {
-        continue;
-      }
-      const uint32_t hits = phases::NeighborFlagsScanCell(
-          kernels_, pv.data(), block, n, eps2_, ctx->flags.data(),
-          &ctx->distance_comps);
-      if (hits == 0) {
-        continue;
-      }
-      any_hits = true;
-      ctx->member_counts[i] += hits;
-      const uint8_t* flags = ctx->flags.data();
-      uint32_t* acc = ctx->acc.data();
-      for (size_t j = 0; j < n; ++j) {
-        acc[j] += flags[j];
-      }
-      if (!ctx->member_covered[i] && cell->core_points > 0) {
-        if (!mask_built) {
-          ctx->core_mask.assign(n, 0);
-          const uint32_t* idx = cell->points->data();
-          for (size_t j = 0; j < n; ++j) {
-            ctx->core_mask[j] = kinds_[idx[j]] == PointKind::kCore;
-          }
-          mask_built = true;
-        }
-        const uint8_t* mask = ctx->core_mask.data();
-        uint8_t covered = 0;
-        for (size_t j = 0; j < n; ++j) {
-          covered |= flags[j] & mask[j];
-        }
-        ctx->member_covered[i] = covered;
-      }
-    }
-    if (!any_hits) {
-      continue;
-    }
-    const uint32_t* idx = cell->points->data();
-    const uint32_t* acc = ctx->acc.data();
-    for (size_t j = 0; j < n; ++j) {
-      const uint32_t added = acc[j];
-      if (added == 0) {
-        continue;
-      }
-      uint32_t* cnt = neighbor_counts_.MutableSlot(idx[j]);
-      const uint32_t old_count = *cnt;
-      *cnt = old_count + added;
-      if (phases::CrossesDensityThresholdBy(old_count, added, min_pts)) {
-        ctx->promoted.push_back({idx[j], cell});
-      }
-    }
-  }
-
-  // ---- Publish member counts, then run the deferred promotions: their
-  // rescue scans see every member registered (provisional outliers), so
-  // members covered only by cores this group minted get rescued here. ----
-  for (size_t i = 0; i < m; ++i) {
-    neighbor_counts_.Set(members[i], ctx->member_counts[i]);
-  }
-  for (const PointInCell& q : ctx->promoted) {
-    Promote(q, ctx);
-  }
-  for (size_t i = 0; i < m; ++i) {
-    const uint32_t x = members[i];
-    if (phases::IsDense(ctx->member_counts[i], min_pts)) {
-      Promote({x, home_cell}, ctx);
-    } else if (ctx->member_covered[i] && kinds_[x] == PointKind::kOutlier) {
-      kinds_.Set(x, PointKind::kBorder);
-      ctx->outlier_delta -= 1;
-      home_cell->outlier_points -= 1;
-    }
-  }
-}
-
 void IncrementalDetector::MergeCtx(const ApplyCtx& ctx) {
   num_core_ = static_cast<size_t>(static_cast<int64_t>(num_core_) +
                                   ctx.core_delta);
@@ -535,10 +401,6 @@ Result<uint64_t> IncrementalDetector::Add(std::span<const double> point) {
   return first_id_ + x;
 }
 
-Status IncrementalDetector::AddBatch(const PointSet& batch) {
-  return AddBatchParallel(batch, nullptr, nullptr);
-}
-
 Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
                                              ThreadPool* pool,
                                              ApplyStats* stats) {
@@ -560,8 +422,8 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
   }
   DBSCOUT_RETURN_IF_ERROR(CheckRowCapacity(kinds_.size(), n));
 
-  // ---- Serial pre-phase: append rows, group points by home cell (a
-  // stable sort by cell coordinate, so each group's members ascend) and
+  // ---- Serial pre-phase: append rows, order the points by home cell (a
+  // stable sort by cell coordinate, so each cell's points ascend) and
   // create every home cell. The wave tasks then only read the index and
   // the (now stable) cached neighbor lists, never create or erase a cell,
   // so no index write or cache rewiring can happen under a concurrent
@@ -580,64 +442,58 @@ Status IncrementalDetector::AddBatchParallel(const PointSet& batch,
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return homes[a] < homes[b];
   });
-  struct Group {
-    Cell* cell = nullptr;
-    int64_t block = 0;
-    std::vector<uint32_t> members;  // ascending appended indices
+  // The sort key starts with dim 0 and SlabBlock is monotone in it, so
+  // each slab block's points are one run [begin, end) of `sorted`.
+  struct Run {
+    int64_t block;
+    size_t begin;
+    size_t end;
   };
-  std::vector<Group> groups;
+  std::vector<PointInCell> sorted(n);
+  std::vector<Run> runs;
   for (size_t r = 0; r < n; ++r) {
     const grid::CellCoord& home = homes[order[r]];
-    if (r == 0 || !(homes[order[r - 1]] == home)) {
-      groups.push_back({GetOrCreateCell(home),
-                        grid::SlabBlock(home[0], block_width_), {}});
+    Cell* cell = r > 0 && homes[order[r - 1]] == home
+                     ? sorted[r - 1].cell
+                     : GetOrCreateCell(home);
+    sorted[r] = {base + order[r], cell};
+    const int64_t block = grid::SlabBlock(home[0], block_width_);
+    if (runs.empty() || runs.back().block != block) {
+      runs.push_back({block, r, r});
     }
-    groups.back().members.push_back(base + order[r]);
+    runs.back().end = r + 1;
   }
   num_outliers_ += n;
-
-  // ---- Partition home-cell groups into slab-block tasks. ----
-  std::unordered_map<int64_t, std::vector<size_t>> blocks;
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    blocks[groups[gi].block].push_back(gi);
-  }
-
-  // Small groups insert point-by-point; larger ones amortize their
-  // neighbor-block scans across the whole group (the batched path pays a
-  // per-block accumulator sweep, which only wins once several members
-  // share it).
-  constexpr size_t kGroupBatchThreshold = 8;
-  auto run_group = [&](const Group& g, ApplyCtx* ctx) {
-    if (g.members.size() >= kGroupBatchThreshold) {
-      ApplyGroupBatched(g.members, g.cell, ctx);
-      return;
-    }
-    for (uint32_t x : g.members) {
-      ApplyPoint(x, points_[x], g.cell, ctx);
-    }
-  };
 
   // ---- Three conflict-free waves (see grid/regions.h: same-wave blocks
   // are >= 3 apart, and a block task's read/write footprint spans at most
   // one block to each side). A wave is one RunTasks over its blocks, on
-  // `pool` or in order on this thread; each block task fills its own
-  // ApplyCtx and seconds slot, merged serially once the wave has run. The
-  // next wave's blocks may read state this wave wrote. ----
-  std::vector<const std::vector<size_t>*> wave_blocks;
+  // `pool` or in order on this thread; each block task applies its run's
+  // points in sorted order, filling its own ApplyCtx and seconds slot,
+  // merged serially once the wave has run. The next wave's blocks may
+  // read state this wave wrote. ----
+  std::vector<const Run*> wave_runs;
   for (int wave = 0; wave < grid::kNumWaves; ++wave) {
-    wave_blocks.clear();
-    for (const auto& [block, gis] : blocks) {
-      if (grid::WaveOf(block) == wave) {
-        wave_blocks.push_back(&gis);
+    wave_runs.clear();
+    for (const Run& run : runs) {
+      if (grid::WaveOf(run.block) == wave) {
+        wave_runs.push_back(&run);
       }
     }
-    std::vector<ApplyCtx> ctxs(wave_blocks.size());
-    std::vector<double> seconds(wave_blocks.size());
-    RunTasks(pool, wave_blocks.size(), [&](size_t t) {
+    // Longest runs first: workers claim tasks in index order, so a long
+    // run claimed last would keep the wave open after the rest finished.
+    std::stable_sort(wave_runs.begin(), wave_runs.end(),
+                     [](const Run* a, const Run* b) {
+                       return a->end - a->begin > b->end - b->begin;
+                     });
+    std::vector<ApplyCtx> ctxs(wave_runs.size());
+    std::vector<double> seconds(wave_runs.size());
+    RunTasks(pool, wave_runs.size(), [&](size_t t) {
       WallTimer timer;
       ApplyCtx ctx;
-      for (size_t gi : *wave_blocks[t]) {
-        run_group(groups[gi], &ctx);
+      for (size_t r = wave_runs[t]->begin; r < wave_runs[t]->end; ++r) {
+        const PointInCell& p = sorted[r];
+        ApplyPoint(p.id, points_[p.id], p.cell, &ctx);
       }
       // Stored once, at the end: neighboring slots share cache lines.
       ctxs[t] = std::move(ctx);

@@ -182,20 +182,21 @@ class IncrementalSnapshot {
 /// removed/demoted cores are re-checked and may fall to outlier. Cells
 /// hold only live points, so scans never see an expired one.
 ///
-/// Threading contract: all mutating calls (Add/AddBatch/AddBatchParallel/
-/// Remove/ExpireBefore/SnapshotNow) must come from one writer at a time;
+/// Threading contract: all mutating calls (Add/AddBatchParallel/Remove/
+/// ExpireBefore/SnapshotNow) must come from one writer at a time;
 /// SnapshotNow() hands out immutable views that other threads may read
 /// concurrently with subsequent writes (the storage is copy-on-write at
 /// chunk, index node and cell granularity, see common/cow.h and
 /// grid/cell_index.h).
 /// AddBatchParallel additionally fans the batch out over a caller-provided
-/// ThreadPool: points are grouped by home cell, groups by dim-0 slab block
-/// of width 2*ceil(sqrt(d)) cells, and blocks run in three waves colored
-/// so that concurrently running tasks' read/write footprints never
-/// overlap (see grid/regions.h). The final state is identical to
-/// sequential insertion — point labels are an order-independent function
-/// of the point set — and no snapshot is taken mid-batch, so readers only
-/// ever observe exact epochs.
+/// ThreadPool: the batch is ordered by home cell, so each dim-0 slab block
+/// of width 2*ceil(sqrt(d)) cells is one run of that order, and the runs
+/// go in three waves colored so that concurrently running tasks'
+/// read/write footprints never overlap (see grid/regions.h). Each task
+/// inserts its run's points one at a time, exactly as Add does. The final
+/// state is identical to sequential insertion — point labels are an
+/// order-independent function of the point set — and no snapshot is taken
+/// mid-batch, so readers only ever observe exact epochs.
 class IncrementalDetector {
  public:
   /// Insertions one detector can take over its lifetime: its rows are
@@ -219,15 +220,11 @@ class IncrementalDetector {
   /// every affected older point is updated before returning.
   Result<uint64_t> Add(std::span<const double> point);
 
-  /// Inserts every point of `batch` (same dims). The whole batch is
-  /// validated first (coordinates and CheckRowCapacity), so on error the
-  /// detector is unchanged.
-  Status AddBatch(const PointSet& batch);
-
-  /// Inserts every point of `batch` in slab-block wave tasks on `pool`
-  /// (nullptr runs the same waves inline, single-threaded).
-  /// Validates the whole batch first (atomic failure, as AddBatch).
-  /// `stats`, when non-null, receives the seconds of every task.
+  /// Inserts every point of `batch` (same dims) in slab-block wave tasks
+  /// on `pool` (nullptr runs the same waves inline, single-threaded). The
+  /// whole batch is validated first (coordinates and CheckRowCapacity), so
+  /// on error the detector is unchanged. `stats`, when non-null, receives
+  /// the seconds of every task: one per slab block the batch lands in.
   Status AddBatchParallel(const PointSet& batch, ThreadPool* pool,
                           ApplyStats* stats = nullptr);
 
@@ -347,14 +344,7 @@ class IncrementalDetector {
     int64_t outlier_delta = 0;
     uint64_t distance_comps = 0;
     std::vector<PointInCell> promoted;
-    std::vector<uint8_t> flags;
-    /// Batched group-apply scratch (ApplyGroupBatched): per-block-position
-    /// hit totals, the block's core mask, and per-member count/coverage
-    /// accumulators.
-    std::vector<uint32_t> acc;
-    std::vector<uint8_t> core_mask;
-    std::vector<uint32_t> member_counts;
-    std::vector<uint8_t> member_covered;
+    std::vector<uint8_t> flags;  // ForEachWithin's per-cell hit flags
   };
 
   IncrementalDetector(size_t dims, const Params& params, uint64_t first_id);
@@ -399,21 +389,10 @@ class IncrementalDetector {
                          ApplyCtx* ctx, Hit hit);
 
   /// Full insertion of one appended point x: neighborhood scan (count +
-  /// cover + neighbor count bumps), registration, promotions.
+  /// cover + neighbor count bumps), registration, promotions. The one
+  /// insertion routine: Add and every AddBatchParallel task call it.
   void ApplyPoint(uint32_t x, std::span<const double> pv, Cell* home_cell,
                   ApplyCtx* ctx);
-
-  /// Insertion of one whole home-cell group (`members` ascending, all rows
-  /// already appended): the home block is scanned one member at a time (so
-  /// intra-group pairs count exactly once), but each neighbor block is
-  /// scanned with all members batched — per-position hit totals accumulate
-  /// locally and every touched point pays one count update for the whole
-  /// group. Promotions defer to the end of the group; their rescue scans
-  /// settle the labels the batched coverage masks could not see (cores
-  /// minted by this very group). Final labels match per-point insertion:
-  /// they are an order-independent function of the point set.
-  void ApplyGroupBatched(const std::vector<uint32_t>& members, Cell* home_cell,
-                         ApplyCtx* ctx);
 
   /// Marks q core and rescues outliers within eps of it.
   void Promote(PointInCell q, ApplyCtx* ctx);

@@ -26,16 +26,6 @@ inline bool LeavesDensityThreshold(uint32_t old_count, uint32_t min_pts) {
   return old_count == min_pts;
 }
 
-/// Batched form of CrossesDensityThreshold: true exactly when adding
-/// `added` neighbors at once moved the count onto (or past) the minPts
-/// threshold — i.e. the point was not core before the batch and is after.
-/// Equivalent to CrossesDensityThreshold firing for exactly one of the
-/// `added` single increments.
-inline bool CrossesDensityThresholdBy(uint32_t old_count, uint32_t added,
-                                      uint32_t min_pts) {
-  return old_count < min_pts && old_count + added >= min_pts;
-}
-
 /// Slack on the cell-box prefilter below: a skip needs the box lower bound
 /// to clear eps^2 by a margin that dwarfs every rounding in play (the box
 /// origin product, the clamp subtraction, the kernels' accumulation, and

@@ -80,7 +80,7 @@ TEST_P(EngineMatrixTest, AllSevenPathsAgree) {
   {
     auto det = IncrementalDetector::Create(2, params);
     ASSERT_TRUE(det.ok());
-    ASSERT_TRUE(det->AddBatch(ps).ok());
+    ASSERT_TRUE(det->AddBatchParallel(ps, nullptr).ok());
     EXPECT_EQ(det->Outliers(), testing::Widen(expected)) << "incremental";
     EXPECT_EQ(det->kinds(), sequential->kinds);
   }
@@ -191,7 +191,8 @@ TEST(EngineInputTest, EveryEngineRejectsNanAndOverflowingCoordinates) {
     std::remove(path.c_str());
     auto det = IncrementalDetector::Create(2, params);
     ASSERT_TRUE(det.ok());
-    EXPECT_EQ(det->AddBatch(ps).code(), c.code) << what << ", incremental";
+    EXPECT_EQ(det->AddBatchParallel(ps, nullptr).code(), c.code)
+        << what << ", incremental";
     EXPECT_EQ(det->live_points(), 0u) << "a rejected batch applies nothing";
   }
 }

@@ -120,7 +120,7 @@ TEST(IncrementalTest, AddBatchEqualsPointwiseAdds) {
   auto b = IncrementalDetector::Create(2, MakeParams(0.7, 5));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(a->AddBatch(data.points).ok());
+  ASSERT_TRUE(a->AddBatchParallel(data.points, nullptr).ok());
   for (size_t i = 0; i < data.points.size(); ++i) {
     ASSERT_TRUE(b->Add(data.points[i]).ok());
   }
@@ -185,8 +185,8 @@ TEST(IncrementalTest, RemoveTakesOnlyTheOldestLiveId) {
   ASSERT_TRUE(det.ok() && twin.ok());
   Rng rng(0x01d);
   const PointSet points = testing::ClusteredPoints(&rng, 300, 2, 3, 0.4);
-  ASSERT_TRUE(det->AddBatch(points).ok());
-  ASSERT_TRUE(twin->AddBatch(points).ok());
+  ASSERT_TRUE(det->AddBatchParallel(points, nullptr).ok());
+  ASSERT_TRUE(twin->AddBatchParallel(points, nullptr).ok());
   bool saw_demotion = false;
   while (det->live_points() > 1) {
     const uint64_t epoch = det->epoch();

@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/thread_pool.h"
 
@@ -19,6 +21,7 @@
 #include "data/io.h"
 #include "external/external_detector.h"
 #include "grid/grid.h"
+#include "grid/regions.h"
 #include "testutil.h"
 
 namespace dbscout::core {
@@ -134,11 +137,11 @@ TEST_P(DbscoutPropertyTest, ExternalAndIncrementalMatchSequential) {
     EXPECT_EQ(r->num_dense_cells, expected->num_dense_cells);
     std::remove(path.c_str());
   }
-  // Incremental, one insertion at a time.
+  // Incremental, the whole dataset as one batch.
   {
     auto det = IncrementalDetector::Create(ps.dims(), params);
     ASSERT_TRUE(det.ok());
-    ASSERT_TRUE(det->AddBatch(ps).ok());
+    ASSERT_TRUE(det->AddBatchParallel(ps, nullptr).ok());
     EXPECT_EQ(det->Outliers(), testing::Widen(expected->outliers))
         << "incremental";
     EXPECT_EQ(det->kinds(), expected->kinds);
@@ -256,12 +259,11 @@ TEST_P(DbscoutPropertyTest, OutliersMonotoneInParameters) {
   }
 }
 
-// The parallel apply pipeline (home-cell grouping, slab-block tasks
-// over a real ThreadPool, three-wave scheduling, group-batched
-// neighbor scans) must be invisible: after every randomized batch the
-// detector state equals the sequential oracle on the full prefix. Batch
-// sizes are drawn at random so passes cross the group-batching threshold
-// in both directions.
+// The parallel apply pipeline (home-cell order, slab-block tasks over a
+// real ThreadPool, three-wave scheduling) must be invisible: after every
+// randomized batch the detector state equals the sequential oracle on the
+// full prefix. Batch sizes are drawn at random, so a pass holds anywhere
+// from one point to many points per home cell.
 TEST(ShardedApplyPropertyTest, RandomBatchesMatchOracleAtEveryEpoch) {
   for (const uint64_t seed : {101u, 202u}) {
     Rng rng(seed);
@@ -299,6 +301,59 @@ TEST(ShardedApplyPropertyTest, RandomBatchesMatchOracleAtEveryEpoch) {
     // The point of the sweep is exercising the concurrent path; a stream
     // this size must split into several tasks (blocks >= 2) at least once.
     EXPECT_TRUE(saw_multi_task) << "seed " << seed;
+  }
+}
+
+// Each slab block of a batch is one run of the home-cell order and one
+// task: ApplyStats holds exactly one entry per distinct
+// SlabBlock(home[0], HaloSlabs(2)), on a pool and inline. The batches
+// land in chosen blocks (one block; adjacent blocks; blocks of all three
+// waves, several per wave, negative ones included), and the labels must
+// equal the oracle after each.
+TEST(ShardedApplyPropertyTest, OneTaskPerSlabBlockOfTheBatch) {
+  Params params;
+  params.eps = 0.9;
+  params.min_pts = 5;
+  const double side = params.eps / std::sqrt(2.0);
+  const int64_t width = grid::HaloSlabs(2);
+  const std::vector<std::vector<int64_t>> batches_blocks = {
+      {0}, {1, 2, 3}, {-4, -2, 0, 1, 5, 6, 8}};
+  ThreadPool pool(3);
+  for (ThreadPool* on : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    auto det = IncrementalDetector::Create(2, params);
+    ASSERT_TRUE(det.ok());
+    Rng rng(4242);
+    PointSet prefix(2);
+    for (const std::vector<int64_t>& blocks : batches_blocks) {
+      PointSet batch(2);
+      for (const int64_t block : blocks) {
+        for (int i = 0; i < 30; ++i) {
+          // Any slab of the block, clear of the slab's edges.
+          const int64_t slab =
+              block * width + static_cast<int64_t>(rng.NextBounded(width));
+          batch.Add({(static_cast<double>(slab) + rng.Uniform(0.05, 0.95)) *
+                         side,
+                     rng.Uniform(0.0, 6.0)});
+        }
+      }
+      std::set<int64_t> homes;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        grid::CellCoord cell;
+        ASSERT_TRUE(grid::CellOfPoint(batch[i], side, &cell).ok());
+        homes.insert(grid::SlabBlock(cell[0], width));
+      }
+      ASSERT_EQ(homes, std::set<int64_t>(blocks.begin(), blocks.end()));
+      ApplyStats stats;
+      ASSERT_TRUE(det->AddBatchParallel(batch, on, &stats).ok());
+      EXPECT_EQ(stats.task_seconds.size(), blocks.size())
+          << blocks.size() << " blocks, pool " << (on != nullptr);
+      prefix.Append(batch);
+      auto oracle = DetectSequential(prefix, params);
+      ASSERT_TRUE(oracle.ok());
+      ASSERT_EQ(det->kinds(), oracle->kinds) << "epoch " << prefix.size();
+      ASSERT_EQ(det->Outliers(), testing::Widen(oracle->outliers))
+          << "epoch " << prefix.size();
+    }
   }
 }
 

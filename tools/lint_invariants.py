@@ -434,8 +434,7 @@ def check_phase_logic_locality(path: str, lines: List[str]
                               "comparison against min_pts re-derives the "
                               "Lemma 1 density verdict; call "
                               "core::phases::IsDense (or "
-                              "CrossesDensityThreshold / "
-                              "CrossesDensityThresholdBy for insert "
+                              "CrossesDensityThreshold for insert "
                               "transitions)")
         for m in MIN_PTS_RIGHT_RE.finditer(code):
             if not _NUM_LITERAL_RE.fullmatch(m.group(1)):
@@ -443,8 +442,7 @@ def check_phase_logic_locality(path: str, lines: List[str]
                               "comparison against min_pts re-derives the "
                               "Lemma 1 density verdict; call "
                               "core::phases::IsDense (or "
-                              "CrossesDensityThreshold / "
-                              "CrossesDensityThresholdBy for insert "
+                              "CrossesDensityThreshold for insert "
                               "transitions)")
 
         # Family 2: branching on the per-cell flag arrays outside the
