@@ -2,9 +2,12 @@
 // phases — plain textbook join, broadcast join, and grouping-before-join
 // with early termination (the paper's default). All three return identical
 // outliers; they differ wildly in shuffle volume and time, especially at
-// low eps where more points need checking.
+// low eps where more points need checking. Exits 1 if two strategies ever
+// disagree on the outliers.
 #include <cstdio>
 #include <iostream>
+#include <optional>
+#include <vector>
 
 #include "analysis/table.h"
 #include "bench_util.h"
@@ -30,7 +33,11 @@ int main(int argc, char** argv) {
   analysis::Table table({"eps", "Strategy", "Time (s)", "Shuffled records",
                          "Distance comps", "Outliers"});
   bool plain_alive = true;
+  bool agree = true;
   for (double eps : {2.5e5, 5e5, 1e6, 2e6}) {
+    // The outliers of the first strategy run at this eps, and its name.
+    std::optional<std::vector<uint32_t>> first_outliers;
+    const char* first_name = "";
     for (core::JoinStrategy join :
          {core::JoinStrategy::kGrouped, core::JoinStrategy::kBroadcast,
           core::JoinStrategy::kPlain}) {
@@ -50,6 +57,14 @@ int main(int argc, char** argv) {
                      core::JoinStrategyName(join),
                      r.status().ToString().c_str());
         return 1;
+      }
+      if (!first_outliers) {
+        first_outliers = r->outliers;
+        first_name = core::JoinStrategyName(join);
+      } else if (r->outliers != *first_outliers) {
+        std::fprintf(stderr, "eps=%g %s: outliers differ from %s\n", eps,
+                     core::JoinStrategyName(join), first_name);
+        agree = false;
       }
       uint64_t distance_comps = 0;
       for (const auto& phase : r->phases) {
@@ -72,5 +87,7 @@ int main(int argc, char** argv) {
       "~5x over the unoptimized join, fewer comparisons thanks to early "
       "termination); broadcast join shines at high eps; all strategies "
       "agree on the outliers.\n");
-  return 0;
+  std::printf("%s\n", agree ? "all strategies agree on the outliers"
+                             : "FAIL: the strategies disagree on the outliers");
+  return agree ? 0 : 1;
 }

@@ -37,9 +37,10 @@ commands:
   detect    --input=FILE --eps=X --min-pts=N
             [--format=csv|binary]           input format
             [--engine=sequential|parallel|shared|external|incremental]
-            [--partitions=P]                parallel engine partitions
-            [--stripe-points=S]             external engine memory knob
-            [--scores]                      also compute core distances
+            [--partitions=P]                parallel engine only: partitions
+            [--stripe-points=S]             external engine only: memory knob
+            [--scores]                      sequential and shared engines
+                                            only: also compute core distances
             [--output=FILE]                 write outlier indices (one per line)
             [--trace-out=FILE]              write a Chrome/Perfetto trace of
                                             the per-phase (and per-stripe /
@@ -120,9 +121,18 @@ Result<std::vector<uint32_t>> ReadIndices(const std::string& path) {
 }
 
 Status CmdDetect(const Flags& flags, std::ostream& out) {
-  DBSCOUT_RETURN_IF_ERROR(flags.CheckAllowed(
-      {"input", "format", "eps", "min-pts", "engine", "partitions",
-       "stripe-points", "scores", "output", "trace-out"}));
+  const std::string engine = flags.GetString("engine", "sequential");
+  // An engine-specific flag is unknown to every other engine.
+  std::vector<std::string> allowed = {"input", "format", "eps", "min-pts",
+                                      "engine", "output", "trace-out"};
+  if (engine == "sequential" || engine == "shared") {
+    allowed.push_back("scores");
+  } else if (engine == "parallel") {
+    allowed.push_back("partitions");
+  } else if (engine == "external") {
+    allowed.push_back("stripe-points");
+  }
+  DBSCOUT_RETURN_IF_ERROR(flags.CheckAllowed(allowed));
   DBSCOUT_RETURN_IF_ERROR(flags.CheckRequired({"input", "eps", "min-pts"}));
   const std::string input = flags.GetString("input");
   DBSCOUT_ASSIGN_OR_RETURN(const PointFormat format,
@@ -130,7 +140,6 @@ Status CmdDetect(const Flags& flags, std::ostream& out) {
   DBSCOUT_ASSIGN_OR_RETURN(const double eps, flags.GetDouble("eps", 0.0));
   DBSCOUT_ASSIGN_OR_RETURN(const uint64_t min_pts,
                            flags.GetUint("min-pts", 0, kMaxInt));
-  const std::string engine = flags.GetString("engine", "sequential");
 
   // Spans accumulate here while the detection runs; written out at the end
   // of whichever engine path executed.

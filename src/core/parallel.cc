@@ -48,6 +48,130 @@ void GatherCoords(const PointSet& pts, const std::vector<uint32_t>& ids,
   }
 }
 
+/// The stage names of one phase's distance join. Each strategy records
+/// only its own stages, after `emit` and before `reduce`.
+struct JoinStages {
+  const char* emit;
+  const char* plain_join;
+  const char* plain_values;
+  const char* group_checks;
+  const char* group_targets;
+  const char* grouped_join;
+  const char* grouped_values;
+  const char* broadcast_values;
+  const char* reduce;
+};
+
+/// The distance join of phases 3 and 5 (SS III-G), one realization per
+/// strategy. Each record (c, p) of `to_emit` goes to every neighbor cell nc
+/// of c that `accept(nc)` admits, as (nc, p). The paper's algorithms emit
+/// (N, (C, p)); since p determines its home cell C, the records carry only
+/// (N, p), halving shuffle volume. Each such p is compared with every point
+/// q of `targets` in cell nc:
+///  - kPlain joins the emitted records with `targets` record by record and
+///    takes `pair_value(p, q)` per pair;
+///  - kGrouped groups both sides by cell, joins the groups, gathers each
+///    target cell's coordinates once and takes `group_value(p's coords,
+///    block, count)` per point to check, so early termination (SS III-G2)
+///    happens inside the batched kernel;
+///  - kBroadcast collects the emitted records on the driver, grouped by
+///    cell, and takes `pair_value` while streaming `targets` past them.
+/// Values `keep` rejects are not sent on; the rest are combined per point
+/// with `reduce`. Every comparison is added to `*distances`.
+template <typename V, typename Accept, typename PairValue,
+          typename GroupValue, typename Keep, typename Reduce>
+Dataset<std::pair<uint32_t, V>> DistanceJoin(
+    JoinStrategy join, const JoinStages& stages, const PointSet* pts,
+    size_t parts, const Broadcast<grid::NeighborCells>& neighbors,
+    const Dataset<GridRecord>& to_emit, const Dataset<GridRecord>& targets,
+    Accept accept, PairValue pair_value, GroupValue group_value, Keep keep,
+    Reduce reduce, std::atomic<uint64_t>* distances) {
+  using Value = std::pair<uint32_t, V>;
+  const auto to_check = to_emit.FlatMap<GridRecord>(
+      [neighbors, accept](const GridRecord& rec,
+                          std::vector<GridRecord>* sink) {
+        for (const grid::CellRun& run : neighbors->Of(rec.first)) {
+          for (uint32_t nc = run.begin; nc < run.end; ++nc) {
+            if (accept(nc)) {
+              sink->push_back({nc, rec.second});
+            }
+          }
+        }
+      },
+      stages.emit);
+  const std::hash<uint32_t> hash;
+  Dataset<Value> values;
+  switch (join) {
+    case JoinStrategy::kPlain:
+      values = Join(targets, to_check, parts, hash, stages.plain_join)
+                   .template FlatMap<Value>(
+                       [distances, pair_value, keep](
+                           const std::pair<uint32_t, GridRecord>& rec,
+                           std::vector<Value>* sink) {
+                         distances->fetch_add(1, std::memory_order_relaxed);
+                         const uint32_t q = rec.second.first;
+                         const uint32_t p = rec.second.second;
+                         const V value = pair_value(p, q);
+                         if (keep(value)) {
+                           sink->push_back({p, value});
+                         }
+                       },
+                       stages.plain_values);
+      break;
+    case JoinStrategy::kGrouped: {
+      auto checks = GroupByKey(to_check, parts, hash, stages.group_checks);
+      auto cells = GroupByKey(targets, parts, hash, stages.group_targets);
+      values =
+          Join(cells, checks, parts, hash, stages.grouped_join)
+              .template FlatMap<Value>(
+                  [pts, group_value, keep, distances](
+                      const std::pair<uint32_t,
+                                      std::pair<std::vector<uint32_t>,
+                                                std::vector<uint32_t>>>& rec,
+                      std::vector<Value>* sink) {
+                    const auto& cell_points = rec.second.first;
+                    static thread_local std::vector<double> block;
+                    GatherCoords(*pts, cell_points, pts->dims(), &block);
+                    for (uint32_t p : rec.second.second) {
+                      const V value = group_value(
+                          (*pts)[p].data(), block.data(), cell_points.size());
+                      if (keep(value)) {
+                        sink->push_back({p, value});
+                      }
+                    }
+                    distances->fetch_add(
+                        cell_points.size() * rec.second.second.size(),
+                        std::memory_order_relaxed);
+                  },
+                  stages.grouped_values);
+      break;
+    }
+    case JoinStrategy::kBroadcast: {
+      Broadcast checks_by_cell(CollectGrouped(to_check, hash));
+      values = targets.FlatMap<Value>(
+          [checks_by_cell, pair_value, keep, distances](
+              const GridRecord& rec, std::vector<Value>* sink) {
+            auto it = checks_by_cell->find(rec.first);
+            if (it == checks_by_cell->end()) {
+              return;
+            }
+            const uint32_t q = rec.second;
+            for (uint32_t p : it->second) {
+              const V value = pair_value(p, q);
+              if (keep(value)) {
+                sink->push_back({p, value});
+              }
+            }
+            distances->fetch_add(it->second.size(),
+                                 std::memory_order_relaxed);
+          },
+          stages.broadcast_values);
+      break;
+    }
+  }
+  return ReduceByKey(values, reduce, parts, hash, stages.reduce);
+}
+
 }  // namespace
 
 Result<Detection> DetectParallel(const PointSet& points, const Params& params,
@@ -196,106 +320,24 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
         [is_dense_cell](const GridRecord& rec) { return !is_dense_cell(rec); },
         "FilterNonDense");
 
-    // Emit the points to check on every non-empty neighboring cell. The
-    // paper's Algorithm 3 emits (N, (C, p)); since p determines its home
-    // cell C, the records here carry only (N, p), halving shuffle volume.
-    auto emit_to_neighbors = [neighbors](const GridRecord& rec,
-                                         std::vector<GridRecord>* sink) {
-      for (const grid::CellRun& run : neighbors->Of(rec.first)) {
-        for (uint32_t nc = run.begin; nc < run.end; ++nc) {
-          sink->push_back({nc, rec.second});
-        }
-      }
-    };
-
-    Dataset<std::pair<uint32_t, uint32_t>> contributions;  // (point, count)
-    switch (params.join) {
-      case JoinStrategy::kPlain: {
-        auto to_check = non_dense.FlatMap<GridRecord>(
-            emit_to_neighbors, "EmitToCheck");
-        auto joined =
-            Join(g, to_check, parts, std::hash<uint32_t>(), "JoinGrid");
-        contributions = joined.Map(
-            [&phase, sqdist, eps2](
-                const std::pair<uint32_t, GridRecord>& rec) {
-              phase.distances.fetch_add(1, std::memory_order_relaxed);
-              const uint32_t q = rec.second.first;
-              const uint32_t p = rec.second.second;
-              return std::make_pair(p, sqdist(p, q) <= eps2 ? 1u : 0u);
-            },
-            "DistanceOnes");
-        break;
-      }
-      case JoinStrategy::kGrouped: {
-        auto to_check = non_dense.FlatMap<GridRecord>(
-            emit_to_neighbors, "EmitToCheck");
-        auto checks_grouped =
-            GroupByKey(to_check, parts, std::hash<uint32_t>(), "GroupChecks");
-        auto grid_grouped =
-            GroupByKey(g, parts, std::hash<uint32_t>(), "GroupGrid");
-        auto joined = Join(grid_grouped, checks_grouped, parts,
-                           std::hash<uint32_t>(), "JoinGrouped");
-        contributions =
-            joined.FlatMap<std::pair<uint32_t, uint32_t>>(
-                [&phase, pts, d, count_within, eps2, min_pts](
-                    const std::pair<
-                        uint32_t, std::pair<std::vector<uint32_t>,
-                                            std::vector<uint32_t>>>& rec,
-                    std::vector<std::pair<uint32_t, uint32_t>>* sink) {
-                  const auto& cell_points = rec.second.first;
-                  // Gather the cell's coordinates once, then run the
-                  // batched kernel per point to check; early termination
-                  // (SS III-G2) happens at kernel-batch granularity.
-                  static thread_local std::vector<double> block;
-                  GatherCoords(*pts, cell_points, d, &block);
-                  uint64_t comparisons = 0;
-                  for (uint32_t p : rec.second.second) {
-                    comparisons += cell_points.size();
-                    const uint32_t count =
-                        count_within((*pts)[p].data(), block.data(),
-                                     cell_points.size(), eps2, min_pts);
-                    if (count > 0) {
-                      sink->push_back({p, count});
-                    }
-                  }
-                  phase.distances.fetch_add(comparisons,
-                                            std::memory_order_relaxed);
-                },
-                "GroupedDistances");
-        break;
-      }
-      case JoinStrategy::kBroadcast: {
-        auto to_check = non_dense.FlatMap<GridRecord>(
-            emit_to_neighbors, "EmitToCheck");
-        auto local = CollectGrouped(to_check, std::hash<uint32_t>());
-        Broadcast<decltype(local)> checks_by_cell(std::move(local));
-        contributions =
-            g.FlatMap<std::pair<uint32_t, uint32_t>>(
-                [&phase, checks_by_cell, sqdist, eps2](
-                    const GridRecord& rec,
-                    std::vector<std::pair<uint32_t, uint32_t>>* sink) {
-                  auto it = checks_by_cell->find(rec.first);
-                  if (it == checks_by_cell->end()) {
-                    return;
-                  }
-                  const uint32_t q = rec.second;
-                  uint64_t comparisons = 0;
-                  for (uint32_t p : it->second) {
-                    ++comparisons;
-                    if (sqdist(p, q) <= eps2) {
-                      sink->push_back({p, 1u});
-                    }
-                  }
-                  phase.distances.fetch_add(comparisons,
-                                            std::memory_order_relaxed);
-                },
-                "BroadcastDistances");
-        break;
-      }
-    }
-    auto counts = ReduceByKey(
-        contributions, [](uint32_t a, uint32_t b) { return a + b; }, parts,
-        std::hash<uint32_t>(), "SumNeighbors");
+    // Every point of a non-dense cell counts its eps-neighbors in each cell
+    // of N(c) (the grouped join caps each count at minPts, SS III-G2), and
+    // the counts are summed.
+    auto counts = DistanceJoin<uint32_t>(
+        params.join,
+        {"EmitToCheck", "JoinGrid", "DistanceOnes", "GroupChecks",
+         "GroupGrid", "JoinGrouped", "GroupedDistances",
+         "BroadcastDistances", "SumNeighbors"},
+        pts, parts, neighbors, non_dense, g, [](uint32_t) { return true; },
+        [sqdist, eps2](uint32_t p, uint32_t q) {
+          return sqdist(p, q) <= eps2 ? 1u : 0u;
+        },
+        [count_within, eps2, min_pts](const double* p, const double* block,
+                                      size_t count) {
+          return count_within(p, block, count, eps2, min_pts);
+        },
+        [](uint32_t count) { return count > 0; },
+        [](uint32_t a, uint32_t b) { return a + b; }, &phase.distances);
     auto core_nd =
         counts
             .Filter([min_pts](const std::pair<uint32_t, uint32_t>& kv) {
@@ -355,100 +397,29 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
                 "FilterNoCoreNeighbor")
             .Map([](const GridRecord& rec) { return rec.second; });
 
-    // Points of non-core cells, emitted on their neighboring *core* cells.
-    auto emit_to_core_neighbors = [cell_core, neighbors](
-                                      const GridRecord& rec,
-                                      std::vector<GridRecord>* sink) {
-      for (const grid::CellRun& run : neighbors->Of(rec.first)) {
-        for (uint32_t nc = run.begin; nc < run.end; ++nc) {
-          if (phases::IsCoreCell(cell_core->data(), nc)) {
-            sink->push_back({nc, rec.second});
-          }
-        }
-      }
-    };
-
-    Dataset<std::pair<uint32_t, uint8_t>> flags;  // (point, outlier flag)
-    switch (params.join) {
-      case JoinStrategy::kPlain: {
-        auto to_check = non_core.FlatMap<GridRecord>(
-            emit_to_core_neighbors, "EmitToCheck2");
-        auto joined =
-            Join(core_points, to_check, parts, std::hash<uint32_t>(),
-                 "JoinCore");
-        flags = joined.Map(
-            [&phase, sqdist, eps2](
-                const std::pair<uint32_t, GridRecord>& rec) {
-              phase.distances.fetch_add(1, std::memory_order_relaxed);
-              const uint32_t q = rec.second.first;   // core point
-              const uint32_t p = rec.second.second;  // point to check
-              return std::make_pair(
-                  p, static_cast<uint8_t>(sqdist(p, q) > eps2 ? 1 : 0));
-            },
-            "OutlierFlags");
-        break;
-      }
-      case JoinStrategy::kGrouped: {
-        auto to_check = non_core.FlatMap<GridRecord>(
-            emit_to_core_neighbors, "EmitToCheck2");
-        auto checks_grouped =
-            GroupByKey(to_check, parts, std::hash<uint32_t>(), "GroupChecks2");
-        auto core_grouped =
-            GroupByKey(core_points, parts, std::hash<uint32_t>(), "GroupCore");
-        auto joined = Join(core_grouped, checks_grouped, parts,
-                           std::hash<uint32_t>(), "JoinGrouped2");
-        flags = joined.FlatMap<std::pair<uint32_t, uint8_t>>(
-            [&phase, pts, d, any_within, eps2](
-                const std::pair<uint32_t,
-                                std::pair<std::vector<uint32_t>,
-                                          std::vector<uint32_t>>>& rec,
-                std::vector<std::pair<uint32_t, uint8_t>>* sink) {
-              const auto& core_in_cell = rec.second.first;
-              // Gather once, then one batched any-within query per point;
-              // early termination (SS III-G2) at kernel-batch granularity.
-              static thread_local std::vector<double> block;
-              GatherCoords(*pts, core_in_cell, d, &block);
-              uint64_t comparisons = 0;
-              for (uint32_t p : rec.second.second) {
-                comparisons += core_in_cell.size();
-                const bool within =
-                    any_within((*pts)[p].data(), block.data(),
-                               core_in_cell.size(), eps2);
-                sink->push_back({p, static_cast<uint8_t>(within ? 0 : 1)});
-              }
-              phase.distances.fetch_add(comparisons,
-                                        std::memory_order_relaxed);
-            },
-            "GroupedFlags");
-        break;
-      }
-      case JoinStrategy::kBroadcast: {
-        auto to_check = non_core.FlatMap<GridRecord>(
-            emit_to_core_neighbors, "EmitToCheck2");
-        auto local = CollectGrouped(to_check, std::hash<uint32_t>());
-        Broadcast<decltype(local)> checks_by_cell(std::move(local));
-        flags = core_points.FlatMap<std::pair<uint32_t, uint8_t>>(
-            [&phase, checks_by_cell, sqdist, eps2](
-                const GridRecord& rec,
-                std::vector<std::pair<uint32_t, uint8_t>>* sink) {
-              auto it = checks_by_cell->find(rec.first);
-              if (it == checks_by_cell->end()) {
-                return;
-              }
-              const uint32_t q = rec.second;
-              for (uint32_t p : it->second) {
-                phase.distances.fetch_add(1, std::memory_order_relaxed);
-                sink->push_back(
-                    {p, static_cast<uint8_t>(sqdist(p, q) > eps2 ? 1 : 0)});
-              }
-            },
-            "BroadcastFlags");
-        break;
-      }
-    }
-    auto reduced = ReduceByKey(
-        flags, [](uint8_t a, uint8_t b) { return static_cast<uint8_t>(a & b); },
-        parts, std::hash<uint32_t>(), "AndFlags");
+    // Every point of a non-core cell flags whether it is beyond eps of
+    // all core points in each core cell of N(c); it is an outlier when
+    // every flag is set.
+    auto reduced = DistanceJoin<uint8_t>(
+        params.join,
+        {"EmitToCheck2", "JoinCore", "OutlierFlags", "GroupChecks2",
+         "GroupCore", "JoinGrouped2", "GroupedFlags", "BroadcastFlags",
+         "AndFlags"},
+        pts, parts, neighbors, non_core, core_points,
+        [cell_core](uint32_t nc) {
+          return phases::IsCoreCell(cell_core->data(), nc);
+        },
+        [sqdist, eps2](uint32_t p, uint32_t q) {
+          return static_cast<uint8_t>(sqdist(p, q) > eps2 ? 1 : 0);
+        },
+        [any_within, eps2](const double* p, const double* block,
+                           size_t count) {
+          return static_cast<uint8_t>(any_within(p, block, count, eps2) ? 0
+                                                                        : 1);
+        },
+        [](uint8_t) { return true; },
+        [](uint8_t a, uint8_t b) { return static_cast<uint8_t>(a & b); },
+        &phase.distances);
     auto o_cn = reduced
                     .Filter([](const std::pair<uint32_t, uint8_t>& kv) {
                       return kv.second != 0;

@@ -34,10 +34,11 @@ inline bool LeavesDensityThreshold(uint32_t old_count, uint32_t min_pts) {
 /// kernels would have produced.
 inline constexpr double kCellBoxSlack = 1.0 + 1e-9;
 
-/// Geometric prefilter for stencil scans: true when the axis-aligned cell
-/// box [origin, origin + side]^d lies entirely beyond eps of `query`, so
-/// the whole block can be skipped without submitting a single distance
-/// evaluation. Distant stencil cells (any offset of magnitude 2) are
+/// Geometric prefilter for the live detector's scans over a cell's cached
+/// neighbor cells: true when the axis-aligned cell box
+/// [origin, origin + side]^d lies entirely beyond eps of `query`, so the
+/// whole block can be skipped without submitting a single distance
+/// evaluation. Distant neighbor cells (any offset of magnitude 2) are
 /// often unreachable from the query's position inside its home cell —
 /// Definition 8 keeps them only because SOME position in the home cell
 /// reaches them. Conservative under kCellBoxSlack: a skipped cell cannot

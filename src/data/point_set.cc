@@ -33,15 +33,6 @@ void PointSet::Append(const PointSet& other) {
   data_.insert(data_.end(), other.data_.begin(), other.data_.end());
 }
 
-PointSet PointSet::Select(std::span<const uint32_t> indices) const {
-  PointSet out(dims_);
-  out.Reserve(indices.size());
-  for (uint32_t i : indices) {
-    out.Add((*this)[i]);
-  }
-  return out;
-}
-
 PointSet::BoundingBox PointSet::Bounds() const {
   BoundingBox box;
   box.min.assign(dims_, 0.0);

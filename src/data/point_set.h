@@ -60,9 +60,6 @@ class PointSet {
   /// Appends all points of `other` (same dims() required).
   void Append(const PointSet& other);
 
-  /// Returns the subset of points with the given indices, in order.
-  PointSet Select(std::span<const uint32_t> indices) const;
-
   /// Squared Euclidean distance between points i and j of this set.
   double SquaredDistance(size_t i, size_t j) const {
     return SquaredDistance((*this)[i], (*this)[j]);

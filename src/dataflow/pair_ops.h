@@ -22,8 +22,9 @@ namespace dbscout::dataflow {
 
 namespace internal {
 
-/// Hash-partitions every record of `in` into `buckets` output groups.
-/// Returns shuffle[input_partition][bucket].
+/// The map side of every wide operator: hash-partitions every record of
+/// `in` into `buckets` output groups. Returns
+/// shuffle[input_partition][bucket].
 template <typename K, typename V, typename Hash>
 std::vector<std::vector<std::vector<std::pair<K, V>>>> ShuffleByKey(
     ExecutionContext* ctx, const Dataset<std::pair<K, V>>& in, size_t buckets,
@@ -71,23 +72,21 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& in,
     }
   };
 
-  // shuffle[input_partition][bucket], one combined record per key.
-  std::vector<std::vector<std::vector<std::pair<K, V>>>> shuffle(
-      in.num_partitions());
-  std::atomic<uint64_t> shuffled{0};
+  // The map-side combine: one record per key and input partition, which
+  // the shared shuffle then buckets.
+  typename Dataset<std::pair<K, V>>::Partitions combined(in.num_partitions());
   RunTasks(&ctx->pool(), in.num_partitions(), [&](size_t p) {
-    std::unordered_map<K, V, Hash> combined(16, hash);
+    std::unordered_map<K, V, Hash> acc(16, hash);
     for (const auto& kv : in.partition(p)) {
-      fold(&combined, kv.first, kv.second);
+      fold(&acc, kv.first, kv.second);
     }
-    auto& local = shuffle[p];
-    local.resize(buckets);
-    for (auto& kv : combined) {
-      local[hash(kv.first) % buckets].emplace_back(kv.first,
-                                                   std::move(kv.second));
-    }
-    shuffled.fetch_add(combined.size(), std::memory_order_relaxed);
+    combined[p].assign(std::make_move_iterator(acc.begin()),
+                       std::make_move_iterator(acc.end()));
   });
+  uint64_t shuffled = 0;
+  auto shuffle = internal::ShuffleByKey(
+      ctx, Dataset<std::pair<K, V>>::FromPartitions(ctx, std::move(combined)),
+      buckets, hash, &shuffled);
 
   typename Dataset<std::pair<K, V>>::Partitions out(buckets);
   std::atomic<uint64_t> out_records{0};
@@ -112,7 +111,7 @@ Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& in,
   m.seconds = timer.ElapsedSeconds();
   m.records_in = in.Count();
   m.records_out = out_records.load();
-  m.shuffled_records = shuffled.load();
+  m.shuffled_records = shuffled;
   ctx->RecordStage(std::move(m));
   return result;
 }

@@ -91,12 +91,6 @@ Status internal::CellIndexError(std::span<const double> point, double side) {
   return Status::OK();
 }
 
-CellCoord Grid::CellOf(std::span<const double> point) const {
-  CellCoord coord;
-  (void)CellOfPoint(point, side_, &coord);  // Build accepted the point
-  return coord;
-}
-
 std::optional<uint32_t> Grid::FindCell(const CellCoord& coord) const {
   const auto it =
       std::lower_bound(cell_coords_.begin(), cell_coords_.end(), coord);

@@ -85,10 +85,10 @@ inline Status CellOfPoint(std::span<const double> point, double side,
 ///
 /// Build also materializes a grid-ordered copy of the point coordinates:
 /// cell c's points occupy one contiguous row-major block (rows
-/// [CellBeginRow(c), CellBeginRow(c+1)) of OrderedData()). Neighbor-cell
-/// scans over CellBlock() are linear streams the batched distance kernels
-/// (simd/distance_kernel.h) can consume, instead of gathers scattered
-/// across the original PointSet.
+/// [CellBeginRow(c), CellBeginRow(c+1)), read through CellBlock() and
+/// OrderedPoint()). Neighbor-cell scans over CellBlock() are linear streams
+/// the batched distance kernels (simd/distance_kernel.h) can consume,
+/// instead of gathers scattered across the original PointSet.
 class Grid {
  public:
   /// Builds the grid for `points` with cell diagonal `eps` (side
@@ -106,10 +106,6 @@ class Grid {
   double side() const { return side_; }
   size_t num_cells() const { return cell_coords_.size(); }
   size_t num_points() const { return point_cell_.size(); }
-
-  /// Integer coordinates of the cell containing `point`, which must be a
-  /// point Build accepts (CellOfPoint with this grid's side).
-  CellCoord CellOf(std::span<const double> point) const;
 
   /// Coordinates of cell `id`.
   const CellCoord& CoordOf(uint32_t id) const { return cell_coords_[id]; }
@@ -147,9 +143,6 @@ class Grid {
     return ordered_points_.data() +
            static_cast<size_t>(cell_begin_[id]) * dims_;
   }
-
-  /// All point coordinates permuted into CSR cell order.
-  std::span<const double> OrderedData() const { return ordered_points_; }
 
   /// Coordinates of grid-ordered row `row`.
   std::span<const double> OrderedPoint(uint32_t row) const {

@@ -69,23 +69,13 @@ const DistanceKernels& DispatchedKernels();
 void ForceScalarKernels(bool force);
 bool ScalarKernelsForced();
 
-// --- Convenience wrappers taking dims at runtime. ---
+// --- Convenience wrapper taking dims at runtime. ---
 
 inline uint32_t CountWithinEps2(const double* query, const double* block,
                                 size_t count, size_t dims, double eps2,
                                 uint32_t cap) {
   return DispatchedKernels().count_within[dims](query, block, count, eps2,
                                                 cap);
-}
-
-inline bool AnyWithinEps2(const double* query, const double* block,
-                          size_t count, size_t dims, double eps2) {
-  return DispatchedKernels().any_within[dims](query, block, count, eps2);
-}
-
-inline double MinSquaredDistance(const double* query, const double* block,
-                                 size_t count, size_t dims) {
-  return DispatchedKernels().min_sqdist[dims](query, block, count);
 }
 
 }  // namespace dbscout::simd

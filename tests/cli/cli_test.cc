@@ -263,6 +263,51 @@ TEST(CliTest, GenerateCsvThenDetectMatchesBinary) {
   EXPECT_EQ(outliers[0], outliers[1]);
 }
 
+// A flag only some engines use is refused by the others, with the error
+// an unknown flag gets, and accepted by its own.
+TEST(CliTest, DetectRefusesFlagsItsEngineCannotUse) {
+  Rng rng(86);
+  const PointSet ps = testing::ClusteredPoints(&rng, 300, 2, 3, 0.2);
+  const std::string data = TempPath("cli_engine_flags.dbsc");
+  ASSERT_TRUE(SavePointsBinary(data, ps).ok());
+  const struct {
+    const char* flag;
+    std::vector<std::string> accepted;
+    std::vector<std::string> refused;
+  } cases[] = {
+      {"--scores", {"sequential", "shared"},
+       {"parallel", "external", "incremental"}},
+      {"--partitions=3", {"parallel"},
+       {"sequential", "shared", "external", "incremental"}},
+      {"--stripe-points=100", {"external"},
+       {"sequential", "shared", "parallel", "incremental"}},
+  };
+  for (const auto& c : cases) {
+    const std::string flag = c.flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    for (const auto& engine : c.accepted) {
+      SCOPED_TRACE(flag + " " + engine);
+      const CliRun run =
+          RunTool({"detect", "--input=" + data, "--eps=1", "--min-pts=5",
+                   "--engine=" + engine, flag});
+      EXPECT_EQ(run.code, 0) << run.err;
+    }
+    for (const auto& engine : c.refused) {
+      SCOPED_TRACE(flag + " " + engine);
+      const CliRun run =
+          RunTool({"detect", "--input=" + data, "--eps=1", "--min-pts=5",
+                   "--engine=" + engine, flag});
+      EXPECT_EQ(run.code, 1) << run.out;
+      EXPECT_NE(run.err.find("InvalidArgument"), std::string::npos)
+          << run.err;
+      EXPECT_NE(run.err.find("unknown flag " + name), std::string::npos)
+          << run.err;
+      EXPECT_TRUE(run.out.empty()) << run.out;
+    }
+  }
+  std::remove(data.c_str());
+}
+
 TEST(CliTest, TypoInFlagIsCaught) {
   const CliRun run = RunTool({"kdist", "--input=x", "--k=5", "--samle=10"});
   EXPECT_EQ(run.code, 1);

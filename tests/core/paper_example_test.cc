@@ -51,17 +51,17 @@ TEST(PaperExampleTest, GridAssignmentMatchesFig3) {
   EXPECT_NEAR(g->side(), 1.0, 1e-12);  // eps/sqrt(2) = 1
   EXPECT_EQ(g->num_cells(), 3u);
 
-  const auto c1 = g->CellOf(ps[0]);
+  const auto c1 = testing::CellAt(*g, ps[0]);
   EXPECT_EQ(c1[0], 0);
   EXPECT_EQ(c1[1], 0);
-  const auto c2 = g->CellOf(ps[kP1]);
+  const auto c2 = testing::CellAt(*g, ps[kP1]);
   EXPECT_EQ(c2[0], 1);
   EXPECT_EQ(c2[1], -1);
-  EXPECT_EQ(g->CellOf(ps[kP2]), c2);
-  const auto c3 = g->CellOf(ps[kP3]);
+  EXPECT_EQ(testing::CellAt(*g, ps[kP2]), c2);
+  const auto c3 = testing::CellAt(*g, ps[kP3]);
   EXPECT_EQ(c3[0], 0);
   EXPECT_EQ(c3[1], -2);
-  EXPECT_EQ(g->CellOf(ps[kP4]), c3);
+  EXPECT_EQ(testing::CellAt(*g, ps[kP4]), c3);
 }
 
 TEST(PaperExampleTest, DenseCellPointsAreCore) {

@@ -194,6 +194,51 @@ TEST_F(ParallelTest, EmitCountsFollowTheNeighborLists) {
   }
 }
 
+// Phases 3 and 5 run one distance join whichever strategy realizes it, so
+// the strategies compare the same pairs and reduce the same points (the
+// counters Ablation A reports as equal).
+TEST_F(ParallelTest, StrategiesShareDistanceCountsAndReducedRecords) {
+  Rng rng(31);
+  const PointSet ps = testing::ClusteredPoints(&rng, 1200, 2, 4, 0.3);
+  struct Counters {
+    uint64_t core_distances = 0;
+    uint64_t outlier_distances = 0;
+    uint64_t sum_neighbors_out = 0;
+    uint64_t and_flags_out = 0;
+  };
+  std::vector<Counters> seen;
+  for (JoinStrategy join : {JoinStrategy::kPlain, JoinStrategy::kBroadcast,
+                            JoinStrategy::kGrouped}) {
+    ctx_.ResetMetrics();
+    auto r = DetectParallel(ps, MakeParams(1.0, 6, join), &ctx_);
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(r->phases.size(), 5u);
+    Counters c;
+    c.core_distances = r->phases[2].distance_computations;
+    c.outlier_distances = r->phases[4].distance_computations;
+    for (const auto& stage : ctx_.stages()) {
+      if (stage.name == "SumNeighbors") {
+        c.sum_neighbors_out += stage.records_out;
+      } else if (stage.name == "AndFlags") {
+        c.and_flags_out += stage.records_out;
+      }
+    }
+    seen.push_back(c);
+  }
+  // Both phases compare pairs and reduce points on this input.
+  ASSERT_GT(seen[0].core_distances, 0u);
+  ASSERT_GT(seen[0].outlier_distances, 0u);
+  ASSERT_GT(seen[0].sum_neighbors_out, 0u);
+  ASSERT_GT(seen[0].and_flags_out, 0u);
+  for (size_t i = 1; i < seen.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(seen[i].core_distances, seen[0].core_distances);
+    EXPECT_EQ(seen[i].outlier_distances, seen[0].outlier_distances);
+    EXPECT_EQ(seen[i].sum_neighbors_out, seen[0].sum_neighbors_out);
+    EXPECT_EQ(seen[i].and_flags_out, seen[0].and_flags_out);
+  }
+}
+
 TEST_F(ParallelTest, FacadeDispatchesBothEngines) {
   Rng rng(9);
   const PointSet ps = testing::ClusteredPoints(&rng, 200, 2, 2, 0.3);

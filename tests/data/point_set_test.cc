@@ -55,19 +55,6 @@ TEST(PointSetTest, AppendConcatenates) {
   EXPECT_DOUBLE_EQ(a.at(2, 0), 3.0);
 }
 
-TEST(PointSetTest, SelectPicksIndicesInOrder) {
-  PointSet ps(1);
-  for (double v : {10.0, 11.0, 12.0, 13.0}) {
-    ps.Add({v});
-  }
-  const std::vector<uint32_t> idx = {3, 0, 2};
-  PointSet sel = ps.Select(idx);
-  ASSERT_EQ(sel.size(), 3u);
-  EXPECT_DOUBLE_EQ(sel.at(0, 0), 13.0);
-  EXPECT_DOUBLE_EQ(sel.at(1, 0), 10.0);
-  EXPECT_DOUBLE_EQ(sel.at(2, 0), 12.0);
-}
-
 TEST(PointSetTest, BoundsComputeMinMaxPerDimension) {
   PointSet ps(2);
   ps.Add({-1.0, 5.0});

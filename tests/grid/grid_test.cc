@@ -63,13 +63,13 @@ TEST(GridTest, AssignsPointsToExpectedCells) {
   auto g = Grid::Build(ps, std::sqrt(2.0));
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_cells(), 3u);
-  const CellCoord c1 = g->CellOf(ps[0]);
+  const CellCoord c1 = testing::CellAt(*g, ps[0]);
   EXPECT_EQ(c1[0], 0);
   EXPECT_EQ(c1[1], 0);
-  const CellCoord c2 = g->CellOf(ps[1]);
+  const CellCoord c2 = testing::CellAt(*g, ps[1]);
   EXPECT_EQ(c2[0], 1);
   EXPECT_EQ(c2[1], -1);
-  const CellCoord c3 = g->CellOf(ps[3]);
+  const CellCoord c3 = testing::CellAt(*g, ps[3]);
   EXPECT_EQ(c3[0], 0);
   EXPECT_EQ(c3[1], -2);
 }
@@ -81,9 +81,10 @@ TEST(GridTest, NegativeCoordinatesUseFloor) {
   ps.Add({-1.5});
   auto g = Grid::Build(ps, 1.0);  // d=1 -> side = 1
   ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->CellOf(ps[0])[0], -1);
-  EXPECT_EQ(g->CellOf(ps[1])[0], -1);  // boundary lands in its own cell
-  EXPECT_EQ(g->CellOf(ps[2])[0], -2);
+  EXPECT_EQ(testing::CellAt(*g, ps[0])[0], -1);
+  // The boundary lands in its own cell.
+  EXPECT_EQ(testing::CellAt(*g, ps[1])[0], -1);
+  EXPECT_EQ(testing::CellAt(*g, ps[2])[0], -2);
 }
 
 TEST(GridTest, CsrLayoutGroupsEveryPointExactlyOnce) {
@@ -98,7 +99,7 @@ TEST(GridTest, CsrLayoutGroupsEveryPointExactlyOnce) {
       EXPECT_TRUE(seen.insert(p).second) << "duplicate point " << p;
       EXPECT_EQ(g->CellIdOfPoint(p), c);
       // Every point must geometrically belong to its cell.
-      EXPECT_EQ(g->CellOf(ps[p]), g->CoordOf(c));
+      EXPECT_EQ(testing::CellAt(*g, ps[p]), g->CoordOf(c));
       ++total;
     }
     EXPECT_EQ(g->CellSize(c), g->PointsInCell(c).size());
@@ -112,7 +113,8 @@ TEST(GridTest, OrderedStorageMirrorsCsrLayout) {
   auto g = Grid::Build(ps, 1.7);
   ASSERT_TRUE(g.ok());
   const size_t d = ps.dims();
-  ASSERT_EQ(g->OrderedData().size(), ps.size() * d);
+  ASSERT_EQ(g->CellBeginRow(static_cast<uint32_t>(g->num_cells())),
+            ps.size());
   for (uint32_t c = 0; c < g->num_cells(); ++c) {
     const auto cell_points = g->PointsInCell(c);
     const double* block = g->CellBlock(c);
@@ -256,14 +258,15 @@ struct GridImage {
   std::vector<double> ordered;
 
   explicit GridImage(const Grid& g)
-      : coords(g.CellCoords().begin(), g.CellCoords().end()),
-        ordered(g.OrderedData().begin(), g.OrderedData().end()) {
+      : coords(g.CellCoords().begin(), g.CellCoords().end()) {
     for (uint32_t c = 0; c <= g.num_cells(); ++c) {
       begin_rows.push_back(g.CellBeginRow(c));
     }
     for (uint32_t i = 0; i < g.num_points(); ++i) {
       original_index.push_back(g.OriginalIndex(i));
       cell_of_point.push_back(g.CellIdOfPoint(i));
+      const auto row = g.OrderedPoint(i);
+      ordered.insert(ordered.end(), row.begin(), row.end());
     }
   }
 };

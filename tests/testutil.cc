@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include <gtest/gtest.h>
+
 namespace dbscout::testing {
 
 std::vector<core::PointKind> BruteForceKinds(const PointSet& points,
@@ -120,6 +122,13 @@ std::vector<uint32_t> ExpandRuns(std::span<const grid::CellRun> runs) {
     }
   }
   return ids;
+}
+
+grid::CellCoord CellAt(const grid::Grid& grid,
+                       std::span<const double> point) {
+  grid::CellCoord cell;
+  EXPECT_TRUE(grid::CellOfPoint(point, grid.side(), &cell).ok());
+  return cell;
 }
 
 }  // namespace dbscout::testing

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/detection.h"
 #include "data/point_set.h"
+#include "grid/grid.h"
 #include "grid/neighbor_cells.h"
 
 namespace dbscout::testing {
@@ -42,6 +43,10 @@ std::vector<uint64_t> Widen(const std::vector<uint32_t>& ids);
 
 /// The cell ids of grid::NeighborCells runs, in run order.
 std::vector<uint32_t> ExpandRuns(std::span<const grid::CellRun> runs);
+
+/// The coordinates of the cell of `grid` holding `point`, a point the grid
+/// accepted (grid::CellOfPoint with the grid's side).
+grid::CellCoord CellAt(const grid::Grid& grid, std::span<const double> point);
 
 }  // namespace dbscout::testing
 
