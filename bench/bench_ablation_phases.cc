@@ -1,9 +1,11 @@
 // Ablation B: engine comparison and linearity evidence. Runs the
 // sequential reference engine and the dataflow engine over a size sweep,
 // reporting per-phase time and time-per-million-points — the single-machine
-// counterpart of Fig. 10's linear scaling claim (Lemmas 4-8).
+// counterpart of Fig. 10's linear scaling claim (Lemmas 4-8). Exits 1 if
+// the two engines ever disagree on the outliers.
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "analysis/table.h"
 #include "bench_util.h"
@@ -25,9 +27,11 @@ int main(int argc, char** argv) {
   analysis::Table table({"Points", "Engine", "grid", "dense map",
                          "core pts", "core map", "outliers", "total (s)",
                          "s per 1M pts"});
+  bool agree = true;
   for (size_t factor : {1u, 2u, 4u, 8u}) {
     const size_t n = base_n * factor;
     const PointSet points = datasets::OsmLike(n, 61);
+    std::vector<uint32_t> sequential_outliers;
     for (core::Engine engine :
          {core::Engine::kSequential, core::Engine::kParallel}) {
       core::Params params;
@@ -44,6 +48,13 @@ int main(int argc, char** argv) {
                      core::EngineName(engine),
                      r.status().ToString().c_str());
         return 1;
+      }
+      if (engine == core::Engine::kSequential) {
+        sequential_outliers = r->outliers;
+      } else if (r->outliers != sequential_outliers) {
+        std::fprintf(stderr, "n=%zu: %s outliers differ from sequential\n",
+                     n, core::EngineName(engine));
+        agree = false;
       }
       std::vector<std::string> row = {
           HumanCount(static_cast<double>(n)), core::EngineName(engine)};
@@ -63,5 +74,7 @@ int main(int argc, char** argv) {
       "grows (linear complexity); the sequential engine is the faster "
       "single-machine path, the dataflow engine pays shuffle overhead in "
       "exchange for horizontal scalability.\n");
-  return 0;
+  std::printf("%s\n", agree ? "both engines agree on the outliers"
+                             : "FAIL: the engines disagree on the outliers");
+  return agree ? 0 : 1;
 }

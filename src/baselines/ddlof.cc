@@ -208,39 +208,41 @@ Result<DdlofResult> Ddlof(const PointSet& points, const DdlofParams& params) {
   // ---- Round 3: shuffled k-distance exchange -> lrd. --------------------
   // reach-dist_k(p, o) = max(k-distance(o), dist(p, o)) needs o's
   // k-distance, so every (p, o) edge is shipped to o, joined with o's
-  // k-distance, and the reachability sums reduced back onto p.
-  auto kdist = knn_ds.Map(
-      [](const KnnRecord& r) {
-        return std::make_pair(
-            r.point, r.neighbors.empty() ? 0.0 : r.neighbors.back().distance);
-      },
-      "KDistances");
+  // k-distance, and the reachability sums reduced back onto p. The narrow
+  // steps are lazy and run inside the shuffle stage that reads them.
+  auto kdist = knn_ds.Map([](const KnnRecord& r) {
+    return std::make_pair(
+        r.point, r.neighbors.empty() ? 0.0 : r.neighbors.back().distance);
+  });
   auto edges = knn_ds.FlatMap<std::pair<uint32_t, std::pair<uint32_t, double>>>(
       [](const KnnRecord& r,
          std::vector<std::pair<uint32_t, std::pair<uint32_t, double>>>* sink) {
         for (const auto& nb : r.neighbors) {
           sink->push_back({nb.index, {r.point, nb.distance}});
         }
-      },
-      "EmitEdges");
-  auto reach = Join(kdist, edges, parts, std::hash<uint32_t>(), "JoinKDist");
-  auto reach_per_point = ReduceByKey(
-      reach.Map(
-          [](const std::pair<uint32_t,
-                             std::pair<double, std::pair<uint32_t, double>>>&
-                 rec) {
+      });
+  auto reach =
+      Join(std::move(kdist), std::move(edges), parts, std::hash<uint32_t>(),
+           "JoinKDist")
+          .Map([](const std::pair<uint32_t,
+                                  std::pair<double,
+                                            std::pair<uint32_t, double>>>&
+                      rec) {
             const double neighbor_kdist = rec.second.first;
             const uint32_t p = rec.second.second.first;
             const double dist = rec.second.second.second;
             return std::make_pair(
                 p, std::make_pair(std::max(neighbor_kdist, dist), uint32_t{1}));
-          },
-          "ReachDistances"),
+          });
+  auto reach_per_point = ReduceByKey(
+      std::move(reach),
       [](const std::pair<double, uint32_t>& a,
          const std::pair<double, uint32_t>& b) {
         return std::make_pair(a.first + b.first, a.second + b.second);
       },
       parts, std::hash<uint32_t>(), "SumReach");
+  // Read by both joins of round 4; a division per point is cheaper to run
+  // twice than to persist.
   auto lrd = reach_per_point.Map(
       [](const std::pair<uint32_t, std::pair<double, uint32_t>>& rec) {
         const double sum = rec.second.first;
@@ -248,8 +250,7 @@ Result<DdlofResult> Ddlof(const PointSet& points, const DdlofParams& params) {
         const double value =
             sum <= 0.0 ? kMaxLrd : std::min(kMaxLrd, count / sum);
         return std::make_pair(rec.first, value);
-      },
-      "Lrd");
+      });
 
   // ---- Round 4: shuffled lrd exchange -> LOF. ---------------------------
   auto lrd_edges = knn_ds.FlatMap<std::pair<uint32_t, uint32_t>>(
@@ -258,25 +259,24 @@ Result<DdlofResult> Ddlof(const PointSet& points, const DdlofParams& params) {
         for (const auto& nb : r.neighbors) {
           sink->push_back({nb.index, r.point});
         }
-      },
-      "EmitLrdRequests");
+      });
   auto neighbor_lrds =
-      Join(lrd, lrd_edges, parts, std::hash<uint32_t>(), "JoinLrd");
-  auto lrd_sums = ReduceByKey(
-      neighbor_lrds.Map(
-          [](const std::pair<uint32_t, std::pair<double, uint32_t>>& rec) {
+      Join(lrd, std::move(lrd_edges), parts, std::hash<uint32_t>(), "JoinLrd")
+          .Map([](const std::pair<uint32_t, std::pair<double, uint32_t>>&
+                      rec) {
             return std::make_pair(
                 rec.second.second,
                 std::make_pair(rec.second.first, uint32_t{1}));
-          },
-          "NeighborLrds"),
+          });
+  auto lrd_sums = ReduceByKey(
+      std::move(neighbor_lrds),
       [](const std::pair<double, uint32_t>& a,
          const std::pair<double, uint32_t>& b) {
         return std::make_pair(a.first + b.first, a.second + b.second);
       },
       parts, std::hash<uint32_t>(), "SumLrd");
-  auto scores =
-      Join(lrd, lrd_sums, parts, std::hash<uint32_t>(), "JoinOwnLrd");
+  auto scores = Join(std::move(lrd), std::move(lrd_sums), parts,
+                     std::hash<uint32_t>(), "JoinOwnLrd");
   scores.ForEach(
       [&result](
           const std::pair<uint32_t,

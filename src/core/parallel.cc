@@ -1,10 +1,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/key_table.h"
 #include "common/str_util.h"
 #include "common/timer.h"
 #include "core/dbscout.h"
@@ -49,16 +49,13 @@ void GatherCoords(const PointSet& pts, const std::vector<uint32_t>& ids,
 }
 
 /// The stage names of one phase's distance join. Each strategy records
-/// only its own stages, after `emit` and before `reduce`.
+/// only its own stages, then `reduce`.
 struct JoinStages {
-  const char* emit;
   const char* plain_join;
-  const char* plain_values;
   const char* group_checks;
   const char* group_targets;
   const char* grouped_join;
-  const char* grouped_values;
-  const char* broadcast_values;
+  const char* broadcast_checks;
   const char* reduce;
 };
 
@@ -66,28 +63,30 @@ struct JoinStages {
 /// strategy. Each record (c, p) of `to_emit` goes to every neighbor cell nc
 /// of c that `accept(nc)` admits, as (nc, p). The paper's algorithms emit
 /// (N, (C, p)); since p determines its home cell C, the records carry only
-/// (N, p), halving shuffle volume. Each such p is compared with every point
-/// q of `targets` in cell nc:
+/// (N, p), halving shuffle volume. The emit is fused into the stage that
+/// reads it, so these records are never materialized. Each such p is
+/// compared with every point q of `targets` in cell nc:
 ///  - kPlain joins the emitted records with `targets` record by record and
 ///    takes `pair_value(p, q)` per pair;
-///  - kGrouped groups both sides by cell, joins the groups, gathers each
-///    target cell's coordinates once and takes `group_value(p's coords,
-///    block, count)` per point to check, so early termination (SS III-G2)
-///    happens inside the batched kernel;
+///  - kGrouped groups both sides by cell, joins the groups (moving them,
+///    not copying), gathers each target cell's coordinates once and takes
+///    `group_value(p's coords, block, count)` per point to check, so early
+///    termination (SS III-G2) happens inside the batched kernel;
 ///  - kBroadcast collects the emitted records on the driver, grouped by
 ///    cell, and takes `pair_value` while streaming `targets` past them.
 /// Values `keep` rejects are not sent on; the rest are combined per point
-/// with `reduce`. Every comparison is added to `*distances`.
+/// with `reduce`, in a stage that also runs the per-pair or per-group step.
+/// Every comparison is added to `*distances`.
 template <typename V, typename Accept, typename PairValue,
           typename GroupValue, typename Keep, typename Reduce>
 Dataset<std::pair<uint32_t, V>> DistanceJoin(
     JoinStrategy join, const JoinStages& stages, const PointSet* pts,
     size_t parts, const Broadcast<grid::NeighborCells>& neighbors,
-    const Dataset<GridRecord>& to_emit, const Dataset<GridRecord>& targets,
+    const Dataset<GridRecord>& to_emit, Dataset<GridRecord> targets,
     Accept accept, PairValue pair_value, GroupValue group_value, Keep keep,
     Reduce reduce, std::atomic<uint64_t>* distances) {
   using Value = std::pair<uint32_t, V>;
-  const auto to_check = to_emit.FlatMap<GridRecord>(
+  auto to_check = to_emit.FlatMap<GridRecord>(
       [neighbors, accept](const GridRecord& rec,
                           std::vector<GridRecord>* sink) {
         for (const grid::CellRun& run : neighbors->Of(rec.first)) {
@@ -97,13 +96,13 @@ Dataset<std::pair<uint32_t, V>> DistanceJoin(
             }
           }
         }
-      },
-      stages.emit);
+      });
   const std::hash<uint32_t> hash;
   Dataset<Value> values;
   switch (join) {
     case JoinStrategy::kPlain:
-      values = Join(targets, to_check, parts, hash, stages.plain_join)
+      values = Join(std::move(targets), std::move(to_check), parts, hash,
+                    stages.plain_join)
                    .template FlatMap<Value>(
                        [distances, pair_value, keep](
                            const std::pair<uint32_t, GridRecord>& rec,
@@ -115,14 +114,16 @@ Dataset<std::pair<uint32_t, V>> DistanceJoin(
                          if (keep(value)) {
                            sink->push_back({p, value});
                          }
-                       },
-                       stages.plain_values);
+                       });
       break;
     case JoinStrategy::kGrouped: {
-      auto checks = GroupByKey(to_check, parts, hash, stages.group_checks);
-      auto cells = GroupByKey(targets, parts, hash, stages.group_targets);
+      auto checks =
+          GroupByKey(std::move(to_check), parts, hash, stages.group_checks);
+      auto cells =
+          GroupByKey(std::move(targets), parts, hash, stages.group_targets);
       values =
-          Join(cells, checks, parts, hash, stages.grouped_join)
+          Join(std::move(cells), std::move(checks), parts, hash,
+               stages.grouped_join)
               .template FlatMap<Value>(
                   [pts, group_value, keep, distances](
                       const std::pair<uint32_t,
@@ -142,12 +143,12 @@ Dataset<std::pair<uint32_t, V>> DistanceJoin(
                     distances->fetch_add(
                         cell_points.size() * rec.second.second.size(),
                         std::memory_order_relaxed);
-                  },
-                  stages.grouped_values);
+                  });
       break;
     }
     case JoinStrategy::kBroadcast: {
-      Broadcast checks_by_cell(CollectGrouped(to_check, hash));
+      Broadcast checks_by_cell(
+          CollectGrouped(to_check, hash, stages.broadcast_checks));
       values = targets.FlatMap<Value>(
           [checks_by_cell, pair_value, keep, distances](
               const GridRecord& rec, std::vector<Value>* sink) {
@@ -164,12 +165,11 @@ Dataset<std::pair<uint32_t, V>> DistanceJoin(
             }
             distances->fetch_add(it->second.size(),
                                  std::memory_order_relaxed);
-          },
-          stages.broadcast_values);
+          });
       break;
     }
   }
-  return ReduceByKey(values, reduce, parts, hash, stages.reduce);
+  return ReduceByKey(std::move(values), reduce, parts, hash, stages.reduce);
 }
 
 }  // namespace
@@ -220,23 +220,16 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
   const size_t parts = params.num_partitions == 0 ? ctx->default_partitions()
                                                   : params.num_partitions;
 
-  // Input validation pass (the sequential Grid::Build performs the same
-  // checks; here there is no Grid object, so validate up front).
-  CellCoord coord;
-  for (size_t i = 0; i < n; ++i) {
-    DBSCOUT_RETURN_IF_ERROR(grid::CellOfPoint(points[i], side, &coord));
-  }
-
   const PointSet* pts = &points;  // outlives every task of this call
   auto sqdist = [pts](uint32_t a, uint32_t b) {
     return PointSet::SquaredDistance((*pts)[a], (*pts)[b]);
   };
 
   // ---- Phase 1: grid definition (Algorithm 1). -------------------------
-  // Only the point ids are materialized. Algorithm 1's (cell, point)
-  // records are pipelined into phase 2's map side, as a Spark stage runs
-  // its narrow maps fused: each task recomputes CellOfPoint where it needs
-  // the cell, so no n-sized dataset keyed by CellCoord exists.
+  // The point ids are a lazy dataset. Algorithm 1's (cell, point) records
+  // are pipelined into phase 2's stages, as a Spark stage runs its narrow
+  // maps fused: each task computes CellOfPoint where it needs the cell, so
+  // no n-sized dataset keyed by CellCoord exists.
   Dataset<uint32_t> ids;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseGrid);
@@ -246,62 +239,80 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
 
   // ---- Phase 2: dense cell map construction (Algorithm 2). -------------
   // Each partition counts its points per cell, so at most #cells records
-  // per partition reach the CountCells shuffle. The driver sorts the cells
-  // it collects and numbers them in that order, as Grid::Build does, so
-  // the ids do not depend on the partition count. The dense cell map is
-  // then a byte per cell id, broadcast with the neighbor runs
-  // (Definition 8) of the non-dense cells. Phase 3 emits the points of
-  // non-dense cells to their neighbor cells, and phase 5 those of non-core
-  // cells (all non-dense) to their core ones. G is keyed by cell id, so
-  // every later record is (cell id, point), 8 bytes.
+  // per partition reach the CountCells shuffle. The count also validates
+  // the input: each partition stops at its first point CellOfPoint
+  // rejects, and the lowest such point fails the call. Partitions are
+  // contiguous slices of the ids, so that is the first bad point in input
+  // order, the one Grid::Build reports. The driver sorts the cells it
+  // collects and numbers them in that order, as Grid::Build does, so the
+  // ids do not depend on the partition count. The dense cell map is then a
+  // byte per cell id, broadcast with the neighbor runs (Definition 8) of
+  // the non-dense cells. Phase 3 emits the points of non-dense cells to
+  // their neighbor cells, and phase 5 those of non-core cells (all
+  // non-dense) to their core ones. G is keyed by cell id, so every later
+  // record is (cell id, point), 8 bytes. G is read by every later phase,
+  // so it is the one dataset persisted.
   Dataset<GridRecord> g;
   Broadcast<std::vector<uint8_t>> cell_dense;
   Broadcast<grid::NeighborCells> neighbors;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseDenseCellMap);
     using CellCount = std::pair<CellCoord, uint32_t>;
+    std::atomic<uint32_t> first_bad{static_cast<uint32_t>(n)};
     auto counts = ReduceByKey(
         ids.TransformPartitions<CellCount>(
-            "PartitionCellCounts",
-            [pts, side](const std::vector<uint32_t>& part,
-                        std::vector<CellCount>* sink) {
-              std::unordered_map<CellCoord, uint32_t, CellCoordHash> local;
+            [pts, side, &first_bad](const std::vector<uint32_t>& part,
+                                    std::vector<CellCount>* sink) {
+              KeyTable<CellCoord, CellCoordHash> local;
+              std::vector<uint32_t> local_counts;  // by local id
               CellCoord cell;
               for (uint32_t i : part) {
-                (void)grid::CellOfPoint((*pts)[i], side, &cell);  // validated
-                ++local[cell];
+                if (!grid::CellOfPoint((*pts)[i], side, &cell).ok()) {
+                  uint32_t seen = first_bad.load();
+                  while (i < seen &&
+                         !first_bad.compare_exchange_weak(seen, i)) {
+                  }
+                  return;
+                }
+                const uint32_t id = local.IdOf(cell);
+                if (id == local_counts.size()) {
+                  local_counts.push_back(0);
+                }
+                ++local_counts[id];
               }
-              sink->assign(local.begin(), local.end());
+              for (size_t id = 0; id < local_counts.size(); ++id) {
+                sink->emplace_back(local.keys()[id], local_counts[id]);
+              }
             }),
         [](uint32_t a, uint32_t b) { return a + b; }, parts, CellCoordHash(),
         "CountCells");
+    if (first_bad.load() < n) {
+      CellCoord cell;
+      return grid::CellOfPoint(points[first_bad.load()], side, &cell);
+    }
     std::vector<CellCount> cells = counts.Collect();
     std::sort(cells.begin(), cells.end());  // the coordinates are distinct
-    std::unordered_map<CellCoord, uint32_t, CellCoordHash> id_map;
-    std::vector<CellCoord> coords;  // cell id -> coordinates
+    KeyTable<CellCoord, CellCoordHash> cell_ids;  // cell id <-> coordinates
     std::vector<uint8_t> dense, non_dense;
     for (const auto& [cell, count] : cells) {
-      id_map.emplace(cell, static_cast<uint32_t>(coords.size()));
-      coords.push_back(cell);
+      cell_ids.IdOf(cell);  // numbered in sorted order
       const bool is_dense = phases::IsDense(count, min_pts);
       dense.push_back(is_dense);
       non_dense.push_back(!is_dense);
       out.num_dense_cells += is_dense;
     }
+    Broadcast<decltype(cell_ids)> id_of(std::move(cell_ids));
     neighbors = Broadcast<grid::NeighborCells>(
-        grid::NeighborCells::Build(coords, non_dense, &ctx->pool()));
-    out.num_cells = coords.size();
+        grid::NeighborCells::Build(id_of->keys(), non_dense, &ctx->pool()));
+    out.num_cells = id_of->size();
     phase.records = out.num_cells;
     cell_dense = Broadcast<std::vector<uint8_t>>(std::move(dense));
-    Broadcast<decltype(id_map)> id_of(std::move(id_map));
-    g = ids.Map(
-        [pts, side, id_of](uint32_t i) {
-          CellCoord cell;
-          (void)grid::CellOfPoint((*pts)[i], side, &cell);  // validated
-          return GridRecord(id_of->find(cell)->second, i);
-        },
-        "KeyByCellId");
-    ids = Dataset<uint32_t>();  // every later stage reads G
+    g = ids.Map([pts, side, id_of](uint32_t i) {
+             CellCoord cell;
+             (void)grid::CellOfPoint((*pts)[i], side, &cell);  // validated
+             return GridRecord(id_of->Find(cell), i);
+           })
+            .Persist("KeyByCellId");
   }
 
   // ---- Phase 3: core points identification (Algorithm 3). --------------
@@ -312,22 +323,18 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
       return phases::IsDenseCell(cell_dense->data(), rec.first);
     };
     // C_d: points of dense cells are core outright (Lemma 1).
-    auto dense_core =
-        g.Filter(is_dense_cell, "FilterDense")
-            .Map([](const GridRecord& rec) { return rec.second; },
-                 "DenseCoreIds");
+    auto dense_core = g.Filter(is_dense_cell).Map(
+        [](const GridRecord& rec) { return rec.second; });
     auto non_dense = g.Filter(
-        [is_dense_cell](const GridRecord& rec) { return !is_dense_cell(rec); },
-        "FilterNonDense");
+        [is_dense_cell](const GridRecord& rec) { return !is_dense_cell(rec); });
 
     // Every point of a non-dense cell counts its eps-neighbors in each cell
     // of N(c) (the grouped join caps each count at minPts, SS III-G2), and
     // the counts are summed.
     auto counts = DistanceJoin<uint32_t>(
         params.join,
-        {"EmitToCheck", "JoinGrid", "DistanceOnes", "GroupChecks",
-         "GroupGrid", "JoinGrouped", "GroupedDistances",
-         "BroadcastDistances", "SumNeighbors"},
+        {"JoinGrid", "GroupChecks", "GroupGrid", "JoinGrouped",
+         "CollectChecks", "SumNeighbors"},
         pts, parts, neighbors, non_dense, g, [](uint32_t) { return true; },
         [sqdist, eps2](uint32_t p, uint32_t q) {
           return sqdist(p, q) <= eps2 ? 1u : 0u;
@@ -347,25 +354,30 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
               return kv.first;
             });
     // C = C_d UNION C_nd; collect the core flags to the driver.
-    auto all_core = dense_core.Union(core_nd, "UnionCore");
-    all_core.ForEach([&is_core](uint32_t p) { is_core[p] = 1; });
-    phase.records = all_core.Count();
+    uint64_t core_count = 0;
+    dense_core.Union(core_nd).ForEach(
+        [&is_core, &core_count](uint32_t p) {
+          is_core[p] = 1;
+          ++core_count;
+        },
+        "CollectCore");
+    phase.records = core_count;
   }
 
   // ---- Phase 4: core cell map construction (Algorithm 4). --------------
+  // Phase 5 reads the core points again. They are filtered from G twice,
+  // not persisted: persisting cost osm2d 7 MB of peak and saved no time.
   Broadcast<std::vector<uint8_t>> cell_core;
   Dataset<GridRecord> core_points;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseCoreCellMap);
     Broadcast<std::vector<uint8_t>> core_flags(is_core);
-    core_points = g.Filter(
-        [core_flags](const GridRecord& rec) {
-          return (*core_flags)[rec.second] != 0;
-        },
-        "FilterCorePoints");
+    core_points = g.Filter([core_flags](const GridRecord& rec) {
+      return (*core_flags)[rec.second] != 0;
+    });
     std::vector<uint8_t> core = *cell_dense;  // dense cells are core
     core_points.ForEach(
-        [&core](const GridRecord& rec) { core[rec.first] = 1; });
+        [&core](const GridRecord& rec) { core[rec.first] = 1; }, "CoreCells");
     out.num_core_cells = std::count(core.begin(), core.end(), uint8_t{1});
     phase.records = out.num_core_cells;
     cell_core = Broadcast<std::vector<uint8_t>>(std::move(core));
@@ -375,26 +387,22 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
   std::vector<uint32_t> outliers;
   {
     phases::ScopedPhase phase(&recorder, phases::kPhaseOutliers);
-    auto non_core = g.Filter(
-        [cell_core](const GridRecord& rec) {
-          return !phases::IsCoreCell(cell_core->data(), rec.first);
-        },
-        "FilterNonCore");
+    auto non_core = g.Filter([cell_core](const GridRecord& rec) {
+      return !phases::IsCoreCell(cell_core->data(), rec.first);
+    });
     // O_ncn: no neighboring core cell at all -> outright outliers.
     auto o_ncn =
         non_core
-            .Filter(
-                [cell_core, neighbors](const GridRecord& rec) {
-                  for (const grid::CellRun& run : neighbors->Of(rec.first)) {
-                    for (uint32_t nc = run.begin; nc < run.end; ++nc) {
-                      if (phases::IsCoreCell(cell_core->data(), nc)) {
-                        return false;
-                      }
-                    }
+            .Filter([cell_core, neighbors](const GridRecord& rec) {
+              for (const grid::CellRun& run : neighbors->Of(rec.first)) {
+                for (uint32_t nc = run.begin; nc < run.end; ++nc) {
+                  if (phases::IsCoreCell(cell_core->data(), nc)) {
+                    return false;
                   }
-                  return true;
-                },
-                "FilterNoCoreNeighbor")
+                }
+              }
+              return true;
+            })
             .Map([](const GridRecord& rec) { return rec.second; });
 
     // Every point of a non-core cell flags whether it is beyond eps of
@@ -402,10 +410,9 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
     // every flag is set.
     auto reduced = DistanceJoin<uint8_t>(
         params.join,
-        {"EmitToCheck2", "JoinCore", "OutlierFlags", "GroupChecks2",
-         "GroupCore", "JoinGrouped2", "GroupedFlags", "BroadcastFlags",
-         "AndFlags"},
-        pts, parts, neighbors, non_core, core_points,
+        {"JoinCore", "GroupChecks2", "GroupCore", "JoinGrouped2",
+         "CollectChecks2", "AndFlags"},
+        pts, parts, neighbors, non_core, std::move(core_points),
         [cell_core](uint32_t nc) {
           return phases::IsCoreCell(cell_core->data(), nc);
         },
@@ -427,8 +434,7 @@ Result<Detection> DetectParallel(const PointSet& points, const Params& params,
                     .Map([](const std::pair<uint32_t, uint8_t>& kv) {
                       return kv.first;
                     });
-    auto all = o_ncn.Union(o_cn, "UnionOutliers");
-    outliers = all.Collect();
+    outliers = o_ncn.Union(o_cn).Collect("CollectOutliers");
     phase.records = outliers.size();
   }
 

@@ -13,16 +13,21 @@
 
 namespace dbscout::dataflow {
 
-/// Per-transformation accounting, the analogue of one Spark stage row in the
-/// web UI. Aggregated by ExecutionContext.
+/// One stage's accounting, the analogue of a Spark stage row in the web UI:
+/// a fused pipeline of narrow transformations plus the shuffle or action
+/// that ran it, named by that shuffle or action. Aggregated by
+/// ExecutionContext.
 struct StageMetrics {
   std::string name;
+  /// The whole stage: the fused steps, the shuffle's map and reduce sides.
   double seconds = 0.0;
+  /// Records the fused steps handed to the shuffle or action.
   uint64_t records_in = 0;
+  /// Records the stage produced (a shuffle's output, an action's records).
   uint64_t records_out = 0;
   /// Records moved across partitions by a shuffle (ReduceByKey, GroupByKey,
-  /// Join); 0 for narrow transformations. ReduceByKey counts its records
-  /// after the map-side combine.
+  /// Join); 0 for actions. ReduceByKey counts its records after the
+  /// map-side combine.
   uint64_t shuffled_records = 0;
 };
 
@@ -53,12 +58,11 @@ class ExecutionContext {
     default_partitions_ = n == 0 ? 1 : n;
   }
 
-  /// Attaches a trace collector: every partition task of every
-  /// transformation then emits one span (name = the stage name, cat =
-  /// `category`) from the worker thread that ran it — the per-worker view
-  /// of the dataflow engine's phases. Pass nullptr to detach. Must not be
-  /// called while transformations are in flight (attach before building
-  /// the pipeline, detach after collecting).
+  /// Attaches a trace collector: every task of every stage then emits one
+  /// span (name = the stage name, cat = `category`) from the worker thread
+  /// that ran it — the per-worker view of the dataflow engine's phases.
+  /// Pass nullptr to detach. Must not be called while a stage is running
+  /// (attach before evaluating the pipeline, detach after collecting).
   void AttachTrace(obs::TraceCollector* trace,
                    std::string category = "dataflow") {
     trace_ = trace;

@@ -5,71 +5,16 @@
 #include <cstdint>
 #include <numeric>
 
+#include "common/key_table.h"
 #include "common/str_util.h"
 
 namespace dbscout::grid {
 namespace {
 
-/// The cells one build task has met, numbered by first appearance. An
-/// open-addressing table: power-of-two slots hold a cell's id + 1 (0 is
-/// empty) and 32 bits of its hash, which also pick the home slot. Probes
-/// run linearly and read a cell's coordinates only when the hashes agree;
-/// the table doubles at half load, rehashing from the stored bits.
-class CellTable {
- public:
-  /// The id of `coord`, which is numbered next if it is new.
-  uint32_t IdOf(const CellCoord& coord) {
-    const uint32_t hash = static_cast<uint32_t>(coord.Hash() >> 32);
-    for (size_t s = hash & mask_;; s = (s + 1) & mask_) {
-      Slot& slot = slots_[s];
-      if (slot.id_plus_1 == 0) {
-        const uint32_t id = static_cast<uint32_t>(coords_.size());
-        slot = {id + 1, hash};
-        coords_.push_back(coord);
-        if (2 * coords_.size() > slots_.size()) {
-          Grow();
-        }
-        return id;
-      }
-      if (slot.hash == hash && coords_[slot.id_plus_1 - 1] == coord) {
-        return slot.id_plus_1 - 1;
-      }
-    }
-  }
-
-  /// Coordinates by id.
-  const std::vector<CellCoord>& coords() const { return coords_; }
-
- private:
-  struct Slot {
-    uint32_t id_plus_1;
-    uint32_t hash;
-  };
-
-  void Grow() {
-    std::vector<Slot> old(2 * slots_.size(), Slot{0, 0});
-    old.swap(slots_);
-    mask_ = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.id_plus_1 != 0) {
-        size_t s = slot.hash & mask_;
-        while (slots_[s].id_plus_1 != 0) {
-          s = (s + 1) & mask_;
-        }
-        slots_[s] = slot;
-      }
-    }
-  }
-
-  std::vector<Slot> slots_ = std::vector<Slot>(1024, Slot{0, 0});
-  size_t mask_ = slots_.size() - 1;
-  std::vector<CellCoord> coords_;
-};
-
 /// One build task's share: the cells of a contiguous range of points.
 struct TaskCells {
   Status status;                 // the range's first bad point, if any
-  CellTable table;               // local id <-> coordinates
+  KeyTable<CellCoord, CellCoordHash> table;  // local id <-> coordinates
   std::vector<uint32_t> rows;    // local id -> point count, then next row
   std::vector<uint32_t> order;   // local ids by ascending coordinates
   std::vector<uint32_t> global;  // local id -> cell id
@@ -140,7 +85,7 @@ Result<Grid> Grid::Build(const PointSet& points, double eps,
       ++task.rows[local];
       grid.point_cell_[i] = local;
     }
-    const std::vector<CellCoord>& coords = task.table.coords();
+    const std::vector<CellCoord>& coords = task.table.keys();
     task.order.resize(coords.size());
     std::iota(task.order.begin(), task.order.end(), 0u);
     std::sort(task.order.begin(), task.order.end(),
@@ -160,7 +105,7 @@ Result<Grid> Grid::Build(const PointSet& points, double eps,
   auto head_cell = [&](size_t t) -> const CellCoord* {
     const TaskCells& task = cells[t];
     return head[t] < task.order.size()
-               ? &task.table.coords()[task.order[head[t]]]
+               ? &task.table.keys()[task.order[head[t]]]
                : nullptr;
   };
   grid.cell_begin_.push_back(0);

@@ -179,18 +179,35 @@ TEST_F(ParallelTest, EmitCountsFollowTheNeighborLists) {
   ASSERT_GT(to_check2, 0u);
   ASSERT_GT(sparse_core_cells, 0u);
 
-  for (JoinStrategy join : {JoinStrategy::kPlain, JoinStrategy::kBroadcast,
-                            JoinStrategy::kGrouped}) {
+  // The emit is fused into the stage that reads it: the grouped join's
+  // GroupChecks shuffle, the broadcast join's collect, and the plain join's
+  // shuffle, which also ships the targets (G in phase 3, the core points in
+  // phase 5).
+  struct EmitStages {
+    JoinStrategy join;
+    const char* phase3;
+    const char* phase5;
+    uint64_t targets3;
+    uint64_t targets5;
+  };
+  for (const EmitStages& s :
+       {EmitStages{JoinStrategy::kPlain, "JoinGrid", "JoinCore", ps.size(),
+                   expected->num_core},
+        EmitStages{JoinStrategy::kBroadcast, "CollectChecks",
+                   "CollectChecks2", 0, 0},
+        EmitStages{JoinStrategy::kGrouped, "GroupChecks", "GroupChecks2", 0,
+                   0}}) {
     ctx_.ResetMetrics();
-    auto r = DetectParallel(ps, MakeParams(eps, min_pts, join), &ctx_);
+    auto r = DetectParallel(ps, MakeParams(eps, min_pts, s.join), &ctx_);
     ASSERT_TRUE(r.ok()) << r.status();
-    std::map<std::string, uint64_t> records_out;
+    std::map<std::string, uint64_t> records_in;
     for (const auto& stage : ctx_.stages()) {
-      records_out[stage.name] += stage.records_out;
+      records_in[stage.name] += stage.records_in;
     }
-    EXPECT_EQ(records_out["EmitToCheck"], to_check) << JoinStrategyName(join);
-    EXPECT_EQ(records_out["EmitToCheck2"], to_check2)
-        << JoinStrategyName(join);
+    EXPECT_EQ(records_in[s.phase3], s.targets3 + to_check)
+        << JoinStrategyName(s.join);
+    EXPECT_EQ(records_in[s.phase5], s.targets5 + to_check2)
+        << JoinStrategyName(s.join);
   }
 }
 

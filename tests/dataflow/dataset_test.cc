@@ -1,10 +1,13 @@
 #include "dataflow/dataset.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "dataflow/pair_ops.h"
 
 namespace dbscout::dataflow {
 namespace {
@@ -99,17 +102,97 @@ TEST_F(DatasetTest, ForEachVisitsEverything) {
   EXPECT_EQ(sum, 190);
 }
 
-TEST_F(DatasetTest, TransformationsRecordStageMetrics) {
+// The laziness contract: narrow transformations only record their
+// function; a shuffle or an action runs the fused chain once per record and
+// records one stage row for the whole pipeline.
+TEST_F(DatasetTest, UnconsumedChainNeverRuns) {
+  std::atomic<int> calls{0};
+  auto ds = Dataset<int>::Iota(&ctx_, 100, 4);
   ctx_.ResetMetrics();
+  auto chain = ds.Map([&calls](int x) {
+                   ++calls;
+                   return x + 1;
+                 })
+                   .Filter([&calls](int x) {
+                     ++calls;
+                     return x % 2 == 0;
+                   })
+                   .FlatMap<int>([&calls](int x, std::vector<int>* out) {
+                     ++calls;
+                     out->push_back(x);
+                   });
+  auto both = chain.Union(chain);
+  EXPECT_EQ(both.num_partitions(), 8u);
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_TRUE(ctx_.stages().empty());
+}
+
+TEST_F(DatasetTest, ShuffleRunsTheChainOncePerRecord) {
+  std::atomic<int> maps{0};
+  std::atomic<int> filters{0};
+  auto pairs = Dataset<int>::Iota(&ctx_, 1000, 4)
+                   .Filter([&filters](int x) {
+                     ++filters;
+                     return x % 10 != 0;
+                   })
+                   .Map([&maps](int x) {
+                     ++maps;
+                     return std::make_pair(x % 7, 1);
+                   });
+  auto counts = ReduceByKey(pairs, [](int a, int b) { return a + b; });
+  EXPECT_EQ(filters.load(), 1000);
+  EXPECT_EQ(maps.load(), 900);
+  int total = 0;
+  for (const auto& [key, count] : counts.Collect()) {
+    total += count;
+  }
+  EXPECT_EQ(total, 900);
+  EXPECT_EQ(maps.load(), 900);  // reading the shuffle's output reruns nothing
+}
+
+TEST_F(DatasetTest, PersistedDatasetRunsOnceForThreeReaders) {
+  std::atomic<int> calls{0};
+  auto persisted = Dataset<int>::Iota(&ctx_, 50, 4)
+                       .Map([&calls](int x) {
+                         ++calls;
+                         return 2 * x;
+                       })
+                       .Persist();
+  EXPECT_EQ(calls.load(), 50);
+  EXPECT_EQ(persisted.Count(), 50u);
+  EXPECT_EQ(persisted.Filter([](int x) { return x < 20; }).Count(), 10u);
+  int sum = 0;
+  persisted.ForEach([&sum](int x) { sum += x; });
+  EXPECT_EQ(sum, 2 * 1225);
+  EXPECT_EQ(calls.load(), 50);
+}
+
+TEST_F(DatasetTest, EachFusedPipelineRecordsOneStageRow) {
   auto ds = Dataset<int>::Iota(&ctx_, 10, 2);
-  ds.Map([](int x) { return x; }, "MyMap");
+  ctx_.ResetMetrics();
+  auto values = ds.Map([](int x) { return x * 3; })
+                    .Filter([](int x) { return x % 2 == 0; })
+                    .FlatMap<int>([](int x, std::vector<int>* out) {
+                      out->push_back(x);
+                      out->push_back(x);
+                    })
+                    .Collect("MyPipeline");
+  EXPECT_EQ(values.size(), 10u);
+  auto pairs = ds.Map([](int x) { return std::make_pair(x % 3, x); });
+  GroupByKey(pairs.Union(pairs), 0, std::hash<int>(), "MyShuffle");
   const auto stages = ctx_.stages();
-  ASSERT_FALSE(stages.empty());
-  const auto& last = stages.back();
-  EXPECT_EQ(last.name, "MyMap");
-  EXPECT_EQ(last.records_in, 10u);
-  EXPECT_EQ(last.records_out, 10u);
-  EXPECT_EQ(last.shuffled_records, 0u);
+  ASSERT_EQ(stages.size(), 2u);
+  EXPECT_EQ(stages[0].name, "MyPipeline");
+  EXPECT_EQ(stages[0].records_in, 10u);
+  EXPECT_EQ(stages[0].records_out, 10u);
+  EXPECT_EQ(stages[0].shuffled_records, 0u);
+  EXPECT_EQ(stages[1].name, "MyShuffle");
+  EXPECT_EQ(stages[1].records_in, 20u);
+  EXPECT_EQ(stages[1].records_out, 3u);
+  EXPECT_EQ(stages[1].shuffled_records, 20u);
+  // Reading materialized data runs no stage.
+  EXPECT_EQ(Dataset<int>::FromVector(&ctx_, {1, 2}).Collect().size(), 2u);
+  EXPECT_EQ(ctx_.stages().size(), 2u);
 }
 
 TEST_F(DatasetTest, SourceIsImmutableUnderTransforms) {
