@@ -4,7 +4,7 @@
 // harnesses use:
 //   1. Micro: raw kernel throughput (points/s) of the count_within,
 //      any_within and min_sqdist table entries on a contiguous block,
-//      scalar vs runtime-dispatched (SSE2/AVX2).
+//      scalar vs runtime-dispatched (AVX2 on a CPU that has it).
 //   2. End to end: DetectSequential with kernels forced to scalar vs
 //      dispatched, comparing the phase-3 (core_points) + phase-5 (outliers)
 //      seconds — the distance-dominated part of the pipeline — and checking

@@ -147,24 +147,30 @@ Dataset<std::pair<uint32_t, V>> DistanceJoin(
       break;
     }
     case JoinStrategy::kBroadcast: {
-      Broadcast checks_by_cell(
-          CollectGrouped(to_check, hash, stages.broadcast_checks));
+      // Cell ids are dense in [0, num_cells()), so the driver groups the
+      // checks in a vector indexed by cell id.
+      std::vector<std::vector<uint32_t>> by_cell(neighbors->num_cells());
+      to_check.ForEach(
+          [&by_cell](const GridRecord& rec) {
+            by_cell[rec.first].push_back(rec.second);
+          },
+          stages.broadcast_checks);
+      Broadcast checks_by_cell(std::move(by_cell));
       values = targets.FlatMap<Value>(
           [checks_by_cell, pair_value, keep, distances](
               const GridRecord& rec, std::vector<Value>* sink) {
-            auto it = checks_by_cell->find(rec.first);
-            if (it == checks_by_cell->end()) {
+            const std::vector<uint32_t>& checks = (*checks_by_cell)[rec.first];
+            if (checks.empty()) {
               return;
             }
             const uint32_t q = rec.second;
-            for (uint32_t p : it->second) {
+            for (uint32_t p : checks) {
               const V value = pair_value(p, q);
               if (keep(value)) {
                 sink->push_back({p, value});
               }
             }
-            distances->fetch_add(it->second.size(),
-                                 std::memory_order_relaxed);
+            distances->fetch_add(checks.size(), std::memory_order_relaxed);
           });
       break;
     }

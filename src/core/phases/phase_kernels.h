@@ -67,7 +67,7 @@ inline bool IsCoreCell(const uint8_t* cell_core, uint32_t c) {
 
 /// The batched one-point-vs-block distance primitives bound to one
 /// dimensionality (function pointers resolved once per detection, not once
-/// per call). Bit-identical across scalar/SSE2/AVX2 variants, so every
+/// per call). Bit-identical across the scalar and AVX2 variants, so every
 /// engine built on them produces the same outlier set.
 struct BoundKernels {
   simd::CountWithinFn count_within;

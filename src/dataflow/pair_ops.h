@@ -2,7 +2,6 @@
 #define DBSCOUT_DATAFLOW_PAIR_OPS_H_
 
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -261,19 +260,6 @@ Dataset<std::pair<K, std::pair<V, W>>> Join(
       });
   internal::RecordStage(ctx, name, timer, shuffled, records_out, shuffled);
   return Dataset<Out>::FromPartitions(ctx, std::move(out));
-}
-
-/// Collects a pair dataset into a driver-side multimap-as-map-of-vectors
-/// (an action, like Dataset::ForEach).
-template <typename K, typename V, typename Hash = std::hash<K>>
-std::unordered_map<K, std::vector<V>, Hash> CollectGrouped(
-    const Dataset<std::pair<K, V>>& in, const Hash& hash = Hash(),
-    const char* name = "CollectGrouped") {
-  std::unordered_map<K, std::vector<V>, Hash> out(16, hash);
-  in.ForEach(
-      [&out](const std::pair<K, V>& kv) { out[kv.first].push_back(kv.second); },
-      name);
-  return out;
 }
 
 }  // namespace dbscout::dataflow

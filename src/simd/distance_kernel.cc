@@ -1,11 +1,12 @@
-// Batched one-point-vs-block distance kernels with runtime CPU dispatch.
+// Batched one-point-vs-block distance kernels with runtime CPU dispatch
+// between two tables: the scalar reference and AVX2.
 //
-// Bit-exactness contract: every variant evaluates, per point, the same
+// Bit-exactness contract: both variants evaluate, per point, the same
 // ascending-k sum of (a[k]-b[k])^2 with separate multiply and add roundings.
 // The AVX2 variants therefore use mul+add rather than FMA (a fused
 // multiply-add rounds once and can flip <= eps2 decisions on boundary
 // points), and this translation unit is compiled with -ffp-contract=off so
-// the scalar reference cannot be contracted either. The SIMD variants
+// the scalar reference cannot be contracted either. The AVX2 variants
 // vectorize across *points* (one point per lane), which keeps each lane's
 // accumulation order identical to the scalar loop.
 #include "simd/distance_kernel.h"
@@ -14,8 +15,9 @@
 #include <limits>
 #include <utility>
 
-#if defined(__x86_64__) || defined(_M_X64)
-#define DBSCOUT_SIMD_X86 1
+// DBSCOUT_SIMD_HAVE_AVX2 is defined by src/simd/CMakeLists.txt when the
+// toolchain compiles per-function avx2 targets and __builtin_cpu_supports.
+#if defined(DBSCOUT_SIMD_HAVE_AVX2)
 #include <immintrin.h>
 #endif
 
@@ -90,107 +92,7 @@ uint32_t FlagsScalar(const double* query, const double* block, size_t count,
   return hits;
 }
 
-#if DBSCOUT_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 (baseline on x86-64): two points per vector, cap checked every
-// kKernelBatch (= 4) points.
-// ---------------------------------------------------------------------------
-
-template <size_t D>
-inline __m128d SqDist2(const double* query, const double* p) {
-  __m128d acc = _mm_setzero_pd();
-  for (size_t k = 0; k < D; ++k) {
-    const __m128d v = _mm_setr_pd(p[k], p[D + k]);
-    const __m128d diff = _mm_sub_pd(v, _mm_set1_pd(query[k]));
-    acc = _mm_add_pd(acc, _mm_mul_pd(diff, diff));
-  }
-  return acc;
-}
-
-template <size_t D>
-uint32_t CountSse2(const double* query, const double* block, size_t count,
-                   double eps2, uint32_t cap) {
-  const __m128d eps2v = _mm_set1_pd(eps2);
-  uint32_t hits = 0;
-  size_t i = 0;
-  for (; i + kKernelBatch <= count; i += kKernelBatch) {
-    const __m128d a = SqDist2<D>(query, block + i * D);
-    const __m128d b = SqDist2<D>(query, block + (i + 2) * D);
-    hits += static_cast<uint32_t>(
-        __builtin_popcount(_mm_movemask_pd(_mm_cmple_pd(a, eps2v))) +
-        __builtin_popcount(_mm_movemask_pd(_mm_cmple_pd(b, eps2v))));
-    // kernel-cap: batch-boundary (contract: cap may only be consulted here,
-    // between kKernelBatch-sized batches, so all variants do identical work)
-    if (cap != 0 && hits >= cap) {
-      return hits;
-    }
-  }
-  for (; i < count; ++i) {
-    hits += SqDist<D>(query, block + i * D) <= eps2 ? 1u : 0u;
-  }
-  return hits;
-}
-
-template <size_t D>
-bool AnySse2(const double* query, const double* block, size_t count,
-             double eps2) {
-  const __m128d eps2v = _mm_set1_pd(eps2);
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m128d a = SqDist2<D>(query, block + i * D);
-    if (_mm_movemask_pd(_mm_cmple_pd(a, eps2v)) != 0) {
-      return true;
-    }
-  }
-  for (; i < count; ++i) {
-    if (SqDist<D>(query, block + i * D) <= eps2) {
-      return true;
-    }
-  }
-  return false;
-}
-
-template <size_t D>
-double MinSse2(const double* query, const double* block, size_t count) {
-  __m128d bestv = _mm_set1_pd(std::numeric_limits<double>::infinity());
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    bestv = _mm_min_pd(bestv, SqDist2<D>(query, block + i * D));
-  }
-  double lanes[2];
-  _mm_storeu_pd(lanes, bestv);
-  double best = lanes[0] < lanes[1] ? lanes[0] : lanes[1];
-  for (; i < count; ++i) {
-    const double d2 = SqDist<D>(query, block + i * D);
-    best = d2 < best ? d2 : best;
-  }
-  return best;
-}
-
-template <size_t D>
-uint32_t FlagsSse2(const double* query, const double* block, size_t count,
-                   double eps2, uint8_t* flags) {
-  const __m128d eps2v = _mm_set1_pd(eps2);
-  uint32_t hits = 0;
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const int mask =
-        _mm_movemask_pd(_mm_cmple_pd(SqDist2<D>(query, block + i * D), eps2v));
-    flags[i] = static_cast<uint8_t>(mask & 1);
-    flags[i + 1] = static_cast<uint8_t>((mask >> 1) & 1);
-    hits += static_cast<uint32_t>(__builtin_popcount(mask));
-  }
-  for (; i < count; ++i) {
-    const uint8_t within = SqDist<D>(query, block + i * D) <= eps2 ? 1 : 0;
-    flags[i] = within;
-    hits += within;
-  }
-  return hits;
-}
-
-#if defined(DBSCOUT_SIMD_ENABLE_AVX2) && defined(__GNUC__)
-#define DBSCOUT_SIMD_HAVE_AVX2 1
+#if defined(DBSCOUT_SIMD_HAVE_AVX2)
 
 // ---------------------------------------------------------------------------
 // AVX2: four points per vector (one kKernelBatch per iteration). Compiled
@@ -299,8 +201,7 @@ uint32_t FlagsAvx2(const double* query, const double* block, size_t count,
 
 #pragma GCC pop_options
 
-#endif  // DBSCOUT_SIMD_ENABLE_AVX2 && __GNUC__
-#endif  // DBSCOUT_SIMD_X86
+#endif  // DBSCOUT_SIMD_HAVE_AVX2
 
 // ---------------------------------------------------------------------------
 // Table construction and runtime dispatch.
@@ -331,23 +232,6 @@ DistanceKernels MakeScalarTable() {
   return table;
 }
 
-#if DBSCOUT_SIMD_X86
-
-template <size_t D>
-struct Sse2Tag {
-  static constexpr CountWithinFn kCount = &CountSse2<D>;
-  static constexpr AnyWithinFn kAny = &AnySse2<D>;
-  static constexpr MinSqDistFn kMin = &MinSse2<D>;
-  static constexpr WithinFlagsFn kFlags = &FlagsSse2<D>;
-};
-
-DistanceKernels MakeSse2Table() {
-  DistanceKernels table{};
-  table.name = "sse2";
-  FillTable<Sse2Tag>(&table, std::make_index_sequence<kKernelMaxDims + 1>());
-  return table;
-}
-
 #if defined(DBSCOUT_SIMD_HAVE_AVX2)
 
 template <size_t D>
@@ -366,7 +250,6 @@ DistanceKernels MakeAvx2Table() {
 }
 
 #endif  // DBSCOUT_SIMD_HAVE_AVX2
-#endif  // DBSCOUT_SIMD_X86
 
 const DistanceKernels& NativeKernels() {
   static const DistanceKernels* const best = [] {
@@ -376,23 +259,12 @@ const DistanceKernels& NativeKernels() {
       return &avx2;
     }
 #endif
-#if DBSCOUT_SIMD_X86
-    static const DistanceKernels sse2 = MakeSse2Table();
-    return &sse2;
-#else
     return &ScalarKernels();
-#endif
   }();
   return *best;
 }
 
-std::atomic<bool> g_force_scalar{
-#if defined(DBSCOUT_FORCE_SCALAR_KERNELS)
-    true
-#else
-    false
-#endif
-};
+std::atomic<bool> g_force_scalar{false};
 
 }  // namespace
 

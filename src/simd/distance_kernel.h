@@ -13,14 +13,14 @@ inline constexpr size_t kKernelMaxDims = 9;
 
 /// Early-exit granularity, in points. Kernels that take a `cap` process the
 /// block in batches of this size and check the cap only between batches, so
-/// every variant (scalar, SSE2, AVX2) performs the same, deterministic
-/// amount of work and returns the same value. This is the paper's
-/// grouped-join early termination (SS III-G2) mapped onto block granularity.
+/// both variants (scalar, AVX2) perform the same, deterministic amount of
+/// work and return the same value. This is the paper's grouped-join early
+/// termination (SS III-G2) mapped onto block granularity.
 inline constexpr size_t kKernelBatch = 4;
 
 /// One-point-vs-block primitives over a contiguous row-major block of
 /// `count` points with a fixed dimensionality (the array index into
-/// DistanceKernels). All variants are bit-identical: they accumulate
+/// DistanceKernels). Both variants are bit-identical: they accumulate
 /// (a[k]-b[k])^2 in ascending-k order with separate multiply and add
 /// roundings (no FMA contraction), so `scalar` and the dispatched SIMD
 /// table agree exactly, including on eps boundaries.
@@ -40,7 +40,7 @@ using MinSqDistFn = double (*)(const double* query, const double* block,
                                size_t count);
 /// Per-point membership: writes flags[i] = 1 when block point i has squared
 /// distance <= eps2 from `query`, else 0, and returns the number of hits.
-/// No early exit (callers need every flag), so all variants always evaluate
+/// No early exit (callers need every flag), so both variants always evaluate
 /// the full block. `flags` must have `count` writable bytes.
 using WithinFlagsFn = uint32_t (*)(const double* query, const double* block,
                                    size_t count, double eps2, uint8_t* flags);
@@ -49,7 +49,7 @@ using WithinFlagsFn = uint32_t (*)(const double* query, const double* block,
 /// indexed by dims in [0, kKernelMaxDims]. The fixed-dim instantiations keep
 /// the per-point inner loop fully unrolled.
 struct DistanceKernels {
-  const char* name;  // "scalar", "sse2", or "avx2"
+  const char* name;  // "scalar" or "avx2"
   CountWithinFn count_within[kKernelMaxDims + 1];
   AnyWithinFn any_within[kKernelMaxDims + 1];
   MinSqDistFn min_sqdist[kKernelMaxDims + 1];
@@ -59,13 +59,13 @@ struct DistanceKernels {
 /// The scalar reference table (always available; the oracle in tests).
 const DistanceKernels& ScalarKernels();
 
-/// The best table for this CPU, chosen once at first use by runtime
-/// dispatch (AVX2 when the CPU and build support it, else SSE2 on x86-64,
-/// else scalar), unless scalar kernels are forced.
+/// The table for this CPU, chosen once at first use by runtime dispatch:
+/// AVX2 when the build compiled it and the CPU reports it, else the scalar
+/// reference. Returns the scalar table while scalar kernels are forced.
 const DistanceKernels& DispatchedKernels();
 
 /// Overrides DispatchedKernels() to return the scalar table (for tests and
-/// benchmarking). Defaults to the DBSCOUT_FORCE_SCALAR_KERNELS build option.
+/// benchmarking). Off by default.
 void ForceScalarKernels(bool force);
 bool ScalarKernelsForced();
 

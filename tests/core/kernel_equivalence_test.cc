@@ -1,6 +1,6 @@
 // Engine-level kernel equivalence: Detection output must be bit-identical
 // whether the distance kernels are forced to the scalar reference or left
-// to the runtime CPU dispatch (SSE2/AVX2), for every engine and for score
+// to the runtime CPU dispatch (AVX2 or scalar), for every engine and for score
 // mode. This is the guarantee that lets the SIMD path replace the scalar
 // hot loops without perturbing the paper's exact outlier semantics.
 #include <vector>

@@ -134,15 +134,6 @@ TEST_F(PairOpsTest, ReduceByKeyCombinesEachPartitionBeforeTheShuffle) {
   EXPECT_EQ(stages[0].records_out, 3u);
 }
 
-TEST_F(PairOpsTest, CollectGroupedGathersValues) {
-  auto ds =
-      Dataset<IntPair>::FromVector(&ctx_, {{1, 10}, {1, 11}, {2, 20}}, 3);
-  auto map = CollectGrouped(ds);
-  ASSERT_EQ(map.size(), 2u);
-  std::sort(map[1].begin(), map[1].end());
-  EXPECT_EQ(map[1], (std::vector<int>{10, 11}));
-}
-
 /// A value that counts its copies (moves are free).
 struct Counted {
   static inline std::atomic<int> copies{0};

@@ -176,8 +176,12 @@ TEST(DistanceKernelDispatchTest, ForceScalarToggles) {
   ForceScalarKernels(false);
   EXPECT_FALSE(ScalarKernelsForced());
 #if defined(__x86_64__) || defined(_M_X64)
-  // On x86-64 the dispatched table is at least SSE2.
-  EXPECT_STRNE(DispatchedKernels().name, "scalar");
+  // The dispatched table is the one this CPU can run: a build that lost its
+  // AVX2 table fails here on an AVX2 machine.
+  EXPECT_STREQ(DispatchedKernels().name,
+               __builtin_cpu_supports("avx2") ? "avx2" : "scalar");
+#else
+  EXPECT_STREQ(DispatchedKernels().name, "scalar");
 #endif
   ForceScalarKernels(saved);
 }

@@ -10,7 +10,10 @@ BENCHMARK.json's run_seconds, once per seed in SEEDS for every workload,
 and compares each workload's median of every end-to-end metric with the
 committed median. A metric fails when it is worse than the committed
 median by more than its BENCHMARK.json bound in its `better` direction,
-or when the fresh runs or the committed file lack it. A workload fails
+when it is *better* by more than that bound ("stale baseline: re-record":
+a gain the baseline does not hold would let a later regression back to
+the old level pass), or when the fresh runs or the committed file lack
+it. A workload fails
 when any run reports "correct": false or when its failed/attempted share
 is above the committed one. bench_kernels, built in build-dir (default
 `build`), is gated as well: it runs KERNEL_RUNS times, and the median of
@@ -112,8 +115,11 @@ def compare(spec, baseline, fresh, kernels_old, kernels_runs):
                 continue
             change = n["median"] / o["median"] - 1
             worse = change if metric["better"] == "lower" else -change
-            add(worse <= metric["bound"], f"{workload}.{name}", spread(o),
-                spread(n), f"{change:+.1%} (bound {metric['bound']:.0%})")
+            note = f"{change:+.1%} (bound {metric['bound']:.0%})"
+            if -worse > metric["bound"]:
+                note += " stale baseline: re-record"
+            add(abs(worse) <= metric["bound"], f"{workload}.{name}",
+                spread(o), spread(n), note)
 
     new_kernels = kernel_medians(kernels_runs)
     for check, o in kernel_rows(kernels_old).items():
@@ -193,8 +199,10 @@ def write_baseline(spec, fresh, env):
 
 
 def self_test():
-    """Plants each kind of regression into fresh results and expects the
-    comparison to fail on it, and to pass an in-bound result."""
+    """Plants each kind of regression, and a stale baseline, into fresh
+    results and expects the comparison to fail on it, and to pass an
+    in-bound result. A case whose expectation is a string must fail with
+    that string in a failing row."""
     spec = {"workloads": [{"name": "w"}], "end_to_end": [
         {"name": "seq_s", "better": "lower", "bound": 0.2},
         {"name": "mpts", "better": "higher", "bound": 0.1}]}
@@ -227,6 +235,12 @@ def self_test():
          kernel_runs(), False),
         ("higher-better median past its bound", runs(mpts=85.0),
          kernel_runs(), False),
+        ("faster within its bound", runs(seq_s=0.85, mpts=105.0),
+         kernel_runs(), True),
+        ("lower-better median beats its bound", runs(seq_s=0.7),
+         kernel_runs(), "stale baseline: re-record"),
+        ("higher-better median beats its bound", runs(mpts=120.0),
+         kernel_runs(), "stale baseline: re-record"),
         ("metric missing from the fresh runs", runs(drop="mpts"),
          kernel_runs(), False),
         ("a run with correct: false", runs(incorrect=1), kernel_runs(),
@@ -240,10 +254,12 @@ def self_test():
         ("kernel row missing", runs(), kernel_runs(*[None] * 5), False),
     ]
     bad = 0
-    for label, fresh, kernels_new, want_pass in cases:
+    for label, fresh, kernels_new, want in cases:
         rows = compare(spec, baseline, fresh, kernels(), kernels_new)
         passed = all(r[0] == "PASS" for r in rows)
-        ok = passed == want_pass
+        ok = passed == (want is True)
+        if isinstance(want, str):
+            ok = ok and any(want in r[4] for r in rows if r[0] == "FAIL")
         bad += not ok
         print(f"  {'ok  ' if ok else 'BAD '} {label}: gate "
               f"{'passed' if passed else 'failed'}")
