@@ -1,10 +1,8 @@
 #include "core/phases/driver.h"
 
-#include <algorithm>
 #include <atomic>
 #include <utility>
 
-#include "grid/neighbor_cells.h"
 #include "obs/metrics.h"
 
 namespace dbscout::core::phases {
@@ -16,20 +14,21 @@ namespace {
 /// while still amortizing the claim.
 constexpr size_t kDynamicCellChunk = 32;
 
-/// Runs body(c, scratch) for every cell c in [begin, end) and returns the
-/// sum of the bodies' uint64 results (the distance counters), in chunks of
+/// Runs body(c, scan) for every cell c in [begin, end) and returns the sum
+/// of the bodies' uint64 results (the distance counters), in chunks of
 /// kDynamicCellChunk cells claimed by `pool`'s workers (one chunk inline
-/// without a pool). `scratch` is reusable storage private to the chunk.
-/// Each body writes only its own cell's slots, so the result is the same
-/// either way.
+/// without a pool). `scan` is the chunk's own CellScan over `cells`. Each
+/// body writes only its own cell's slots, and a cell's scan does not depend
+/// on the cells its chunk scanned before, so the result is the same either
+/// way.
 template <typename Body>
 uint64_t ForEachCell(ThreadPool* pool, uint32_t begin, uint32_t end,
-                     const Body& body) {
+                     const grid::SortedCells& cells, const Body& body) {
   const auto run = [&](size_t lo, size_t hi) {
-    std::vector<uint32_t> scratch;
+    CellScan scan(cells);
     uint64_t sum = 0;
     for (size_t c = lo; c < hi; ++c) {
-      sum += body(static_cast<uint32_t>(c), &scratch);
+      sum += body(static_cast<uint32_t>(c), &scan);
     }
     return sum;
   };
@@ -56,12 +55,7 @@ PhaseResult RunPhases(const grid::Grid& g, CellRange eligible,
   const BoundKernels kernels = BindKernels(g.dims());
   PhaseResult out;
 
-  // End of phase 1: the neighbor runs of the cells phases 3 and 5 scan.
-  std::vector<uint8_t> scan = ScannedCells(g, min_pts, scores);
-  std::fill(scan.begin(), scan.begin() + eligible.begin, 0);
-  std::fill(scan.begin() + eligible.end, scan.end(), 0);
-  const grid::NeighborCells neighbors =
-      grid::NeighborCells::Build(g.CellCoords(), scan, pool);
+  // End of phase 1.
   recorder->Accumulate(kPhaseGrid, grid_timer.ElapsedSeconds(), 0, n);
 
   // Phase 2: dense cell map (Algorithm 2). Cells outside the eligible
@@ -75,14 +69,17 @@ PhaseResult RunPhases(const grid::Grid& g, CellRange eligible,
   recorder->Accumulate(kPhaseDenseCellMap, timer.ElapsedSeconds(), 0,
                        num_cells);
 
-  // Phase 3: core point identification (Algorithm 3).
+  // Phase 3: core point identification (Algorithm 3). Phases 3 and 5
+  // find each scanned cell's neighbor cells as they go, nearest pencil
+  // first, over the grid's cells stored column by column.
   timer.Reset();
+  const grid::SortedCells cells(g.CellCoords());
   out.is_core.assign(n, 0);
   uint64_t distances = ForEachCell(
-      pool, eligible.begin, eligible.end,
-      [&](uint32_t c, std::vector<uint32_t>*) {
-        return CoreScanCell(g, neighbors, kernels, eps2, min_pts, c,
-                            cell_dense.data(), out.is_core.data());
+      pool, eligible.begin, eligible.end, cells,
+      [&](uint32_t c, CellScan* scan) {
+        return CoreScanCell(g, kernels, eps2, min_pts, c, cell_dense.data(),
+                            out.is_core.data(), scan);
       });
   recorder->Accumulate(kPhaseCorePoints, timer.ElapsedSeconds(), distances,
                        n);
@@ -94,15 +91,15 @@ PhaseResult RunPhases(const grid::Grid& g, CellRange eligible,
   std::vector<uint8_t> cell_core(num_cells, 0);
   SparseCoreCsr csr;
   csr.begin.assign(num_cells + 1, 0);
-  ForEachCell(pool, eligible.begin, eligible.end,
-              [&](uint32_t c, std::vector<uint32_t>*) -> uint64_t {
+  ForEachCell(pool, eligible.begin, eligible.end, cells,
+              [&](uint32_t c, CellScan*) -> uint64_t {
                 CountCoreCell(g, c, cell_dense.data(), out.is_core.data(),
                               cell_core.data(), &csr);
                 return 0;
               });
   FinishSparseCoreLayout(g.dims(), num_cells, &csr);
-  ForEachCell(pool, eligible.begin, eligible.end,
-              [&](uint32_t c, std::vector<uint32_t>*) -> uint64_t {
+  ForEachCell(pool, eligible.begin, eligible.end, cells,
+              [&](uint32_t c, CellScan*) -> uint64_t {
                 FillSparseCoreCell(g, c, cell_dense.data(), cell_core.data(),
                                    out.is_core.data(), &csr);
                 return 0;
@@ -120,12 +117,12 @@ PhaseResult RunPhases(const grid::Grid& g, CellRange eligible,
     out.core_distance.assign(n, 0.0);
   }
   distances = ForEachCell(
-      pool, owned.begin, owned.end,
-      [&](uint32_t c, std::vector<uint32_t>* scratch) {
-        return OutlierScanCell(
-            g, neighbors, kernels, eps2, scores, c, cell_dense.data(),
-            cell_core.data(), out.is_core.data(), csr, out.kinds.data(),
-            scores ? out.core_distance.data() : nullptr, scratch);
+      pool, owned.begin, owned.end, cells, [&](uint32_t c, CellScan* scan) {
+        return OutlierScanCell(g, kernels, eps2, scores, c, cell_dense.data(),
+                               cell_core.data(), out.is_core.data(), csr,
+                               out.kinds.data(),
+                               scores ? out.core_distance.data() : nullptr,
+                               scan);
       });
   recorder->Accumulate(kPhaseOutliers, timer.ElapsedSeconds(), distances, n);
   return out;

@@ -35,12 +35,14 @@ struct PhaseResult {
 /// Phases 2-5 over grid `g`. Phases 2-4 run over the `eligible` cells and
 /// phase 5 over the `owned` ones, which must lie inside `eligible` with
 /// every neighbor cell of an owned cell eligible (Lemmas 1-2 then decide
-/// each owned point exactly as over the whole grid). Builds the neighbor
-/// runs (Definition 8) of the eligible cells that phases 3 and 5 scan.
-/// Runs on `pool`, or inline when it is null; the result and every counter
-/// are the same either way. Records one row per phase into `recorder`: the
-/// grid row covers the neighbor runs and the time since `grid_timer`
-/// started; the cell-map rows count g.num_cells() records and the others
+/// each owned point exactly as over the whole grid). Phases 3 and 5 find
+/// each scanned cell's neighbor cells (Definition 8) as they scan it,
+/// nearest pencil first, and stop once the cell is settled; no cell's
+/// neighbor list is stored. Runs on `pool`, or inline when it is null; the
+/// result and every counter are the same either way. Records one row per
+/// phase into `recorder`: the grid row covers the time since `grid_timer`
+/// started; the core_points and outliers rows include the neighbor walks;
+/// the cell-map rows count g.num_cells() records and the others
 /// g.num_points().
 PhaseResult RunPhases(const grid::Grid& g, CellRange eligible,
                       CellRange owned, double eps, uint32_t min_pts,

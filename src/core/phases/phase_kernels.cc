@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 namespace dbscout::core::phases {
 namespace {
@@ -24,21 +25,10 @@ void ClassifyDenseCells(const grid::Grid& g, uint32_t min_pts,
   }
 }
 
-std::vector<uint8_t> ScannedCells(const grid::Grid& g, uint32_t min_pts,
-                                  bool scores) {
-  std::vector<uint8_t> scan(g.num_cells(), 1);  // lint:allow(hot-path-purity) one-shot per-run mask, built once before the scans
-  if (!scores) {
-    for (uint32_t c = 0; c < g.num_cells(); ++c) {
-      scan[c] = !IsDense(g.CellSize(c), min_pts);
-    }
-  }
-  return scan;
-}
-
-uint64_t CoreScanCell(const grid::Grid& g, const grid::NeighborCells& neighbors,
-                      const BoundKernels& kernels, double eps2,
-                      uint32_t min_pts, uint32_t c, const uint8_t* cell_dense,
-                      uint8_t* is_core) {
+uint64_t CoreScanCell(const grid::Grid& g, const BoundKernels& kernels,
+                      double eps2, uint32_t min_pts, uint32_t c,
+                      const uint8_t* cell_dense, uint8_t* is_core,
+                      CellScan* scan) {
   const auto cell_points = g.PointsInCell(c);
   if (cell_dense[c]) {
     for (uint32_t p : cell_points) {
@@ -46,26 +36,35 @@ uint64_t CoreScanCell(const grid::Grid& g, const grid::NeighborCells& neighbors,
     }
     return 0;
   }
-  const auto runs = neighbors.Of(c);
   const size_t d = g.dims();
   const double* cell_block = g.CellBlock(c);
+  std::vector<uint32_t>& pending = scan->pending;
+  std::vector<uint32_t>& counts = scan->counts;
+  pending.resize(cell_points.size());  // lint:allow(hot-path-purity) per-chunk scratch, capacity amortized across cells
+  std::iota(pending.begin(), pending.end(), 0u);
+  counts.assign(cell_points.size(), 0);  // lint:allow(hot-path-purity) per-chunk scratch, capacity amortized across cells
+  size_t num_pending = pending.size();
   uint64_t distances = 0;
-  for (size_t j = 0; j < cell_points.size(); ++j) {
-    const double* pv = cell_block + j * d;
-    uint32_t count = 0;
-    for (const grid::CellRun& run : runs) {
-      // The cells of a run are consecutive grid rows: one block.
-      const size_t block_size =
-          g.CellBeginRow(run.end) - g.CellBeginRow(run.begin);
+  scan->neighbors.ForEach(c, [&](grid::CellRun run) {
+    // The cells of a run are consecutive grid rows: one block.
+    const double* block = g.CellBlock(run.begin);
+    const size_t block_size =
+        g.CellBeginRow(run.end) - g.CellBeginRow(run.begin);
+    size_t kept = 0;
+    for (size_t i = 0; i < num_pending; ++i) {
+      const uint32_t j = pending[i];
       distances += block_size;
-      count += kernels.count_within(pv, g.CellBlock(run.begin), block_size,
-                                    eps2, min_pts - count);
-      if (IsDense(count, min_pts)) {
+      counts[j] += kernels.count_within(cell_block + j * d, block,
+                                        block_size, eps2, min_pts - counts[j]);
+      if (IsDense(counts[j], min_pts)) {
         is_core[cell_points[j]] = 1;
-        break;
+      } else {
+        pending[kept++] = j;
       }
     }
-  }
+    num_pending = kept;
+    return num_pending > 0;
+  });
   return distances;
 }
 
@@ -118,85 +117,78 @@ void FillSparseCoreCell(const grid::Grid& g, uint32_t c,
   }
 }
 
-uint64_t OutlierScanCell(const grid::Grid& g,
-                         const grid::NeighborCells& neighbors,
-                         const BoundKernels& kernels, double eps2, bool scores,
-                         uint32_t c, const uint8_t* cell_dense,
-                         const uint8_t* cell_core, const uint8_t* is_core,
-                         const SparseCoreCsr& csr, PointKind* kinds,
-                         double* core_distance,
-                         std::vector<uint32_t>* neighbor_scratch) {
+uint64_t OutlierScanCell(const grid::Grid& g, const BoundKernels& kernels,
+                         double eps2, bool scores, uint32_t c,
+                         const uint8_t* cell_dense, const uint8_t* cell_core,
+                         const uint8_t* is_core, const SparseCoreCsr& csr,
+                         PointKind* kinds, double* core_distance,
+                         CellScan* scan) {
   if (cell_core[c] && !scores) {
     return 0;  // Lemma 2: no point of a core cell is an outlier
   }
-  // Keep the core cells among the neighbors without a branch per cell:
-  // write every id, and step past it only when it is core.
-  const auto runs = neighbors.Of(c);
-  size_t num_neighbors = 0;
-  for (const grid::CellRun& run : runs) {
-    num_neighbors += run.end - run.begin;
-  }
-  std::vector<uint32_t>& core_neighbor_cells = *neighbor_scratch;
-  core_neighbor_cells.resize(num_neighbors);  // lint:allow(hot-path-purity) caller-owned scratch, capacity amortized across cells
-  size_t num_core = 0;
-  for (const grid::CellRun& run : runs) {
-    for (uint32_t nc = run.begin; nc < run.end; ++nc) {
-      core_neighbor_cells[num_core] = nc;
-      num_core += cell_core[nc] != 0;
+  const auto cell_points = g.PointsInCell(c);
+  std::vector<uint32_t>& pending = scan->pending;
+  pending.clear();
+  for (uint32_t j = 0; j < cell_points.size(); ++j) {
+    if (!is_core[cell_points[j]]) {
+      pending.push_back(j);  // lint:allow(hot-path-purity) per-chunk scratch, capacity amortized across cells
     }
   }
-  core_neighbor_cells.resize(num_core);  // lint:allow(hot-path-purity) shrinks, never allocates
-  if (core_neighbor_cells.empty()) {
-    // O_ncn: non-core cell with no core neighbor — all points outliers.
-    for (uint32_t p : g.PointsInCell(c)) {
-      kinds[p] = PointKind::kOutlier;
-      if (scores) {
-        core_distance[p] = kInf;
-      }
-    }
-    return 0;
+  if (pending.empty()) {
+    return 0;  // core points keep distance 0
+  }
+  std::vector<double>& best = scan->best;
+  if (scores) {
+    best.assign(cell_points.size(), kInf);  // lint:allow(hot-path-purity) per-chunk scratch, capacity amortized across cells
   }
   const size_t d = g.dims();
-  const auto cell_points = g.PointsInCell(c);
   const double* cell_block = g.CellBlock(c);
+  size_t num_pending = pending.size();
   uint64_t distances = 0;
-  for (size_t j = 0; j < cell_points.size(); ++j) {
-    const uint32_t p = cell_points[j];
-    if (is_core[p]) {
-      continue;  // core points keep distance 0
-    }
-    const double* pv = cell_block + j * d;
-    // One contiguous block per neighboring core cell: every point of a
-    // dense cell is core (grid block), while sparse core cells use the
-    // packed phase-4 CSR coordinates.
-    bool outlier = true;
-    double best = kInf;
-    for (uint32_t nc : core_neighbor_cells) {
-      const double* block;
-      size_t block_size;
-      if (cell_dense[nc]) {
-        block = g.CellBlock(nc);
-        block_size = g.CellSize(nc);
-      } else {
-        block = csr.CellBlock(nc, d);
-        block_size = csr.CellCount(nc);
+  scan->neighbors.ForEach(c, [&](grid::CellRun run) {
+    for (uint32_t nc = run.begin; nc < run.end; ++nc) {
+      if (!cell_core[nc]) {
+        continue;
       }
-      distances += block_size;
+      // Every point of a dense cell is core (grid block), while sparse
+      // core cells use the packed phase-4 CSR coordinates.
+      const bool dense = cell_dense[nc];
+      const double* block = dense ? g.CellBlock(nc) : csr.CellBlock(nc, d);
+      const size_t block_size = dense ? g.CellSize(nc) : csr.CellCount(nc);
+      distances += block_size * num_pending;
       if (scores) {
-        best = std::min(best, kernels.min_sqdist(pv, block, block_size));
-      } else if (kernels.any_within(pv, block, block_size, eps2)) {
-        outlier = false;
-        break;
+        for (size_t i = 0; i < num_pending; ++i) {
+          const uint32_t j = pending[i];
+          best[j] = std::min(best[j], kernels.min_sqdist(cell_block + j * d,
+                                                         block, block_size));
+        }
+        continue;
+      }
+      size_t kept = 0;
+      for (size_t i = 0; i < num_pending; ++i) {
+        const uint32_t j = pending[i];
+        if (!kernels.any_within(cell_block + j * d, block, block_size,
+                                eps2)) {
+          pending[kept++] = j;
+        }
+      }
+      num_pending = kept;
+      if (num_pending == 0) {
+        return false;
       }
     }
-    if (scores) {
-      outlier = !(best <= eps2);
-    }
-    if (outlier && !cell_core[c]) {
+    return true;
+  });
+  // Without scores, the points still pending have no core point within
+  // eps; with scores, every non-core point is still pending.
+  for (size_t i = 0; i < num_pending; ++i) {
+    const uint32_t j = pending[i];
+    const uint32_t p = cell_points[j];
+    if (!cell_core[c] && (!scores || !(best[j] <= eps2))) {
       kinds[p] = PointKind::kOutlier;
     }
     if (scores) {
-      core_distance[p] = std::sqrt(best);
+      core_distance[p] = std::sqrt(best[j]);
     }
   }
   return distances;

@@ -93,30 +93,39 @@ struct CellRange {
 void ClassifyDenseCells(const grid::Grid& g, uint32_t min_pts,
                         CellRange cells, uint8_t* cell_dense);
 
-/// The cells whose neighbor runs phases 3 and 5 read: every cell with
-/// `scores` (phase 5 then visits core cells too), else the non-dense ones
-/// (phase 5 visits only non-core cells, a subset). One byte per cell of
-/// `g`, the `scan` argument of grid::NeighborCells::Build.
-std::vector<uint8_t> ScannedCells(const grid::Grid& g, uint32_t min_pts,
-                                  bool scores);
+/// What one chunk of phase-3 or phase-5 cell scans carries from cell to
+/// cell: the nearest-first neighbor cursor over the grid's cells, and
+/// per-point scratch of the cell being scanned. Never shared between
+/// threads.
+struct CellScan {
+  explicit CellScan(const grid::SortedCells& cells)
+      : neighbors(cells, grid::NeighborCursor::Order::kNearestFirst) {}
+
+  grid::NeighborCursor neighbors;
+  std::vector<uint32_t> pending;  // the cell's unsettled points (positions)
+  std::vector<uint32_t> counts;   // phase 3: neighbors found, by position
+  std::vector<double> best;       // phase 5: nearest core sq-distance
+};
 
 /// Phase 3 (Algorithm 3): core-point scan of one cell. Dense cells mark
-/// every point core outright; points of sparse cells count neighbors
-/// within eps across the occupied neighbor cells (`neighbors.Of(c)`, built
-/// over g's cells) via the capped batched kernel, one contiguous
-/// grid-ordered block per run of neighbor cells (the cells of a run are
-/// consecutive grid rows). Early termination at minPts (the sequential
-/// analogue of the grouped-join optimization, SS III-G2) happens at block
-/// granularity: between runs exactly, and inside a block every
-/// simd::kKernelBatch points.
+/// every point core outright. Points of sparse cells count neighbors
+/// within eps across the occupied neighbor cells, which `scan`'s cursor
+/// hands out nearest pencil first, one run of consecutive cells per
+/// neighbor pencil: the cells of a run are consecutive grid rows, so each
+/// run is one contiguous block. The scan is cell-major: per run, one
+/// capped count_within call per point still below minPts. A point settles
+/// when its count reaches minPts (the sequential analogue of the
+/// grouped-join optimization, SS III-G2), and the scan stops at the first
+/// run after which every point of the cell has settled; a kernel call may
+/// also stop inside its block, every simd::kKernelBatch points.
 /// Writes only is_core[p] for p in cell `c` (race-free under per-cell
 /// parallelism). Returns the number of distance computations submitted:
-/// each scanned run's whole block, so it is an upper bound on the
-/// distances the kernel evaluates, which may stop inside a block.
-uint64_t CoreScanCell(const grid::Grid& g, const grid::NeighborCells& neighbors,
-                      const BoundKernels& kernels, double eps2,
-                      uint32_t min_pts, uint32_t c, const uint8_t* cell_dense,
-                      uint8_t* is_core);
+/// each call's whole block, so it is an upper bound on the distances the
+/// kernel evaluates.
+uint64_t CoreScanCell(const grid::Grid& g, const BoundKernels& kernels,
+                      double eps2, uint32_t min_pts, uint32_t c,
+                      const uint8_t* cell_dense, uint8_t* is_core,
+                      CellScan* scan);
 
 /// Phase 4 output: flat CSR of the core points of *sparse* core cells
 /// (offsets + original indices + packed row-major coordinates), so the
@@ -155,28 +164,28 @@ void FillSparseCoreCell(const grid::Grid& g, uint32_t c,
 
 /// Phase 5 (Algorithm 5): outlier scan of one cell. No point of a core
 /// cell is an outlier (Lemma 2), so core cells are skipped outright unless
-/// `scores` is set. Points of non-core cells are outliers iff no core
-/// point in a neighboring core cell lies within eps, with early
-/// termination on the first core point found — including the O_ncn
-/// shortcut (no neighboring core cell at all: every point is an outlier
-/// with no distance work). With `scores`, the early exit is disabled and
-/// the minimum core squared-distance is tracked for every non-core point
-/// (core_distance must then be non-null, n entries; kinds entries of core
-/// cells' border points stay untouched by the decision but get their
-/// distances). Writes only kinds/core_distance entries of cell `c`'s
-/// points; kinds must be pre-initialized to PointKind::kBorder. Returns
-/// the number of distance computations submitted. `neighbors` is as for
-/// CoreScanCell, but blocks stay per cell: the ids inside each run are
-/// visited one by one, since a sparse core cell's block is its phase-4 CSR
-/// slice. `neighbor_scratch` is caller-provided reusable storage.
-uint64_t OutlierScanCell(const grid::Grid& g,
-                         const grid::NeighborCells& neighbors,
-                         const BoundKernels& kernels, double eps2, bool scores,
-                         uint32_t c, const uint8_t* cell_dense,
-                         const uint8_t* cell_core, const uint8_t* is_core,
-                         const SparseCoreCsr& csr, PointKind* kinds,
-                         double* core_distance,
-                         std::vector<uint32_t>* neighbor_scratch);
+/// `scores` is set. Otherwise the cell's non-core points are scanned
+/// against the core cells among its neighbors, which `scan`'s cursor hands
+/// out as for CoreScanCell; each core neighbor cell is one contiguous
+/// block (a dense cell's grid block, a sparse core cell's phase-4 CSR
+/// slice). A point settles at its first core point within eps, and the
+/// scan stops once every non-core point has settled. A point of a non-core
+/// cell that never settles is an outlier; when the cell has no core
+/// neighbor at all (O_ncn), that takes no distance work. With `scores`,
+/// nothing settles early: the minimum core squared-distance is tracked for
+/// every non-core point over every core neighbor (core_distance must then
+/// be non-null, n entries; kinds entries of core cells' border points stay
+/// untouched by the decision but get their distances, and a point with no
+/// core neighbor gets infinity). Writes only kinds/core_distance entries of
+/// cell `c`'s points; kinds must be pre-initialized to PointKind::kBorder.
+/// Returns the number of distance computations submitted, one block per
+/// call.
+uint64_t OutlierScanCell(const grid::Grid& g, const BoundKernels& kernels,
+                         double eps2, bool scores, uint32_t c,
+                         const uint8_t* cell_dense, const uint8_t* cell_core,
+                         const uint8_t* is_core, const SparseCoreCsr& csr,
+                         PointKind* kinds, double* core_distance,
+                         CellScan* scan);
 
 }  // namespace dbscout::core::phases
 

@@ -15,7 +15,7 @@ namespace dbscout::grid {
 /// A persistent, lexicographically sorted index of occupied cells, mapping
 /// each cell's coordinate to a caller-chosen slot. It is the live
 /// detector's coordinate -> cell lookup (the cells change on every insert
-/// and removal, so NeighborCells' one-shot runs do not fit).
+/// and removal, so SortedCells' one-shot columns do not fit).
 ///
 /// Layout: a two-level B+-tree. Leaves hold up to 32 (coordinate, slot)
 /// entries in ascending coordinate order; the root lists the leaves in
@@ -28,7 +28,7 @@ namespace dbscout::grid {
 /// it (the root, then the leaf), so frozen versions never observe later
 /// writes and the writer pays only for the nodes it touches.
 ///
-/// Neighbors: AppendNeighbors runs NeighborCells' Definition 8 descent over
+/// Neighbors: AppendNeighbors runs SortedCells' Definition 8 descent over
 /// the sorted keys, down to the leaves — one level per dimension, each
 /// level a seek to the next coordinate window of GapPruning — so a lookup
 /// costs O(log cells) per trie node visited, never k_d hash probes.

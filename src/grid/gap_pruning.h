@@ -10,7 +10,7 @@
 namespace dbscout::grid {
 
 /// The Definition 8 pruning arithmetic of a gap-pruned descent over
-/// lexicographically sorted occupied cells, shared by NeighborCells (the
+/// lexicographically sorted occupied cells, shared by SortedCells (the
 /// batch engines' neighbor runs) and CellIndex (the live detector's index).
 ///
 /// Cells c and x are neighbors iff sum_i max(0, |c_i - x_i| - 1)^2 < d.

@@ -111,7 +111,7 @@ class Grid {
   const CellCoord& CoordOf(uint32_t id) const { return cell_coords_[id]; }
 
   /// Coordinates of every cell, indexed by cell id and so strictly
-  /// ascending (the input of NeighborCells::Build).
+  /// ascending (the input of SortedCells and NeighborCells::Build).
   std::span<const CellCoord> CellCoords() const { return cell_coords_; }
 
   /// Id of the non-empty cell at `coord`, if any (a binary search).
@@ -156,7 +156,7 @@ class Grid {
   /// Invokes fn(neighbor_cell_id) for every non-empty neighboring cell of
   /// `id`, including `id` itself, in ascending coordinate order. The
   /// stencil has k_d entries, so this is O(k_d) FindCell searches; the
-  /// batch engines use the occupied-cell walk of NeighborCells instead.
+  /// batch engines use the occupied-cell walk of SortedCells instead.
   template <typename Fn>
   void ForEachNeighborCell(uint32_t id, const NeighborStencil& stencil,
                            Fn&& fn) const {

@@ -45,15 +45,15 @@ constexpr uint32_t kMinPts = 4;
 
 struct Built {
   grid::Grid g;
-  grid::NeighborCells neighbors;  // every cell's runs
+  grid::SortedCells cells;  // what the cell scans walk
   BoundKernels kernels;
 };
 
 Built Build(const PointSet& ps) {
   auto g = grid::Grid::Build(ps, std::sqrt(2.0));
   EXPECT_TRUE(g.ok());
-  grid::NeighborCells neighbors = grid::NeighborCells::Build(g->CellCoords());
-  return {std::move(*g), std::move(neighbors), BindKernels(ps.dims())};
+  grid::SortedCells cells(g->CellCoords());
+  return {std::move(*g), std::move(cells), BindKernels(ps.dims())};
 }
 
 CellRange AllCells(const grid::Grid& g) {
@@ -119,29 +119,17 @@ TEST(PhasesTest, ClassifyDenseCellsCountsAndFlags) {
   }
 }
 
-TEST(PhasesTest, ScannedCellsAreTheNonDenseOnesOrAllWithScores) {
-  const PointSet ps = Sample();
-  Built b = Build(ps);
-  const std::vector<uint8_t> scan = ScannedCells(b.g, kMinPts, false);
-  const std::vector<uint8_t> all = ScannedCells(b.g, kMinPts, true);
-  ASSERT_EQ(scan.size(), b.g.num_cells());
-  ASSERT_EQ(all.size(), b.g.num_cells());
-  for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    EXPECT_EQ(scan[c] == 1, !IsDense(b.g.CellSize(c), kMinPts));
-    EXPECT_EQ(all[c], 1);
-  }
-}
-
 TEST(PhasesTest, CoreScanMatchesBruteForce) {
   const PointSet ps = Sample();
   Built b = Build(ps);
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
   ClassifyDenseCells(b.g, kMinPts, AllCells(b.g), cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
+  CellScan scan(b.cells);
   uint64_t distances = 0;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    distances += CoreScanCell(b.g, b.neighbors, b.kernels, kEps2, kMinPts, c,
-                              cell_dense.data(), is_core.data());
+    distances += CoreScanCell(b.g, b.kernels, kEps2, kMinPts, c,
+                              cell_dense.data(), is_core.data(), &scan);
   }
   // Dense cells contribute no distance work (Lemma 1 short-circuit).
   EXPECT_GT(distances, 0u);
@@ -157,9 +145,10 @@ TEST(PhasesTest, SparseCoreCsrLayout) {
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
   ClassifyDenseCells(b.g, kMinPts, AllCells(b.g), cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
+  CellScan scan(b.cells);
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    CoreScanCell(b.g, b.neighbors, b.kernels, kEps2, kMinPts, c,
-                 cell_dense.data(), is_core.data());
+    CoreScanCell(b.g, b.kernels, kEps2, kMinPts, c, cell_dense.data(),
+                 is_core.data(), &scan);
   }
   std::vector<uint8_t> cell_core(b.g.num_cells(), 0);
   SparseCoreCsr csr;
@@ -196,10 +185,10 @@ TEST(PhasesTest, OutlierScanAppliesLemmaTwoAndOncn) {
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
   ClassifyDenseCells(b.g, kMinPts, AllCells(b.g), cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
-  std::vector<uint32_t> scratch;
+  CellScan scan(b.cells);
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    CoreScanCell(b.g, b.neighbors, b.kernels, kEps2, kMinPts, c,
-                 cell_dense.data(), is_core.data());
+    CoreScanCell(b.g, b.kernels, kEps2, kMinPts, c, cell_dense.data(),
+                 is_core.data(), &scan);
   }
   std::vector<uint8_t> cell_core(b.g.num_cells(), 0);
   SparseCoreCsr csr;
@@ -207,10 +196,10 @@ TEST(PhasesTest, OutlierScanAppliesLemmaTwoAndOncn) {
   std::vector<PointKind> kinds(ps.size(), PointKind::kBorder);
   uint64_t distances = 0;
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    distances += OutlierScanCell(b.g, b.neighbors, b.kernels, kEps2,
-                                 /*scores=*/false, c, cell_dense.data(),
-                                 cell_core.data(), is_core.data(), csr,
-                                 kinds.data(), nullptr, &scratch);
+    distances += OutlierScanCell(b.g, b.kernels, kEps2, /*scores=*/false, c,
+                                 cell_dense.data(), cell_core.data(),
+                                 is_core.data(), csr, kinds.data(), nullptr,
+                                 &scan);
   }
   // The isolated point resolves through O_ncn: no distances were needed,
   // because every cell is either core (skipped, Lemma 2) or has no core
@@ -230,10 +219,10 @@ TEST(PhasesTest, OutlierScanScoreModeComputesDistances) {
   std::vector<uint8_t> cell_dense(b.g.num_cells(), 0);
   ClassifyDenseCells(b.g, kMinPts, AllCells(b.g), cell_dense.data());
   std::vector<uint8_t> is_core(ps.size(), 0);
-  std::vector<uint32_t> scratch;
+  CellScan scan(b.cells);
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    CoreScanCell(b.g, b.neighbors, b.kernels, kEps2, kMinPts, c,
-                 cell_dense.data(), is_core.data());
+    CoreScanCell(b.g, b.kernels, kEps2, kMinPts, c, cell_dense.data(),
+                 is_core.data(), &scan);
   }
   std::vector<uint8_t> cell_core(b.g.num_cells(), 0);
   SparseCoreCsr csr;
@@ -241,9 +230,9 @@ TEST(PhasesTest, OutlierScanScoreModeComputesDistances) {
   std::vector<PointKind> kinds(ps.size(), PointKind::kBorder);
   std::vector<double> core_distance(ps.size(), 0.0);
   for (uint32_t c = 0; c < b.g.num_cells(); ++c) {
-    OutlierScanCell(b.g, b.neighbors, b.kernels, kEps2, /*scores=*/true, c,
+    OutlierScanCell(b.g, b.kernels, kEps2, /*scores=*/true, c,
                     cell_dense.data(), cell_core.data(), is_core.data(), csr,
-                    kinds.data(), core_distance.data(), &scratch);
+                    kinds.data(), core_distance.data(), &scan);
   }
   for (size_t i = 0; i < ps.size(); ++i) {
     if (is_core[i]) {
@@ -353,6 +342,80 @@ TEST(PhasesTest, RunPhasesOverStripeBandsMatchesTheFullRun) {
   EXPECT_GT(dense_cells, 0u);
   EXPECT_GT(core, 0u);
   EXPECT_GT(outliers, 0u);
+}
+
+// A pool claims cells in chunks, and a chunk may start in the middle of a
+// pencil (the cells sharing their first d-1 coordinates), where its
+// neighbor cursor starts afresh. A pencil far longer than a chunk must
+// give the same verdicts, distances and distance counters as one inline
+// pass, with and without scores.
+TEST(PhasesTest, PencilSplitAcrossPoolChunksMatchesTheInlineRun) {
+  Rng rng(29);
+  // Three columns of cells one side wide, 200 sides long: a few points per
+  // cell, with gaps, so the long pencils hold core, border and outlier
+  // points.
+  const double eps = 1.0;
+  const double side = eps / std::sqrt(2.0);
+  PointSet ps(2);
+  for (int column = 0; column < 3; ++column) {
+    for (int i = 0; i < 150; ++i) {
+      const double y = rng.Uniform(0.0, 200.0 * side);
+      if (std::fmod(y, 40.0 * side) < 4.0 * side) {
+        continue;  // a gap every 40 cells
+      }
+      ps.Add({(column + rng.Uniform(0.0, 1.0)) * side, y});
+    }
+  }
+  auto g = grid::Grid::Build(ps, eps);
+  ASSERT_TRUE(g.ok());
+  size_t longest = 0;
+  for (uint32_t c = 0; c < g->num_cells();) {
+    uint32_t end = c;
+    while (end < g->num_cells() && g->CoordOf(end)[0] == g->CoordOf(c)[0]) {
+      ++end;
+    }
+    longest = std::max<size_t>(longest, end - c);
+    c = end;
+  }
+  ASSERT_GT(longest, 64u);  // so a chunk of 32 cells starts inside it
+  const uint32_t min_pts = 4;
+  ThreadPool pool(3);
+  for (bool scores : {false, true}) {
+    PhaseRecorder inline_recorder;
+    PhaseRecorder pool_recorder;
+    const PhaseResult inline_run =
+        RunPhases(*g, AllCells(*g), AllCells(*g), eps, min_pts, scores,
+                  nullptr, WallTimer(), &inline_recorder);
+    const PhaseResult pool_run =
+        RunPhases(*g, AllCells(*g), AllCells(*g), eps, min_pts, scores, &pool,
+                  WallTimer(), &pool_recorder);
+    EXPECT_EQ(pool_run.is_core, inline_run.is_core);
+    EXPECT_EQ(pool_run.kinds, inline_run.kinds);
+    EXPECT_EQ(pool_run.core_distance, inline_run.core_distance);
+    const auto& rows = inline_recorder.phases();
+    ASSERT_EQ(pool_recorder.phases().size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(pool_recorder.phases()[i].distance_computations,
+                rows[i].distance_computations)
+          << rows[i].name << " scores=" << scores;
+    }
+    // The verdicts are the exact ones, of every kind.
+    const auto expected = testing::BruteForceKinds(ps, eps, min_pts);
+    size_t core = 0;
+    size_t outliers = 0;
+    for (uint32_t p = 0; p < ps.size(); ++p) {
+      ASSERT_EQ(inline_run.is_core[p] == 1, expected[p] == PointKind::kCore)
+          << p;
+      ASSERT_EQ(inline_run.kinds[p] == PointKind::kOutlier,
+                expected[p] == PointKind::kOutlier)
+          << p;
+      core += inline_run.is_core[p];
+      outliers += inline_run.kinds[p] == PointKind::kOutlier;
+    }
+    EXPECT_GT(core, 0u);
+    EXPECT_GT(outliers, 0u);
+    EXPECT_LT(core + outliers, ps.size());  // border points too
+  }
 }
 
 TEST(PhasesTest, RecorderAccumulatesInFirstCallOrder) {

@@ -2,13 +2,15 @@
 // the expanded runs must equal a brute-force pairwise Definition 8 test,
 // and, where the stencil is small enough to materialize, the stencil
 // probe's output element for element. The runs themselves must be
-// ascending, disjoint and merged, one per neighbor pencil.
+// ascending, disjoint and merged, one per neighbor pencil, and the lazy
+// nearest-first cursor must hand out the same cells.
 #include "grid/neighbor_cells.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -101,9 +103,46 @@ std::vector<CellCoord> RandomCells(Rng* rng, size_t dims, size_t per_block) {
   return {cells.begin(), cells.end()};
 }
 
+// The prefix gap between the pencils of cells a and b: the Definition 8
+// sum over the first d-1 axes.
+int64_t PrefixGap(const CellCoord& a, const CellCoord& b) {
+  int64_t gap = 0;
+  for (size_t k = 0; k + 1 < a.dims(); ++k) {
+    gap += GapPruning::AxisGap(a[k] - b[k]);
+  }
+  return gap;
+}
+
+// Checks, for every cell of `coords` visited in `order`, that the windows
+// of one nearest-first cursor hold exactly the cell's runs in `lists`, and
+// that the prefix gaps of the visited pencils never decrease.
+void ExpectCursorMatchesLists(const std::vector<CellCoord>& coords,
+                              const SortedCells& cells,
+                              const NeighborCells& lists,
+                              const std::vector<uint32_t>& order) {
+  NeighborCursor cursor(cells, NeighborCursor::Order::kNearestFirst);
+  for (uint32_t c : order) {
+    std::vector<uint32_t> got;
+    int64_t last_gap = 0;
+    cursor.ForEach(c, [&](CellRun run) {
+      EXPECT_LT(run.begin, run.end);
+      const int64_t gap = PrefixGap(coords[c], coords[run.begin]);
+      EXPECT_LE(last_gap, gap) << "cell " << coords[c];
+      last_gap = gap;
+      for (uint32_t nc = run.begin; nc < run.end; ++nc) {
+        got.push_back(nc);
+      }
+      return true;
+    });
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, ExpandRuns(lists.Of(c))) << "cell " << coords[c];
+  }
+}
+
 TEST(NeighborCellsTest, EmptyInputHasNoCells) {
   const NeighborCells lists = NeighborCells::Build({});
   EXPECT_EQ(lists.num_cells(), 0u);
+  EXPECT_EQ(SortedCells({}).size(), 0u);
 }
 
 TEST(NeighborCellsTest, ListsEqualBruteForceForEveryDimensionality) {
@@ -129,6 +168,15 @@ TEST(NeighborCellsTest, ListsEqualBruteForceForEveryDimensionality) {
     }
     // The crowded block must actually exercise the pruning.
     EXPECT_GT(entries, 2 * coords.size()) << "d=" << d;
+    // The lazy, nearest-first visit hands out the same cells, with the
+    // cells given in ascending order (one walk per pencil) and in
+    // descending order (a fresh walk at every step back).
+    const SortedCells cells(coords);
+    std::vector<uint32_t> order(coords.size());
+    std::iota(order.begin(), order.end(), 0u);
+    ExpectCursorMatchesLists(coords, cells, lists, order);
+    std::reverse(order.begin(), order.end());
+    ExpectCursorMatchesLists(coords, cells, lists, order);
   }
   // Hand-checked at d = 2: (2,0) reaches (0,0) across one empty column
   // (gap 1 < 2), (1,1) touches both, and the far cells list only
